@@ -139,8 +139,12 @@ def cosine_similarity_matrix(u: np.ndarray, eps_norm: float = 1e-12) -> np.ndarr
 def topk_graph(similarity: np.ndarray, k: int) -> DynamicGraph:
     """Directed graph of each row's k most similar columns.
 
-    Ties break toward the lower column index, so construction is fully
-    deterministic.
+    Rows are ranked by similarity descending, ties break toward the
+    lower column index, and a row never picks itself whatever its
+    diagonal holds, so construction is fully deterministic. NaN ranks
+    below every number. All rows are selected at once: a partition finds
+    each row's k-th key, every column strictly above it is kept, and the
+    columns tied with it fill the remaining slots in index order.
     """
     sim = np.asarray(similarity, dtype=np.float64)
     n = sim.shape[0]
@@ -148,14 +152,17 @@ def topk_graph(similarity: np.ndarray, k: int) -> DynamicGraph:
         raise DataError(f"similarity must be square, got {sim.shape}")
     if not 1 <= k <= n - 1:
         raise ConfigError(f"k must satisfy 1 <= k <= N-1, got k={k}, N={n}")
-    adj = np.zeros((n, n))
-    cols = np.arange(n)
-    for i in range(n):
-        # sort by similarity desc, then index asc; self sits last via -inf
-        order = np.lexsort((cols, -sim[i]))
-        picked = [j for j in order if j != i][:k]
-        adj[i, picked] = 1.0
-    return DynamicGraph(adjacency=adj, similarity=sim)
+    # ascending key; NaN sorts last, so the NaN diagonal is never in the top k
+    key = -sim
+    np.fill_diagonal(key, np.nan)
+    kth = np.partition(key, k - 1, axis=1)[:, k - 1: k]
+    nan_key = np.isnan(key)
+    above = (key < kth) | (np.isnan(kth) & ~nan_key)
+    tied = (key == kth) | (np.isnan(kth) & nan_key)
+    np.fill_diagonal(tied, False)
+    slots = k - above.sum(axis=1, keepdims=True)
+    picked = above | (tied & (np.cumsum(tied, axis=1) <= slots))
+    return DynamicGraph(adjacency=picked.astype(np.float64), similarity=sim)
 
 
 def gat_layer(

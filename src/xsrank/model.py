@@ -303,17 +303,22 @@ def fci_forward(
     """Gated causal convolution over the fluctuation sequence.
 
     Per-stock independent: every op acts along time/channels only.
+    Only the last step's output is returned, and it depends only on the
+    last `tcn_kernel` fluctuation steps: the projection and layer norm
+    act step by step and the causal conv looks back K-1 steps. So the
+    branch runs on those steps alone, and dropout applies to the
+    returned [N, d] row.
     """
     if cfg.fci != "tcn":
         raise ConfigError("fci_forward requires fci == tcn")
-    h = tz.add(tz.matmul(Tensor(x_fluct), model["fluct_proj_w"]), model["fluct_proj_b"])
+    x_recent = x_fluct[-cfg.tcn_kernel:]
+    h = tz.add(tz.matmul(Tensor(x_recent), model["fluct_proj_w"]), model["fluct_proj_b"])
     h = tz.layer_norm(h, model["fluct_ln_g"], model["fluct_ln_b"])
     p = tz.causal_conv1d(h, model["conv_p_w"], model["conv_p_b"])
     q = tz.sigmoid(tz.causal_conv1d(h, model["conv_q_w"], model["conv_q_b"]))
     r = tz.causal_conv1d(h, model["conv_r_w"], model["conv_r_b"])
-    z = tz.relu(tz.add(tz.mul(p, q), r))
-    z = tz.dropout(z, cfg.dropout_rate, training=training, rng=model.dropout_rng)
-    return tz.gather_row(z, x_fluct.shape[0] - 1)
+    z = tz.gather_row(tz.relu(tz.add(tz.mul(p, q), r)), -1)
+    return tz.dropout(z, cfg.dropout_rate, training=training, rng=model.dropout_rng)
 
 
 def sci_forward(

@@ -60,6 +60,16 @@ class Tensor:
         self.node_id = node_id
         self._tape_token = _tape_token
 
+    @classmethod
+    def _wrap_checked(cls, arr: np.ndarray, node_id: int | None = None,
+                      tape_token: int | None = None) -> "Tensor":
+        """Wrap a C-contiguous float64 array the caller has already found finite."""
+        out = cls.__new__(cls)
+        out.data = arr
+        out.node_id = node_id
+        out._tape_token = tape_token
+        return out
+
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
@@ -581,10 +591,10 @@ def apply_primitive(
 
     tape = active_tape()
     if tape is None:
-        return Tensor(out)
+        return Tensor._wrap_checked(out)
     input_ids = tuple(tape.watch(t) for t in inputs)
     node_id = tape._record(kind, input_ids, vjp)
-    return Tensor(out, node_id=node_id, _tape_token=tape._token)
+    return Tensor._wrap_checked(out, node_id=node_id, tape_token=tape._token)
 
 
 def backward(loss: Tensor) -> dict[int, Tensor]:

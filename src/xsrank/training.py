@@ -210,6 +210,15 @@ def _daily_ic(scores: np.ndarray, labels: np.ndarray, mask: np.ndarray):
     return float((da * db).sum() / denom)
 
 
+def _check_knn(cfg: ActConfig, n_instruments: int) -> None:
+    """Reject a k-NN size the trend branch's graph cannot hold (k <= N-1)."""
+    if cfg.pspe == "full" and cfg.knn > n_instruments - 1:
+        raise ConfigError(
+            f"knn={cfg.knn} needs at least knn + 1 instruments, "
+            f"but the panel has N={n_instruments}"
+        )
+
+
 def train(
     ds: PanelDataset,
     graphs: RelationGraphs,
@@ -222,6 +231,7 @@ def train(
     those in [valid_start, test_start) drive model selection. Dates from
     test_start on are never touched. Deterministic per seed.
     """
+    _check_knn(cfg, len(ds.instruments))
     samples = make_windows(ds, cfg.window)
     train_samples = [s for s in samples if s.date < settings.valid_start]
     stop = settings.test_start
@@ -342,6 +352,7 @@ def predict_sliding(
     dynamic graph is rebuilt inside every window.
     """
     cfg = model.cfg
+    _check_knn(cfg, len(ds.instruments))
     n_dates = len(ds.dates)
     if n_dates < cfg.window:
         raise DataError(

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import _oracles as oracle
 from xsrank import tensor as tz
 from xsrank.errors import ConfigError, DataError
 from xsrank.graphs import (
@@ -318,3 +320,24 @@ def test_dynamic_graph_row_sums():
     g = topk_graph(cosine_similarity_matrix(u), 4)
     assert isinstance(g, DynamicGraph)
     assert (g.adjacency.sum(axis=1) == 4).all()
+
+
+@st.composite
+def tied_similarity(draw):
+    # a small value set makes ties dense; -inf may sit off the diagonal,
+    # and a row may be all zeros
+    n = draw(st.integers(2, 9))
+    values = st.sampled_from([0.0, 0.5, -0.5, 1.0, -np.inf])
+    sim = np.array(draw(st.lists(values, min_size=n * n, max_size=n * n))).reshape(n, n)
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=n)):
+        sim[i] = 0.0
+    if draw(st.booleans()):
+        np.fill_diagonal(sim, -np.inf)
+    return sim
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_similarity())
+def test_topk_graph_matches_oracle_on_dense_ties(sim):
+    for k in range(1, sim.shape[0]):
+        assert np.array_equal(topk_graph(sim, k).adjacency, oracle.topk_np(sim, k))

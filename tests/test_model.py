@@ -503,3 +503,23 @@ def test_load_state_arrays_validates_shapes():
     del state2["att_w1"]
     with pytest.raises(ConfigError):
         model.load_state_arrays(state2)
+
+
+def test_fci_depends_only_on_last_kernel_steps():
+    rng = np.random.default_rng(13)
+    cfg = small_cfg()
+    assert cfg.window > cfg.tcn_kernel
+    model = ActModel(cfg, seed=7)
+    x = rng.normal(size=(cfg.window, 5, cfg.n_features))
+    base = fci_forward(x, model, cfg).data
+    trimmed = fci_forward(x[-cfg.tcn_kernel:], model, cfg).data
+    assert np.array_equal(base, trimmed)
+    # any step older than the receptive field leaves the output untouched
+    for step in range(cfg.window - cfg.tcn_kernel):
+        changed = x.copy()
+        changed[step] = rng.normal(scale=10.0, size=changed[step].shape)
+        assert np.array_equal(fci_forward(changed, model, cfg).data, base)
+    # the oldest step inside it does not
+    changed = x.copy()
+    changed[-cfg.tcn_kernel] += 1.0
+    assert not np.array_equal(fci_forward(changed, model, cfg).data, base)

@@ -380,3 +380,35 @@ def test_predict_sliding_deterministic_csv(tmp_path):
     predict_sliding(model, ds, graphs).write_csv(a)
     predict_sliding(model, ds, graphs).write_csv(b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_train_rejects_knn_above_universe_before_windows(monkeypatch):
+    ds, graphs = small_panel(n=8)
+    cfg = small_cfg(knn=8)
+
+    def no_windows(*args, **kwargs):
+        raise AssertionError("windows were built before the knn check")
+
+    monkeypatch.setattr("xsrank.training.make_windows", no_windows)
+    settings = TrainSettings(valid_start=ds.dates[50], epochs=1)
+    with pytest.raises(ConfigError, match=r"knn=8.*N=8"):
+        train(ds, graphs, cfg, settings)
+
+
+def test_predict_sliding_rejects_knn_above_universe_before_windows(monkeypatch):
+    ds, graphs = small_panel(days=30, n=8)
+    model = ActModel(small_cfg(knn=8), seed=0)
+
+    def no_forward(*args, **kwargs):
+        raise AssertionError("a window was scored before the knn check")
+
+    monkeypatch.setattr("xsrank.training.act_forward", no_forward)
+    with pytest.raises(ConfigError, match=r"knn=8.*N=8"):
+        predict_sliding(model, ds, graphs)
+
+
+def test_knn_check_accepts_n_minus_one_and_ignores_gat_only():
+    ds, graphs = small_panel(days=30, n=8)
+    for cfg in (small_cfg(knn=7), small_cfg(knn=8, pspe="gat_only")):
+        preds = predict_sliding(ActModel(cfg, seed=0), ds, graphs)
+        assert len(preds.dates()) == 21
