@@ -14,6 +14,7 @@ import numpy as np
 
 from .data import PanelDataset, PredictionSeries, _write_rows, format_float
 from .errors import ConfigError, DataError
+from .evaluate import _format_metric, _ratio
 
 TRADING_DAYS = 252
 
@@ -224,19 +225,6 @@ class PortfolioMetrics:
         ]
 
 
-def _annualized_ratio(values: np.ndarray, name: str, flags: list[str]) -> float:
-    mean = float(values.mean())
-    std = float(values.std(ddof=1))
-    if std == 0.0:
-        flags.append(f"{name}_undefined_zero_std")
-        if mean > 0:
-            return float("inf")
-        if mean < 0:
-            return float("-inf")
-        return float("nan")
-    return mean / std * np.sqrt(TRADING_DAYS)
-
-
 def portfolio_metrics(
     excess: np.ndarray, portfolio: np.ndarray
 ) -> PortfolioMetrics:
@@ -254,8 +242,8 @@ def portfolio_metrics(
     flags: list[str] = []
 
     ar = float(excess.mean()) * TRADING_DAYS
-    ir = _annualized_ratio(excess, "information_ratio", flags)
-    sharpe = _annualized_ratio(portfolio, "sharpe", flags)
+    ir = _ratio(excess, "information_ratio", flags) * np.sqrt(TRADING_DAYS)
+    sharpe = _ratio(portfolio, "sharpe", flags) * np.sqrt(TRADING_DAYS)
 
     curve = np.cumprod(1.0 + excess)
     peak = np.maximum.accumulate(np.concatenate(([1.0], curve)))[1:]
@@ -268,14 +256,6 @@ def portfolio_metrics(
         calmar = ar / abs(md)
     return PortfolioMetrics(ar=ar, ir=ir, md=md, cr=cr, sharpe=sharpe,
                             calmar=calmar, flags=flags)
-
-
-def _format_metric(v: float) -> str:
-    if np.isfinite(v):
-        return format_float(v)
-    if np.isnan(v):
-        return "nan"
-    return "inf" if v > 0 else "-inf"
 
 
 def write_portfolio_metrics(metrics: PortfolioMetrics, path) -> None:

@@ -90,7 +90,7 @@ def normalized_adjacency(adj: np.ndarray) -> np.ndarray:
     return at * inv_sqrt[:, None] * inv_sqrt[None, :]
 
 
-def union_graph(*adjs: np.ndarray, self_loop_fallback: bool = True) -> np.ndarray:
+def union_graph(*adjs: np.ndarray) -> np.ndarray:
     """Elementwise OR of relation graphs; isolated rows get a self-edge.
 
     The self-edge keeps every attention row non-empty when the union is
@@ -104,9 +104,8 @@ def union_graph(*adjs: np.ndarray, self_loop_fallback: bool = True) -> np.ndarra
         if m.shape != out.shape:
             raise DataError("union_graph inputs disagree on shape")
         out = np.maximum(out, m)
-    if self_loop_fallback:
-        empty = out.sum(axis=1) == 0
-        out[empty, empty] = 1.0
+    empty = out.sum(axis=1) == 0
+    out[empty, empty] = 1.0
     return out
 
 
@@ -120,17 +119,17 @@ def gcn_layer(x: Tensor, adj: np.ndarray, weight: Tensor, bias: Tensor) -> Tenso
     return tz.add(tz.matmul(ahat, tz.matmul(x, weight)), bias)
 
 
-def cosine_similarity_matrix(u: np.ndarray, eps_norm: float = 1e-12) -> np.ndarray:
+def cosine_similarity_matrix(u: np.ndarray) -> np.ndarray:
     """Pairwise cosine similarity with the diagonal set to -inf.
 
-    The product of norms is floored by eps_norm so zero rows yield
+    The product of norms is floored by 1e-12 so zero rows yield
     similarity 0 instead of NaN.
     """
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 2:
         raise DataError(f"expected [N, d] representations, got {u.shape}")
     norms = np.sqrt((u * u).sum(axis=1))
-    denom = norms[:, None] * norms[None, :] + eps_norm
+    denom = norms[:, None] * norms[None, :] + 1e-12
     sim = (u @ u.T) / denom
     np.fill_diagonal(sim, -np.inf)
     return sim

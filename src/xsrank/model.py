@@ -317,7 +317,7 @@ def fci_forward(
     p = tz.causal_conv1d(h, model["conv_p_w"], model["conv_p_b"])
     q = tz.sigmoid(tz.causal_conv1d(h, model["conv_q_w"], model["conv_q_b"]))
     r = tz.causal_conv1d(h, model["conv_r_w"], model["conv_r_b"])
-    z = tz.gather_row(tz.relu(tz.add(tz.mul(p, q), r)), -1)
+    z = tz.index(tz.relu(tz.add(tz.mul(p, q), r)), -1)
     return tz.dropout(z, cfg.dropout_rate, training=training, rng=model.dropout_rng)
 
 
@@ -361,9 +361,6 @@ def mlp_isolation_forward(
     return tz.leaky_relu(tz.add(tz.matmul(x, model[w]), model[b]), cfg.leaky_slope)
 
 
-_SELECTORS = [np.eye(3)[:, i: i + 1] for i in range(3)]
-
-
 def acf_forward(z_trend: Tensor, z_fluct: Tensor, z_shock: Tensor, model: ActModel):
     """Per-stock softmax attention over the three component embeddings.
 
@@ -381,12 +378,11 @@ def acf_forward(z_trend: Tensor, z_fluct: Tensor, z_shock: Tensor, model: ActMod
     )
     alpha = tz.softmax(scores, axis=1)
     mixed = None
-    for sel, z in zip(_SELECTORS, comps):
-        term = tz.mul(tz.matmul(alpha, Tensor(sel)), z)
+    for i, z in enumerate(comps):
+        term = tz.mul(tz.index(alpha, (slice(None), slice(i, i + 1))), z)
         mixed = term if mixed is None else tz.add(mixed, term)
     y_col = tz.matmul(mixed, model["out_w"])
-    n = y_col.shape[0]
-    y_hat = tz.masked_select(y_col, np.ones((n, 1), dtype=bool))
+    y_hat = tz.index(y_col, (slice(None), 0))
     return y_hat, alpha
 
 

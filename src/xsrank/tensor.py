@@ -1,9 +1,11 @@
 """Minimal fp64 tensor engine with a reverse-mode differentiation tape.
 
-Tensors wrap C-contiguous float64 ndarrays. A closed set of primitives
-(see PrimitiveKind) covers everything the model needs; each primitive
-records a vector-Jacobian closure on the active tape. Running a primitive
-with no active tape just computes the value, which is how inference runs.
+Tensors wrap C-contiguous float64 ndarrays. The closed set of primitives
+(see PrimitiveKind) holds exactly what the model and its losses run;
+selection is basic indexing (INDEX) or a boolean mask (MASKED_SELECT).
+Each primitive records a vector-Jacobian closure on the active tape.
+Running a primitive with no active tape just computes the value, which is
+how inference runs.
 
 Every primitive output is checked for finiteness; NaN or Inf anywhere is
 an error, never a silent state.
@@ -37,11 +39,9 @@ class PrimitiveKind(Enum):
     DROPOUT = "dropout"
     MEAN = "mean"
     SUM = "sum"
-    CLIP = "clip"
     SQRT = "sqrt"
-    GATHER_ROWS = "gather_rows"
+    INDEX = "index"
     MASKED_SELECT = "masked_select"
-    SCATTER_ROWS = "scatter_rows"
 
 
 class Tensor:
@@ -446,21 +446,6 @@ def _fw_sum(inputs, attrs):
     return out, vjp
 
 
-def _fw_clip(inputs, attrs):
-    (x,) = inputs
-    lo = attrs["lo"]
-    hi = attrs["hi"]
-    if lo > hi:
-        raise ShapeError(f"clip bounds inverted: lo={lo} hi={hi}")
-    out = np.clip(x, lo, hi)
-
-    def vjp(g):
-        # subgradient 0 at and beyond the bounds
-        return [g * ((x > lo) & (x < hi))]
-
-    return out, vjp
-
-
 def _fw_sqrt(inputs, attrs):
     (x,) = inputs
     out = np.sqrt(x)
@@ -471,30 +456,26 @@ def _fw_sqrt(inputs, attrs):
     return out, vjp
 
 
-def _fw_gather_rows(inputs, attrs):
+def _fw_index(inputs, attrs):
+    # basic indexing only: ints and slices never repeat an element, so the
+    # VJP is a plain assignment into zeros
     (x,) = inputs
-    if "index" in attrs:
-        idx = int(attrs["index"])
-        if not -x.shape[0] <= idx < x.shape[0]:
-            raise ShapeError(f"gather_rows index {idx} out of range for {x.shape}")
-        out = x[idx].copy()
-
-        def vjp(g):
-            dx = np.zeros_like(x)
-            dx[idx] = g
-            return [dx]
-
-        return out, vjp
-    indices = np.asarray(attrs["indices"], dtype=np.int64)
-    if indices.ndim != 1:
-        raise ShapeError("gather_rows indices must be a 1-D sequence")
-    if indices.size and (indices.min() < -x.shape[0] or indices.max() >= x.shape[0]):
-        raise ShapeError("gather_rows indices out of range")
-    out = x[indices].copy()
+    key = attrs["key"]
+    parts = key if isinstance(key, tuple) else (key,)
+    if len(parts) > x.ndim:
+        raise ShapeError(f"index key {key!r} has more entries than {x.shape} has axes")
+    for axis, k in enumerate(parts):
+        if isinstance(k, slice):
+            continue
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+            raise ShapeError(f"index key entries must be ints or slices, got {k!r}")
+        if not -x.shape[axis] <= k < x.shape[axis]:
+            raise ShapeError(f"index {k} out of range for axis {axis} of {x.shape}")
+    out = x[key].copy()
 
     def vjp(g):
         dx = np.zeros_like(x)
-        np.add.at(dx, indices, g)
+        dx[key] = g
         return [dx]
 
     return out, vjp
@@ -511,23 +492,6 @@ def _fw_masked_select(inputs, attrs):
         dx = np.zeros_like(x)
         dx[mask] = g
         return [dx]
-
-    return out, vjp
-
-
-def _fw_scatter_rows(inputs, attrs):
-    (x,) = inputs
-    indices = np.asarray(attrs["indices"], dtype=np.int64)
-    num_rows = int(attrs["num_rows"])
-    if indices.ndim != 1 or indices.shape[0] != x.shape[0]:
-        raise ShapeError("scatter_rows needs one index per input row")
-    if indices.size and (indices.min() < 0 or indices.max() >= num_rows):
-        raise ShapeError("scatter_rows indices out of range")
-    out = np.zeros((num_rows,) + x.shape[1:])
-    np.add.at(out, indices, x)
-
-    def vjp(g):
-        return [g[indices]]
 
     return out, vjp
 
@@ -550,11 +514,9 @@ _REGISTRY: dict[PrimitiveKind, tuple[Callable, frozenset, frozenset]] = {
     PrimitiveKind.DROPOUT: (_fw_dropout, frozenset({"rate"}), frozenset({"training", "rng"})),
     PrimitiveKind.MEAN: (_fw_mean, frozenset(), frozenset({"axis", "keepdims"})),
     PrimitiveKind.SUM: (_fw_sum, frozenset(), frozenset({"axis", "keepdims"})),
-    PrimitiveKind.CLIP: (_fw_clip, frozenset({"lo", "hi"}), frozenset()),
     PrimitiveKind.SQRT: (_fw_sqrt, frozenset(), frozenset()),
-    PrimitiveKind.GATHER_ROWS: (_fw_gather_rows, frozenset(), frozenset({"index", "indices"})),
+    PrimitiveKind.INDEX: (_fw_index, frozenset({"key"}), frozenset()),
     PrimitiveKind.MASKED_SELECT: (_fw_masked_select, frozenset({"mask"}), frozenset()),
-    PrimitiveKind.SCATTER_ROWS: (_fw_scatter_rows, frozenset({"indices", "num_rows"}), frozenset()),
 }
 
 
@@ -576,8 +538,6 @@ def apply_primitive(
     missing = required - attrs.keys()
     if missing:
         raise TapeError(f"{kind.value}: missing attrs {sorted(missing)}")
-    if kind is PrimitiveKind.GATHER_ROWS and ("index" in attrs) == ("indices" in attrs):
-        raise TapeError("gather_rows takes exactly one of index / indices")
 
     arrays = [t.data for t in inputs]
     # overflow/invalid become NaN or Inf and are caught by the finite check
@@ -597,12 +557,12 @@ def apply_primitive(
     return Tensor._wrap_checked(out, node_id=node_id, tape_token=tape._token)
 
 
-def backward(loss: Tensor) -> dict[int, Tensor]:
+def backward(loss: Tensor) -> None:
     """Reverse sweep from a scalar loss over the active tape.
 
-    Fills tape.gradients (node_id -> ndarray) and returns the same map
-    with Tensor values. Every reachable node gets a gradient of its own
-    shape; unreachable nodes are absent.
+    Fills tape.gradients (node_id -> ndarray), which tape.grad() reads.
+    Every reachable node gets a gradient of its own shape; unreachable
+    nodes are absent.
     """
     tape = active_tape()
     if tape is None:
@@ -632,7 +592,6 @@ def backward(loss: Tensor) -> dict[int, Tensor]:
             grads[in_id] = ig.copy() if acc is None else acc + ig
 
     tape.gradients = grads
-    return {nid: Tensor(g) for nid, g in grads.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -726,101 +685,15 @@ def tensor_sum(x, axis: int | None = None, keepdims: bool = False) -> Tensor:
     )
 
 
-def clip(x, lo: float, hi: float) -> Tensor:
-    return apply_primitive(PrimitiveKind.CLIP, [_as_tensor(x)], {"lo": lo, "hi": hi})
-
-
 def sqrt(x) -> Tensor:
     return apply_primitive(PrimitiveKind.SQRT, [_as_tensor(x)])
 
 
-def gather_row(x, index: int) -> Tensor:
-    return apply_primitive(PrimitiveKind.GATHER_ROWS, [_as_tensor(x)], {"index": index})
-
-
-def gather_rows(x, indices) -> Tensor:
-    return apply_primitive(
-        PrimitiveKind.GATHER_ROWS, [_as_tensor(x)], {"indices": list(indices)}
-    )
+def index(x, key) -> Tensor:
+    """x[key] for a basic key: an int, a slice, or a tuple of those."""
+    return apply_primitive(PrimitiveKind.INDEX, [_as_tensor(x)], {"key": key})
 
 
 def masked_select(x, mask) -> Tensor:
     return apply_primitive(PrimitiveKind.MASKED_SELECT, [_as_tensor(x)], {"mask": mask})
 
-
-def scatter_rows(x, indices, num_rows: int) -> Tensor:
-    return apply_primitive(
-        PrimitiveKind.SCATTER_ROWS,
-        [_as_tensor(x)],
-        {"indices": list(indices), "num_rows": num_rows},
-    )
-
-
-# ---------------------------------------------------------------------------
-# gradient verification
-# ---------------------------------------------------------------------------
-
-
-def finite_difference_check(f, point: Tensor, step: float = 1e-6) -> float:
-    """Max relative error between tape gradients of f and central differences.
-
-    f maps one Tensor to a scalar Tensor and must be deterministic
-    (run dropout in eval mode). Relative error per coordinate is
-    |analytic - numeric| / max(1, |analytic|).
-    """
-    with Tape() as tape:
-        out = f(point)
-        backward(out)
-        analytic = tape.grad(point)
-    if analytic is None:
-        analytic = np.zeros_like(point.data)
-
-    base = point.data.copy()
-    flat = base.reshape(-1)
-    worst = 0.0
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        hi = f(Tensor(base)).item()
-        flat[i] = orig - step
-        lo = f(Tensor(base)).item()
-        flat[i] = orig
-        numeric = (hi - lo) / (2.0 * step)
-        a = analytic.reshape(-1)[i]
-        err = abs(a - numeric) / max(1.0, abs(a))
-        if err > worst:
-            worst = err
-    return worst
-
-
-def finite_difference_check_params(
-    f, params: Sequence[Tensor], step: float = 1e-6
-) -> float:
-    """finite_difference_check generalized to a list of parameter tensors.
-
-    f() takes no arguments and reads the params by reference, so central
-    differences are taken by perturbing each param in place.
-    """
-    with Tape() as tape:
-        out = f()
-        backward(out)
-        analytic = [tape.grad(p) for p in params]
-
-    worst = 0.0
-    for p, an in zip(params, analytic):
-        if an is None:
-            an = np.zeros_like(p.data)
-        flat = p.data.reshape(-1)
-        aflat = an.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            hi = f().item()
-            flat[i] = orig - step
-            lo = f().item()
-            flat[i] = orig
-            numeric = (hi - lo) / (2.0 * step)
-            err = abs(aflat[i] - numeric) / max(1.0, abs(aflat[i]))
-            if err > worst:
-                worst = err
-    return worst

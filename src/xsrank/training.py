@@ -16,6 +16,7 @@ from . import tensor as tz
 from .data import PanelDataset, PredictionSeries, make_windows
 from .decompose import decompose
 from .errors import ConfigError, DataError, NonFiniteError
+from .evaluate import pearson
 from .graphs import RelationGraphs
 from .model import ActConfig, ActModel, act_forward, act_forward_parts
 from .tensor import Tape, Tensor, backward
@@ -195,21 +196,6 @@ class TrainHistory:
         }
 
 
-def _daily_ic(scores: np.ndarray, labels: np.ndarray, mask: np.ndarray):
-    """Plain Pearson over one date's observed set; None if degenerate."""
-    m = np.asarray(mask, dtype=bool)
-    if int(m.sum()) < 2:
-        return None
-    a = scores[m]
-    b = labels[m]
-    da = a - a.mean()
-    db = b - b.mean()
-    denom = np.sqrt((da * da).sum()) * np.sqrt((db * db).sum())
-    if denom == 0.0:
-        return None
-    return float((da * db).sum() / denom)
-
-
 def _check_knn(cfg: ActConfig, n_instruments: int) -> None:
     """Reject a k-NN size the trend branch's graph cannot hold (k <= N-1)."""
     if cfg.pspe == "full" and cfg.knn > n_instruments - 1:
@@ -322,7 +308,7 @@ def train(
         day_ics = []
         for sample in valid_samples:
             y_hat, _ = act_forward_parts(parts_for(sample), graphs, model)
-            ic = _daily_ic(y_hat.data, sample.labels, sample.mask)
+            ic = pearson(y_hat.data[sample.mask], sample.labels[sample.mask])
             if ic is not None:
                 day_ics.append(ic)
         epoch_ic = float(np.mean(day_ics)) if day_ics else -np.inf

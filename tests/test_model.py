@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import _oracles as oracle
+from _fd import finite_difference_check_params
 from xsrank import tensor as tz
 from xsrank.errors import ConfigError, DataError, NonFiniteError
 from xsrank.graphs import RelationGraphs, membership_adjacency
@@ -432,7 +433,7 @@ def test_end_to_end_gradient_matches_finite_differences():
             return tz.mean(tz.mul(y, y))
 
         names = sorted(model.params)
-        worst = tz.finite_difference_check_params(
+        worst = finite_difference_check_params(
             f, [model.params[k] for k in names], step=1e-6
         )
         assert worst < 1e-4, (seed, worst)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from _fd import finite_difference_check
 from xsrank import tensor as tz
 from xsrank.errors import NonFiniteError, ShapeError, TapeError
 from xsrank.tensor import PrimitiveKind, Tape, Tensor, apply_primitive, backward
@@ -72,26 +73,19 @@ def test_softmax_gradient_closed_form():
     with Tape() as tape:
         x = Tensor([0.0, 0.0])
         s = tz.softmax(x, axis=0)
-        loss = tz.gather_row(s, 0)
+        loss = tz.index(s, 0)
         backward(loss)
         g = tape.grad(x)
     np.testing.assert_allclose(g, [0.25, -0.25], atol=1e-12)
 
 
-def test_relu_and_clip_subgradient_zero_at_kink():
+def test_relu_subgradient_zero_at_kink():
     with Tape() as tape:
         x = Tensor([-1.0, 0.0, 2.0])
         loss = tz.tensor_sum(tz.relu(x))
         backward(loss)
         g = tape.grad(x)
     np.testing.assert_array_equal(g, [0.0, 0.0, 1.0])
-
-    with Tape() as tape:
-        x = Tensor([-0.2, -0.1, 0.0, 0.1, 0.2])
-        loss = tz.tensor_sum(tz.clip(x, -0.1, 0.1))
-        backward(loss)
-        g = tape.grad(x)
-    np.testing.assert_array_equal(g, [0.0, 0.0, 1.0, 0.0, 0.0])
 
 
 def test_layer_norm_output_standardized():
@@ -125,16 +119,12 @@ def test_dropout_eval_identity_train_scaling():
     assert abs(kept.mean() - 0.6) < 0.05
 
 
-def test_gather_scatter_roundtrip_and_duplicates():
-    rng = np.random.default_rng(4)
-    x = rng.normal(size=(5, 3))
-    picked = tz.gather_rows(Tensor(x), [4, 0, 0])
-    np.testing.assert_array_equal(picked.data, x[[4, 0, 0]])
-
-    spread = tz.scatter_rows(Tensor(x[:2]), [3, 3], num_rows=4)
-    expect = np.zeros((4, 3))
-    expect[3] = x[0] + x[1]
-    np.testing.assert_allclose(spread.data, expect)
+def test_index_rejects_non_basic_and_out_of_range_keys():
+    x = Tensor(np.arange(12, dtype=float).reshape(4, 3))
+    for key in ([0, 1], np.array([0, 1]), True, (slice(None), False),
+                Ellipsis, 4, -5, (slice(None), 3), (0, 0, 0)):
+        with pytest.raises(ShapeError):
+            tz.index(x, key)
 
 
 def test_masked_select_shape():
@@ -157,7 +147,7 @@ def test_unknown_attr_and_missing_attr_raise():
     with pytest.raises(TapeError):
         apply_primitive(PrimitiveKind.LEAKY_RELU, [Tensor([1.0])])
     with pytest.raises(TapeError):
-        apply_primitive(PrimitiveKind.GATHER_ROWS, [Tensor([1.0, 2.0])], {})
+        apply_primitive(PrimitiveKind.INDEX, [Tensor([1.0, 2.0])], {})
 
 
 def test_backward_preconditions():
@@ -223,7 +213,7 @@ FD_TOL = 1e-5
 
 
 def _fd_case(make_loss, point):
-    return tz.finite_difference_check(make_loss, Tensor(point), step=1e-6)
+    return finite_difference_check(make_loss, Tensor(point), step=1e-6)
 
 
 def _away_from(x, bad, margin=1e-3):
@@ -388,40 +378,28 @@ def test_fd_reductions():
                 assert err < FD_TOL
 
 
-def test_fd_clip_and_sqrt():
+def test_fd_sqrt():
     rng = np.random.default_rng(19)
     for trial in range(10):
         w = rng.normal(size=(3, 4))
-        x = rng.normal(size=(3, 4))
-        x = _away_from(_away_from(x, -0.5), 0.5)
-        err = _fd_case(lambda t: _scalarize(tz.clip(t, -0.5, 0.5), w), x)
-        assert err < FD_TOL
         pos = 0.1 + np.abs(rng.normal(size=(3, 4)))
         err = _fd_case(lambda t: _scalarize(tz.sqrt(t), w), pos)
         assert err < FD_TOL
 
 
-def test_fd_gather_select_scatter():
+def test_fd_index_and_masked_select():
     rng = np.random.default_rng(20)
     mask = np.zeros((4, 3), dtype=bool)
     mask[0, 1] = mask[2, 0] = mask[3, 2] = True
     for trial in range(10):
         x = rng.normal(size=(4, 3))
-        wrow = rng.normal(size=(3,))
-        wrows = rng.normal(size=(3, 3))
         wsel = rng.normal(size=(3,))
-        wscat = rng.normal(size=(6, 3))
-        err = _fd_case(lambda t: _scalarize(tz.gather_row(t, 2), wrow), x)
-        assert err < FD_TOL
-        err = _fd_case(
-            lambda t: _scalarize(tz.gather_rows(t, [1, 1, 3]), wrows), x
-        )
-        assert err < FD_TOL
+        keys = (2, (slice(None), slice(1, 3)), (slice(None), 0))
+        for key in keys:
+            w = rng.normal(size=x[key].shape)
+            err = _fd_case(lambda t, key=key, w=w: _scalarize(tz.index(t, key), w), x)
+            assert err < FD_TOL, key
         err = _fd_case(lambda t: _scalarize(tz.masked_select(t, mask), wsel), x)
-        assert err < FD_TOL
-        err = _fd_case(
-            lambda t: _scalarize(tz.scatter_rows(t, [5, 0, 5, 2], num_rows=6), wscat), x
-        )
         assert err < FD_TOL
 
 
