@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import PanelDataset, PredictionSeries, _write_rows, format_float
+from .data import PanelDataset, PredictionSeries, _write_rows, format_float, format_floats
 from .errors import ConfigError, DataError
 from .evaluate import _format_metric, _ratio
 
@@ -100,21 +100,13 @@ class BacktestResult:
     flags: list[str] = field(default_factory=list)
 
     def write_csv(self, path) -> None:
-        rows = [
-            [
-                self.dates[t],
-                format_float(self.portfolio[t]),
-                format_float(self.benchmark[t]),
-                format_float(self.excess[t]),
-                format_float(self.cum_excess[t]),
-            ]
-            for t in range(len(self.dates))
-        ]
+        cells = format_floats(np.column_stack(
+            [self.portfolio, self.benchmark, self.excess, self.cum_excess]))
         _write_rows(
             path,
             ["datetime", "portfolio_ret", "benchmark_ret", "excess_ret",
              "cum_excess"],
-            rows,
+            ([date, *cells[4 * t: 4 * t + 4]] for t, date in enumerate(self.dates)),
         )
 
 

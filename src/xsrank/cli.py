@@ -2,7 +2,8 @@
 
 Every command reads CSVs and flags, writes CSVs (plus an SVG for the
 backtest) into --out, and drops a manifest.json recording the resolved
-configuration, input digests, and artifact list. With a fixed seed the
+configuration, input digests, and artifact list; commands that read a
+panel also list the instruments it dropped. With a fixed seed the
 CSV/SVG artifacts are byte-identical across runs; only the manifest's
 wall_time_seconds field varies.
 
@@ -221,7 +222,8 @@ def file_digest(path) -> str:
 
 def write_manifest(out_dir: Path, command: str, config: dict,
                    inputs: dict[str, str], artifacts: list[str],
-                   seed, started: float) -> None:
+                   seed, started: float, ds=None) -> None:
+    """Write manifest.json; `ds` is the panel the command read, if any."""
     payload = {
         "command": command,
         "config": config,
@@ -233,6 +235,8 @@ def write_manifest(out_dir: Path, command: str, config: dict,
         "seed": seed,
         "wall_time_seconds": round(time.monotonic() - started, 3),
     }
+    if ds is not None:
+        payload["dropped_instruments"] = ds.meta["dropped_instruments"]
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     (out_dir / "manifest.json").write_text(text, encoding="utf-8")
 
@@ -246,11 +250,19 @@ def ensure_out(args) -> Path:
     return out
 
 
+def load_panel_membership(path, instruments: list[str]) -> dict[str, str]:
+    """Membership map of `path`; a file naming no panel instrument is refused."""
+    labels = load_membership(path)
+    if not any(inst in labels for inst in instruments):
+        raise DataError(f"{path}: names no instrument of the panel")
+    return labels
+
+
 def load_graphs(ds, industry_path, region_path):
     return build_relation_graphs(
         ds.instruments,
-        load_membership(industry_path),
-        load_membership(region_path),
+        load_panel_membership(industry_path, ds.instruments),
+        load_panel_membership(region_path, ds.instruments),
     )
 
 
@@ -325,7 +337,7 @@ def cmd_train(args, resolved, seed) -> int:
                    input_map(args, "features", "prices", "industry",
                              "region"),
                    ["checkpoint.json", "history.csv", "train_stats.csv"],
-                   seed, started)
+                   seed, started, ds)
     return EXIT_OK
 
 
@@ -343,7 +355,7 @@ def cmd_predict(args, resolved, seed) -> int:
     write_manifest(out, "predict", resolved,
                    input_map(args, "checkpoint", "features", "prices",
                              "industry", "region"),
-                   ["predictions.csv"], seed, started)
+                   ["predictions.csv"], seed, started, ds)
     return EXIT_OK
 
 
@@ -369,7 +381,8 @@ def cmd_evaluate(args, resolved, seed) -> int:
         path = args.industry if group_by == "industry" else args.region
         if path is None:
             raise ConfigError(f"--group-by {group_by} needs --{group_by}")
-        groups = subgroup_metrics(preds, ds, load_membership(path))
+        groups = subgroup_metrics(preds, ds,
+                                  load_panel_membership(path, ds.instruments))
         rows = []
         for category in sorted(groups):
             rep = groups[category]
@@ -391,7 +404,7 @@ def cmd_evaluate(args, resolved, seed) -> int:
         inputs[group_by] = path
 
     write_manifest(out, "evaluate", resolved, inputs, artifacts,
-                   seed, started)
+                   seed, started, ds)
     return EXIT_OK
 
 
@@ -420,7 +433,7 @@ def cmd_backtest(args, resolved, seed) -> int:
     write_manifest(out, "backtest", resolved,
                    input_map(args, "predictions", "features", "prices"),
                    ["backtest.csv", "portfolio_metrics.csv", "curves.svg"],
-                   seed, started)
+                   seed, started, ds)
     return EXIT_OK
 
 

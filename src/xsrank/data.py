@@ -2,8 +2,9 @@
 windowing, and a seeded synthetic market generator with planted structure.
 
 All files are UTF-8 with LF line endings and ISO-8601 dates. Floats are
-written in shortest round-trip positional notation so a load/write cycle
-of canonical files is byte-identical.
+written in shortest round-trip positional notation: the digits of `repr`,
+never exponent notation, so a load/write cycle of canonical files is
+byte-identical. Readers and writers work a whole column or day at a time.
 """
 
 from __future__ import annotations
@@ -25,19 +26,41 @@ PREDICTIONS_HEADER = ["datetime", "instrument", "score"]
 FACTOR_NAMES = ["mktrf", "smb", "hml", "rmw", "cma"]
 
 
+def format_floats(values) -> list[str]:
+    """Shortest decimal strings that round-trip to the same fp64 values.
+
+    `repr` gives the shortest round-trip digits but switches to exponent
+    notation below 1e-4 and from 1e16; only those strings are redone
+    positionally. Raises DataError on the first non-finite value.
+    """
+    arr = np.asarray(values, dtype=np.float64).ravel()
+    finite = np.isfinite(arr)
+    if not finite.all():
+        bad = float(arr[np.argmin(finite)])
+        raise DataError(f"refusing to write non-finite value {bad!r}")
+    out = list(map(repr, arr.tolist()))
+    if "e" in "".join(out):
+        out = [
+            np.format_float_positional(v, unique=True, trim="0") if "e" in s else s
+            for s, v in zip(out, arr)
+        ]
+    return out
+
+
 def format_float(v: float) -> str:
     """Shortest decimal string that round-trips to the same fp64."""
-    v = float(v)
-    if v != v or v in (float("inf"), float("-inf")):
-        raise DataError(f"refusing to write non-finite value {v!r}")
-    return np.format_float_positional(np.float64(v), unique=True, trim="0")
+    return format_floats([v])[0]
+
+
+def _write_lines(path, header, lines):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def _write_rows(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+    _write_lines(path, header, map(",".join, rows))
 
 
 def _read_rows(path, expected_header):
@@ -58,7 +81,16 @@ def _read_rows(path, expected_header):
     return header, rows
 
 
+def _first_ragged(rows, width: int) -> int:
+    """Index of the first row without `width` columns, or len(rows)."""
+    return next((k for k, row in enumerate(rows) if len(row) != width), len(rows))
+
+
 def _parse_float(raw: str, path, lineno) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        pass
     raw = raw.strip()
     if raw == "" or raw.lower() == "nan":
         return float("nan")
@@ -66,6 +98,34 @@ def _parse_float(raw: str, path, lineno) -> float:
         return float(raw)
     except ValueError:
         raise DataError(f"{path}: line {lineno}: unparseable number {raw!r}") from None
+
+
+def _parse_floats(cells, path, lineno_of):
+    """Parse number cells in file order, each as `_parse_float` would.
+
+    Returns the values of the cells before the first unparseable one and
+    that cell's DataError, or None when all parse, so a caller can still
+    report a fault on an earlier line first. `lineno_of(k)` is the line
+    of cell k.
+    """
+    try:
+        return np.array(list(map(float, cells)), dtype=np.float64), None
+    except ValueError:
+        pass
+    values = []
+    for k, raw in enumerate(cells):
+        try:
+            values.append(_parse_float(raw, path, lineno_of(k)))
+        except DataError as exc:
+            return np.array(values, dtype=np.float64), exc
+    return np.array(values, dtype=np.float64), None
+
+
+def _codes(column: list[str]) -> tuple[list[str], np.ndarray]:
+    """Sorted distinct values of a column and each row's position in them."""
+    names = sorted(set(column))
+    pos = {name: k for k, name in enumerate(names)}
+    return names, np.fromiter(map(pos.__getitem__, column), dtype=np.intp, count=len(column))
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +206,11 @@ class PredictionSeries:
         keys = [(d, i) for d, i, _ in self.rows]
         if len(set(keys)) != len(keys):
             raise DataError("duplicate (date, instrument) prediction")
-        for d, i, s in self.rows:
-            if not np.isfinite(s):
-                raise DataError(f"non-finite score at ({d}, {i})")
+        scores = np.array([s for _, _, s in self.rows], dtype=np.float64)
+        bad = np.flatnonzero(~np.isfinite(scores))
+        if bad.size:
+            d, i, _ = self.rows[bad[0]]
+            raise DataError(f"non-finite score at ({d}, {i})")
 
     def dates(self) -> list[str]:
         return sorted({d for d, _, _ in self.rows})
@@ -160,21 +222,24 @@ class PredictionSeries:
         return out
 
     def write_csv(self, path) -> None:
-        _write_rows(
+        scores = format_floats([s for _, _, s in self.rows])
+        _write_lines(
             path,
             PREDICTIONS_HEADER,
-            ([d, i, format_float(s)] for d, i, s in self.rows),
+            (f"{d},{i},{s}" for (d, i, _), s in zip(self.rows, scores)),
         )
 
     @classmethod
     def read_csv(cls, path) -> "PredictionSeries":
         _, raw = _read_rows(path, PREDICTIONS_HEADER)
-        rows = []
-        for lineno, row in enumerate(raw, start=2):
-            if len(row) != 3:
-                raise DataError(f"{path}: line {lineno}: expected 3 columns")
-            rows.append((row[0], row[1], _parse_float(row[2], path, lineno)))
-        return cls(rows=rows)
+        n_ok = _first_ragged(raw, 3)
+        scores, error = _parse_floats([row[2] for row in raw[:n_ok]], path,
+                                      lambda k: k + 2)
+        if error is not None:
+            raise error
+        if n_ok < len(raw):
+            raise DataError(f"{path}: line {n_ok + 2}: expected 3 columns")
+        return cls(rows=[(row[0], row[1], s) for row, s in zip(raw, scores.tolist())])
 
 
 @dataclass
@@ -211,22 +276,49 @@ def compute_vwap(bars: list[tuple[float, float]]) -> float:
 
 
 def vwap_matrix(
-    bars: dict[tuple[str, str], list[tuple[float, float]]],
-    dates: list[str],
-    instruments: list[str],
+    t: np.ndarray,
+    i: np.ndarray,
+    price: np.ndarray,
+    volume: np.ndarray,
+    shape: tuple[int, int],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell VWAP and total volume; NaN where a cell has no bars."""
-    d, n = len(dates), len(instruments)
-    vwap = np.full((d, n), np.nan)
-    volume = np.full((d, n), np.nan)
-    for ti, dt in enumerate(dates):
-        for ii, inst in enumerate(instruments):
-            cell = bars.get((dt, inst))
-            if not cell:
-                continue
-            vwap[ti, ii] = compute_vwap(cell)
-            volume[ti, ii] = sum(v for _, v in cell)
-    return vwap, volume
+    """Per-cell VWAP and total volume of bars k at cell (t[k], i[k]).
+
+    Bars are summed per cell in the order given, as `compute_vwap` sums
+    one cell's bars, so each cell is bitwise `compute_vwap` of its bars.
+    Cells without bars are NaN. The first cell in (date, instrument)
+    order with a negative or all-zero volume raises DataError.
+    """
+    price = np.asarray(price, dtype=np.float64)
+    volume = np.asarray(volume, dtype=np.float64)
+    cell = np.ravel_multi_index((np.asarray(t, dtype=np.intp),
+                                 np.asarray(i, dtype=np.intp)), shape)
+    size = shape[0] * shape[1]
+    count = np.bincount(cell, minlength=size)
+    num = np.zeros(size)
+    den = np.zeros(size)
+    np.add.at(num, cell, price * volume)
+    np.add.at(den, cell, volume)
+
+    negative = np.zeros(size, dtype=bool)
+    negative[cell[volume < 0]] = True
+    bad = negative | ((count > 0) & (den <= 0))
+    if bad.any():
+        first = int(np.argmax(bad))
+        if negative[first]:
+            k = np.flatnonzero((cell == first) & (volume < 0))[0]
+            raise DataError(f"negative volume {float(volume[k])}")
+        raise DataError("non-positive VWAP denominator (all-zero volume)")
+
+    vwap = np.full(size, np.nan)
+    many = count > 1
+    vwap[many] = num[many] / den[many]
+    # one bar: its exact price, avoiding the (p*v)/v rounding so
+    # canonical files round-trip
+    single = count[cell] == 1
+    vwap[cell[single]] = price[single]
+    total = np.where(count > 0, den, np.nan)
+    return vwap.reshape(shape), total.reshape(shape)
 
 
 def compute_vwap_returns(
@@ -235,7 +327,14 @@ def compute_vwap_returns(
     instruments: list[str],
 ) -> np.ndarray:
     """labels[t, i] = (VWAP_{t+1} - VWAP_t) / VWAP_t; last date missing."""
-    vwap, _ = vwap_matrix(bars, dates, instruments)
+    date_pos = {d: k for k, d in enumerate(dates)}
+    inst_pos = {s: k for k, s in enumerate(instruments)}
+    flat = np.array([(date_pos[d], inst_pos[s], p, v)
+                     for (d, s), cell in bars.items()
+                     if d in date_pos and s in inst_pos
+                     for p, v in cell], dtype=np.float64).reshape(-1, 4)
+    vwap, _ = vwap_matrix(flat[:, 0].astype(np.intp), flat[:, 1].astype(np.intp),
+                          flat[:, 2], flat[:, 3], (len(dates), len(instruments)))
     return returns_from_prices(vwap)
 
 
@@ -262,8 +361,10 @@ def load_panel(features_path, prices_path) -> PanelDataset:
     """Read feature and price CSVs into an aligned PanelDataset.
 
     The instrument universe is the set present on every feature date;
-    entering/exiting names are dropped. Labels come from VWAP returns,
-    and cells without a next-day price are simply unobserved.
+    entering/exiting names are dropped and listed, sorted, in
+    meta["dropped_instruments"]. Labels come from VWAP returns, and cells
+    without a next-day price are simply unobserved. Of several faults the
+    one on the earliest line is reported.
     """
     header, rows = _read_rows(features_path, None)
     if len(header) < 3 or header[:2] != ["datetime", "instrument"]:
@@ -273,52 +374,63 @@ def load_panel(features_path, prices_path) -> PanelDataset:
     if header[2:] != want:
         raise DataError(f"{features_path}: feature columns must be f0..f{n_feat - 1}")
 
-    per_date: dict[str, dict[str, list[float]]] = {}
-    for lineno, row in enumerate(rows, start=2):
-        if len(row) != 2 + n_feat:
-            raise DataError(
-                f"{features_path}: line {lineno}: ragged row of {len(row)} columns"
-            )
-        dt, inst = row[0], row[1]
-        vals = [_parse_float(v, features_path, lineno) for v in row[2:]]
-        day = per_date.setdefault(dt, {})
-        if inst in day:
-            raise DataError(f"{features_path}: duplicate ({dt}, {inst})")
-        day[inst] = vals
-    if not per_date:
+    n_ok = _first_ragged(rows, 2 + n_feat)
+    values, error = _parse_floats(
+        [v for row in rows[:n_ok] for v in row[2:]], features_path,
+        lambda k: k // n_feat + 2)
+    parsed = rows[: len(values) // n_feat]
+    dates, t = _codes([row[0] for row in parsed])
+    names, i = _codes([row[1] for row in parsed])
+    _, first = np.unique(t * len(names) + i, return_index=True)
+    if first.size < t.size:
+        seen = np.zeros(t.size, dtype=bool)
+        seen[first] = True
+        dt, inst = parsed[int(np.argmin(seen))][:2]
+        raise DataError(f"{features_path}: duplicate ({dt}, {inst})")
+    if error is not None:
+        raise error
+    if n_ok < len(rows):
+        raise DataError(
+            f"{features_path}: line {n_ok + 2}: ragged row of {len(rows[n_ok])} columns"
+        )
+    if not rows:
         raise DataError(f"{features_path}: no data rows")
 
-    dates = sorted(per_date)
-    universe = set(per_date[dates[0]])
-    for dt in dates[1:]:
-        universe &= set(per_date[dt])
-    if not universe:
+    present = np.zeros((len(dates), len(names)), dtype=bool)
+    present[t, i] = True
+    keep = present.all(axis=0)
+    if not keep.any():
         raise DataError(f"{features_path}: no instrument present on every date")
-    instruments = sorted(universe)
-
+    instruments = [names[j] for j in np.flatnonzero(keep)]
+    dropped = [names[j] for j in np.flatnonzero(~keep)]
+    column = np.cumsum(keep) - 1
+    kept = keep[i]
     features = np.empty((len(dates), len(instruments), n_feat))
-    for ti, dt in enumerate(dates):
-        day = per_date[dt]
-        for ii, inst in enumerate(instruments):
-            features[ti, ii] = day[inst]
+    features[t[kept], column[i[kept]]] = values.reshape(-1, n_feat)[kept]
 
     _, price_rows = _read_rows(prices_path, PRICES_HEADER)
-    bars: dict[tuple[str, str], list[tuple[float, float]]] = {}
-    inst_set = set(instruments)
-    date_set = set(dates)
-    for lineno, row in enumerate(price_rows, start=2):
-        if len(row) != 4:
-            raise DataError(f"{prices_path}: line {lineno}: expected 4 columns")
-        dt, inst = row[0], row[1]
-        if dt not in date_set or inst not in inst_set:
-            continue
-        price = _parse_float(row[2], prices_path, lineno)
-        volume = _parse_float(row[3], prices_path, lineno)
-        if not np.isfinite(price) or not np.isfinite(volume):
-            raise DataError(f"{prices_path}: line {lineno}: missing price/volume")
-        bars.setdefault((dt, inst), []).append((price, volume))
+    n_ok = _first_ragged(price_rows, 4)
+    date_pos = {d: k for k, d in enumerate(dates)}
+    inst_pos = {s: k for k, s in enumerate(instruments)}
+    bar_rows = [k for k in range(n_ok)
+                if price_rows[k][0] in date_pos and price_rows[k][1] in inst_pos]
+    values, error = _parse_floats(
+        [v for k in bar_rows for v in price_rows[k][2:]], prices_path,
+        lambda c: bar_rows[c // 2] + 2)
+    bars = values[: len(values) // 2 * 2].reshape(-1, 2)
+    missing = np.flatnonzero(~np.isfinite(bars).all(axis=1))
+    if missing.size:
+        raise DataError(
+            f"{prices_path}: line {bar_rows[missing[0]] + 2}: missing price/volume")
+    if error is not None:
+        raise error
+    if n_ok < len(price_rows):
+        raise DataError(f"{prices_path}: line {n_ok + 2}: expected 4 columns")
 
-    vwap, volume = vwap_matrix(bars, dates, instruments)
+    vwap, volume = vwap_matrix(
+        [date_pos[price_rows[k][0]] for k in bar_rows],
+        [inst_pos[price_rows[k][1]] for k in bar_rows],
+        bars[:, 0], bars[:, 1], (len(dates), len(instruments)))
     labels = returns_from_prices(vwap)
     observed = np.isfinite(labels)
     present = np.isfinite(vwap)
@@ -331,35 +443,34 @@ def load_panel(features_path, prices_path) -> PanelDataset:
         present_mask=present,
         vwap=vwap,
         volume=volume,
-        meta={"price_basis": "vwap"},
+        meta={"price_basis": "vwap", "dropped_instruments": dropped},
     )
 
 
 def write_panel(ds: PanelDataset, features_path, prices_path) -> None:
     """Write the canonical CSV pair: sorted rows, one price bar per cell."""
+    n_feat = ds.n_features
     feat_header = ["datetime", "instrument"] + [
-        f"{FEATURE_PREFIX}{i}" for i in range(ds.n_features)
+        f"{FEATURE_PREFIX}{i}" for i in range(n_feat)
     ]
 
-    def feature_rows():
+    def feature_lines():
         for ti, dt in enumerate(ds.dates):
+            cells = format_floats(ds.features[ti])
             for ii, inst in enumerate(ds.instruments):
-                yield [dt, inst] + [format_float(v) for v in ds.features[ti, ii]]
+                yield ",".join([dt, inst, *cells[ii * n_feat: (ii + 1) * n_feat]])
 
-    _write_rows(features_path, feat_header, feature_rows())
+    _write_lines(features_path, feat_header, feature_lines())
 
-    def price_rows():
+    def price_lines():
         for ti, dt in enumerate(ds.dates):
-            for ii, inst in enumerate(ds.instruments):
-                if np.isfinite(ds.vwap[ti, ii]):
-                    yield [
-                        dt,
-                        inst,
-                        format_float(ds.vwap[ti, ii]),
-                        format_float(ds.volume[ti, ii]),
-                    ]
+            cols = np.flatnonzero(np.isfinite(ds.vwap[ti]))
+            prices = format_floats(ds.vwap[ti, cols])
+            volumes = format_floats(ds.volume[ti, cols])
+            for ii, price, volume in zip(cols.tolist(), prices, volumes):
+                yield f"{dt},{ds.instruments[ii]},{price},{volume}"
 
-    _write_rows(prices_path, PRICES_HEADER, price_rows())
+    _write_lines(prices_path, PRICES_HEADER, price_lines())
 
 
 def load_membership(path) -> dict[str, str]:
@@ -389,34 +500,40 @@ def write_membership(path, labels: dict[str, str]) -> None:
 
 def load_factors(path) -> FactorSeries:
     _, rows = _read_rows(path, FACTORS_HEADER)
-    dates: list[str] = []
-    cols: dict[str, list[float]] = {name: [] for name in ["rf"] + FACTOR_NAMES}
-    for lineno, row in enumerate(rows, start=2):
-        if len(row) != len(FACTORS_HEADER):
-            raise DataError(f"{path}: line {lineno}: expected {len(FACTORS_HEADER)} columns")
-        dates.append(row[0])
-        for name, raw in zip(["rf"] + FACTOR_NAMES, row[1:]):
-            val = _parse_float(raw, path, lineno)
-            if not np.isfinite(val):
-                raise DataError(f"{path}: line {lineno}: missing {name}")
-            cols[name].append(val)
+    names = ["rf"] + FACTOR_NAMES
+    n_ok = _first_ragged(rows, len(FACTORS_HEADER))
+    values, error = _parse_floats(
+        [v for row in rows[:n_ok] for v in row[1:]], path,
+        lambda k: k // len(names) + 2)
+    missing = np.flatnonzero(~np.isfinite(values))
+    if missing.size:
+        k = missing[0]
+        raise DataError(f"{path}: line {k // len(names) + 2}: missing {names[k % len(names)]}")
+    if error is not None:
+        raise error
+    if n_ok < len(rows):
+        raise DataError(f"{path}: line {n_ok + 2}: expected {len(FACTORS_HEADER)} columns")
+    dates = [row[0] for row in rows]
     if dates != sorted(set(dates)):
         raise DataError(f"{path}: dates must be unique and ascending")
+    table = values.reshape(-1, len(names))
     return FactorSeries(
         dates=dates,
-        risk_free=np.array(cols["rf"]),
-        factors={name: np.array(cols[name]) for name in FACTOR_NAMES},
+        risk_free=table[:, 0].copy(),
+        factors={name: table[:, k + 1].copy() for k, name in enumerate(FACTOR_NAMES)},
     )
 
 
 def write_factors(fs: FactorSeries, path) -> None:
-    def rows():
-        for ti, dt in enumerate(fs.dates):
-            yield [dt, format_float(fs.risk_free[ti])] + [
-                format_float(fs.factors[name][ti]) for name in FACTOR_NAMES
-            ]
-
-    _write_rows(path, FACTORS_HEADER, rows())
+    table = np.column_stack([fs.risk_free] + [fs.factors[name] for name in FACTOR_NAMES])
+    cells = format_floats(table)
+    width = table.shape[1]
+    _write_lines(
+        path,
+        FACTORS_HEADER,
+        (",".join([dt, *cells[ti * width: (ti + 1) * width]])
+         for ti, dt in enumerate(fs.dates)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -430,27 +547,22 @@ def standardize_features(ds: PanelDataset) -> PanelDataset:
     A zero-variance (date, feature) column is centered and left unscaled.
     Returns a new dataset; the input is untouched.
     """
-    feats = ds.features.copy()
-    d, n, f = feats.shape
-    for ti in range(d):
-        day = feats[ti]
-        for fi in range(f):
-            col = day[:, fi]
-            bad = ~np.isfinite(col)
-            if bad.all():
-                col[:] = 0.0
-                continue
-            if bad.any():
-                col[bad] = np.median(col[~bad])
-            mu = col.mean()
-            sd = col.std()
-            col -= mu
-            if sd > 0:
-                col /= sd
+    # [D, F, N], so each (date, feature) column is a contiguous last-axis
+    # row and mean/std reduce it with the same pairwise sum as a 1-D call
+    cols = ds.features.transpose(0, 2, 1).copy()
+    bad = ~np.isfinite(cols)
+    for ti, fi in zip(*np.nonzero(bad.any(axis=2))):
+        col, miss = cols[ti, fi], bad[ti, fi]
+        # an all-missing column becomes 0, which centering leaves at 0
+        col[miss] = 0.0 if miss.all() else np.median(col[~miss])
+    mu = cols.mean(axis=2, keepdims=True)
+    sd = cols.std(axis=2, keepdims=True)
+    cols -= mu
+    np.divide(cols, sd, out=cols, where=sd > 0)
     return PanelDataset(
         dates=list(ds.dates),
         instruments=list(ds.instruments),
-        features=feats,
+        features=np.ascontiguousarray(cols.transpose(0, 2, 1)),
         labels=ds.labels.copy(),
         observed_mask=ds.observed_mask.copy(),
         present_mask=ds.present_mask.copy(),

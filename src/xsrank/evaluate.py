@@ -35,14 +35,16 @@ def average_ranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks; tied values share the average of their positions."""
     x = np.asarray(x, dtype=np.float64)
     order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    # sorted positions i..j of one tie group all get (i + j) / 2 + 1
+    new_group = np.empty(x.size, dtype=bool)
+    new_group[:1] = True
+    new_group[1:] = ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(new_group)
+    ends = np.append(starts[1:], x.size) - 1
+    group = np.cumsum(new_group) - 1
     ranks = np.empty(x.size, dtype=np.float64)
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        ranks[order[i: j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = ((starts + ends) / 2.0 + 1.0)[group]
     return ranks
 
 
@@ -91,44 +93,41 @@ def _ratio(values: np.ndarray, name: str, flags: list[str]) -> float:
     return mean / std
 
 
-def summarize(preds: PredictionSeries, ds: PanelDataset) -> MetricReport:
-    """Daily correlations of scores against the panel's forward returns.
-
-    A date enters only when at least two instruments are jointly scored
-    and observed and neither side is degenerate; exclusions are counted.
-    """
+def _row_positions(preds: PredictionSeries, ds: PanelDataset):
+    """Panel date and instrument positions of every prediction row (-1
+    where the panel lacks it) and the scores, in row order."""
     date_index = {d: i for i, d in enumerate(ds.dates)}
     inst_index = {s: i for i, s in enumerate(ds.instruments)}
-    by_date = preds.by_date()
+    t = np.array([date_index.get(d, -1) for d, _, _ in preds.rows], dtype=np.intp)
+    i = np.array([inst_index.get(s, -1) for _, s, _ in preds.rows], dtype=np.intp)
+    scores = np.array([s for _, _, s in preds.rows], dtype=np.float64)
+    return t, i, scores
 
+
+def _report(t: np.ndarray, i: np.ndarray, scores: np.ndarray,
+            ds: PanelDataset) -> MetricReport:
+    """Daily correlations over rows at panel cells (t, i), sorted by date
+    and then instrument, as a PredictionSeries keeps them."""
     daily_ic: list[tuple[str, float]] = []
     daily_rank: list[tuple[str, float]] = []
     excluded = 0
-    for date in preds.dates():
-        if date not in date_index:
-            raise DataError(f"prediction date {date} not in the panel")
-        t = date_index[date]
-        scores = []
-        actual = []
-        for inst, score in by_date[date].items():
-            if inst not in inst_index:
-                raise DataError(f"prediction instrument {inst} not in the panel")
-            i = inst_index[inst]
-            if ds.observed_mask[t, i] and np.isfinite(ds.labels[t, i]):
-                scores.append(score)
-                actual.append(ds.labels[t, i])
-        if len(scores) < 2:
+    starts = np.flatnonzero(np.diff(t, prepend=-1)).tolist()
+    for lo, hi in zip(starts, starts[1:] + [t.size]):
+        day, cols = t[lo], i[lo:hi]
+        actual = ds.labels[day, cols]
+        joint = ds.observed_mask[day, cols] & np.isfinite(actual)
+        if joint.sum() < 2:
             excluded += 1
             continue
-        a = np.array(scores)
-        b = np.array(actual)
+        a = scores[lo:hi][joint]
+        b = actual[joint]
         ic = pearson(a, b)
         rank = spearman(a, b)
         if ic is None or rank is None:
             excluded += 1
             continue
-        daily_ic.append((date, ic))
-        daily_rank.append((date, rank))
+        daily_ic.append((ds.dates[day], ic))
+        daily_rank.append((ds.dates[day], rank))
 
     if len(daily_ic) < 2:
         raise DataError(
@@ -150,6 +149,22 @@ def summarize(preds: PredictionSeries, ds: PanelDataset) -> MetricReport:
     )
 
 
+def summarize(preds: PredictionSeries, ds: PanelDataset) -> MetricReport:
+    """Daily correlations of scores against the panel's forward returns.
+
+    A date enters only when at least two instruments are jointly scored
+    and observed and neither side is degenerate; exclusions are counted.
+    """
+    t, i, scores = _row_positions(preds, ds)
+    unknown = np.flatnonzero((t < 0) | (i < 0))
+    if unknown.size:
+        date, inst, _ = preds.rows[unknown[0]]
+        if t[unknown[0]] < 0:
+            raise DataError(f"prediction date {date} not in the panel")
+        raise DataError(f"prediction instrument {inst} not in the panel")
+    return _report(t, i, scores, ds)
+
+
 def subgroup_metrics(
     preds: PredictionSeries,
     ds: PanelDataset,
@@ -159,35 +174,36 @@ def subgroup_metrics(
 
     A category averaging fewer than 5 jointly-observed stocks per
     prediction date is marked absent (None), as is one without enough
-    valid dates. Instruments missing from the grouping are skipped.
+    valid dates or with a row outside the panel. Instruments missing
+    from the grouping are skipped.
     """
-    categories = sorted({grouping[i] for i in grouping})
+    categories = sorted(set(grouping.values()))
+    code = {cat: k for k, cat in enumerate(categories)}
+    row_cat = np.array([code.get(grouping.get(s), -1) for _, s, _ in preds.rows],
+                       dtype=np.intp)
+    t, i, scores = _row_positions(preds, ds)
     dates = preds.dates()
+    date_pos = {d: k for k, d in enumerate(dates)}
+    row_date = np.array([date_pos[d] for d, _, _ in preds.rows], dtype=np.intp)
+    known = (t >= 0) & (i >= 0)
+    observed = np.zeros(t.size, dtype=bool)
+    observed[known] = ds.observed_mask[t[known], i[known]]
+
+    # one stable split of the rows by category keeps each group in row order
+    order = np.argsort(row_cat, kind="stable")
+    bounds = np.searchsorted(row_cat[order], np.arange(len(categories) + 1))
     out: dict[str, MetricReport | None] = {}
-    for cat in categories:
-        members = {i for i, c in grouping.items() if c == cat}
-        rows = [(d, i, s) for d, i, s in preds.rows if i in members]
-        if not rows:
+    for k, cat in enumerate(categories):
+        rows = order[bounds[k]: bounds[k + 1]]
+        if not rows.size:
             out[cat] = None
             continue
-        sub = PredictionSeries(rows)
-        counts = []
-        date_index = {d: i for i, d in enumerate(ds.dates)}
-        inst_index = {s: i for i, s in enumerate(ds.instruments)}
-        by_date = sub.by_date()
-        for date in dates:
-            n = 0
-            for inst in by_date.get(date, {}):
-                t = date_index.get(date)
-                i = inst_index.get(inst)
-                if t is not None and i is not None and ds.observed_mask[t, i]:
-                    n += 1
-            counts.append(n)
-        if float(np.mean(counts)) < MIN_SUBGROUP_SIZE:
+        counts = np.bincount(row_date[rows][observed[rows]], minlength=len(dates))
+        if float(np.mean(counts)) < MIN_SUBGROUP_SIZE or not known[rows].all():
             out[cat] = None
             continue
         try:
-            out[cat] = summarize(sub, ds)
+            out[cat] = _report(t[rows], i[rows], scores[rows], ds)
         except DataError:
             out[cat] = None
     return out

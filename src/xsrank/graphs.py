@@ -1,14 +1,17 @@
 """Graph primitives: static-relation GCN, cosine k-NN graphs, masked GAT.
 
 Static relation graphs (industry / region cliques) are plain numpy
-adjacency matrices. The dynamic k-NN graph is rebuilt per forward pass
-from the current representations; its construction is deliberately
-outside the tape, so no gradient flows through neighbor selection.
+adjacency matrices, checked once when a RelationGraphs is built; their
+union is built once, on first use. The dynamic k-NN graph is rebuilt
+per forward pass from the current representations; its construction is
+deliberately outside the tape, so no gradient flows through neighbor
+selection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -19,13 +22,27 @@ from .tensor import Tensor
 
 @dataclass
 class RelationGraphs:
-    """Static binary relation graphs over one instrument universe."""
+    """Static binary relation graphs over one instrument universe.
+
+    Both graphs are checked once, here, so forward passes skip the
+    N x N check. Their propagation matrices are rebuilt per pass, not
+    stored: two more N x N arrays would raise peak memory at large N.
+    """
 
     instruments: list[str]
     industry: np.ndarray  # [N, N] binary, symmetric, zero diagonal
     region: np.ndarray
     industry_labels: dict[str, str] = field(default_factory=dict)
     region_labels: dict[str, str] = field(default_factory=dict)
+
+    def __post_init__(self):
+        _check_static_adjacency(self.industry)
+        _check_static_adjacency(self.region)
+
+    @cached_property
+    def union(self) -> np.ndarray:
+        """union_graph of the two relations, built on first use."""
+        return union_graph(self.industry, self.region)
 
 
 @dataclass
@@ -37,16 +54,18 @@ class DynamicGraph:
 
 
 def membership_adjacency(instruments: list[str], labels: dict[str, str]) -> np.ndarray:
-    """Clique adjacency: instruments sharing a category are all connected."""
-    n = len(instruments)
-    adj = np.zeros((n, n))
-    cats = [labels.get(inst) for inst in instruments]
-    for i in range(n):
-        if cats[i] is None:
-            continue
-        for j in range(i + 1, n):
-            if cats[j] == cats[i]:
-                adj[i, j] = adj[j, i] = 1.0
+    """Clique adjacency: instruments sharing a category are all connected.
+
+    An instrument without a category gets no edges.
+    """
+    codes: dict[str, int] = {}
+    cat = np.array(
+        [-1 if labels.get(inst) is None else codes.setdefault(labels[inst], len(codes))
+         for inst in instruments],
+        dtype=np.intp,
+    )
+    adj = ((cat[:, None] == cat[None, :]) & (cat[:, None] >= 0)).astype(np.float64)
+    np.fill_diagonal(adj, 0.0)
     return adj
 
 
@@ -83,11 +102,21 @@ def normalized_adjacency(adj: np.ndarray) -> np.ndarray:
     With At = A + I and Dt its degree, returns Dt^{-1/2} At Dt^{-1/2}.
     An isolated node keeps self-loop weight 1.
     """
-    adj = _check_static_adjacency(adj)
-    at = adj + np.eye(adj.shape[0])
-    deg = at.sum(axis=1)
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    return at * inv_sqrt[:, None] * inv_sqrt[None, :]
+    return _propagation(_check_static_adjacency(adj))
+
+
+def _propagation(adj: np.ndarray) -> np.ndarray:
+    """`normalized_adjacency` of an adjacency that passed the check.
+
+    With d_i = 1 / sqrt(deg_i), an edge or diagonal entry is d_i * d_j
+    and any other entry is 0: the floats of scaling A + I by rows, then
+    columns, written with one N x N array.
+    """
+    inv_sqrt = 1.0 / np.sqrt(adj.sum(axis=1) + 1.0)
+    out = np.outer(inv_sqrt, inv_sqrt)
+    out *= adj
+    np.fill_diagonal(out, inv_sqrt * inv_sqrt)
+    return out
 
 
 def union_graph(*adjs: np.ndarray) -> np.ndarray:
@@ -112,10 +141,12 @@ def union_graph(*adjs: np.ndarray) -> np.ndarray:
 def gcn_layer(x: Tensor, adj: np.ndarray, weight: Tensor, bias: Tensor) -> Tensor:
     """One propagation step on a static relation: Ahat x W + b.
 
-    The activation is applied by the caller. Ahat is a constant for the
-    tape, so gradients flow into x, W, and b only.
+    Ahat is `normalized_adjacency(adj)`; `adj` is not checked again,
+    since RelationGraphs checks its graphs when built. The activation is
+    applied by the caller. Ahat is a constant for the tape, so gradients
+    flow into x, W, and b only.
     """
-    ahat = Tensor(normalized_adjacency(adj))
+    ahat = Tensor(_propagation(np.asarray(adj, dtype=np.float64)))
     return tz.add(tz.matmul(ahat, tz.matmul(x, weight)), bias)
 
 

@@ -33,7 +33,6 @@ from .graphs import (
     gat_layer,
     gcn_layer,
     topk_graph,
-    union_graph,
 )
 from .tensor import Tensor
 
@@ -280,10 +279,9 @@ def pspe_ablation_forward(
     if cfg.pspe != "gat_only":
         raise ConfigError("pspe_ablation_forward requires pspe == gat_only")
     x0 = _proj_ln(x_trend[-1], model, "trend_proj", "trend_in_ln")
-    union = union_graph(graphs.industry, graphs.region)
     z = gat_layer(
         x0,
-        union,
+        graphs.union,
         model["gat_w"],
         model["gat_att_src"],
         model["gat_att_dst"],
@@ -291,7 +289,7 @@ def pspe_ablation_forward(
         slope=cfg.leaky_slope,
     )
     z_trend = tz.layer_norm(z, model["trend_out_ln_g"], model["trend_out_ln_b"])
-    return z_trend, union
+    return z_trend, graphs.union
 
 
 def fci_forward(

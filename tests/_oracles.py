@@ -230,3 +230,39 @@ def act_np(window, ind_adj, reg_adj, p, cfg):
     else:
         z_shock = mlp_np(shock, p, "shock", slope)
     return acf_np(z_trend, z_fluct, z_shock, p)
+
+
+def membership_adjacency_loop(instruments, labels):
+    """Clique adjacency by a double loop over instrument pairs."""
+    n = len(instruments)
+    adj = np.zeros((n, n))
+    cats = [labels.get(inst) for inst in instruments]
+    for i in range(n):
+        if cats[i] is None:
+            continue
+        for j in range(i + 1, n):
+            if cats[j] == cats[i]:
+                adj[i, j] = adj[j, i] = 1.0
+    return adj
+
+
+def standardize_loop(features):
+    """Per (date, feature) column: median-impute, then z-score in place."""
+    feats = features.copy()
+    d, n, f = feats.shape
+    for ti in range(d):
+        day = feats[ti]
+        for fi in range(f):
+            col = day[:, fi]
+            bad = ~np.isfinite(col)
+            if bad.all():
+                col[:] = 0.0
+                continue
+            if bad.any():
+                col[bad] = np.median(col[~bad])
+            mu = col.mean()
+            sd = col.std()
+            col -= mu
+            if sd > 0:
+                col /= sd
+    return feats

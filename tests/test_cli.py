@@ -387,3 +387,95 @@ def test_pipeline_noise_free_recovers_signal(tmp_path):
                      "--prices", str(data / "prices.csv")]) == 0
     metrics = metrics_map(tmp_path / "eval" / "metrics.csv")
     assert float(metrics["ic"]) > 0.95
+
+
+def test_membership_naming_no_panel_instrument_is_refused(workdir, tmp_path, capsys):
+    stranger = tmp_path / "stranger.csv"
+    stranger.write_text("instrument,category\nZZZ,X\n")
+    rc = cli.main(["train", "--out", str(tmp_path / "t")] + panel_args(workdir)
+                  + ["--industry", str(stranger),
+                     "--region", str(workdir / "data" / "region.csv"),
+                     "--valid-start", "2015-03-01", "--epochs", "1"])
+    assert rc == cli.EXIT_DATA
+    assert f"{stranger}: names no instrument of the panel" in capsys.readouterr().err
+    rc = cli.main(["evaluate", "--out", str(tmp_path / "e"),
+                   "--predictions", str(workdir / "preds" / "predictions.csv")]
+                  + panel_args(workdir)
+                  + ["--group-by", "industry", "--industry", str(stranger)])
+    assert rc == cli.EXIT_DATA
+    assert f"{stranger}: names no instrument of the panel" in capsys.readouterr().err
+
+
+def test_manifest_lists_dropped_instruments(workdir, tmp_path):
+    data = workdir / "data"
+    rows = (data / "features.csv").read_text().splitlines()
+    # S999 has features on the first date only, so the panel drops it
+    extra = "2015-01-01,S999," + ",".join(["0.5"] * (rows[0].count(",") - 1))
+    features = tmp_path / "features.csv"
+    features.write_text("\n".join(rows[:2] + [extra] + rows[2:]) + "\n")
+    panel = ["--features", str(features), "--prices", str(data / "prices.csv")]
+    predictions = ["--predictions", str(workdir / "preds" / "predictions.csv")]
+    runs = {
+        "train": ["--window", "8", "--hidden", "8", "--knn", "3", "--epochs", "1",
+                  "--valid-start", "2015-03-01"] + graph_args(workdir),
+        "predict": ["--checkpoint", str(workdir / "model" / "checkpoint.json")]
+        + graph_args(workdir),
+        "evaluate": predictions,
+        "backtest": predictions + ["--k", "2", "--n-drop", "1"],
+    }
+    for command, args in runs.items():
+        out = tmp_path / command
+        assert cli.main([command, "--out", str(out)] + panel + args) == cli.EXIT_OK
+        assert read_manifest(out)["dropped_instruments"] == ["S999"]
+    assert cli.main(["evaluate", "--out", str(tmp_path / "full")] + predictions
+                    + panel_args(workdir)) == cli.EXIT_OK
+    assert read_manifest(tmp_path / "full")["dropped_instruments"] == []
+
+
+# sha256 of every artifact of the chain below, as written before the CSV
+# readers and writers worked a column at a time; the chain must keep them.
+CHAIN_DIGESTS = {
+    "backtest/backtest.csv": "d452988f9667e6a3ef8ed040099b64c659a6f9ada8c4496993ab723fef5259de",
+    "backtest/curves.svg": "b9ee59711eb6469816d82ce4dd13755a94473b21487b498cb04f5d5f36a09694",
+    "backtest/portfolio_metrics.csv": "f665a85dbff7c986e5344452fbdc650eb2de21c7dc276167f90bcee6851428f7",
+    "evaluate/daily_metrics.csv": "f5a74f1f657bc90416cc1c4ed6b099ed93d94941e54beee01760c04867e61f7b",
+    "evaluate/metrics.csv": "412f4b66a0cb12b3cfa6a31e6a09ee27475995a66b47bd7b054e8bc3f47f9f28",
+    "evaluate/subgroups.csv": "04828e8075a074a17c3be85b08ad76d0d7da1157b0ead9e81360502728e3591f",
+    "predictions.csv": "f855ff058177d7394a80c22ac56c5d7f91ab7a92871eb7cd80640f1837ca7f10",
+    "regress/regression.csv": "59a84e1789e0931cb51dc5f10acfdb14570902cf60d07afdabe56ed13af66d84",
+    "synth/factors.csv": "8fb005487b80c189645c7e577f0a53b45826fbd04338d5ffe4de25ce4b8a4258",
+    "synth/features.csv": "c772d76c93a45a4c037afbcf203183b4a176ba83731a5c3118434ccfbced7b22",
+    "synth/industry.csv": "5031e101bccfc86c504e9cff54dc7a66b13950c3484bc2c83e320cd500dbadc0",
+    "synth/prices.csv": "5a26d73df9d5c053057b5bd987a122f4b061dba78ec158369be3fa36b9fa3d2b",
+    "synth/region.csv": "518aab71a94d7425a645672eb8206e0552e65c6f87478fcb1df89d2c47437135",
+}
+
+
+def test_cli_chain_artifacts_are_byte_stable(tmp_path):
+    data = tmp_path / "synth"
+    assert cli.main(["synth", "--out", str(data), "--n-instruments", "30",
+                     "--days", "30", "--block-size", "6", "--n-regions", "3",
+                     "--seed", "11"]) == 0
+    ds, _, _ = generate_synthetic(SynthConfig(
+        n_instruments=30, days=30, block_size=6, n_regions=3, seed=11))
+    # scores of order 1e-4 and below take the exponent-free fallback
+    noise = np.random.default_rng(11).normal(0.0, 1e-4, ds.labels.shape)
+    scores = 1e-3 * np.where(np.isfinite(ds.labels), ds.labels, 0.0) + noise
+    PredictionSeries([(d, s, float(scores[t, i])) for t, d in enumerate(ds.dates)
+                      for i, s in enumerate(ds.instruments)]
+                     ).write_csv(tmp_path / "predictions.csv")
+    panel = ["--predictions", str(tmp_path / "predictions.csv"),
+             "--features", str(data / "features.csv"),
+             "--prices", str(data / "prices.csv")]
+    assert cli.main(["evaluate", "--out", str(tmp_path / "evaluate"), *panel,
+                     "--group-by", "industry",
+                     "--industry", str(data / "industry.csv")]) == 0
+    assert cli.main(["backtest", "--out", str(tmp_path / "backtest"), *panel,
+                     "--k", "5", "--n-drop", "1"]) == 0
+    assert cli.main(["regress", "--out", str(tmp_path / "regress"),
+                     "--backtest", str(tmp_path / "backtest" / "backtest.csv"),
+                     "--factors", str(data / "factors.csv")]) == 0
+    got = {str(p.relative_to(tmp_path)): digest(p)
+           for p in sorted(tmp_path.rglob("*"))
+           if p.is_file() and p.name != "manifest.json"}
+    assert got == CHAIN_DIGESTS

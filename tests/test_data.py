@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import _oracles as oracle
 from xsrank.data import (
+    PanelDataset,
     PredictionSeries,
     SynthConfig,
     compute_vwap,
     compute_vwap_returns,
     format_float,
+    format_floats,
     generate_synthetic,
     load_factors,
     load_membership,
@@ -338,3 +342,151 @@ def test_prediction_series_roundtrip(tmp_path):
         PredictionSeries(rows=[("d", "i", 0.0), ("d", "i", 1.0)])
     with pytest.raises(DataError):
         PredictionSeries(rows=[("d", "i", float("nan"))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+def test_format_floats_equals_dragon4_positional(values):
+    specials = [0.0, -0.0, 1e16, -1e16, 1e-5, 5e-324, -5e-324, 2.2250738585072014e-308,
+                1.7976931348623157e308, 9999999999999998.0, 1e-4, 0.00009999999999999999]
+    for vals in (values, specials):
+        want = [np.format_float_positional(np.float64(v), unique=True, trim="0")
+                for v in vals]
+        assert format_floats(np.array(vals, dtype=np.float64)) == want
+        assert [format_float(v) for v in vals] == want
+
+
+def test_format_floats_rejects_first_non_finite():
+    with pytest.raises(DataError, match="non-finite value inf"):
+        format_floats([1.0, float("inf"), float("nan")])
+    with pytest.raises(DataError, match="non-finite value nan"):
+        format_floats(np.array([[0.5, float("nan")], [float("-inf"), 2.0]]))
+
+
+def test_bad_number_reports_its_line_and_empty_cell_is_nan(tmp_path):
+    p = _write(tmp_path / "prices.csv", PRICES_2x2)
+    lines = FEATURES_2x2x3.splitlines()
+    for k in range(1, len(lines)):
+        cells = lines[k].split(",")
+        cells[3] = "1.x"
+        bad = lines[:k] + [",".join(cells)] + lines[k + 1:]
+        path = _write(tmp_path / f"bad{k}.csv", "\n".join(bad) + "\n")
+        with pytest.raises(DataError, match=rf"line {k + 1}: unparseable number '1\.x'"):
+            load_panel(path, p)
+
+    for cell in ("", " "):
+        gap = FEATURES_2x2x3.replace("2020-01-02,A,7.0,8.0,9.0", f"2020-01-02,A,7.0,{cell},9.0")
+        ds = load_panel(_write(tmp_path / "gap.csv", gap), p)
+        missing = np.isnan(ds.features)
+        assert missing.sum() == 1 and missing[1, 0, 1]
+
+    preds = _write(tmp_path / "preds.csv",
+                   "datetime,instrument,score\n2020-01-01,A,0.5\n2020-01-01,B,oops\n")
+    with pytest.raises(DataError, match=r"line 3: unparseable number 'oops'"):
+        PredictionSeries.read_csv(preds)
+
+
+def test_load_panel_reports_the_earliest_fault(tmp_path):
+    p = _write(tmp_path / "prices.csv", PRICES_2x2)
+    feats = (
+        "datetime,instrument,f0\n"
+        "2020-01-01,A,1.0\n"
+        "2020-01-01,A,2.0\n"      # duplicate on line 3
+        "2020-01-02,A,x\n"        # unparseable on line 4
+        "2020-01-02,B\n"          # ragged on line 5
+    )
+    with pytest.raises(DataError, match="duplicate"):
+        load_panel(_write(tmp_path / "f1.csv", feats), p)
+    no_dup = feats.replace("2020-01-01,A,2.0", "2020-01-01,B,2.0")
+    with pytest.raises(DataError, match="line 4: unparseable"):
+        load_panel(_write(tmp_path / "f2.csv", no_dup), p)
+    with pytest.raises(DataError, match="line 5: ragged row of 2 columns"):
+        load_panel(_write(tmp_path / "f3.csv", no_dup.replace(",x", ",3.0")), p)
+    dup_after_bad = "datetime,instrument,f0\n2020-01-01,A,1.0\n2020-01-01,B,x\n2020-01-01,A,2.0\n"
+    with pytest.raises(DataError, match="line 3: unparseable"):
+        load_panel(_write(tmp_path / "f4.csv", dup_after_bad), p)
+
+    f = _write(tmp_path / "f.csv", FEATURES_2x2x3)
+    prices = (
+        "datetime,instrument,price,volume\n"
+        "2020-01-01,A,100.0,\n"       # missing volume on line 2
+        "2020-01-01,B,bad,1000.0\n"   # unparseable on line 3
+    )
+    with pytest.raises(DataError, match="line 2: missing price/volume"):
+        load_panel(f, _write(tmp_path / "p1.csv", prices))
+    with pytest.raises(DataError, match="line 3: unparseable number 'bad'"):
+        load_panel(f, _write(tmp_path / "p2.csv", prices.replace("100.0,\n", "100.0,5\n")))
+
+
+def test_several_bars_per_cell_match_compute_vwap(tmp_path):
+    rng = np.random.default_rng(7)
+    f = _write(tmp_path / "features.csv", FEATURES_2x2x3)
+    cells = [(d, s) for d in ("2020-01-01", "2020-01-02") for s in ("A", "B")]
+    bars = {c: [(float(rng.uniform(10, 200)), float(rng.integers(1, 10**6)))
+                for _ in range(int(rng.integers(1, 6)))] for c in cells}
+    assert max(map(len, bars.values())) > 1
+    # round robin, last cell first: a cell's bars are spread through the
+    # file but keep their order
+    lines = [f"{d},{s},{format_float(p)},{format_float(v)}"
+             for j in range(5) for d, s in cells[::-1] if j < len(bars[d, s])
+             for p, v in [bars[d, s][j]]]
+    p = _write(tmp_path / "prices.csv",
+               "datetime,instrument,price,volume\n" + "\n".join(lines) + "\n")
+    ds = load_panel(f, p)
+    for (d, s), cell in bars.items():
+        t, i = ds.dates.index(d), ds.instruments.index(s)
+        assert ds.vwap[t, i] == compute_vwap(cell)
+        assert ds.volume[t, i] == sum(v for _, v in cell)
+
+
+def test_vwap_errors_name_the_first_bad_cell(tmp_path):
+    f = _write(tmp_path / "features.csv", FEATURES_2x2x3)
+    prices = (
+        "datetime,instrument,price,volume\n"
+        "2020-01-02,A,100.0,-7.0\n"
+        "2020-01-01,B,50.0,0.0\n"
+        "2020-01-01,B,51.0,0.0\n"
+        "2020-01-01,A,50.0,-3.0\n"
+        "2020-01-01,A,50.0,-4.0\n"
+    )
+    with pytest.raises(DataError, match=r"^negative volume -3.0$"):
+        load_panel(f, _write(tmp_path / "p.csv", prices))
+    zero = prices.replace("-3.0", "3.0").replace("-4.0", "4.0")
+    with pytest.raises(DataError, match="non-positive VWAP denominator"):
+        load_panel(f, _write(tmp_path / "z.csv", zero))
+
+
+def test_load_panel_records_dropped_instruments(tmp_path):
+    feats = FEATURES_2x2x3 + "2020-01-01,C,1.0,1.0,1.0\n2020-01-02,Aa,1.0,1.0,1.0\n"
+    ds = load_panel(_write(tmp_path / "f.csv", feats),
+                    _write(tmp_path / "p.csv", PRICES_2x2))
+    assert ds.instruments == ["A", "B"]
+    assert ds.meta["dropped_instruments"] == ["Aa", "C"]
+    assert standardize_features(ds).meta["dropped_instruments"] == ["Aa", "C"]
+    full = load_panel(_write(tmp_path / "g.csv", FEATURES_2x2x3),
+                      _write(tmp_path / "q.csv", PRICES_2x2))
+    assert full.meta["dropped_instruments"] == []
+
+
+def test_standardize_features_matches_loop_oracle():
+    rng = np.random.default_rng(9)
+    ds, _, _ = generate_synthetic(SynthConfig(n_instruments=24, days=30, seed=9))
+    holes = ds.features.copy()
+    holes[rng.random(holes.shape) < 0.1] = np.nan
+    holes[3, 5, 2] = np.inf
+    holes[4, :, 1] = np.nan        # all-missing column
+    holes[5, :, 0] = 2.5           # constant column
+    holes[6, :, 3] = np.nan
+    holes[6, 7, 3] = -1.0          # one finite value left
+    # columns longer than numpy's 8192-element reduction buffer
+    d, n = 2, 10_000
+    long = PanelDataset(
+        dates=trading_dates("2020-01-01", d), instruments=[f"S{i:05d}" for i in range(n)],
+        features=rng.normal(size=(d, n, 3)) * 1e3, labels=np.full((d, n), np.nan),
+        observed_mask=np.zeros((d, n), dtype=bool), present_mask=np.ones((d, n), dtype=bool),
+        vwap=np.ones((d, n)), volume=np.ones((d, n)))
+    for panel, feats in ((ds, ds.features), (ds, holes), (long, long.features)):
+        panel.features = feats
+        got = standardize_features(panel).features
+        assert got.flags["C_CONTIGUOUS"]
+        assert np.array_equal(got, oracle.standardize_loop(feats))

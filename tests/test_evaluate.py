@@ -53,6 +53,16 @@ def test_average_ranks_brute_force():
             assert got[i] == 1.0 + smaller + (equal - 1) / 2.0
 
 
+def test_average_ranks_heavy_ties_brute_force():
+    rng = np.random.default_rng(3)
+    for size in (0, 1, 2, 7, 64, 301):
+        for levels in ([0.0], [0.0, -0.0, 1.0], [-2.0, 0.5, 0.5, 3.0]):
+            x = rng.choice(levels, size=size)
+            got = average_ranks(x)
+            want = [1.0 + np.sum(x < v) + (np.sum(x == v) - 1) / 2.0 for v in x]
+            assert np.array_equal(got, want)
+
+
 def test_spearman_monotone_invariance():
     rng = np.random.default_rng(2)
     for _ in range(5):

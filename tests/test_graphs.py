@@ -9,6 +9,7 @@ from xsrank import tensor as tz
 from xsrank.errors import ConfigError, DataError
 from xsrank.graphs import (
     DynamicGraph,
+    RelationGraphs,
     build_relation_graphs,
     cosine_similarity_matrix,
     gat_layer,
@@ -28,6 +29,47 @@ def test_membership_adjacency_cliques():
     for i, j in [(0, 1), (0, 3), (1, 3)]:
         want[i, j] = want[j, i] = 1.0
     np.testing.assert_array_equal(adj, want)
+
+
+def test_membership_adjacency_matches_loop_oracle():
+    rng = np.random.default_rng(11)
+    for trial in range(60):
+        n = int(rng.integers(0, 40))
+        insts = [f"S{i:02d}" for i in range(n)]
+        n_cats = int(rng.integers(1, 6))
+        labels = {s: f"C{rng.integers(n_cats)}" for s in insts
+                  if rng.random() < 0.8}
+        labels["not_in_universe"] = "C0"
+        got = membership_adjacency(insts, labels)
+        want = oracle.membership_adjacency_loop(insts, labels)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_relation_graphs_check_once_and_build_union_once(monkeypatch):
+    from xsrank import graphs as graphs_module
+
+    insts = [f"S{i}" for i in range(7)]
+    g = build_relation_graphs(insts, {s: f"I{i // 3}" for i, s in enumerate(insts)},
+                              {s: f"R{i % 2}" for i, s in enumerate(insts[:5])})
+    calls = []
+    monkeypatch.setattr(graphs_module, "union_graph",
+                        lambda *a: calls.append(a) or union_graph(*a))
+    assert np.array_equal(g.union, union_graph(g.industry, g.region))
+    assert g.union is g.union and len(calls) == 1
+    # a bad graph is refused when the graphs are built, not in a forward pass
+    with pytest.raises(DataError):
+        RelationGraphs(instruments=insts[:2], industry=np.eye(2),
+                       region=np.zeros((2, 2)))
+
+
+def test_normalized_adjacency_bitwise_equals_row_column_scaling():
+    rng = np.random.default_rng(12)
+    for trial in range(40):
+        n = int(rng.integers(1, 30))
+        raw = rng.random((n, n)) < rng.random()
+        adj = np.triu(raw, 1).astype(float)
+        adj = adj + adj.T
+        assert np.array_equal(normalized_adjacency(adj), oracle.kipf(adj))
 
 
 def test_build_relation_graphs_symmetric_zero_diag():

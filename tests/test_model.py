@@ -135,6 +135,24 @@ def test_act_forward_gat_only_diagnostics():
     )
 
 
+def test_act_forward_does_not_recheck_static_graphs(monkeypatch):
+    from xsrank import graphs as graphs_module
+
+    rng = np.random.default_rng(2)
+    n = 6
+    graphs = make_graphs(n, rng)
+    checked = []
+    check = graphs_module._check_static_adjacency
+    monkeypatch.setattr(graphs_module, "_check_static_adjacency",
+                        lambda adj: checked.append(adj) or check(adj))
+    for pspe in ("full", "full", "gat_only", "gat_only"):
+        cfg = small_cfg(pspe=pspe)
+        y, _ = act_forward(make_window(cfg, n, rng), graphs, ActModel(cfg, seed=1))
+        assert np.isfinite(y.data).all()
+    # only the union, built on first use, checks the two graphs
+    assert len(checked) == 2
+
+
 def test_act_forward_input_validation():
     rng = np.random.default_rng(2)
     cfg = small_cfg()
