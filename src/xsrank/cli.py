@@ -34,6 +34,8 @@ from .backtest import (
 from .data import (
     PredictionSeries,
     SynthConfig,
+    _first_ragged,
+    _parse_floats,
     _read_rows,
     _write_rows,
     format_float,
@@ -368,8 +370,15 @@ def cmd_evaluate(args, resolved, seed) -> int:
     group_by = resolved["group_by"]
     if group_by not in (None, "industry", "region"):
         raise ConfigError("group_by must be industry or region")
+    path = None
+    if group_by:
+        path = args.industry if group_by == "industry" else args.region
+        if path is None:
+            raise ConfigError(f"--group-by {group_by} needs --{group_by}")
     preds = PredictionSeries.read_csv(args.predictions)
     ds = load_panel(args.features, args.prices)
+    # the membership file is checked before any artifact is written
+    labels = load_panel_membership(path, ds.instruments) if group_by else None
     report = summarize(preds, ds)
     out = ensure_out(args)
     write_metric_report(report, out / "metrics.csv")
@@ -378,11 +387,7 @@ def cmd_evaluate(args, resolved, seed) -> int:
     inputs = input_map(args, "predictions", "features", "prices")
 
     if group_by:
-        path = args.industry if group_by == "industry" else args.region
-        if path is None:
-            raise ConfigError(f"--group-by {group_by} needs --{group_by}")
-        groups = subgroup_metrics(preds, ds,
-                                  load_panel_membership(path, ds.instruments))
+        groups = subgroup_metrics(preds, ds, labels)
         rows = []
         for category in sorted(groups):
             rep = groups[category]
@@ -438,16 +443,24 @@ def cmd_backtest(args, resolved, seed) -> int:
 
 
 def read_backtest_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Dates, portfolio returns and compounded excess of a backtest.csv."""
     _, rows = _read_rows(path, BACKTEST_HEADER)
-    dates, portfolio, cum_excess = [], [], []
-    for lineno, row in enumerate(rows, start=2):
-        if len(row) != len(BACKTEST_HEADER):
-            raise DataError(f"{path}: line {lineno}: expected "
-                            f"{len(BACKTEST_HEADER)} columns")
-        dates.append(row[0])
-        portfolio.append(float(row[1]))
-        cum_excess.append(float(row[4]))
-    return dates, np.array(portfolio), np.array(cum_excess)
+    n_ok = _first_ragged(rows, len(BACKTEST_HEADER))
+    values, error = _parse_floats(
+        [v for row in rows[:n_ok] for v in (row[1], row[4])], path,
+        lambda k: k // 2 + 2)
+    missing = np.flatnonzero(~np.isfinite(values))
+    if missing.size:
+        k = missing[0]
+        column = BACKTEST_HEADER[1] if k % 2 == 0 else BACKTEST_HEADER[4]
+        raise DataError(f"{path}: line {k // 2 + 2}: missing {column}")
+    if error is not None:
+        raise error
+    if n_ok < len(rows):
+        raise DataError(f"{path}: line {n_ok + 2}: expected "
+                        f"{len(BACKTEST_HEADER)} columns")
+    table = values.reshape(-1, 2)
+    return [row[0] for row in rows], table[:, 0].copy(), table[:, 1].copy()
 
 
 def cmd_regress(args, resolved, seed) -> int:

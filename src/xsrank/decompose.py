@@ -10,6 +10,7 @@ input exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -71,3 +72,17 @@ def decompose(x: np.ndarray, trend_window: int = 20, fluct_window: int = 5) -> D
     shock = x - trend - fluct
     return Decomposition(trend=trend, fluct=fluct, shock=shock,
                          windows=(int(trend_window), int(fluct_window)))
+
+
+def stack_decompositions(parts: Sequence[Decomposition]) -> Decomposition:
+    """Stack decompositions of same-shape [T, ...] windows on a new axis 1.
+
+    B windows of [T, N, F] give one [T, B, N, F] batch; the split is per
+    step and per element, so this equals decomposing the stacked windows.
+    """
+    return Decomposition(
+        trend=np.stack([p.trend for p in parts], axis=1),
+        fluct=np.stack([p.fluct for p in parts], axis=1),
+        shock=np.stack([p.shock for p in parts], axis=1),
+        windows=parts[0].windows,
+    )

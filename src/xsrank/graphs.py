@@ -6,6 +6,11 @@ union is built once, on first use. The dynamic k-NN graph is rebuilt
 per forward pass from the current representations; its construction is
 deliberately outside the tape, so no gradient flows through neighbor
 selection.
+
+Every layer acts on leading batch axes: representations are [..., N, d]
+and similarity, k-NN and attention masks [..., N, N], one [N, N] slice
+per window, each computed exactly as a single window would be. A static
+[N, N] relation broadcasts against the batch.
 """
 
 from __future__ import annotations
@@ -49,8 +54,8 @@ class RelationGraphs:
 class DynamicGraph:
     """Directed k-NN graph: row i holds the k most similar columns."""
 
-    adjacency: np.ndarray  # [N, N] of {0.0, 1.0}, zero diagonal
-    similarity: np.ndarray  # [N, N], -inf on the diagonal
+    adjacency: np.ndarray  # [..., N, N] of {0.0, 1.0}, zero diagonal
+    similarity: np.ndarray  # [..., N, N], -inf on the diagonal
 
 
 def membership_adjacency(instruments: list[str], labels: dict[str, str]) -> np.ndarray:
@@ -81,6 +86,19 @@ def build_relation_graphs(
         industry_labels=dict(industry_labels),
         region_labels=dict(region_labels),
     )
+
+
+def _square(mat: np.ndarray, what: str) -> int:
+    """N of a [..., N, N] array; anything else is a DataError."""
+    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
+        raise DataError(f"{what} must be square, got {mat.shape}")
+    return mat.shape[-1]
+
+
+def _fill_diagonal(mat: np.ndarray, value) -> None:
+    """np.fill_diagonal on every [N, N] slice of `mat`."""
+    idx = np.arange(mat.shape[-1])
+    mat[..., idx, idx] = value
 
 
 def _check_static_adjacency(adj: np.ndarray) -> np.ndarray:
@@ -141,6 +159,7 @@ def union_graph(*adjs: np.ndarray) -> np.ndarray:
 def gcn_layer(x: Tensor, adj: np.ndarray, weight: Tensor, bias: Tensor) -> Tensor:
     """One propagation step on a static relation: Ahat x W + b.
 
+    x is [..., N, d]; Ahat [N, N] broadcasts against its batch axes.
     Ahat is `normalized_adjacency(adj)`; `adj` is not checked again,
     since RelationGraphs checks its graphs when built. The activation is
     applied by the caller. Ahat is a constant for the tape, so gradients
@@ -153,23 +172,24 @@ def gcn_layer(x: Tensor, adj: np.ndarray, weight: Tensor, bias: Tensor) -> Tenso
 def cosine_similarity_matrix(u: np.ndarray) -> np.ndarray:
     """Pairwise cosine similarity with the diagonal set to -inf.
 
-    The product of norms is floored by 1e-12 so zero rows yield
-    similarity 0 instead of NaN.
+    u is [..., N, d] and the result [..., N, N]. The product of norms is
+    floored by 1e-12 so zero rows yield similarity 0 instead of NaN.
     """
     u = np.asarray(u, dtype=np.float64)
-    if u.ndim != 2:
-        raise DataError(f"expected [N, d] representations, got {u.shape}")
-    norms = np.sqrt((u * u).sum(axis=1))
-    denom = norms[:, None] * norms[None, :] + 1e-12
-    sim = (u @ u.T) / denom
-    np.fill_diagonal(sim, -np.inf)
+    if u.ndim < 2:
+        raise DataError(f"expected [..., N, d] representations, got {u.shape}")
+    norms = np.sqrt((u * u).sum(axis=-1))
+    denom = norms[..., :, None] * norms[..., None, :] + 1e-12
+    sim = (u @ np.swapaxes(u, -1, -2)) / denom
+    _fill_diagonal(sim, -np.inf)
     return sim
 
 
 def topk_graph(similarity: np.ndarray, k: int) -> DynamicGraph:
     """Directed graph of each row's k most similar columns.
 
-    Rows are ranked by similarity descending, ties break toward the
+    `similarity` is [..., N, N]; each [N, N] slice is one graph. Rows are
+    ranked by similarity descending, ties break toward the
     lower column index, and a row never picks itself whatever its
     diagonal holds, so construction is fully deterministic. NaN ranks
     below every number. All rows are selected at once: a partition finds
@@ -177,21 +197,19 @@ def topk_graph(similarity: np.ndarray, k: int) -> DynamicGraph:
     columns tied with it fill the remaining slots in index order.
     """
     sim = np.asarray(similarity, dtype=np.float64)
-    n = sim.shape[0]
-    if sim.ndim != 2 or sim.shape[1] != n:
-        raise DataError(f"similarity must be square, got {sim.shape}")
+    n = _square(sim, "similarity")
     if not 1 <= k <= n - 1:
         raise ConfigError(f"k must satisfy 1 <= k <= N-1, got k={k}, N={n}")
     # ascending key; NaN sorts last, so the NaN diagonal is never in the top k
     key = -sim
-    np.fill_diagonal(key, np.nan)
-    kth = np.partition(key, k - 1, axis=1)[:, k - 1: k]
+    _fill_diagonal(key, np.nan)
+    kth = np.partition(key, k - 1, axis=-1)[..., k - 1: k]
     nan_key = np.isnan(key)
     above = (key < kth) | (np.isnan(kth) & ~nan_key)
     tied = (key == kth) | (np.isnan(kth) & nan_key)
-    np.fill_diagonal(tied, False)
-    slots = k - above.sum(axis=1, keepdims=True)
-    picked = above | (tied & (np.cumsum(tied, axis=1) <= slots))
+    _fill_diagonal(tied, False)
+    slots = k - above.sum(axis=-1, keepdims=True)
+    picked = above | (tied & (np.cumsum(tied, axis=-1) <= slots))
     return DynamicGraph(adjacency=picked.astype(np.float64), similarity=sim)
 
 
@@ -210,22 +228,22 @@ def gat_layer(
     Row i attends over its out-neighbors j with logits
     e_ij = leaky_relu(att_src . W u_i + att_dst . W u_j), softmax-masked
     to the adjacency, then z_i = leaky_relu(W_o sum_j alpha_ij W u_j).
+    u is [..., N, d]; `adjacency` is [..., N, N], one mask per window, or
+    one [N, N] mask shared by the batch.
     """
     adj = np.asarray(adjacency, dtype=np.float64)
-    n = adj.shape[0]
-    if adj.ndim != 2 or adj.shape[1] != n:
-        raise DataError(f"adjacency must be square, got {adj.shape}")
-    if (adj.sum(axis=1) == 0).any():
+    _square(adj, "adjacency")
+    if (adj.sum(axis=-1) == 0).any():
         raise DataError("gat_layer needs every row to have at least one neighbor")
 
-    wu = tz.matmul(u, weight)  # [N, d]
-    p = tz.matmul(wu, att_src)  # [N, 1] destination term
-    q_row = tz.matmul(att_dst, wu, transpose_a=True, transpose_b=True)  # [1, N]
-    logits = tz.leaky_relu(tz.add(p, q_row), slope)  # [N, N], e[i, j]
+    wu = tz.matmul(u, weight)  # [..., N, d]
+    p = tz.matmul(wu, att_src)  # [..., N, 1] destination term
+    q_row = tz.matmul(att_dst, wu, transpose_a=True, transpose_b=True)  # [..., 1, N]
+    logits = tz.leaky_relu(tz.add(p, q_row), slope)  # [..., N, N], e[i, j]
     # additive mask: non-edges get -1e30, which underflows to exactly 0
     # after softmax, keeping every tensor finite
     masked = tz.add(tz.mul(logits, Tensor(adj)), Tensor((adj - 1.0) * 1e30))
-    alpha = tz.softmax(masked, axis=1)
+    alpha = tz.softmax(masked, axis=-1)
     z = tz.leaky_relu(tz.matmul(tz.matmul(alpha, wu), out_weight), slope)
     if return_attention:
         return z, alpha

@@ -5,6 +5,11 @@ and shock components, routes them through three branch encoders, and
 fuses the branch embeddings with per-stock softmax attention into one
 score per instrument.
 
+Every block acts on leading batch axes: a decomposed window is
+[T, N, F], a batch of B windows stacked on axis 1 is [T, B, N, F], and
+the embeddings are [N, d] or [B, N, d]. Each window of a batch is
+computed exactly as it would be alone.
+
 Branches:
   trend  -- relation purification: per-relation GCN heads subtract the
             statically-explained part, a dynamic cosine k-NN GAT encodes
@@ -224,7 +229,8 @@ def pspe_forward(
 ):
     """Relation-purified trend embedding (the "full" variant).
 
-    Returns (z_trend, dynamic_graph, gate_mean).
+    Returns (z_trend, dynamic_graph, gate_mean); gate_mean is a float for
+    one window and a [B] array for a batch.
     """
     if cfg.pspe != "full":
         raise ConfigError("pspe_forward requires the full trend branch")
@@ -266,7 +272,8 @@ def pspe_forward(
         model["trend_out_ln_g"],
         model["trend_out_ln_b"],
     )
-    return z_trend, dyn, float(gate.data.mean())
+    gate_mean = gate.data.reshape(gate.shape[:-2] + (-1,)).mean(axis=-1)
+    return z_trend, dyn, gate_mean
 
 
 def pspe_ablation_forward(
@@ -305,7 +312,7 @@ def fci_forward(
     last `tcn_kernel` fluctuation steps: the projection and layer norm
     act step by step and the causal conv looks back K-1 steps. So the
     branch runs on those steps alone, and dropout applies to the
-    returned [N, d] row.
+    returned [..., N, d] row.
     """
     if cfg.fci != "tcn":
         raise ConfigError("fci_forward requires fci == tcn")
@@ -362,7 +369,7 @@ def mlp_isolation_forward(
 def acf_forward(z_trend: Tensor, z_fluct: Tensor, z_shock: Tensor, model: ActModel):
     """Per-stock softmax attention over the three component embeddings.
 
-    Returns (y_hat [N], alpha [N, 3]).
+    Returns (y_hat [..., N], alpha [..., N, 3]).
     """
     comps = [z_trend, z_fluct, z_shock]
     scores = tz.concat_last(
@@ -374,13 +381,14 @@ def acf_forward(z_trend: Tensor, z_fluct: Tensor, z_shock: Tensor, model: ActMod
             for z in comps
         ]
     )
-    alpha = tz.softmax(scores, axis=1)
+    alpha = tz.softmax(scores, axis=-1)
+    rows = (slice(None),) * (alpha.ndim - 1)
     mixed = None
     for i, z in enumerate(comps):
-        term = tz.mul(tz.index(alpha, (slice(None), slice(i, i + 1))), z)
+        term = tz.mul(tz.index(alpha, rows + (slice(i, i + 1),)), z)
         mixed = term if mixed is None else tz.add(mixed, term)
     y_col = tz.matmul(mixed, model["out_w"])
-    y_hat = tz.index(y_col, (slice(None), 0))
+    y_hat = tz.index(y_col, rows + (0,))
     return y_hat, alpha
 
 
@@ -419,19 +427,25 @@ def act_forward_parts(
     model: ActModel,
     training: bool = False,
 ):
-    """Forward pass on an already-decomposed window.
+    """Forward pass on an already-decomposed window or batch of windows.
 
     Lets callers reuse one decomposition across epochs; `parts` is the
-    value of decompose() for the window.
+    value of decompose() for a [T, N, F] window, or the
+    `stack_decompositions` of B of them, [T, B, N, F]. Returns
+    (y_hat [N] or [B, N], diagnostics) with the fusion weights `alpha`
+    [..., N, 3], the `dynamic_adjacency` [..., N, N] the trend branch
+    attended over, `gate_mean` (a float, or [B]; None for the gat_only
+    branch) and `scores`. In training mode the fluctuation dropout masks
+    of the whole batch are drawn first, then the shock masks.
     """
     cfg = model.cfg
-    dyn_adj = None
     gate_mean = None
     if cfg.pspe == "full":
         z_trend, dyn, gate_mean = pspe_forward(parts.trend, graphs, model, cfg)
         dyn_adj = dyn.adjacency
     else:
-        z_trend, dyn_adj = pspe_ablation_forward(parts.trend, graphs, model, cfg)
+        z_trend, union = pspe_ablation_forward(parts.trend, graphs, model, cfg)
+        dyn_adj = np.broadcast_to(union, z_trend.shape[:-1] + union.shape[-1:])
 
     if cfg.fci == "tcn":
         z_fluct = fci_forward(parts.fluct, model, cfg, training=training)
@@ -446,7 +460,7 @@ def act_forward_parts(
     y_hat, alpha = acf_forward(z_trend, z_fluct, z_shock, model)
     diagnostics = {
         "alpha": alpha.data.copy(),
-        "dynamic_adjacency": None if dyn_adj is None else dyn_adj.copy(),
+        "dynamic_adjacency": dyn_adj.copy(),
         "gate_mean": gate_mean,
         "scores": y_hat.data.copy(),
     }

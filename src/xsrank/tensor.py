@@ -276,33 +276,33 @@ def _fw_concat_last(inputs, attrs):
 
 
 def _fw_causal_conv1d(inputs, attrs):
-    # x: [T, N, Cin], w: [K, Cin, Cout], b: [Cout]; left zero padding,
-    # stride 1, so out[t] sees x[t-K+1 .. t] only.
+    # x: [T, ..., Cin], w: [K, Cin, Cout], b: [Cout]; left zero padding,
+    # stride 1, so out[t] sees x[t-K+1 .. t] only. The axes between time
+    # and channels (stocks, or windows and stocks) are independent rows.
     x, w, b = inputs
-    if x.ndim != 3 or w.ndim != 3 or b.ndim != 1:
-        raise ShapeError("causal_conv1d wants x[T,N,Cin], w[K,Cin,Cout], b[Cout]")
-    if w.shape[1] != x.shape[2] or b.shape[0] != w.shape[2]:
+    if x.ndim < 2 or w.ndim != 3 or b.ndim != 1:
+        raise ShapeError("causal_conv1d wants x[T,...,Cin], w[K,Cin,Cout], b[Cout]")
+    if w.shape[1] != x.shape[-1] or b.shape[0] != w.shape[2]:
         raise ShapeError(
             f"causal_conv1d channel mismatch: x{x.shape} w{w.shape} b{b.shape}"
         )
     T = x.shape[0]
-    K = w.shape[0]
-    out = np.zeros((T, x.shape[1], w.shape[2]))
-    for j in range(K):
-        if j >= T:
-            break
+    K, c_in, c_out = w.shape
+    out = np.zeros(x.shape[:-1] + (c_out,))
+    for j in range(min(K, T)):
         out[j:] += np.matmul(x[: T - j], w[j])
     out += b
 
     def vjp(g):
         dx = np.zeros_like(x)
         dw = np.zeros_like(w)
-        for j in range(K):
-            if j >= T:
-                break
+        # every (step, row) pair is one GEMM row: dw[j] = X_j^T G_j
+        x_rows = x.reshape(T, -1, c_in)
+        g_rows = g.reshape(T, -1, c_out)
+        for j in range(min(K, T)):
             dx[: T - j] += np.matmul(g[j:], w[j].T)
-            dw[j] = np.einsum("tni,tno->io", x[: T - j], g[j:])
-        db = g.sum(axis=(0, 1))
+            dw[j] = x_rows[: T - j].reshape(-1, c_in).T @ g_rows[j:].reshape(-1, c_out)
+        db = g_rows.reshape(-1, c_out).sum(axis=0)
         return [dx, dw, db]
 
     return out, vjp
@@ -633,6 +633,13 @@ def concat_last(tensors: Iterable) -> Tensor:
 
 
 def causal_conv1d(x, w, b) -> Tensor:
+    """Causal convolution over time: x [T, ..., Cin], w [K, Cin, Cout], b [Cout].
+
+    Returns [T, ..., Cout]; out[t] sees x[t-K+1 .. t] only, with zeros
+    before t = 0. The axes between time and channels are independent
+    rows, so a batch of windows [T, B, N, Cin] convolves each window
+    exactly as it would be alone.
+    """
     return apply_primitive(
         PrimitiveKind.CAUSAL_CONV1D, [_as_tensor(x), _as_tensor(w), _as_tensor(b)]
     )

@@ -14,8 +14,8 @@ import numpy as np
 
 from . import tensor as tz
 from .data import PanelDataset, PredictionSeries, make_windows
-from .decompose import decompose
-from .errors import ConfigError, DataError, NonFiniteError
+from .decompose import decompose, stack_decompositions
+from .errors import ConfigError, DataError, NonFiniteError, ShapeError
 from .evaluate import pearson
 from .graphs import RelationGraphs
 from .model import ActConfig, ActModel, act_forward, act_forward_parts
@@ -29,54 +29,79 @@ def clip_labels(labels: np.ndarray) -> np.ndarray:
     return np.clip(np.asarray(labels, dtype=np.float64), -LABEL_CLIP, LABEL_CLIP)
 
 
+def _masked_labels(y_hat: Tensor, labels: np.ndarray, mask: np.ndarray):
+    """(clipped labels with 0 off the mask, 0/1 weights, count per window)."""
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != y_hat.shape:
+        raise ShapeError(f"mask shape {mask.shape} != scores shape {y_hat.shape}")
+    yc = clip_labels(labels)
+    if not np.isfinite(yc[mask]).all():
+        raise DataError("labels contain NaN inside the observed mask")
+    return np.where(mask, yc, 0.0), mask.astype(np.float64), mask.sum(axis=-1)
+
+
 def ic_loss(y_hat: Tensor, labels: np.ndarray, mask: np.ndarray) -> Tensor:
     """1 - Pearson(scores, clipped labels) over the observed set.
 
-    The epsilon sits inside both square roots, so a constant score
-    vector gives loss 1 instead of a division blowup.
+    y_hat, labels and mask are [N] for one window, giving a scalar, or
+    [B, N] for a batch, giving one term per window. Unobserved stocks
+    enter every sum with weight 0. A window of a batch with fewer than 2
+    observed stocks has no correlation: its term is 0 and carries no
+    gradient. With no window of 2 or more observed stocks there is
+    nothing to score, which is a DataError. The epsilon sits inside
+    both square roots, so a constant score vector gives loss 1 instead
+    of a division blowup.
     """
-    mask = np.asarray(mask, dtype=bool)
-    m = int(mask.sum())
-    if m < 2:
-        raise DataError(f"ic_loss needs at least 2 observed stocks, got {m}")
-    yc = clip_labels(labels)[mask]
-    if not np.isfinite(yc).all():
-        raise DataError("labels contain NaN inside the observed mask")
+    yc, w, m = _masked_labels(y_hat, labels, mask)
+    scored = m >= 2
+    if not scored.any():
+        raise DataError(f"ic_loss needs at least 2 observed stocks, got {int(m.max())}")
+    count = np.maximum(m, 1)[..., None].astype(np.float64)
+    weights = Tensor(w)
 
-    sel = tz.masked_select(y_hat, mask)
-    dx = tz.sub(sel, tz.mean(sel))
-    dy = yc - yc.mean()
+    mean_x = tz.div(tz.tensor_sum(tz.mul(y_hat, weights), axis=-1, keepdims=True),
+                    Tensor(count))
+    dx = tz.mul(tz.sub(y_hat, mean_x), weights)
+    dy = (yc - yc.sum(axis=-1, keepdims=True) / count) * w
 
-    num = tz.tensor_sum(tz.mul(dx, Tensor(dy)))
-    den_x = tz.sqrt(tz.add(tz.tensor_sum(tz.mul(dx, dx)), Tensor(IC_EPS)))
-    den_y = float(np.sqrt((dy * dy).sum() + IC_EPS))
+    num = tz.tensor_sum(tz.mul(dx, Tensor(dy)), axis=-1)
+    den_x = tz.sqrt(tz.add(tz.tensor_sum(tz.mul(dx, dx), axis=-1), Tensor(IC_EPS)))
+    den_y = np.sqrt((dy * dy).sum(axis=-1) + IC_EPS)
     corr = tz.div(num, tz.mul(den_x, Tensor(den_y)))
-    return tz.sub(Tensor(1.0), corr)
+    loss = tz.sub(Tensor(1.0), corr)
+    if not scored.all():
+        loss = tz.mul(loss, Tensor(scored.astype(np.float64)))
+    return loss
 
 
 def mse_loss(y_hat: Tensor, labels: np.ndarray, mask: np.ndarray) -> Tensor:
-    """Mean squared error against clipped labels over the observed set."""
-    mask = np.asarray(mask, dtype=bool)
-    m = int(mask.sum())
-    if m < 1:
+    """Mean squared error against clipped labels over the observed set.
+
+    Shapes as in `ic_loss`: a scalar for one window, one term per window
+    of a batch. A window with no observed stock has term 0; with none
+    observed anywhere it is a DataError.
+    """
+    yc, w, m = _masked_labels(y_hat, labels, mask)
+    if not m.any():
         raise DataError("mse_loss needs at least 1 observed stock")
-    yc = clip_labels(labels)[mask]
-    if not np.isfinite(yc).all():
-        raise DataError("labels contain NaN inside the observed mask")
-    diff = tz.sub(tz.masked_select(y_hat, mask), Tensor(yc))
-    return tz.mean(tz.mul(diff, diff))
+    diff = tz.mul(tz.sub(y_hat, Tensor(yc)), Tensor(w))
+    return tz.div(tz.tensor_sum(tz.mul(diff, diff), axis=-1),
+                  Tensor(np.maximum(m, 1).astype(np.float64)))
 
 
 def total_loss(
     y_hat: Tensor, labels: np.ndarray, mask: np.ndarray, loss_mix: float
 ) -> Tensor:
-    """Ranking loss plus `loss_mix` times the magnitude loss."""
+    """Ranking loss plus `loss_mix` times the magnitude loss, per window."""
     if not 0.0 <= loss_mix <= 1.0:
         raise ConfigError(f"loss_mix must be in [0, 1], got {loss_mix}")
-    out = ic_loss(y_hat, labels, mask)
-    if loss_mix > 0.0:
-        out = tz.add(out, tz.mul(Tensor(loss_mix), mse_loss(y_hat, labels, mask)))
-    return out
+    return _mix_terms(ic_loss(y_hat, labels, mask), mse_loss(y_hat, labels, mask), loss_mix)
+
+
+def _mix_terms(ic_terms: Tensor | None, mse_terms: Tensor, loss_mix: float) -> Tensor:
+    """ic + loss_mix * mse; a batch with no IC term is scored on MSE alone."""
+    out = tz.mul(Tensor(float(loss_mix)), mse_terms)
+    return out if ic_terms is None else tz.add(ic_terms, out)
 
 
 class Adam:
@@ -216,6 +241,15 @@ def train(
     Windows whose end date falls before `valid_start` train the model;
     those in [valid_start, test_start) drive model selection. Dates from
     test_start on are never touched. Deterministic per seed.
+
+    Each minibatch of `settings.batch_size` windows runs through one
+    forward pass on its stacked decompositions, [T, B, N, F], cached per
+    window across epochs, and is scored by one batched `ic_loss` and
+    `mse_loss`, [B, N] -> [B]. The step minimizes the mean over the
+    batch's windows of ic + loss_mix * mse. A window with one observed
+    stock has no IC term; a window with none is left out of the batch;
+    both count in `skipped_ic_days`. Validation scores windows in chunks
+    of the same size.
     """
     _check_knn(cfg, len(ds.instruments))
     samples = make_windows(ds, cfg.window)
@@ -241,76 +275,72 @@ def train(
     shuffle_rng = np.random.default_rng(settings.seed)
     parts_cache: dict[int, object] = {}
 
-    def parts_for(sample):
-        got = parts_cache.get(sample.end_index)
-        if got is None:
-            got = decompose(sample.features, cfg.trend_window, cfg.fluct_window)
-            parts_cache[sample.end_index] = got
-        return got
+    def batch_parts(samples):
+        parts = []
+        for sample in samples:
+            got = parts_cache.get(sample.end_index)
+            if got is None:
+                got = decompose(sample.features, cfg.trend_window, cfg.fluct_window)
+                parts_cache[sample.end_index] = got
+            parts.append(got)
+        return stack_decompositions(parts)
 
     stopper = EarlyStopper(settings.patience)
     best_state = model.state_arrays()
+    size = settings.batch_size
 
     for epoch in range(settings.epochs):
         order = shuffle_rng.permutation(len(train_samples))
         loss_sum = ic_sum = mse_sum = 0.0
-        n_loss = n_ic = n_mse = 0
+        n_loss = n_ic = 0
 
-        for start in range(0, len(order), settings.batch_size):
-            batch = [train_samples[i] for i in order[start: start + settings.batch_size]]
-            step_id = start // settings.batch_size
+        for start in range(0, len(order), size):
+            drawn = [train_samples[i] for i in order[start: start + size]]
+            # a window with no observed stock has no loss term at all
+            batch = [s for s in drawn if s.mask.any()]
+            history.skipped_ic_days += len(drawn) - len(batch)
+            if not batch:
+                continue
+            labels = np.stack([s.labels for s in batch])
+            mask = np.stack([s.mask for s in batch])
+            scored = mask.sum(axis=1) >= 2
+            history.skipped_ic_days += int((~scored).sum())
             try:
                 with Tape() as tape:
-                    acc = None
-                    contrib = 0
-                    for sample in batch:
-                        n_obs = int(sample.mask.sum())
-                        if n_obs < 1:
-                            history.skipped_ic_days += 1
-                            continue
-                        y_hat, _ = act_forward_parts(
-                            parts_for(sample), graphs, model, training=True
-                        )
-                        if n_obs >= 2:
-                            ic_term = ic_loss(y_hat, sample.labels, sample.mask)
-                            ic_sum += ic_term.item()
-                            n_ic += 1
-                        else:
-                            history.skipped_ic_days += 1
-                            ic_term = None
-                        mse_term = mse_loss(y_hat, sample.labels, sample.mask)
-                        mse_sum += mse_term.item()
-                        n_mse += 1
-                        piece = tz.mul(Tensor(float(cfg.loss_mix)), mse_term)
-                        if ic_term is not None:
-                            piece = tz.add(ic_term, piece)
-                        loss_sum += piece.item()
-                        n_loss += 1
-                        acc = piece if acc is None else tz.add(acc, piece)
-                        contrib += 1
-                    if acc is None:
-                        continue
-                    batch_loss = tz.mul(Tensor(1.0 / contrib), acc)
-                    backward(batch_loss)
+                    y_hat, _ = act_forward_parts(
+                        batch_parts(batch), graphs, model, training=True
+                    )
+                    ic_terms = ic_loss(y_hat, labels, mask) if scored.any() else None
+                    mse_terms = mse_loss(y_hat, labels, mask)
+                    window_loss = _mix_terms(ic_terms, mse_terms, cfg.loss_mix)
+                    backward(tz.mean(window_loss))
                     grad_arrays = {
                         name: tape.grad(p) for name, p in model.params.items()
                     }
                 optimizer.step(grad_arrays)
             except NonFiniteError as exc:
                 raise NonFiniteError(
-                    f"training diverged at epoch {epoch} step {step_id}: {exc}"
+                    f"training diverged at epoch {epoch} step {start // size}: {exc}"
                 ) from exc
+            loss_sum += float(window_loss.data.sum())
+            mse_sum += float(mse_terms.data.sum())
+            n_loss += len(batch)
+            if ic_terms is not None:
+                ic_sum += float(ic_terms.data[scored].sum())
+                n_ic += int(scored.sum())
 
         history.train_loss.append(loss_sum / max(n_loss, 1))
         history.train_ic_term.append(ic_sum / max(n_ic, 1))
-        history.train_mse_term.append(mse_sum / max(n_mse, 1))
+        history.train_mse_term.append(mse_sum / max(n_loss, 1))
 
         day_ics = []
-        for sample in valid_samples:
-            y_hat, _ = act_forward_parts(parts_for(sample), graphs, model)
-            ic = pearson(y_hat.data[sample.mask], sample.labels[sample.mask])
-            if ic is not None:
-                day_ics.append(ic)
+        for start in range(0, len(valid_samples), size):
+            chunk = valid_samples[start: start + size]
+            y_hat, _ = act_forward_parts(batch_parts(chunk), graphs, model)
+            for scores, sample in zip(y_hat.data, chunk):
+                ic = pearson(scores[sample.mask], sample.labels[sample.mask])
+                if ic is not None:
+                    day_ics.append(ic)
         epoch_ic = float(np.mean(day_ics)) if day_ics else -np.inf
         history.valid_ic.append(epoch_ic)
 

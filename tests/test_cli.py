@@ -479,3 +479,40 @@ def test_cli_chain_artifacts_are_byte_stable(tmp_path):
            for p in sorted(tmp_path.rglob("*"))
            if p.is_file() and p.name != "manifest.json"}
     assert got == CHAIN_DIGESTS
+
+
+def test_regress_reports_a_malformed_backtest_cell(workdir, tmp_path, capsys):
+    bt = tmp_path / "bt"
+    assert cli.main(
+        ["backtest", "--out", str(bt),
+         "--predictions", str(workdir / "preds" / "predictions.csv")]
+        + panel_args(workdir) + ["--k", "3", "--n-drop", "1"]) == 0
+    lines = (bt / "backtest.csv").read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[1] = "abc"
+    lines[3] = ",".join(cells)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    rc = cli.main(["regress", "--out", str(tmp_path / "reg"),
+                   "--backtest", str(bad),
+                   "--factors", str(workdir / "data" / "factors.csv"),
+                   "--lags", "2"])
+    assert rc == cli.EXIT_DATA
+    assert f"{bad}: line 4: unparseable number 'abc'" in capsys.readouterr().err
+    assert not (tmp_path / "reg" / "regression.csv").exists()
+
+
+def test_evaluate_checks_group_by_before_writing(workdir, tmp_path):
+    stranger = tmp_path / "stranger.csv"
+    stranger.write_text("instrument,category\nZZZ,X\n")
+    base = (["evaluate", "--predictions", str(workdir / "preds" / "predictions.csv")]
+            + panel_args(workdir))
+    for name, extra, code in (
+        ("no_path", ["--group-by", "industry"], cli.EXIT_CONFIG),
+        ("stranger", ["--group-by", "industry", "--industry", str(stranger)],
+         cli.EXIT_DATA),
+    ):
+        out = tmp_path / name
+        assert cli.main(base + ["--out", str(out)] + extra) == code
+        assert not (out / "metrics.csv").exists()
+        assert not (out / "daily_metrics.csv").exists()

@@ -381,5 +381,37 @@ def tied_similarity(draw):
 @settings(max_examples=200, deadline=None)
 @given(tied_similarity())
 def test_topk_graph_matches_oracle_on_dense_ties(sim):
+    # a batch of two windows: each [N, N] slice is its own graph
+    batch = np.stack([sim, sim[::-1, ::-1]])
     for k in range(1, sim.shape[0]):
         assert np.array_equal(topk_graph(sim, k).adjacency, oracle.topk_np(sim, k))
+        got = topk_graph(batch, k).adjacency
+        for window, adjacency in zip(batch, got):
+            assert np.array_equal(adjacency, oracle.topk_np(window, k))
+
+
+def test_batched_graph_helpers_keep_their_input_checks():
+    rng = np.random.default_rng(13)
+    with pytest.raises(DataError):
+        cosine_similarity_matrix(rng.normal(size=5))
+    sim = cosine_similarity_matrix(rng.normal(size=(2, 4, 3)))
+    assert sim.shape == (2, 4, 4)
+    assert (np.diagonal(sim, axis1=-2, axis2=-1) == -np.inf).all()
+
+    for bad in (np.zeros((2, 3, 4)), np.zeros(4)):
+        with pytest.raises(DataError):
+            topk_graph(bad, 1)
+    for k in (0, 4):
+        with pytest.raises(ConfigError):
+            topk_graph(sim, k)
+
+    u = Tensor(rng.normal(size=(2, 3, 2)))
+    params = _gat_params(rng, 2)
+    adj = np.ones((2, 3, 3)) - np.eye(3)
+    gat_layer(u, adj, **params)
+    gat_layer(u, adj[0], **params)
+    lonely = adj.copy()
+    lonely[1, 2] = 0.0
+    for bad in (np.ones((2, 3, 4)), np.ones(3), lonely):
+        with pytest.raises(DataError):
+            gat_layer(u, bad, **params)

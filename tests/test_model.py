@@ -1,16 +1,25 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _oracles as oracle
 from _fd import finite_difference_check_params
 from xsrank import tensor as tz
+from xsrank.decompose import decompose, stack_decompositions
 from xsrank.errors import ConfigError, DataError, NonFiniteError
 from xsrank.graphs import RelationGraphs, membership_adjacency
 from xsrank.model import (
+    FCI_MODES,
+    PSPE_MODES,
+    SCI_MODES,
     ActConfig,
     ActModel,
     acf_forward,
     act_forward,
+    act_forward_parts,
     fci_forward,
     load_checkpoint,
     mlp_isolation_forward,
@@ -542,3 +551,61 @@ def test_fci_depends_only_on_last_kernel_steps():
     changed = x.copy()
     changed[-cfg.tcn_kernel] += 1.0
     assert not np.array_equal(fci_forward(changed, model, cfg).data, base)
+
+
+VARIANTS = list(itertools.product(PSPE_MODES, FCI_MODES, SCI_MODES))
+
+
+def _decomposed(cfg, n, b, rng):
+    return [decompose(make_window(cfg, n, rng), cfg.trend_window, cfg.fluct_window)
+            for _ in range(b)]
+
+
+@pytest.mark.parametrize("pspe,fci,sci", VARIANTS)
+@settings(max_examples=12, deadline=None)
+@given(b=st.integers(1, 5), n=st.integers(3, 8), seed=st.integers(0, 2**16))
+def test_batched_forward_equals_per_window_bitwise(pspe, fci, sci, b, n, seed):
+    rng = np.random.default_rng(seed)
+    cfg = small_cfg(pspe=pspe, fci=fci, sci=sci)
+    model = ActModel(cfg, seed=seed)
+    graphs = make_graphs(n, rng)
+    parts = _decomposed(cfg, n, b, rng)
+    y, diag = act_forward_parts(stack_decompositions(parts), graphs, model)
+    assert y.shape == (b, n) and diag["alpha"].shape == (b, n, 3)
+    assert diag["dynamic_adjacency"].shape == (b, n, n)
+    for k, window in enumerate(parts):
+        y1, diag1 = act_forward_parts(window, graphs, model)
+        assert np.array_equal(y.data[k], y1.data)
+        assert np.array_equal(diag["alpha"][k], diag1["alpha"])
+        assert np.array_equal(diag["dynamic_adjacency"][k], diag1["dynamic_adjacency"])
+        if pspe == "full":
+            assert diag["gate_mean"][k] == diag1["gate_mean"]
+        else:
+            assert diag["gate_mean"] is None and diag1["gate_mean"] is None
+
+
+@pytest.mark.parametrize("pspe,fci,sci", VARIANTS)
+def test_batched_training_forward_is_deterministic_per_seed(pspe, fci, sci):
+    rng = np.random.default_rng(24)
+    cfg = small_cfg(pspe=pspe, fci=fci, sci=sci, dropout_rate=0.5)
+    n = 6
+    model = ActModel(cfg, seed=14)
+    graphs = make_graphs(n, rng)
+    parts = _decomposed(cfg, n, 3, rng)
+    batch = stack_decompositions(parts)
+
+    runs = []
+    for _ in range(2):
+        model.reseed_dropout(7)
+        runs.append(act_forward_parts(batch, graphs, model, training=True)[0].data)
+    assert np.array_equal(runs[0], runs[1])
+    # a batch of one draws the same masks as the window alone
+    model.reseed_dropout(7)
+    alone = act_forward_parts(parts[0], graphs, model, training=True)[0].data
+    model.reseed_dropout(7)
+    single = act_forward_parts(stack_decompositions(parts[:1]), graphs, model,
+                               training=True)[0].data
+    assert np.array_equal(single[0], alone)
+    evaluated = act_forward_parts(batch, graphs, model)[0].data
+    dropped = fci == "tcn" or sci == "counterfactual"
+    assert np.array_equal(runs[0], evaluated) is not dropped

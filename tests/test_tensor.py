@@ -1,5 +1,7 @@
 """Tape and primitive tests: shapes, closed-form gradients, FD oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -295,11 +297,12 @@ def test_fd_concat_last():
 
 def test_fd_causal_conv1d():
     rng = np.random.default_rng(14)
-    for trial in range(10):
-        x = rng.normal(size=(5, 3, 2))
+    # [T, N, C] and a batch of windows, [T, B, N, C]
+    for trial, rows in itertools.product(range(10), ((3,), (2, 3))):
+        x = rng.normal(size=(5, *rows, 2))
         cw = rng.normal(size=(3, 2, 4))
         cb = rng.normal(size=(4,))
-        w = rng.normal(size=(5, 3, 4))
+        w = rng.normal(size=(5, *rows, 4))
         err = _fd_case(
             lambda t: _scalarize(tz.causal_conv1d(t, Tensor(cw), Tensor(cb)), w), x
         )
@@ -420,3 +423,23 @@ def test_fd_composite_chain():
             return tz.mean(out)
 
         assert _fd_case(f, x) < FD_TOL
+
+
+def test_causal_conv1d_batch_axes_are_independent_rows():
+    rng = np.random.default_rng(41)
+    x = rng.normal(size=(4, 3, 5, 2))
+    cw = rng.normal(size=(3, 2, 6))
+    cb = rng.normal(size=(6,))
+    g = rng.normal(size=(4, 3, 5, 6))
+    with tz.Tape() as tape:
+        xt, wt = Tensor(x), Tensor(cw)
+        out = tz.causal_conv1d(xt, wt, Tensor(cb))
+        tz.backward(_scalarize(out, g))
+        dw = tape.grad(wt)
+    for b in range(3):
+        alone = tz.causal_conv1d(Tensor(x[:, b]), Tensor(cw), Tensor(cb))
+        assert np.array_equal(out.data[:, b], alone.data)
+    want = np.zeros_like(cw)
+    for j in range(3):
+        want[j] = np.einsum("tbni,tbno->io", x[: 4 - j], g[j:])
+    np.testing.assert_allclose(dw, want, rtol=1e-12, atol=1e-12)

@@ -4,7 +4,8 @@ import pytest
 import _oracles as oracle
 from _fd import finite_difference_check
 from xsrank.data import SynthConfig, generate_synthetic
-from xsrank.errors import ConfigError, DataError, NonFiniteError
+from xsrank import tensor as tz
+from xsrank.errors import ConfigError, DataError, NonFiniteError, ShapeError
 from xsrank.graphs import RelationGraphs, membership_adjacency
 from xsrank.model import ActConfig, ActModel, act_forward
 from xsrank.tensor import Tape, Tensor, backward
@@ -412,3 +413,137 @@ def test_knn_check_accepts_n_minus_one_and_ignores_gat_only():
     for cfg in (small_cfg(knn=7), small_cfg(knn=8, pspe="gat_only")):
         preds = predict_sliding(ActModel(cfg, seed=0), ds, graphs)
         assert len(preds.dates()) == 21
+
+
+def test_batched_losses_are_the_per_window_losses():
+    rng = np.random.default_rng(8)
+    n = 9
+    labels = rng.normal(0, 0.05, size=(4, n))
+    labels[2, 5] = np.nan  # off the mask, so ignored
+    mask = np.ones((4, n), dtype=bool)
+    mask[1, ::2] = False
+    mask[2, 5] = False
+    y_hat = Tensor(rng.normal(size=(4, n)))
+    ic = ic_loss(y_hat, labels, mask)
+    mse = mse_loss(y_hat, labels, mask)
+    assert ic.shape == mse.shape == (4,)
+    for b in range(4):
+        row = Tensor(y_hat.data[b])
+        want_ic = ic_loss(row, labels[b], mask[b]).item()
+        want_mse = mse_loss(row, labels[b], mask[b]).item()
+        if mask[b].all():
+            assert ic.data[b] == want_ic and mse.data[b] == want_mse
+        assert abs(ic.data[b] - want_ic) < 1e-12
+        assert abs(mse.data[b] - want_mse) < 1e-13
+
+    # one observed stock: no IC term; none: no term at all
+    mask[1] = False
+    mask[1, 4] = True
+    mask[3] = False
+    ic = ic_loss(y_hat, labels, mask)
+    mse = mse_loss(y_hat, labels, mask)
+    assert ic.data[1] == 0.0 and ic.data[3] == 0.0 and mse.data[3] == 0.0
+    assert mse.data[1] == (y_hat.data[1, 4] - clip_labels(labels[1, 4])) ** 2
+    with Tape() as tape:
+        loss = tz.tensor_sum(ic_loss(y_hat, labels, mask))
+        backward(loss)
+        grad = tape.grad(y_hat)
+    assert not grad[1].any() and not grad[3].any() and grad[0].any()
+
+    with pytest.raises(DataError):
+        ic_loss(y_hat, labels, mask & (np.arange(4) % 2 == 1)[:, None])
+    with pytest.raises(DataError):
+        mse_loss(y_hat, labels, np.zeros((4, n), dtype=bool))
+    with pytest.raises(ShapeError):
+        ic_loss(y_hat, labels[0], mask[0])
+
+
+def test_batched_ic_loss_gradient_matches_finite_differences():
+    rng = np.random.default_rng(9)
+    labels = rng.normal(0, 0.05, size=(3, 7))
+    mask = rng.random((3, 7)) < 0.7
+    mask[:, :2] = True
+    weights = rng.normal(size=3)
+    err = finite_difference_check(
+        lambda s: tz.tensor_sum(tz.mul(ic_loss(s, labels, mask), Tensor(weights))),
+        Tensor(rng.normal(size=(3, 7))),
+    )
+    assert err < 1e-5
+
+
+def test_train_batch_loss_is_the_mean_over_contributing_windows(monkeypatch):
+    from xsrank import training
+
+    ds, graphs = small_panel()
+    cfg = small_cfg()
+    one, none = 20, 21  # training dates: one observed stock, none
+    ds.observed_mask[one] = False
+    ds.observed_mask[one, 3] = True
+    ds.observed_mask[none] = False
+    settings = TrainSettings(valid_start=ds.dates[50], epochs=2, batch_size=4,
+                             seed=2)
+    steps = []
+    real_mse, real_backward = training.mse_loss, training.backward
+
+    def spy_mse(y_hat, labels, mask):
+        steps.append([y_hat.data.copy(), labels.copy(), mask.copy()])
+        return real_mse(y_hat, labels, mask)
+
+    def spy_backward(loss):
+        steps[-1].append(loss.item())
+        real_backward(loss)
+
+    monkeypatch.setattr(training, "mse_loss", spy_mse)
+    monkeypatch.setattr(training, "backward", spy_backward)
+    _, hist = train(ds, graphs, cfg, settings)
+
+    assert hist.skipped_ic_days == 2 * settings.epochs
+    # every training window but the unobserved one, once per epoch
+    n_rows = sum(y.shape[0] for y, _, _, _ in steps)
+    assert n_rows == settings.epochs * (hist.n_train_windows - 1)
+    saw_single = False
+    for y, labels, mask, loss in steps:
+        assert mask.any(axis=1).all()
+        terms = []
+        for b in range(y.shape[0]):
+            row = Tensor(y[b])
+            term = cfg.loss_mix * real_mse(row, labels[b], mask[b]).item()
+            if mask[b].sum() >= 2:
+                term += ic_loss(row, labels[b], mask[b]).item()
+            else:
+                saw_single = True
+            terms.append(term)
+        assert abs(loss - np.mean(terms)) < 1e-12
+    assert saw_single
+
+
+def test_predictions_do_not_depend_on_blas_thread_count(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = (
+        "import sys\n"
+        "from xsrank.data import SynthConfig, generate_synthetic, standardize_features\n"
+        "from xsrank.model import ActConfig\n"
+        "from xsrank.training import TrainSettings, predict_sliding, train\n"
+        "ds, graphs, _ = generate_synthetic(SynthConfig(n_instruments=96, n_features=4,\n"
+        "    days=24, block_size=8, seed=4))\n"
+        "ds = standardize_features(ds)\n"
+        "cfg = ActConfig(n_features=4, window=8, hidden=32, trend_window=5,\n"
+        "    fluct_window=3, shock_window=3, knn=5)\n"
+        "model, _ = train(ds, graphs, cfg, TrainSettings(valid_start=ds.dates[16],\n"
+        "    epochs=1, batch_size=4, seed=1))\n"
+        "predict_sliding(model, ds, graphs).write_csv(sys.argv[1])\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = tmp_path / f"threads{threads}.csv"
+        subprocess.run([sys.executable, "-c", script, str(out)], env=env,
+                       check=True, timeout=300)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
