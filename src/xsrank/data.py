@@ -16,7 +16,7 @@ from datetime import date as _date, timedelta
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .graphs import RelationGraphs, build_relation_graphs, membership_adjacency
+from .graphs import RelationGraphs, build_relation_graphs
 
 FEATURE_PREFIX = "f"
 PRICES_HEADER = ["datetime", "instrument", "price", "volume"]
@@ -487,11 +487,6 @@ def load_membership(path) -> dict[str, str]:
             )
         out[inst] = cat
     return out
-
-
-def load_relation_graph(path, instruments: list[str]) -> np.ndarray:
-    """Clique adjacency from a membership CSV, aligned to `instruments`."""
-    return membership_adjacency(instruments, load_membership(path))
 
 
 def write_membership(path, labels: dict[str, str]) -> None:

@@ -1,16 +1,20 @@
 """Graph primitives: static-relation GCN, cosine k-NN graphs, masked GAT.
 
-Static relation graphs (industry / region cliques) are plain numpy
-adjacency matrices, checked once when a RelationGraphs is built; their
-union is built once, on first use. The dynamic k-NN graph is rebuilt
-per forward pass from the current representations; its construction is
-deliberately outside the tape, so no gradient flows through neighbor
-selection.
+Static relations (industry, region) come from membership files, so each
+is a set of cliques. A relation is stored as one [N] integer category
+code per instrument: two instruments are related when their codes are
+equal, and an instrument with no category has a code of its own. On a
+clique the GCN propagation D^-1/2 (A + I) D^-1/2 is the mean over the
+category, so no static [N, N] array is built, apart from the union mask
+of the gat_only ablation, built on first use. The dynamic k-NN graph is
+rebuilt per forward pass from the current representations; its
+construction is deliberately outside the tape, so no gradient flows
+through neighbor selection.
 
 Every layer acts on leading batch axes: representations are [..., N, d]
 and similarity, k-NN and attention masks [..., N, N], one [N, N] slice
-per window, each computed exactly as a single window would be. A static
-[N, N] relation broadcasts against the batch.
+per window, each computed exactly as a single window would be. The
+static category means broadcast against the batch.
 """
 
 from __future__ import annotations
@@ -27,27 +31,43 @@ from .tensor import Tensor
 
 @dataclass
 class RelationGraphs:
-    """Static binary relation graphs over one instrument universe.
+    """Static industry and region relations over one instrument universe.
 
-    Both graphs are checked once, here, so forward passes skip the
-    N x N check. Their propagation matrices are rebuilt per pass, not
-    stored: two more N x N arrays would raise peak memory at large N.
+    `industry` and `region` hold one category code per instrument; equal
+    codes share a category. The codes are checked here, in O(N), so
+    forward passes skip the check.
     """
 
     instruments: list[str]
-    industry: np.ndarray  # [N, N] binary, symmetric, zero diagonal
+    industry: np.ndarray  # [N] non-negative integer codes
     region: np.ndarray
     industry_labels: dict[str, str] = field(default_factory=dict)
     region_labels: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        _check_static_adjacency(self.industry)
-        _check_static_adjacency(self.region)
+        n = len(self.instruments)
+        for name in ("industry", "region"):
+            codes = np.asarray(getattr(self, name))
+            if (codes.shape != (n,) or not np.issubdtype(codes.dtype, np.integer)
+                    or (codes < 0).any()):
+                raise DataError(
+                    f"{name} must be {n} non-negative integer codes, one per "
+                    f"instrument; got {codes.dtype} {codes.shape}"
+                )
+            setattr(self, name, codes)
 
     @cached_property
     def union(self) -> np.ndarray:
-        """union_graph of the two relations, built on first use."""
-        return union_graph(self.industry, self.region)
+        """[N, N] OR of the two relations, built on first use.
+
+        A row with no related instrument gets a self-edge, which keeps
+        every attention row non-empty when the union is used directly as
+        a message-passing graph; a row with a relative has no self-edge.
+        """
+        ind, reg = self.industry, self.region
+        out = ((ind[:, None] == ind) | (reg[:, None] == reg)).astype(np.float64)
+        _fill_diagonal(out, out.sum(axis=1) == 1.0)
+        return out
 
 
 @dataclass
@@ -58,20 +78,17 @@ class DynamicGraph:
     similarity: np.ndarray  # [..., N, N], -inf on the diagonal
 
 
-def membership_adjacency(instruments: list[str], labels: dict[str, str]) -> np.ndarray:
-    """Clique adjacency: instruments sharing a category are all connected.
+def _category_codes(instruments: list[str], labels: dict[str, str]) -> np.ndarray:
+    """[N] codes numbering categories in order of first appearance.
 
-    An instrument without a category gets no edges.
+    An instrument missing from `labels` gets a code of its own.
     """
-    codes: dict[str, int] = {}
-    cat = np.array(
-        [-1 if labels.get(inst) is None else codes.setdefault(labels[inst], len(codes))
-         for inst in instruments],
+    seen: dict = {}
+    # a fresh object() is a key that no other instrument shares
+    return np.array(
+        [seen.setdefault(labels.get(inst, object()), len(seen)) for inst in instruments],
         dtype=np.intp,
     )
-    adj = ((cat[:, None] == cat[None, :]) & (cat[:, None] >= 0)).astype(np.float64)
-    np.fill_diagonal(adj, 0.0)
-    return adj
 
 
 def build_relation_graphs(
@@ -81,8 +98,8 @@ def build_relation_graphs(
 ) -> RelationGraphs:
     return RelationGraphs(
         instruments=list(instruments),
-        industry=membership_adjacency(instruments, industry_labels),
-        region=membership_adjacency(instruments, region_labels),
+        industry=_category_codes(instruments, industry_labels),
+        region=_category_codes(instruments, region_labels),
         industry_labels=dict(industry_labels),
         region_labels=dict(region_labels),
     )
@@ -101,72 +118,23 @@ def _fill_diagonal(mat: np.ndarray, value) -> None:
     mat[..., idx, idx] = value
 
 
-def _check_static_adjacency(adj: np.ndarray) -> np.ndarray:
-    adj = np.asarray(adj, dtype=np.float64)
-    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-        raise DataError(f"adjacency must be square, got {adj.shape}")
-    if not np.isin(adj, (0.0, 1.0)).all():
-        raise DataError("adjacency entries must be 0 or 1")
-    if np.diag(adj).any():
-        raise DataError("adjacency diagonal must be zero")
-    if not np.array_equal(adj, adj.T):
-        raise DataError("static adjacency must be symmetric")
-    return adj
+def gcn_layer(x: Tensor, codes: np.ndarray, weight: Tensor, bias: Tensor) -> Tensor:
+    """One propagation step on a static clique relation: Ahat x W + b.
 
-
-def normalized_adjacency(adj: np.ndarray) -> np.ndarray:
-    """Symmetric propagation matrix with self-loops.
-
-    With At = A + I and Dt its degree, returns Dt^{-1/2} At Dt^{-1/2}.
-    An isolated node keeps self-loop weight 1.
-    """
-    return _propagation(_check_static_adjacency(adj))
-
-
-def _propagation(adj: np.ndarray) -> np.ndarray:
-    """`normalized_adjacency` of an adjacency that passed the check.
-
-    With d_i = 1 / sqrt(deg_i), an edge or diagonal entry is d_i * d_j
-    and any other entry is 0: the floats of scaling A + I by rows, then
-    columns, written with one N x N array.
-    """
-    inv_sqrt = 1.0 / np.sqrt(adj.sum(axis=1) + 1.0)
-    out = np.outer(inv_sqrt, inv_sqrt)
-    out *= adj
-    np.fill_diagonal(out, inv_sqrt * inv_sqrt)
-    return out
-
-
-def union_graph(*adjs: np.ndarray) -> np.ndarray:
-    """Elementwise OR of relation graphs; isolated rows get a self-edge.
-
-    The self-edge keeps every attention row non-empty when the union is
-    used directly as a message-passing graph.
-    """
-    mats = [_check_static_adjacency(a) for a in adjs]
-    if not mats:
-        raise ConfigError("union_graph needs at least one graph")
-    out = np.zeros_like(mats[0])
-    for m in mats:
-        if m.shape != out.shape:
-            raise DataError("union_graph inputs disagree on shape")
-        out = np.maximum(out, m)
-    empty = out.sum(axis=1) == 0
-    out[empty, empty] = 1.0
-    return out
-
-
-def gcn_layer(x: Tensor, adj: np.ndarray, weight: Tensor, bias: Tensor) -> Tensor:
-    """One propagation step on a static relation: Ahat x W + b.
-
-    x is [..., N, d]; Ahat [N, N] broadcasts against its batch axes.
-    Ahat is `normalized_adjacency(adj)`; `adj` is not checked again,
-    since RelationGraphs checks its graphs when built. The activation is
-    applied by the caller. Ahat is a constant for the tape, so gradients
+    x is [..., N, d] and `codes` the relation's [N] category codes. With
+    Ahat = D^-1/2 (A + I) D^-1/2, every entry of a category of s members
+    is 1/s, so Ahat y is the category mean of y: onehot @ (pool @ y), with
+    the [C, N] mean-pooling matrix `pool` and the [N, C] membership
+    matrix `onehot`, both broadcast against the batch. An instrument
+    alone in its category keeps its own row. The activation is applied
+    by the caller. Both matrices are constants for the tape, so gradients
     flow into x, W, and b only.
     """
-    ahat = Tensor(_propagation(np.asarray(adj, dtype=np.float64)))
-    return tz.add(tz.matmul(ahat, tz.matmul(x, weight)), bias)
+    cats, inverse = np.unique(codes, return_inverse=True)
+    member = inverse == np.arange(len(cats))[:, None]  # [C, N]
+    pool = Tensor(member / member.sum(axis=1, keepdims=True))
+    onehot = Tensor(np.ascontiguousarray(member.T, dtype=np.float64))
+    return tz.add(tz.matmul(onehot, tz.matmul(pool, tz.matmul(x, weight))), bias)
 
 
 def cosine_similarity_matrix(u: np.ndarray) -> np.ndarray:

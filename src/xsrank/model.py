@@ -239,9 +239,9 @@ def pspe_forward(
 
     backs = []
     fwds = []
-    for rel, adj in (("ind", graphs.industry), ("reg", graphs.region)):
+    for rel, codes in (("ind", graphs.industry), ("reg", graphs.region)):
         h = tz.leaky_relu(
-            gcn_layer(x0, adj, model[f"gcn_{rel}_w"], model[f"gcn_{rel}_b"]), slope
+            gcn_layer(x0, codes, model[f"gcn_{rel}_w"], model[f"gcn_{rel}_b"]), slope
         )
         fwds.append(tz.leaky_relu(tz.matmul(h, model[f"fwd_head_{rel}"]), slope))
         backs.append(tz.matmul(h, model[f"back_head_{rel}"]))

@@ -2,10 +2,9 @@
 
 Tensors wrap C-contiguous float64 ndarrays. The closed set of primitives
 (see PrimitiveKind) holds exactly what the model and its losses run;
-selection is basic indexing (INDEX) or a boolean mask (MASKED_SELECT).
-Each primitive records a vector-Jacobian closure on the active tape.
-Running a primitive with no active tape just computes the value, which is
-how inference runs.
+selection is basic indexing (INDEX). Each primitive records a
+vector-Jacobian closure on the active tape. Running a primitive with no
+active tape just computes the value, which is how inference runs.
 
 Every primitive output is checked for finiteness; NaN or Inf anywhere is
 an error, never a silent state.
@@ -41,7 +40,6 @@ class PrimitiveKind(Enum):
     SUM = "sum"
     SQRT = "sqrt"
     INDEX = "index"
-    MASKED_SELECT = "masked_select"
 
 
 class Tensor:
@@ -481,21 +479,6 @@ def _fw_index(inputs, attrs):
     return out, vjp
 
 
-def _fw_masked_select(inputs, attrs):
-    (x,) = inputs
-    mask = np.asarray(attrs["mask"], dtype=bool)
-    if mask.shape != x.shape:
-        raise ShapeError(f"mask shape {mask.shape} != tensor shape {x.shape}")
-    out = x[mask].copy()
-
-    def vjp(g):
-        dx = np.zeros_like(x)
-        dx[mask] = g
-        return [dx]
-
-    return out, vjp
-
-
 # kind -> (builder, required attr names, optional attr names)
 _REGISTRY: dict[PrimitiveKind, tuple[Callable, frozenset, frozenset]] = {
     PrimitiveKind.MATMUL: (_fw_matmul, frozenset(), frozenset({"transpose_a", "transpose_b"})),
@@ -516,7 +499,6 @@ _REGISTRY: dict[PrimitiveKind, tuple[Callable, frozenset, frozenset]] = {
     PrimitiveKind.SUM: (_fw_sum, frozenset(), frozenset({"axis", "keepdims"})),
     PrimitiveKind.SQRT: (_fw_sqrt, frozenset(), frozenset()),
     PrimitiveKind.INDEX: (_fw_index, frozenset({"key"}), frozenset()),
-    PrimitiveKind.MASKED_SELECT: (_fw_masked_select, frozenset({"mask"}), frozenset()),
 }
 
 
@@ -699,8 +681,4 @@ def sqrt(x) -> Tensor:
 def index(x, key) -> Tensor:
     """x[key] for a basic key: an int, a slice, or a tuple of those."""
     return apply_primitive(PrimitiveKind.INDEX, [_as_tensor(x)], {"key": key})
-
-
-def masked_select(x, mask) -> Tensor:
-    return apply_primitive(PrimitiveKind.MASKED_SELECT, [_as_tensor(x)], {"mask": mask})
 

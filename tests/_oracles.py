@@ -246,6 +246,15 @@ def membership_adjacency_loop(instruments, labels):
     return adj
 
 
+def relation_adjacencies(graphs):
+    """Dense (industry, region) clique adjacencies of a RelationGraphs,
+    rebuilt from its membership labels by the double loop."""
+    return tuple(
+        membership_adjacency_loop(graphs.instruments, labels)
+        for labels in (graphs.industry_labels, graphs.region_labels)
+    )
+
+
 def standardize_loop(features):
     """Per (date, feature) column: median-impute, then z-score in place."""
     feats = features.copy()

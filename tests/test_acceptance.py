@@ -30,11 +30,10 @@ from xsrank.decompose import decompose
 from xsrank.evaluate import summarize
 from xsrank.factor_reg import ff_regression, newey_west_se, ols
 from xsrank.graphs import (
-    RelationGraphs,
+    build_relation_graphs,
     cosine_similarity_matrix,
     gat_layer,
     gcn_layer,
-    membership_adjacency,
     topk_graph,
 )
 from xsrank.model import ActConfig, ActModel, act_forward, pspe_forward, \
@@ -75,8 +74,6 @@ def _primitive_cases(rng):
     conv_w = rng.normal(size=(2, 4, 4))
     conv_b = rng.normal(size=4)
     gamma, beta = np.ones(4), np.zeros(4)
-    mask = np.zeros((3, 4), dtype=bool)
-    mask[0, 1] = mask[2, 3] = mask[1, 0] = True
     drop_rng = np.random.default_rng(0)
 
     return [
@@ -107,8 +104,6 @@ def _primitive_cases(rng):
         ("sqrt", lambda t: _scalarize(tz.sqrt(t), w34), pos),
         ("index",
          lambda t: _scalarize(tz.index(t, (slice(None), 2)), w3), a),
-        ("masked_select",
-         lambda t: _scalarize(tz.masked_select(t, mask), w3), a),
     ]
 
 
@@ -130,12 +125,10 @@ def test_criterion_1_gradient_integrity():
     model = ActModel(cfg, seed=0)
     n = 8
     instruments = [f"S{i:03d}" for i in range(n)]
-    graphs = RelationGraphs(
-        instruments=instruments,
-        industry=membership_adjacency(
-            instruments, {s: f"I{i % 3}" for i, s in enumerate(instruments)}),
-        region=membership_adjacency(
-            instruments, {s: f"R{i // 4}" for i, s in enumerate(instruments)}),
+    graphs = build_relation_graphs(
+        instruments,
+        {s: f"I{i % 3}" for i, s in enumerate(instruments)},
+        {s: f"R{i // 4}" for i, s in enumerate(instruments)},
     )
     window = rng.normal(size=(cfg.window, n, cfg.n_features))
     labels = rng.normal(0.0, 0.02, size=n)
@@ -195,22 +188,22 @@ def test_criterion_3_module_oracles():
     cfg = ActConfig(n_features=3, window=9, hidden=6, trend_window=4,
                     fluct_window=3, shock_window=2, knn=2)
     instruments = [f"S{i:03d}" for i in range(n)]
-    graphs = RelationGraphs(
-        instruments=instruments,
-        industry=membership_adjacency(
-            instruments, {s: f"I{i % 2}" for i, s in enumerate(instruments)}),
-        region=membership_adjacency(
-            instruments, {s: f"R{i % 3}" for i, s in enumerate(instruments)}),
-    )
+    # the last instrument has no industry; the first is alone in its region
+    ind_labels = {s: f"I{i % 2}" for i, s in enumerate(instruments[:-1])}
+    reg_labels = {s: f"R{i % 3}" for i, s in enumerate(instruments)}
+    reg_labels[instruments[0]] = "R_solo"
+    graphs = build_relation_graphs(instruments, ind_labels, reg_labels)
+    ind_adj, reg_adj = oracle.relation_adjacencies(graphs)
     errs = {}
 
     # graph primitives
     x = rng.normal(size=(n, 4))
     w = rng.normal(size=(4, 4))
     b = rng.normal(size=4)
-    errs["gcn"] = np.max(np.abs(
-        gcn_layer(Tensor(x), graphs.industry, Tensor(w), Tensor(b)).data
-        - oracle.gcn_np(x, graphs.industry, w, b)))
+    errs["gcn"] = max(
+        np.max(np.abs(gcn_layer(Tensor(x), codes, Tensor(w), Tensor(b)).data
+                      - oracle.gcn_np(x, adj, w, b)))
+        for codes, adj in ((graphs.industry, ind_adj), (graphs.region, reg_adj)))
     sim = cosine_similarity_matrix(x)
     want_adj = oracle.topk_np(oracle.cosine_np(x), 2)
     errs["topk"] = float(
@@ -230,7 +223,7 @@ def test_criterion_3_module_oracles():
         p = model.state_arrays()
         x_trend = rng.normal(size=(cfg.window, n, cfg.n_features))
         z, dyn, _ = pspe_forward(x_trend, graphs, model, cfg)
-        ref = oracle.pspe_np(x_trend, graphs.industry, graphs.region, p,
+        ref = oracle.pspe_np(x_trend, ind_adj, reg_adj, p,
                              cfg.leaky_slope, cfg.knn)
         errs[f"pspe[{seed}]"] = max(
             np.max(np.abs(z.data - ref["z_trend"])),

@@ -17,7 +17,6 @@ from xsrank.data import (
     load_factors,
     load_membership,
     load_panel,
-    load_relation_graph,
     make_windows,
     standardize_features,
     trading_dates,
@@ -26,6 +25,7 @@ from xsrank.data import (
     write_panel,
 )
 from xsrank.errors import ConfigError, DataError
+from xsrank.graphs import build_relation_graphs
 
 
 def _write(path, text):
@@ -173,24 +173,22 @@ def test_membership_loaders(tmp_path):
     path = _write(
         tmp_path / "m.csv", "instrument,category\na,X\nb,X\nc,Y\n"
     )
-    adj = load_relation_graph(path, ["a", "b", "c"])
-    want = np.zeros((3, 3))
-    want[0, 1] = want[1, 0] = 1.0
-    np.testing.assert_array_equal(adj, want)
+    def codes(p, insts):
+        labels = load_membership(p)
+        return build_relation_graphs(insts, labels, labels).industry.tolist()
 
-    # all-distinct categories: empty graph
+    assert codes(path, ["a", "b", "c"]) == [0, 0, 1]
+
+    # all-distinct categories: every instrument alone
     path2 = _write(tmp_path / "m2.csv", "instrument,category\na,1\nb,2\nc,3\n")
-    np.testing.assert_array_equal(load_relation_graph(path2, ["a", "b", "c"]), 0.0)
+    assert codes(path2, ["a", "b", "c"]) == [0, 1, 2]
 
-    # one shared category: complete graph
+    # one shared category: one clique
     path3 = _write(tmp_path / "m3.csv", "instrument,category\na,Z\nb,Z\nc,Z\nd,Z\n")
-    adj3 = load_relation_graph(path3, ["a", "b", "c", "d"])
-    assert (adj3.sum(axis=1) == 3).all()
-    assert np.diag(adj3).sum() == 0
+    assert codes(path3, ["a", "b", "c", "d"]) == [0, 0, 0, 0]
 
-    # absent instrument is isolated
-    adj4 = load_relation_graph(path, ["a", "b", "zz"])
-    assert adj4[2].sum() == 0
+    # an instrument absent from the file is a category of its own
+    assert codes(path, ["a", "zz", "b", "c"]) == [0, 1, 0, 2]
 
     conflict = _write(tmp_path / "c.csv", "instrument,category\na,X\na,Y\n")
     with pytest.raises(DataError):
@@ -303,15 +301,12 @@ def test_synthetic_noise_zero_linear_r2():
 
 
 def test_synthetic_industry_blocks():
-    ds, graphs, _ = generate_synthetic(SynthConfig(n_instruments=20, days=5, seed=6))
-    adj = graphs.industry
-    # 4 blocks of 5: every node has degree 4
-    assert (adj.sum(axis=1) == 4).all()
-    # block membership follows contiguous index ranges
-    for i in range(20):
-        for j in range(20):
-            same = i // 5 == j // 5 and i != j
-            assert adj[i, j] == (1.0 if same else 0.0)
+    cfg = SynthConfig(n_instruments=20, days=5, seed=6)
+    ds, graphs, _ = generate_synthetic(cfg)
+    # 4 blocks of 5 following contiguous index ranges; regions interleave
+    np.testing.assert_array_equal(graphs.industry, np.arange(20) // 5)
+    np.testing.assert_array_equal(graphs.region, np.arange(20) % cfg.n_regions)
+    assert np.issubdtype(graphs.industry.dtype, np.integer)
 
 
 def test_synthetic_rejects_bad_config():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from xsrank.decompose import Decomposition, causal_moving_average, decompose
 from xsrank.errors import ConfigError, NonFiniteError
@@ -88,29 +90,31 @@ def test_decompose_step_matches_chain_oracle():
     np.testing.assert_array_equal(d.shock, shock)
 
 
-def test_reconstruction_identity_100_random_tensors():
-    rng = np.random.default_rng(3)
-    for trial in range(100):
-        T = int(rng.integers(1, 40))
-        N = int(rng.integers(1, 6))
-        F = int(rng.integers(1, 5))
-        x = rng.normal(size=(T, N, F)) * float(rng.uniform(0.1, 50))
-        tau = int(rng.integers(1, 25))
-        sigma = int(rng.integers(1, 10))
-        d = decompose(x, tau, sigma)
-        err = np.abs(d.reconstruct() - x).max()
-        assert err <= 1e-12
+def panels(max_t=40):
+    """[T, N, F] float panels with |x| <= 100, NaN and Inf excluded."""
+    shapes = st.tuples(st.integers(1, max_t), st.integers(1, 5), st.integers(1, 4))
+    values = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
+    return shapes.flatmap(lambda shape: arrays(np.float64, shape, elements=values))
 
 
-def test_causality_prepending_history_shifts_cleanly():
+@settings(max_examples=100, deadline=None)
+@given(panels(), st.integers(1, 25), st.integers(1, 10))
+def test_reconstruction_identity_100_random_tensors(x, tau, sigma):
+    d = decompose(x, tau, sigma)
+    err = np.abs(d.reconstruct() - x).max()
+    assert err <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(panels(), st.integers(1, 25), st.integers(1, 10), st.data())
+def test_causality_prepending_history_shifts_cleanly(x, tau, sigma, data):
     """Appending future values never changes past components."""
-    rng = np.random.default_rng(4)
-    x = rng.normal(size=(30, 2, 2))
-    d_full = decompose(x, 6, 3)
-    d_head = decompose(x[:20], 6, 3)
-    np.testing.assert_array_equal(d_full.trend[:20], d_head.trend)
-    np.testing.assert_array_equal(d_full.fluct[:20], d_head.fluct)
-    np.testing.assert_array_equal(d_full.shock[:20], d_head.shock)
+    cut = data.draw(st.integers(1, x.shape[0]), label="cut")
+    d_full = decompose(x, tau, sigma)
+    d_head = decompose(x[:cut], tau, sigma)
+    np.testing.assert_array_equal(d_full.trend[:cut], d_head.trend)
+    np.testing.assert_array_equal(d_full.fluct[:cut], d_head.fluct)
+    np.testing.assert_array_equal(d_full.shock[:cut], d_head.shock)
 
 
 def test_causality_prepend_constant_warmup():

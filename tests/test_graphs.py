@@ -1,5 +1,7 @@
 """Graph primitive tests against dense brute-force oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,21 +16,35 @@ from xsrank.graphs import (
     cosine_similarity_matrix,
     gat_layer,
     gcn_layer,
-    membership_adjacency,
-    normalized_adjacency,
     topk_graph,
-    union_graph,
 )
 from xsrank.tensor import Tape, Tensor, backward
 
 
+def _clique_adjacency(codes):
+    """The [N, N] relation that category codes stand for: equal codes are
+    related, and nothing is related to itself."""
+    adj = (codes[:, None] == codes[None, :]).astype(float)
+    np.fill_diagonal(adj, 0.0)
+    return adj
+
+
+def _propagation(codes):
+    """Ahat of the GCN on a relation: gcn_layer on x = W = I, b = 0."""
+    n = len(codes)
+    return gcn_layer(Tensor(np.eye(n)), codes, Tensor(np.eye(n)), Tensor(np.zeros(n))).data
+
+
 def test_membership_adjacency_cliques():
     insts = ["A", "B", "C", "D"]
-    adj = membership_adjacency(insts, {"A": "x", "B": "x", "C": "y", "D": "x"})
+    g = build_relation_graphs(insts, {"A": "x", "B": "x", "C": "y", "D": "x"}, {})
+    np.testing.assert_array_equal(g.industry, [0, 0, 1, 0])
     want = np.zeros((4, 4))
     for i, j in [(0, 1), (0, 3), (1, 3)]:
         want[i, j] = want[j, i] = 1.0
-    np.testing.assert_array_equal(adj, want)
+    np.testing.assert_array_equal(_clique_adjacency(g.industry), want)
+    # with no labels every instrument is a category of its own
+    np.testing.assert_array_equal(g.region, [0, 1, 2, 3])
 
 
 def test_membership_adjacency_matches_loop_oracle():
@@ -40,36 +56,23 @@ def test_membership_adjacency_matches_loop_oracle():
         labels = {s: f"C{rng.integers(n_cats)}" for s in insts
                   if rng.random() < 0.8}
         labels["not_in_universe"] = "C0"
-        got = membership_adjacency(insts, labels)
+        g = build_relation_graphs(insts, labels, labels)
+        assert g.industry.shape == (n,) and g.industry.dtype == np.intp
         want = oracle.membership_adjacency_loop(insts, labels)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(_clique_adjacency(g.industry), want)
 
 
-def test_relation_graphs_check_once_and_build_union_once(monkeypatch):
-    from xsrank import graphs as graphs_module
-
+def test_relation_graphs_check_once_and_build_union_once():
     insts = [f"S{i}" for i in range(7)]
     g = build_relation_graphs(insts, {s: f"I{i // 3}" for i, s in enumerate(insts)},
                               {s: f"R{i % 2}" for i, s in enumerate(insts[:5])})
-    calls = []
-    monkeypatch.setattr(graphs_module, "union_graph",
-                        lambda *a: calls.append(a) or union_graph(*a))
-    assert np.array_equal(g.union, union_graph(g.industry, g.region))
-    assert g.union is g.union and len(calls) == 1
-    # a bad graph is refused when the graphs are built, not in a forward pass
+    assert "union" not in vars(g)
+    assert np.array_equal(g.union, oracle.union_np(*oracle.relation_adjacencies(g)))
+    assert g.union is g.union
+    # bad codes are refused when the graphs are built, not in a forward pass
     with pytest.raises(DataError):
         RelationGraphs(instruments=insts[:2], industry=np.eye(2),
-                       region=np.zeros((2, 2)))
-
-
-def test_normalized_adjacency_bitwise_equals_row_column_scaling():
-    rng = np.random.default_rng(12)
-    for trial in range(40):
-        n = int(rng.integers(1, 30))
-        raw = rng.random((n, n)) < rng.random()
-        adj = np.triu(raw, 1).astype(float)
-        adj = adj + adj.T
-        assert np.array_equal(normalized_adjacency(adj), oracle.kipf(adj))
+                       region=np.zeros(2, dtype=int))
 
 
 def test_build_relation_graphs_symmetric_zero_diag():
@@ -77,68 +80,87 @@ def test_build_relation_graphs_symmetric_zero_diag():
     ind = {s: f"I{i // 2}" for i, s in enumerate(insts)}
     reg = {s: f"R{i % 3}" for i, s in enumerate(insts)}
     g = build_relation_graphs(insts, ind, reg)
-    for adj in (g.industry, g.region):
-        np.testing.assert_array_equal(adj, adj.T)
-        assert np.diag(adj).sum() == 0
+    for codes in (g.industry, g.region):
+        assert codes.shape == (6,) and np.issubdtype(codes.dtype, np.integer)
+    # every instrument has a relative, so the union has no self-edge
+    np.testing.assert_array_equal(g.union, g.union.T)
+    assert np.diag(g.union).sum() == 0
 
 
 def test_normalized_adjacency_matches_dense_oracle():
     rng = np.random.default_rng(0)
-    n = 5
-    raw = rng.random((n, n)) < 0.4
-    adj = np.triu(raw, 1).astype(float)
-    adj = adj + adj.T
-    got = normalized_adjacency(adj)
+    for trial in range(20):
+        n = int(rng.integers(1, 12))
+        codes = rng.integers(0, 4, size=n)
+        got = _propagation(codes)
 
-    at = adj + np.eye(n)
-    deg = np.diag(at.sum(axis=1))
-    d_inv_sqrt = np.linalg.inv(np.sqrt(deg))
-    want = d_inv_sqrt @ at @ d_inv_sqrt
-    np.testing.assert_allclose(got, want, atol=1e-12)
+        at = _clique_adjacency(codes) + np.eye(n)
+        deg = np.diag(at.sum(axis=1))
+        d_inv_sqrt = np.linalg.inv(np.sqrt(deg))
+        want = d_inv_sqrt @ at @ d_inv_sqrt
+        np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def test_normalized_adjacency_isolated_node_keeps_self_loop():
-    adj = np.zeros((3, 3))
-    adj[0, 1] = adj[1, 0] = 1.0
-    ahat = normalized_adjacency(adj)
-    assert ahat[2, 2] == 1.0
+    # S2 has no category, S3 is alone in its own
+    g = build_relation_graphs(["S0", "S1", "S2", "S3"],
+                              {"S0": "x", "S1": "x", "S3": "y"}, {})
+    ahat = _propagation(g.industry)
+    for i in (2, 3):
+        assert ahat[i, i] == 1.0
+        assert np.count_nonzero(ahat[i]) == 1
 
 
 def test_normalized_adjacency_validation():
-    with pytest.raises(DataError):
-        normalized_adjacency(np.ones((2, 3)))
-    with pytest.raises(DataError):
-        normalized_adjacency(np.full((2, 2), 0.5))
-    with pytest.raises(DataError):
-        normalized_adjacency(np.eye(2))
-    asym = np.zeros((3, 3))
-    asym[0, 1] = 1.0
-    with pytest.raises(DataError):
-        normalized_adjacency(asym)
+    insts = ["a", "b", "c"]
+    good = np.array([0, 1, 0])
+    for bad in (np.zeros((3, 3), dtype=int), good.astype(float), good > 0,
+                np.array([0, -1, 0]), np.array([0, 1])):
+        with pytest.raises(DataError):
+            RelationGraphs(instruments=insts, industry=bad, region=good)
+        with pytest.raises(DataError):
+            RelationGraphs(instruments=insts, industry=good, region=bad)
+    g = RelationGraphs(instruments=insts, industry=[0, 1, 0], region=good)
+    assert isinstance(g.industry, np.ndarray)
+
+
+def test_static_relations_allocate_no_square_array():
+    n = 2000
+    insts = [f"S{i:04d}" for i in range(n)]
+    labels = {s: f"C{i % 7}" for i, s in enumerate(insts) if i}  # S0000 has none
+    x, w, b = Tensor(np.ones((n, 4))), Tensor(np.eye(4)), Tensor(np.zeros(4))
+    tracemalloc.start()
+    try:
+        g = build_relation_graphs(insts, labels, labels)
+        gcn_layer(x, g.industry, w, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n, peak  # the bytes of one [N, N] bool array
 
 
 def test_gcn_layer_identity_on_empty_graph():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(4, 3))
-    out = gcn_layer(Tensor(x), np.zeros((4, 4)), Tensor(np.eye(3)), Tensor(np.zeros(3)))
+    out = gcn_layer(Tensor(x), np.arange(4), Tensor(np.eye(3)), Tensor(np.zeros(3)))
     np.testing.assert_allclose(out.data, x, atol=1e-12)
 
 
 def test_gcn_layer_two_node_clique_equal_features():
     x = np.tile([[1.0, -2.0]], (2, 1))
-    adj = np.array([[0.0, 1.0], [1.0, 0.0]])
     rng = np.random.default_rng(2)
     w = rng.normal(size=(2, 2))
-    out = gcn_layer(Tensor(x), adj, Tensor(w), Tensor(np.zeros(2))).data
+    out = gcn_layer(Tensor(x), np.array([0, 0]), Tensor(w), Tensor(np.zeros(2))).data
     np.testing.assert_allclose(out[0], out[1], atol=1e-12)
 
 
 def test_gcn_layer_matches_dense_oracle_and_is_linear():
     rng = np.random.default_rng(3)
     n, d = 5, 4
-    raw = rng.random((n, n)) < 0.5
-    adj = np.triu(raw, 1).astype(float)
-    adj = adj + adj.T
+    # S1 is alone in its category and S3 has none
+    g = build_relation_graphs([f"S{i}" for i in range(n)],
+                              {"S0": "a", "S1": "b", "S2": "a", "S4": "a"}, {})
+    adj = oracle.membership_adjacency_loop(g.instruments, g.industry_labels)
     x1 = rng.normal(size=(n, d))
     x2 = rng.normal(size=(n, d))
     w = rng.normal(size=(d, d))
@@ -147,11 +169,11 @@ def test_gcn_layer_matches_dense_oracle_and_is_linear():
     at = adj + np.eye(n)
     dis = np.diag(1.0 / np.sqrt(at.sum(axis=1)))
     want = dis @ at @ dis @ x1 @ w + b
-    got = gcn_layer(Tensor(x1), adj, Tensor(w), Tensor(b)).data
+    got = gcn_layer(Tensor(x1), g.industry, Tensor(w), Tensor(b)).data
     np.testing.assert_allclose(got, want, atol=1e-9)
 
     # superposition in x with bias removed
-    f = lambda x: gcn_layer(Tensor(x), adj, Tensor(w), Tensor(np.zeros(d))).data
+    f = lambda x: gcn_layer(Tensor(x), g.industry, Tensor(w), Tensor(np.zeros(d))).data
     np.testing.assert_allclose(f(x1 + x2), f(x1) + f(x2), atol=1e-9)
 
 
@@ -329,22 +351,19 @@ def test_equivariance_under_permutation():
     np.testing.assert_allclose(z_p, z[perm], atol=1e-9)
 
     # gcn side
-    raw = rng.random((n, n)) < 0.5
-    adj = np.triu(raw, 1).astype(float)
-    adj = adj + adj.T
+    codes = rng.integers(0, 3, size=n)
     w = Tensor(rng.normal(size=(d, d)))
     b = Tensor(rng.normal(size=(d,)))
-    y = gcn_layer(Tensor(u), adj, w, b).data
-    y_p = gcn_layer(Tensor(u[perm]), adj[perm][:, perm], w, b).data
+    y = gcn_layer(Tensor(u), codes, w, b).data
+    y_p = gcn_layer(Tensor(u[perm]), codes[perm], w, b).data
     np.testing.assert_allclose(y_p, y[perm], atol=1e-9)
 
 
 def test_union_graph_or_and_self_loop_fallback():
-    a = np.zeros((3, 3))
-    a[0, 1] = a[1, 0] = 1.0
-    b = np.zeros((3, 3))
-    b[1, 2] = b[2, 1] = 1.0
-    u = union_graph(a, b)
+    insts = ["a", "b", "c"]
+    # industry relates a and b, region b and c
+    u = RelationGraphs(instruments=insts, industry=np.array([0, 0, 1]),
+                       region=np.array([0, 1, 1])).union
     want = np.array([
         [0, 1, 0],
         [1, 0, 1],
@@ -352,7 +371,8 @@ def test_union_graph_or_and_self_loop_fallback():
     ], dtype=float)
     np.testing.assert_array_equal(u, want)
 
-    lonely = union_graph(np.zeros((2, 2)), np.zeros((2, 2)))
+    lonely = RelationGraphs(instruments=insts[:2], industry=np.array([0, 1]),
+                            region=np.array([5, 2])).union
     np.testing.assert_array_equal(lonely, np.eye(2))
 
 

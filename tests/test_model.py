@@ -1,4 +1,6 @@
 import itertools
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from _fd import finite_difference_check_params
 from xsrank import tensor as tz
 from xsrank.decompose import decompose, stack_decompositions
 from xsrank.errors import ConfigError, DataError, NonFiniteError
-from xsrank.graphs import RelationGraphs, membership_adjacency
+from xsrank.graphs import RelationGraphs, build_relation_graphs
 from xsrank.model import (
     FCI_MODES,
     PSPE_MODES,
@@ -44,15 +46,11 @@ def small_cfg(**over):
 
 def make_graphs(n, rng):
     instruments = [f"S{i:03d}" for i in range(n)]
-    ind_labels = {s: f"I{i % 3}" for i, s in enumerate(instruments)}
+    # the last instrument has no industry; the first is alone in its region
+    ind_labels = {s: f"I{i % 3}" for i, s in enumerate(instruments[:-1])}
     reg_labels = {s: f"R{i // (n // 2 or 1)}" for i, s in enumerate(instruments)}
-    return RelationGraphs(
-        instruments=instruments,
-        industry=membership_adjacency(instruments, ind_labels),
-        region=membership_adjacency(instruments, reg_labels),
-        industry_labels=ind_labels,
-        region_labels=reg_labels,
-    )
+    reg_labels[instruments[0]] = "R_solo"
+    return build_relation_graphs(instruments, ind_labels, reg_labels)
 
 
 def make_window(cfg, n, rng):
@@ -140,26 +138,29 @@ def test_act_forward_gat_only_diagnostics():
     assert y.shape == (n,)
     assert diag["gate_mean"] is None
     assert np.array_equal(
-        diag["dynamic_adjacency"], oracle.union_np(graphs.industry, graphs.region)
+        diag["dynamic_adjacency"], oracle.union_np(*oracle.relation_adjacencies(graphs))
     )
 
 
 def test_act_forward_does_not_recheck_static_graphs(monkeypatch):
-    from xsrank import graphs as graphs_module
-
     rng = np.random.default_rng(2)
     n = 6
     graphs = make_graphs(n, rng)
     checked = []
-    check = graphs_module._check_static_adjacency
-    monkeypatch.setattr(graphs_module, "_check_static_adjacency",
-                        lambda adj: checked.append(adj) or check(adj))
+    check = RelationGraphs.__post_init__
+    monkeypatch.setattr(RelationGraphs, "__post_init__",
+                        lambda self: checked.append(self) or check(self))
+    unions = []
     for pspe in ("full", "full", "gat_only", "gat_only"):
         cfg = small_cfg(pspe=pspe)
         y, _ = act_forward(make_window(cfg, n, rng), graphs, ActModel(cfg, seed=1))
         assert np.isfinite(y.data).all()
-    # only the union, built on first use, checks the two graphs
-    assert len(checked) == 2
+        unions.append(vars(graphs).get("union"))
+    # the codes were checked when the graphs were built; the union mask is
+    # built once, by the first gat_only pass
+    assert checked == []
+    assert unions[0] is None and unions[1] is None
+    assert unions[2] is not None and unions[3] is unions[2]
 
 
 def test_act_forward_input_validation():
@@ -189,7 +190,7 @@ def test_pspe_matches_straight_line_oracle():
         x_trend = rng.normal(size=(cfg.window, n, cfg.n_features))
         z, dyn, gate_mean = pspe_forward(x_trend, graphs, model, cfg)
         ref = oracle.pspe_np(
-            x_trend, graphs.industry, graphs.region, model.state_arrays(),
+            x_trend, *oracle.relation_adjacencies(graphs), model.state_arrays(),
             cfg.leaky_slope, cfg.knn,
         )
         assert np.array_equal(dyn.adjacency, ref["dyn_adj"])
@@ -209,7 +210,7 @@ def test_pspe_zero_back_heads_keeps_input_residual():
     x_trend = rng.normal(size=(cfg.window, n, cfg.n_features))
     z, _, _ = pspe_forward(x_trend, graphs, model, cfg)
     ref = oracle.pspe_np(
-        x_trend, graphs.industry, graphs.region, model.state_arrays(),
+        x_trend, *oracle.relation_adjacencies(graphs), model.state_arrays(),
         cfg.leaky_slope, cfg.knn,
     )
     assert np.array_equal(ref["u"], ref["x0"])
@@ -226,7 +227,7 @@ def test_pspe_gate_bias_shuts_dynamic_path():
     x_trend = rng.normal(size=(cfg.window, n, cfg.n_features))
     z, _, gate_mean = pspe_forward(x_trend, graphs, model, cfg)
     ref = oracle.pspe_np(
-        x_trend, graphs.industry, graphs.region, model.state_arrays(),
+        x_trend, *oracle.relation_adjacencies(graphs), model.state_arrays(),
         cfg.leaky_slope, cfg.knn,
     )
     p = model.state_arrays()
@@ -247,7 +248,7 @@ def test_pspe_ablation_matches_oracle():
         x_trend = rng.normal(size=(cfg.window, n, cfg.n_features))
         z, uni = pspe_ablation_forward(x_trend, graphs, model, cfg)
         ref, ref_uni = oracle.gat_only_np(
-            x_trend, graphs.industry, graphs.region, model.state_arrays(),
+            x_trend, *oracle.relation_adjacencies(graphs), model.state_arrays(),
             cfg.leaky_slope,
         )
         assert np.array_equal(uni, ref_uni)
@@ -398,7 +399,7 @@ def test_act_forward_matches_oracle_all_modes():
         window = make_window(cfg, n, rng)
         y, diag = act_forward(window, graphs, model)
         ref_y, ref_alpha = oracle.act_np(
-            window, graphs.industry, graphs.region, model.state_arrays(),
+            window, *oracle.relation_adjacencies(graphs), model.state_arrays(),
             cfg.to_dict(),
         )
         assert np.max(np.abs(y.data - ref_y)) < 1e-9, over
@@ -417,8 +418,8 @@ def test_act_forward_permutation_equivariance():
     perm = rng.permutation(n)
     graphs_p = RelationGraphs(
         instruments=[graphs.instruments[i] for i in perm],
-        industry=graphs.industry[np.ix_(perm, perm)],
-        region=graphs.region[np.ix_(perm, perm)],
+        industry=graphs.industry[perm],
+        region=graphs.region[perm],
     )
     y_p, _ = act_forward(window[:, perm, :], graphs_p, model)
     assert np.max(np.abs(y_p.data - y.data[perm])) < 1e-9
@@ -466,31 +467,43 @@ def test_end_to_end_gradient_matches_finite_differences():
         assert worst < 1e-4, (seed, worst)
 
 
-def test_checkpoint_round_trip(tmp_path):
-    rng = np.random.default_rng(24)
-    cfg = small_cfg()
+@settings(max_examples=30, deadline=None)
+@given(
+    pspe=st.sampled_from(PSPE_MODES),
+    fci=st.sampled_from(FCI_MODES),
+    sci=st.sampled_from(SCI_MODES),
+    hidden=st.integers(1, 12),
+    tcn_kernel=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_checkpoint_round_trip(pspe, fci, sci, hidden, tcn_kernel, seed):
+    rng = np.random.default_rng(seed)
+    cfg = small_cfg(pspe=pspe, fci=fci, sci=sci, hidden=hidden, tcn_kernel=tcn_kernel)
     n = 6
-    model = ActModel(cfg, seed=14)
+    model = ActModel(cfg, seed=seed)
     graphs = make_graphs(n, rng)
     window = make_window(cfg, n, rng)
     y, _ = act_forward(window, graphs, model)
 
-    path = tmp_path / "model.json"
-    save_checkpoint(model, path)
-    again = tmp_path / "model2.json"
-    save_checkpoint(model, again)
-    assert path.read_bytes() == again.read_bytes()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        save_checkpoint(model, path)
+        again = Path(tmp) / "model2.json"
+        save_checkpoint(model, again)
+        assert path.read_bytes() == again.read_bytes()
 
-    loaded = load_checkpoint(path)
-    assert loaded.cfg == cfg
-    for name in model.params:
-        assert np.array_equal(loaded[name].data, model[name].data)
-    y2, _ = act_forward(window, graphs, loaded)
-    assert np.array_equal(y.data, y2.data)
+        loaded = load_checkpoint(path)
+        assert loaded.cfg == cfg
+        assert loaded.params.keys() == model.params.keys()
+        for name in model.params:
+            assert loaded[name].data.tobytes() == model[name].data.tobytes()
+            assert loaded[name].shape == model[name].shape
+        y2, _ = act_forward(window, graphs, loaded)
+        assert np.array_equal(y.data, y2.data)
 
-    resaved = tmp_path / "model3.json"
-    save_checkpoint(loaded, resaved)
-    assert resaved.read_bytes() == path.read_bytes()
+        resaved = Path(tmp) / "model3.json"
+        save_checkpoint(loaded, resaved)
+        assert resaved.read_bytes() == path.read_bytes()
 
 
 def test_checkpoint_rejects_bad_files(tmp_path):

@@ -129,13 +129,6 @@ def test_index_rejects_non_basic_and_out_of_range_keys():
             tz.index(x, key)
 
 
-def test_masked_select_shape():
-    x = np.arange(6, dtype=float).reshape(2, 3)
-    mask = np.array([[True, False, True], [False, False, True]])
-    out = tz.masked_select(Tensor(x), mask)
-    np.testing.assert_array_equal(out.data, [0.0, 2.0, 5.0])
-
-
 def test_non_finite_output_raises():
     with pytest.raises(NonFiniteError):
         tz.div(Tensor([1.0]), Tensor([0.0]))
@@ -390,20 +383,15 @@ def test_fd_sqrt():
         assert err < FD_TOL
 
 
-def test_fd_index_and_masked_select():
+def test_fd_index():
     rng = np.random.default_rng(20)
-    mask = np.zeros((4, 3), dtype=bool)
-    mask[0, 1] = mask[2, 0] = mask[3, 2] = True
     for trial in range(10):
         x = rng.normal(size=(4, 3))
-        wsel = rng.normal(size=(3,))
         keys = (2, (slice(None), slice(1, 3)), (slice(None), 0))
         for key in keys:
             w = rng.normal(size=x[key].shape)
             err = _fd_case(lambda t, key=key, w=w: _scalarize(tz.index(t, key), w), x)
             assert err < FD_TOL, key
-        err = _fd_case(lambda t: _scalarize(tz.masked_select(t, mask), wsel), x)
-        assert err < FD_TOL
 
 
 def test_fd_composite_chain():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,18 @@ from _fd import finite_difference_check
 from xsrank.data import SynthConfig, generate_synthetic
 from xsrank import tensor as tz
 from xsrank.errors import ConfigError, DataError, NonFiniteError, ShapeError
-from xsrank.graphs import RelationGraphs, membership_adjacency
-from xsrank.model import ActConfig, ActModel, act_forward
-from xsrank.tensor import Tape, Tensor, backward
+from xsrank.graphs import build_relation_graphs
+from xsrank.decompose import decompose, stack_decompositions
+from xsrank.model import (
+    FCI_MODES,
+    PSPE_MODES,
+    SCI_MODES,
+    ActConfig,
+    ActModel,
+    act_forward,
+    act_forward_parts,
+)
+from xsrank.tensor import PrimitiveKind, Tape, Tensor, backward
 from xsrank.training import (
     Adam,
     EarlyStopper,
@@ -136,13 +147,33 @@ def make_graphs(n):
     instruments = [f"S{i:03d}" for i in range(n)]
     ind = {s: f"I{i % 3}" for i, s in enumerate(instruments)}
     reg = {s: f"R{i % 2}" for i, s in enumerate(instruments)}
-    return RelationGraphs(
-        instruments=instruments,
-        industry=membership_adjacency(instruments, ind),
-        region=membership_adjacency(instruments, reg),
-        industry_labels=ind,
-        region_labels=reg,
-    )
+    return build_relation_graphs(instruments, ind, reg)
+
+
+def test_every_primitive_kind_is_run_by_a_training_step(monkeypatch):
+    # a kind that no variant's forward or loss reaches is dead tape code
+    seen = set()
+    apply = tz.apply_primitive
+    monkeypatch.setattr(tz, "apply_primitive",
+                        lambda kind, *args: seen.add(kind) or apply(kind, *args))
+    rng = np.random.default_rng(40)
+    n, batch = 6, 2
+    graphs = make_graphs(n)
+    for pspe, fci, sci in itertools.product(PSPE_MODES, FCI_MODES, SCI_MODES):
+        cfg = ActConfig(n_features=4, window=10, hidden=6, trend_window=4,
+                        fluct_window=3, shock_window=3, knn=2,
+                        pspe=pspe, fci=fci, sci=sci)
+        model = ActModel(cfg, seed=0)
+        parts = stack_decompositions([
+            decompose(rng.normal(size=(cfg.window, n, cfg.n_features)),
+                      cfg.trend_window, cfg.fluct_window)
+            for _ in range(batch)])
+        labels = rng.normal(0.0, 0.02, size=(batch, n))
+        mask = np.ones((batch, n), dtype=bool)
+        with Tape():
+            y, _ = act_forward_parts(parts, graphs, model, training=True)
+            backward(tz.mean(tz.add(ic_loss(y, labels, mask), mse_loss(y, labels, mask))))
+    assert seen == set(PrimitiveKind), set(PrimitiveKind) - seen
 
 
 def test_total_loss_gradient_is_sum_of_term_gradients():
