@@ -16,8 +16,8 @@ Branches:
             the residual, and a sigmoid gate merges static and dynamic
             paths ("full"), or a plain GAT on the union relation graph
             ("gat_only");
-  fluct  -- gated causal temporal convolution ("tcn") or a one-layer
-            per-stock MLP ("mlp");
+  fluct  -- the last step of a gated causal temporal convolution
+            ("tcn") or a one-layer per-stock MLP ("mlp");
   shock  -- comparison of the latest shock against its own smoothed
             buffer ("counterfactual") or the same MLP fallback ("mlp").
 """
@@ -305,24 +305,36 @@ def fci_forward(
     cfg: ActConfig,
     training: bool = False,
 ) -> Tensor:
-    """Gated causal convolution over the fluctuation sequence.
+    """Last step of a gated causal convolution over the fluctuation sequence.
 
-    Per-stock independent: every op acts along time/channels only.
-    Only the last step's output is returned, and it depends only on the
-    last `tcn_kernel` fluctuation steps: the projection and layer norm
-    act step by step and the causal conv looks back K-1 steps. So the
-    branch runs on those steps alone, and dropout applies to the
-    returned [..., N, d] row.
+    Per-stock independent: every op acts along time/channels only. The
+    branch returns only the last step, relu(p * sigmoid(q) + r), where
+    each gate is sum_j h[t-j] W_j + b over the K = tcn_kernel taps and h
+    is the projected, layer-normed fluctuation. So it reads only the
+    last K steps, stacked newest first on axis -3 so that lag j meets
+    tap W_j in one broadcast matmul. A window shorter than K uses the
+    first T taps, as a zero-padded convolution would. Dropout applies
+    to the returned [..., N, d] row.
     """
     if cfg.fci != "tcn":
         raise ConfigError("fci_forward requires fci == tcn")
-    x_recent = x_fluct[-cfg.tcn_kernel:]
-    h = tz.add(tz.matmul(Tensor(x_recent), model["fluct_proj_w"]), model["fluct_proj_b"])
+    k = cfg.tcn_kernel
+    # [K, (B,) N, F] newest first -> [(B,) K, N, F]
+    lags = np.moveaxis(x_fluct[:-k - 1:-1], 0, -3)
+    h = tz.add(tz.matmul(Tensor(lags), model["fluct_proj_w"]), model["fluct_proj_b"])
     h = tz.layer_norm(h, model["fluct_ln_g"], model["fluct_ln_b"])
-    p = tz.causal_conv1d(h, model["conv_p_w"], model["conv_p_b"])
-    q = tz.sigmoid(tz.causal_conv1d(h, model["conv_q_w"], model["conv_q_b"]))
-    r = tz.causal_conv1d(h, model["conv_r_w"], model["conv_r_b"])
-    z = tz.index(tz.relu(tz.add(tz.mul(p, q), r)), -1)
+    n_lags = lags.shape[-3]
+
+    def gate(name):
+        w = model[f"conv_{name}_w"]
+        if n_lags < k:
+            w = tz.index(w, slice(0, n_lags))
+        return tz.add(tz.tensor_sum(tz.matmul(h, w), axis=-3), model[f"conv_{name}_b"])
+
+    p = gate("p")
+    q = tz.sigmoid(gate("q"))
+    r = gate("r")
+    z = tz.relu(tz.add(tz.mul(p, q), r))
     return tz.dropout(z, cfg.dropout_rate, training=training, rng=model.dropout_rng)
 
 

@@ -2,9 +2,11 @@
 
 Tensors wrap C-contiguous float64 ndarrays. The closed set of primitives
 (see PrimitiveKind) holds exactly what the model and its losses run;
-selection is basic indexing (INDEX). Each primitive records a
-vector-Jacobian closure on the active tape. Running a primitive with no
-active tape just computes the value, which is how inference runs.
+selection is basic indexing (INDEX), and the fluctuation branch's causal
+convolution is a broadcast MATMUL over stacked lags plus a SUM. Each
+primitive records a vector-Jacobian closure on the active tape. Running
+a primitive with no active tape just computes the value, which is how
+inference runs.
 
 Every primitive output is checked for finiteness; NaN or Inf anywhere is
 an error, never a silent state.
@@ -28,7 +30,6 @@ class PrimitiveKind(Enum):
     MUL = "mul"
     DIV = "div"
     CONCAT_LAST = "concat_last"
-    CAUSAL_CONV1D = "causal_conv1d"
     LAYER_NORM = "layer_norm"
     LEAKY_RELU = "leaky_relu"
     RELU = "relu"
@@ -273,39 +274,6 @@ def _fw_concat_last(inputs, attrs):
     return out, vjp
 
 
-def _fw_causal_conv1d(inputs, attrs):
-    # x: [T, ..., Cin], w: [K, Cin, Cout], b: [Cout]; left zero padding,
-    # stride 1, so out[t] sees x[t-K+1 .. t] only. The axes between time
-    # and channels (stocks, or windows and stocks) are independent rows.
-    x, w, b = inputs
-    if x.ndim < 2 or w.ndim != 3 or b.ndim != 1:
-        raise ShapeError("causal_conv1d wants x[T,...,Cin], w[K,Cin,Cout], b[Cout]")
-    if w.shape[1] != x.shape[-1] or b.shape[0] != w.shape[2]:
-        raise ShapeError(
-            f"causal_conv1d channel mismatch: x{x.shape} w{w.shape} b{b.shape}"
-        )
-    T = x.shape[0]
-    K, c_in, c_out = w.shape
-    out = np.zeros(x.shape[:-1] + (c_out,))
-    for j in range(min(K, T)):
-        out[j:] += np.matmul(x[: T - j], w[j])
-    out += b
-
-    def vjp(g):
-        dx = np.zeros_like(x)
-        dw = np.zeros_like(w)
-        # every (step, row) pair is one GEMM row: dw[j] = X_j^T G_j
-        x_rows = x.reshape(T, -1, c_in)
-        g_rows = g.reshape(T, -1, c_out)
-        for j in range(min(K, T)):
-            dx[: T - j] += np.matmul(g[j:], w[j].T)
-            dw[j] = x_rows[: T - j].reshape(-1, c_in).T @ g_rows[j:].reshape(-1, c_out)
-        db = g_rows.reshape(-1, c_out).sum(axis=0)
-        return [dx, dw, db]
-
-    return out, vjp
-
-
 def _fw_layer_norm(inputs, attrs):
     x, gamma, beta = inputs
     d = x.shape[-1]
@@ -487,7 +455,6 @@ _REGISTRY: dict[PrimitiveKind, tuple[Callable, frozenset, frozenset]] = {
     PrimitiveKind.MUL: (_fw_mul, frozenset(), frozenset()),
     PrimitiveKind.DIV: (_fw_div, frozenset(), frozenset()),
     PrimitiveKind.CONCAT_LAST: (_fw_concat_last, frozenset(), frozenset()),
-    PrimitiveKind.CAUSAL_CONV1D: (_fw_causal_conv1d, frozenset(), frozenset()),
     PrimitiveKind.LAYER_NORM: (_fw_layer_norm, frozenset(), frozenset({"eps"})),
     PrimitiveKind.LEAKY_RELU: (_fw_leaky_relu, frozenset({"slope"}), frozenset()),
     PrimitiveKind.RELU: (_fw_relu, frozenset(), frozenset()),
@@ -612,19 +579,6 @@ def div(a, b) -> Tensor:
 
 def concat_last(tensors: Iterable) -> Tensor:
     return apply_primitive(PrimitiveKind.CONCAT_LAST, [_as_tensor(t) for t in tensors])
-
-
-def causal_conv1d(x, w, b) -> Tensor:
-    """Causal convolution over time: x [T, ..., Cin], w [K, Cin, Cout], b [Cout].
-
-    Returns [T, ..., Cout]; out[t] sees x[t-K+1 .. t] only, with zeros
-    before t = 0. The axes between time and channels are independent
-    rows, so a batch of windows [T, B, N, Cin] convolves each window
-    exactly as it would be alone.
-    """
-    return apply_primitive(
-        PrimitiveKind.CAUSAL_CONV1D, [_as_tensor(x), _as_tensor(w), _as_tensor(b)]
-    )
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:

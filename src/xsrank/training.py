@@ -89,17 +89,11 @@ def mse_loss(y_hat: Tensor, labels: np.ndarray, mask: np.ndarray) -> Tensor:
                   Tensor(np.maximum(m, 1).astype(np.float64)))
 
 
-def total_loss(
-    y_hat: Tensor, labels: np.ndarray, mask: np.ndarray, loss_mix: float
-) -> Tensor:
-    """Ranking loss plus `loss_mix` times the magnitude loss, per window."""
-    if not 0.0 <= loss_mix <= 1.0:
-        raise ConfigError(f"loss_mix must be in [0, 1], got {loss_mix}")
-    return _mix_terms(ic_loss(y_hat, labels, mask), mse_loss(y_hat, labels, mask), loss_mix)
+def mix_losses(ic_terms: Tensor | None, mse_terms: Tensor, loss_mix: float) -> Tensor:
+    """Ranking loss plus `loss_mix` times the magnitude loss, per window.
 
-
-def _mix_terms(ic_terms: Tensor | None, mse_terms: Tensor, loss_mix: float) -> Tensor:
-    """ic + loss_mix * mse; a batch with no IC term is scored on MSE alone."""
+    A batch with no IC term (`ic_terms` None) is scored on MSE alone.
+    """
     out = tz.mul(Tensor(float(loss_mix)), mse_terms)
     return out if ic_terms is None else tz.add(ic_terms, out)
 
@@ -312,7 +306,7 @@ def train(
                     )
                     ic_terms = ic_loss(y_hat, labels, mask) if scored.any() else None
                     mse_terms = mse_loss(y_hat, labels, mask)
-                    window_loss = _mix_terms(ic_terms, mse_terms, cfg.loss_mix)
+                    window_loss = mix_losses(ic_terms, mse_terms, cfg.loss_mix)
                     backward(tz.mean(window_loss))
                     grad_arrays = {
                         name: tape.grad(p) for name, p in model.params.items()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xsrank.backtest import (
     BacktestResult,
@@ -212,6 +214,58 @@ def test_run_backtest_no_lookahead():
         assert part.holdings_ledger == full.holdings_ledger[:n]
         assert np.array_equal(part.portfolio, full.portfolio[:n])
         assert np.array_equal(part.excess, full.excess[:n])
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 7), d=st.integers(2, 9), k=st.integers(1, 6),
+       drop_frac=st.floats(0.0, 1.0), scored_frac=st.floats(0.2, 1.0),
+       seed=st.integers(0, 2**16))
+def test_backtest_ledger_invariants(n, d, k, drop_frac, scored_frac, seed):
+    rng = np.random.default_rng(seed)
+    n_drop = 1 + int(drop_frac * (k - 1))
+    cfg = StrategyConfig(k=k, n_drop=n_drop, cost_bps=5.0)
+    dates = [f"2022-01-{t + 1:02d}" for t in range(d)]
+    instruments = [f"S{i}" for i in range(n)]
+    labels = rng.normal(0, 0.02, size=(d, n))
+    labels[-1] = np.nan
+    ds = panel_from_labels(dates, instruments, labels)
+    # few distinct values, so rank ties are common; some cells unscored
+    scored = rng.random((d, n)) < scored_frac
+    scored[0, 0] = True
+    values = rng.integers(0, 4, size=(d, n)).astype(float)
+    preds = PredictionSeries([(dates[t], instruments[i], values[t, i])
+                              for t, i in zip(*np.nonzero(scored))])
+    by_date = preds.by_date()
+    full = run_backtest(preds, ds, cfg)
+
+    prev = frozenset()
+    for (date, book), turnover in zip(full.holdings_ledger, full.turnover):
+        book = frozenset(book)
+        names = by_date[date]
+        # the book refills to min(k, scored names), but a day with fewer
+        # scored names than the book holds sheds at most n_drop of them
+        assert len(book) == max(min(k, len(names)), len(prev) - n_drop)
+        sold, bought = prev - book, book - prev
+        assert len(sold) <= n_drop
+        assert bought <= names.keys()
+        # turnover also counts a name sold and bought back the same day
+        assert round(turnover * k) >= len(sold) + len(bought)
+        prev = book
+
+    # cut the scores after day c (day 0 is always scored) and redraw
+    # every later return: the ledger and returns through return day
+    # c + 1 are unchanged
+    c = int(rng.integers(0, d - 1))
+    cut_rows = [row for row in preds.rows if row[0] <= dates[c]]
+    later = labels.copy()
+    later[c + 1:-1] = rng.normal(0, 0.02, size=later[c + 1:-1].shape)
+    part = run_backtest(PredictionSeries(cut_rows),
+                        panel_from_labels(dates, instruments, later), cfg)
+    m = len(part.dates)
+    assert part.dates == full.dates[:m]
+    assert part.holdings_ledger == full.holdings_ledger[:m]
+    assert np.array_equal(part.portfolio, full.portfolio[:m])
+    assert np.array_equal(part.excess, full.excess[:m])
 
 
 def test_run_backtest_frozen_position_flagged():

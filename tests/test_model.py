@@ -257,8 +257,10 @@ def test_pspe_ablation_matches_oracle():
 
 def test_fci_matches_straight_line_oracle():
     rng = np.random.default_rng(11)
-    cfg = small_cfg()
-    for seed in range(3):
+    # the default, windows shorter than the kernel, and a one-tap kernel
+    shapes = ({}, {"window": 1}, {"window": 2}, {"tcn_kernel": 1})
+    for over, seed in itertools.product(shapes, range(3)):
+        cfg = small_cfg(**over)
         model = ActModel(cfg, seed=seed)
         x_fluct = rng.normal(size=(cfg.window, 6, cfg.n_features))
         z = fci_forward(x_fluct, model, cfg)

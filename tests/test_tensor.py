@@ -1,7 +1,5 @@
 """Tape and primitive tests: shapes, closed-form gradients, FD oracles."""
 
-import itertools
-
 import numpy as np
 import pytest
 
@@ -68,6 +66,21 @@ def test_matmul_batched_broadcast():
     assert gb.shape == b.shape
     # d/db of sum(a @ b) collapses the batch axis
     np.testing.assert_allclose(gb, a.sum(axis=0).T @ np.ones((2, 4)))
+
+    # a stack of per-lag weights: a [B, K, N, d] @ b [K, d, e], so the
+    # gradient of b[j] sums over the batch and the rows of lag j
+    a = rng.normal(size=(3, 2, 5, 4))
+    b = rng.normal(size=(2, 4, 6))
+    g = rng.normal(size=(3, 2, 5, 6))
+    with Tape() as tape:
+        tb = Tensor(b)
+        out = tz.matmul(Tensor(a), tb)
+        backward(tz.tensor_sum(tz.mul(out, Tensor(g))))
+        gb = tape.grad(tb)
+    np.testing.assert_allclose(out.data, np.einsum("bkni,kio->bkno", a, b),
+                               rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(gb, np.einsum("bkni,bkno->kio", a, g),
+                               rtol=1e-12, atol=1e-12)
 
 
 def test_softmax_gradient_closed_form():
@@ -288,28 +301,6 @@ def test_fd_concat_last():
         assert err < FD_TOL
 
 
-def test_fd_causal_conv1d():
-    rng = np.random.default_rng(14)
-    # [T, N, C] and a batch of windows, [T, B, N, C]
-    for trial, rows in itertools.product(range(10), ((3,), (2, 3))):
-        x = rng.normal(size=(5, *rows, 2))
-        cw = rng.normal(size=(3, 2, 4))
-        cb = rng.normal(size=(4,))
-        w = rng.normal(size=(5, *rows, 4))
-        err = _fd_case(
-            lambda t: _scalarize(tz.causal_conv1d(t, Tensor(cw), Tensor(cb)), w), x
-        )
-        assert err < FD_TOL
-        err = _fd_case(
-            lambda t: _scalarize(tz.causal_conv1d(Tensor(x), t, Tensor(cb)), w), cw
-        )
-        assert err < FD_TOL
-        err = _fd_case(
-            lambda t: _scalarize(tz.causal_conv1d(Tensor(x), Tensor(cw), t), w), cb
-        )
-        assert err < FD_TOL
-
-
 def test_fd_layer_norm():
     rng = np.random.default_rng(15)
     for trial in range(10):
@@ -411,23 +402,3 @@ def test_fd_composite_chain():
             return tz.mean(out)
 
         assert _fd_case(f, x) < FD_TOL
-
-
-def test_causal_conv1d_batch_axes_are_independent_rows():
-    rng = np.random.default_rng(41)
-    x = rng.normal(size=(4, 3, 5, 2))
-    cw = rng.normal(size=(3, 2, 6))
-    cb = rng.normal(size=(6,))
-    g = rng.normal(size=(4, 3, 5, 6))
-    with tz.Tape() as tape:
-        xt, wt = Tensor(x), Tensor(cw)
-        out = tz.causal_conv1d(xt, wt, Tensor(cb))
-        tz.backward(_scalarize(out, g))
-        dw = tape.grad(wt)
-    for b in range(3):
-        alone = tz.causal_conv1d(Tensor(x[:, b]), Tensor(cw), Tensor(cb))
-        assert np.array_equal(out.data[:, b], alone.data)
-    want = np.zeros_like(cw)
-    for j in range(3):
-        want[j] = np.einsum("tbni,tbno->io", x[: 4 - j], g[j:])
-    np.testing.assert_allclose(dw, want, rtol=1e-12, atol=1e-12)

@@ -26,9 +26,9 @@ from xsrank.training import (
     TrainSettings,
     clip_labels,
     ic_loss,
+    mix_losses,
     mse_loss,
     predict_sliding,
-    total_loss,
     train,
 )
 
@@ -135,12 +135,11 @@ def test_total_loss_mix():
     y = rng.normal(0, 0.05, size=10)
     s = Tensor(rng.normal(size=10))
     mask = all_true(10)
-    assert total_loss(s, y, mask, 0.0).item() == ic_loss(s, y, mask).item()
-    combined = total_loss(s, y, mask, 1.0).item()
-    want = ic_loss(s, y, mask).item() + mse_loss(s, y, mask).item()
-    assert abs(combined - want) < 1e-12
-    with pytest.raises(ConfigError):
-        total_loss(s, y, mask, 1.5)
+    ic, mse = ic_loss(s, y, mask), mse_loss(s, y, mask)
+    assert mix_losses(ic, mse, 0.0).item() == ic.item()
+    combined = mix_losses(ic, mse, 1.0).item()
+    assert abs(combined - (ic.item() + mse.item())) < 1e-12
+    assert mix_losses(None, mse, 0.5).item() == 0.5 * mse.item()
 
 
 def make_graphs(n):
@@ -193,7 +192,8 @@ def test_total_loss_gradient_is_sum_of_term_gradients():
         with Tape() as tape:
             y_hat, _ = act_forward(window, graphs, model)
             if kind == "total":
-                loss = total_loss(y_hat, labels, mask, lam)
+                loss = mix_losses(ic_loss(y_hat, labels, mask),
+                                  mse_loss(y_hat, labels, mask), lam)
             elif kind == "ic":
                 loss = ic_loss(y_hat, labels, mask)
             else:
