@@ -120,11 +120,12 @@ def run_backtest(
 
     The benchmark defaults to the equal-weighted mean return of the
     observed universe. A held name with no realized return freezes at
-    zero for that day and is flagged.
+    zero for that day and is flagged. A day's turnover is the number of
+    names that entered or left the book over k, and costs
+    turnover * cost_bps / 1e4.
     """
-    date_index = {d: i for i, d in enumerate(ds.dates)}
-    inst_index = {s: i for i, s in enumerate(ds.instruments)}
-    by_date = preds.by_date()
+    t_pos, i_pos = preds.panel_positions(ds)
+    panel_index = dict(zip(preds.instruments, i_pos.tolist()))
 
     holdings: frozenset[str] = frozenset()
     dates_out: list[str] = []
@@ -134,28 +135,33 @@ def run_backtest(
     ledger: list[tuple[str, tuple[str, ...]]] = []
     flags: list[str] = []
 
-    for date in preds.dates():
-        if date not in date_index:
+    for d, date in enumerate(preds.dates):
+        t = t_pos[d]
+        if t < 0:
             raise DataError(f"prediction date {date} not in the panel")
-        t = date_index[date]
         if t + 1 >= len(ds.dates):
             continue  # nothing left to earn after the final panel date
-        scores = by_date[date]
-        for inst in scores:
-            if inst not in inst_index:
-                raise DataError(f"prediction instrument {inst} not in the panel")
+        cols = np.flatnonzero(np.isfinite(preds.scores[d]))
+        unknown = cols[i_pos[cols] < 0]
+        if unknown.size:
+            raise DataError(
+                f"prediction instrument {preds.instruments[unknown[0]]} not in the panel")
+        scores = dict(zip([preds.instruments[k] for k in cols],
+                          preds.scores[d, cols].tolist()))
 
+        prev = holdings
         holdings, trade = topk_dropout_rebalance(scores, holdings, cfg)
         if trade["under_capacity"]:
             flags.append(f"{date}: only {len(scores)} scored names, "
                          f"holding {len(holdings)}")
         ledger.append((date, tuple(sorted(holdings))))
 
-        day_turnover = (len(trade["sold"]) + len(trade["bought"])) / cfg.k
+        # a name sold and bought back the same day leaves the book as it was
+        day_turnover = len(holdings ^ prev) / cfg.k
         weight = 1.0 / len(holdings)
         ret = 0.0
         for inst in sorted(holdings):
-            label = ds.labels[t, inst_index[inst]]
+            label = ds.labels[t, panel_index[inst]]
             if not np.isfinite(label):
                 flags.append(f"{date}: no realized return for {inst}, frozen")
                 continue

@@ -50,6 +50,7 @@ from .data import (
 )
 from .errors import ConfigError, DataError, NonFiniteError, XsrankError
 from .evaluate import (
+    _format_metric,
     subgroup_metrics,
     summarize,
     write_daily_metrics,
@@ -361,10 +362,6 @@ def cmd_predict(args, resolved, seed) -> int:
     return EXIT_OK
 
 
-def _format_cell(value) -> str:
-    return "" if value is None else format_float(value)
-
-
 def cmd_evaluate(args, resolved, seed) -> int:
     started = time.monotonic()
     group_by = resolved["group_by"]
@@ -395,10 +392,10 @@ def cmd_evaluate(args, resolved, seed) -> int:
                 rows.append([category, "", "", "", "", "", "too_thin"])
             else:
                 rows.append([category,
-                             _format_cell(rep.ic),
-                             _format_cell(rep.icir),
-                             _format_cell(rep.rank_ic),
-                             _format_cell(rep.rank_icir),
+                             _format_metric(rep.ic),
+                             _format_metric(rep.icir),
+                             _format_metric(rep.rank_ic),
+                             _format_metric(rep.rank_icir),
                              str(rep.n_days),
                              ";".join(rep.flags)])
         _write_rows(out / "subgroups.csv",

@@ -128,6 +128,13 @@ def _codes(column: list[str]) -> tuple[list[str], np.ndarray]:
     return names, np.fromiter(map(pos.__getitem__, column), dtype=np.intp, count=len(column))
 
 
+def _positions(names: list[str], universe: list[str]) -> np.ndarray:
+    """Position of each name in `universe`, -1 where it is absent."""
+    pos = {name: k for k, name in enumerate(universe)}
+    return np.fromiter((pos.get(name, -1) for name in names), dtype=np.intp,
+                       count=len(names))
+
+
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
@@ -195,38 +202,50 @@ class FactorSeries:
             raise DataError("risk_free has missing values")
 
 
-@dataclass
 class PredictionSeries:
-    """Scored (date, instrument) pairs, sorted and unique."""
+    """Scores on a date x instrument grid, built from (date, instrument,
+    score) rows in any order.
 
-    rows: list[tuple[str, str, float]]
+    `dates` and `instruments` are sorted and unique; `scores[t, i]` is
+    the score of (dates[t], instruments[i]), NaN where no row gave one.
+    """
 
-    def __post_init__(self):
-        self.rows = sorted(self.rows)
-        keys = [(d, i) for d, i, _ in self.rows]
-        if len(set(keys)) != len(keys):
+    def __init__(self, rows):
+        rows = list(rows)
+        self.dates, t = _codes([row[0] for row in rows])
+        self.instruments, i = _codes([row[1] for row in rows])
+        cell = t * len(self.instruments) + i
+        if np.unique(cell).size < cell.size:
             raise DataError("duplicate (date, instrument) prediction")
-        scores = np.array([s for _, _, s in self.rows], dtype=np.float64)
-        bad = np.flatnonzero(~np.isfinite(scores))
+        values = np.array([row[2] for row in rows], dtype=np.float64)
+        bad = cell[~np.isfinite(values)]
         if bad.size:
-            d, i, _ = self.rows[bad[0]]
-            raise DataError(f"non-finite score at ({d}, {i})")
+            d, k = divmod(int(bad.min()), len(self.instruments))
+            raise DataError(f"non-finite score at ({self.dates[d]}, {self.instruments[k]})")
+        self.scores = np.full((len(self.dates), len(self.instruments)), np.nan)
+        self.scores[t, i] = values
 
-    def dates(self) -> list[str]:
-        return sorted({d for d, _, _ in self.rows})
+    @property
+    def rows(self) -> list[tuple[str, str, float]]:
+        """A new list of the scored (date, instrument, score) triples, as
+        Python floats in (date, instrument) order."""
+        t, i = np.nonzero(np.isfinite(self.scores))
+        return [(self.dates[a], self.instruments[b], s)
+                for a, b, s in zip(t.tolist(), i.tolist(), self.scores[t, i].tolist())]
 
-    def by_date(self) -> dict[str, dict[str, float]]:
-        out: dict[str, dict[str, float]] = {}
-        for d, i, s in self.rows:
-            out.setdefault(d, {})[i] = s
-        return out
+    def panel_positions(self, ds: PanelDataset) -> tuple[np.ndarray, np.ndarray]:
+        """Panel index of every grid date and of every grid instrument,
+        -1 where the panel lacks it."""
+        return _positions(self.dates, ds.dates), _positions(self.instruments, ds.instruments)
 
     def write_csv(self, path) -> None:
-        scores = format_floats([s for _, _, s in self.rows])
+        t, i = np.nonzero(np.isfinite(self.scores))
+        cells = format_floats(self.scores[t, i])
         _write_lines(
             path,
             PREDICTIONS_HEADER,
-            (f"{d},{i},{s}" for (d, i, _), s in zip(self.rows, scores)),
+            (f"{self.dates[a]},{self.instruments[b]},{s}"
+             for a, b, s in zip(t.tolist(), i.tolist(), cells)),
         )
 
     @classmethod
@@ -239,7 +258,7 @@ class PredictionSeries:
             raise error
         if n_ok < len(raw):
             raise DataError(f"{path}: line {n_ok + 2}: expected 3 columns")
-        return cls(rows=[(row[0], row[1], s) for row, s in zip(raw, scores.tolist())])
+        return cls([(row[0], row[1], s) for row, s in zip(raw, scores.tolist())])
 
 
 @dataclass
@@ -258,23 +277,6 @@ class WindowSample:
 # ---------------------------------------------------------------------------
 
 
-def compute_vwap(bars: list[tuple[float, float]]) -> float:
-    """Volume-weighted average price of one cell's bars."""
-    num = 0.0
-    den = 0.0
-    for price, volume in bars:
-        if volume < 0:
-            raise DataError(f"negative volume {volume}")
-        num += price * volume
-        den += volume
-    if den <= 0:
-        raise DataError("non-positive VWAP denominator (all-zero volume)")
-    if len(bars) == 1:
-        # exact: avoids the (p*v)/v rounding so canonical files round-trip
-        return bars[0][0]
-    return num / den
-
-
 def vwap_matrix(
     t: np.ndarray,
     i: np.ndarray,
@@ -284,10 +286,10 @@ def vwap_matrix(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-cell VWAP and total volume of bars k at cell (t[k], i[k]).
 
-    Bars are summed per cell in the order given, as `compute_vwap` sums
-    one cell's bars, so each cell is bitwise `compute_vwap` of its bars.
-    Cells without bars are NaN. The first cell in (date, instrument)
-    order with a negative or all-zero volume raises DataError.
+    A cell is sum(price * volume) / sum(volume) over its bars, each sum
+    taken one bar at a time in the order given; a one-bar cell is its
+    price exactly. Cells without bars are NaN. The first cell in (date,
+    instrument) order with a negative or all-zero volume raises DataError.
     """
     price = np.asarray(price, dtype=np.float64)
     volume = np.asarray(volume, dtype=np.float64)
@@ -319,23 +321,6 @@ def vwap_matrix(
     vwap[cell[single]] = price[single]
     total = np.where(count > 0, den, np.nan)
     return vwap.reshape(shape), total.reshape(shape)
-
-
-def compute_vwap_returns(
-    bars: dict[tuple[str, str], list[tuple[float, float]]],
-    dates: list[str],
-    instruments: list[str],
-) -> np.ndarray:
-    """labels[t, i] = (VWAP_{t+1} - VWAP_t) / VWAP_t; last date missing."""
-    date_pos = {d: k for k, d in enumerate(dates)}
-    inst_pos = {s: k for k, s in enumerate(instruments)}
-    flat = np.array([(date_pos[d], inst_pos[s], p, v)
-                     for (d, s), cell in bars.items()
-                     if d in date_pos and s in inst_pos
-                     for p, v in cell], dtype=np.float64).reshape(-1, 4)
-    vwap, _ = vwap_matrix(flat[:, 0].astype(np.intp), flat[:, 1].astype(np.intp),
-                          flat[:, 2], flat[:, 3], (len(dates), len(instruments)))
-    return returns_from_prices(vwap)
 
 
 def returns_from_prices(prices: np.ndarray) -> np.ndarray:

@@ -93,41 +93,36 @@ def _ratio(values: np.ndarray, name: str, flags: list[str]) -> float:
     return mean / std
 
 
-def _row_positions(preds: PredictionSeries, ds: PanelDataset):
-    """Panel date and instrument positions of every prediction row (-1
-    where the panel lacks it) and the scores, in row order."""
-    date_index = {d: i for i, d in enumerate(ds.dates)}
-    inst_index = {s: i for i, s in enumerate(ds.instruments)}
-    t = np.array([date_index.get(d, -1) for d, _, _ in preds.rows], dtype=np.intp)
-    i = np.array([inst_index.get(s, -1) for _, s, _ in preds.rows], dtype=np.intp)
-    scores = np.array([s for _, _, s in preds.rows], dtype=np.float64)
-    return t, i, scores
+def _report(preds: PredictionSeries, t: np.ndarray, i: np.ndarray,
+            cols: np.ndarray, ds: PanelDataset) -> MetricReport:
+    """Daily correlations over the grid columns `cols`, ascending.
 
-
-def _report(t: np.ndarray, i: np.ndarray, scores: np.ndarray,
-            ds: PanelDataset) -> MetricReport:
-    """Daily correlations over rows at panel cells (t, i), sorted by date
-    and then instrument, as a PredictionSeries keeps them."""
+    `t` and `i` are the grid's panel positions; every scored cell in
+    `cols` must be in the panel. A date without a scored cell there is
+    neither evaluated nor counted as excluded.
+    """
     daily_ic: list[tuple[str, float]] = []
     daily_rank: list[tuple[str, float]] = []
     excluded = 0
-    starts = np.flatnonzero(np.diff(t, prepend=-1)).tolist()
-    for lo, hi in zip(starts, starts[1:] + [t.size]):
-        day, cols = t[lo], i[lo:hi]
-        actual = ds.labels[day, cols]
-        joint = ds.observed_mask[day, cols] & np.isfinite(actual)
+    for d, row in enumerate(preds.scores[:, cols]):
+        scored = np.isfinite(row)
+        if not scored.any():
+            continue
+        day, pos = t[d], i[cols[scored]]
+        actual = ds.labels[day, pos]
+        joint = ds.observed_mask[day, pos] & np.isfinite(actual)
         if joint.sum() < 2:
             excluded += 1
             continue
-        a = scores[lo:hi][joint]
+        a = row[scored][joint]
         b = actual[joint]
         ic = pearson(a, b)
         rank = spearman(a, b)
         if ic is None or rank is None:
             excluded += 1
             continue
-        daily_ic.append((ds.dates[day], ic))
-        daily_rank.append((ds.dates[day], rank))
+        daily_ic.append((preds.dates[d], ic))
+        daily_rank.append((preds.dates[d], rank))
 
     if len(daily_ic) < 2:
         raise DataError(
@@ -149,20 +144,28 @@ def _report(t: np.ndarray, i: np.ndarray, scores: np.ndarray,
     )
 
 
+def _outside(preds: PredictionSeries, t: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """[D, M] mask of the scored cells whose date or instrument is not
+    in the panel."""
+    return np.isfinite(preds.scores) & ((t < 0)[:, None] | (i < 0))
+
+
 def summarize(preds: PredictionSeries, ds: PanelDataset) -> MetricReport:
     """Daily correlations of scores against the panel's forward returns.
 
     A date enters only when at least two instruments are jointly scored
     and observed and neither side is degenerate; exclusions are counted.
+    The first scored pair outside the panel, in (date, instrument)
+    order, raises DataError naming its date, or else its instrument.
     """
-    t, i, scores = _row_positions(preds, ds)
-    unknown = np.flatnonzero((t < 0) | (i < 0))
-    if unknown.size:
-        date, inst, _ = preds.rows[unknown[0]]
-        if t[unknown[0]] < 0:
-            raise DataError(f"prediction date {date} not in the panel")
-        raise DataError(f"prediction instrument {inst} not in the panel")
-    return _report(t, i, scores, ds)
+    t, i = preds.panel_positions(ds)
+    outside = _outside(preds, t, i)
+    if outside.any():
+        d, k = np.unravel_index(np.argmax(outside), outside.shape)
+        if t[d] < 0:
+            raise DataError(f"prediction date {preds.dates[d]} not in the panel")
+        raise DataError(f"prediction instrument {preds.instruments[k]} not in the panel")
+    return _report(preds, t, i, np.arange(len(preds.instruments)), ds)
 
 
 def subgroup_metrics(
@@ -174,36 +177,31 @@ def subgroup_metrics(
 
     A category averaging fewer than 5 jointly-observed stocks per
     prediction date is marked absent (None), as is one without enough
-    valid dates or with a row outside the panel. Instruments missing
-    from the grouping are skipped.
+    valid dates or with a scored pair outside the panel. Instruments
+    missing from the grouping are skipped.
     """
     categories = sorted(set(grouping.values()))
     code = {cat: k for k, cat in enumerate(categories)}
-    row_cat = np.array([code.get(grouping.get(s), -1) for _, s, _ in preds.rows],
+    col_cat = np.array([code.get(grouping.get(s), -1) for s in preds.instruments],
                        dtype=np.intp)
-    t, i, scores = _row_positions(preds, ds)
-    dates = preds.dates()
-    date_pos = {d: k for k, d in enumerate(dates)}
-    row_date = np.array([date_pos[d] for d, _, _ in preds.rows], dtype=np.intp)
-    known = (t >= 0) & (i >= 0)
-    observed = np.zeros(t.size, dtype=bool)
-    observed[known] = ds.observed_mask[t[known], i[known]]
+    t, i = preds.panel_positions(ds)
+    outside = _outside(preds, t, i)
+    dd, kk = np.nonzero(np.isfinite(preds.scores) & ~outside)
+    observed = np.zeros(outside.shape, dtype=bool)
+    observed[dd, kk] = ds.observed_mask[t[dd], i[kk]]
 
-    # one stable split of the rows by category keeps each group in row order
-    order = np.argsort(row_cat, kind="stable")
-    bounds = np.searchsorted(row_cat[order], np.arange(len(categories) + 1))
     out: dict[str, MetricReport | None] = {}
     for k, cat in enumerate(categories):
-        rows = order[bounds[k]: bounds[k + 1]]
-        if not rows.size:
+        cols = np.flatnonzero(col_cat == k)
+        if not np.isfinite(preds.scores[:, cols]).any():
             out[cat] = None
             continue
-        counts = np.bincount(row_date[rows][observed[rows]], minlength=len(dates))
-        if float(np.mean(counts)) < MIN_SUBGROUP_SIZE or not known[rows].all():
+        counts = observed[:, cols].sum(axis=1)
+        if float(np.mean(counts)) < MIN_SUBGROUP_SIZE or outside[:, cols].any():
             out[cat] = None
             continue
         try:
-            out[cat] = _report(t[rows], i[rows], scores[rows], ds)
+            out[cat] = _report(preds, t, i, cols, ds)
         except DataError:
             out[cat] = None
     return out

@@ -70,14 +70,6 @@ class RelationGraphs:
         return out
 
 
-@dataclass
-class DynamicGraph:
-    """Directed k-NN graph: row i holds the k most similar columns."""
-
-    adjacency: np.ndarray  # [..., N, N] of {0.0, 1.0}, zero diagonal
-    similarity: np.ndarray  # [..., N, N], -inf on the diagonal
-
-
 def _category_codes(instruments: list[str], labels: dict[str, str]) -> np.ndarray:
     """[N] codes numbering categories in order of first appearance.
 
@@ -153,11 +145,12 @@ def cosine_similarity_matrix(u: np.ndarray) -> np.ndarray:
     return sim
 
 
-def topk_graph(similarity: np.ndarray, k: int) -> DynamicGraph:
+def topk_graph(similarity: np.ndarray, k: int) -> np.ndarray:
     """Directed graph of each row's k most similar columns.
 
-    `similarity` is [..., N, N]; each [N, N] slice is one graph. Rows are
-    ranked by similarity descending, ties break toward the
+    `similarity` is [..., N, N]; each [N, N] slice is one graph, and the
+    result is the [..., N, N] adjacency of {0.0, 1.0} with k ones per
+    row. Rows are ranked by similarity descending, ties break toward the
     lower column index, and a row never picks itself whatever its
     diagonal holds, so construction is fully deterministic. NaN ranks
     below every number. All rows are selected at once: a partition finds
@@ -178,7 +171,7 @@ def topk_graph(similarity: np.ndarray, k: int) -> DynamicGraph:
     _fill_diagonal(tied, False)
     slots = k - above.sum(axis=-1, keepdims=True)
     picked = above | (tied & (np.cumsum(tied, axis=-1) <= slots))
-    return DynamicGraph(adjacency=picked.astype(np.float64), similarity=sim)
+    return picked.astype(np.float64)
 
 
 def gat_layer(

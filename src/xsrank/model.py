@@ -192,9 +192,6 @@ class ActModel:
     def reseed_dropout(self, seed: int) -> None:
         self.dropout_rng = np.random.default_rng(seed)
 
-    def parameter_count(self) -> int:
-        return parameter_count(self.cfg)
-
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.params.items()}
 
@@ -229,8 +226,9 @@ def pspe_forward(
 ):
     """Relation-purified trend embedding (the "full" variant).
 
-    Returns (z_trend, dynamic_graph, gate_mean); gate_mean is a float for
-    one window and a [B] array for a batch.
+    Returns (z_trend, dynamic_adjacency, gate_mean): the [..., N, N]
+    k-NN graph the GAT attended over, and a float gate_mean for one
+    window or a [B] array for a batch.
     """
     if cfg.pspe != "full":
         raise ConfigError("pspe_forward requires the full trend branch")
@@ -251,10 +249,10 @@ def pspe_forward(
     u_tilde = tz.leaky_relu(tz.matmul(u, model["resid_proj_w"]), slope)
 
     # hard TopK selection: detached, no gradient through construction
-    dyn = topk_graph(cosine_similarity_matrix(u_tilde.data), cfg.knn)
+    dyn_adj = topk_graph(cosine_similarity_matrix(u_tilde.data), cfg.knn)
     z_d = gat_layer(
         u_tilde,
-        dyn.adjacency,
+        dyn_adj,
         model["gat_w"],
         model["gat_att_src"],
         model["gat_att_dst"],
@@ -273,7 +271,7 @@ def pspe_forward(
         model["trend_out_ln_b"],
     )
     gate_mean = gate.data.reshape(gate.shape[:-2] + (-1,)).mean(axis=-1)
-    return z_trend, dyn, gate_mean
+    return z_trend, dyn_adj, gate_mean
 
 
 def pspe_ablation_forward(
@@ -453,8 +451,7 @@ def act_forward_parts(
     cfg = model.cfg
     gate_mean = None
     if cfg.pspe == "full":
-        z_trend, dyn, gate_mean = pspe_forward(parts.trend, graphs, model, cfg)
-        dyn_adj = dyn.adjacency
+        z_trend, dyn_adj, gate_mean = pspe_forward(parts.trend, graphs, model, cfg)
     else:
         z_trend, union = pspe_ablation_forward(parts.trend, graphs, model, cfg)
         dyn_adj = np.broadcast_to(union, z_trend.shape[:-1] + union.shape[-1:])

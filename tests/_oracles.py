@@ -1,11 +1,23 @@
-"""Straight-line numpy transcriptions of the model equations.
+"""Reference implementations that tests compare the package against.
 
-Written directly from the layer definitions, independent of the package
-implementation, so tests can compare the two. Everything here is plain
-numpy on plain arrays: no Tensor, no tape, no dropout (eval mode).
+The model-equation oracles are straight-line numpy transcriptions of
+the layer definitions, independent of the package implementation: plain
+numpy on plain arrays, with no Tensor, no tape and no dropout (eval
+mode). The VWAP oracles work one bar and one cell at a time.
+
+The row-based prediction consumers at the end keep the earlier
+implementation of `summarize`, `subgroup_metrics` and `run_backtest`,
+which walked a sorted list of (date, instrument, score) rows, so tests
+can pin the date x instrument grid versions bitwise against it. They
+share the package's per-day primitives (`pearson`, `spearman`, `_ratio`
+and `topk_dropout_rebalance`), which the grid did not change.
 """
 
 import numpy as np
+
+from xsrank.backtest import BacktestResult, topk_dropout_rebalance
+from xsrank.errors import DataError
+from xsrank.evaluate import MIN_SUBGROUP_SIZE, MetricReport, _ratio, pearson, spearman
 
 
 def leaky(x, slope=0.2):
@@ -275,3 +287,195 @@ def standardize_loop(features):
             if sd > 0:
                 col /= sd
     return feats
+
+
+def compute_vwap(bars):
+    """Volume-weighted average price of one cell's (price, volume) bars."""
+    num = 0.0
+    den = 0.0
+    for price, volume in bars:
+        if volume < 0:
+            raise DataError(f"negative volume {volume}")
+        num += price * volume
+        den += volume
+    if den <= 0:
+        raise DataError("non-positive VWAP denominator (all-zero volume)")
+    if len(bars) == 1:
+        return bars[0][0]
+    return num / den
+
+
+def compute_vwap_returns(bars, dates, instruments):
+    """labels[t, i] = (VWAP_{t+1} - VWAP_t) / VWAP_t; last date missing.
+
+    `bars` maps (date, instrument) to that cell's bars.
+    """
+    vwap = np.full((len(dates), len(instruments)), np.nan)
+    for (date, inst), cell in bars.items():
+        if date in dates and inst in instruments:
+            vwap[dates.index(date), instruments.index(inst)] = compute_vwap(cell)
+    labels = np.full_like(vwap, np.nan)
+    for t in range(len(dates) - 1):
+        for i in range(len(instruments)):
+            cur, nxt = vwap[t, i], vwap[t + 1, i]
+            if np.isfinite(cur) and np.isfinite(nxt) and cur != 0:
+                labels[t, i] = (nxt - cur) / cur
+    return labels
+
+
+def _row_positions(rows, ds):
+    date_index = {d: i for i, d in enumerate(ds.dates)}
+    inst_index = {s: i for i, s in enumerate(ds.instruments)}
+    t = np.array([date_index.get(d, -1) for d, _, _ in rows], dtype=np.intp)
+    i = np.array([inst_index.get(s, -1) for _, s, _ in rows], dtype=np.intp)
+    scores = np.array([s for _, _, s in rows], dtype=np.float64)
+    return t, i, scores
+
+
+def _report_rows(t, i, scores, ds):
+    daily_ic = []
+    daily_rank = []
+    excluded = 0
+    starts = np.flatnonzero(np.diff(t, prepend=-1)).tolist()
+    for lo, hi in zip(starts, starts[1:] + [t.size]):
+        day, cols = t[lo], i[lo:hi]
+        actual = ds.labels[day, cols]
+        joint = ds.observed_mask[day, cols] & np.isfinite(actual)
+        if joint.sum() < 2:
+            excluded += 1
+            continue
+        a = scores[lo:hi][joint]
+        b = actual[joint]
+        ic = pearson(a, b)
+        rank = spearman(a, b)
+        if ic is None or rank is None:
+            excluded += 1
+            continue
+        daily_ic.append((ds.dates[day], ic))
+        daily_rank.append((ds.dates[day], rank))
+    if len(daily_ic) < 2:
+        raise DataError(f"need at least 2 valid evaluation dates, got {len(daily_ic)}")
+    flags = []
+    ic_values = np.array([v for _, v in daily_ic])
+    rank_values = np.array([v for _, v in daily_rank])
+    return MetricReport(
+        ic=float(ic_values.mean()),
+        icir=_ratio(ic_values, "icir", flags),
+        rank_ic=float(rank_values.mean()),
+        rank_icir=_ratio(rank_values, "rank_icir", flags),
+        daily_ic=daily_ic,
+        daily_rank_ic=daily_rank,
+        n_days=len(daily_ic),
+        n_excluded_days=excluded,
+        flags=flags,
+    )
+
+
+def summarize_rows(rows, ds):
+    """`summarize` over (date, instrument, score) rows in any order."""
+    rows = sorted(rows)
+    t, i, scores = _row_positions(rows, ds)
+    unknown = np.flatnonzero((t < 0) | (i < 0))
+    if unknown.size:
+        date, inst, _ = rows[unknown[0]]
+        if t[unknown[0]] < 0:
+            raise DataError(f"prediction date {date} not in the panel")
+        raise DataError(f"prediction instrument {inst} not in the panel")
+    return _report_rows(t, i, scores, ds)
+
+
+def subgroup_metrics_rows(rows, ds, grouping):
+    """`subgroup_metrics` over (date, instrument, score) rows in any order."""
+    rows = sorted(rows)
+    categories = sorted(set(grouping.values()))
+    code = {cat: k for k, cat in enumerate(categories)}
+    row_cat = np.array([code.get(grouping.get(s), -1) for _, s, _ in rows],
+                       dtype=np.intp)
+    t, i, scores = _row_positions(rows, ds)
+    dates = sorted({d for d, _, _ in rows})
+    date_pos = {d: k for k, d in enumerate(dates)}
+    row_date = np.array([date_pos[d] for d, _, _ in rows], dtype=np.intp)
+    known = (t >= 0) & (i >= 0)
+    observed = np.zeros(t.size, dtype=bool)
+    observed[known] = ds.observed_mask[t[known], i[known]]
+    order = np.argsort(row_cat, kind="stable")
+    bounds = np.searchsorted(row_cat[order], np.arange(len(categories) + 1))
+    out = {}
+    for k, cat in enumerate(categories):
+        members = order[bounds[k]: bounds[k + 1]]
+        if not members.size:
+            out[cat] = None
+            continue
+        counts = np.bincount(row_date[members][observed[members]], minlength=len(dates))
+        if float(np.mean(counts)) < MIN_SUBGROUP_SIZE or not known[members].all():
+            out[cat] = None
+            continue
+        try:
+            out[cat] = _report_rows(t[members], i[members], scores[members], ds)
+        except DataError:
+            out[cat] = None
+    return out
+
+
+def run_backtest_rows(rows, ds, cfg):
+    """`run_backtest` over rows in any order, with the default benchmark.
+
+    Turnover counts every sold and every bought name, as the earlier
+    implementation did, so it matches the package only where no name is
+    sold and bought back on one day; the returns match at cost_bps=0.
+    """
+    rows = sorted(rows)
+    date_index = {d: i for i, d in enumerate(ds.dates)}
+    inst_index = {s: i for i, s in enumerate(ds.instruments)}
+    by_date = {}
+    for d, i, s in rows:
+        by_date.setdefault(d, {})[i] = s
+    holdings = frozenset()
+    dates_out, port_out, bench_out, turnover_out, ledger, flags = [], [], [], [], [], []
+    for date in sorted(by_date):
+        if date not in date_index:
+            raise DataError(f"prediction date {date} not in the panel")
+        t = date_index[date]
+        if t + 1 >= len(ds.dates):
+            continue
+        scores = by_date[date]
+        for inst in scores:
+            if inst not in inst_index:
+                raise DataError(f"prediction instrument {inst} not in the panel")
+        holdings, trade = topk_dropout_rebalance(scores, holdings, cfg)
+        if trade["under_capacity"]:
+            flags.append(f"{date}: only {len(scores)} scored names, "
+                         f"holding {len(holdings)}")
+        ledger.append((date, tuple(sorted(holdings))))
+        day_turnover = (len(trade["sold"]) + len(trade["bought"])) / cfg.k
+        weight = 1.0 / len(holdings)
+        ret = 0.0
+        for inst in sorted(holdings):
+            label = ds.labels[t, inst_index[inst]]
+            if not np.isfinite(label):
+                flags.append(f"{date}: no realized return for {inst}, frozen")
+                continue
+            ret += weight * label
+        ret -= day_turnover * cfg.cost_bps / 1e4
+        observed = ds.labels[t][np.isfinite(ds.labels[t])]
+        if observed.size == 0:
+            raise DataError(f"no realized returns on {date}")
+        dates_out.append(ds.dates[t + 1])
+        port_out.append(ret)
+        bench_out.append(float(observed.mean()))
+        turnover_out.append(day_turnover)
+    if not dates_out:
+        raise DataError("no scored date has a following return day")
+    portfolio = np.array(port_out)
+    bench_arr = np.array(bench_out)
+    excess = portfolio - bench_arr
+    return BacktestResult(
+        dates=dates_out,
+        portfolio=portfolio,
+        benchmark=bench_arr,
+        excess=excess,
+        cum_excess=np.cumprod(1.0 + excess),
+        turnover=np.array(turnover_out),
+        holdings_ledger=ledger,
+        flags=flags,
+    )

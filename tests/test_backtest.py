@@ -183,6 +183,25 @@ def test_run_backtest_costs_scale_with_turnover():
     assert free.holdings_ledger == paid.holdings_ledger
 
 
+def test_run_backtest_sell_and_rebuy_costs_nothing():
+    # day 2 sells B and buys it straight back: the book stays {A, B}, so
+    # the day has no turnover and no cost drag
+    dates = ["2020-01-01", "2020-01-02", "2020-01-03"]
+    labels = np.array([[0.01, 0.02, 0.03], [0.02, -0.01, 0.0],
+                       [np.nan, np.nan, np.nan]])
+    ds = panel_from_labels(dates, ["A", "B", "C"], labels)
+    preds = PredictionSeries([(d, i, s) for d in dates[:2]
+                              for i, s in (("A", 5.0), ("B", 4.0), ("C", 3.0))])
+    cfg = StrategyConfig(k=2, n_drop=1, cost_bps=10.0)
+    result = run_backtest(preds, ds, cfg)
+    assert result.holdings_ledger == [("2020-01-01", ("A", "B")),
+                                      ("2020-01-02", ("A", "B"))]
+    assert np.array_equal(result.turnover, [1.0, 0.0])
+    free = run_backtest(preds, ds, StrategyConfig(k=2, n_drop=1))
+    assert free.portfolio[1] == result.portfolio[1] == (0.02 - 0.01) / 2.0
+    assert free.portfolio[0] - result.portfolio[0] == pytest.approx(10.0 / 1e4)
+
+
 def test_run_backtest_single_stock_passthrough():
     dates = ["2020-01-01", "2020-01-02", "2020-01-03"]
     labels = np.array([[0.05], [-0.02], [np.nan]])
@@ -235,21 +254,22 @@ def test_backtest_ledger_invariants(n, d, k, drop_frac, scored_frac, seed):
     values = rng.integers(0, 4, size=(d, n)).astype(float)
     preds = PredictionSeries([(dates[t], instruments[i], values[t, i])
                               for t, i in zip(*np.nonzero(scored))])
-    by_date = preds.by_date()
     full = run_backtest(preds, ds, cfg)
 
     prev = frozenset()
     for (date, book), turnover in zip(full.holdings_ledger, full.turnover):
         book = frozenset(book)
-        names = by_date[date]
+        row = preds.scores[preds.dates.index(date)]
+        names = {preds.instruments[i] for i in np.flatnonzero(np.isfinite(row))}
         # the book refills to min(k, scored names), but a day with fewer
         # scored names than the book holds sheds at most n_drop of them
         assert len(book) == max(min(k, len(names)), len(prev) - n_drop)
         sold, bought = prev - book, book - prev
         assert len(sold) <= n_drop
-        assert bought <= names.keys()
-        # turnover also counts a name sold and bought back the same day
-        assert round(turnover * k) >= len(sold) + len(bought)
+        assert bought <= names
+        # turnover is the net book change: a name sold and bought back
+        # the same day is not counted
+        assert round(turnover * k) == len(sold) + len(bought)
         prev = book
 
     # cut the scores after day c (day 0 is always scored) and redraw

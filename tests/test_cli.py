@@ -215,6 +215,34 @@ def test_evaluate_outputs(workdir, tmp_path):
         "daily_metrics.csv", "metrics.csv", "subgroups.csv"]
 
 
+def test_evaluate_writes_infinite_subgroup_ratios(tmp_path):
+    # scores equal to the labels rank every 5-stock industry perfectly on
+    # every day, so each daily RankIC is the same and rank_icir is inf
+    data = tmp_path / "synth"
+    assert cli.main(["synth", "--out", str(data), "--n-instruments", "30",
+                     "--days", "30", "--seed", "5"]) == 0
+    ds = load_panel(data / "features.csv", data / "prices.csv")
+    PredictionSeries([(d, s, float(ds.labels[t, i]))
+                      for t, d in enumerate(ds.dates)
+                      for i, s in enumerate(ds.instruments)
+                      if ds.observed_mask[t, i]]
+                     ).write_csv(tmp_path / "predictions.csv")
+    out = tmp_path / "eval"
+    assert cli.main(["evaluate", "--out", str(out),
+                     "--predictions", str(tmp_path / "predictions.csv"),
+                     "--features", str(data / "features.csv"),
+                     "--prices", str(data / "prices.csv"),
+                     "--group-by", "industry",
+                     "--industry", str(data / "industry.csv")]) == cli.EXIT_OK
+    rows = [line.split(",") for line in
+            (out / "subgroups.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 6
+    assert all(row[4] == "inf" for row in rows)
+    assert all("rank_icir_undefined_zero_std" in row[6] for row in rows)
+    assert read_manifest(out)["artifacts"] == [
+        "daily_metrics.csv", "metrics.csv", "subgroups.csv"]
+
+
 def test_group_by_needs_membership(workdir, tmp_path):
     rc = cli.main(
         ["evaluate", "--out", str(tmp_path / "x"),

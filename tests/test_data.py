@@ -9,8 +9,6 @@ from xsrank.data import (
     PanelDataset,
     PredictionSeries,
     SynthConfig,
-    compute_vwap,
-    compute_vwap_returns,
     format_float,
     format_floats,
     generate_synthetic,
@@ -18,8 +16,10 @@ from xsrank.data import (
     load_membership,
     load_panel,
     make_windows,
+    returns_from_prices,
     standardize_features,
     trading_dates,
+    vwap_matrix,
     write_factors,
     write_membership,
     write_panel,
@@ -139,11 +139,11 @@ def test_load_panel_errors(tmp_path):
 
 
 def test_compute_vwap_examples():
-    assert compute_vwap([(10.0, 100.0), (12.0, 100.0)]) == pytest.approx(11.0)
+    assert oracle.compute_vwap([(10.0, 100.0), (12.0, 100.0)]) == pytest.approx(11.0)
     with pytest.raises(DataError):
-        compute_vwap([(10.0, 0.0)])
+        oracle.compute_vwap([(10.0, 0.0)])
     with pytest.raises(DataError):
-        compute_vwap([(10.0, -5.0)])
+        oracle.compute_vwap([(10.0, -5.0)])
 
 
 def test_vwap_bounded_by_bar_prices():
@@ -152,7 +152,7 @@ def test_vwap_bounded_by_bar_prices():
         k = int(rng.integers(1, 6))
         prices = rng.uniform(10, 200, size=k)
         vols = rng.uniform(0.1, 1e6, size=k)
-        v = compute_vwap(list(zip(prices, vols)))
+        v = oracle.compute_vwap(list(zip(prices, vols)))
         assert prices.min() - 1e-9 <= v <= prices.max() + 1e-9
 
 
@@ -163,10 +163,13 @@ def test_compute_vwap_returns_three_dates():
         (dates[1], "A"): [(105.0, 1.0)],
         (dates[2], "A"): [(84.0, 1.0)],
     }
-    labels = compute_vwap_returns(bars, dates, ["A"])
+    labels = oracle.compute_vwap_returns(bars, dates, ["A"])
     assert labels[0, 0] == pytest.approx(0.05)
     assert labels[1, 0] == pytest.approx(-0.2)
     assert np.isnan(labels[2, 0])
+    vwap, _ = vwap_matrix([0, 1, 2], [0, 0, 0], [100.0, 105.0, 84.0], [1.0, 1.0, 1.0],
+                          (3, 1))
+    np.testing.assert_array_equal(returns_from_prices(vwap), labels)
 
 
 def test_membership_loaders(tmp_path):
@@ -331,12 +334,22 @@ def test_prediction_series_roundtrip(tmp_path):
     preds.write_csv(path)
     again = PredictionSeries.read_csv(path)
     assert again.rows == preds.rows
-    assert preds.by_date()["2020-01-01"] == {"A": 1.5, "B": 0.125}
+    assert preds.dates == ["2020-01-01", "2020-01-02"]
+    assert preds.instruments == ["A", "B"]
+    np.testing.assert_array_equal(preds.scores, [[1.5, 0.125], [np.nan, -0.25]])
 
-    with pytest.raises(DataError):
+    assert all(type(s) is float for _, _, s in preds.rows)
+
+    with pytest.raises(DataError, match="duplicate"):
         PredictionSeries(rows=[("d", "i", 0.0), ("d", "i", 1.0)])
-    with pytest.raises(DataError):
-        PredictionSeries(rows=[("d", "i", float("nan"))])
+    with pytest.raises(DataError, match="duplicate"):
+        PredictionSeries(rows=[("d", "i", float("nan")), ("d", "i", 1.0)])
+    # the first non-finite pair in (date, instrument) order is named
+    with pytest.raises(DataError, match=r"non-finite score at \(d1, b\)"):
+        PredictionSeries(rows=[("d2", "a", float("nan")), ("d1", "c", float("inf")),
+                               ("d1", "b", float("-inf")), ("d1", "a", 0.0)])
+    empty = PredictionSeries([])
+    assert empty.rows == [] and empty.scores.shape == (0, 0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -430,7 +443,7 @@ def test_several_bars_per_cell_match_compute_vwap(tmp_path):
     ds = load_panel(f, p)
     for (d, s), cell in bars.items():
         t, i = ds.dates.index(d), ds.instruments.index(s)
-        assert ds.vwap[t, i] == compute_vwap(cell)
+        assert ds.vwap[t, i] == oracle.compute_vwap(cell)
         assert ds.volume[t, i] == sum(v for _, v in cell)
 
 

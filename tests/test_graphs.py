@@ -10,7 +10,6 @@ import _oracles as oracle
 from xsrank import tensor as tz
 from xsrank.errors import ConfigError, DataError
 from xsrank.graphs import (
-    DynamicGraph,
     RelationGraphs,
     build_relation_graphs,
     cosine_similarity_matrix,
@@ -205,9 +204,9 @@ def test_topk_graph_counts_and_tie_rule():
         [1, 1, 0, 0],
         [1, 1, 0, 0],
     ], dtype=float)
-    np.testing.assert_array_equal(g.adjacency, want)
-    assert (g.adjacency.sum(axis=1) == 2).all()
-    assert np.diag(g.adjacency).sum() == 0
+    np.testing.assert_array_equal(g, want)
+    assert (g.sum(axis=1) == 2).all()
+    assert np.diag(g).sum() == 0
 
 
 def test_topk_graph_matches_sort_oracle():
@@ -225,7 +224,7 @@ def test_topk_graph_matches_sort_oracle():
             )
             want = np.zeros(n)
             want[order[:k]] = 1.0
-            np.testing.assert_array_equal(g.adjacency[i], want)
+            np.testing.assert_array_equal(g[i], want)
 
 
 def test_topk_graph_k_out_of_range():
@@ -262,8 +261,8 @@ def test_gat_k1_attention_is_one():
     u = rng.normal(size=(5, d))
     sim = cosine_similarity_matrix(u)
     g = topk_graph(sim, 1)
-    _, alpha = gat_layer(Tensor(u), g.adjacency, **_gat_params(rng, d), return_attention=True)
-    picked = g.adjacency.astype(bool)
+    _, alpha = gat_layer(Tensor(u), g, **_gat_params(rng, d), return_attention=True)
+    picked = g.astype(bool)
     np.testing.assert_allclose(alpha.data[picked], 1.0, atol=1e-12)
     np.testing.assert_allclose(alpha.data.sum(axis=1), 1.0, atol=1e-12)
 
@@ -275,7 +274,7 @@ def test_gat_matches_dense_mask_oracle():
     u = rng.normal(size=(n, d))
     params = _gat_params(rng, d)
     g = topk_graph(cosine_similarity_matrix(u), k)
-    got, alpha = gat_layer(Tensor(u), g.adjacency, **params, return_attention=True)
+    got, alpha = gat_layer(Tensor(u), g, **params, return_attention=True)
 
     w = params["weight"].data
     a1 = params["att_src"].data[:, 0]
@@ -286,7 +285,7 @@ def test_gat_matches_dense_mask_oracle():
     want = np.zeros((n, d))
     want_alpha = np.zeros((n, n))
     for i in range(n):
-        nbrs = np.flatnonzero(g.adjacency[i])
+        nbrs = np.flatnonzero(g[i])
         e = np.array([lrelu(a1 @ wu[i] + a2 @ wu[j]) for j in nbrs])
         e = np.exp(e - e.max())
         al = e / e.sum()
@@ -304,11 +303,11 @@ def test_gat_alpha_rows_sum_to_one():
         u = rng.normal(size=(n, d))
         g = topk_graph(cosine_similarity_matrix(u), 3)
         _, alpha = gat_layer(
-            Tensor(u), g.adjacency, **_gat_params(rng, d), return_attention=True
+            Tensor(u), g, **_gat_params(rng, d), return_attention=True
         )
         np.testing.assert_allclose(alpha.data.sum(axis=1), 1.0, atol=1e-12)
         # mass strictly on the neighborhood
-        assert (alpha.data[g.adjacency == 0] == 0).all()
+        assert (alpha.data[g == 0] == 0).all()
 
 
 def test_gat_rejects_empty_row():
@@ -327,7 +326,7 @@ def test_gat_gradients_flow():
     g = topk_graph(cosine_similarity_matrix(u), 2)
     with Tape() as tape:
         tu = Tensor(u)
-        z = gat_layer(tu, g.adjacency, **params)
+        z = gat_layer(tu, g, **params)
         backward(tz.tensor_sum(z))
         for t in [tu, *params.values()]:
             grad = tape.grad(t)
@@ -344,10 +343,10 @@ def test_equivariance_under_permutation():
 
     g = topk_graph(cosine_similarity_matrix(u), k)
     g_p = topk_graph(cosine_similarity_matrix(u[perm]), k)
-    np.testing.assert_array_equal(g_p.adjacency, g.adjacency[perm][:, perm])
+    np.testing.assert_array_equal(g_p, g[perm][:, perm])
 
-    z = gat_layer(Tensor(u), g.adjacency, **params).data
-    z_p = gat_layer(Tensor(u[perm]), g_p.adjacency, **params).data
+    z = gat_layer(Tensor(u), g, **params).data
+    z_p = gat_layer(Tensor(u[perm]), g_p, **params).data
     np.testing.assert_allclose(z_p, z[perm], atol=1e-9)
 
     # gcn side
@@ -380,8 +379,8 @@ def test_dynamic_graph_row_sums():
     rng = np.random.default_rng(12)
     u = rng.normal(size=(7, 3))
     g = topk_graph(cosine_similarity_matrix(u), 4)
-    assert isinstance(g, DynamicGraph)
-    assert (g.adjacency.sum(axis=1) == 4).all()
+    assert g.shape == (7, 7) and g.dtype == np.float64
+    assert (g.sum(axis=1) == 4).all()
 
 
 @st.composite
@@ -404,8 +403,8 @@ def test_topk_graph_matches_oracle_on_dense_ties(sim):
     # a batch of two windows: each [N, N] slice is its own graph
     batch = np.stack([sim, sim[::-1, ::-1]])
     for k in range(1, sim.shape[0]):
-        assert np.array_equal(topk_graph(sim, k).adjacency, oracle.topk_np(sim, k))
-        got = topk_graph(batch, k).adjacency
+        assert np.array_equal(topk_graph(sim, k), oracle.topk_np(sim, k))
+        got = topk_graph(batch, k)
         for window, adjacency in zip(batch, got):
             assert np.array_equal(adjacency, oracle.topk_np(window, k))
 

@@ -193,7 +193,7 @@ def test_pspe_matches_straight_line_oracle():
             x_trend, *oracle.relation_adjacencies(graphs), model.state_arrays(),
             cfg.leaky_slope, cfg.knn,
         )
-        assert np.array_equal(dyn.adjacency, ref["dyn_adj"])
+        assert np.array_equal(dyn, ref["dyn_adj"])
         assert np.max(np.abs(z.data - ref["z_trend"])) < 1e-9
         assert abs(gate_mean - ref["gate"].mean()) < 1e-9
 

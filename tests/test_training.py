@@ -361,11 +361,10 @@ def test_predict_sliding_window_count():
     cfg = small_cfg(window=40)
     model = ActModel(cfg, seed=0)
     preds = predict_sliding(model, ds, graphs)
-    assert preds.dates() == ds.dates[39:]
-    assert len(preds.dates()) == 3
-    by_date = preds.by_date()
-    for d in preds.dates():
-        assert len(by_date[d]) == len(ds.instruments)
+    assert preds.dates == ds.dates[39:]
+    assert len(preds.dates) == 3
+    assert preds.instruments == ds.instruments
+    assert np.isfinite(preds.scores).all()
 
 
 def test_predict_sliding_start_date_filter():
@@ -374,10 +373,10 @@ def test_predict_sliding_start_date_filter():
     model = ActModel(cfg, seed=1)
     start = ds.dates[30]
     preds = predict_sliding(model, ds, graphs, start_date=start)
-    assert preds.dates() == ds.dates[30:]
+    assert preds.dates == ds.dates[30:]
     # history for the first kept window reaches back before start_date
     full = predict_sliding(model, ds, graphs)
-    assert preds.by_date()[start] == full.by_date()[start]
+    assert np.array_equal(preds.scores[0], full.scores[full.dates.index(start)])
 
 
 def test_predict_sliding_skips_missing_instruments():
@@ -386,10 +385,10 @@ def test_predict_sliding_skips_missing_instruments():
     model = ActModel(cfg, seed=2)
     ds.present_mask[20, 3] = False
     preds = predict_sliding(model, ds, graphs)
-    date = ds.dates[20]
-    assert ds.instruments[3] not in preds.by_date()[date]
-    other = ds.dates[21]
-    assert ds.instruments[3] in preds.by_date()[other]
+    t = preds.dates.index(ds.dates[20])
+    k = preds.instruments.index(ds.instruments[3])
+    assert np.isnan(preds.scores[t, k])
+    assert np.isfinite(preds.scores[t + 1, k])
 
 
 def test_predict_sliding_errors():
@@ -443,7 +442,7 @@ def test_knn_check_accepts_n_minus_one_and_ignores_gat_only():
     ds, graphs = small_panel(days=30, n=8)
     for cfg in (small_cfg(knn=7), small_cfg(knn=8, pspe="gat_only")):
         preds = predict_sliding(ActModel(cfg, seed=0), ds, graphs)
-        assert len(preds.dates()) == 21
+        assert len(preds.dates) == 21
 
 
 def test_batched_losses_are_the_per_window_losses():
