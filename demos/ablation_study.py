@@ -1,10 +1,11 @@
 """Component switches, measured.
 
 Trains the same panel four times: the full model, then each of the
-three stages swapped for its plain replacement (position encoder for a
-bare attention layer, the two mixing stages for instrument-wise MLPs).
-Prints the out-of-sample IC per variant so the contribution of each
-stage is visible directly.
+three branches swapped for its plain replacement, as the CLI's
+`--ablation wo_pspe / wo_fci / wo_sci` do: trend purification for a
+plain GAT on the union relation graph, and the fluctuation TCN and the
+shock counterfactual for per-stock MLPs. Prints the out-of-sample IC
+per variant so the contribution of each branch is visible directly.
 """
 
 from dataclasses import replace
@@ -22,9 +23,9 @@ from xsrank import (
 
 VARIANTS = [
     ("full", {}),
-    ("no position encoder", {"pspe": "gat_only"}),
-    ("no feature mixing", {"fci": "mlp"}),
-    ("no score mixing", {"sci": "mlp"}),
+    ("trend -> plain GAT", {"pspe": "gat_only"}),
+    ("fluctuation -> MLP", {"fci": "mlp"}),
+    ("shock -> MLP", {"sci": "mlp"}),
 ]
 
 

@@ -20,6 +20,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -131,11 +132,9 @@ REGRESS_SCHEMA = {
     "dof_correction": (bool, False),
 }
 
-ACT_KEYS = ["window", "hidden", "trend_window", "fluct_window",
-            "shock_window", "knn", "dropout_rate", "loss_mix",
-            "leaky_slope", "tcn_kernel", "pspe", "fci", "sci"]
-SETTINGS_KEYS = ["valid_start", "test_start", "lr", "beta1", "beta2",
-                 "adam_eps", "batch_size", "epochs", "patience"]
+# n_features comes from the panel and seed from --seed
+ACT_KEYS = [f.name for f in fields(ActConfig) if f.name != "n_features"]
+SETTINGS_KEYS = [f.name for f in fields(TrainSettings) if f.name != "seed"]
 
 ABLATIONS = {
     "wo_pspe": ("pspe", "gat_only"),

@@ -53,10 +53,6 @@ class Decomposition:
     trend: np.ndarray
     fluct: np.ndarray
     shock: np.ndarray
-    windows: tuple[int, int]
-
-    def reconstruct(self) -> np.ndarray:
-        return self.trend + self.fluct + self.shock
 
 
 def decompose(x: np.ndarray, trend_window: int = 20, fluct_window: int = 5) -> Decomposition:
@@ -70,8 +66,7 @@ def decompose(x: np.ndarray, trend_window: int = 20, fluct_window: int = 5) -> D
     detrended = x - trend
     fluct = causal_moving_average(detrended, fluct_window)
     shock = x - trend - fluct
-    return Decomposition(trend=trend, fluct=fluct, shock=shock,
-                         windows=(int(trend_window), int(fluct_window)))
+    return Decomposition(trend=trend, fluct=fluct, shock=shock)
 
 
 def stack_decompositions(parts: Sequence[Decomposition]) -> Decomposition:
@@ -84,5 +79,4 @@ def stack_decompositions(parts: Sequence[Decomposition]) -> Decomposition:
         trend=np.stack([p.trend for p in parts], axis=1),
         fluct=np.stack([p.fluct for p in parts], axis=1),
         shock=np.stack([p.shock for p in parts], axis=1),
-        windows=parts[0].windows,
     )

@@ -177,8 +177,10 @@ def subgroup_metrics(
 
     A category averaging fewer than 5 jointly-observed stocks per
     prediction date is marked absent (None), as is one without enough
-    valid dates or with a scored pair outside the panel. Instruments
-    missing from the grouping are skipped.
+    valid dates or with a scored pair outside the panel. The average
+    runs over the dates that observe some label in the panel, so the
+    final panel date, which never has one, does not thin it.
+    Instruments missing from the grouping are skipped.
     """
     categories = sorted(set(grouping.values()))
     code = {cat: k for k, cat in enumerate(categories)}
@@ -189,6 +191,7 @@ def subgroup_metrics(
     dd, kk = np.nonzero(np.isfinite(preds.scores) & ~outside)
     observed = np.zeros(outside.shape, dtype=bool)
     observed[dd, kk] = ds.observed_mask[t[dd], i[kk]]
+    labelled = ds.observed_mask[t].any(axis=1) & (t >= 0)
 
     out: dict[str, MetricReport | None] = {}
     for k, cat in enumerate(categories):
@@ -196,8 +199,9 @@ def subgroup_metrics(
         if not np.isfinite(preds.scores[:, cols]).any():
             out[cat] = None
             continue
-        counts = observed[:, cols].sum(axis=1)
-        if float(np.mean(counts)) < MIN_SUBGROUP_SIZE or outside[:, cols].any():
+        counts = observed[np.ix_(labelled, cols)].sum(axis=1)
+        if (not counts.size or float(np.mean(counts)) < MIN_SUBGROUP_SIZE
+                or outside[:, cols].any()):
             out[cat] = None
             continue
         try:

@@ -189,9 +189,6 @@ class ActModel:
     def __getitem__(self, name: str) -> Tensor:
         return self.params[name]
 
-    def reseed_dropout(self, seed: int) -> None:
-        self.dropout_rng = np.random.default_rng(seed)
-
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.params.items()}
 
@@ -211,6 +208,15 @@ class ActModel:
 # ---------------------------------------------------------------------------
 # branch forwards
 # ---------------------------------------------------------------------------
+
+
+def _dropout(x: Tensor, rate: float, rng, training: bool) -> Tensor:
+    """Inverted dropout: in training, zero each unit with probability
+    `rate` and scale the kept ones by 1/(1 - rate); else the identity."""
+    if not training or rate == 0.0:
+        return x
+    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    return tz.mul(x, Tensor(mask))
 
 
 def _proj_ln(x_last: np.ndarray, model: ActModel, prefix: str, ln_prefix: str) -> Tensor:
@@ -332,8 +338,8 @@ def fci_forward(
     p = gate("p")
     q = tz.sigmoid(gate("q"))
     r = gate("r")
-    z = tz.relu(tz.add(tz.mul(p, q), r))
-    return tz.dropout(z, cfg.dropout_rate, training=training, rng=model.dropout_rng)
+    z = tz.leaky_relu(tz.add(tz.mul(p, q), r), 0.0)
+    return _dropout(z, cfg.dropout_rate, model.dropout_rng, training)
 
 
 def sci_forward(
@@ -351,7 +357,7 @@ def sci_forward(
     h = tz.leaky_relu(
         tz.matmul(tz.concat_last([x, x_ref]), model["shock_w1"]), cfg.leaky_slope
     )
-    h = tz.dropout(h, cfg.dropout_rate, training=training, rng=model.dropout_rng)
+    h = _dropout(h, cfg.dropout_rate, model.dropout_rng, training)
     return tz.matmul(h, model["shock_w2"])
 
 

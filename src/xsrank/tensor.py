@@ -1,9 +1,11 @@
 """Minimal fp64 tensor engine with a reverse-mode differentiation tape.
 
 Tensors wrap C-contiguous float64 ndarrays. The closed set of primitives
-(see PrimitiveKind) holds exactly what the model and its losses run;
-selection is basic indexing (INDEX), and the fluctuation branch's causal
-convolution is a broadcast MATMUL over stacked lags plus a SUM. Each
+(see PrimitiveKind) holds exactly what the model and its losses run,
+and nothing another kind already computes: selection is basic indexing
+(INDEX), the fluctuation branch's causal convolution is a broadcast
+MATMUL over stacked lags plus a SUM, ReLU is LEAKY_RELU at slope 0, a
+mean is SUM then DIV, and dropout is a MUL by a mask the model draws. Each
 primitive records a vector-Jacobian closure on the active tape. Running
 a primitive with no active tape just computes the value, which is how
 inference runs.
@@ -32,12 +34,9 @@ class PrimitiveKind(Enum):
     CONCAT_LAST = "concat_last"
     LAYER_NORM = "layer_norm"
     LEAKY_RELU = "leaky_relu"
-    RELU = "relu"
     SIGMOID = "sigmoid"
     TANH = "tanh"
     SOFTMAX = "softmax"
-    DROPOUT = "dropout"
-    MEAN = "mean"
     SUM = "sum"
     SQRT = "sqrt"
     INDEX = "index"
@@ -310,17 +309,6 @@ def _fw_leaky_relu(inputs, attrs):
     return out, vjp
 
 
-def _fw_relu(inputs, attrs):
-    (x,) = inputs
-    out = np.maximum(x, 0.0)
-
-    def vjp(g):
-        # subgradient 0 at the kink
-        return [g * (x > 0)]
-
-    return out, vjp
-
-
 def _fw_sigmoid(inputs, attrs):
     (x,) = inputs
     s = _stable_sigmoid(x)
@@ -353,48 +341,6 @@ def _fw_softmax(inputs, attrs):
         return [s * (g - dot)]
 
     return s, vjp
-
-
-def _fw_dropout(inputs, attrs):
-    (x,) = inputs
-    rate = attrs["rate"]
-    training = attrs.get("training", False)
-    if not 0.0 <= rate < 1.0:
-        raise ShapeError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
-        out = x.copy()
-
-        def vjp(g):
-            return [g]
-
-        return out, vjp
-    rng = attrs.get("rng")
-    if rng is None:
-        raise TapeError("dropout in training mode needs an rng attr")
-    # inverted dropout: scale kept units by 1/(1-rate) at train time
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    out = x * mask
-
-    def vjp(g):
-        return [g * mask]
-
-    return out, vjp
-
-
-def _fw_mean(inputs, attrs):
-    (x,) = inputs
-    axis = attrs.get("axis")
-    keepdims = attrs.get("keepdims", False)
-    out = x.mean(axis=axis, keepdims=keepdims)
-    n = x.size if axis is None else x.shape[axis]
-
-    def vjp(g):
-        gg = np.asarray(g)
-        if axis is not None and not keepdims:
-            gg = np.expand_dims(gg, axis)
-        return [np.broadcast_to(gg, x.shape) / n]
-
-    return out, vjp
 
 
 def _fw_sum(inputs, attrs):
@@ -457,12 +403,9 @@ _REGISTRY: dict[PrimitiveKind, tuple[Callable, frozenset, frozenset]] = {
     PrimitiveKind.CONCAT_LAST: (_fw_concat_last, frozenset(), frozenset()),
     PrimitiveKind.LAYER_NORM: (_fw_layer_norm, frozenset(), frozenset({"eps"})),
     PrimitiveKind.LEAKY_RELU: (_fw_leaky_relu, frozenset({"slope"}), frozenset()),
-    PrimitiveKind.RELU: (_fw_relu, frozenset(), frozenset()),
     PrimitiveKind.SIGMOID: (_fw_sigmoid, frozenset(), frozenset()),
     PrimitiveKind.TANH: (_fw_tanh, frozenset(), frozenset()),
     PrimitiveKind.SOFTMAX: (_fw_softmax, frozenset({"axis"}), frozenset()),
-    PrimitiveKind.DROPOUT: (_fw_dropout, frozenset({"rate"}), frozenset({"training", "rng"})),
-    PrimitiveKind.MEAN: (_fw_mean, frozenset(), frozenset({"axis", "keepdims"})),
     PrimitiveKind.SUM: (_fw_sum, frozenset(), frozenset({"axis", "keepdims"})),
     PrimitiveKind.SQRT: (_fw_sqrt, frozenset(), frozenset()),
     PrimitiveKind.INDEX: (_fw_index, frozenset({"key"}), frozenset()),
@@ -593,10 +536,6 @@ def leaky_relu(x, slope: float = 0.2) -> Tensor:
     return apply_primitive(PrimitiveKind.LEAKY_RELU, [_as_tensor(x)], {"slope": slope})
 
 
-def relu(x) -> Tensor:
-    return apply_primitive(PrimitiveKind.RELU, [_as_tensor(x)])
-
-
 def sigmoid(x) -> Tensor:
     return apply_primitive(PrimitiveKind.SIGMOID, [_as_tensor(x)])
 
@@ -607,19 +546,6 @@ def tanh(x) -> Tensor:
 
 def softmax(x, axis: int = -1) -> Tensor:
     return apply_primitive(PrimitiveKind.SOFTMAX, [_as_tensor(x)], {"axis": axis})
-
-
-def dropout(x, rate: float, training: bool = False, rng=None) -> Tensor:
-    attrs = {"rate": rate, "training": training}
-    if rng is not None:
-        attrs["rng"] = rng
-    return apply_primitive(PrimitiveKind.DROPOUT, [_as_tensor(x)], attrs)
-
-
-def mean(x, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    return apply_primitive(
-        PrimitiveKind.MEAN, [_as_tensor(x)], {"axis": axis, "keepdims": keepdims}
-    )
 
 
 def tensor_sum(x, axis: int | None = None, keepdims: bool = False) -> Tensor:

@@ -307,7 +307,7 @@ def train(
                     ic_terms = ic_loss(y_hat, labels, mask) if scored.any() else None
                     mse_terms = mse_loss(y_hat, labels, mask)
                     window_loss = mix_losses(ic_terms, mse_terms, cfg.loss_mix)
-                    backward(tz.mean(window_loss))
+                    backward(tz.div(tz.tensor_sum(window_loss), Tensor(float(len(batch)))))
                     grad_arrays = {
                         name: tape.grad(p) for name, p in model.params.items()
                     }

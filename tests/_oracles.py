@@ -395,6 +395,10 @@ def subgroup_metrics_rows(rows, ds, grouping):
     dates = sorted({d for d, _, _ in rows})
     date_pos = {d: k for k, d in enumerate(dates)}
     row_date = np.array([date_pos[d] for d, _, _ in rows], dtype=np.intp)
+    # sizes are averaged over the dates with some observed label in the panel
+    panel_date = {d: k for k, d in enumerate(ds.dates)}
+    labelled = np.array([d in panel_date and bool(ds.observed_mask[panel_date[d]].any())
+                         for d in dates], dtype=bool)
     known = (t >= 0) & (i >= 0)
     observed = np.zeros(t.size, dtype=bool)
     observed[known] = ds.observed_mask[t[known], i[known]]
@@ -406,8 +410,10 @@ def subgroup_metrics_rows(rows, ds, grouping):
         if not members.size:
             out[cat] = None
             continue
-        counts = np.bincount(row_date[members][observed[members]], minlength=len(dates))
-        if float(np.mean(counts)) < MIN_SUBGROUP_SIZE or not known[members].all():
+        counts = np.bincount(row_date[members][observed[members]],
+                             minlength=len(dates))[labelled]
+        if (not counts.size or float(np.mean(counts)) < MIN_SUBGROUP_SIZE
+                or not known[members].all()):
             out[cat] = None
             continue
         try:

@@ -1,10 +1,12 @@
 import hashlib
 import json
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
 
 from xsrank import cli
+from xsrank.backtest import StrategyConfig
 from xsrank.data import (
     PanelDataset,
     PredictionSeries,
@@ -16,6 +18,8 @@ from xsrank.data import (
 )
 from xsrank.data import SynthConfig
 from xsrank.errors import ConfigError
+from xsrank.model import ActConfig
+from xsrank.training import TrainSettings
 
 
 def digest(path):
@@ -105,6 +109,29 @@ def test_resolve_config_precedence():
     assert resolved == {"hidden": 12, "lr": 1e-3}
     with pytest.raises(ConfigError):
         cli.resolve_config(schema, Args(), {"nope": "1"})
+
+
+# ActConfig.window has no default, and standardize is a preprocessing
+# step rather than a field of any config
+CLI_ONLY_DEFAULTS = {"window": 16, "standardize": True}
+
+
+def test_cli_defaults_are_the_dataclass_defaults():
+    cli_only = {}
+    for schema, classes in ((cli.SYNTH_SCHEMA, [SynthConfig]),
+                            (cli.TRAIN_SCHEMA, [ActConfig, TrainSettings]),
+                            (cli.BACKTEST_SCHEMA, [StrategyConfig])):
+        by_name = {f.name: f for c in classes for f in fields(c)}
+        for key, (_, value) in schema.items():
+            f = by_name.get(key)
+            if f is None or (f.default is MISSING and value is not None):
+                cli_only[key] = value
+            else:
+                # a field without a default stays required on the CLI too
+                want = None if f.default is MISSING else f.default
+                assert value == want, (key, value, want)
+    assert cli_only == CLI_ONLY_DEFAULTS
+    assert set(cli.ACT_KEYS + cli.SETTINGS_KEYS) <= set(cli.TRAIN_SCHEMA)
 
 
 def test_synth_deterministic(workdir, tmp_path):

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from xsrank.data import PanelDataset, PredictionSeries
+from xsrank.data import PanelDataset, PredictionSeries, SynthConfig, generate_synthetic
 from xsrank.errors import DataError
 from xsrank.evaluate import (
     MetricReport,
@@ -298,3 +300,25 @@ def test_metric_report_inf_serialization(tmp_path):
     text = path.read_text()
     assert "icir,inf" in text
     assert "flag,icir_undefined_zero_std" in text
+
+
+def test_subgroup_size_skips_the_unlabelled_final_date():
+    # predict_sliding scores the final panel date, which never has a label;
+    # averaging it in would thin every 5-stock industry below the minimum
+    ds, graphs, _ = generate_synthetic(
+        SynthConfig(n_instruments=30, days=40, block_size=5, seed=5))
+    assert not ds.observed_mask[-1].any()
+    rng = np.random.default_rng(5)
+    dates = ds.dates[10:]
+    preds = make_preds(dates, ds.instruments,
+                       rng.normal(size=(len(dates), len(ds.instruments))))
+    without_final = PredictionSeries([r for r in preds.rows if r[0] != dates[-1]])
+    grouping = graphs.industry_labels
+    out = subgroup_metrics(preds, ds, grouping)
+    assert len(out) == 6
+    assert all(report is not None for report in out.values())
+    ref = subgroup_metrics(without_final, ds, grouping)
+    for cat, report in out.items():
+        # the final date is scored, so it still counts as one excluded day
+        assert report.n_excluded_days == ref[cat].n_excluded_days + 1
+        assert replace(report, n_excluded_days=ref[cat].n_excluded_days) == ref[cat]

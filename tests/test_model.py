@@ -19,6 +19,7 @@ from xsrank.model import (
     SCI_MODES,
     ActConfig,
     ActModel,
+    _dropout,
     acf_forward,
     act_forward,
     act_forward_parts,
@@ -427,6 +428,20 @@ def test_act_forward_permutation_equivariance():
     assert np.max(np.abs(y_p.data - y.data[perm])) < 1e-9
 
 
+def test_dropout_eval_identity_train_scaling():
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.normal(size=(50, 20)))
+    drop_rng = np.random.default_rng(7)
+    assert _dropout(x, 0.4, drop_rng, training=False) is x
+    assert _dropout(x, 0.0, drop_rng, training=True) is x
+
+    out_train = _dropout(x, 0.4, drop_rng, training=True).data
+    kept = out_train != 0
+    np.testing.assert_allclose(out_train[kept], x.data[kept] / 0.6)
+    # kept fraction near 1 - rate
+    assert abs(kept.mean() - 0.6) < 0.05
+
+
 def test_dropout_is_seeded_and_training_only():
     rng = np.random.default_rng(22)
     cfg = small_cfg(dropout_rate=0.5)
@@ -439,11 +454,11 @@ def test_dropout_is_seeded_and_training_only():
     eval_b, _ = act_forward(window, graphs, model)
     assert np.array_equal(eval_a.data, eval_b.data)
 
-    model.reseed_dropout(99)
+    model.dropout_rng = np.random.default_rng(99)
     train_a, _ = act_forward(window, graphs, model, training=True)
     train_b, _ = act_forward(window, graphs, model, training=True)
     assert not np.array_equal(train_a.data, train_b.data)
-    model.reseed_dropout(99)
+    model.dropout_rng = np.random.default_rng(99)
     train_c, _ = act_forward(window, graphs, model, training=True)
     assert np.array_equal(train_a.data, train_c.data)
     assert not np.array_equal(train_a.data, eval_a.data)
@@ -460,7 +475,7 @@ def test_end_to_end_gradient_matches_finite_differences():
 
         def f():
             y, _ = act_forward(window, graphs, model)
-            return tz.mean(tz.mul(y, y))
+            return tz.div(tz.tensor_sum(tz.mul(y, y)), Tensor(float(n)))
 
         names = sorted(model.params)
         worst = finite_difference_check_params(
@@ -611,13 +626,13 @@ def test_batched_training_forward_is_deterministic_per_seed(pspe, fci, sci):
 
     runs = []
     for _ in range(2):
-        model.reseed_dropout(7)
+        model.dropout_rng = np.random.default_rng(7)
         runs.append(act_forward_parts(batch, graphs, model, training=True)[0].data)
     assert np.array_equal(runs[0], runs[1])
     # a batch of one draws the same masks as the window alone
-    model.reseed_dropout(7)
+    model.dropout_rng = np.random.default_rng(7)
     alone = act_forward_parts(parts[0], graphs, model, training=True)[0].data
-    model.reseed_dropout(7)
+    model.dropout_rng = np.random.default_rng(7)
     single = act_forward_parts(stack_decompositions(parts[:1]), graphs, model,
                                training=True)[0].data
     assert np.array_equal(single[0], alone)
