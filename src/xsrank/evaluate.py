@@ -98,15 +98,16 @@ def _report(preds: PredictionSeries, t: np.ndarray, i: np.ndarray,
     """Daily correlations over the grid columns `cols`, ascending.
 
     `t` and `i` are the grid's panel positions; every scored cell in
-    `cols` must be in the panel. A date without a scored cell there is
-    neither evaluated nor counted as excluded.
+    `cols` must be in the panel. A date without a scored cell there, or
+    on which no panel instrument has an observed label (such as the
+    final panel date), is neither evaluated nor counted as excluded.
     """
     daily_ic: list[tuple[str, float]] = []
     daily_rank: list[tuple[str, float]] = []
     excluded = 0
     for d, row in enumerate(preds.scores[:, cols]):
         scored = np.isfinite(row)
-        if not scored.any():
+        if not scored.any() or not ds.observed_mask[t[d]].any():
             continue
         day, pos = t[d], i[cols[scored]]
         actual = ds.labels[day, pos]

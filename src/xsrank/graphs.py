@@ -1,20 +1,25 @@
-"""Graph primitives: static-relation GCN, cosine k-NN graphs, masked GAT.
+"""Graph primitives: static-relation GCN, cosine k-NN graphs, neighbor-list GAT.
 
 Static relations (industry, region) come from membership files, so each
 is a set of cliques. A relation is stored as one [N] integer category
 code per instrument: two instruments are related when their codes are
 equal, and an instrument with no category has a code of its own. On a
 clique the GCN propagation D^-1/2 (A + I) D^-1/2 is the mean over the
-category, so no static [N, N] array is built, apart from the union mask
-of the gat_only ablation, built on first use. The dynamic k-NN graph is
-rebuilt per forward pass from the current representations; its
-construction is deliberately outside the tape, so no gradient flows
-through neighbor selection.
+category, so no static [N, N] array is built in a forward pass. The
+dynamic k-NN graph is rebuilt per forward pass from the current
+representations; its construction is deliberately outside the tape, so
+no gradient flows through neighbor selection.
 
-Every layer acts on leading batch axes: representations are [..., N, d]
-and similarity, k-NN and attention masks [..., N, N], one [N, N] slice
-per window, each computed exactly as a single window would be. The
-static category means broadcast against the batch.
+Graphs that attention runs over are neighbor lists: an [N, K] integer
+array whose row i holds the columns row i attends to, -1 marking a
+padded slot. The k-NN graph has exactly k columns per row; the union of
+the static relations, used by the gat_only ablation, pads each row to
+the largest neighborhood.
+
+Every layer acts on leading batch axes: representations are [..., N, d],
+similarity [..., N, N] and neighbor lists [..., N, K], one slice per
+window, each computed exactly as a single window would be. The static
+category means and the union lists broadcast against the batch.
 """
 
 from __future__ import annotations
@@ -57,17 +62,32 @@ class RelationGraphs:
             setattr(self, name, codes)
 
     @cached_property
-    def union(self) -> np.ndarray:
-        """[N, N] OR of the two relations, built on first use.
+    def union_neighbors(self) -> np.ndarray:
+        """[N, K] neighbor lists of the OR of the two relations, built on
+        first use.
 
-        A row with no related instrument gets a self-edge, which keeps
-        every attention row non-empty when the union is used directly as
-        a message-passing graph; a row with a relative has no self-edge.
+        Columns are ascending and padded with -1 up to the largest row. A
+        row with no related instrument lists itself, which keeps every
+        attention row non-empty; a row with a relative does not.
         """
         ind, reg = self.industry, self.region
-        out = ((ind[:, None] == ind) | (reg[:, None] == reg)).astype(np.float64)
-        _fill_diagonal(out, out.sum(axis=1) == 1.0)
+        related = (ind[:, None] == ind) | (reg[:, None] == reg)
+        lonely = related.sum(axis=1) == 1
+        _fill_diagonal(related, lonely)
+        degree = related.sum(axis=1)
+        out = np.full((len(ind), degree.max(initial=0)), -1, dtype=np.intp)
+        out[np.arange(out.shape[1]) < degree[:, None]] = np.nonzero(related)[1]
         return out
+
+    @cached_property
+    def industry_mean(self) -> tuple[Tensor, Tensor]:
+        """`category_mean_matrices` of the industry codes, built on first use."""
+        return category_mean_matrices(self.industry)
+
+    @cached_property
+    def region_mean(self) -> tuple[Tensor, Tensor]:
+        """`category_mean_matrices` of the region codes, built on first use."""
+        return category_mean_matrices(self.region)
 
 
 def _category_codes(instruments: list[str], labels: dict[str, str]) -> np.ndarray:
@@ -110,22 +130,31 @@ def _fill_diagonal(mat: np.ndarray, value) -> None:
     mat[..., idx, idx] = value
 
 
-def gcn_layer(x: Tensor, codes: np.ndarray, weight: Tensor, bias: Tensor) -> Tensor:
-    """One propagation step on a static clique relation: Ahat x W + b.
+def category_mean_matrices(codes: np.ndarray) -> tuple[Tensor, Tensor]:
+    """The [C, N] mean-pooling and [N, C] membership matrices of [N] codes.
 
-    x is [..., N, d] and `codes` the relation's [N] category codes. With
-    Ahat = D^-1/2 (A + I) D^-1/2, every entry of a category of s members
-    is 1/s, so Ahat y is the category mean of y: onehot @ (pool @ y), with
-    the [C, N] mean-pooling matrix `pool` and the [N, C] membership
-    matrix `onehot`, both broadcast against the batch. An instrument
-    alone in its category keeps its own row. The activation is applied
-    by the caller. Both matrices are constants for the tape, so gradients
-    flow into x, W, and b only.
+    onehot @ (pool @ y) replaces each row of y by the mean of its
+    category; an instrument alone in its category keeps its own row.
     """
     cats, inverse = np.unique(codes, return_inverse=True)
     member = inverse == np.arange(len(cats))[:, None]  # [C, N]
     pool = Tensor(member / member.sum(axis=1, keepdims=True))
     onehot = Tensor(np.ascontiguousarray(member.T, dtype=np.float64))
+    return pool, onehot
+
+
+def gcn_layer(x: Tensor, mean: tuple[Tensor, Tensor], weight: Tensor, bias: Tensor) -> Tensor:
+    """One propagation step on a static clique relation: Ahat x W + b.
+
+    x is [..., N, d] and `mean` the relation's `category_mean_matrices`
+    (`RelationGraphs.industry_mean` or `region_mean`). With
+    Ahat = D^-1/2 (A + I) D^-1/2, every entry of a category of s members
+    is 1/s, so Ahat y is the category mean of y: onehot @ (pool @ y),
+    both matrices broadcast against the batch. The activation is applied
+    by the caller. Both matrices are constants for the tape, so gradients
+    flow into x, W, and b only.
+    """
+    pool, onehot = mean
     return tz.add(tz.matmul(onehot, tz.matmul(pool, tz.matmul(x, weight))), bias)
 
 
@@ -146,16 +175,17 @@ def cosine_similarity_matrix(u: np.ndarray) -> np.ndarray:
 
 
 def topk_graph(similarity: np.ndarray, k: int) -> np.ndarray:
-    """Directed graph of each row's k most similar columns.
+    """Each row's k most similar columns, as [..., N, k] neighbor lists.
 
-    `similarity` is [..., N, N]; each [N, N] slice is one graph, and the
-    result is the [..., N, N] adjacency of {0.0, 1.0} with k ones per
-    row. Rows are ranked by similarity descending, ties break toward the
-    lower column index, and a row never picks itself whatever its
+    `similarity` is [..., N, N]; each [N, N] slice is one graph. Row i of
+    the result holds the k columns row i picked, in ascending column
+    order. Rows are ranked by similarity descending, ties break toward
+    the lower column index, and a row never picks itself whatever its
     diagonal holds, so construction is fully deterministic. NaN ranks
     below every number. All rows are selected at once: a partition finds
-    each row's k-th key, every column strictly above it is kept, and the
-    columns tied with it fill the remaining slots in index order.
+    each row's k-th key and every column at or above it is kept. Only
+    when some row's k-th key is tied or NaN do the columns tied with it
+    fill the remaining slots in index order.
     """
     sim = np.asarray(similarity, dtype=np.float64)
     n = _square(sim, "similarity")
@@ -164,19 +194,40 @@ def topk_graph(similarity: np.ndarray, k: int) -> np.ndarray:
     # ascending key; NaN sorts last, so the NaN diagonal is never in the top k
     key = -sim
     _fill_diagonal(key, np.nan)
-    kth = np.partition(key, k - 1, axis=-1)[..., k - 1: k]
-    nan_key = np.isnan(key)
-    above = (key < kth) | (np.isnan(kth) & ~nan_key)
-    tied = (key == kth) | (np.isnan(kth) & nan_key)
-    _fill_diagonal(tied, False)
-    slots = k - above.sum(axis=-1, keepdims=True)
-    picked = above | (tied & (np.cumsum(tied, axis=-1) <= slots))
-    return picked.astype(np.float64)
+    key.partition(k - 1, axis=-1)  # in place: only the k-th key is read from it
+    kth = key[..., k - 1: k]
+    picked = sim >= -kth  # key <= kth, as negation is exact
+    _fill_diagonal(picked, False)
+    if not (picked.sum(axis=-1) == k).all():
+        key = -sim
+        _fill_diagonal(key, np.nan)
+        nan_key = np.isnan(key)
+        above = (key < kth) | (np.isnan(kth) & ~nan_key)
+        tied = (key == kth) | (np.isnan(kth) & nan_key)
+        _fill_diagonal(tied, False)
+        slots = k - above.sum(axis=-1, keepdims=True)
+        picked = above | (tied & (np.cumsum(tied, axis=-1) <= slots))
+    return np.nonzero(picked)[-1].reshape(sim.shape[:-1] + (k,))
+
+
+def _batch_key(lead: tuple[int, ...], neighbors: np.ndarray) -> tuple:
+    """INDEX key prefix that pairs each window's rows with its own lists.
+
+    Lists shared by the batch ([N, K]) take every window with a slice;
+    per-window lists ([..., N, K]) take window b with an arange that
+    broadcasts against them.
+    """
+    if neighbors.ndim == 2:
+        return (slice(None),) * len(lead)
+    if neighbors.shape[:-2] != lead:
+        raise DataError(f"neighbor lists {neighbors.shape} do not match batch {lead}")
+    return tuple(np.arange(size).reshape((-1,) + (1,) * (len(lead) + 1 - axis))
+                 for axis, size in enumerate(lead))
 
 
 def gat_layer(
     u: Tensor,
-    adjacency: np.ndarray,
+    neighbors: np.ndarray,
     weight: Tensor,
     att_src: Tensor,
     att_dst: Tensor,
@@ -184,28 +235,43 @@ def gat_layer(
     slope: float = 0.2,
     return_attention: bool = False,
 ):
-    """Single-head graph attention over a fixed binary adjacency.
+    """Single-head graph attention over fixed neighbor lists.
 
-    Row i attends over its out-neighbors j with logits
-    e_ij = leaky_relu(att_src . W u_i + att_dst . W u_j), softmax-masked
-    to the adjacency, then z_i = leaky_relu(W_o sum_j alpha_ij W u_j).
-    u is [..., N, d]; `adjacency` is [..., N, N], one mask per window, or
-    one [N, N] mask shared by the batch.
+    Row i attends over its listed neighbors j with logits
+    e_ij = leaky_relu(att_src . W u_i + att_dst . W u_j), softmaxed over
+    the list, then z_i = leaky_relu(W_o sum_j alpha_ij W u_j). u is
+    [..., N, d]; `neighbors` is [..., N, K], one list per window, or one
+    [N, K] list shared by the batch. A -1 slot is padding: it gathers the
+    row itself and gets no attention. The attention, returned on request,
+    is [..., N, K], aligned with the lists.
     """
-    adj = np.asarray(adjacency, dtype=np.float64)
-    _square(adj, "adjacency")
-    if (adj.sum(axis=-1) == 0).any():
+    nbr = np.asarray(neighbors)
+    n = u.shape[-2]
+    if (nbr.ndim < 2 or nbr.shape[-2] != n or not np.issubdtype(nbr.dtype, np.integer)
+            or ((nbr < -1) | (nbr >= n)).any()):
+        raise DataError(f"neighbors must be [..., {n}, K] columns or -1, got "
+                        f"{nbr.dtype} {nbr.shape}")
+    pad = nbr < 0
+    if pad.all(axis=-1).any():
         raise DataError("gat_layer needs every row to have at least one neighbor")
+    padded = pad.any()
+    if padded:
+        nbr = np.where(pad, np.arange(n)[:, None], nbr)
+    batch = _batch_key(u.shape[:-2], nbr)
 
     wu = tz.matmul(u, weight)  # [..., N, d]
     p = tz.matmul(wu, att_src)  # [..., N, 1] destination term
-    q_row = tz.matmul(att_dst, wu, transpose_a=True, transpose_b=True)  # [..., 1, N]
-    logits = tz.leaky_relu(tz.add(p, q_row), slope)  # [..., N, N], e[i, j]
-    # additive mask: non-edges get -1e30, which underflows to exactly 0
-    # after softmax, keeping every tensor finite
-    masked = tz.add(tz.mul(logits, Tensor(adj)), Tensor((adj - 1.0) * 1e30))
-    alpha = tz.softmax(masked, axis=-1)
-    z = tz.leaky_relu(tz.matmul(tz.matmul(alpha, wu), out_weight), slope)
+    q = tz.index(tz.matmul(wu, att_dst), batch + (nbr, 0))  # [..., N, K] source terms
+    logits = tz.leaky_relu(tz.add(p, q), slope)  # e[i, j]
+    if padded:
+        # padded slots get -1e30, which underflows to exactly 0 after
+        # softmax, keeping every tensor finite
+        logits = tz.add(logits, Tensor(np.where(pad, -1e30, 0.0)))
+    alpha = tz.softmax(logits, axis=-1)
+    rows = (slice(None),) * (alpha.ndim - 1)
+    # [..., N, 1, K] @ [..., N, K, d]: one weighted sum of gathered rows per row
+    agg = tz.matmul(tz.index(alpha, rows + (None,)), tz.index(wu, batch + (nbr,)))
+    z = tz.leaky_relu(tz.matmul(tz.index(agg, rows + (0,)), out_weight), slope)
     if return_attention:
         return z, alpha
     return z

@@ -12,10 +12,11 @@ computed exactly as it would be alone.
 
 Branches:
   trend  -- relation purification: per-relation GCN heads subtract the
-            statically-explained part, a dynamic cosine k-NN GAT encodes
-            the residual, and a sigmoid gate merges static and dynamic
-            paths ("full"), or a plain GAT on the union relation graph
-            ("gat_only");
+            statically-explained part, a GAT over a dynamic cosine k-NN
+            graph encodes the residual, and a sigmoid gate merges static
+            and dynamic paths ("full"), or a plain GAT on the union
+            relation graph ("gat_only"). Both GATs attend over
+            [..., N, K] neighbor lists (see graphs).
   fluct  -- the last step of a gated causal temporal convolution
             ("tcn") or a one-layer per-stock MLP ("mlp");
   shock  -- comparison of the latest shock against its own smoothed
@@ -232,8 +233,8 @@ def pspe_forward(
 ):
     """Relation-purified trend embedding (the "full" variant).
 
-    Returns (z_trend, dynamic_adjacency, gate_mean): the [..., N, N]
-    k-NN graph the GAT attended over, and a float gate_mean for one
+    Returns (z_trend, neighbors, gate_mean): the [..., N, k] k-NN
+    neighbor lists the GAT attended over, and a float gate_mean for one
     window or a [B] array for a batch.
     """
     if cfg.pspe != "full":
@@ -243,9 +244,9 @@ def pspe_forward(
 
     backs = []
     fwds = []
-    for rel, codes in (("ind", graphs.industry), ("reg", graphs.region)):
+    for rel, mean in (("ind", graphs.industry_mean), ("reg", graphs.region_mean)):
         h = tz.leaky_relu(
-            gcn_layer(x0, codes, model[f"gcn_{rel}_w"], model[f"gcn_{rel}_b"]), slope
+            gcn_layer(x0, mean, model[f"gcn_{rel}_w"], model[f"gcn_{rel}_b"]), slope
         )
         fwds.append(tz.leaky_relu(tz.matmul(h, model[f"fwd_head_{rel}"]), slope))
         backs.append(tz.matmul(h, model[f"back_head_{rel}"]))
@@ -255,10 +256,10 @@ def pspe_forward(
     u_tilde = tz.leaky_relu(tz.matmul(u, model["resid_proj_w"]), slope)
 
     # hard TopK selection: detached, no gradient through construction
-    dyn_adj = topk_graph(cosine_similarity_matrix(u_tilde.data), cfg.knn)
+    neighbors = topk_graph(cosine_similarity_matrix(u_tilde.data), cfg.knn)
     z_d = gat_layer(
         u_tilde,
-        dyn_adj,
+        neighbors,
         model["gat_w"],
         model["gat_att_src"],
         model["gat_att_dst"],
@@ -277,7 +278,7 @@ def pspe_forward(
         model["trend_out_ln_b"],
     )
     gate_mean = gate.data.reshape(gate.shape[:-2] + (-1,)).mean(axis=-1)
-    return z_trend, dyn_adj, gate_mean
+    return z_trend, neighbors, gate_mean
 
 
 def pspe_ablation_forward(
@@ -286,13 +287,16 @@ def pspe_ablation_forward(
     model: ActModel,
     cfg: ActConfig,
 ):
-    """Plain GAT on the OR-union of the static relations (no purification)."""
+    """Plain GAT on the OR-union of the static relations (no purification).
+
+    Returns (z_trend, neighbors): the [N, K] union lists, -1 padded.
+    """
     if cfg.pspe != "gat_only":
         raise ConfigError("pspe_ablation_forward requires pspe == gat_only")
     x0 = _proj_ln(x_trend[-1], model, "trend_proj", "trend_in_ln")
     z = gat_layer(
         x0,
-        graphs.union,
+        graphs.union_neighbors,
         model["gat_w"],
         model["gat_att_src"],
         model["gat_att_dst"],
@@ -300,7 +304,7 @@ def pspe_ablation_forward(
         slope=cfg.leaky_slope,
     )
     z_trend = tz.layer_norm(z, model["trend_out_ln_g"], model["trend_out_ln_b"])
-    return z_trend, graphs.union
+    return z_trend, graphs.union_neighbors
 
 
 def fci_forward(
@@ -417,7 +421,7 @@ def act_forward(
     """Full forward pass for one lookback window.
 
     Returns (y_hat [N] on the active tape, diagnostics dict with the
-    fusion weights, dynamic-graph adjacency, and mean gate opening).
+    fusion weights, trend-graph neighbor lists, and mean gate opening).
     """
     cfg = model.cfg
     window = np.asarray(window, dtype=np.float64)
@@ -449,18 +453,19 @@ def act_forward_parts(
     value of decompose() for a [T, N, F] window, or the
     `stack_decompositions` of B of them, [T, B, N, F]. Returns
     (y_hat [N] or [B, N], diagnostics) with the fusion weights `alpha`
-    [..., N, 3], the `dynamic_adjacency` [..., N, N] the trend branch
-    attended over, `gate_mean` (a float, or [B]; None for the gat_only
-    branch) and `scores`. In training mode the fluctuation dropout masks
+    [..., N, 3], the `neighbors` [..., N, K] the trend branch attended
+    over (the k-NN lists, or the -1 padded union lists for gat_only),
+    `gate_mean` (a float, or [B]; None for the gat_only branch) and
+    `scores`. In training mode the fluctuation dropout masks
     of the whole batch are drawn first, then the shock masks.
     """
     cfg = model.cfg
     gate_mean = None
     if cfg.pspe == "full":
-        z_trend, dyn_adj, gate_mean = pspe_forward(parts.trend, graphs, model, cfg)
+        z_trend, neighbors, gate_mean = pspe_forward(parts.trend, graphs, model, cfg)
     else:
         z_trend, union = pspe_ablation_forward(parts.trend, graphs, model, cfg)
-        dyn_adj = np.broadcast_to(union, z_trend.shape[:-1] + union.shape[-1:])
+        neighbors = np.broadcast_to(union, z_trend.shape[:-1] + union.shape[-1:])
 
     if cfg.fci == "tcn":
         z_fluct = fci_forward(parts.fluct, model, cfg, training=training)
@@ -475,7 +480,7 @@ def act_forward_parts(
     y_hat, alpha = acf_forward(z_trend, z_fluct, z_shock, model)
     diagnostics = {
         "alpha": alpha.data.copy(),
-        "dynamic_adjacency": dyn_adj.copy(),
+        "neighbors": neighbors.copy(),
         "gate_mean": gate_mean,
         "scores": y_hat.data.copy(),
     }

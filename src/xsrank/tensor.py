@@ -2,8 +2,8 @@
 
 Tensors wrap C-contiguous float64 ndarrays. The closed set of primitives
 (see PrimitiveKind) holds exactly what the model and its losses run,
-and nothing another kind already computes: selection is basic indexing
-(INDEX), the fluctuation branch's causal convolution is a broadcast
+and nothing another kind already computes: selection and gathers are
+INDEX, the fluctuation branch's causal convolution is a broadcast
 MATMUL over stacked lags plus a SUM, ReLU is LEAKY_RELU at slope 0, a
 mean is SUM then DIV, and dropout is a MUL by a mask the model draws. Each
 primitive records a vector-Jacobian closure on the active tape. Running
@@ -168,12 +168,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) is exp(-x) where x >= 0 and exp(x) elsewhere, so both
+    # branches see the same operands as when computed on their own halves
+    ex = np.exp(-np.abs(x))
+    den = 1.0 + ex
+    return np.where(x >= 0, 1.0 / den, ex / den)
 
 
 # ---------------------------------------------------------------------------
@@ -369,23 +368,42 @@ def _fw_sqrt(inputs, attrs):
 
 
 def _fw_index(inputs, attrs):
-    # basic indexing only: ints and slices never repeat an element, so the
-    # VJP is a plain assignment into zeros
+    # Ints, slices and None select each element at most once, so their VJP
+    # is an assignment into zeros. Integer arrays (numpy advanced indexing)
+    # may repeat an element; their VJP scatter-adds, in element order.
     (x,) = inputs
     key = attrs["key"]
     parts = key if isinstance(key, tuple) else (key,)
-    if len(parts) > x.ndim:
-        raise ShapeError(f"index key {key!r} has more entries than {x.shape} has axes")
-    for axis, k in enumerate(parts):
+    advanced = False
+    axis = 0
+    for k in parts:
+        if k is None:
+            continue
+        if axis >= x.ndim:
+            raise ShapeError(f"index key {key!r} has more entries than {x.shape} has axes")
+        size = x.shape[axis]
+        axis += 1
         if isinstance(k, slice):
             continue
+        if isinstance(k, np.ndarray) and np.issubdtype(k.dtype, np.integer):
+            advanced = True
+            if k.size and not (-size <= k.min() and k.max() < size):
+                raise ShapeError(f"index array out of range for axis {axis - 1} of {x.shape}")
+            continue
         if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-            raise ShapeError(f"index key entries must be ints or slices, got {k!r}")
-        if not -x.shape[axis] <= k < x.shape[axis]:
-            raise ShapeError(f"index {k} out of range for axis {axis} of {x.shape}")
-    out = x[key].copy()
+            raise ShapeError(
+                f"index key entries must be ints, slices, None or integer arrays, got {k!r}"
+            )
+        if not -size <= k < size:
+            raise ShapeError(f"index {k} out of range for axis {axis - 1} of {x.shape}")
+    # advanced indexing already returns a fresh array; basic indexing a view
+    out = x[key] if advanced else x[key].copy()
 
     def vjp(g):
+        if advanced:
+            flat = np.arange(x.size).reshape(x.shape)[key]
+            dx = np.bincount(flat.reshape(-1), weights=g.reshape(-1), minlength=x.size)
+            return [dx.reshape(x.shape)]
         dx = np.zeros_like(x)
         dx[key] = g
         return [dx]
@@ -454,7 +472,8 @@ def backward(loss: Tensor) -> None:
 
     Fills tape.gradients (node_id -> ndarray), which tape.grad() reads.
     Every reachable node gets a gradient of its own shape; unreachable
-    nodes are absent.
+    nodes are absent. A gradient may share memory with another (an ADD
+    passes its output's gradient to both inputs), so all are read-only.
     """
     tape = active_tape()
     if tape is None:
@@ -481,8 +500,11 @@ def backward(loss: Tensor) -> None:
                     f"non-finite gradient out of {node.kind.value}"
                 )
             acc = grads.get(in_id)
-            grads[in_id] = ig.copy() if acc is None else acc + ig
+            grads[in_id] = ig if acc is None else acc + ig
 
+    for g in grads.values():
+        if isinstance(g, np.ndarray):  # 0-d results may be immutable scalars
+            g.flags.writeable = False
     tape.gradients = grads
 
 
@@ -559,6 +581,7 @@ def sqrt(x) -> Tensor:
 
 
 def index(x, key) -> Tensor:
-    """x[key] for a basic key: an int, a slice, or a tuple of those."""
+    """x[key] for a key of ints, slices, None and integer arrays, or a tuple
+    of those; integer arrays follow numpy's advanced-indexing rules."""
     return apply_primitive(PrimitiveKind.INDEX, [_as_tensor(x)], {"key": key})
 

@@ -84,6 +84,39 @@ def topk_np(sim, k):
     return adj
 
 
+def neighbor_lists(adj):
+    """[N, N] adjacency -> [N, K] ascending column lists, -1 padded to the
+    largest row."""
+    rows = [np.flatnonzero(r) for r in adj]
+    width = max((len(r) for r in rows), default=0)
+    out = np.full((len(rows), width), -1, dtype=np.intp)
+    for i, r in enumerate(rows):
+        out[i, :len(r)] = r
+    return out
+
+
+def adjacency(neighbors, n):
+    """[N, K] column lists, -1 for padding -> [N, N] {0, 1} adjacency."""
+    adj = np.zeros((n, n))
+    for i, row in enumerate(neighbors):
+        for j in row:
+            if j >= 0:
+                adj[i, j] = 1.0
+    return adj
+
+
+def sigmoid_masked(x):
+    """The logistic function computed separately on each sign's half of x,
+    through boolean-mask gathers: 1 / (1 + e^-x) for x >= 0 and
+    e^x / (1 + e^x) below."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def gat_np(u, adj, w, a_src, a_dst, w_out, slope=0.2):
     wu = u @ w
     p = wu @ a_src
@@ -339,6 +372,8 @@ def _report_rows(t, i, scores, ds):
     starts = np.flatnonzero(np.diff(t, prepend=-1)).tolist()
     for lo, hi in zip(starts, starts[1:] + [t.size]):
         day, cols = t[lo], i[lo:hi]
+        if not ds.observed_mask[day].any():
+            continue  # no label to evaluate against, e.g. the final date
         actual = ds.labels[day, cols]
         joint = ds.observed_mask[day, cols] & np.isfinite(actual)
         if joint.sum() < 2:

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -318,7 +316,19 @@ def test_subgroup_size_skips_the_unlabelled_final_date():
     assert len(out) == 6
     assert all(report is not None for report in out.values())
     ref = subgroup_metrics(without_final, ds, grouping)
-    for cat, report in out.items():
-        # the final date is scored, so it still counts as one excluded day
-        assert report.n_excluded_days == ref[cat].n_excluded_days + 1
-        assert replace(report, n_excluded_days=ref[cat].n_excluded_days) == ref[cat]
+    # the final date has no label to evaluate against, so it is not an
+    # excluded day either
+    assert out == ref
+
+
+def test_summarize_skips_the_unlabelled_final_date():
+    ds, _, _ = generate_synthetic(SynthConfig(n_instruments=12, days=30, seed=6))
+    assert not ds.observed_mask[-1].any()
+    rng = np.random.default_rng(6)
+    dates = ds.dates[5:]
+    preds = make_preds(dates, ds.instruments,
+                       rng.normal(size=(len(dates), len(ds.instruments))))
+    without_final = PredictionSeries([r for r in preds.rows if r[0] != dates[-1]])
+    report = summarize(preds, ds)
+    assert report == summarize(without_final, ds)
+    assert report.n_excluded_days == 0

@@ -12,6 +12,7 @@ from xsrank.errors import ConfigError, DataError
 from xsrank.graphs import (
     RelationGraphs,
     build_relation_graphs,
+    category_mean_matrices,
     cosine_similarity_matrix,
     gat_layer,
     gcn_layer,
@@ -31,7 +32,8 @@ def _clique_adjacency(codes):
 def _propagation(codes):
     """Ahat of the GCN on a relation: gcn_layer on x = W = I, b = 0."""
     n = len(codes)
-    return gcn_layer(Tensor(np.eye(n)), codes, Tensor(np.eye(n)), Tensor(np.zeros(n))).data
+    return gcn_layer(Tensor(np.eye(n)), category_mean_matrices(codes), Tensor(np.eye(n)),
+                     Tensor(np.zeros(n))).data
 
 
 def test_membership_adjacency_cliques():
@@ -65,9 +67,11 @@ def test_relation_graphs_check_once_and_build_union_once():
     insts = [f"S{i}" for i in range(7)]
     g = build_relation_graphs(insts, {s: f"I{i // 3}" for i, s in enumerate(insts)},
                               {s: f"R{i % 2}" for i, s in enumerate(insts[:5])})
-    assert "union" not in vars(g)
-    assert np.array_equal(g.union, oracle.union_np(*oracle.relation_adjacencies(g)))
-    assert g.union is g.union
+    assert not {"union_neighbors", "industry_mean", "region_mean"} & vars(g).keys()
+    want = oracle.neighbor_lists(oracle.union_np(*oracle.relation_adjacencies(g)))
+    assert np.array_equal(g.union_neighbors, want)
+    assert g.union_neighbors is g.union_neighbors
+    assert g.industry_mean is g.industry_mean and g.region_mean is g.region_mean
     # bad codes are refused when the graphs are built, not in a forward pass
     with pytest.raises(DataError):
         RelationGraphs(instruments=insts[:2], industry=np.eye(2),
@@ -82,8 +86,9 @@ def test_build_relation_graphs_symmetric_zero_diag():
     for codes in (g.industry, g.region):
         assert codes.shape == (6,) and np.issubdtype(codes.dtype, np.integer)
     # every instrument has a relative, so the union has no self-edge
-    np.testing.assert_array_equal(g.union, g.union.T)
-    assert np.diag(g.union).sum() == 0
+    union = oracle.adjacency(g.union_neighbors, 6)
+    np.testing.assert_array_equal(union, union.T)
+    assert np.diag(union).sum() == 0
 
 
 def test_normalized_adjacency_matches_dense_oracle():
@@ -131,7 +136,22 @@ def test_static_relations_allocate_no_square_array():
     tracemalloc.start()
     try:
         g = build_relation_graphs(insts, labels, labels)
-        gcn_layer(x, g.industry, w, b)
+        gcn_layer(x, g.industry_mean, w, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n, peak  # the bytes of one [N, N] bool array
+
+
+def test_gat_layer_allocates_no_square_array():
+    n, d, k = 2000, 4, 10
+    rng = np.random.default_rng(15)
+    u = Tensor(rng.normal(size=(n, d)))
+    lists = np.sort(rng.integers(0, n, size=(n, k)), axis=1)
+    params = _gat_params(rng, d)
+    tracemalloc.start()
+    try:
+        gat_layer(u, lists, **params)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -141,7 +161,8 @@ def test_static_relations_allocate_no_square_array():
 def test_gcn_layer_identity_on_empty_graph():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(4, 3))
-    out = gcn_layer(Tensor(x), np.arange(4), Tensor(np.eye(3)), Tensor(np.zeros(3)))
+    out = gcn_layer(Tensor(x), category_mean_matrices(np.arange(4)), Tensor(np.eye(3)),
+                    Tensor(np.zeros(3)))
     np.testing.assert_allclose(out.data, x, atol=1e-12)
 
 
@@ -149,7 +170,8 @@ def test_gcn_layer_two_node_clique_equal_features():
     x = np.tile([[1.0, -2.0]], (2, 1))
     rng = np.random.default_rng(2)
     w = rng.normal(size=(2, 2))
-    out = gcn_layer(Tensor(x), np.array([0, 0]), Tensor(w), Tensor(np.zeros(2))).data
+    out = gcn_layer(Tensor(x), category_mean_matrices(np.array([0, 0])), Tensor(w),
+                    Tensor(np.zeros(2))).data
     np.testing.assert_allclose(out[0], out[1], atol=1e-12)
 
 
@@ -168,11 +190,11 @@ def test_gcn_layer_matches_dense_oracle_and_is_linear():
     at = adj + np.eye(n)
     dis = np.diag(1.0 / np.sqrt(at.sum(axis=1)))
     want = dis @ at @ dis @ x1 @ w + b
-    got = gcn_layer(Tensor(x1), g.industry, Tensor(w), Tensor(b)).data
+    got = gcn_layer(Tensor(x1), g.industry_mean, Tensor(w), Tensor(b)).data
     np.testing.assert_allclose(got, want, atol=1e-9)
 
     # superposition in x with bias removed
-    f = lambda x: gcn_layer(Tensor(x), g.industry, Tensor(w), Tensor(np.zeros(d))).data
+    f = lambda x: gcn_layer(Tensor(x), g.industry_mean, Tensor(w), Tensor(np.zeros(d))).data
     np.testing.assert_allclose(f(x1 + x2), f(x1) + f(x2), atol=1e-9)
 
 
@@ -197,16 +219,8 @@ def test_topk_graph_counts_and_tie_rule():
     s = np.zeros((4, 4))
     np.fill_diagonal(s, -np.inf)
     g = topk_graph(s, 2)
-    # all-equal similarities: lowest indices win
-    want = np.array([
-        [0, 1, 1, 0],
-        [1, 0, 1, 0],
-        [1, 1, 0, 0],
-        [1, 1, 0, 0],
-    ], dtype=float)
-    np.testing.assert_array_equal(g, want)
-    assert (g.sum(axis=1) == 2).all()
-    assert np.diag(g).sum() == 0
+    # all-equal similarities: lowest indices win, never the row itself
+    np.testing.assert_array_equal(g, [[1, 2], [0, 2], [0, 1], [0, 1]])
 
 
 def test_topk_graph_matches_sort_oracle():
@@ -222,9 +236,7 @@ def test_topk_graph_matches_sort_oracle():
                 (j for j in range(n) if j != i),
                 key=lambda j: (-s[i, j], j),
             )
-            want = np.zeros(n)
-            want[order[:k]] = 1.0
-            np.testing.assert_array_equal(g[i], want)
+            np.testing.assert_array_equal(g[i], sorted(order[:k]))
 
 
 def test_topk_graph_k_out_of_range():
@@ -248,11 +260,17 @@ def test_gat_uniform_attention_for_identical_neighbors():
     rng = np.random.default_rng(5)
     d = 3
     u = np.tile(rng.normal(size=(1, d)), (4, 1))
-    adj = np.ones((4, 4)) - np.eye(4)
-    _, alpha = gat_layer(Tensor(u), adj, **_gat_params(rng, d), return_attention=True)
-    off = adj.astype(bool)
-    np.testing.assert_allclose(alpha.data[off], 1.0 / 3.0, atol=1e-12)
-    np.testing.assert_allclose(alpha.data[~off], 0.0, atol=0)
+    others = oracle.neighbor_lists(np.ones((4, 4)) - np.eye(4))
+    _, alpha = gat_layer(Tensor(u), others, **_gat_params(rng, d), return_attention=True)
+    np.testing.assert_allclose(alpha.data, 1.0 / 3.0, atol=1e-12)
+    # a padded slot gets no attention
+    padded = np.array([[1, 2, -1], [0, 2, 3], [1, -1, -1], [0, 1, 2]])
+    _, alpha = gat_layer(Tensor(u), padded, **_gat_params(rng, d), return_attention=True)
+    np.testing.assert_allclose(alpha.data.sum(axis=1), 1.0, atol=1e-12)
+    valid = padded >= 0
+    want = np.where(valid, 1.0 / valid.sum(axis=1, keepdims=True), 0.0)
+    np.testing.assert_allclose(alpha.data, want, atol=1e-12)
+    assert (alpha.data[~valid] == 0.0).all()
 
 
 def test_gat_k1_attention_is_one():
@@ -262,9 +280,8 @@ def test_gat_k1_attention_is_one():
     sim = cosine_similarity_matrix(u)
     g = topk_graph(sim, 1)
     _, alpha = gat_layer(Tensor(u), g, **_gat_params(rng, d), return_attention=True)
-    picked = g.astype(bool)
-    np.testing.assert_allclose(alpha.data[picked], 1.0, atol=1e-12)
-    np.testing.assert_allclose(alpha.data.sum(axis=1), 1.0, atol=1e-12)
+    assert alpha.shape == (5, 1)
+    np.testing.assert_allclose(alpha.data, 1.0, atol=1e-12)
 
 
 def test_gat_matches_dense_mask_oracle():
@@ -283,17 +300,48 @@ def test_gat_matches_dense_mask_oracle():
     wu = u @ w
     lrelu = lambda v: np.where(v > 0, v, slope * v)
     want = np.zeros((n, d))
-    want_alpha = np.zeros((n, n))
+    want_alpha = np.zeros((n, k))
     for i in range(n):
-        nbrs = np.flatnonzero(g[i])
+        nbrs = g[i]
         e = np.array([lrelu(a1 @ wu[i] + a2 @ wu[j]) for j in nbrs])
         e = np.exp(e - e.max())
         al = e / e.sum()
-        want_alpha[i, nbrs] = al
+        want_alpha[i] = al
         agg = (al[:, None] * wu[nbrs]).sum(axis=0)
         want[i] = lrelu(agg @ wo)
     np.testing.assert_allclose(got.data, want, atol=1e-9)
     np.testing.assert_allclose(alpha.data, want_alpha, atol=1e-9)
+
+
+def test_gat_lists_match_dense_oracle_batched_and_padded():
+    rng = np.random.default_rng(14)
+    b, n, d, k = 3, 9, 4, 3
+    u = rng.normal(size=(b, n, d))
+    params = _gat_params(rng, d)
+    weights = [params[name].data for name in ("weight", "att_src", "att_dst", "out_weight")]
+    lists = topk_graph(cosine_similarity_matrix(u), k)
+    got, alpha = gat_layer(Tensor(u), lists, **params, return_attention=True)
+    assert got.shape == (b, n, d) and alpha.shape == (b, n, k)
+    for w in range(b):
+        want, want_alpha = oracle.gat_np(u[w], oracle.adjacency(lists[w], n), *weights)
+        alone = gat_layer(Tensor(u[w]), lists[w], **params).data
+        np.testing.assert_allclose(got.data[w], want, atol=1e-9)
+        np.testing.assert_allclose(alone, want, atol=1e-9)
+        np.testing.assert_allclose(
+            alpha.data[w], np.take_along_axis(want_alpha, lists[w], axis=1), atol=1e-9)
+
+    # the gat_only graph: padded union lists, shared by the batch; S8 has
+    # no relative and attends to itself
+    insts = [f"S{i}" for i in range(n)]
+    g = build_relation_graphs(insts, {s: f"I{i % 3}" for i, s in enumerate(insts[:7])},
+                              {"S0": "R", "S4": "R", "S5": "R", "S6": "R"})
+    union = g.union_neighbors
+    assert (union < 0).any() and union[8].tolist() == [8] + [-1] * (union.shape[1] - 1)
+    dense = oracle.union_np(*oracle.relation_adjacencies(g))
+    got = gat_layer(Tensor(u), union, **params).data
+    for w in range(b):
+        want, _ = oracle.gat_np(u[w], dense, *weights)
+        np.testing.assert_allclose(got[w], want, atol=1e-9)
 
 
 def test_gat_alpha_rows_sum_to_one():
@@ -305,17 +353,15 @@ def test_gat_alpha_rows_sum_to_one():
         _, alpha = gat_layer(
             Tensor(u), g, **_gat_params(rng, d), return_attention=True
         )
+        assert alpha.shape == (n, 3)
         np.testing.assert_allclose(alpha.data.sum(axis=1), 1.0, atol=1e-12)
-        # mass strictly on the neighborhood
-        assert (alpha.data[g == 0] == 0).all()
 
 
 def test_gat_rejects_empty_row():
     rng = np.random.default_rng(9)
-    adj = np.zeros((3, 3))
-    adj[0, 1] = 1.0
+    nbr = np.array([[1], [-1], [0]])
     with pytest.raises(DataError):
-        gat_layer(Tensor(rng.normal(size=(3, 2))), adj, **_gat_params(rng, 2))
+        gat_layer(Tensor(rng.normal(size=(3, 2))), nbr, **_gat_params(rng, 2))
 
 
 def test_gat_gradients_flow():
@@ -343,7 +389,8 @@ def test_equivariance_under_permutation():
 
     g = topk_graph(cosine_similarity_matrix(u), k)
     g_p = topk_graph(cosine_similarity_matrix(u[perm]), k)
-    np.testing.assert_array_equal(g_p, g[perm][:, perm])
+    np.testing.assert_array_equal(oracle.adjacency(g_p, n),
+                                  oracle.adjacency(g, n)[perm][:, perm])
 
     z = gat_layer(Tensor(u), g, **params).data
     z_p = gat_layer(Tensor(u[perm]), g_p, **params).data
@@ -353,8 +400,8 @@ def test_equivariance_under_permutation():
     codes = rng.integers(0, 3, size=n)
     w = Tensor(rng.normal(size=(d, d)))
     b = Tensor(rng.normal(size=(d,)))
-    y = gcn_layer(Tensor(u), codes, w, b).data
-    y_p = gcn_layer(Tensor(u[perm]), codes[perm], w, b).data
+    y = gcn_layer(Tensor(u), category_mean_matrices(codes), w, b).data
+    y_p = gcn_layer(Tensor(u[perm]), category_mean_matrices(codes[perm]), w, b).data
     np.testing.assert_allclose(y_p, y[perm], atol=1e-9)
 
 
@@ -362,25 +409,21 @@ def test_union_graph_or_and_self_loop_fallback():
     insts = ["a", "b", "c"]
     # industry relates a and b, region b and c
     u = RelationGraphs(instruments=insts, industry=np.array([0, 0, 1]),
-                       region=np.array([0, 1, 1])).union
-    want = np.array([
-        [0, 1, 0],
-        [1, 0, 1],
-        [0, 1, 0],
-    ], dtype=float)
-    np.testing.assert_array_equal(u, want)
+                       region=np.array([0, 1, 1])).union_neighbors
+    np.testing.assert_array_equal(u, [[1, -1], [0, 2], [1, -1]])
 
     lonely = RelationGraphs(instruments=insts[:2], industry=np.array([0, 1]),
-                            region=np.array([5, 2])).union
-    np.testing.assert_array_equal(lonely, np.eye(2))
+                            region=np.array([5, 2])).union_neighbors
+    np.testing.assert_array_equal(lonely, [[0], [1]])
 
 
 def test_dynamic_graph_row_sums():
     rng = np.random.default_rng(12)
     u = rng.normal(size=(7, 3))
     g = topk_graph(cosine_similarity_matrix(u), 4)
-    assert g.shape == (7, 7) and g.dtype == np.float64
-    assert (g.sum(axis=1) == 4).all()
+    assert g.shape == (7, 4) and np.issubdtype(g.dtype, np.integer)
+    assert (np.diff(g, axis=1) > 0).all()
+    assert (g != np.arange(7)[:, None]).all()
 
 
 @st.composite
@@ -403,10 +446,11 @@ def test_topk_graph_matches_oracle_on_dense_ties(sim):
     # a batch of two windows: each [N, N] slice is its own graph
     batch = np.stack([sim, sim[::-1, ::-1]])
     for k in range(1, sim.shape[0]):
-        assert np.array_equal(topk_graph(sim, k), oracle.topk_np(sim, k))
+        want = oracle.neighbor_lists(oracle.topk_np(sim, k))
+        assert np.array_equal(topk_graph(sim, k), want)
         got = topk_graph(batch, k)
-        for window, adjacency in zip(batch, got):
-            assert np.array_equal(adjacency, oracle.topk_np(window, k))
+        for window, lists in zip(batch, got):
+            assert np.array_equal(lists, oracle.neighbor_lists(oracle.topk_np(window, k)))
 
 
 def test_batched_graph_helpers_keep_their_input_checks():
@@ -426,11 +470,14 @@ def test_batched_graph_helpers_keep_their_input_checks():
 
     u = Tensor(rng.normal(size=(2, 3, 2)))
     params = _gat_params(rng, 2)
-    adj = np.ones((2, 3, 3)) - np.eye(3)
-    gat_layer(u, adj, **params)
-    gat_layer(u, adj[0], **params)
-    lonely = adj.copy()
-    lonely[1, 2] = 0.0
-    for bad in (np.ones((2, 3, 4)), np.ones(3), lonely):
+    nbr = np.stack([oracle.neighbor_lists(np.ones((3, 3)) - np.eye(3))] * 2)
+    gat_layer(u, nbr, **params)
+    gat_layer(u, nbr[0], **params)
+    lonely = nbr.copy()
+    lonely[1, 2] = -1
+    out_of_range = nbr.copy()
+    out_of_range[0, 0, 0] = 3
+    for bad in (np.ones((2, 4, 2), dtype=int), np.ones(3, dtype=int), np.ones((3, 3, 2),
+                dtype=int), nbr.astype(float), lonely, out_of_range, out_of_range - 5):
         with pytest.raises(DataError):
             gat_layer(u, bad, **params)

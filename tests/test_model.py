@@ -123,8 +123,9 @@ def test_act_forward_shapes_and_diagnostics():
     assert y.shape == (n,)
     assert diag["alpha"].shape == (n, 3)
     assert np.allclose(diag["alpha"].sum(axis=1), 1.0)
-    assert diag["dynamic_adjacency"].shape == (n, n)
-    assert np.array_equal(diag["dynamic_adjacency"].sum(axis=1), np.full(n, cfg.knn))
+    assert diag["neighbors"].shape == (n, cfg.knn)
+    assert (np.diff(diag["neighbors"], axis=1) > 0).all()
+    assert (diag["neighbors"] != np.arange(n)[:, None]).all()
     assert isinstance(diag["gate_mean"], float)
     assert np.array_equal(diag["scores"], y.data)
 
@@ -139,7 +140,8 @@ def test_act_forward_gat_only_diagnostics():
     assert y.shape == (n,)
     assert diag["gate_mean"] is None
     assert np.array_equal(
-        diag["dynamic_adjacency"], oracle.union_np(*oracle.relation_adjacencies(graphs))
+        diag["neighbors"],
+        oracle.neighbor_lists(oracle.union_np(*oracle.relation_adjacencies(graphs))),
     )
 
 
@@ -151,17 +153,23 @@ def test_act_forward_does_not_recheck_static_graphs(monkeypatch):
     check = RelationGraphs.__post_init__
     monkeypatch.setattr(RelationGraphs, "__post_init__",
                         lambda self: checked.append(self) or check(self))
-    unions = []
+    cached = []
     for pspe in ("full", "full", "gat_only", "gat_only"):
         cfg = small_cfg(pspe=pspe)
         y, _ = act_forward(make_window(cfg, n, rng), graphs, ActModel(cfg, seed=1))
         assert np.isfinite(y.data).all()
-        unions.append(vars(graphs).get("union"))
-    # the codes were checked when the graphs were built; the union mask is
-    # built once, by the first gat_only pass
+        cached.append({name: vars(graphs).get(name)
+                       for name in ("industry_mean", "region_mean", "union_neighbors")})
+    # the codes were checked when the graphs were built; the GCN matrices
+    # are built once, by the first full pass, and the union lists once, by
+    # the first gat_only pass
     assert checked == []
-    assert unions[0] is None and unions[1] is None
-    assert unions[2] is not None and unions[3] is unions[2]
+    for name in ("industry_mean", "region_mean"):
+        assert cached[0][name] is not None
+        assert all(c[name] is cached[0][name] for c in cached)
+    assert cached[0]["union_neighbors"] is None and cached[1]["union_neighbors"] is None
+    assert cached[2]["union_neighbors"] is not None
+    assert cached[3]["union_neighbors"] is cached[2]["union_neighbors"]
 
 
 def test_act_forward_input_validation():
@@ -194,7 +202,7 @@ def test_pspe_matches_straight_line_oracle():
             x_trend, *oracle.relation_adjacencies(graphs), model.state_arrays(),
             cfg.leaky_slope, cfg.knn,
         )
-        assert np.array_equal(dyn, ref["dyn_adj"])
+        assert np.array_equal(dyn, oracle.neighbor_lists(ref["dyn_adj"]))
         assert np.max(np.abs(z.data - ref["z_trend"])) < 1e-9
         assert abs(gate_mean - ref["gate"].mean()) < 1e-9
 
@@ -252,7 +260,7 @@ def test_pspe_ablation_matches_oracle():
             x_trend, *oracle.relation_adjacencies(graphs), model.state_arrays(),
             cfg.leaky_slope,
         )
-        assert np.array_equal(uni, ref_uni)
+        assert np.array_equal(uni, oracle.neighbor_lists(ref_uni))
         assert np.max(np.abs(z.data - ref)) < 1e-9
 
 
@@ -602,12 +610,12 @@ def test_batched_forward_equals_per_window_bitwise(pspe, fci, sci, b, n, seed):
     parts = _decomposed(cfg, n, b, rng)
     y, diag = act_forward_parts(stack_decompositions(parts), graphs, model)
     assert y.shape == (b, n) and diag["alpha"].shape == (b, n, 3)
-    assert diag["dynamic_adjacency"].shape == (b, n, n)
+    assert diag["neighbors"].shape[:2] == (b, n)
     for k, window in enumerate(parts):
         y1, diag1 = act_forward_parts(window, graphs, model)
         assert np.array_equal(y.data[k], y1.data)
         assert np.array_equal(diag["alpha"][k], diag1["alpha"])
-        assert np.array_equal(diag["dynamic_adjacency"][k], diag1["dynamic_adjacency"])
+        assert np.array_equal(diag["neighbors"][k], diag1["neighbors"])
         if pspe == "full":
             assert diag["gate_mean"][k] == diag1["gate_mean"]
         else:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import _oracles as oracle
 from _fd import finite_difference_check
 from xsrank import tensor as tz
 from xsrank.errors import NonFiniteError, ShapeError, TapeError
@@ -123,10 +124,62 @@ def test_layer_norm_constant_row_grad_near_zero():
 
 def test_index_rejects_non_basic_and_out_of_range_keys():
     x = Tensor(np.arange(12, dtype=float).reshape(4, 3))
-    for key in ([0, 1], np.array([0, 1]), True, (slice(None), False),
-                Ellipsis, 4, -5, (slice(None), 3), (0, 0, 0)):
+    for key in ([0, 1], np.array([0.0, 1.0]), np.array([True, False, True, False]),
+                True, (slice(None), False), Ellipsis, 4, -5, (slice(None), 3),
+                (0, 0, 0), (None, 0, 0, 0), np.array([0, 4]), np.array([-5]),
+                (slice(None), np.array([[0], [3]]))):
         with pytest.raises(ShapeError):
             tz.index(x, key)
+
+
+def test_index_integer_arrays_and_none():
+    rng = np.random.default_rng(22)
+    x = rng.normal(size=(2, 5, 3))
+    nbr = np.array([[1, 1, 4], [0, 2, 2], [3, 3, 3], [4, 0, 1], [2, 2, 0]])
+    batch = np.arange(2)[:, None, None]
+    keys = [
+        (slice(None), nbr),  # rows shared by the batch, repeated
+        (batch, np.stack([nbr, nbr[::-1]])),  # one list per batch entry
+        (slice(None), nbr, 0),
+        (slice(None), None, slice(None)),
+        (slice(None), slice(None), None),
+        (np.array([-1, -1]), 3),
+    ]
+    for key in keys:
+        np.testing.assert_array_equal(tz.index(Tensor(x), key).data, x[key])
+        w = rng.normal(size=x[key].shape)
+        err = _fd_case(lambda t, key=key, w=w: _scalarize(tz.index(t, key), w), x)
+        assert err < FD_TOL, key
+        # the scatter-add VJP sums repeats in the order np.add.at does
+        g = rng.normal(size=x[key].shape)
+        with Tape() as tape:
+            t = Tensor(x)
+            backward(_scalarize(tz.index(t, key), g))
+            got = tape.grad(t)
+        want = np.zeros_like(x)
+        np.add.at(want, key, g)
+        assert np.array_equal(got, want), key
+
+
+def test_gradients_are_read_only():
+    # an ADD hands its output's gradient to both inputs unchanged, so the
+    # two may share memory; writing to either must fail, not alias
+    with Tape() as tape:
+        a, b = Tensor(np.ones(3)), Tensor(np.zeros(3))
+        backward(tz.tensor_sum(tz.add(a, b)))
+        ga, gb = tape.grad(a), tape.grad(b)
+    np.testing.assert_array_equal(ga, np.ones(3))
+    for g in (ga, gb):
+        with pytest.raises(ValueError):
+            g[0] = 2.0
+
+
+def test_sigmoid_equals_masked_formula_bitwise():
+    rng = np.random.default_rng(23)
+    x = np.concatenate([rng.normal(size=500) * 10.0, [0.0, -0.0, 700.0, -700.0, 1e-300]])
+    got = tz.sigmoid(Tensor(x)).data
+    assert np.array_equal(got, oracle.sigmoid_masked(x))
+    assert np.array_equal(np.signbit(got), np.signbit(oracle.sigmoid_masked(x)))
 
 
 def test_non_finite_output_raises():
