@@ -121,6 +121,14 @@ def _parse_floats(cells, path, lineno_of):
     return np.array(values, dtype=np.float64), None
 
 
+def _is_day(s: str) -> bool:
+    """True for a real calendar day written YYYY-MM-DD."""
+    try:
+        return _date.fromisoformat(s).isoformat() == s
+    except ValueError:
+        return False
+
+
 def _codes(column: list[str]) -> tuple[list[str], np.ndarray]:
     """Sorted distinct values of a column and each row's position in them."""
     names = sorted(set(column))
@@ -366,12 +374,20 @@ def load_panel(features_path, prices_path) -> PanelDataset:
     parsed = rows[: len(values) // n_feat]
     dates, t = _codes([row[0] for row in parsed])
     names, i = _codes([row[1] for row in parsed])
+    # each distinct date is checked once; bad_day is the first row without one
+    is_day = np.fromiter(map(_is_day, dates), dtype=bool, count=len(dates))
+    bad_day = int(np.argmin(is_day[t])) if not is_day.all() else len(parsed)
     _, first = np.unique(t * len(names) + i, return_index=True)
     if first.size < t.size:
         seen = np.zeros(t.size, dtype=bool)
         seen[first] = True
-        dt, inst = parsed[int(np.argmin(seen))][:2]
-        raise DataError(f"{features_path}: duplicate ({dt}, {inst})")
+        dup = int(np.argmin(seen))
+        if dup < bad_day:
+            dt, inst = parsed[dup][:2]
+            raise DataError(f"{features_path}: duplicate ({dt}, {inst})")
+    if bad_day < len(parsed):
+        raise DataError(f"{features_path}: line {bad_day + 2}: "
+                        f"date {parsed[bad_day][0]!r} is not a YYYY-MM-DD day")
     if error is not None:
         raise error
     if n_ok < len(rows):
@@ -403,10 +419,16 @@ def load_panel(features_path, prices_path) -> PanelDataset:
         [v for k in bar_rows for v in price_rows[k][2:]], prices_path,
         lambda c: bar_rows[c // 2] + 2)
     bars = values[: len(values) // 2 * 2].reshape(-1, 2)
-    missing = np.flatnonzero(~np.isfinite(bars).all(axis=1))
-    if missing.size:
-        raise DataError(
-            f"{prices_path}: line {bar_rows[missing[0]] + 2}: missing price/volume")
+    price_ok = np.isfinite(bars[:, 0]) & (bars[:, 0] > 0)
+    bad = np.flatnonzero(~price_ok | ~np.isfinite(bars[:, 1]))
+    if bad.size:
+        k = bad[0]
+        at = f"{prices_path}: line {bar_rows[k] + 2}"
+        if np.isnan(bars[k]).any():
+            raise DataError(f"{at}: missing price/volume")
+        if not price_ok[k]:
+            raise DataError(f"{at}: price {float(bars[k, 0])!r} is not positive and finite")
+        raise DataError(f"{at}: volume {float(bars[k, 1])!r} is not finite")
     if error is not None:
         raise error
     if n_ok < len(price_rows):
@@ -553,11 +575,12 @@ def standardize_features(ds: PanelDataset) -> PanelDataset:
 
 
 def make_windows(ds: PanelDataset, window: int) -> list[WindowSample]:
-    """Sliding lookback samples: one per date index in [window-1, D-1).
+    """Sliding lookback samples: one per date index in [window-1, D-1].
 
     The sample at index t sees features[t-window+1 .. t] and targets the
-    t -> t+1 return stored at labels[t]. The final date never yields a
-    sample because its label cannot exist.
+    t -> t+1 return stored at labels[t]. The final date's sample has an
+    empty mask, since its label cannot exist: prediction scores it,
+    training and validation skip it.
     """
     d = len(ds.dates)
     if window < 1:
@@ -565,7 +588,7 @@ def make_windows(ds: PanelDataset, window: int) -> list[WindowSample]:
     if window > d:
         raise ConfigError(f"window {window} exceeds series length {d}")
     samples = []
-    for t in range(window - 1, d - 1):
+    for t in range(window - 1, d):
         mask = ds.observed_mask[t] & np.isfinite(ds.labels[t])
         samples.append(
             WindowSample(

@@ -31,8 +31,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import tensor as tz
-from .decompose import causal_moving_average, decompose
-from .errors import ConfigError, DataError, NonFiniteError
+from .decompose import causal_moving_average
+from .errors import ConfigError, DataError
 from .graphs import (
     RelationGraphs,
     cosine_similarity_matrix,
@@ -159,10 +159,6 @@ def parameter_spec(cfg: ActConfig) -> dict[str, tuple[int, ...]]:
     spec["att_w2"] = (d, 1)
     spec["out_w"] = (d, 1)
     return spec
-
-
-def parameter_count(cfg: ActConfig) -> int:
-    return sum(int(np.prod(shape)) for shape in parameter_spec(cfg).values())
 
 
 def _init_value(name: str, shape: tuple[int, ...], rng) -> np.ndarray:
@@ -412,45 +408,16 @@ def acf_forward(z_trend: Tensor, z_fluct: Tensor, z_shock: Tensor, model: ActMod
     return y_hat, alpha
 
 
-def act_forward(
-    window: np.ndarray,
-    graphs: RelationGraphs,
-    model: ActModel,
-    training: bool = False,
-):
-    """Full forward pass for one lookback window.
-
-    Returns (y_hat [N] on the active tape, diagnostics dict with the
-    fusion weights, trend-graph neighbor lists, and mean gate opening).
-    """
-    cfg = model.cfg
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim != 3:
-        raise DataError(f"window must be [T, N, F], got {window.shape}")
-    if window.shape[0] != cfg.window or window.shape[2] != cfg.n_features:
-        raise DataError(
-            f"window shape {window.shape} disagrees with config "
-            f"(T={cfg.window}, F={cfg.n_features})"
-        )
-    if window.shape[1] != len(graphs.instruments):
-        raise DataError("window and relation graphs disagree on N")
-    if not np.isfinite(window).all():
-        raise NonFiniteError("window contains NaN or Inf; standardize first")
-
-    parts = decompose(window, cfg.trend_window, cfg.fluct_window)
-    return act_forward_parts(parts, graphs, model, training=training)
-
-
 def act_forward_parts(
     parts,
     graphs: RelationGraphs,
     model: ActModel,
     training: bool = False,
 ):
-    """Forward pass on an already-decomposed window or batch of windows.
+    """Forward pass on a decomposed window or batch of windows.
 
-    Lets callers reuse one decomposition across epochs; `parts` is the
-    value of decompose() for a [T, N, F] window, or the
+    Training, validation and prediction all score through it; `parts`
+    is the value of decompose() for a [T, N, F] window, or the
     `stack_decompositions` of B of them, [T, B, N, F]. Returns
     (y_hat [N] or [B, N], diagnostics) with the fusion weights `alpha`
     [..., N, 3], the `neighbors` [..., N, K] the trend branch attended

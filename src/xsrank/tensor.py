@@ -76,9 +76,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0])
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, node_id={self.node_id})"
 

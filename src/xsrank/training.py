@@ -13,12 +13,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as tz
-from .data import PanelDataset, PredictionSeries, make_windows
+from .data import PanelDataset, PredictionSeries, WindowSample, make_windows
 from .decompose import decompose, stack_decompositions
 from .errors import ConfigError, DataError, NonFiniteError, ShapeError
 from .evaluate import pearson
 from .graphs import RelationGraphs
-from .model import ActConfig, ActModel, act_forward, act_forward_parts
+from .model import ActConfig, ActModel, act_forward_parts
 from .tensor import Tape, Tensor, backward
 
 LABEL_CLIP = 0.1
@@ -215,13 +215,29 @@ class TrainHistory:
         }
 
 
-def _check_knn(cfg: ActConfig, n_instruments: int) -> None:
-    """Reject a k-NN size the trend branch's graph cannot hold (k <= N-1)."""
-    if cfg.pspe == "full" and cfg.knn > n_instruments - 1:
-        raise ConfigError(
-            f"knn={cfg.knn} needs at least knn + 1 instruments, "
-            f"but the panel has N={n_instruments}"
-        )
+def _checked_samples(ds: PanelDataset, graphs: RelationGraphs,
+                     cfg: ActConfig) -> list[WindowSample]:
+    """Run the checks that hold for every window, then build the samples;
+    finiteness is left to `decompose`, which checks the windows read."""
+    n = len(ds.instruments)
+    if cfg.pspe == "full" and cfg.knn > n - 1:
+        raise ConfigError(f"knn={cfg.knn} needs at least knn + 1 instruments, "
+                          f"but the panel has N={n}")
+    if cfg.n_features != ds.n_features:
+        raise DataError(f"model takes {cfg.n_features} features, panel has {ds.n_features}")
+    if len(graphs.instruments) != n:
+        raise DataError(f"relation graphs cover {len(graphs.instruments)} instruments, "
+                        f"but the panel has N={n}")
+    return make_windows(ds, cfg.window)
+
+
+def _score_samples(samples, graphs: RelationGraphs, model: ActModel, size: int, batch_parts):
+    """Yield (sample, scores [N]) per sample, `size` windows per forward pass
+    with dropout off; `batch_parts(chunk)` gives the chunk's [T, B, N, F] parts."""
+    for start in range(0, len(samples), size):
+        chunk = samples[start: start + size]
+        y_hat, _ = act_forward_parts(batch_parts(chunk), graphs, model)
+        yield from zip(chunk, y_hat.data)
 
 
 def train(
@@ -243,10 +259,9 @@ def train(
     batch's windows of ic + loss_mix * mse. A window with one observed
     stock has no IC term; a window with none is left out of the batch;
     both count in `skipped_ic_days`. Validation scores windows in chunks
-    of the same size.
+    of the same size. The final date's sample has no label and is dropped.
     """
-    _check_knn(cfg, len(ds.instruments))
-    samples = make_windows(ds, cfg.window)
+    samples = _checked_samples(ds, graphs, cfg)[:-1]
     train_samples = [s for s in samples if s.date < settings.valid_start]
     stop = settings.test_start
     valid_samples = [
@@ -270,14 +285,11 @@ def train(
     parts_cache: dict[int, object] = {}
 
     def batch_parts(samples):
-        parts = []
-        for sample in samples:
-            got = parts_cache.get(sample.end_index)
-            if got is None:
-                got = decompose(sample.features, cfg.trend_window, cfg.fluct_window)
-                parts_cache[sample.end_index] = got
-            parts.append(got)
-        return stack_decompositions(parts)
+        for s in samples:
+            if s.end_index not in parts_cache:
+                parts_cache[s.end_index] = decompose(
+                    s.features, cfg.trend_window, cfg.fluct_window)
+        return stack_decompositions([parts_cache[s.end_index] for s in samples])
 
     stopper = EarlyStopper(settings.patience)
     best_state = model.state_arrays()
@@ -328,13 +340,11 @@ def train(
         history.train_mse_term.append(mse_sum / max(n_loss, 1))
 
         day_ics = []
-        for start in range(0, len(valid_samples), size):
-            chunk = valid_samples[start: start + size]
-            y_hat, _ = act_forward_parts(batch_parts(chunk), graphs, model)
-            for scores, sample in zip(y_hat.data, chunk):
-                ic = pearson(scores[sample.mask], sample.labels[sample.mask])
-                if ic is not None:
-                    day_ics.append(ic)
+        for sample, scores in _score_samples(valid_samples, graphs, model, size,
+                                             batch_parts):
+            ic = pearson(scores[sample.mask], sample.labels[sample.mask])
+            if ic is not None:
+                day_ics.append(ic)
         epoch_ic = float(np.mean(day_ics)) if day_ics else -np.inf
         history.valid_ic.append(epoch_ic)
 
@@ -358,27 +368,24 @@ def predict_sliding(
 
     Slides a length-T window over the whole panel (so the first dates
     after `start_date` still draw history from before it) and keeps the
-    records whose end date is >= start_date. Dropout stays off; the
-    dynamic graph is rebuilt inside every window.
+    records whose end date is >= start_date, the unlabelled final date
+    included. Dropout stays off; the dynamic graph is rebuilt inside
+    every window. Each window is decomposed and scored alone, uncached.
     """
     cfg = model.cfg
-    _check_knn(cfg, len(ds.instruments))
-    n_dates = len(ds.dates)
-    if n_dates < cfg.window:
-        raise DataError(
-            f"need at least {cfg.window} dates for one window, have {n_dates}"
-        )
+    if len(ds.dates) < cfg.window:
+        raise DataError(f"a window needs {cfg.window} dates, the panel has {len(ds.dates)}")
+    samples = [s for s in _checked_samples(ds, graphs, cfg)
+               if start_date is None or s.date >= start_date]
     rows = []
-    for t in range(cfg.window - 1, n_dates):
-        date = ds.dates[t]
-        if start_date is not None and date < start_date:
-            continue
-        window = ds.features[t - cfg.window + 1: t + 1]
-        y_hat, _ = act_forward(window, graphs, model, training=False)
-        present = ds.present_mask[t]
+    for sample, scores in _score_samples(
+            samples, graphs, model, 1,
+            lambda chunk: decompose(np.stack([s.features for s in chunk], axis=1),
+                                    cfg.trend_window, cfg.fluct_window)):
+        present = ds.present_mask[sample.end_index]
         for i, inst in enumerate(ds.instruments):
             if present[i]:
-                rows.append((date, inst, float(y_hat.data[i])))
+                rows.append((sample.date, inst, float(scores[i])))
     if not rows:
         raise DataError("no window-end dates at or after start_date")
     return PredictionSeries(rows)

@@ -7,6 +7,7 @@ central differences.
 
 import numpy as np
 
+from _helpers import item
 from xsrank.tensor import Tape, Tensor, backward
 
 
@@ -29,9 +30,9 @@ def finite_difference_check(f, point: Tensor, step: float = 1e-6) -> float:
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + step
-        hi = f(Tensor(base)).item()
+        hi = item(f(Tensor(base)))
         flat[i] = orig - step
-        lo = f(Tensor(base)).item()
+        lo = item(f(Tensor(base)))
         flat[i] = orig
         numeric = (hi - lo) / (2.0 * step)
         a = analytic.reshape(-1)[i]
@@ -61,9 +62,9 @@ def finite_difference_check_params(f, params, step: float = 1e-6) -> float:
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            hi = f().item()
+            hi = item(f())
             flat[i] = orig - step
-            lo = f().item()
+            lo = item(f())
             flat[i] = orig
             numeric = (hi - lo) / (2.0 * step)
             err = abs(aflat[i] - numeric) / max(1.0, abs(aflat[i]))

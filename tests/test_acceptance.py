@@ -13,6 +13,7 @@ import numpy as np
 
 import _oracles as oracle
 from _fd import finite_difference_check, finite_difference_check_params
+from _helpers import act_forward, item
 from xsrank import cli
 from xsrank import tensor as tz
 from xsrank.backtest import StrategyConfig, portfolio_metrics, run_backtest
@@ -36,7 +37,7 @@ from xsrank.graphs import (
     gcn_layer,
     topk_graph,
 )
-from xsrank.model import ActConfig, ActModel, act_forward, pspe_forward, \
+from xsrank.model import ActConfig, ActModel, pspe_forward, \
     fci_forward, sci_forward, acf_forward
 from xsrank.tensor import PrimitiveKind, Tensor
 from xsrank.training import TrainSettings, clip_labels, ic_loss, \
@@ -282,14 +283,14 @@ def test_criterion_5_loss_semantics():
     mask = np.ones(50, dtype=bool)
     yc = clip_labels(labels)
 
-    aligned = ic_loss(Tensor(yc), labels, mask).item()
-    flipped = ic_loss(Tensor(-yc), labels, mask).item()
+    aligned = item(ic_loss(Tensor(yc), labels, mask))
+    flipped = item(ic_loss(Tensor(-yc), labels, mask))
     # invariance is probed on well-dispersed scores; near-zero variance
     # would let the epsilon guard inside the loss dominate the comparison
     scores = 3.0 * rng.normal(size=50)
-    base = ic_loss(Tensor(scores), labels, mask).item()
+    base = item(ic_loss(Tensor(scores), labels, mask))
     affine = abs(
-        ic_loss(Tensor(2.5 * scores + 7.0), labels, mask).item() - base)
+        item(ic_loss(Tensor(2.5 * scores + 7.0), labels, mask)) - base)
     ok = aligned < 1e-6 and 1.999 <= flipped <= 2.001 and affine < 1e-10
     verdict(5, ok,
             f"ic_loss(clipped labels) {aligned:.2e} < 1e-6; anticorrelated "

@@ -573,3 +573,53 @@ def test_evaluate_checks_group_by_before_writing(workdir, tmp_path):
         assert cli.main(base + ["--out", str(out)] + extra) == code
         assert not (out / "metrics.csv").exists()
         assert not (out / "daily_metrics.csv").exists()
+
+
+def test_predict_refuses_a_checkpoint_with_another_feature_count(workdir, tmp_path, capsys):
+    # the workdir model takes 4 features; this panel has 5
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--out", str(data), "--n-instruments", "8",
+                     "--n-features", "5", "--days", "60", "--seed", "3"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "preds"
+    rc = cli.main(["predict", "--out", str(out),
+                   "--checkpoint", str(workdir / "model" / "checkpoint.json"),
+                   "--features", str(data / "features.csv"),
+                   "--prices", str(data / "prices.csv"),
+                   "--industry", str(data / "industry.csv"),
+                   "--region", str(data / "region.csv")])
+    assert rc == cli.EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert "model takes 4 features, panel has 5" in err[0]
+    assert not (out / "predictions.csv").exists()
+
+
+@pytest.mark.parametrize("old, new, fault", [
+    ("2015-01-02,", "2015-13-02,", "is not a YYYY-MM-DD day"),
+    (None, "-1.5", "price -1.5 is not positive and finite"),
+    (None, "0", "price 0.0 is not positive and finite"),
+    (None, "inf", "price inf is not positive and finite"),
+])
+def test_bad_dates_and_prices_exit_3_with_one_error_line(workdir, tmp_path, capsys,
+                                                         old, new, fault):
+    data = workdir / "data"
+    features = tmp_path / "features.csv"
+    prices = tmp_path / "prices.csv"
+    feat_text = (data / "features.csv").read_text()
+    price_lines = (data / "prices.csv").read_text().splitlines()
+    if old is None:
+        cells = price_lines[5].split(",")
+        cells[2] = new
+        price_lines[5] = ",".join(cells)
+    features.write_text(feat_text if old is None else feat_text.replace(old, new))
+    prices.write_text("\n".join(price_lines) + "\n")
+    out = tmp_path / "model"
+    rc = cli.main(["train", "--out", str(out), "--features", str(features),
+                   "--prices", str(prices)] + graph_args(workdir)
+                  + ["--valid-start", "2015-03-01", "--epochs", "1"])
+    assert rc == cli.EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and fault in err[0], err
+    assert "line " in err[0]
+    assert not out.exists()

