@@ -377,17 +377,29 @@ def load_panel(features_path, prices_path) -> PanelDataset:
     # each distinct date is checked once; bad_day is the first row without one
     is_day = np.fromiter(map(_is_day, dates), dtype=bool, count=len(dates))
     bad_day = int(np.argmin(is_day[t])) if not is_day.all() else len(parsed)
+    # only an empty cell stands for a missing feature; inf is refused. The
+    # NaN-skipping extremes find one without a mask the size of the panel.
+    cells = values[: len(parsed) * n_feat]
+    bad_cell = cells.size
+    if cells.size and np.isinf([np.fmax.reduce(cells), np.fmin.reduce(cells)]).any():
+        bad_cell = int(np.argmax(np.isinf(cells)))
+    bad_row = bad_cell // n_feat
     _, first = np.unique(t * len(names) + i, return_index=True)
     if first.size < t.size:
         seen = np.zeros(t.size, dtype=bool)
         seen[first] = True
         dup = int(np.argmin(seen))
-        if dup < bad_day:
+        if dup < min(bad_day, bad_row):
             dt, inst = parsed[dup][:2]
             raise DataError(f"{features_path}: duplicate ({dt}, {inst})")
-    if bad_day < len(parsed):
+    if bad_day < len(parsed) and bad_day <= bad_row:
         raise DataError(f"{features_path}: line {bad_day + 2}: "
                         f"date {parsed[bad_day][0]!r} is not a YYYY-MM-DD day")
+    if bad_row < len(parsed):
+        raise DataError(f"{features_path}: line {bad_row + 2}: feature "
+                        f"{header[2 + bad_cell % n_feat]} is "
+                        f"{parsed[bad_row][2 + bad_cell % n_feat]!r}; "
+                        f"leave a missing value empty")
     if error is not None:
         raise error
     if n_ok < len(rows):
@@ -508,9 +520,14 @@ def load_factors(path) -> FactorSeries:
         [v for row in rows[:n_ok] for v in row[1:]], path,
         lambda k: k // len(names) + 2)
     missing = np.flatnonzero(~np.isfinite(values))
-    if missing.size:
+    bad_day = next((k for k, row in enumerate(rows[: len(values) // len(names)])
+                    if not _is_day(row[0])), None)
+    if missing.size and (bad_day is None or missing[0] // len(names) < bad_day):
         k = missing[0]
         raise DataError(f"{path}: line {k // len(names) + 2}: missing {names[k % len(names)]}")
+    if bad_day is not None:
+        raise DataError(f"{path}: line {bad_day + 2}: "
+                        f"date {rows[bad_day][0]!r} is not a YYYY-MM-DD day")
     if error is not None:
         raise error
     if n_ok < len(rows):

@@ -10,7 +10,6 @@ input exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -23,8 +22,11 @@ def causal_moving_average(x: np.ndarray, window: int) -> np.ndarray:
     At the left edge the divisor shrinks to the number of available
     steps, i.e. out[t] = mean(x[max(0, t-window+1) .. t]).
 
-    Summation is sequential in ascending time so results are bit-identical
-    to the textbook loop.
+    Each cell is summed in ascending time, as the textbook loop sums it,
+    so results are bit-identical to that loop: the first `window` rows
+    are running sums (np.add.accumulate is sequential along the axis),
+    and every later row adds the window's `window` offsets in order,
+    one whole-slice add per offset.
     """
     if not isinstance(window, (int, np.integer)) or window < 1:
         raise ConfigError(f"moving-average window must be an int >= 1, got {window!r}")
@@ -33,16 +35,18 @@ def causal_moving_average(x: np.ndarray, window: int) -> np.ndarray:
         raise ConfigError("input must have a non-empty leading time axis")
     if not np.isfinite(x).all():
         raise NonFiniteError("causal_moving_average input contains NaN or Inf")
-    if window == 1:
-        return x.copy()
     T = x.shape[0]
+    w = min(int(window), T)
     out = np.empty_like(x)
-    for t in range(T):
-        start = max(0, t - window + 1)
-        acc = x[start].copy()
-        for s in range(start + 1, t + 1):
-            acc += x[s]
-        out[t] = acc / (t + 1 - start)
+    head, tail = out[:w], out[w:]
+    np.add.accumulate(x[:w], axis=0, out=head)
+    head /= np.arange(1, w + 1, dtype=np.float64).reshape((w,) + (1,) * (x.ndim - 1))
+    if T > w:
+        # row t >= w sums x[t - w + 1], ..., x[t]
+        tail[...] = x[1:T - w + 1]
+        for j in range(1, w):
+            tail += x[1 + j:T - w + 1 + j]
+        tail /= w
     return out
 
 
@@ -67,16 +71,3 @@ def decompose(x: np.ndarray, trend_window: int = 20, fluct_window: int = 5) -> D
     fluct = causal_moving_average(detrended, fluct_window)
     shock = x - trend - fluct
     return Decomposition(trend=trend, fluct=fluct, shock=shock)
-
-
-def stack_decompositions(parts: Sequence[Decomposition]) -> Decomposition:
-    """Stack decompositions of same-shape [T, ...] windows on a new axis 1.
-
-    B windows of [T, N, F] give one [T, B, N, F] batch; the split is per
-    step and per element, so this equals decomposing the stacked windows.
-    """
-    return Decomposition(
-        trend=np.stack([p.trend for p in parts], axis=1),
-        fluct=np.stack([p.fluct for p in parts], axis=1),
-        shock=np.stack([p.shock for p in parts], axis=1),
-    )

@@ -348,10 +348,14 @@ def sci_forward(
     cfg: ActConfig,
     training: bool = False,
 ) -> Tensor:
-    """Latest shock vs its own smoothed buffer, through a two-layer MLP."""
+    """Latest shock vs its own smoothed buffer, through a two-layer MLP.
+
+    The buffer is the causal mean of the last `shock_window` steps, so
+    only those steps are smoothed.
+    """
     if cfg.sci != "counterfactual":
         raise ConfigError("sci_forward requires sci == counterfactual")
-    smoothed = causal_moving_average(x_shock, cfg.shock_window)
+    smoothed = causal_moving_average(x_shock[-cfg.shock_window:], cfg.shock_window)
     x = _proj_ln(x_shock[-1], model, "shock_proj", "shock_ln")
     x_ref = _proj_ln(smoothed[-1], model, "shock_proj", "shock_ln")
     h = tz.leaky_relu(
@@ -417,8 +421,8 @@ def act_forward_parts(
     """Forward pass on a decomposed window or batch of windows.
 
     Training, validation and prediction all score through it; `parts`
-    is the value of decompose() for a [T, N, F] window, or the
-    `stack_decompositions` of B of them, [T, B, N, F]. Returns
+    is the value of decompose() for a [T, N, F] window, or for B of
+    them stacked on axis 1, [T, B, N, F]. Returns
     (y_hat [N] or [B, N], diagnostics) with the fusion weights `alpha`
     [..., N, 3], the `neighbors` [..., N, K] the trend branch attended
     over (the k-NN lists, or the -1 padded union lists for gat_only),

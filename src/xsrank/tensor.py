@@ -5,10 +5,18 @@ Tensors wrap C-contiguous float64 ndarrays. The closed set of primitives
 and nothing another kind already computes: selection and gathers are
 INDEX, the fluctuation branch's causal convolution is a broadcast
 MATMUL over stacked lags plus a SUM, ReLU is LEAKY_RELU at slope 0, a
-mean is SUM then DIV, and dropout is a MUL by a mask the model draws. Each
-primitive records a vector-Jacobian closure on the active tape. Running
-a primitive with no active tape just computes the value, which is how
-inference runs.
+mean is SUM then DIV, and dropout is a MUL by a mask the model draws.
+
+Differentiation starts from watched leaves: `tape.watch(t)` gives a
+tensor a node on the tape, and `train` watches every parameter before
+its forward pass. A primitive records a vector-Jacobian closure only
+when some input is already on the active tape, a watched leaf or a
+recorded output, so an op whose inputs are all constants (masks,
+labels, pool matrices, raw features) computes its value and records
+nothing. Running a primitive with no active tape just computes the
+value, which is how inference runs. `backward` fills gradients for the
+watched leaves the loss reaches and drops every interior gradient once
+it has been passed on.
 
 Every primitive output is checked for finiteness; NaN or Inf anywhere is
 an error, never a silent state.
@@ -130,7 +138,8 @@ class Tape:
         stack.pop()
 
     def watch(self, tensor: Tensor) -> int:
-        """Ensure the tensor has a node on this tape; return its id."""
+        """Make the tensor a leaf of this tape, so that backward() gives it
+        a gradient and ops that read it are recorded; return its node id."""
         if tensor._tape_token == self._token and tensor.node_id is not None:
             return tensor.node_id
         node_id = len(self._nodes)
@@ -145,7 +154,8 @@ class Tape:
         return node_id
 
     def grad(self, tensor: Tensor) -> np.ndarray | None:
-        """Gradient for a tensor after backward(), or None if unreached."""
+        """Gradient of a watched tensor after backward(), or None if the
+        tensor is not watched or the loss does not reach it."""
         if tensor._tape_token != self._token or tensor.node_id is None:
             return None
         return self.gradients.get(tensor.node_id)
@@ -176,8 +186,10 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 # forward + VJP builders, one per primitive
 #
 # Each builder takes the input arrays and validated attrs and returns
-# (out_array, vjp) where vjp maps the output cotangent to a list of
-# per-input cotangents (None for non-differentiable inputs).
+# (out_array, vjp). vjp(g, needs) maps the output cotangent to a list of
+# per-input cotangents; needs[i] is False for an input that is not on the
+# tape, whose cotangent backward() discards, so a VJP may return None for
+# it instead of computing it.
 # ---------------------------------------------------------------------------
 
 
@@ -195,13 +207,16 @@ def _fw_matmul(inputs, attrs):
         )
     out = np.matmul(ae, be)
 
-    def vjp(g):
-        da_e = np.matmul(g, np.swapaxes(be, -1, -2))
-        db_e = np.matmul(np.swapaxes(ae, -1, -2), g)
-        da_e = _unbroadcast(da_e, ae.shape)
-        db_e = _unbroadcast(db_e, be.shape)
-        da = np.swapaxes(da_e, -1, -2) if ta else da_e
-        db = np.swapaxes(db_e, -1, -2) if tb else db_e
+    def vjp(g, needs):
+        da = db = None
+        if needs[0]:
+            da = _unbroadcast(np.matmul(g, np.swapaxes(be, -1, -2)), ae.shape)
+            if ta:
+                da = np.swapaxes(da, -1, -2)
+        if needs[1]:
+            db = _unbroadcast(np.matmul(np.swapaxes(ae, -1, -2), g), be.shape)
+            if tb:
+                db = np.swapaxes(db, -1, -2)
         return [da, db]
 
     return out, vjp
@@ -211,7 +226,7 @@ def _fw_add(inputs, attrs):
     a, b = inputs
     out = a + b
 
-    def vjp(g):
+    def vjp(g, needs):
         return [_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)]
 
     return out, vjp
@@ -221,7 +236,7 @@ def _fw_sub(inputs, attrs):
     a, b = inputs
     out = a - b
 
-    def vjp(g):
+    def vjp(g, needs):
         return [_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)]
 
     return out, vjp
@@ -231,8 +246,9 @@ def _fw_mul(inputs, attrs):
     a, b = inputs
     out = a * b
 
-    def vjp(g):
-        return [_unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape)]
+    def vjp(g, needs):
+        return [_unbroadcast(g * b, a.shape) if needs[0] else None,
+                _unbroadcast(g * a, b.shape) if needs[1] else None]
 
     return out, vjp
 
@@ -241,10 +257,10 @@ def _fw_div(inputs, attrs):
     a, b = inputs
     out = a / b
 
-    def vjp(g):
+    def vjp(g, needs):
         return [
-            _unbroadcast(g / b, a.shape),
-            _unbroadcast(-g * a / (b * b), b.shape),
+            _unbroadcast(g / b, a.shape) if needs[0] else None,
+            _unbroadcast(-g * a / (b * b), b.shape) if needs[1] else None,
         ]
 
     return out, vjp
@@ -258,7 +274,7 @@ def _fw_concat_last(inputs, attrs):
     sizes = [x.shape[-1] for x in inputs]
     out = np.concatenate(inputs, axis=-1)
 
-    def vjp(g):
+    def vjp(g, needs):
         grads = []
         ofs = 0
         for n in sizes:
@@ -282,7 +298,7 @@ def _fw_layer_norm(inputs, attrs):
     xhat = xc * inv
     out = gamma * xhat + beta
 
-    def vjp(g):
+    def vjp(g, needs):
         dgamma = (g * xhat).reshape(-1, d).sum(axis=0)
         dbeta = g.reshape(-1, d).sum(axis=0)
         dxhat = g * gamma
@@ -299,7 +315,7 @@ def _fw_leaky_relu(inputs, attrs):
     slope = attrs["slope"]
     out = np.where(x > 0, x, slope * x)
 
-    def vjp(g):
+    def vjp(g, needs):
         return [g * np.where(x > 0, 1.0, slope)]
 
     return out, vjp
@@ -309,7 +325,7 @@ def _fw_sigmoid(inputs, attrs):
     (x,) = inputs
     s = _stable_sigmoid(x)
 
-    def vjp(g):
+    def vjp(g, needs):
         return [g * s * (1.0 - s)]
 
     return s, vjp
@@ -319,7 +335,7 @@ def _fw_tanh(inputs, attrs):
     (x,) = inputs
     t = np.tanh(x)
 
-    def vjp(g):
+    def vjp(g, needs):
         return [g * (1.0 - t * t)]
 
     return t, vjp
@@ -332,7 +348,7 @@ def _fw_softmax(inputs, attrs):
     ex = np.exp(shifted)
     s = ex / ex.sum(axis=axis, keepdims=True)
 
-    def vjp(g):
+    def vjp(g, needs):
         dot = (g * s).sum(axis=axis, keepdims=True)
         return [s * (g - dot)]
 
@@ -345,7 +361,7 @@ def _fw_sum(inputs, attrs):
     keepdims = attrs.get("keepdims", False)
     out = x.sum(axis=axis, keepdims=keepdims)
 
-    def vjp(g):
+    def vjp(g, needs):
         gg = np.asarray(g)
         if axis is not None and not keepdims:
             gg = np.expand_dims(gg, axis)
@@ -358,7 +374,7 @@ def _fw_sqrt(inputs, attrs):
     (x,) = inputs
     out = np.sqrt(x)
 
-    def vjp(g):
+    def vjp(g, needs):
         return [g / (2.0 * out)]
 
     return out, vjp
@@ -396,7 +412,7 @@ def _fw_index(inputs, attrs):
     # advanced indexing already returns a fresh array; basic indexing a view
     out = x[key] if advanced else x[key].copy()
 
-    def vjp(g):
+    def vjp(g, needs):
         if advanced:
             flat = np.arange(x.size).reshape(x.shape)[key]
             dx = np.bincount(flat.reshape(-1), weights=g.reshape(-1), minlength=x.size)
@@ -459,7 +475,10 @@ def apply_primitive(
     tape = active_tape()
     if tape is None:
         return Tensor._wrap_checked(out)
-    input_ids = tuple(tape.watch(t) for t in inputs)
+    # an input off this tape is a constant: no gradient flows into it
+    input_ids = tuple(t.node_id if t._tape_token == tape._token else None for t in inputs)
+    if all(i is None for i in input_ids):
+        return Tensor._wrap_checked(out)
     node_id = tape._record(kind, input_ids, vjp)
     return Tensor._wrap_checked(out, node_id=node_id, tape_token=tape._token)
 
@@ -467,30 +486,38 @@ def apply_primitive(
 def backward(loss: Tensor) -> None:
     """Reverse sweep from a scalar loss over the active tape.
 
-    Fills tape.gradients (node_id -> ndarray), which tape.grad() reads.
-    Every reachable node gets a gradient of its own shape; unreachable
-    nodes are absent. A gradient may share memory with another (an ADD
+    Fills tape.gradients (node_id -> ndarray), which tape.grad() reads,
+    with a gradient of its own shape for every watched leaf the loss
+    reaches. An interior node's gradient is dropped as soon as its VJP
+    has run, so the sweep never holds more than the gradients still to
+    be passed on. A gradient may share memory with another (an ADD
     passes its output's gradient to both inputs), so all are read-only.
     """
     tape = active_tape()
     if tape is None:
         raise TapeError("backward() needs an active tape")
-    if loss._tape_token != tape._token or loss.node_id is None:
+    if loss._tape_token is None:
+        raise TapeError("loss depends on no watched tensor; "
+                        "call tape.watch() on the tensors to differentiate")
+    if loss._tape_token != tape._token:
         raise TapeError("loss tensor is not on the active tape")
     if loss.data.size != 1:
         raise TapeError(f"loss must be scalar, got shape {loss.shape}")
 
+    nodes = tape._nodes
     grads: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
     for node_id in range(loss.node_id, -1, -1):
-        g = grads.get(node_id)
+        node = nodes[node_id]
+        if node.vjp is None:  # a watched leaf keeps its gradient
+            continue
+        # every consumer has a larger id, so this gradient is complete
+        g = grads.pop(node_id, None)
         if g is None:
             continue
-        node = tape._nodes[node_id]
-        if node.vjp is None:
-            continue
-        input_grads = node.vjp(g)
-        for in_id, ig in zip(node.input_ids, input_grads):
-            if ig is None:
+        input_ids = node.input_ids
+        input_grads = node.vjp(g, [i is not None for i in input_ids])
+        for in_id, ig in zip(input_ids, input_grads):
+            if in_id is None:
                 continue
             if not np.isfinite(ig).all():
                 raise NonFiniteError(

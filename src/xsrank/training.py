@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tensor as tz
 from .data import PanelDataset, PredictionSeries, WindowSample, make_windows
-from .decompose import decompose, stack_decompositions
+from .decompose import decompose
 from .errors import ConfigError, DataError, NonFiniteError, ShapeError
 from .evaluate import pearson
 from .graphs import RelationGraphs
@@ -121,11 +121,23 @@ class Adam:
             g = grads.get(name)
             if g is None:
                 g = np.zeros_like(p.data)
-            self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-            m_hat = self.m[name] / (1 - b1 ** self.t)
-            v_hat = self.v[name] / (1 - b2 ** self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            # in place, in the operation order of
+            # m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g and
+            # p -= (lr m_hat) / (sqrt(v_hat) + eps)
+            m, v = self.m[name], self.v[name]
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            g2 = (1 - b2) * g
+            g2 *= g
+            v += g2
+            step = m / (1 - b1 ** self.t)
+            step *= self.lr
+            denom = np.divide(v, 1 - b2 ** self.t, out=g2)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            step /= denom
+            p.data -= step
             if not np.isfinite(p.data).all():
                 raise NonFiniteError(f"parameter {name} became non-finite")
 
@@ -231,12 +243,18 @@ def _checked_samples(ds: PanelDataset, graphs: RelationGraphs,
     return make_windows(ds, cfg.window)
 
 
-def _score_samples(samples, graphs: RelationGraphs, model: ActModel, size: int, batch_parts):
+def _decompose_samples(samples, cfg: ActConfig):
+    """Decomposition of the samples' windows stacked on axis 1, [T, B, N, F]."""
+    return decompose(np.stack([s.features for s in samples], axis=1),
+                     cfg.trend_window, cfg.fluct_window)
+
+
+def _score_samples(samples, graphs: RelationGraphs, model: ActModel, size: int):
     """Yield (sample, scores [N]) per sample, `size` windows per forward pass
-    with dropout off; `batch_parts(chunk)` gives the chunk's [T, B, N, F] parts."""
+    with dropout off, each chunk decomposed as it is drawn."""
     for start in range(0, len(samples), size):
         chunk = samples[start: start + size]
-        y_hat, _ = act_forward_parts(batch_parts(chunk), graphs, model)
+        y_hat, _ = act_forward_parts(_decompose_samples(chunk, model.cfg), graphs, model)
         yield from zip(chunk, y_hat.data)
 
 
@@ -252,14 +270,18 @@ def train(
     those in [valid_start, test_start) drive model selection. Dates from
     test_start on are never touched. Deterministic per seed.
 
-    Each minibatch of `settings.batch_size` windows runs through one
-    forward pass on its stacked decompositions, [T, B, N, F], cached per
-    window across epochs, and is scored by one batched `ic_loss` and
-    `mse_loss`, [B, N] -> [B]. The step minimizes the mean over the
-    batch's windows of ic + loss_mix * mse. A window with one observed
-    stock has no IC term; a window with none is left out of the batch;
-    both count in `skipped_ic_days`. Validation scores windows in chunks
-    of the same size. The final date's sample has no label and is dropped.
+    Each minibatch of `settings.batch_size` windows is decomposed when
+    it is drawn, as one [T, B, N, F] stack, runs through one forward
+    pass on a tape that watches the model's parameters, and is scored
+    by one batched `ic_loss` and `mse_loss`, [B, N] -> [B]. The step
+    minimizes the mean over the batch's windows of ic + loss_mix * mse.
+    A window with one observed stock has no IC term; a window with none
+    is left out of the batch; both count in `skipped_ic_days`.
+    Validation scores windows in chunks of the same size, decomposed the
+    same way. Nothing is cached across batches, so a step holds one
+    batch's decomposition, activations and the gradients that reach a
+    parameter, whatever the panel's length. The final date's sample has
+    no label and is dropped.
     """
     samples = _checked_samples(ds, graphs, cfg)[:-1]
     train_samples = [s for s in samples if s.date < settings.valid_start]
@@ -282,15 +304,6 @@ def train(
         n_train_windows=len(train_samples), n_valid_windows=len(valid_samples)
     )
     shuffle_rng = np.random.default_rng(settings.seed)
-    parts_cache: dict[int, object] = {}
-
-    def batch_parts(samples):
-        for s in samples:
-            if s.end_index not in parts_cache:
-                parts_cache[s.end_index] = decompose(
-                    s.features, cfg.trend_window, cfg.fluct_window)
-        return stack_decompositions([parts_cache[s.end_index] for s in samples])
-
     stopper = EarlyStopper(settings.patience)
     best_state = model.state_arrays()
     size = settings.batch_size
@@ -312,10 +325,11 @@ def train(
             scored = mask.sum(axis=1) >= 2
             history.skipped_ic_days += int((~scored).sum())
             try:
+                parts = _decompose_samples(batch, cfg)
                 with Tape() as tape:
-                    y_hat, _ = act_forward_parts(
-                        batch_parts(batch), graphs, model, training=True
-                    )
+                    for p in model.params.values():
+                        tape.watch(p)
+                    y_hat, _ = act_forward_parts(parts, graphs, model, training=True)
                     ic_terms = ic_loss(y_hat, labels, mask) if scored.any() else None
                     mse_terms = mse_loss(y_hat, labels, mask)
                     window_loss = mix_losses(ic_terms, mse_terms, cfg.loss_mix)
@@ -340,8 +354,7 @@ def train(
         history.train_mse_term.append(mse_sum / max(n_loss, 1))
 
         day_ics = []
-        for sample, scores in _score_samples(valid_samples, graphs, model, size,
-                                             batch_parts):
+        for sample, scores in _score_samples(valid_samples, graphs, model, size):
             ic = pearson(scores[sample.mask], sample.labels[sample.mask])
             if ic is not None:
                 day_ics.append(ic)
@@ -370,7 +383,7 @@ def predict_sliding(
     after `start_date` still draw history from before it) and keeps the
     records whose end date is >= start_date, the unlabelled final date
     included. Dropout stays off; the dynamic graph is rebuilt inside
-    every window. Each window is decomposed and scored alone, uncached.
+    every window. Each window is decomposed and scored alone.
     """
     cfg = model.cfg
     if len(ds.dates) < cfg.window:
@@ -378,10 +391,7 @@ def predict_sliding(
     samples = [s for s in _checked_samples(ds, graphs, cfg)
                if start_date is None or s.date >= start_date]
     rows = []
-    for sample, scores in _score_samples(
-            samples, graphs, model, 1,
-            lambda chunk: decompose(np.stack([s.features for s in chunk], axis=1),
-                                    cfg.trend_window, cfg.fluct_window)):
+    for sample, scores in _score_samples(samples, graphs, model, 1):
         present = ds.present_mask[sample.end_index]
         for i, inst in enumerate(ds.instruments):
             if present[i]:

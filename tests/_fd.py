@@ -18,6 +18,7 @@ def finite_difference_check(f, point: Tensor, step: float = 1e-6) -> float:
     (run dropout in eval mode).
     """
     with Tape() as tape:
+        tape.watch(point)
         out = f(point)
         backward(out)
         analytic = tape.grad(point)
@@ -49,6 +50,8 @@ def finite_difference_check_params(f, params, step: float = 1e-6) -> float:
     differences are taken by perturbing each param in place.
     """
     with Tape() as tape:
+        for p in params:
+            tape.watch(p)
         out = f()
         backward(out)
         analytic = [tape.grad(p) for p in params]

@@ -37,14 +37,15 @@ def row_softmax(x):
 
 
 def cma_loop(x, window):
-    """Textbook causal moving average: mean over the trailing window."""
+    """Textbook causal moving average: out[t] is the mean of the trailing
+    min(t + 1, window) steps, each cell summed in ascending time."""
     x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x)
     for t in range(x.shape[0]):
         lo = max(0, t - window + 1)
-        acc = np.zeros(x.shape[1:])
-        for s in range(lo, t + 1):
-            acc = acc + x[s]
+        acc = x[lo].copy()
+        for s in range(lo + 1, t + 1):
+            acc += x[s]
         out[t] = acc / (t - lo + 1)
     return out
 

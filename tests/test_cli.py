@@ -595,6 +595,30 @@ def test_predict_refuses_a_checkpoint_with_another_feature_count(workdir, tmp_pa
     assert not (out / "predictions.csv").exists()
 
 
+def test_regress_refuses_a_factor_date_that_is_not_a_calendar_day(workdir, tmp_path, capsys):
+    # before: the last two days, renamed 2015-13-01 and 2015-13-02 (still
+    # ascending as strings), were dropped and regress exited 0 with fewer obs
+    bt = tmp_path / "bt"
+    assert cli.main(
+        ["backtest", "--out", str(bt),
+         "--predictions", str(workdir / "preds" / "predictions.csv")]
+        + panel_args(workdir) + ["--k", "3", "--n-drop", "1"]) == 0
+    lines = (workdir / "data" / "factors.csv").read_text().splitlines()
+    for k, day in ((-2, "2015-13-01"), (-1, "2015-13-02")):
+        lines[k] = day + lines[k][len(day):]
+    factors = tmp_path / "factors.csv"
+    factors.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = cli.main(["regress", "--out", str(tmp_path / "reg"),
+                   "--backtest", str(bt / "backtest.csv"),
+                   "--factors", str(factors), "--lags", "2"])
+    assert rc == cli.EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {factors}: line {len(lines) - 1}: "
+                   "date '2015-13-01' is not a YYYY-MM-DD day"], err
+    assert not (tmp_path / "reg" / "regression.csv").exists()
+
+
 @pytest.mark.parametrize("old, new, fault", [
     ("2015-01-02,", "2015-13-02,", "is not a YYYY-MM-DD day"),
     (None, "-1.5", "price -1.5 is not positive and finite"),

@@ -452,6 +452,40 @@ def test_bad_date_and_duplicate_report_the_earlier_line(tmp_path):
         load_panel(_write(tmp_path / "f2.csv", date_first), p)
 
 
+@pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity", " -INF"])
+def test_load_panel_refuses_an_infinite_feature(tmp_path, cell):
+    # before: inf was imputed by standardization like an empty cell
+    p = _write(tmp_path / "prices.csv", PRICES_2x2)
+    feats = FEATURES_2x2x3.replace("2020-01-02,A,7.0,8.0,9.0", f"2020-01-02,A,7.0,{cell},9.0")
+    with pytest.raises(DataError, match=rf"features.csv: line 4: feature f1 is '{cell}'"):
+        load_panel(_write(tmp_path / "features.csv", feats), p)
+    # of several faults, the earliest line's is reported
+    dup_after = feats + "2020-01-01,A,1.0,2.0,3.0\n"
+    with pytest.raises(DataError, match="line 4: feature f1"):
+        load_panel(_write(tmp_path / "f1.csv", dup_after), p)
+    dup_before = feats.replace("2020-01-01,B,", "2020-01-01,A,")
+    with pytest.raises(DataError, match="duplicate"):
+        load_panel(_write(tmp_path / "f2.csv", dup_before), p)
+    day_before = feats + "2020-13-01,A,1.0,2.0,3.0\n"
+    with pytest.raises(DataError, match="line 4: feature f1"):
+        load_panel(_write(tmp_path / "f3.csv", day_before), p)
+    unparseable_after = feats.replace("2020-01-02,B,10.0", "2020-01-02,B,x")
+    with pytest.raises(DataError, match="line 4: feature f1"):
+        load_panel(_write(tmp_path / "f4.csv", unparseable_after), p)
+
+
+@pytest.mark.parametrize("day", ["2015-13-01", "2015-02-30", "20150105", " 2015-01-05"])
+def test_load_factors_refuses_a_date_that_is_not_a_calendar_day(tmp_path, day):
+    _, _, fs = generate_synthetic(SynthConfig(days=10, seed=3))
+    path = tmp_path / "factors.csv"
+    write_factors(fs, path)
+    lines = path.read_text().splitlines()
+    lines[4] = day + lines[4][len(fs.dates[3]):]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=rf"factors.csv: line 5: date '{day}' is not"):
+        load_factors(path)
+
+
 @pytest.mark.parametrize("price", ["-5.0", "0", "0.0", "inf", "-inf"])
 def test_load_panel_refuses_a_price_that_is_not_positive_and_finite(tmp_path, price):
     # before: a negative price gave a label of -200%, a zero price silently

@@ -5,21 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import _oracles as oracle
 from xsrank.decompose import Decomposition, causal_moving_average, decompose
 from xsrank.errors import ConfigError, NonFiniteError
-
-
-def cma_oracle(x, window):
-    """Textbook loop: out[t] = mean of the trailing min(t+1, window) steps."""
-    T = x.shape[0]
-    out = np.empty_like(x)
-    for t in range(T):
-        start = max(0, t - window + 1)
-        acc = x[start].copy()
-        for s in range(start + 1, t + 1):
-            acc += x[s]
-        out[t] = acc / (t + 1 - start)
-    return out
 
 
 def test_cma_window_one_is_identity():
@@ -46,8 +34,21 @@ def test_cma_matches_loop_oracle_bitwise():
         x = rng.normal(size=(T, 3, 2)) * 10.0
         w = int(rng.integers(1, 12))
         got = causal_moving_average(x, w)
-        want = cma_oracle(x, w)
+        want = oracle.cma_loop(x, w)
         np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(st.integers(1, 40), st.integers(0, 3)).flatmap(
+           lambda tn: arrays(np.float64, (tn[0],) + (2,) * tn[1],
+                             elements=st.floats(-1e6, 1e6, allow_nan=False,
+                                                allow_infinity=False))),
+       st.integers(1, 45))
+def test_cma_equals_textbook_loop_bitwise_over_random_shapes(x, window):
+    got = causal_moving_average(x, window)
+    want = oracle.cma_loop(x, window)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_cma_left_edge_divisor():
@@ -81,9 +82,9 @@ def test_decompose_step_matches_chain_oracle():
     x = np.zeros((T, 1, 1))
     x[5:] = 1.0
     d = decompose(x, trend_window=3, fluct_window=2)
-    trend = cma_oracle(x, 3)
+    trend = oracle.cma_loop(x, 3)
     det = x - trend
-    fluct = cma_oracle(det, 2)
+    fluct = oracle.cma_loop(det, 2)
     shock = x - trend - fluct
     np.testing.assert_array_equal(d.trend, trend)
     np.testing.assert_array_equal(d.fluct, fluct)

@@ -372,6 +372,8 @@ def test_gat_gradients_flow():
     g = topk_graph(cosine_similarity_matrix(u), 2)
     with Tape() as tape:
         tu = Tensor(u)
+        for t in [tu, *params.values()]:
+            tape.watch(t)
         z = gat_layer(tu, g, **params)
         backward(tz.tensor_sum(z))
         for t in [tu, *params.values()]:

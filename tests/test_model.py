@@ -11,7 +11,7 @@ import _oracles as oracle
 from _fd import finite_difference_check_params
 from _helpers import act_forward
 from xsrank import tensor as tz
-from xsrank.decompose import decompose, stack_decompositions
+from xsrank.decompose import decompose
 from xsrank.errors import ConfigError, DataError
 from xsrank.graphs import RelationGraphs, build_relation_graphs
 from xsrank.model import (
@@ -579,9 +579,14 @@ def test_fci_depends_only_on_last_kernel_steps():
 VARIANTS = list(itertools.product(PSPE_MODES, FCI_MODES, SCI_MODES))
 
 
-def _decomposed(cfg, n, b, rng):
-    return [decompose(make_window(cfg, n, rng), cfg.trend_window, cfg.fluct_window)
-            for _ in range(b)]
+def _windows(cfg, n, b, rng):
+    return [make_window(cfg, n, rng) for _ in range(b)]
+
+
+def _stacked(cfg, windows):
+    """One decomposition of the windows stacked on axis 1, as training and
+    validation decompose a batch."""
+    return decompose(np.stack(windows, axis=1), cfg.trend_window, cfg.fluct_window)
 
 
 @pytest.mark.parametrize("pspe,fci,sci", VARIANTS)
@@ -592,12 +597,13 @@ def test_batched_forward_equals_per_window_bitwise(pspe, fci, sci, b, n, seed):
     cfg = small_cfg(pspe=pspe, fci=fci, sci=sci)
     model = ActModel(cfg, seed=seed)
     graphs = make_graphs(n, rng)
-    parts = _decomposed(cfg, n, b, rng)
-    y, diag = act_forward_parts(stack_decompositions(parts), graphs, model)
+    windows = _windows(cfg, n, b, rng)
+    y, diag = act_forward_parts(_stacked(cfg, windows), graphs, model)
     assert y.shape == (b, n) and diag["alpha"].shape == (b, n, 3)
     assert diag["neighbors"].shape[:2] == (b, n)
-    for k, window in enumerate(parts):
-        y1, diag1 = act_forward_parts(window, graphs, model)
+    for k, window in enumerate(windows):
+        y1, diag1 = act_forward_parts(
+            decompose(window, cfg.trend_window, cfg.fluct_window), graphs, model)
         assert np.array_equal(y.data[k], y1.data)
         assert np.array_equal(diag["alpha"][k], diag1["alpha"])
         assert np.array_equal(diag["neighbors"][k], diag1["neighbors"])
@@ -614,8 +620,8 @@ def test_batched_training_forward_is_deterministic_per_seed(pspe, fci, sci):
     n = 6
     model = ActModel(cfg, seed=14)
     graphs = make_graphs(n, rng)
-    parts = _decomposed(cfg, n, 3, rng)
-    batch = stack_decompositions(parts)
+    windows = _windows(cfg, n, 3, rng)
+    batch = _stacked(cfg, windows)
 
     runs = []
     for _ in range(2):
@@ -624,9 +630,10 @@ def test_batched_training_forward_is_deterministic_per_seed(pspe, fci, sci):
     assert np.array_equal(runs[0], runs[1])
     # a batch of one draws the same masks as the window alone
     model.dropout_rng = np.random.default_rng(7)
-    alone = act_forward_parts(parts[0], graphs, model, training=True)[0].data
+    alone = act_forward_parts(decompose(windows[0], cfg.trend_window, cfg.fluct_window),
+                              graphs, model, training=True)[0].data
     model.dropout_rng = np.random.default_rng(7)
-    single = act_forward_parts(stack_decompositions(parts[:1]), graphs, model,
+    single = act_forward_parts(_stacked(cfg, windows[:1]), graphs, model,
                                training=True)[0].data
     assert np.array_equal(single[0], alone)
     evaluated = act_forward_parts(batch, graphs, model)[0].data

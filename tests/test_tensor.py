@@ -59,6 +59,8 @@ def test_matmul_batched_broadcast():
 
     with Tape() as tape:
         ta, tb = Tensor(a), Tensor(b)
+        tape.watch(ta)
+        tape.watch(tb)
         loss = tz.tensor_sum(tz.matmul(ta, tb))
         backward(loss)
         ga = tape.grad(ta)
@@ -75,6 +77,7 @@ def test_matmul_batched_broadcast():
     g = rng.normal(size=(3, 2, 5, 6))
     with Tape() as tape:
         tb = Tensor(b)
+        tape.watch(tb)
         out = tz.matmul(Tensor(a), tb)
         backward(tz.tensor_sum(tz.mul(out, Tensor(g))))
         gb = tape.grad(tb)
@@ -88,6 +91,7 @@ def test_softmax_gradient_closed_form():
     # loss = softmax(x)[0] at x = [0, 0] has gradient [0.25, -0.25]
     with Tape() as tape:
         x = Tensor([0.0, 0.0])
+        tape.watch(x)
         s = tz.softmax(x, axis=0)
         loss = tz.index(s, 0)
         backward(loss)
@@ -99,6 +103,7 @@ def test_relu_subgradient_zero_at_kink():
     # ReLU is leaky_relu at slope 0
     with Tape() as tape:
         x = Tensor([-1.0, 0.0, 2.0])
+        tape.watch(x)
         loss = tz.tensor_sum(tz.leaky_relu(x, 0.0))
         backward(loss)
         g = tape.grad(x)
@@ -116,6 +121,7 @@ def test_layer_norm_output_standardized():
 def test_layer_norm_constant_row_grad_near_zero():
     with Tape() as tape:
         x = Tensor(np.full((1, 8), 3.0))
+        tape.watch(x)
         out = tz.layer_norm(x, Tensor(np.ones(8)), Tensor(np.zeros(8)))
         backward(tz.tensor_sum(out))
         g = tape.grad(x)
@@ -154,6 +160,7 @@ def test_index_integer_arrays_and_none():
         g = rng.normal(size=x[key].shape)
         with Tape() as tape:
             t = Tensor(x)
+            tape.watch(t)
             backward(_scalarize(tz.index(t, key), g))
             got = tape.grad(t)
         want = np.zeros_like(x)
@@ -166,6 +173,8 @@ def test_gradients_are_read_only():
     # two may share memory; writing to either must fail, not alias
     with Tape() as tape:
         a, b = Tensor(np.ones(3)), Tensor(np.zeros(3))
+        tape.watch(a)
+        tape.watch(b)
         backward(tz.tensor_sum(tz.add(a, b)))
         ga, gb = tape.grad(a), tape.grad(b)
     np.testing.assert_array_equal(ga, np.ones(3))
@@ -199,29 +208,62 @@ def test_unknown_attr_and_missing_attr_raise():
 
 
 def test_backward_preconditions():
-    with Tape():
+    with Tape() as tape:
         x = Tensor([1.0, 2.0])
+        tape.watch(x)
         y = tz.mul(x, x)
-        with pytest.raises(TapeError):
+        with pytest.raises(TapeError, match="scalar"):
             backward(y)  # not scalar
 
-    with Tape():
+    with Tape() as tape:
         x = Tensor([1.0])
+        tape.watch(x)
         loose = Tensor([2.0])
         tz.mul(x, x)
-        with pytest.raises(TapeError):
+        with pytest.raises(TapeError, match="no watched tensor"):
             backward(loose)  # never touched the tape
 
     x = Tensor([1.0])
-    with Tape():
+    with Tape() as tape:
+        tape.watch(x)
         y = tz.tensor_sum(tz.mul(x, x))
-    with pytest.raises(TapeError):
+    with pytest.raises(TapeError, match="active tape"):
         backward(y)  # tape no longer active
+
+    with Tape() as outer:
+        outer.watch(x)
+        y = tz.tensor_sum(tz.mul(x, x))
+        with Tape():
+            with pytest.raises(TapeError, match="not on the active tape"):
+                backward(y)  # recorded on the outer tape
+
+
+def test_constants_record_nothing_and_only_watched_leaves_keep_gradients():
+    rng = np.random.default_rng(6)
+    mask, labels = Tensor(rng.random((4, 3)) >= 0.5), Tensor(rng.normal(size=(4, 3)))
+    with Tape() as tape:
+        w, unused = Tensor(rng.normal(size=(3, 3))), Tensor(np.ones(3))
+        tape.watch(w)
+        tape.watch(unused)
+        const = tz.tanh(tz.mul(mask, labels))  # constants only
+        assert const.node_id is None and len(tape._nodes) == 2
+        h = tz.matmul(const, w)
+        loss = tz.tensor_sum(tz.mul(h, h))
+        backward(loss)
+        assert set(tape.gradients) == {w.node_id}
+        assert tape.grad(unused) is None and tape.grad(const) is None
+        assert tape.grad(h) is None  # interior gradients are dropped
+        want = 2.0 * const.data.T @ (const.data @ w.data)
+        np.testing.assert_allclose(tape.grad(w), want, rtol=1e-12)
+
+        with pytest.raises(TapeError, match="no watched tensor"):
+            backward(tz.tensor_sum(const))
 
 
 def test_gradient_accumulates_over_reuse():
     with Tape() as tape:
         x = Tensor([3.0])
+        tape.watch(x)
         y = tz.add(tz.mul(x, x), x)  # x^2 + x
         backward(tz.tensor_sum(y))
         g = tape.grad(x)
@@ -244,6 +286,7 @@ def test_replay_bitwise_deterministic():
         mask = (np.random.default_rng(seed).random((6, 4)) >= 0.3) / 0.7
         with Tape() as tape:
             tx, tw = Tensor(x), Tensor(w)
+            tape.watch(tw)
             h = tz.mul(tz.tanh(tz.matmul(tx, tw)), Tensor(mask))
             loss = tz.tensor_sum(tz.mul(h, h))
             backward(loss)

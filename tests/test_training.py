@@ -10,7 +10,7 @@ from xsrank.data import SynthConfig, generate_synthetic
 from xsrank import tensor as tz
 from xsrank.errors import ConfigError, DataError, NonFiniteError, ShapeError
 from xsrank.graphs import build_relation_graphs
-from xsrank.decompose import decompose, stack_decompositions
+from xsrank.decompose import decompose
 from xsrank.model import (
     FCI_MODES,
     PSPE_MODES,
@@ -163,13 +163,15 @@ def test_every_primitive_kind_is_run_by_a_training_step(monkeypatch):
                         fluct_window=3, shock_window=3, knn=2,
                         pspe=pspe, fci=fci, sci=sci)
         model = ActModel(cfg, seed=0)
-        parts = stack_decompositions([
-            decompose(rng.normal(size=(cfg.window, n, cfg.n_features)),
-                      cfg.trend_window, cfg.fluct_window)
-            for _ in range(batch)])
+        parts = decompose(
+            np.stack([rng.normal(size=(cfg.window, n, cfg.n_features))
+                      for _ in range(batch)], axis=1),
+            cfg.trend_window, cfg.fluct_window)
         labels = rng.normal(0.0, 0.02, size=(batch, n))
         mask = np.ones((batch, n), dtype=bool)
-        with Tape():
+        with Tape() as tape:
+            for p in model.params.values():
+                tape.watch(p)
             y, _ = act_forward_parts(parts, graphs, model, training=True)
             terms = tz.add(ic_loss(y, labels, mask), mse_loss(y, labels, mask))
             backward(tz.div(tz.tensor_sum(terms), Tensor(float(batch))))
@@ -191,6 +193,8 @@ def test_total_loss_gradient_is_sum_of_term_gradients():
     grads = {}
     for kind in ("total", "ic", "mse"):
         with Tape() as tape:
+            for name in probes:
+                tape.watch(model[name])
             y_hat, _ = act_forward(window, graphs, model)
             if kind == "total":
                 loss = mix_losses(ic_loss(y_hat, labels, mask),
@@ -507,6 +511,7 @@ def test_batched_losses_are_the_per_window_losses():
     assert ic.data[1] == 0.0 and ic.data[3] == 0.0 and mse.data[3] == 0.0
     assert mse.data[1] == (y_hat.data[1, 4] - clip_labels(labels[1, 4])) ** 2
     with Tape() as tape:
+        tape.watch(y_hat)
         loss = tz.tensor_sum(ic_loss(y_hat, labels, mask))
         backward(loss)
         grad = tape.grad(y_hat)
@@ -531,6 +536,34 @@ def test_batched_ic_loss_gradient_matches_finite_differences():
         Tensor(rng.normal(size=(3, 7))),
     )
     assert err < 1e-5
+
+
+def _train_peak_mb(n_windows: int, window: int = 16) -> float:
+    """tracemalloc peak of one epoch of `train` on an N = 200 synth panel
+    with `n_windows` labelled windows, a quarter of them for validation."""
+    import tracemalloc
+
+    n_valid = n_windows // 4
+    ds, graphs = generate_synthetic(SynthConfig(
+        n_instruments=200, days=window + n_windows + 1, block_size=20, seed=0))[:2]
+    cfg = ActConfig(n_features=ds.n_features, window=window, hidden=8, knn=10)
+    first = window - 1 + n_windows - n_valid
+    settings = TrainSettings(valid_start=ds.dates[first],
+                             test_start=ds.dates[first + n_valid],
+                             epochs=1, patience=1, seed=0)
+    tracemalloc.start()
+    try:
+        train(ds, graphs, cfg, settings)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_train_memory_does_not_grow_with_the_panel():
+    # a step holds one batch's decomposition, activations and parameter
+    # gradients, so more windows mean more steps, not more memory
+    short, long = _train_peak_mb(64), _train_peak_mb(144)
+    assert long - short < 2.0, (short, long)
 
 
 def test_train_batch_loss_is_the_mean_over_contributing_windows(monkeypatch):
