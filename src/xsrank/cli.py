@@ -37,7 +37,7 @@ from .data import (
     SynthConfig,
     _first_ragged,
     _parse_floats,
-    _read_rows,
+    _read_chunks,
     _write_rows,
     format_float,
     generate_synthetic,
@@ -417,9 +417,11 @@ def cmd_backtest(args, resolved, seed) -> int:
     cfg = StrategyConfig(k=resolved["k"], n_drop=resolved["n_drop"],
                          cost_bps=resolved["cost_bps"])
     result = run_backtest(preds, ds, cfg)
+    # metrics refuse a one-day backtest, so they are computed before any
+    # artifact is written
+    metrics = portfolio_metrics(result.excess, result.portfolio)
     out = ensure_out(args)
     result.write_csv(out / "backtest.csv")
-    metrics = portfolio_metrics(result.excess, result.portfolio)
     write_portfolio_metrics(metrics, out / "portfolio_metrics.csv")
 
     # the chart is drawn from the CSV, keeping the file the single source
@@ -440,7 +442,7 @@ def cmd_backtest(args, resolved, seed) -> int:
 
 def read_backtest_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Dates, portfolio returns and compounded excess of a backtest.csv."""
-    _, rows = _read_rows(path, BACKTEST_HEADER)
+    rows = [row for _, block in _read_chunks(path, BACKTEST_HEADER) for row in block]
     n_ok = _first_ragged(rows, len(BACKTEST_HEADER))
     values, error = _parse_floats(
         [v for row in rows[:n_ok] for v in (row[1], row[4])], path,

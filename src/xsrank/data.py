@@ -4,7 +4,9 @@ windowing, and a seeded synthetic market generator with planted structure.
 All files are UTF-8 with LF line endings and ISO-8601 dates. Floats are
 written in shortest round-trip positional notation: the digits of `repr`,
 never exponent notation, so a load/write cycle of canonical files is
-byte-identical. Readers and writers work a whole column or day at a time.
+byte-identical. Writers work a whole column or day at a time. Readers
+stream a file in blocks of at most CHUNK_CELLS cells, so a loader holds its
+output arrays and one block of rows, however long the file is.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from datetime import date as _date, timedelta
+from itertools import islice
 
 import numpy as np
 
@@ -24,6 +27,9 @@ MEMBERSHIP_HEADER = ["instrument", "category"]
 FACTORS_HEADER = ["datetime", "rf", "mktrf", "smb", "hml", "rmw", "cma"]
 PREDICTIONS_HEADER = ["datetime", "instrument", "score"]
 FACTOR_NAMES = ["mktrf", "smb", "hml", "rmw", "cma"]
+# cells per block a reader parses at once: counting cells, not rows, keeps
+# the bound on a panel with many feature columns
+CHUNK_CELLS = 1 << 11
 
 
 def format_floats(values) -> list[str]:
@@ -63,22 +69,33 @@ def _write_rows(path, header, rows):
     _write_lines(path, header, map(",".join, rows))
 
 
-def _read_rows(path, expected_header):
+def _read_chunks(path, header):
+    """Yield the data rows of a CSV file as (line of the first row, rows)
+    blocks of at most CHUNK_CELLS cells each, or of one row when a row
+    is wider than that.
+
+    The file's first row must equal `header`; with `header=None` that row
+    is yielded first, unchecked, for the caller to check.
+    """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"{path}: empty file") from None
-            rows = list(reader)
-    except OSError as exc:
+            found = next(reader, None)
+            if found is None:
+                raise DataError(f"{path}: empty file")
+            if header is None:
+                yield found
+            elif found != header:
+                raise DataError(
+                    f"{path}: header {found!r} does not match expected {header!r}"
+                )
+            size = max(1, CHUNK_CELLS // max(1, len(found)))
+            line = 2
+            while rows := list(islice(reader, size)):
+                yield line, rows
+                line += len(rows)
+    except (OSError, csv.Error) as exc:
         raise DataError(f"{path}: {exc}") from exc
-    if expected_header is not None and header != expected_header:
-        raise DataError(
-            f"{path}: header {header!r} does not match expected {expected_header!r}"
-        )
-    return header, rows
 
 
 def _first_ragged(rows, width: int) -> int:
@@ -129,11 +146,29 @@ def _is_day(s: str) -> bool:
         return False
 
 
-def _codes(column: list[str]) -> tuple[list[str], np.ndarray]:
-    """Sorted distinct values of a column and each row's position in them."""
-    names = sorted(set(column))
-    pos = {name: k for k, name in enumerate(names)}
-    return names, np.fromiter(map(pos.__getitem__, column), dtype=np.intp, count=len(column))
+class _Coder:
+    """Integer codes for the distinct strings of a column read in blocks,
+    numbered in order of first appearance. Each distinct string is held
+    once, however many rows repeat it."""
+
+    def __init__(self):
+        self.names: list[str] = []
+        self._code: dict[str, int] = {}
+
+    def __call__(self, column: list[str]) -> np.ndarray:
+        code = self._code
+        for name in dict.fromkeys(column):
+            if name not in code:
+                code[name] = len(self.names)
+                self.names.append(name)
+        return np.fromiter(map(code.__getitem__, column), dtype=np.int32, count=len(column))
+
+    def ranked(self) -> tuple[list[str], np.ndarray]:
+        """The distinct strings sorted, and each code's position among them."""
+        order = sorted(range(len(self.names)), key=self.names.__getitem__)
+        rank = np.empty(len(order), dtype=np.intp)
+        rank[order] = np.arange(len(order))
+        return [self.names[k] for k in order], rank
 
 
 def _positions(names: list[str], universe: list[str]) -> np.ndarray:
@@ -220,18 +255,35 @@ class PredictionSeries:
 
     def __init__(self, rows):
         rows = list(rows)
-        self.dates, t = _codes([row[0] for row in rows])
-        self.instruments, i = _codes([row[1] for row in rows])
-        cell = t * len(self.instruments) + i
-        if np.unique(cell).size < cell.size:
+        dates, instruments = _Coder(), _Coder()
+        self._fill(dates, instruments,
+                   [(dates([row[0] for row in rows]), instruments([row[1] for row in rows]),
+                     np.array([row[2] for row in rows], dtype=np.float64))])
+
+    def _fill(self, dates: "_Coder", instruments: "_Coder", parts: list) -> None:
+        """Build the grid from (date codes, instrument codes, scores)
+        blocks, emptying `parts` as it goes."""
+        self.dates, rank_t = dates.ranked()
+        self.instruments, rank_i = instruments.ranked()
+        m = len(self.instruments)
+        scores = np.full(len(self.dates) * m, np.nan)
+        seen = np.zeros(scores.size, dtype=bool)
+        n_rows, first_bad = 0, scores.size
+        while parts:
+            t, i, values = parts.pop()
+            cell = rank_t[t] * m + rank_i[i]
+            seen[cell] = True
+            n_rows += cell.size
+            scores[cell] = values
+            bad = ~np.isfinite(values)
+            if bad.any():
+                first_bad = min(first_bad, int(cell[bad].min()))
+        if np.count_nonzero(seen) < n_rows:
             raise DataError("duplicate (date, instrument) prediction")
-        values = np.array([row[2] for row in rows], dtype=np.float64)
-        bad = cell[~np.isfinite(values)]
-        if bad.size:
-            d, k = divmod(int(bad.min()), len(self.instruments))
+        if first_bad < scores.size:
+            d, k = divmod(first_bad, m)
             raise DataError(f"non-finite score at ({self.dates[d]}, {self.instruments[k]})")
-        self.scores = np.full((len(self.dates), len(self.instruments)), np.nan)
-        self.scores[t, i] = values
+        self.scores = scores.reshape(len(self.dates), m)
 
     @property
     def rows(self) -> list[tuple[str, str, float]]:
@@ -258,15 +310,23 @@ class PredictionSeries:
 
     @classmethod
     def read_csv(cls, path) -> "PredictionSeries":
-        _, raw = _read_rows(path, PREDICTIONS_HEADER)
-        n_ok = _first_ragged(raw, 3)
-        scores, error = _parse_floats([row[2] for row in raw[:n_ok]], path,
-                                      lambda k: k + 2)
-        if error is not None:
-            raise error
-        if n_ok < len(raw):
-            raise DataError(f"{path}: line {n_ok + 2}: expected 3 columns")
-        return cls([(row[0], row[1], s) for row, s in zip(raw, scores.tolist())])
+        dates, instruments = _Coder(), _Coder()
+
+        def block(line, rows):
+            n_ok = _first_ragged(rows, 3)
+            scores, error = _parse_floats([row[2] for row in rows[:n_ok]], path,
+                                          lambda k: line + k)
+            if error is not None:
+                raise error
+            if n_ok < len(rows):
+                raise DataError(f"{path}: line {line + n_ok}: expected 3 columns")
+            return (dates([row[0] for row in rows]), instruments([row[1] for row in rows]),
+                    scores)
+
+        preds = cls.__new__(cls)
+        preds._fill(dates, instruments,
+                    [block(*chunk) for chunk in _read_chunks(path, PREDICTIONS_HEADER)])
+        return preds
 
 
 @dataclass
@@ -359,7 +419,8 @@ def load_panel(features_path, prices_path) -> PanelDataset:
     without a next-day price are simply unobserved. Of several faults the
     one on the earliest line is reported.
     """
-    header, rows = _read_rows(features_path, None)
+    chunks = _read_chunks(features_path, None)
+    header = next(chunks)
     if len(header) < 3 or header[:2] != ["datetime", "instrument"]:
         raise DataError(f"{features_path}: header must start datetime,instrument")
     n_feat = len(header) - 2
@@ -367,89 +428,125 @@ def load_panel(features_path, prices_path) -> PanelDataset:
     if header[2:] != want:
         raise DataError(f"{features_path}: feature columns must be f0..f{n_feat - 1}")
 
-    n_ok = _first_ragged(rows, 2 + n_feat)
-    values, error = _parse_floats(
-        [v for row in rows[:n_ok] for v in row[2:]], features_path,
-        lambda k: k // n_feat + 2)
-    parsed = rows[: len(values) // n_feat]
-    dates, t = _codes([row[0] for row in parsed])
-    names, i = _codes([row[1] for row in parsed])
-    # each distinct date is checked once; bad_day is the first row without one
-    is_day = np.fromiter(map(_is_day, dates), dtype=bool, count=len(dates))
-    bad_day = int(np.argmin(is_day[t])) if not is_day.all() else len(parsed)
-    # only an empty cell stands for a missing feature; inf is refused. The
-    # NaN-skipping extremes find one without a mask the size of the panel.
-    cells = values[: len(parsed) * n_feat]
-    bad_cell = cells.size
-    if cells.size and np.isinf([np.fmax.reduce(cells), np.fmin.reduce(cells)]).any():
-        bad_cell = int(np.argmax(np.isinf(cells)))
-    bad_row = bad_cell // n_feat
-    _, first = np.unique(t * len(names) + i, return_index=True)
-    if first.size < t.size:
-        seen = np.zeros(t.size, dtype=bool)
-        seen[first] = True
-        dup = int(np.argmin(seen))
-        if dup < min(bad_day, bad_row):
-            dt, inst = parsed[dup][:2]
-            raise DataError(f"{features_path}: duplicate ({dt}, {inst})")
-    if bad_day < len(parsed) and bad_day <= bad_row:
-        raise DataError(f"{features_path}: line {bad_day + 2}: "
-                        f"date {parsed[bad_day][0]!r} is not a YYYY-MM-DD day")
-    if bad_row < len(parsed):
-        raise DataError(f"{features_path}: line {bad_row + 2}: feature "
-                        f"{header[2 + bad_cell % n_feat]} is "
-                        f"{parsed[bad_row][2 + bad_cell % n_feat]!r}; "
-                        f"leave a missing value empty")
-    if error is not None:
-        raise error
-    if n_ok < len(rows):
-        raise DataError(
-            f"{features_path}: line {n_ok + 2}: ragged row of {len(rows[n_ok])} columns"
-        )
-    if not rows:
-        raise DataError(f"{features_path}: no data rows")
+    day_codes, name_codes = _Coder(), _Coder()
+    parts = []  # (date codes, instrument codes, [rows, F] features) per block
 
+    def check_duplicates(limit):
+        """Raise for the first row read that repeats an earlier (date,
+        instrument) pair, if it comes before row `limit`."""
+        t = np.concatenate([part[0] for part in parts])
+        i = np.concatenate([part[1] for part in parts])
+        _, first = np.unique(t.astype(np.int64) * len(name_codes.names) + i,
+                             return_index=True)
+        if first.size < t.size:
+            seen = np.zeros(t.size, dtype=bool)
+            seen[first] = True
+            dup = int(np.argmin(seen))
+            if dup < limit:
+                raise DataError(f"{features_path}: duplicate "
+                                f"({day_codes.names[t[dup]]}, {name_codes.names[i[dup]]})")
+
+    def block(line, rows):
+        n_ok = _first_ragged(rows, len(header))
+        values, error = _parse_floats(
+            [v for row in rows[:n_ok] for v in row[2:]], features_path,
+            lambda k: line + k // n_feat)
+        parsed = rows[: len(values) // n_feat]
+        n_days = len(day_codes.names)
+        t = day_codes([row[0] for row in parsed])
+        i = name_codes([row[1] for row in parsed])
+        # each distinct date is checked once, so only this block's new dates
+        # can be malformed; bad_day is the first row with one
+        bad_days = {d for d in day_codes.names[n_days:] if not _is_day(d)}
+        bad_day = len(parsed)
+        if bad_days:
+            bad_day = next(k for k, row in enumerate(parsed) if row[0] in bad_days)
+        # only an empty cell stands for a missing feature; inf is refused. The
+        # NaN-skipping extremes find one without a mask the size of the block.
+        cells = values[: len(parsed) * n_feat]
+        bad_cell = cells.size
+        if cells.size and np.isinf([np.fmax.reduce(cells), np.fmin.reduce(cells)]).any():
+            bad_cell = int(np.argmax(np.isinf(cells)))
+        bad_row = bad_cell // n_feat
+        parts.append((t, i, cells.reshape(-1, n_feat)))
+        if min(bad_day, bad_row) == len(parsed) and error is None and n_ok == len(rows):
+            return
+        # the first block with a fault decides, but a duplicate of an
+        # earlier line, in this block or before it, is reported first
+        check_duplicates(line - 2 + min(bad_day, bad_row))
+        if bad_day < len(parsed) and bad_day <= bad_row:
+            raise DataError(f"{features_path}: line {line + bad_day}: "
+                            f"date {parsed[bad_day][0]!r} is not a YYYY-MM-DD day")
+        if bad_row < len(parsed):
+            raise DataError(f"{features_path}: line {line + bad_row}: feature "
+                            f"{header[2 + bad_cell % n_feat]} is "
+                            f"{parsed[bad_row][2 + bad_cell % n_feat]!r}; "
+                            f"leave a missing value empty")
+        if error is not None:
+            raise error
+        raise DataError(
+            f"{features_path}: line {line + n_ok}: ragged row of {len(rows[n_ok])} columns"
+        )
+
+    for chunk in chunks:
+        block(*chunk)
+    if not parts:
+        raise DataError(f"{features_path}: no data rows")
+    check_duplicates(float("inf"))
+
+    dates, day_pos = day_codes.ranked()
+    names, name_pos = name_codes.ranked()
     present = np.zeros((len(dates), len(names)), dtype=bool)
-    present[t, i] = True
+    for t, i, _ in parts:
+        present[day_pos[t], name_pos[i]] = True
     keep = present.all(axis=0)
     if not keep.any():
         raise DataError(f"{features_path}: no instrument present on every date")
     instruments = [names[j] for j in np.flatnonzero(keep)]
     dropped = [names[j] for j in np.flatnonzero(~keep)]
+    # sorted name position -> column among the kept instruments
     column = np.cumsum(keep) - 1
-    kept = keep[i]
     features = np.empty((len(dates), len(instruments), n_feat))
-    features[t[kept], column[i[kept]]] = values.reshape(-1, n_feat)[kept]
+    while parts:
+        t, i, values = parts.pop()
+        kept = keep[name_pos[i]]
+        features[day_pos[t[kept]], column[name_pos[i[kept]]]] = values[kept]
 
-    _, price_rows = _read_rows(prices_path, PRICES_HEADER)
-    n_ok = _first_ragged(price_rows, 4)
     date_pos = {d: k for k, d in enumerate(dates)}
     inst_pos = {s: k for k, s in enumerate(instruments)}
-    bar_rows = [k for k in range(n_ok)
-                if price_rows[k][0] in date_pos and price_rows[k][1] in inst_pos]
-    values, error = _parse_floats(
-        [v for k in bar_rows for v in price_rows[k][2:]], prices_path,
-        lambda c: bar_rows[c // 2] + 2)
-    bars = values[: len(values) // 2 * 2].reshape(-1, 2)
-    price_ok = np.isfinite(bars[:, 0]) & (bars[:, 0] > 0)
-    bad = np.flatnonzero(~price_ok | ~np.isfinite(bars[:, 1]))
-    if bad.size:
-        k = bad[0]
-        at = f"{prices_path}: line {bar_rows[k] + 2}"
-        if np.isnan(bars[k]).any():
-            raise DataError(f"{at}: missing price/volume")
-        if not price_ok[k]:
-            raise DataError(f"{at}: price {float(bars[k, 0])!r} is not positive and finite")
-        raise DataError(f"{at}: volume {float(bars[k, 1])!r} is not finite")
-    if error is not None:
-        raise error
-    if n_ok < len(price_rows):
-        raise DataError(f"{prices_path}: line {n_ok + 2}: expected 4 columns")
+    bar_t, bar_i, bar_values = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty((0, 2))]
+    for line, rows in _read_chunks(prices_path, PRICES_HEADER):
+        n_ok = _first_ragged(rows, 4)
+        # rows outside the universe are dropped before their cells are parsed
+        bar_rows = [k for k in range(n_ok)
+                    if rows[k][0] in date_pos and rows[k][1] in inst_pos]
+        values, error = _parse_floats(
+            [v for k in bar_rows for v in rows[k][2:]], prices_path,
+            lambda c: line + bar_rows[c // 2])
+        bars = values[: len(values) // 2 * 2].reshape(-1, 2)
+        price_ok = np.isfinite(bars[:, 0]) & (bars[:, 0] > 0)
+        bad = np.flatnonzero(~price_ok | ~np.isfinite(bars[:, 1]))
+        if bad.size:
+            k = bad[0]
+            at = f"{prices_path}: line {line + bar_rows[k]}"
+            if np.isnan(bars[k]).any():
+                raise DataError(f"{at}: missing price/volume")
+            if not price_ok[k]:
+                raise DataError(f"{at}: price {float(bars[k, 0])!r} is not positive and finite")
+            raise DataError(f"{at}: volume {float(bars[k, 1])!r} is not finite")
+        if error is not None:
+            raise error
+        if n_ok < len(rows):
+            raise DataError(f"{prices_path}: line {line + n_ok}: expected 4 columns")
+        bar_t.append(np.fromiter((date_pos[rows[k][0]] for k in bar_rows), np.intp,
+                                 len(bar_rows)))
+        bar_i.append(np.fromiter((inst_pos[rows[k][1]] for k in bar_rows), np.intp,
+                                 len(bar_rows)))
+        bar_values.append(bars)
 
-    vwap, volume = vwap_matrix(
-        [date_pos[price_rows[k][0]] for k in bar_rows],
-        [inst_pos[price_rows[k][1]] for k in bar_rows],
-        bars[:, 0], bars[:, 1], (len(dates), len(instruments)))
+    bars = np.concatenate(bar_values)
+    vwap, volume = vwap_matrix(np.concatenate(bar_t), np.concatenate(bar_i),
+                               bars[:, 0], bars[:, 1], (len(dates), len(instruments)))
     labels = returns_from_prices(vwap)
     observed = np.isfinite(labels)
     present = np.isfinite(vwap)
@@ -494,17 +591,17 @@ def write_panel(ds: PanelDataset, features_path, prices_path) -> None:
 
 def load_membership(path) -> dict[str, str]:
     """instrument -> category map; conflicting duplicates are an error."""
-    _, rows = _read_rows(path, MEMBERSHIP_HEADER)
     out: dict[str, str] = {}
-    for lineno, row in enumerate(rows, start=2):
-        if len(row) != 2:
-            raise DataError(f"{path}: line {lineno}: expected 2 columns")
-        inst, cat = row
-        if inst in out and out[inst] != cat:
-            raise DataError(
-                f"{path}: instrument {inst!r} mapped to both {out[inst]!r} and {cat!r}"
-            )
-        out[inst] = cat
+    for line, rows in _read_chunks(path, MEMBERSHIP_HEADER):
+        for lineno, row in enumerate(rows, start=line):
+            if len(row) != 2:
+                raise DataError(f"{path}: line {lineno}: expected 2 columns")
+            inst, cat = row
+            if inst in out and out[inst] != cat:
+                raise DataError(
+                    f"{path}: instrument {inst!r} mapped to both {out[inst]!r} and {cat!r}"
+                )
+            out[inst] = cat
     return out
 
 
@@ -513,7 +610,7 @@ def write_membership(path, labels: dict[str, str]) -> None:
 
 
 def load_factors(path) -> FactorSeries:
-    _, rows = _read_rows(path, FACTORS_HEADER)
+    rows = [row for _, block in _read_chunks(path, FACTORS_HEADER) for row in block]
     names = ["rf"] + FACTOR_NAMES
     n_ok = _first_ragged(rows, len(FACTORS_HEADER))
     values, error = _parse_floats(

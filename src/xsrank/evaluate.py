@@ -17,34 +17,43 @@ from .errors import DataError
 MIN_SUBGROUP_SIZE = 5
 
 
+def _pearson_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Correlation of each row pair along the last axis, NaN where either
+    side has zero variance. A row's sums are the same pairwise sums as
+    those of a 1-D call on it, so stacking rows changes no bit."""
+    da = a - a.mean(axis=-1, keepdims=True)
+    db = b - b.mean(axis=-1, keepdims=True)
+    denom = np.sqrt((da * da).sum(axis=-1)) * np.sqrt((db * db).sum(axis=-1))
+    num = (da * db).sum(axis=-1)
+    return np.divide(num, denom, out=np.full(num.shape, np.nan), where=denom != 0.0)
+
+
 def pearson(a: np.ndarray, b: np.ndarray):
     """Correlation, or None when either side has zero variance."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.size < 2:
         return None
-    da = a - a.mean()
-    db = b - b.mean()
-    denom = np.sqrt((da * da).sum()) * np.sqrt((db * db).sum())
-    if denom == 0.0:
-        return None
-    return float((da * db).sum() / denom)
+    r = float(_pearson_rows(a, b))
+    return None if np.isnan(r) else r
 
 
 def average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks; tied values share the average of their positions."""
+    """1-based ranks along the last axis; tied values share the average
+    of their positions."""
     x = np.asarray(x, dtype=np.float64)
-    order = np.argsort(x, kind="stable")
-    ordered = x[order]
+    order = np.argsort(x, axis=-1, kind="stable")
+    ordered = np.take_along_axis(x, order, axis=-1)
     # sorted positions i..j of one tie group all get (i + j) / 2 + 1
-    new_group = np.empty(x.size, dtype=bool)
-    new_group[:1] = True
-    new_group[1:] = ordered[1:] != ordered[:-1]
-    starts = np.flatnonzero(new_group)
-    ends = np.append(starts[1:], x.size) - 1
-    group = np.cumsum(new_group) - 1
-    ranks = np.empty(x.size, dtype=np.float64)
-    ranks[order] = ((starts + ends) / 2.0 + 1.0)[group]
+    first = np.ones(x.shape, dtype=bool)
+    first[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
+    last = np.ones(x.shape, dtype=bool)
+    last[..., :-1] = first[..., 1:]
+    pos = np.arange(x.shape[-1])
+    starts = np.maximum.accumulate(np.where(first, pos, 0), axis=-1)
+    ends = np.minimum.accumulate(np.where(last, pos, x.shape[-1])[..., ::-1], axis=-1)
+    ranks = np.empty(x.shape, dtype=np.float64)
+    np.put_along_axis(ranks, order, (starts + ends[..., ::-1]) / 2.0 + 1.0, axis=-1)
     return ranks
 
 
@@ -53,6 +62,22 @@ def spearman(a: np.ndarray, b: np.ndarray):
     if np.asarray(a).size < 2:
         return None
     return pearson(average_ranks(a), average_ranks(b))
+
+
+def _correlations(pairs: list) -> tuple[np.ndarray, np.ndarray]:
+    """Pearson and Spearman correlation of each (a, b) pair of 1-D
+    arrays, NaN where undefined. The pairs of one length are stacked and
+    correlated row by row, with the bits of one call per pair."""
+    sizes = np.array([a.size for a, _ in pairs], dtype=np.intp)
+    ic = np.full(len(pairs), np.nan)
+    rank = np.full(len(pairs), np.nan)
+    for m in np.unique(sizes):
+        rows = np.flatnonzero(sizes == m)
+        a = np.stack([pairs[k][0] for k in rows])
+        b = np.stack([pairs[k][1] for k in rows])
+        ic[rows] = _pearson_rows(a, b)
+        rank[rows] = _pearson_rows(average_ranks(a), average_ranks(b))
+    return ic, rank
 
 
 @dataclass
@@ -93,56 +118,59 @@ def _ratio(values: np.ndarray, name: str, flags: list[str]) -> float:
     return mean / std
 
 
-def _report(preds: PredictionSeries, t: np.ndarray, i: np.ndarray,
-            cols: np.ndarray, ds: PanelDataset) -> MetricReport:
-    """Daily correlations over the grid columns `cols`, ascending.
+def _reports(preds: PredictionSeries, t: np.ndarray, i: np.ndarray,
+             col_sets: list[np.ndarray], ds: PanelDataset) -> list:
+    """Daily correlations over each set of grid columns, ascending: one
+    MetricReport per set, or the DataError of a set with fewer than 2
+    valid dates.
 
-    `t` and `i` are the grid's panel positions; every scored cell in
-    `cols` must be in the panel. A date without a scored cell there, or
-    on which no panel instrument has an observed label (such as the
-    final panel date), is neither evaluated nor counted as excluded.
+    `t` and `i` are the grid's panel positions; every scored cell in a
+    set must be in the panel. A date without a scored cell there, or on
+    which no panel instrument has an observed label (such as the final
+    panel date), is neither evaluated nor counted as excluded. The
+    (set, date) cross-sections of all sets are correlated together.
     """
-    daily_ic: list[tuple[str, float]] = []
-    daily_rank: list[tuple[str, float]] = []
-    excluded = 0
-    for d, row in enumerate(preds.scores[:, cols]):
-        scored = np.isfinite(row)
-        if not scored.any() or not ds.observed_mask[t[d]].any():
-            continue
-        day, pos = t[d], i[cols[scored]]
-        actual = ds.labels[day, pos]
-        joint = ds.observed_mask[day, pos] & np.isfinite(actual)
-        if joint.sum() < 2:
-            excluded += 1
-            continue
-        a = row[scored][joint]
-        b = actual[joint]
-        ic = pearson(a, b)
-        rank = spearman(a, b)
-        if ic is None or rank is None:
-            excluded += 1
-            continue
-        daily_ic.append((preds.dates[d], ic))
-        daily_rank.append((preds.dates[d], rank))
+    pairs, owner, dates = [], [], []
+    excluded = np.zeros(len(col_sets), dtype=np.intp)
+    for s, cols in enumerate(col_sets):
+        for d, row in enumerate(preds.scores[:, cols]):
+            scored = np.isfinite(row)
+            if not scored.any() or not ds.observed_mask[t[d]].any():
+                continue
+            day, pos = t[d], i[cols[scored]]
+            actual = ds.labels[day, pos]
+            joint = ds.observed_mask[day, pos] & np.isfinite(actual)
+            if joint.sum() < 2:
+                excluded[s] += 1
+                continue
+            pairs.append((row[scored][joint], actual[joint]))
+            owner.append(s)
+            dates.append(preds.dates[d])
+    ic, rank = _correlations(pairs)
+    owner = np.array(owner, dtype=np.intp)
+    valid = ~(np.isnan(ic) | np.isnan(rank))
+    excluded += np.bincount(owner[~valid], minlength=len(col_sets))
 
-    if len(daily_ic) < 2:
-        raise DataError(
-            f"need at least 2 valid evaluation dates, got {len(daily_ic)}"
-        )
-    flags: list[str] = []
-    ic_values = np.array([v for _, v in daily_ic])
-    rank_values = np.array([v for _, v in daily_rank])
-    return MetricReport(
-        ic=float(ic_values.mean()),
-        icir=_ratio(ic_values, "icir", flags),
-        rank_ic=float(rank_values.mean()),
-        rank_icir=_ratio(rank_values, "rank_icir", flags),
-        daily_ic=daily_ic,
-        daily_rank_ic=daily_rank,
-        n_days=len(daily_ic),
-        n_excluded_days=excluded,
-        flags=flags,
-    )
+    out = []
+    for s in range(len(col_sets)):
+        days = np.flatnonzero(valid & (owner == s))
+        if days.size < 2:
+            out.append(DataError(f"need at least 2 valid evaluation dates, got {days.size}"))
+            continue
+        flags: list[str] = []
+        ic_values, rank_values = ic[days], rank[days]
+        out.append(MetricReport(
+            ic=float(ic_values.mean()),
+            icir=_ratio(ic_values, "icir", flags),
+            rank_ic=float(rank_values.mean()),
+            rank_icir=_ratio(rank_values, "rank_icir", flags),
+            daily_ic=[(dates[k], v) for k, v in zip(days.tolist(), ic_values.tolist())],
+            daily_rank_ic=[(dates[k], v) for k, v in zip(days.tolist(), rank_values.tolist())],
+            n_days=int(days.size),
+            n_excluded_days=int(excluded[s]),
+            flags=flags,
+        ))
+    return out
 
 
 def _outside(preds: PredictionSeries, t: np.ndarray, i: np.ndarray) -> np.ndarray:
@@ -166,7 +194,10 @@ def summarize(preds: PredictionSeries, ds: PanelDataset) -> MetricReport:
         if t[d] < 0:
             raise DataError(f"prediction date {preds.dates[d]} not in the panel")
         raise DataError(f"prediction instrument {preds.instruments[k]} not in the panel")
-    return _report(preds, t, i, np.arange(len(preds.instruments)), ds)
+    (report,) = _reports(preds, t, i, [np.arange(len(preds.instruments))], ds)
+    if isinstance(report, DataError):
+        raise report
+    return report
 
 
 def subgroup_metrics(
@@ -195,20 +226,21 @@ def subgroup_metrics(
     labelled = ds.observed_mask[t].any(axis=1) & (t >= 0)
 
     out: dict[str, MetricReport | None] = {}
+    judged = []
     for k, cat in enumerate(categories):
         cols = np.flatnonzero(col_cat == k)
+        out[cat] = None
         if not np.isfinite(preds.scores[:, cols]).any():
-            out[cat] = None
             continue
         counts = observed[np.ix_(labelled, cols)].sum(axis=1)
         if (not counts.size or float(np.mean(counts)) < MIN_SUBGROUP_SIZE
                 or outside[:, cols].any()):
-            out[cat] = None
             continue
-        try:
-            out[cat] = _report(preds, t, i, cols, ds)
-        except DataError:
-            out[cat] = None
+        judged.append((cat, cols))
+    reports = _reports(preds, t, i, [cols for _, cols in judged], ds)
+    for (cat, _), report in zip(judged, reports):
+        if isinstance(report, MetricReport):
+            out[cat] = report
     return out
 
 

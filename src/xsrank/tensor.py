@@ -125,6 +125,7 @@ class Tape:
         _TAPE_COUNTER[0] += 1
         self._token = _TAPE_COUNTER[0]
         self._nodes: list[_Node] = []
+        self._swept = False
         self.gradients: dict[int, np.ndarray] = {}
 
     def __enter__(self) -> "Tape":
@@ -488,10 +489,13 @@ def backward(loss: Tensor) -> None:
 
     Fills tape.gradients (node_id -> ndarray), which tape.grad() reads,
     with a gradient of its own shape for every watched leaf the loss
-    reaches. An interior node's gradient is dropped as soon as its VJP
-    has run, so the sweep never holds more than the gradients still to
-    be passed on. A gradient may share memory with another (an ADD
-    passes its output's gradient to both inputs), so all are read-only.
+    reaches. An interior node's gradient and its VJP, with the forward
+    arrays the VJP holds, are dropped as soon as the sweep passes the
+    node, so activations drain as the sweep goes and the sweep never
+    holds more than the gradients still to be passed on. A tape can
+    therefore be swept once. A gradient may share memory with another
+    (an ADD passes its output's gradient to both inputs), so all are
+    read-only.
     """
     tape = active_tape()
     if tape is None:
@@ -503,19 +507,23 @@ def backward(loss: Tensor) -> None:
         raise TapeError("loss tensor is not on the active tape")
     if loss.data.size != 1:
         raise TapeError(f"loss must be scalar, got shape {loss.shape}")
+    if tape._swept:
+        raise TapeError("backward() already ran on this tape; record a new one")
+    tape._swept = True
 
     nodes = tape._nodes
     grads: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
     for node_id in range(loss.node_id, -1, -1):
         node = nodes[node_id]
-        if node.vjp is None:  # a watched leaf keeps its gradient
+        if node.kind is None:  # a watched leaf keeps its gradient
             continue
+        vjp, node.vjp = node.vjp, None
         # every consumer has a larger id, so this gradient is complete
         g = grads.pop(node_id, None)
         if g is None:
             continue
         input_ids = node.input_ids
-        input_grads = node.vjp(g, [i is not None for i in input_ids])
+        input_grads = vjp(g, [i is not None for i in input_ids])
         for in_id, ig in zip(input_ids, input_grads):
             if in_id is None:
                 continue

@@ -5,19 +5,39 @@ the layer definitions, independent of the package implementation: plain
 numpy on plain arrays, with no Tensor, no tape and no dropout (eval
 mode). The VWAP oracles work one bar and one cell at a time.
 
-The row-based prediction consumers at the end keep the earlier
-implementation of `summarize`, `subgroup_metrics` and `run_backtest`,
-which walked a sorted list of (date, instrument, score) rows, so tests
-can pin the date x instrument grid versions bitwise against it. They
-share the package's per-day primitives (`pearson`, `spearman`, `_ratio`
-and `topk_dropout_rebalance`), which the grid did not change.
+The row-based prediction consumers keep the earlier implementation of
+`summarize`, `subgroup_metrics` and `run_backtest`, which walked a sorted
+list of (date, instrument, score) rows, so tests can pin the date x
+instrument grid versions bitwise against it. They correlate one
+cross-section per call with the 1-D `pearson`, `average_ranks` and
+`spearman` kept here, where the package stacks the cross-sections of one
+size; they share `_ratio` and `topk_dropout_rebalance` with the package.
+
+The row-based loaders at the end keep the earlier `load_panel` and
+`PredictionSeries.read_csv`, which held every row of a file as a list of
+strings before parsing it, so tests can pin the streaming readers
+against them.
 """
+
+import csv
 
 import numpy as np
 
 from xsrank.backtest import BacktestResult, topk_dropout_rebalance
+from xsrank.data import (
+    FEATURE_PREFIX,
+    PREDICTIONS_HEADER,
+    PRICES_HEADER,
+    PanelDataset,
+    PredictionSeries,
+    _first_ragged,
+    _is_day,
+    _parse_floats,
+    returns_from_prices,
+    vwap_matrix,
+)
 from xsrank.errors import DataError
-from xsrank.evaluate import MIN_SUBGROUP_SIZE, MetricReport, _ratio, pearson, spearman
+from xsrank.evaluate import MIN_SUBGROUP_SIZE, MetricReport, _ratio
 
 
 def leaky(x, slope=0.2):
@@ -357,6 +377,43 @@ def compute_vwap_returns(bars, dates, instruments):
     return labels
 
 
+def pearson(a, b):
+    """Correlation, or None when either side has zero variance."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.size < 2:
+        return None
+    da = a - a.mean()
+    db = b - b.mean()
+    denom = np.sqrt((da * da).sum()) * np.sqrt((db * db).sum())
+    if denom == 0.0:
+        return None
+    return float((da * db).sum() / denom)
+
+
+def average_ranks(x):
+    """1-based ranks; tied values share the average of their positions."""
+    x = np.asarray(x, dtype=np.float64)
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    new_group = np.empty(x.size, dtype=bool)
+    new_group[:1] = True
+    new_group[1:] = ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(new_group)
+    ends = np.append(starts[1:], x.size) - 1
+    group = np.cumsum(new_group) - 1
+    ranks = np.empty(x.size, dtype=np.float64)
+    ranks[order] = ((starts + ends) / 2.0 + 1.0)[group]
+    return ranks
+
+
+def spearman(a, b):
+    """Pearson on average ranks; None when either side is all ties."""
+    if np.asarray(a).size < 2:
+        return None
+    return pearson(average_ranks(a), average_ranks(b))
+
+
 def _row_positions(rows, ds):
     date_index = {d: i for i, d in enumerate(ds.dates)}
     inst_index = {s: i for i, s in enumerate(ds.instruments)}
@@ -520,4 +577,141 @@ def run_backtest_rows(rows, ds, cfg):
         turnover=np.array(turnover_out),
         holdings_ledger=ledger,
         flags=flags,
+    )
+
+
+def _read_rows(path, expected_header):
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: empty file") from None
+            rows = list(reader)
+    except OSError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    if expected_header is not None and header != expected_header:
+        raise DataError(
+            f"{path}: header {header!r} does not match expected {expected_header!r}"
+        )
+    return header, rows
+
+
+def _codes(column):
+    names = sorted(set(column))
+    pos = {name: k for k, name in enumerate(names)}
+    return names, np.fromiter(map(pos.__getitem__, column), dtype=np.intp, count=len(column))
+
+
+def read_predictions_rows(path):
+    """`PredictionSeries.read_csv` over the whole file held as rows."""
+    _, raw = _read_rows(path, PREDICTIONS_HEADER)
+    n_ok = _first_ragged(raw, 3)
+    scores, error = _parse_floats([row[2] for row in raw[:n_ok]], path,
+                                  lambda k: k + 2)
+    if error is not None:
+        raise error
+    if n_ok < len(raw):
+        raise DataError(f"{path}: line {n_ok + 2}: expected 3 columns")
+    return PredictionSeries([(row[0], row[1], s) for row, s in zip(raw, scores.tolist())])
+
+
+def load_panel_rows(features_path, prices_path):
+    """`load_panel` over both files held whole as rows: the same faults
+    in the same order, each found over the whole file at once."""
+    header, rows = _read_rows(features_path, None)
+    if len(header) < 3 or header[:2] != ["datetime", "instrument"]:
+        raise DataError(f"{features_path}: header must start datetime,instrument")
+    n_feat = len(header) - 2
+    want = [f"{FEATURE_PREFIX}{i}" for i in range(n_feat)]
+    if header[2:] != want:
+        raise DataError(f"{features_path}: feature columns must be f0..f{n_feat - 1}")
+
+    n_ok = _first_ragged(rows, 2 + n_feat)
+    values, error = _parse_floats(
+        [v for row in rows[:n_ok] for v in row[2:]], features_path,
+        lambda k: k // n_feat + 2)
+    parsed = rows[: len(values) // n_feat]
+    dates, t = _codes([row[0] for row in parsed])
+    names, i = _codes([row[1] for row in parsed])
+    is_day = np.fromiter(map(_is_day, dates), dtype=bool, count=len(dates))
+    bad_day = int(np.argmin(is_day[t])) if not is_day.all() else len(parsed)
+    cells = values[: len(parsed) * n_feat]
+    bad_cell = cells.size
+    if cells.size and np.isinf([np.fmax.reduce(cells), np.fmin.reduce(cells)]).any():
+        bad_cell = int(np.argmax(np.isinf(cells)))
+    bad_row = bad_cell // n_feat
+    _, first = np.unique(t * len(names) + i, return_index=True)
+    if first.size < t.size:
+        seen = np.zeros(t.size, dtype=bool)
+        seen[first] = True
+        dup = int(np.argmin(seen))
+        if dup < min(bad_day, bad_row):
+            dt, inst = parsed[dup][:2]
+            raise DataError(f"{features_path}: duplicate ({dt}, {inst})")
+    if bad_day < len(parsed) and bad_day <= bad_row:
+        raise DataError(f"{features_path}: line {bad_day + 2}: "
+                        f"date {parsed[bad_day][0]!r} is not a YYYY-MM-DD day")
+    if bad_row < len(parsed):
+        raise DataError(f"{features_path}: line {bad_row + 2}: feature "
+                        f"{header[2 + bad_cell % n_feat]} is "
+                        f"{parsed[bad_row][2 + bad_cell % n_feat]!r}; "
+                        f"leave a missing value empty")
+    if error is not None:
+        raise error
+    if n_ok < len(rows):
+        raise DataError(
+            f"{features_path}: line {n_ok + 2}: ragged row of {len(rows[n_ok])} columns"
+        )
+    if not rows:
+        raise DataError(f"{features_path}: no data rows")
+
+    present = np.zeros((len(dates), len(names)), dtype=bool)
+    present[t, i] = True
+    keep = present.all(axis=0)
+    if not keep.any():
+        raise DataError(f"{features_path}: no instrument present on every date")
+    instruments = [names[j] for j in np.flatnonzero(keep)]
+    dropped = [names[j] for j in np.flatnonzero(~keep)]
+    column = np.cumsum(keep) - 1
+    kept = keep[i]
+    features = np.empty((len(dates), len(instruments), n_feat))
+    features[t[kept], column[i[kept]]] = values.reshape(-1, n_feat)[kept]
+
+    _, price_rows = _read_rows(prices_path, PRICES_HEADER)
+    n_ok = _first_ragged(price_rows, 4)
+    date_pos = {d: k for k, d in enumerate(dates)}
+    inst_pos = {s: k for k, s in enumerate(instruments)}
+    bar_rows = [k for k in range(n_ok)
+                if price_rows[k][0] in date_pos and price_rows[k][1] in inst_pos]
+    values, error = _parse_floats(
+        [v for k in bar_rows for v in price_rows[k][2:]], prices_path,
+        lambda c: bar_rows[c // 2] + 2)
+    bars = values[: len(values) // 2 * 2].reshape(-1, 2)
+    price_ok = np.isfinite(bars[:, 0]) & (bars[:, 0] > 0)
+    bad = np.flatnonzero(~price_ok | ~np.isfinite(bars[:, 1]))
+    if bad.size:
+        k = bad[0]
+        at = f"{prices_path}: line {bar_rows[k] + 2}"
+        if np.isnan(bars[k]).any():
+            raise DataError(f"{at}: missing price/volume")
+        if not price_ok[k]:
+            raise DataError(f"{at}: price {float(bars[k, 0])!r} is not positive and finite")
+        raise DataError(f"{at}: volume {float(bars[k, 1])!r} is not finite")
+    if error is not None:
+        raise error
+    if n_ok < len(price_rows):
+        raise DataError(f"{prices_path}: line {n_ok + 2}: expected 4 columns")
+
+    vwap, volume = vwap_matrix(
+        [date_pos[price_rows[k][0]] for k in bar_rows],
+        [inst_pos[price_rows[k][1]] for k in bar_rows],
+        bars[:, 0], bars[:, 1], (len(dates), len(instruments)))
+    labels = returns_from_prices(vwap)
+    return PanelDataset(
+        dates=dates, instruments=instruments, features=features, labels=labels,
+        observed_mask=np.isfinite(labels), present_mask=np.isfinite(vwap),
+        vwap=vwap, volume=volume,
+        meta={"price_basis": "vwap", "dropped_instruments": dropped},
     )

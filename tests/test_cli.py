@@ -1,10 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
 from dataclasses import MISSING, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _helpers import edit_csv
 from xsrank import cli
 from xsrank.backtest import StrategyConfig
 from xsrank.data import (
@@ -647,3 +654,120 @@ def test_bad_dates_and_prices_exit_3_with_one_error_line(workdir, tmp_path, caps
     assert len(err) == 1 and err[0].startswith("error:") and fault in err[0], err
     assert "line " in err[0]
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# input fuzz: evaluate, backtest and regress on mutated files
+# ---------------------------------------------------------------------------
+
+FUZZ_FILES = ["features.csv", "prices.csv", "industry.csv", "factors.csv",
+              "predictions.csv", "backtest.csv"]
+FUZZ_CELLS = ["", "nan", "inf", "-inf", "x", "0", "-1.0", "1e308", "2015-13-01",
+              "20150105", "S999", "IND99"]
+FUZZ_EDITS = st.lists(
+    st.tuples(st.sampled_from(FUZZ_FILES),
+              st.sampled_from(["drop", "dup", "move", "cell", "cell", "cell", "cut", "grow",
+                               "column", "universe", "dates"]),
+              st.integers(0, 10**6), st.integers(0, 10**6), st.sampled_from(FUZZ_CELLS)),
+    min_size=1, max_size=3)
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """Texts of a small synth set, a predictions file scoring every cell
+    with next-day returns plus noise, and the backtest of those scores."""
+    root = tmp_path_factory.mktemp("fuzz")
+    synth = root / "synth"
+    assert cli.main(["synth", "--out", str(synth), "--n-instruments", "12",
+                     "--n-features", "3", "--days", "16", "--block-size", "6",
+                     "--n-regions", "2", "--seed", "5"]) == 0
+    ds = load_panel(synth / "features.csv", synth / "prices.csv")
+    noise = np.random.default_rng(5).normal(0.0, 0.02, ds.labels.shape)
+    scores = np.where(np.isfinite(ds.labels), ds.labels, 0.0) + noise
+    PredictionSeries([(d, s, float(scores[t, i])) for t, d in enumerate(ds.dates)
+                      for i, s in enumerate(ds.instruments)]
+                     ).write_csv(root / "predictions.csv")
+    assert cli.main(["backtest", "--out", str(root / "bt"),
+                     "--predictions", str(root / "predictions.csv"),
+                     "--features", str(synth / "features.csv"),
+                     "--prices", str(synth / "prices.csv"), "--k", "3", "--n-drop", "1"]) == 0
+    paths = {name: synth / name for name in ("features.csv", "prices.csv", "industry.csv",
+                                             "factors.csv")}
+    paths["predictions.csv"] = root / "predictions.csv"
+    paths["backtest.csv"] = root / "bt" / "backtest.csv"
+    return {name: path.read_text() for name, path in paths.items()}
+
+
+def _unflagged_non_finite(path):
+    """Non-finite numbers in a CSV artifact other than a ratio its own
+    row or file flags as undefined."""
+    text = path.read_text()
+    header, *rows = [line.split(",") for line in text.splitlines()]
+    found = []
+    for row in rows:
+        for col, cell in zip(header, row):
+            if col in ("category", "datetime", "model"):
+                continue
+            try:
+                value = float(cell)
+            except ValueError:
+                continue
+            name = row[0] if path.name == "metrics.csv" else col
+            if not np.isfinite(value) and not (
+                    name in ("icir", "rank_icir") and f"{name}_undefined_zero_std" in text):
+                found.append((row, col))
+    return found
+
+
+def test_backtest_refused_after_running_leaves_no_artifact(fuzz_inputs, tmp_path, capsys):
+    # before: backtest.csv was written before the metrics refused a
+    # single return day, and was left in --out without a manifest
+    for name, text in fuzz_inputs.items():
+        (tmp_path / name).write_text(edit_csv(text, "dates", 1, 0, "")
+                                     if name == "predictions.csv" else text)
+    out = tmp_path / "out"
+    assert cli.main(["backtest", "--out", str(out),
+                     "--predictions", str(tmp_path / "predictions.csv"),
+                     "--features", str(tmp_path / "features.csv"),
+                     "--prices", str(tmp_path / "prices.csv"),
+                     "--k", "3", "--n-drop", "1"]) == cli.EXIT_DATA
+    assert capsys.readouterr().err == "error: need at least 2 aligned daily returns\n"
+    assert not out.exists()
+
+
+@settings(max_examples=150, deadline=None)
+@given(edits=FUZZ_EDITS)
+def test_mutated_inputs_exit_cleanly_with_one_error_line(fuzz_inputs, edits):
+    texts = dict(fuzz_inputs)
+    for name, kind, a, b, cell in edits:
+        texts[name] = edit_csv(texts[name], kind, a, b, cell)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name, text in texts.items():
+            (root / name).write_text(text, encoding="utf-8")
+        panel = ["--features", str(root / "features.csv"), "--prices", str(root / "prices.csv")]
+        runs = {
+            "evaluate": ["--predictions", str(root / "predictions.csv"), *panel,
+                         "--group-by", "industry", "--industry", str(root / "industry.csv")],
+            "backtest": ["--predictions", str(root / "predictions.csv"), *panel,
+                         "--k", "3", "--n-drop", "1"],
+            "regress": ["--backtest", str(root / "backtest.csv"),
+                        "--factors", str(root / "factors.csv")],
+        }
+        for command, argv in runs.items():
+            out = root / f"out_{command}"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main([command, "--out", str(out), *argv])
+            written = sorted(p.name for p in out.iterdir()) if out.exists() else []
+            if code != cli.EXIT_OK:
+                lines = err.getvalue().splitlines()
+                assert code in (cli.EXIT_CONFIG, cli.EXIT_DATA), (command, code, lines)
+                assert len(lines) == 1 and lines[0].startswith("error: "), (command, lines)
+                assert written == [], (command, lines, written)
+                continue
+            artifacts = read_manifest(out)["artifacts"]
+            assert written == sorted(artifacts + ["manifest.json"]), (command, written)
+            for name in artifacts:
+                if name.endswith(".csv"):
+                    assert _unflagged_non_finite(out / name) == [], (command, name)

@@ -1,10 +1,16 @@
 """Panel IO, VWAP labels, windowing, and synthetic generator tests."""
 
+import tempfile
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracles as oracle
+from _helpers import edit_csv
+from xsrank import data
 from xsrank.data import (
     PanelDataset,
     PredictionSeries,
@@ -576,3 +582,89 @@ def test_standardize_features_matches_loop_oracle():
         got = standardize_features(panel).features
         assert got.flags["C_CONTIGUOUS"]
         assert np.array_equal(got, oracle.standardize_loop(feats))
+
+
+# ---------------------------------------------------------------------------
+# streaming readers against the row-based reference
+# ---------------------------------------------------------------------------
+
+# cells a mutation may write: missing, non-finite, garbled, malformed
+# dates, non-positive prices and an instrument outside the universe
+BAD_CELLS = ["", " ", "nan", "inf", "-inf", "x", "1.5", " 2.5", "0", "-1.0",
+             "2015-13-01", "20150105", "S999"]
+EDITS = st.lists(st.tuples(st.sampled_from(["drop", "dup", "move", "cell", "cell", "cell",
+                                            "cut", "grow", "column", "universe", "dates"]),
+                           st.integers(0, 10**6), st.integers(0, 10**6),
+                           st.sampled_from(BAD_CELLS)),
+                 max_size=3)
+
+
+def _panel_outcome(fn, *args):
+    try:
+        ds = fn(*args)
+    except DataError as exc:
+        return f"DataError: {exc}"
+    arrays = [getattr(ds, name) for name in ("features", "labels", "observed_mask",
+                                             "present_mask", "vwap", "volume")]
+    return (ds.dates, ds.instruments, ds.meta,
+            *((a.dtype.str, a.shape, a.tobytes()) for a in arrays))
+
+
+def _predictions_outcome(fn, path):
+    try:
+        preds = fn(path)
+    except DataError as exc:
+        return f"DataError: {exc}"
+    return preds.dates, preds.instruments, preds.scores.shape, preds.scores.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 50), chunk_cells=st.integers(1, 15),
+       feature_edits=EDITS, price_edits=EDITS, prediction_edits=EDITS)
+def test_streaming_loaders_equal_row_reference(seed, chunk_cells, feature_edits,
+                                               price_edits, prediction_edits):
+    ds, _, _ = generate_synthetic(SynthConfig(n_instruments=4, n_features=3, days=4,
+                                              seed=seed))
+    preds = PredictionSeries([(d, s, float(k)) for k, (d, s) in enumerate(
+        (d, s) for d in ds.dates for s in ds.instruments)])
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        f, p, q = Path(tmp, "features.csv"), Path(tmp, "prices.csv"), Path(tmp, "preds.csv")
+        write_panel(ds, f, p)
+        preds.write_csv(q)
+        for path, edits in ((f, feature_edits), (p, price_edits), (q, prediction_edits)):
+            text = path.read_text()
+            for edit in edits:
+                text = edit_csv(text, *edit)
+            path.write_text(text, encoding="utf-8")
+        # blocks of 1 to 3 rows, so faults straddle block boundaries
+        mp.setattr(data, "CHUNK_CELLS", chunk_cells)
+        assert (_panel_outcome(load_panel, f, p)
+                == _panel_outcome(oracle.load_panel_rows, f, p))
+        assert (_predictions_outcome(PredictionSeries.read_csv, q)
+                == _predictions_outcome(oracle.read_predictions_rows, q))
+
+
+def test_loaders_hold_their_arrays_and_one_block(tmp_path):
+    # before: every cell was held as a str in per-row lists, about 16x
+    # the bytes of the arrays load_panel returns, and more for read_csv
+    ds, _, _ = generate_synthetic(SynthConfig(n_instruments=400, days=120, seed=4))
+    f, p, q = tmp_path / "features.csv", tmp_path / "prices.csv", tmp_path / "preds.csv"
+    write_panel(ds, f, p)
+    PredictionSeries([(d, s, float(ds.features[t, i, 0]))
+                      for t, d in enumerate(ds.dates)
+                      for i, s in enumerate(ds.instruments)]).write_csv(q)
+
+    def peak(fn, *args):
+        tracemalloc.start()
+        try:
+            out = fn(*args)
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    panel, used = peak(load_panel, f, p)
+    arrays = sum(getattr(panel, name).nbytes for name in (
+        "features", "labels", "observed_mask", "present_mask", "vwap", "volume"))
+    assert used <= 4 * arrays, (used, arrays)
+    grid, used = peak(PredictionSeries.read_csv, q)
+    assert used <= 4 * grid.scores.nbytes, (used, grid.scores.nbytes)

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import _oracles as oracle
 from xsrank.data import PanelDataset, PredictionSeries, SynthConfig, generate_synthetic
 from xsrank.errors import DataError
 from xsrank.evaluate import (
     MetricReport,
+    _correlations,
     average_ranks,
     pearson,
     spearman,
@@ -100,6 +104,52 @@ def make_preds(dates, instruments, scores):
             if np.isfinite(scores[t][i]):
                 rows.append((date, inst, float(scores[t][i])))
     return PredictionSeries(rows)
+
+
+def _same_bits(got, want):
+    """`got` (NaN for undefined) carries the bits of the 1-D result `want`
+    (None for undefined)."""
+    if want is None:
+        return bool(np.isnan(got))
+    return np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def _cross_sections(sizes, ties, seed):
+    """Random (scores, labels) pairs of the given lengths, with tied and
+    constant sides mixed in."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for m in sizes:
+        a = (rng.integers(0, 3, m).astype(float) if ties and rng.random() < 0.5
+             else rng.normal(size=m))
+        b = rng.normal(0.0, 0.02, size=m)
+        if rng.random() < 0.1:
+            (a if rng.random() < 0.5 else b)[:] = 0.25
+        pairs.append((a, b))
+    rng.shuffle(pairs)
+    return pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(sizes=st.lists(st.integers(2, 40), min_size=1, max_size=30), ties=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_batched_correlations_equal_one_call_per_cross_section(sizes, ties, seed):
+    pairs = _cross_sections(sizes, ties, seed)
+    ic, rank = _correlations(pairs)
+    for (a, b), got_ic, got_rank in zip(pairs, ic, rank):
+        assert _same_bits(got_ic, oracle.pearson(a, b))
+        assert _same_bits(got_rank, oracle.spearman(a, b))
+        assert _same_bits(got_ic, pearson(a, b))
+        assert _same_bits(got_rank, spearman(a, b))
+
+
+def test_batched_correlations_are_bitwise_for_every_size_to_800():
+    pairs = _cross_sections([m for m in range(2, 801) for _ in range(2)], True, 8)
+    ic, rank = _correlations(pairs)
+    for (a, b), got_ic, got_rank in zip(pairs, ic, rank):
+        assert _same_bits(got_ic, oracle.pearson(a, b))
+        assert _same_bits(got_rank, oracle.spearman(a, b))
+    assert _correlations([])[0].shape == (0,)
 
 
 def test_summarize_perfect_scores():

@@ -1,5 +1,7 @@
 """Tape and primitive tests: shapes, closed-form gradients, FD oracles."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -275,6 +277,29 @@ def test_no_tape_runs_untracked():
     y = tz.mul(x, x)
     assert y.node_id is None
     np.testing.assert_array_equal(y.data, [1.0, 4.0])
+
+
+def test_backward_frees_each_vjp_and_sweeps_a_tape_once():
+    rng = np.random.default_rng(8)
+    x, w0 = rng.normal(size=(4, 3)), rng.normal(size=(3, 3))
+    with Tape() as tape:
+        w = Tensor(w0)
+        tape.watch(w)
+        h = tz.tanh(tz.matmul(Tensor(x), w))
+        activation = weakref.ref(h.data)
+        loss = tz.tensor_sum(tz.mul(h, h))
+        del h
+        assert activation() is not None  # the TANH and MUL VJPs hold it
+        backward(loss)
+        # the sweep let go of every closure, and with them the activation
+        assert activation() is None
+        th = np.tanh(x @ w0)
+        np.testing.assert_allclose(tape.grad(w), x.T @ (2.0 * th * (1.0 - th * th)),
+                                   rtol=1e-12)
+        with pytest.raises(TapeError, match="already ran on this tape"):
+            backward(loss)
+        with pytest.raises(TapeError, match="already ran on this tape"):
+            backward(tz.tensor_sum(w))
 
 
 def test_replay_bitwise_deterministic():
