@@ -12,11 +12,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import PanelDataset, PredictionSeries, _write_rows, format_float, format_floats
+from .data import (PanelDataset, PredictionSeries, _read_dated, _write_rows, format_float,
+                   format_floats)
 from .errors import ConfigError, DataError
 from .evaluate import _format_metric, _ratio
 
 TRADING_DAYS = 252
+BACKTEST_HEADER = ["datetime", "portfolio_ret", "benchmark_ret", "excess_ret", "cum_excess"]
 
 
 @dataclass
@@ -104,10 +106,19 @@ class BacktestResult:
             [self.portfolio, self.benchmark, self.excess, self.cum_excess]))
         _write_rows(
             path,
-            ["datetime", "portfolio_ret", "benchmark_ret", "excess_ret",
-             "cum_excess"],
+            BACKTEST_HEADER,
             ([date, *cells[4 * t: 4 * t + 4]] for t, date in enumerate(self.dates)),
         )
+
+
+def read_backtest_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Dates, portfolio returns and compounded excess of a backtest.csv.
+
+    Every return day is a calendar day, unique and ascending, and every
+    number is present and finite, as in factors.csv.
+    """
+    dates, table = _read_dated(path, BACKTEST_HEADER)
+    return dates, table[:, 0].copy(), table[:, 3].copy()
 
 
 def run_backtest(

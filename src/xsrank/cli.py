@@ -20,7 +20,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,7 @@ import numpy as np
 from .backtest import (
     StrategyConfig,
     portfolio_metrics,
+    read_backtest_csv,
     run_backtest,
     write_curves_svg,
     write_portfolio_metrics,
@@ -35,9 +36,6 @@ from .backtest import (
 from .data import (
     PredictionSeries,
     SynthConfig,
-    _first_ragged,
-    _parse_floats,
-    _read_chunks,
     _write_rows,
     format_float,
     generate_synthetic,
@@ -67,49 +65,25 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-BACKTEST_HEADER = ["datetime", "portfolio_ret", "benchmark_ret",
-                   "excess_ret", "cum_excess"]
-
 # schemas: key -> (type, default). A None default marks a key that is
 # either optional (may stay None) or checked as required after resolution.
-SYNTH_SCHEMA = {
-    "n_instruments": (int, 24),
-    "n_features": (int, 8),
-    "days": (int, 600),
-    "tau_signal": (float, 60.0),
-    "noise": (float, 0.02),
-    "block_size": (int, 5),
-    "n_regions": (int, 4),
-    "start_date": (str, "2015-01-01"),
-}
+_FIELD_TYPES = {"int": int, "float": float, "str": str, "str | None": str}
 
-TRAIN_SCHEMA = {
-    # model
-    "window": (int, 16),
-    "hidden": (int, 64),
-    "trend_window": (int, 20),
-    "fluct_window": (int, 5),
-    "shock_window": (int, 5),
-    "knn": (int, 10),
-    "dropout_rate": (float, 0.1),
-    "loss_mix": (float, 0.1),
-    "leaky_slope": (float, 0.2),
-    "tcn_kernel": (int, 3),
-    "pspe": (str, "full"),
-    "fci": (str, "tcn"),
-    "sci": (str, "counterfactual"),
-    # optimizer / schedule
-    "valid_start": (str, None),
-    "test_start": (str, None),
-    "lr": (float, 1e-3),
-    "beta1": (float, 0.9),
-    "beta2": (float, 0.999),
-    "adam_eps": (float, 1e-8),
-    "batch_size": (int, 4),
-    "epochs": (int, 50),
-    "patience": (int, 5),
-    "standardize": (bool, True),
-}
+
+def _field_schema(cls, skip: str) -> dict:
+    """The schema of every field of dataclass `cls` but `skip`."""
+    return {f.name: (_FIELD_TYPES[f.type], None if f.default is MISSING else f.default)
+            for f in fields(cls) if f.name != skip}
+
+
+# seed comes from --seed, and n_features from the panel
+SYNTH_SCHEMA = _field_schema(SynthConfig, "seed")
+_ACT_SCHEMA = _field_schema(ActConfig, "n_features")
+_SETTINGS_SCHEMA = _field_schema(TrainSettings, "seed")
+# ActConfig.window has no default, and standardize is a preprocessing step
+# rather than a field of any config
+TRAIN_SCHEMA = {**_ACT_SCHEMA, **_SETTINGS_SCHEMA,
+                "window": (int, 16), "standardize": (bool, True)}
 
 PREDICT_SCHEMA = {
     "start_date": (str, None),
@@ -132,9 +106,8 @@ REGRESS_SCHEMA = {
     "dof_correction": (bool, False),
 }
 
-# n_features comes from the panel and seed from --seed
-ACT_KEYS = [f.name for f in fields(ActConfig) if f.name != "n_features"]
-SETTINGS_KEYS = [f.name for f in fields(TrainSettings) if f.name != "seed"]
+ACT_KEYS = list(_ACT_SCHEMA)
+SETTINGS_KEYS = list(_SETTINGS_SCHEMA)
 
 ABLATIONS = {
     "wo_pspe": ("pspe", "gat_only"),
@@ -438,27 +411,6 @@ def cmd_backtest(args, resolved, seed) -> int:
                    ["backtest.csv", "portfolio_metrics.csv", "curves.svg"],
                    seed, started, ds)
     return EXIT_OK
-
-
-def read_backtest_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Dates, portfolio returns and compounded excess of a backtest.csv."""
-    rows = [row for _, block in _read_chunks(path, BACKTEST_HEADER) for row in block]
-    n_ok = _first_ragged(rows, len(BACKTEST_HEADER))
-    values, error = _parse_floats(
-        [v for row in rows[:n_ok] for v in (row[1], row[4])], path,
-        lambda k: k // 2 + 2)
-    missing = np.flatnonzero(~np.isfinite(values))
-    if missing.size:
-        k = missing[0]
-        column = BACKTEST_HEADER[1] if k % 2 == 0 else BACKTEST_HEADER[4]
-        raise DataError(f"{path}: line {k // 2 + 2}: missing {column}")
-    if error is not None:
-        raise error
-    if n_ok < len(rows):
-        raise DataError(f"{path}: line {n_ok + 2}: expected "
-                        f"{len(BACKTEST_HEADER)} columns")
-    table = values.reshape(-1, 2)
-    return [row[0] for row in rows], table[:, 0].copy(), table[:, 1].copy()
 
 
 def cmd_regress(args, resolved, seed) -> int:

@@ -4,9 +4,11 @@ windowing, and a seeded synthetic market generator with planted structure.
 All files are UTF-8 with LF line endings and ISO-8601 dates. Floats are
 written in shortest round-trip positional notation: the digits of `repr`,
 never exponent notation, so a load/write cycle of canonical files is
-byte-identical. Writers work a whole column or day at a time. Readers
-stream a file in blocks of at most CHUNK_CELLS cells, so a loader holds its
-output arrays and one block of rows, however long the file is.
+byte-identical. Writers work a whole column or day at a time. Every reader
+streams its file through `_read_table` in blocks of at most CHUNK_CELLS
+cells, so a loader holds its output arrays and one block of rows, however
+long the file is, and of several faults reports the one on the earliest
+line.
 """
 
 from __future__ import annotations
@@ -69,13 +71,49 @@ def _write_rows(path, header, rows):
     _write_lines(path, header, map(",".join, rows))
 
 
-def _read_chunks(path, header):
-    """Yield the data rows of a CSV file as (line of the first row, rows)
-    blocks of at most CHUNK_CELLS cells each, or of one row when a row
-    is wider than that.
+def _is_day(s: str) -> bool:
+    """True for a real calendar day written YYYY-MM-DD."""
+    try:
+        return _date.fromisoformat(s).isoformat() == s
+    except ValueError:
+        return False
 
-    The file's first row must equal `header`; with `header=None` that row
-    is yielded first, unchecked, for the caller to check.
+
+def _floats(cells: list[str]) -> tuple[np.ndarray, int]:
+    """The number cells as floats, an empty or blank cell as NaN, up to
+    the first one that does not parse, and that cell's index (len(cells)
+    when all parse)."""
+    try:
+        return np.array(list(map(float, cells)), dtype=np.float64), len(cells)
+    except ValueError:
+        pass
+    values = []
+    for raw in cells:
+        try:
+            values.append(float(raw))
+        except ValueError:
+            if raw.strip():
+                break
+            values.append(float("nan"))
+    return np.array(values, dtype=np.float64), len(values)
+
+
+def _read_table(path, header, keys: int, days: bool = False, keep=None):
+    """Stream the data rows of a CSV file in blocks of at most CHUNK_CELLS
+    cells, or of one row when a row is wider than that.
+
+    The first `keys` columns of a row are strings and the rest numbers.
+    A row is faulty if it has the wrong width; failing that, if a number
+    cell does not parse; failing that, with `days`, if its first cell is
+    not a YYYY-MM-DD calendar day. `keep`, if given, drops the well-formed
+    rows it is false for before their numbers are parsed.
+
+    Yields (line numbers, rows, [rows, numbers] floats, fault) per block:
+    the kept rows before the first faulty one, and that row's DataError,
+    or None. A block with a fault is the last. The file's first row must
+    equal `header`; with `header=None` that row is yielded first,
+    unchecked, for the caller to check, and a ragged row is reported with
+    its own width.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -89,61 +127,62 @@ def _read_chunks(path, header):
                 raise DataError(
                     f"{path}: header {found!r} does not match expected {header!r}"
                 )
-            size = max(1, CHUNK_CELLS // max(1, len(found)))
+            width, n_num = len(found), len(found) - keys
+            size = max(1, CHUNK_CELLS // max(1, width))
+            known_days: set[str] = set()
             line = 2
-            while rows := list(islice(reader, size)):
-                yield line, rows
-                line += len(rows)
+            while block := list(islice(reader, size)):
+                fault = None
+                n = next((k for k, row in enumerate(block) if len(row) != width), len(block))
+                if n < len(block):
+                    fault = (line + n, f"expected {width} columns" if header is not None else
+                             f"ragged row of {len(block[n])} columns")
+                lines, rows = range(line, line + n), block[:n]
+                if keep is not None:
+                    lines = [k for k in lines if keep(block[k - line])]
+                    rows = [block[k - line] for k in lines]
+                # one number column (predictions) needs no per-row slice
+                cells = ([row[keys] for row in rows] if n_num == 1 else
+                         [v for row in rows for v in row[keys:]])
+                values, n_cells = _floats(cells)
+                if n_cells < len(cells):
+                    n = n_cells // n_num
+                    fault = (lines[n], f"unparseable number {cells[n_cells].strip()!r}")
+                else:
+                    n = len(rows)
+                if days:
+                    fresh = {row[0] for row in rows[:n]} - known_days
+                    bad = {d for d in fresh if not _is_day(d)}
+                    known_days |= fresh
+                    if bad:
+                        n = next(k for k, row in enumerate(rows) if row[0] in bad)
+                        fault = (lines[n], f"date {rows[n][0]!r} is not a YYYY-MM-DD day")
+                yield (lines[:n], rows[:n], values[: n * n_num].reshape(n, n_num),
+                       fault and DataError(f"{path}: line {fault[0]}: {fault[1]}"))
+                if fault:
+                    return
+                line += len(block)
     except (OSError, csv.Error) as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 
-def _first_ragged(rows, width: int) -> int:
-    """Index of the first row without `width` columns, or len(rows)."""
-    return next((k for k, row in enumerate(rows) if len(row) != width), len(rows))
-
-
-def _parse_float(raw: str, path, lineno) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        pass
-    raw = raw.strip()
-    if raw == "" or raw.lower() == "nan":
-        return float("nan")
-    try:
-        return float(raw)
-    except ValueError:
-        raise DataError(f"{path}: line {lineno}: unparseable number {raw!r}") from None
-
-
-def _parse_floats(cells, path, lineno_of):
-    """Parse number cells in file order, each as `_parse_float` would.
-
-    Returns the values of the cells before the first unparseable one and
-    that cell's DataError, or None when all parse, so a caller can still
-    report a fault on an earlier line first. `lineno_of(k)` is the line
-    of cell k.
-    """
-    try:
-        return np.array(list(map(float, cells)), dtype=np.float64), None
-    except ValueError:
-        pass
-    values = []
-    for k, raw in enumerate(cells):
-        try:
-            values.append(_parse_float(raw, path, lineno_of(k)))
-        except DataError as exc:
-            return np.array(values, dtype=np.float64), exc
-    return np.array(values, dtype=np.float64), None
-
-
-def _is_day(s: str) -> bool:
-    """True for a real calendar day written YYYY-MM-DD."""
-    try:
-        return _date.fromisoformat(s).isoformat() == s
-    except ValueError:
-        return False
+def _read_dated(path, header) -> tuple[list[str], np.ndarray]:
+    """The days and [days, numbers] table of a CSV keyed by its first
+    column. Refuses, besides `_read_table`'s faults, a missing or
+    non-finite number and days that are not unique and ascending."""
+    dates, blocks = [], [np.empty((0, len(header) - 1))]
+    for lines, rows, values, fault in _read_table(path, header, keys=1, days=True):
+        missing = np.flatnonzero(~np.isfinite(values))
+        if missing.size:
+            row, col = divmod(int(missing[0]), values.shape[1])
+            raise DataError(f"{path}: line {lines[row]}: missing {header[1 + col]}")
+        if fault is not None:
+            raise fault
+        dates += [row[0] for row in rows]
+        blocks.append(values)
+    if dates != sorted(set(dates)):
+        raise DataError(f"{path}: dates must be unique and ascending")
+    return dates, np.concatenate(blocks)
 
 
 class _Coder:
@@ -312,20 +351,16 @@ class PredictionSeries:
     def read_csv(cls, path) -> "PredictionSeries":
         dates, instruments = _Coder(), _Coder()
 
-        def block(line, rows):
-            n_ok = _first_ragged(rows, 3)
-            scores, error = _parse_floats([row[2] for row in rows[:n_ok]], path,
-                                          lambda k: line + k)
-            if error is not None:
-                raise error
-            if n_ok < len(rows):
-                raise DataError(f"{path}: line {line + n_ok}: expected 3 columns")
+        def part(lines, rows, scores, fault):
+            if fault is not None:
+                raise fault
             return (dates([row[0] for row in rows]), instruments([row[1] for row in rows]),
-                    scores)
+                    scores.ravel())
 
+        # no block of rows outlives its part while the grid is built
         preds = cls.__new__(cls)
         preds._fill(dates, instruments,
-                    [block(*chunk) for chunk in _read_chunks(path, PREDICTIONS_HEADER)])
+                    [part(*block) for block in _read_table(path, PREDICTIONS_HEADER, keys=2)])
         return preds
 
 
@@ -419,8 +454,8 @@ def load_panel(features_path, prices_path) -> PanelDataset:
     without a next-day price are simply unobserved. Of several faults the
     one on the earliest line is reported.
     """
-    chunks = _read_chunks(features_path, None)
-    header = next(chunks)
+    table = _read_table(features_path, None, keys=2, days=True)
+    header = next(table)
     if len(header) < 3 or header[:2] != ["datetime", "instrument"]:
         raise DataError(f"{features_path}: header must start datetime,instrument")
     n_feat = len(header) - 2
@@ -446,50 +481,28 @@ def load_panel(features_path, prices_path) -> PanelDataset:
                 raise DataError(f"{features_path}: duplicate "
                                 f"({day_codes.names[t[dup]]}, {name_codes.names[i[dup]]})")
 
-    def block(line, rows):
-        n_ok = _first_ragged(rows, len(header))
-        values, error = _parse_floats(
-            [v for row in rows[:n_ok] for v in row[2:]], features_path,
-            lambda k: line + k // n_feat)
-        parsed = rows[: len(values) // n_feat]
-        n_days = len(day_codes.names)
-        t = day_codes([row[0] for row in parsed])
-        i = name_codes([row[1] for row in parsed])
-        # each distinct date is checked once, so only this block's new dates
-        # can be malformed; bad_day is the first row with one
-        bad_days = {d for d in day_codes.names[n_days:] if not _is_day(d)}
-        bad_day = len(parsed)
-        if bad_days:
-            bad_day = next(k for k, row in enumerate(parsed) if row[0] in bad_days)
+    n_read = 0
+    for lines, rows, values, fault in table:
+        parts.append((day_codes([row[0] for row in rows]),
+                      name_codes([row[1] for row in rows]), values))
+        n_read += len(rows)
         # only an empty cell stands for a missing feature; inf is refused. The
         # NaN-skipping extremes find one without a mask the size of the block.
-        cells = values[: len(parsed) * n_feat]
-        bad_cell = cells.size
+        cells = values.ravel()
+        bad = cells.size
         if cells.size and np.isinf([np.fmax.reduce(cells), np.fmin.reduce(cells)]).any():
-            bad_cell = int(np.argmax(np.isinf(cells)))
-        bad_row = bad_cell // n_feat
-        parts.append((t, i, cells.reshape(-1, n_feat)))
-        if min(bad_day, bad_row) == len(parsed) and error is None and n_ok == len(rows):
-            return
-        # the first block with a fault decides, but a duplicate of an
-        # earlier line, in this block or before it, is reported first
-        check_duplicates(line - 2 + min(bad_day, bad_row))
-        if bad_day < len(parsed) and bad_day <= bad_row:
-            raise DataError(f"{features_path}: line {line + bad_day}: "
-                            f"date {parsed[bad_day][0]!r} is not a YYYY-MM-DD day")
-        if bad_row < len(parsed):
-            raise DataError(f"{features_path}: line {line + bad_row}: feature "
-                            f"{header[2 + bad_cell % n_feat]} is "
-                            f"{parsed[bad_row][2 + bad_cell % n_feat]!r}; "
+            bad = int(np.argmax(np.isinf(cells)))
+        if fault is None and bad == cells.size:
+            continue
+        row, col = divmod(bad, n_feat)
+        # a duplicate of an earlier line, in this block or before it, is
+        # reported first
+        check_duplicates(n_read - len(rows) + row)
+        if bad < cells.size:
+            raise DataError(f"{features_path}: line {lines[row]}: feature "
+                            f"{header[2 + col]} is {rows[row][2 + col]!r}; "
                             f"leave a missing value empty")
-        if error is not None:
-            raise error
-        raise DataError(
-            f"{features_path}: line {line + n_ok}: ragged row of {len(rows[n_ok])} columns"
-        )
-
-    for chunk in chunks:
-        block(*chunk)
+        raise fault
     if not parts:
         raise DataError(f"{features_path}: no data rows")
     check_duplicates(float("inf"))
@@ -515,33 +528,24 @@ def load_panel(features_path, prices_path) -> PanelDataset:
     date_pos = {d: k for k, d in enumerate(dates)}
     inst_pos = {s: k for k, s in enumerate(instruments)}
     bar_t, bar_i, bar_values = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty((0, 2))]
-    for line, rows in _read_chunks(prices_path, PRICES_HEADER):
-        n_ok = _first_ragged(rows, 4)
-        # rows outside the universe are dropped before their cells are parsed
-        bar_rows = [k for k in range(n_ok)
-                    if rows[k][0] in date_pos and rows[k][1] in inst_pos]
-        values, error = _parse_floats(
-            [v for k in bar_rows for v in rows[k][2:]], prices_path,
-            lambda c: line + bar_rows[c // 2])
-        bars = values[: len(values) // 2 * 2].reshape(-1, 2)
+    # rows outside the universe are dropped before their cells are parsed
+    for lines, rows, bars, fault in _read_table(
+            prices_path, PRICES_HEADER, keys=2,
+            keep=lambda row: row[0] in date_pos and row[1] in inst_pos):
         price_ok = np.isfinite(bars[:, 0]) & (bars[:, 0] > 0)
         bad = np.flatnonzero(~price_ok | ~np.isfinite(bars[:, 1]))
         if bad.size:
             k = bad[0]
-            at = f"{prices_path}: line {line + bar_rows[k]}"
+            at = f"{prices_path}: line {lines[k]}"
             if np.isnan(bars[k]).any():
                 raise DataError(f"{at}: missing price/volume")
             if not price_ok[k]:
                 raise DataError(f"{at}: price {float(bars[k, 0])!r} is not positive and finite")
             raise DataError(f"{at}: volume {float(bars[k, 1])!r} is not finite")
-        if error is not None:
-            raise error
-        if n_ok < len(rows):
-            raise DataError(f"{prices_path}: line {line + n_ok}: expected 4 columns")
-        bar_t.append(np.fromiter((date_pos[rows[k][0]] for k in bar_rows), np.intp,
-                                 len(bar_rows)))
-        bar_i.append(np.fromiter((inst_pos[rows[k][1]] for k in bar_rows), np.intp,
-                                 len(bar_rows)))
+        if fault is not None:
+            raise fault
+        bar_t.append(np.fromiter((date_pos[row[0]] for row in rows), np.intp, len(rows)))
+        bar_i.append(np.fromiter((inst_pos[row[1]] for row in rows), np.intp, len(rows)))
         bar_values.append(bars)
 
     bars = np.concatenate(bar_values)
@@ -592,16 +596,14 @@ def write_panel(ds: PanelDataset, features_path, prices_path) -> None:
 def load_membership(path) -> dict[str, str]:
     """instrument -> category map; conflicting duplicates are an error."""
     out: dict[str, str] = {}
-    for line, rows in _read_chunks(path, MEMBERSHIP_HEADER):
-        for lineno, row in enumerate(rows, start=line):
-            if len(row) != 2:
-                raise DataError(f"{path}: line {lineno}: expected 2 columns")
-            inst, cat = row
-            if inst in out and out[inst] != cat:
+    for _, rows, _, fault in _read_table(path, MEMBERSHIP_HEADER, keys=2):
+        for inst, cat in rows:
+            if out.setdefault(inst, cat) != cat:
                 raise DataError(
                     f"{path}: instrument {inst!r} mapped to both {out[inst]!r} and {cat!r}"
                 )
-            out[inst] = cat
+        if fault is not None:
+            raise fault
     return out
 
 
@@ -610,29 +612,7 @@ def write_membership(path, labels: dict[str, str]) -> None:
 
 
 def load_factors(path) -> FactorSeries:
-    rows = [row for _, block in _read_chunks(path, FACTORS_HEADER) for row in block]
-    names = ["rf"] + FACTOR_NAMES
-    n_ok = _first_ragged(rows, len(FACTORS_HEADER))
-    values, error = _parse_floats(
-        [v for row in rows[:n_ok] for v in row[1:]], path,
-        lambda k: k // len(names) + 2)
-    missing = np.flatnonzero(~np.isfinite(values))
-    bad_day = next((k for k, row in enumerate(rows[: len(values) // len(names)])
-                    if not _is_day(row[0])), None)
-    if missing.size and (bad_day is None or missing[0] // len(names) < bad_day):
-        k = missing[0]
-        raise DataError(f"{path}: line {k // len(names) + 2}: missing {names[k % len(names)]}")
-    if bad_day is not None:
-        raise DataError(f"{path}: line {bad_day + 2}: "
-                        f"date {rows[bad_day][0]!r} is not a YYYY-MM-DD day")
-    if error is not None:
-        raise error
-    if n_ok < len(rows):
-        raise DataError(f"{path}: line {n_ok + 2}: expected {len(FACTORS_HEADER)} columns")
-    dates = [row[0] for row in rows]
-    if dates != sorted(set(dates)):
-        raise DataError(f"{path}: dates must be unique and ascending")
-    table = values.reshape(-1, len(names))
+    dates, table = _read_dated(path, FACTORS_HEADER)
     return FactorSeries(
         dates=dates,
         risk_free=table[:, 0].copy(),

@@ -198,26 +198,18 @@ def _fw_matmul(inputs, attrs):
     a, b = inputs
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError("matmul operands must have at least 2 dimensions")
-    ta = attrs.get("transpose_a", False)
-    tb = attrs.get("transpose_b", False)
-    ae = np.swapaxes(a, -1, -2) if ta else a
-    be = np.swapaxes(b, -1, -2) if tb else b
-    if ae.shape[-1] != be.shape[-2]:
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(
-            f"matmul inner dims disagree: {ae.shape} vs {be.shape}"
+            f"matmul inner dims disagree: {a.shape} vs {b.shape}"
         )
-    out = np.matmul(ae, be)
+    out = np.matmul(a, b)
 
     def vjp(g, needs):
         da = db = None
         if needs[0]:
-            da = _unbroadcast(np.matmul(g, np.swapaxes(be, -1, -2)), ae.shape)
-            if ta:
-                da = np.swapaxes(da, -1, -2)
+            da = _unbroadcast(np.matmul(g, np.swapaxes(b, -1, -2)), a.shape)
         if needs[1]:
-            db = _unbroadcast(np.matmul(np.swapaxes(ae, -1, -2), g), be.shape)
-            if tb:
-                db = np.swapaxes(db, -1, -2)
+            db = _unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g), b.shape)
         return [da, db]
 
     return out, vjp
@@ -427,7 +419,7 @@ def _fw_index(inputs, attrs):
 
 # kind -> (builder, required attr names, optional attr names)
 _REGISTRY: dict[PrimitiveKind, tuple[Callable, frozenset, frozenset]] = {
-    PrimitiveKind.MATMUL: (_fw_matmul, frozenset(), frozenset({"transpose_a", "transpose_b"})),
+    PrimitiveKind.MATMUL: (_fw_matmul, frozenset(), frozenset()),
     PrimitiveKind.ADD: (_fw_add, frozenset(), frozenset()),
     PrimitiveKind.SUB: (_fw_sub, frozenset(), frozenset()),
     PrimitiveKind.MUL: (_fw_mul, frozenset(), frozenset()),
@@ -549,13 +541,8 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
-def matmul(a, b, transpose_a: bool = False, transpose_b: bool = False) -> Tensor:
-    attrs = {}
-    if transpose_a:
-        attrs["transpose_a"] = True
-    if transpose_b:
-        attrs["transpose_b"] = True
-    return apply_primitive(PrimitiveKind.MATMUL, [_as_tensor(a), _as_tensor(b)], attrs)
+def matmul(a, b) -> Tensor:
+    return apply_primitive(PrimitiveKind.MATMUL, [_as_tensor(a), _as_tensor(b)])
 
 
 def add(a, b) -> Tensor:

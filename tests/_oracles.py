@@ -15,8 +15,8 @@ size; they share `_ratio` and `topk_dropout_rebalance` with the package.
 
 The row-based loaders at the end keep the earlier `load_panel` and
 `PredictionSeries.read_csv`, which held every row of a file as a list of
-strings before parsing it, so tests can pin the streaming readers
-against them.
+strings before parsing it, and the cell parser they used, so tests can
+pin the streaming readers against them.
 """
 
 import csv
@@ -30,9 +30,7 @@ from xsrank.data import (
     PRICES_HEADER,
     PanelDataset,
     PredictionSeries,
-    _first_ragged,
     _is_day,
-    _parse_floats,
     returns_from_prices,
     vwap_matrix,
 )
@@ -578,6 +576,46 @@ def run_backtest_rows(rows, ds, cfg):
         holdings_ledger=ledger,
         flags=flags,
     )
+
+
+def _first_ragged(rows, width: int) -> int:
+    """Index of the first row without `width` columns, or len(rows)."""
+    return next((k for k, row in enumerate(rows) if len(row) != width), len(rows))
+
+
+def _parse_float(raw: str, path, lineno) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        pass
+    raw = raw.strip()
+    if raw == "" or raw.lower() == "nan":
+        return float("nan")
+    try:
+        return float(raw)
+    except ValueError:
+        raise DataError(f"{path}: line {lineno}: unparseable number {raw!r}") from None
+
+
+def _parse_floats(cells, path, lineno_of):
+    """Parse number cells in file order, each as `_parse_float` would.
+
+    Returns the values of the cells before the first unparseable one and
+    that cell's DataError, or None when all parse, so a caller can still
+    report a fault on an earlier line first. `lineno_of(k)` is the line
+    of cell k.
+    """
+    try:
+        return np.array(list(map(float, cells)), dtype=np.float64), None
+    except ValueError:
+        pass
+    values = []
+    for k, raw in enumerate(cells):
+        try:
+            values.append(_parse_float(raw, path, lineno_of(k)))
+        except DataError as exc:
+            return np.array(values, dtype=np.float64), exc
+    return np.array(values, dtype=np.float64), None
 
 
 def _read_rows(path, expected_header):

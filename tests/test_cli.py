@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _helpers import edit_csv
@@ -566,6 +566,46 @@ def test_regress_reports_a_malformed_backtest_cell(workdir, tmp_path, capsys):
     assert not (tmp_path / "reg" / "regression.csv").exists()
 
 
+def _swap_rows(lines):
+    lines[3], lines[4] = lines[4], lines[3]
+
+
+def _set_cell(column, value):
+    def edit(lines):
+        cells = lines[3].split(",")
+        cells[column] = value
+        lines[3] = ",".join(cells)
+    return edit
+
+
+@pytest.mark.parametrize("edit, fault", [
+    # before: the row was dropped when aligned with factors.csv, one obs fewer
+    (_set_cell(0, "2099-13-01"), "line 4: date '2099-13-01' is not a YYYY-MM-DD day"),
+    # before: the Newey-West lags ran over days out of order
+    (_swap_rows, "dates must be unique and ascending"),
+    # before: benchmark_ret was never parsed
+    (_set_cell(2, "xyz"), "line 4: unparseable number 'xyz'"),
+], ids=["bad_day", "swapped_rows", "bad_benchmark_ret"])
+def test_regress_refuses_a_malformed_backtest_csv(workdir, tmp_path, capsys, edit, fault):
+    bt = tmp_path / "bt"
+    assert cli.main(
+        ["backtest", "--out", str(bt),
+         "--predictions", str(workdir / "preds" / "predictions.csv")]
+        + panel_args(workdir) + ["--k", "3", "--n-drop", "1"]) == 0
+    lines = (bt / "backtest.csv").read_text().splitlines()
+    edit(lines)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = cli.main(["regress", "--out", str(tmp_path / "reg"),
+                   "--backtest", str(bad),
+                   "--factors", str(workdir / "data" / "factors.csv"),
+                   "--lags", "2"])
+    assert rc == cli.EXIT_DATA
+    assert capsys.readouterr().err.splitlines() == [f"error: {bad}: {fault}"]
+    assert not (tmp_path / "reg").exists()
+
+
 def test_evaluate_checks_group_by_before_writing(workdir, tmp_path):
     stranger = tmp_path / "stranger.csv"
     stranger.write_text("instrument,category\nZZZ,X\n")
@@ -699,10 +739,12 @@ def fuzz_inputs(tmp_path_factory):
 
 
 def _unflagged_non_finite(path):
-    """Non-finite numbers in a CSV artifact other than a ratio its own
-    row or file flags as undefined."""
-    text = path.read_text()
-    header, *rows = [line.split(",") for line in text.splitlines()]
+    """Non-finite numbers in a CSV artifact other than a metric its file
+    flags as undefined with a `{name}_undefined_` flag. A metric file
+    (metric,value) names each value by its row, any other file by its
+    column."""
+    header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+    flags = {flag for row in rows for cell in row for flag in cell.split(";")}
     found = []
     for row in rows:
         for col, cell in zip(header, row):
@@ -712,9 +754,9 @@ def _unflagged_non_finite(path):
                 value = float(cell)
             except ValueError:
                 continue
-            name = row[0] if path.name == "metrics.csv" else col
-            if not np.isfinite(value) and not (
-                    name in ("icir", "rank_icir") and f"{name}_undefined_zero_std" in text):
+            name = row[0] if header == ["metric", "value"] else col
+            if not np.isfinite(value) and not any(
+                    flag.startswith(f"{name}_undefined_") for flag in flags):
                 found.append((row, col))
     return found
 
@@ -737,6 +779,9 @@ def test_backtest_refused_after_running_leaves_no_artifact(fuzz_inputs, tmp_path
 
 @settings(max_examples=150, deadline=None)
 @given(edits=FUZZ_EDITS)
+# a one-stock universe: portfolio_metrics.csv flags its nan ratios
+@example(edits=[("features.csv", "universe", 0, 0, ""),
+                ("predictions.csv", "universe", 0, 0, "")])
 def test_mutated_inputs_exit_cleanly_with_one_error_line(fuzz_inputs, edits):
     texts = dict(fuzz_inputs)
     for name, kind, a, b, cell in edits:

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import _oracles as oracle
 from _helpers import edit_csv
 from xsrank import data
+from xsrank.backtest import StrategyConfig, read_backtest_csv, run_backtest
 from xsrank.data import (
     PanelDataset,
     PredictionSeries,
@@ -642,6 +643,45 @@ def test_streaming_loaders_equal_row_reference(seed, chunk_cells, feature_edits,
                 == _panel_outcome(oracle.load_panel_rows, f, p))
         assert (_predictions_outcome(PredictionSeries.read_csv, q)
                 == _predictions_outcome(oracle.read_predictions_rows, q))
+
+
+def _table_outcome(fn, path):
+    try:
+        value = fn(path)
+    except DataError as exc:
+        return f"DataError: {exc}"
+    if isinstance(value, data.FactorSeries):
+        value = value.dates, value.risk_free, *value.factors.values()
+    if isinstance(value, dict):
+        return sorted(value.items())
+    return [v.tobytes() if isinstance(v, np.ndarray) else v for v in value]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 50), chunk_cells=st.integers(1, 15),
+       factor_edits=EDITS, membership_edits=EDITS, backtest_edits=EDITS)
+def test_dated_and_membership_loaders_do_not_depend_on_block_size(
+        seed, chunk_cells, factor_edits, membership_edits, backtest_edits):
+    ds, graphs, fs = generate_synthetic(SynthConfig(n_instruments=4, n_features=3, days=6,
+                                                    seed=seed))
+    preds = PredictionSeries([(d, s, float(ds.features[t, i, 0]))
+                              for t, d in enumerate(ds.dates)
+                              for i, s in enumerate(ds.instruments)])
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        f, m, b = Path(tmp, "factors.csv"), Path(tmp, "industry.csv"), Path(tmp, "backtest.csv")
+        write_factors(fs, f)
+        write_membership(m, graphs.industry_labels)
+        run_backtest(preds, ds, StrategyConfig(k=2, n_drop=1)).write_csv(b)
+        for path, edits in ((f, factor_edits), (m, membership_edits), (b, backtest_edits)):
+            text = path.read_text()
+            for edit in edits:
+                text = edit_csv(text, *edit)
+            path.write_text(text, encoding="utf-8")
+        cases = ((load_factors, f), (load_membership, m), (read_backtest_csv, b))
+        whole = [_table_outcome(fn, path) for fn, path in cases]
+        # blocks of 1 to 15 cells, so faults straddle block boundaries
+        mp.setattr(data, "CHUNK_CELLS", chunk_cells)
+        assert [_table_outcome(fn, path) for fn, path in cases] == whole
 
 
 def test_loaders_hold_their_arrays_and_one_block(tmp_path):
