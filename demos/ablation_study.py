@@ -2,9 +2,9 @@
 
 Trains the same panel four times: the full model, then each of the
 three branches swapped for its plain replacement, as the CLI's
-`--ablation wo_pspe / wo_fci / wo_sci` do: trend purification for a
-plain GAT on the union relation graph, and the fluctuation TCN and the
-shock counterfactual for per-stock MLPs. Prints the out-of-sample IC
+`--pspe gat_only`, `--fci mlp` and `--sci mlp` do: trend purification
+for a plain GAT on the union relation graph, and the fluctuation TCN
+and the shock counterfactual for per-stock MLPs. Prints the out-of-sample IC
 per variant so the contribution of each branch is visible directly.
 """
 

@@ -15,7 +15,7 @@ import numpy as np
 from .data import (PanelDataset, PredictionSeries, _read_dated, _write_rows, format_float,
                    format_floats)
 from .errors import ConfigError, DataError
-from .evaluate import _format_metric, _ratio
+from .evaluate import _ratio
 
 TRADING_DAYS = 252
 BACKTEST_HEADER = ["datetime", "portfolio_ret", "benchmark_ret", "excess_ret", "cum_excess"]
@@ -265,13 +265,6 @@ def portfolio_metrics(
         calmar = ar / abs(md)
     return PortfolioMetrics(ar=ar, ir=ir, md=md, cr=cr, sharpe=sharpe,
                             calmar=calmar, flags=flags)
-
-
-def write_portfolio_metrics(metrics: PortfolioMetrics, path) -> None:
-    rows = [[name, _format_metric(value)] for name, value in metrics.rows()]
-    for flag in metrics.flags:
-        rows.append(["flag", flag])
-    _write_rows(path, ["metric", "value"], rows)
 
 
 SVG_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b"]

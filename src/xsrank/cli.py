@@ -31,7 +31,6 @@ from .backtest import (
     read_backtest_csv,
     run_backtest,
     write_curves_svg,
-    write_portfolio_metrics,
 )
 from .data import (
     PredictionSeries,
@@ -108,12 +107,6 @@ REGRESS_SCHEMA = {
 
 ACT_KEYS = list(_ACT_SCHEMA)
 SETTINGS_KEYS = list(_SETTINGS_SCHEMA)
-
-ABLATIONS = {
-    "wo_pspe": ("pspe", "gat_only"),
-    "wo_fci": ("fci", "mlp"),
-    "wo_sci": ("sci", "mlp"),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +264,6 @@ def cmd_synth(args, resolved, seed) -> int:
 
 def cmd_train(args, resolved, seed) -> int:
     started = time.monotonic()
-    if args.ablation:
-        key, mode = ABLATIONS[args.ablation]
-        resolved[key] = mode
     require(resolved, "valid_start")
 
     ds = load_panel(args.features, args.prices)
@@ -394,18 +384,17 @@ def cmd_backtest(args, resolved, seed) -> int:
     # artifact is written
     metrics = portfolio_metrics(result.excess, result.portfolio)
     out = ensure_out(args)
-    result.write_csv(out / "backtest.csv")
-    write_portfolio_metrics(metrics, out / "portfolio_metrics.csv")
-
-    # the chart is drawn from the CSV, keeping the file the single source
-    dates, portfolio, cum_excess = read_backtest_csv(out / "backtest.csv")
-    cum_portfolio = np.cumprod(1.0 + portfolio)
+    # the chart goes first: its scale can overflow on finite returns, and
+    # a refused chart then leaves nothing behind. backtest.csv round-trips
+    # these arrays exactly, so the chart is also the file's.
     write_curves_svg(
         out / "curves.svg",
-        [("compounded excess", dates, cum_excess),
-         ("compounded portfolio", dates, cum_portfolio)],
+        [("compounded excess", result.dates, result.cum_excess),
+         ("compounded portfolio", result.dates, np.cumprod(1.0 + result.portfolio))],
         title=f"top-{cfg.k} dropout-{cfg.n_drop} backtest",
     )
+    result.write_csv(out / "backtest.csv")
+    write_metric_report(metrics, out / "portfolio_metrics.csv")
     write_manifest(out, "backtest", resolved,
                    input_map(args, "predictions", "features", "prices"),
                    ["backtest.csv", "portfolio_metrics.csv", "curves.svg"],
@@ -482,9 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", default=None, metavar="V")
         for inp in inputs_by_command[name]:
             p.add_argument(f"--{inp}", required=True)
-        if name == "train":
-            p.add_argument("--ablation", choices=sorted(ABLATIONS),
-                           default=None)
         if name == "evaluate":
             p.add_argument("--industry", default=None)
             p.add_argument("--region", default=None)

@@ -57,13 +57,6 @@ def average_ranks(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def spearman(a: np.ndarray, b: np.ndarray):
-    """Pearson on average ranks; None when either side is all ties."""
-    if np.asarray(a).size < 2:
-        return None
-    return pearson(average_ranks(a), average_ranks(b))
-
-
 def _correlations(pairs: list) -> tuple[np.ndarray, np.ndarray]:
     """Pearson and Spearman correlation of each (a, b) pair of 1-D
     arrays, NaN where undefined. The pairs of one length are stacked and
@@ -252,7 +245,10 @@ def _format_metric(v: float) -> str:
     return "inf" if v > 0 else "-inf"
 
 
-def write_metric_report(report: MetricReport, path) -> None:
+def write_metric_report(report, path) -> None:
+    """One metric,value row per entry of `report.rows()`, then one
+    flag row per flag: the layout of both metrics.csv (a MetricReport)
+    and portfolio_metrics.csv (a backtest.PortfolioMetrics)."""
     rows = [[name, _format_metric(value)] for name, value in report.rows()]
     for flag in report.flags:
         rows.append(["flag", flag])

@@ -142,8 +142,10 @@ def ff_regression(
 ) -> RegressionResult:
     """Regress (portfolio return - risk-free) on the named factor set.
 
-    Dates align by intersection of the return series and the factor
-    file. `model` picks the three- or five-factor column set.
+    Every return date needs a factor row; a missing one is refused
+    rather than skipped, since the Newey-West lags would then run across
+    the gap. Factor days without a return are ignored. `model` picks the
+    three- or five-factor column set.
     """
     if model == "ff3":
         names = FF3_FACTORS
@@ -156,14 +158,17 @@ def ff_regression(
         raise DataError("dates and returns length mismatch")
 
     fac_index = {d: i for i, d in enumerate(factors.dates)}
-    keep = [(d, v) for d, v in zip(dates, returns) if d in fac_index]
+    missing = [d for d in dates if d not in fac_index]
+    if missing:
+        raise DataError(f"{len(missing)} of {len(dates)} return days have no "
+                        f"factor row; the first is {missing[0]}")
     p = len(names) + 1
-    if len(keep) < p + lags + 2:
+    if len(dates) < p + lags + 2:
         raise DataError(
-            f"need at least {p + lags + 2} aligned dates, got {len(keep)}"
+            f"need at least {p + lags + 2} aligned dates, got {len(dates)}"
         )
-    rows = [fac_index[d] for d, _ in keep]
-    y = np.array([v for _, v in keep]) - factors.risk_free[rows]
+    rows = [fac_index[d] for d in dates]
+    y = returns - factors.risk_free[rows]
     x = np.column_stack(
         [np.ones(len(rows))] + [factors.factors[n][rows] for n in names]
     )

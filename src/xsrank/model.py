@@ -216,9 +216,23 @@ def _dropout(x: Tensor, rate: float, rng, training: bool) -> Tensor:
     return tz.mul(x, Tensor(mask))
 
 
-def _proj_ln(x_last: np.ndarray, model: ActModel, prefix: str, ln_prefix: str) -> Tensor:
-    h = tz.add(tz.matmul(Tensor(x_last), model[f"{prefix}_w"]), model[f"{prefix}_b"])
+def _proj_ln(x: np.ndarray, model: ActModel, prefix: str, ln_prefix: str) -> Tensor:
+    h = tz.add(tz.matmul(Tensor(x), model[f"{prefix}_w"]), model[f"{prefix}_b"])
     return tz.layer_norm(h, model[f"{ln_prefix}_g"], model[f"{ln_prefix}_b"])
+
+
+def _mlp(x_last: np.ndarray, model: ActModel, branch: str, slope: float) -> Tensor:
+    """One-layer per-stock MLP on a component's final step: the "mlp"
+    variant of the fluctuation and shock branches."""
+    x = _proj_ln(x_last, model, f"{branch}_proj", f"{branch}_ln")
+    return tz.leaky_relu(
+        tz.add(tz.matmul(x, model[f"{branch}_mlp_w"]), model[f"{branch}_mlp_b"]), slope
+    )
+
+
+def _gat(u: Tensor, neighbors: np.ndarray, model: ActModel, slope: float) -> Tensor:
+    return gat_layer(u, neighbors, model["gat_w"], model["gat_att_src"],
+                     model["gat_att_dst"], model["gat_out_w"], slope=slope)
 
 
 def pspe_forward(
@@ -227,80 +241,52 @@ def pspe_forward(
     model: ActModel,
     cfg: ActConfig,
 ):
-    """Relation-purified trend embedding (the "full" variant).
+    """Trend embedding of the configured variant.
 
-    Returns (z_trend, neighbors, gate_mean): the [..., N, k] k-NN
-    neighbor lists the GAT attended over, and a float gate_mean for one
-    window or a [B] array for a batch.
+    "full" purifies the relations: the static heads' explained part is
+    subtracted, a GAT over the residual's cosine k-NN graph encodes the
+    rest, and a sigmoid gate merges static and dynamic paths. "gat_only"
+    runs the same GAT on the OR-union of the static relations instead.
+
+    Returns (z_trend, neighbors, gate_mean): the [..., N, K] neighbor
+    lists the GAT attended over (the k-NN lists, or the -1 padded union
+    lists broadcast over the batch), and a float gate_mean for one
+    window, a [B] array for a batch, or None for "gat_only".
     """
-    if cfg.pspe != "full":
-        raise ConfigError("pspe_forward requires the full trend branch")
     slope = cfg.leaky_slope
     x0 = _proj_ln(x_trend[-1], model, "trend_proj", "trend_in_ln")
+    if cfg.pspe == "gat_only":
+        union = graphs.union_neighbors
+        z = _gat(x0, union, model, slope)
+        neighbors = np.broadcast_to(union, z.shape[:-1] + union.shape[-1:])
+        gate_mean = None
+    else:
+        backs = []
+        fwds = []
+        for rel, mean in (("ind", graphs.industry_mean), ("reg", graphs.region_mean)):
+            h = tz.leaky_relu(
+                gcn_layer(x0, mean, model[f"gcn_{rel}_w"], model[f"gcn_{rel}_b"]), slope
+            )
+            fwds.append(tz.leaky_relu(tz.matmul(h, model[f"fwd_head_{rel}"]), slope))
+            backs.append(tz.matmul(h, model[f"back_head_{rel}"]))
 
-    backs = []
-    fwds = []
-    for rel, mean in (("ind", graphs.industry_mean), ("reg", graphs.region_mean)):
-        h = tz.leaky_relu(
-            gcn_layer(x0, mean, model[f"gcn_{rel}_w"], model[f"gcn_{rel}_b"]), slope
+        u = tz.sub(tz.sub(x0, backs[0]), backs[1])
+        z_s = tz.matmul(tz.concat_last(fwds), model["static_mix_w"])
+        u_tilde = tz.leaky_relu(tz.matmul(u, model["resid_proj_w"]), slope)
+
+        # hard TopK selection: detached, no gradient through construction
+        neighbors = topk_graph(cosine_similarity_matrix(u_tilde.data), cfg.knn)
+        z_d = _gat(u_tilde, neighbors, model, slope)
+
+        gate_h = tz.leaky_relu(
+            tz.add(tz.matmul(tz.concat_last([z_s, z_d]), model["gate_w1"]), model["gate_b1"]),
+            slope,
         )
-        fwds.append(tz.leaky_relu(tz.matmul(h, model[f"fwd_head_{rel}"]), slope))
-        backs.append(tz.matmul(h, model[f"back_head_{rel}"]))
-
-    u = tz.sub(tz.sub(x0, backs[0]), backs[1])
-    z_s = tz.matmul(tz.concat_last(fwds), model["static_mix_w"])
-    u_tilde = tz.leaky_relu(tz.matmul(u, model["resid_proj_w"]), slope)
-
-    # hard TopK selection: detached, no gradient through construction
-    neighbors = topk_graph(cosine_similarity_matrix(u_tilde.data), cfg.knn)
-    z_d = gat_layer(
-        u_tilde,
-        neighbors,
-        model["gat_w"],
-        model["gat_att_src"],
-        model["gat_att_dst"],
-        model["gat_out_w"],
-        slope=slope,
-    )
-
-    gate_h = tz.leaky_relu(
-        tz.add(tz.matmul(tz.concat_last([z_s, z_d]), model["gate_w1"]), model["gate_b1"]),
-        slope,
-    )
-    gate = tz.sigmoid(tz.add(tz.matmul(gate_h, model["gate_w2"]), model["gate_b2"]))
-    z_trend = tz.layer_norm(
-        tz.add(z_s, tz.mul(gate, z_d)),
-        model["trend_out_ln_g"],
-        model["trend_out_ln_b"],
-    )
-    gate_mean = gate.data.reshape(gate.shape[:-2] + (-1,)).mean(axis=-1)
-    return z_trend, neighbors, gate_mean
-
-
-def pspe_ablation_forward(
-    x_trend: np.ndarray,
-    graphs: RelationGraphs,
-    model: ActModel,
-    cfg: ActConfig,
-):
-    """Plain GAT on the OR-union of the static relations (no purification).
-
-    Returns (z_trend, neighbors): the [N, K] union lists, -1 padded.
-    """
-    if cfg.pspe != "gat_only":
-        raise ConfigError("pspe_ablation_forward requires pspe == gat_only")
-    x0 = _proj_ln(x_trend[-1], model, "trend_proj", "trend_in_ln")
-    z = gat_layer(
-        x0,
-        graphs.union_neighbors,
-        model["gat_w"],
-        model["gat_att_src"],
-        model["gat_att_dst"],
-        model["gat_out_w"],
-        slope=cfg.leaky_slope,
-    )
+        gate = tz.sigmoid(tz.add(tz.matmul(gate_h, model["gate_w2"]), model["gate_b2"]))
+        z = tz.add(z_s, tz.mul(gate, z_d))
+        gate_mean = gate.data.reshape(gate.shape[:-2] + (-1,)).mean(axis=-1)
     z_trend = tz.layer_norm(z, model["trend_out_ln_g"], model["trend_out_ln_b"])
-    return z_trend, graphs.union_neighbors
+    return z_trend, neighbors, gate_mean
 
 
 def fci_forward(
@@ -309,7 +295,8 @@ def fci_forward(
     cfg: ActConfig,
     training: bool = False,
 ) -> Tensor:
-    """Last step of a gated causal convolution over the fluctuation sequence.
+    """Fluctuation embedding of the configured variant: the "mlp" one, or
+    the last step of a gated causal convolution ("tcn").
 
     Per-stock independent: every op acts along time/channels only. The
     branch returns only the last step, relu(p * sigmoid(q) + r), where
@@ -320,13 +307,12 @@ def fci_forward(
     first T taps, as a zero-padded convolution would. Dropout applies
     to the returned [..., N, d] row.
     """
-    if cfg.fci != "tcn":
-        raise ConfigError("fci_forward requires fci == tcn")
+    if cfg.fci == "mlp":
+        return _mlp(x_fluct[-1], model, "fluct", cfg.leaky_slope)
     k = cfg.tcn_kernel
     # [K, (B,) N, F] newest first -> [(B,) K, N, F]
     lags = np.moveaxis(x_fluct[:-k - 1:-1], 0, -3)
-    h = tz.add(tz.matmul(Tensor(lags), model["fluct_proj_w"]), model["fluct_proj_b"])
-    h = tz.layer_norm(h, model["fluct_ln_g"], model["fluct_ln_b"])
+    h = _proj_ln(lags, model, "fluct_proj", "fluct_ln")
     n_lags = lags.shape[-3]
 
     def gate(name):
@@ -348,13 +334,15 @@ def sci_forward(
     cfg: ActConfig,
     training: bool = False,
 ) -> Tensor:
-    """Latest shock vs its own smoothed buffer, through a two-layer MLP.
+    """Shock embedding of the configured variant: the "mlp" one, or the
+    latest shock against its own smoothed buffer through a two-layer MLP
+    ("counterfactual").
 
     The buffer is the causal mean of the last `shock_window` steps, so
     only those steps are smoothed.
     """
-    if cfg.sci != "counterfactual":
-        raise ConfigError("sci_forward requires sci == counterfactual")
+    if cfg.sci == "mlp":
+        return _mlp(x_shock[-1], model, "shock", cfg.leaky_slope)
     smoothed = causal_moving_average(x_shock[-cfg.shock_window:], cfg.shock_window)
     x = _proj_ln(x_shock[-1], model, "shock_proj", "shock_ln")
     x_ref = _proj_ln(smoothed[-1], model, "shock_proj", "shock_ln")
@@ -363,27 +351,6 @@ def sci_forward(
     )
     h = _dropout(h, cfg.dropout_rate, model.dropout_rng, training)
     return tz.matmul(h, model["shock_w2"])
-
-
-def mlp_isolation_forward(
-    x_component: np.ndarray,
-    model: ActModel,
-    cfg: ActConfig,
-    branch: str,
-) -> Tensor:
-    """One-layer per-stock MLP on the component's final step (ablations)."""
-    if branch == "fluct":
-        if cfg.fci != "mlp":
-            raise ConfigError("fluct MLP requires fci == mlp")
-        prefix, ln_prefix, w, b = "fluct_proj", "fluct_ln", "fluct_mlp_w", "fluct_mlp_b"
-    elif branch == "shock":
-        if cfg.sci != "mlp":
-            raise ConfigError("shock MLP requires sci == mlp")
-        prefix, ln_prefix, w, b = "shock_proj", "shock_ln", "shock_mlp_w", "shock_mlp_b"
-    else:
-        raise ConfigError(f"unknown MLP branch {branch!r}")
-    x = _proj_ln(x_component[-1], model, prefix, ln_prefix)
-    return tz.leaky_relu(tz.add(tz.matmul(x, model[w]), model[b]), cfg.leaky_slope)
 
 
 def acf_forward(z_trend: Tensor, z_fluct: Tensor, z_shock: Tensor, model: ActModel):
@@ -431,23 +398,9 @@ def act_forward_parts(
     of the whole batch are drawn first, then the shock masks.
     """
     cfg = model.cfg
-    gate_mean = None
-    if cfg.pspe == "full":
-        z_trend, neighbors, gate_mean = pspe_forward(parts.trend, graphs, model, cfg)
-    else:
-        z_trend, union = pspe_ablation_forward(parts.trend, graphs, model, cfg)
-        neighbors = np.broadcast_to(union, z_trend.shape[:-1] + union.shape[-1:])
-
-    if cfg.fci == "tcn":
-        z_fluct = fci_forward(parts.fluct, model, cfg, training=training)
-    else:
-        z_fluct = mlp_isolation_forward(parts.fluct, model, cfg, branch="fluct")
-
-    if cfg.sci == "counterfactual":
-        z_shock = sci_forward(parts.shock, model, cfg, training=training)
-    else:
-        z_shock = mlp_isolation_forward(parts.shock, model, cfg, branch="shock")
-
+    z_trend, neighbors, gate_mean = pspe_forward(parts.trend, graphs, model, cfg)
+    z_fluct = fci_forward(parts.fluct, model, cfg, training=training)
+    z_shock = sci_forward(parts.shock, model, cfg, training=training)
     y_hat, alpha = acf_forward(z_trend, z_fluct, z_shock, model)
     diagnostics = {
         "alpha": alpha.data.copy(),

@@ -8,7 +8,7 @@ adaptive moment estimation with early stopping on validation IC.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -215,16 +215,7 @@ class TrainHistory:
     n_valid_windows: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "train_loss": list(self.train_loss),
-            "train_ic_term": list(self.train_ic_term),
-            "train_mse_term": list(self.train_mse_term),
-            "valid_ic": list(self.valid_ic),
-            "selected_epoch": self.selected_epoch,
-            "skipped_ic_days": self.skipped_ic_days,
-            "n_train_windows": self.n_train_windows,
-            "n_valid_windows": self.n_valid_windows,
-        }
+        return asdict(self)
 
 
 def _checked_samples(ds: PanelDataset, graphs: RelationGraphs,

@@ -11,10 +11,10 @@ from xsrank.backtest import (
     run_backtest,
     topk_dropout_rebalance,
     write_curves_svg,
-    write_portfolio_metrics,
 )
 from xsrank.data import PanelDataset, PredictionSeries
 from xsrank.errors import ConfigError, DataError
+from xsrank.evaluate import write_metric_report
 
 
 def panel_from_labels(dates, instruments, labels):
@@ -403,7 +403,7 @@ def test_backtest_csv_and_metrics_csv(tmp_path):
 
     m = portfolio_metrics(result.excess, result.portfolio)
     mpath = tmp_path / "pm.csv"
-    write_portfolio_metrics(m, mpath)
+    write_metric_report(m, mpath)
     mlines = mpath.read_text().splitlines()
     assert mlines[0] == "metric,value"
     assert mlines[1].startswith("annualized_excess_return,")

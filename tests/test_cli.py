@@ -197,7 +197,7 @@ def test_train_ablation_recorded(workdir, tmp_path):
         ["train", "--out", str(out)] + panel_args(workdir)
         + graph_args(workdir)
         + ["--window", "8", "--hidden", "8", "--knn", "3", "--epochs", "1",
-           "--valid-start", "2015-03-01", "--ablation", "wo_sci"]) == 0
+           "--valid-start", "2015-03-01", "--sci", "mlp"]) == 0
     manifest = read_manifest(out)
     assert manifest["config"]["sci"] == "mlp"
     assert manifest["config"]["fci"] == "tcn"
@@ -666,6 +666,31 @@ def test_regress_refuses_a_factor_date_that_is_not_a_calendar_day(workdir, tmp_p
     assert not (tmp_path / "reg" / "regression.csv").exists()
 
 
+def test_regress_refuses_a_backtest_day_missing_from_the_factors(workdir, tmp_path, capsys):
+    # before: the day was dropped by intersecting dates, regress exited 0
+    # with one obs fewer and the Newey-West lags ran across the gap
+    bt = tmp_path / "bt"
+    assert cli.main(
+        ["backtest", "--out", str(bt),
+         "--predictions", str(workdir / "preds" / "predictions.csv")]
+        + panel_args(workdir) + ["--k", "3", "--n-drop", "1"]) == 0
+    bt_lines = (bt / "backtest.csv").read_text().splitlines()
+    day = bt_lines[5].split(",")[0]
+    lines = [line for line in (workdir / "data" / "factors.csv").read_text().splitlines()
+             if not line.startswith(day + ",")]
+    factors = tmp_path / "factors.csv"
+    factors.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = cli.main(["regress", "--out", str(tmp_path / "reg"),
+                   "--backtest", str(bt / "backtest.csv"),
+                   "--factors", str(factors), "--lags", "2"])
+    assert rc == cli.EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: 1 of {len(bt_lines) - 1} return days have no factor row; "
+                   f"the first is {day}"], err
+    assert not (tmp_path / "reg").exists()
+
+
 @pytest.mark.parametrize("old, new, fault", [
     ("2015-01-02,", "2015-13-02,", "is not a YYYY-MM-DD day"),
     (None, "-1.5", "price -1.5 is not positive and finite"),
@@ -782,6 +807,8 @@ def test_backtest_refused_after_running_leaves_no_artifact(fuzz_inputs, tmp_path
 # a one-stock universe: portfolio_metrics.csv flags its nan ratios
 @example(edits=[("features.csv", "universe", 0, 0, ""),
                 ("predictions.csv", "universe", 0, 0, "")])
+# a 1e308 price: finite returns whose chart scale overflows
+@example(edits=[("prices.csv", "cell", 28, 2, "1e308")])
 def test_mutated_inputs_exit_cleanly_with_one_error_line(fuzz_inputs, edits):
     texts = dict(fuzz_inputs)
     for name, kind, a, b, cell in edits:

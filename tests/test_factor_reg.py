@@ -226,10 +226,13 @@ def test_ff_regression_alignment_and_errors():
     factors, dates = make_factors(50, seed=18)
     rng = np.random.default_rng(19)
     y = rng.normal(0, 0.01, size=50)
-    # unknown dates are dropped by the intersection
-    shifted = ["1999-01-01"] * 10 + dates[10:]
-    res = ff_regression(shifted, y, factors, model="ff3")
-    assert res.n_obs == 40
+    # factor days without a return are ignored
+    assert ff_regression(dates[10:], y[10:], factors, model="ff3").n_obs == 40
+    # a return day without a factor row is refused, not dropped
+    shifted = dates[:20] + ["2021-01-01"] * 10 + dates[30:]
+    with pytest.raises(DataError, match="10 of 50 return days have no factor row; "
+                                        "the first is 2021-01-01"):
+        ff_regression(shifted, y, factors, model="ff3")
     with pytest.raises(DataError):
         ff_regression(["1999-01-01"] * 50, y, factors, model="ff3")
     with pytest.raises(ConfigError):

@@ -25,9 +25,7 @@ from xsrank.model import (
     act_forward_parts,
     fci_forward,
     load_checkpoint,
-    mlp_isolation_forward,
     parameter_spec,
-    pspe_ablation_forward,
     pspe_forward,
     save_checkpoint,
     sci_forward,
@@ -240,7 +238,8 @@ def test_pspe_ablation_matches_oracle():
         model = ActModel(cfg, seed=seed)
         graphs = make_graphs(n, rng)
         x_trend = rng.normal(size=(cfg.window, n, cfg.n_features))
-        z, uni = pspe_ablation_forward(x_trend, graphs, model, cfg)
+        z, uni, gate_mean = pspe_forward(x_trend, graphs, model, cfg)
+        assert gate_mean is None
         ref, ref_uni = oracle.gat_only_np(
             x_trend, *oracle.relation_adjacencies(graphs), model.state_arrays(),
             cfg.leaky_slope,
@@ -329,27 +328,14 @@ def test_sci_per_stock_locality():
 
 def test_mlp_isolation_matches_oracle():
     rng = np.random.default_rng(16)
-    for branch, over in (("fluct", {"fci": "mlp"}), ("shock", {"sci": "mlp"})):
+    for branch, forward, over in (("fluct", fci_forward, {"fci": "mlp"}),
+                                  ("shock", sci_forward, {"sci": "mlp"})):
         cfg = small_cfg(**over)
         model = ActModel(cfg, seed=9)
         x = rng.normal(size=(cfg.window, 6, cfg.n_features))
-        z = mlp_isolation_forward(x, model, cfg, branch=branch)
+        z = forward(x, model, cfg)
         ref = oracle.mlp_np(x, model.state_arrays(), branch, cfg.leaky_slope)
         assert np.max(np.abs(z.data - ref)) < 1e-9
-
-
-def test_branch_mode_guards():
-    cfg = small_cfg()
-    model = ActModel(cfg, seed=0)
-    x = np.zeros((cfg.window, 4, cfg.n_features))
-    with pytest.raises(ConfigError):
-        mlp_isolation_forward(x, model, cfg, branch="fluct")
-    with pytest.raises(ConfigError):
-        mlp_isolation_forward(x, model, cfg, branch="trend")
-    abl = small_cfg(pspe="gat_only")
-    model2 = ActModel(abl, seed=0)
-    with pytest.raises(ConfigError):
-        pspe_forward(x, make_graphs(4, np.random.default_rng(0)), model2, abl)
 
 
 def test_acf_matches_straight_line_oracle():

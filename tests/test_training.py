@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -642,3 +643,37 @@ def test_predictions_do_not_depend_on_blas_thread_count(tmp_path):
                        check=True, timeout=300)
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+# sha256 of the trained weights (sorted by name) and of the predict_sliding
+# rows, for each variant of demos/ablation_study.py after one epoch on a
+# tiny synth. No benchmark workload runs the gat_only or mlp branches, so
+# these pin their outputs bit for bit.
+VARIANT_DIGESTS = {
+    "fci=mlp": ("0412385a285e32cdec719039aee45be912f056ca306f1b83aab168f9b3789cd8",
+                "e043cddced5ea221c978288aa08cd20b2f48a17af4dcc6982c3ad2c5ae242cee"),
+    "full": ("cc13e0b518018878f5c0a2d3a76fe866f52470376bf1320eaff59e825aed4967",
+             "560a3fb3e9138a5875d1cc2da60a816cc15881fb41fec1e6628655fca0838384"),
+    "pspe=gat_only": ("f1e2d7269166b89b4621ad6ea1a770c635368311c037ad1820e928e376890631",
+                      "69cc5ee4889d61026b8eec1fee50f842f17b53603d0014c1b52b131e70f42e06"),
+    "sci=mlp": ("53da0375b8939a10865f4a0f1180d1787a9259a49dbdad44a2226f44dd5fd129",
+                "67e707ac4e0d56f806e1ce2437b511c173ca50e8deceea2122062e0c7c200f93"),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANT_DIGESTS))
+def test_ablation_variants_are_bitwise_pinned(variant):
+    ds, graphs, _ = generate_synthetic(
+        SynthConfig(n_instruments=12, n_features=4, days=40, seed=7))
+    overrides = {} if variant == "full" else dict([variant.split("=")])
+    cfg = ActConfig(n_features=4, window=8, hidden=8, knn=4, **overrides)
+    settings = TrainSettings(valid_start=ds.dates[23], test_start=ds.dates[31],
+                             epochs=1, patience=1, seed=0)
+    model, _ = train(ds, graphs, cfg, settings)
+    weights = hashlib.sha256()
+    for name, arr in sorted(model.state_arrays().items()):
+        weights.update(name.encode())
+        weights.update(arr.tobytes())
+    preds = predict_sliding(model, ds, graphs, start_date=settings.test_start)
+    scores = hashlib.sha256("".join(f"{d},{s},{v!r}\n" for d, s, v in preds.rows).encode())
+    assert (weights.hexdigest(), scores.hexdigest()) == VARIANT_DIGESTS[variant]
