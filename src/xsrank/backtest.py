@@ -125,12 +125,11 @@ def run_backtest(
     preds: PredictionSeries,
     ds: PanelDataset,
     cfg: StrategyConfig,
-    benchmark: dict[str, float] | None = None,
 ) -> BacktestResult:
     """Simulate the strategy over every scored date with a next day.
 
-    The benchmark defaults to the equal-weighted mean return of the
-    observed universe. A held name with no realized return freezes at
+    The benchmark is the equal-weighted mean return of the observed
+    universe. A held name with no realized return freezes at
     zero for that day and is flagged. A day's turnover is the number of
     names that entered or left the book over k, and costs
     turnover * cost_bps / 1e4.
@@ -179,19 +178,13 @@ def run_backtest(
             ret += weight * label
         ret -= day_turnover * cfg.cost_bps / 1e4
 
-        if benchmark is None:
-            observed = ds.labels[t][np.isfinite(ds.labels[t])]
-            if observed.size == 0:
-                raise DataError(f"no realized returns on {date}")
-            bench = float(observed.mean())
-        else:
-            if ds.dates[t + 1] not in benchmark:
-                raise DataError(f"benchmark missing {ds.dates[t + 1]}")
-            bench = float(benchmark[ds.dates[t + 1]])
+        observed = ds.labels[t][np.isfinite(ds.labels[t])]
+        if observed.size == 0:
+            raise DataError(f"no realized returns on {date}")
 
         dates_out.append(ds.dates[t + 1])
         port_out.append(ret)
-        bench_out.append(bench)
+        bench_out.append(float(observed.mean()))
         turnover_out.append(day_turnover)
 
     if not dates_out:
@@ -275,7 +268,9 @@ def write_curves_svg(path, curves: list[tuple[str, list[str], np.ndarray]],
     """Minimal deterministic line chart: one polyline per labeled curve.
 
     curves is a list of (label, dates, values); all floats go through
-    the shortest round-trip formatter so reruns are byte-identical.
+    the shortest round-trip formatter so reruns are byte-identical. A
+    curve too large for the y scale to stay finite raises DataError
+    naming it, before anything is written.
     """
     if not curves:
         raise DataError("nothing to plot")
@@ -291,6 +286,13 @@ def write_curves_svg(path, curves: list[tuple[str, list[str], np.ndarray]],
     pad = 0.05 * (hi - lo)
     lo -= pad
     hi += pad
+    # every y offset is at most plot_h * (hi - lo), so a finite bound
+    # keeps every coordinate finite
+    if not np.isfinite(plot_h * (hi - lo)):
+        label, _, values = max(curves, key=lambda c: float(np.max(np.abs(c[2]))))
+        big = float(values[np.argmax(np.abs(values))])
+        raise DataError(f"{path}: cannot scale the chart to curve {label!r}, "
+                        f"whose largest value is {big!r}")
 
     def x_at(i, n):
         if n == 1:

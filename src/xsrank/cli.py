@@ -204,7 +204,7 @@ def write_manifest(out_dir: Path, command: str, config: dict,
         "wall_time_seconds": round(time.monotonic() - started, 3),
     }
     if ds is not None:
-        payload["dropped_instruments"] = ds.meta["dropped_instruments"]
+        payload["dropped_instruments"] = ds.dropped_instruments
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     (out_dir / "manifest.json").write_text(text, encoding="utf-8")
 

@@ -217,6 +217,12 @@ def _positions(names: list[str], universe: list[str]) -> np.ndarray:
                        count=len(names))
 
 
+def _frozen(mask: np.ndarray) -> np.ndarray:
+    """`mask`, read-only: a write into a derived mask raises."""
+    mask.flags.writeable = False
+    return mask
+
+
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
@@ -224,22 +230,22 @@ def _positions(names: list[str], universe: list[str]) -> np.ndarray:
 
 @dataclass
 class PanelDataset:
-    """Aligned panel of features, VWAP-based labels, and masks.
+    """Aligned panel of features, VWAP prices and the labels they give.
 
     labels[t, i] is the t -> t+1 return, so the final date is always
-    unobserved. observed_mask marks valid labels (membership in the loss
-    set); present_mask marks cells with a price at t.
+    unobserved. Which cells count is read off the arrays, never stored
+    beside them: a cell is observed (in the loss set) when its label is
+    finite and present when it has a price at t. `dropped_instruments`
+    lists the names a loader left out of the universe.
     """
 
     dates: list[str]
     instruments: list[str]
     features: np.ndarray       # [D, N, F]
     labels: np.ndarray         # [D, N], NaN where missing
-    observed_mask: np.ndarray  # [D, N] bool
-    present_mask: np.ndarray   # [D, N] bool
     vwap: np.ndarray           # [D, N], NaN where missing
     volume: np.ndarray         # [D, N], NaN where missing
-    meta: dict = field(default_factory=dict)
+    dropped_instruments: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         if list(self.dates) != sorted(set(self.dates)):
@@ -249,16 +255,24 @@ class PanelDataset:
         d, n = len(self.dates), len(self.instruments)
         if self.features.shape[:2] != (d, n) or self.features.ndim != 3:
             raise DataError(f"features shape {self.features.shape} != [{d},{n},F]")
-        for name in ("labels", "observed_mask", "present_mask", "vwap", "volume"):
+        for name in ("labels", "vwap", "volume"):
             arr = getattr(self, name)
             if arr.shape != (d, n):
                 raise DataError(f"{name} shape {arr.shape} != [{d},{n}]")
-        if (self.observed_mask & ~np.isfinite(self.labels)).any():
-            raise DataError("observed_mask marks cells without a finite label")
 
     @property
     def n_features(self) -> int:
         return self.features.shape[2]
+
+    @property
+    def observed_mask(self) -> np.ndarray:
+        """[D, N] read-only: the cells with a finite label."""
+        return _frozen(np.isfinite(self.labels))
+
+    @property
+    def present_mask(self) -> np.ndarray:
+        """[D, N] read-only: the cells with a price."""
+        return _frozen(np.isfinite(self.vwap))
 
 
 @dataclass
@@ -372,7 +386,13 @@ class WindowSample:
     end_index: int
     features: np.ndarray  # [T, N, F]
     labels: np.ndarray    # [N], NaN where unobserved
-    mask: np.ndarray      # [N] bool, the loss set for this date
+    # [N] read-only: the loss set for this date, the finite labels, read
+    # off them once when the window is built; a mask made on every read in
+    # the training loop raised the train_n24 benchmark's peak RSS
+    mask: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.mask = _frozen(np.isfinite(self.labels))
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +470,7 @@ def load_panel(features_path, prices_path) -> PanelDataset:
 
     The instrument universe is the set present on every feature date;
     entering/exiting names are dropped and listed, sorted, in
-    meta["dropped_instruments"]. Labels come from VWAP returns, and cells
+    `dropped_instruments`. Labels come from VWAP returns, and cells
     without a next-day price are simply unobserved. Of several faults the
     one on the earliest line is reported.
     """
@@ -551,19 +571,14 @@ def load_panel(features_path, prices_path) -> PanelDataset:
     bars = np.concatenate(bar_values)
     vwap, volume = vwap_matrix(np.concatenate(bar_t), np.concatenate(bar_i),
                                bars[:, 0], bars[:, 1], (len(dates), len(instruments)))
-    labels = returns_from_prices(vwap)
-    observed = np.isfinite(labels)
-    present = np.isfinite(vwap)
     return PanelDataset(
         dates=dates,
         instruments=instruments,
         features=features,
-        labels=labels,
-        observed_mask=observed,
-        present_mask=present,
+        labels=returns_from_prices(vwap),
         vwap=vwap,
         volume=volume,
-        meta={"price_basis": "vwap", "dropped_instruments": dropped},
+        dropped_instruments=dropped,
     )
 
 
@@ -660,11 +675,9 @@ def standardize_features(ds: PanelDataset) -> PanelDataset:
         instruments=list(ds.instruments),
         features=np.ascontiguousarray(cols.transpose(0, 2, 1)),
         labels=ds.labels.copy(),
-        observed_mask=ds.observed_mask.copy(),
-        present_mask=ds.present_mask.copy(),
         vwap=ds.vwap.copy(),
         volume=ds.volume.copy(),
-        meta=dict(ds.meta, standardized=True),
+        dropped_instruments=list(ds.dropped_instruments),
     )
 
 
@@ -681,19 +694,15 @@ def make_windows(ds: PanelDataset, window: int) -> list[WindowSample]:
         raise ConfigError(f"window must be >= 1, got {window}")
     if window > d:
         raise ConfigError(f"window {window} exceeds series length {d}")
-    samples = []
-    for t in range(window - 1, d):
-        mask = ds.observed_mask[t] & np.isfinite(ds.labels[t])
-        samples.append(
-            WindowSample(
-                date=ds.dates[t],
-                end_index=t,
-                features=ds.features[t - window + 1: t + 1],
-                labels=ds.labels[t],
-                mask=mask,
-            )
+    return [
+        WindowSample(
+            date=ds.dates[t],
+            end_index=t,
+            features=ds.features[t - window + 1: t + 1],
+            labels=ds.labels[t],
         )
-    return samples
+        for t in range(window - 1, d)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -814,18 +823,13 @@ def generate_synthetic(
         vwap[t] = vwap[t - 1] * (1.0 + returns[t - 1])
     volume = rng.integers(100_000, 1_000_000, size=(d, n)).astype(np.float64)
 
-    labels = returns_from_prices(vwap)
-    observed = np.isfinite(labels)
     ds = PanelDataset(
         dates=dates,
         instruments=instruments,
         features=features,
-        labels=labels,
-        observed_mask=observed,
-        present_mask=np.ones((d, n), dtype=bool),
+        labels=returns_from_prices(vwap),
         vwap=vwap,
         volume=volume,
-        meta={"price_basis": "vwap", "synthetic": True},
     )
 
     factors = FactorSeries(

@@ -125,14 +125,14 @@ def _reports(preds: PredictionSeries, t: np.ndarray, i: np.ndarray,
     """
     pairs, owner, dates = [], [], []
     excluded = np.zeros(len(col_sets), dtype=np.intp)
+    labelled = ds.observed_mask.any(axis=1)
     for s, cols in enumerate(col_sets):
         for d, row in enumerate(preds.scores[:, cols]):
             scored = np.isfinite(row)
-            if not scored.any() or not ds.observed_mask[t[d]].any():
+            if not scored.any() or not labelled[t[d]]:
                 continue
-            day, pos = t[d], i[cols[scored]]
-            actual = ds.labels[day, pos]
-            joint = ds.observed_mask[day, pos] & np.isfinite(actual)
+            actual = ds.labels[t[d], i[cols[scored]]]
+            joint = np.isfinite(actual)
             if joint.sum() < 2:
                 excluded[s] += 1
                 continue
@@ -215,8 +215,8 @@ def subgroup_metrics(
     outside = _outside(preds, t, i)
     dd, kk = np.nonzero(np.isfinite(preds.scores) & ~outside)
     observed = np.zeros(outside.shape, dtype=bool)
-    observed[dd, kk] = ds.observed_mask[t[dd], i[kk]]
-    labelled = ds.observed_mask[t].any(axis=1) & (t >= 0)
+    observed[dd, kk] = np.isfinite(ds.labels[t[dd], i[kk]])
+    labelled = ds.observed_mask.any(axis=1)[t] & (t >= 0)
 
     out: dict[str, MetricReport | None] = {}
     judged = []

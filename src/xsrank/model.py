@@ -84,6 +84,8 @@ class ActConfig:
             raise ConfigError("loss_mix must be in [0, 1]")
         if self.tcn_kernel < 1:
             raise ConfigError("tcn_kernel must be >= 1")
+        if not np.isfinite(self.leaky_slope):
+            raise ConfigError("leaky_slope must be finite")
         if self.pspe not in PSPE_MODES:
             raise ConfigError(f"pspe must be one of {PSPE_MODES}")
         if self.fci not in FCI_MODES:
@@ -393,8 +395,8 @@ def act_forward_parts(
     (y_hat [N] or [B, N], diagnostics) with the fusion weights `alpha`
     [..., N, 3], the `neighbors` [..., N, K] the trend branch attended
     over (the k-NN lists, or the -1 padded union lists for gat_only),
-    `gate_mean` (a float, or [B]; None for the gat_only branch) and
-    `scores`. In training mode the fluctuation dropout masks
+    and `gate_mean` (a float, or [B]; None for the gat_only branch),
+    none of them copied. In training mode the fluctuation dropout masks
     of the whole batch are drawn first, then the shock masks.
     """
     cfg = model.cfg
@@ -402,13 +404,7 @@ def act_forward_parts(
     z_fluct = fci_forward(parts.fluct, model, cfg, training=training)
     z_shock = sci_forward(parts.shock, model, cfg, training=training)
     y_hat, alpha = acf_forward(z_trend, z_fluct, z_shock, model)
-    diagnostics = {
-        "alpha": alpha.data.copy(),
-        "neighbors": neighbors.copy(),
-        "gate_mean": gate_mean,
-        "scores": y_hat.data.copy(),
-    }
-    return y_hat, diagnostics
+    return y_hat, {"alpha": alpha.data, "neighbors": neighbors, "gate_mean": gate_mean}
 
 
 # ---------------------------------------------------------------------------

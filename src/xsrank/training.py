@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import tensor as tz
-from .data import PanelDataset, PredictionSeries, WindowSample, make_windows
+from .data import PanelDataset, PredictionSeries, WindowSample, _is_day, make_windows
 from .decompose import decompose
 from .errors import ConfigError, DataError, NonFiniteError, ShapeError
 from .evaluate import pearson
@@ -158,14 +158,23 @@ class TrainSettings:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
+        if not 0.0 < self.lr < np.inf:
+            raise ConfigError("lr must be positive and finite")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1)")
+        if not 0.0 < self.adam_eps < np.inf:
+            raise ConfigError("adam_eps must be positive and finite")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.patience < 1:
             raise ConfigError("patience must be >= 1")
+        for name in ("valid_start", "test_start"):
+            day = getattr(self, name)
+            if day is not None and not _is_day(day):
+                raise ConfigError(f"{name} {day!r} is not a YYYY-MM-DD day")
         if self.test_start is not None and self.test_start <= self.valid_start:
             raise ConfigError("test_start must come after valid_start")
 
@@ -245,7 +254,7 @@ def _score_samples(samples, graphs: RelationGraphs, model: ActModel, size: int):
     with dropout off, each chunk decomposed as it is drawn."""
     for start in range(0, len(samples), size):
         chunk = samples[start: start + size]
-        y_hat, _ = act_forward_parts(_decompose_samples(chunk, model.cfg), graphs, model)
+        y_hat = act_forward_parts(_decompose_samples(chunk, model.cfg), graphs, model)[0]
         yield from zip(chunk, y_hat.data)
 
 
@@ -320,7 +329,9 @@ def train(
                 with Tape() as tape:
                     for p in model.params.values():
                         tape.watch(p)
-                    y_hat, _ = act_forward_parts(parts, graphs, model, training=True)
+                    # the diagnostics are the forward's own arrays; held
+                    # through the step, they raised train_n24's peak RSS
+                    y_hat = act_forward_parts(parts, graphs, model, training=True)[0]
                     ic_terms = ic_loss(y_hat, labels, mask) if scored.any() else None
                     mse_terms = mse_loss(y_hat, labels, mask)
                     window_loss = mix_losses(ic_terms, mse_terms, cfg.loss_mix)
@@ -383,7 +394,7 @@ def predict_sliding(
                if start_date is None or s.date >= start_date]
     rows = []
     for sample, scores in _score_samples(samples, graphs, model, 1):
-        present = ds.present_mask[sample.end_index]
+        present = np.isfinite(ds.vwap[sample.end_index])
         for i, inst in enumerate(ds.instruments):
             if present[i]:
                 rows.append((sample.date, inst, float(scores[i])))

@@ -749,7 +749,5 @@ def load_panel_rows(features_path, prices_path):
     labels = returns_from_prices(vwap)
     return PanelDataset(
         dates=dates, instruments=instruments, features=features, labels=labels,
-        observed_mask=np.isfinite(labels), present_mask=np.isfinite(vwap),
-        vwap=vwap, volume=volume,
-        meta={"price_basis": "vwap", "dropped_instruments": dropped},
+        vwap=vwap, volume=volume, dropped_instruments=dropped,
     )

@@ -314,12 +314,10 @@ def _hand_panel():
         [0.01, 0.01, -0.03, 0.02],
         [np.nan, np.nan, np.nan, np.nan],
     ])
-    observed = np.isfinite(labels)
     d, n = labels.shape
     ds = PanelDataset(
         dates=dates, instruments=instruments,
         features=np.zeros((d, n, 1)), labels=labels,
-        observed_mask=observed, present_mask=np.ones((d, n), dtype=bool),
         vwap=np.ones((d, n)), volume=np.ones((d, n)))
     scores = {
         "2020-01-01": {"A": 4.0, "B": 3.0, "C": 2.0, "D": 1.0},
@@ -345,8 +343,6 @@ def _random_backtest_inputs(seed):
     ds = PanelDataset(
         dates=dates, instruments=instruments,
         features=np.zeros((d, n, 1)), labels=labels,
-        observed_mask=np.isfinite(labels),
-        present_mask=np.ones((d, n), dtype=bool),
         vwap=np.ones((d, n)), volume=np.ones((d, n)))
     rows = []
     for t in range(d):
@@ -404,8 +400,6 @@ def test_criterion_6_backtest_oracle():
             dates=kept_dates, instruments=full_ds.instruments,
             features=full_ds.features[:cut],
             labels=full_ds.labels[:cut],
-            observed_mask=full_ds.observed_mask[:cut],
-            present_mask=full_ds.present_mask[:cut],
             vwap=full_ds.vwap[:cut], volume=full_ds.volume[:cut])
         trunc_preds = PredictionSeries(
             [r for r in full_preds.rows if r[0] in set(kept_dates)])

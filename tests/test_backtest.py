@@ -25,8 +25,6 @@ def panel_from_labels(dates, instruments, labels):
         instruments=list(instruments),
         features=np.zeros((d, n, 1)),
         labels=labels,
-        observed_mask=np.isfinite(labels),
-        present_mask=np.ones((d, n), dtype=bool),
         vwap=np.ones((d, n)),
         volume=np.ones((d, n)),
     )
@@ -291,7 +289,6 @@ def test_backtest_ledger_invariants(n, d, k, drop_frac, scored_frac, seed):
 def test_run_backtest_frozen_position_flagged():
     ds, preds = hand_scenario()
     ds.labels[1, 1] = np.nan  # B has no realized return on day 2
-    ds.observed_mask[1, 1] = False
     result = run_backtest(preds, ds, StrategyConfig(k=3, n_drop=1))
     want_day2 = (0.02 + 0.04) / 3.0  # B frozen at zero
     assert abs(result.portfolio[1] - want_day2) < 1e-15
@@ -311,18 +308,6 @@ def test_run_backtest_under_capacity_flagged():
     result = run_backtest(preds, ds, StrategyConfig(k=3, n_drop=1))
     assert result.holdings_ledger[0][1] == ("A", "B")
     assert any("only 2 scored" in f for f in result.flags)
-
-
-def test_run_backtest_explicit_benchmark():
-    ds, preds = hand_scenario()
-    bench = {"2020-01-02": 0.001, "2020-01-03": 0.002,
-             "2020-01-04": 0.003, "2020-01-05": 0.004}
-    result = run_backtest(preds, ds, StrategyConfig(k=3, n_drop=1),
-                          benchmark=bench)
-    assert np.array_equal(result.benchmark, [0.001, 0.002, 0.003, 0.004])
-    with pytest.raises(DataError):
-        run_backtest(preds, ds, StrategyConfig(k=3, n_drop=1),
-                     benchmark={"2020-01-02": 0.001})
 
 
 def test_run_backtest_rejects_unknown_keys():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from _helpers import edit_csv
 from xsrank import cli
-from xsrank.backtest import StrategyConfig
+from xsrank.backtest import StrategyConfig, run_backtest
 from xsrank.data import (
     PanelDataset,
     PredictionSeries,
@@ -305,8 +305,6 @@ def hand_panel(tmp_path):
         instruments=instruments,
         features=np.zeros((5, 4, 3)),
         labels=labels,
-        observed_mask=np.isfinite(labels),
-        present_mask=np.ones((5, 4), dtype=bool),
         vwap=vwap,
         volume=np.full((5, 4), 1000.0),
     )
@@ -359,6 +357,32 @@ def test_backtest_cli_matches_hand_ledger(tmp_path):
     svg = (out / "curves.svg").read_text()
     assert svg.count("<polyline") == 2
     assert "compounded excess" in svg
+
+
+def test_backtest_refuses_a_chart_it_cannot_scale(tmp_path, capsys):
+    # a price of 1 and then 1e308: a finite return of 1e308 that the
+    # compounded portfolio curve carries past what the y scale can hold
+    hand_panel(tmp_path)
+    prices = tmp_path / "prices.csv"
+    new = {"2020-01-01": "1.0", "2020-01-02": "1e308"}
+    rows = [line.split(",") for line in prices.read_text().splitlines()]
+    for row in rows:
+        if row[1] == "A" and row[0] in new:
+            row[2] = new[row[0]]
+    prices.write_text("".join(",".join(row) + "\n" for row in rows))
+    files = ["--predictions", str(tmp_path / "predictions.csv"),
+             "--features", str(tmp_path / "features.csv"), "--prices", str(prices)]
+    ds = load_panel(tmp_path / "features.csv", prices)
+    result = run_backtest(PredictionSeries.read_csv(tmp_path / "predictions.csv"), ds,
+                          StrategyConfig(k=3, n_drop=1))
+    big = float(np.max(np.cumprod(1.0 + result.portfolio)))
+    out = tmp_path / "bt"
+    assert cli.main(["backtest", "--out", str(out), *files,
+                     "--k", "3", "--n-drop", "1"]) == cli.EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"error: {out / 'curves.svg'}: cannot scale the chart to curve "
+        f"'compounded portfolio', whose largest value is {big!r}\n")
+    assert list(out.iterdir()) == []
 
 
 def test_regress_cli(workdir, tmp_path):
@@ -420,6 +444,25 @@ def test_exit_codes(workdir, tmp_path):
                     + ["--window", "8", "--hidden", "8", "--knn", "3",
                        "--epochs", "1", "--valid-start", "2015-03-01",
                        "--lr", "1e150"]) == cli.EXIT_NUMERIC
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("lr", "nan"), ("lr", "inf"), ("beta1", "2"), ("beta2", "-1"), ("adam-eps", "-1"),
+    ("valid-start", "2015-02-30"), ("valid-start", "abc"),
+    ("leaky-slope", "nan"), ("leaky-slope", "inf"),
+])
+def test_train_refuses_a_setting_it_cannot_use(workdir, tmp_path, capsys, flag, value):
+    # each was accepted before: a bad number failed or ran on mid-training,
+    # and a date that is not a day was compared as a string
+    given_flags = {"valid-start": "2015-03-01", flag: value}
+    out = tmp_path / "model"
+    assert cli.main(["train", "--out", str(out)] + panel_args(workdir) + graph_args(workdir)
+                    + ["--window", "8", "--hidden", "8", "--knn", "3", "--epochs", "1"]
+                    + [arg for key, v in given_flags.items() for arg in (f"--{key}", v)]
+                    ) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag.replace('-', '_')} ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_pipeline_noise_free_recovers_signal(tmp_path):

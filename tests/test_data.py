@@ -549,16 +549,29 @@ def test_vwap_errors_name_the_first_bad_cell(tmp_path):
         load_panel(f, _write(tmp_path / "z.csv", zero))
 
 
+def test_masks_are_read_off_the_arrays_and_refuse_writes():
+    ds, _, _ = generate_synthetic(SynthConfig(n_instruments=4, days=5))
+    ds.labels[1, 2] = np.nan
+    ds.vwap[3, 0] = np.nan
+    assert not ds.observed_mask[1, 2] and ds.observed_mask.sum() == 4 * 4 - 1
+    assert not ds.present_mask[3, 0] and ds.present_mask.sum() == 4 * 5 - 1
+    sample = make_windows(ds, 2)[0]
+    assert sample.end_index == 1 and not sample.mask[2] and sample.mask.sum() == 3
+    for mask in (ds.observed_mask, ds.present_mask, sample.mask):
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0] = False
+
+
 def test_load_panel_records_dropped_instruments(tmp_path):
     feats = FEATURES_2x2x3 + "2020-01-01,C,1.0,1.0,1.0\n2020-01-02,Aa,1.0,1.0,1.0\n"
     ds = load_panel(_write(tmp_path / "f.csv", feats),
                     _write(tmp_path / "p.csv", PRICES_2x2))
     assert ds.instruments == ["A", "B"]
-    assert ds.meta["dropped_instruments"] == ["Aa", "C"]
-    assert standardize_features(ds).meta["dropped_instruments"] == ["Aa", "C"]
+    assert ds.dropped_instruments == ["Aa", "C"]
+    assert standardize_features(ds).dropped_instruments == ["Aa", "C"]
     full = load_panel(_write(tmp_path / "g.csv", FEATURES_2x2x3),
                       _write(tmp_path / "q.csv", PRICES_2x2))
-    assert full.meta["dropped_instruments"] == []
+    assert full.dropped_instruments == []
 
 
 def test_standardize_features_matches_loop_oracle():
@@ -576,7 +589,6 @@ def test_standardize_features_matches_loop_oracle():
     long = PanelDataset(
         dates=trading_dates("2020-01-01", d), instruments=[f"S{i:05d}" for i in range(n)],
         features=rng.normal(size=(d, n, 3)) * 1e3, labels=np.full((d, n), np.nan),
-        observed_mask=np.zeros((d, n), dtype=bool), present_mask=np.ones((d, n), dtype=bool),
         vwap=np.ones((d, n)), volume=np.ones((d, n)))
     for panel, feats in ((ds, ds.features), (ds, holes), (long, long.features)):
         panel.features = feats
@@ -605,9 +617,8 @@ def _panel_outcome(fn, *args):
         ds = fn(*args)
     except DataError as exc:
         return f"DataError: {exc}"
-    arrays = [getattr(ds, name) for name in ("features", "labels", "observed_mask",
-                                             "present_mask", "vwap", "volume")]
-    return (ds.dates, ds.instruments, ds.meta,
+    arrays = [getattr(ds, name) for name in ("features", "labels", "vwap", "volume")]
+    return (ds.dates, ds.instruments, ds.dropped_instruments,
             *((a.dtype.str, a.shape, a.tobytes()) for a in arrays))
 
 
@@ -704,7 +715,7 @@ def test_loaders_hold_their_arrays_and_one_block(tmp_path):
 
     panel, used = peak(load_panel, f, p)
     arrays = sum(getattr(panel, name).nbytes for name in (
-        "features", "labels", "observed_mask", "present_mask", "vwap", "volume"))
+        "features", "labels", "vwap", "volume"))
     assert used <= 4 * arrays, (used, arrays)
     grid, used = peak(PredictionSeries.read_csv, q)
     assert used <= 4 * grid.scores.nbytes, (used, grid.scores.nbytes)

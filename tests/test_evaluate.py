@@ -95,8 +95,6 @@ def panel_from_labels(dates, instruments, labels):
         instruments=list(instruments),
         features=np.zeros((d, n, 1)),
         labels=labels,
-        observed_mask=np.isfinite(labels),
-        present_mask=np.ones((d, n), dtype=bool),
         vwap=np.ones((d, n)),
         volume=np.ones((d, n)),
     )

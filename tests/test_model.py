@@ -127,7 +127,6 @@ def test_act_forward_shapes_and_diagnostics():
     assert (np.diff(diag["neighbors"], axis=1) > 0).all()
     assert (diag["neighbors"] != np.arange(n)[:, None]).all()
     assert isinstance(diag["gate_mean"], float)
-    assert np.array_equal(diag["scores"], y.data)
 
 
 def test_act_forward_gat_only_diagnostics():

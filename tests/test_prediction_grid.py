@@ -43,12 +43,11 @@ def _case(n, d, density, ties, gap, stray_date, stray_inst, seed):
     labels = rng.normal(0, 0.02, size=(d, n))
     labels[rng.random((d, n)) < 0.1] = np.nan
     labels[-1] = np.nan
-    observed = np.isfinite(labels) & (rng.random((d, n)) < 0.9)
+    # a tenth more of the cells go unobserved
+    labels[rng.random((d, n)) >= 0.9] = np.nan
     ds = PanelDataset(
         dates=dates, instruments=instruments, features=np.zeros((d, n, 1)),
-        labels=labels, observed_mask=observed,
-        present_mask=np.ones((d, n), dtype=bool),
-        vwap=np.ones((d, n)), volume=np.ones((d, n)),
+        labels=labels, vwap=np.ones((d, n)), volume=np.ones((d, n)),
     )
 
     # a stray_* of 0, 4 or 5 adds nothing, so most cases keep inside the panel

@@ -391,7 +391,7 @@ def test_predict_sliding_skips_missing_instruments():
     ds, graphs = small_panel(days=30)
     cfg = small_cfg(window=10)
     model = ActModel(cfg, seed=2)
-    ds.present_mask[20, 3] = False
+    ds.vwap[20, 3] = np.nan
     preds = predict_sliding(model, ds, graphs)
     t = preds.dates.index(ds.dates[20])
     k = preds.instruments.index(ds.instruments[3])
@@ -573,9 +573,8 @@ def test_train_batch_loss_is_the_mean_over_contributing_windows(monkeypatch):
     ds, graphs = small_panel()
     cfg = small_cfg()
     one, none = 20, 21  # training dates: one observed stock, none
-    ds.observed_mask[one] = False
-    ds.observed_mask[one, 3] = True
-    ds.observed_mask[none] = False
+    ds.labels[one, np.arange(len(ds.instruments)) != 3] = np.nan
+    ds.labels[none] = np.nan
     settings = TrainSettings(valid_start=ds.dates[50], epochs=2, batch_size=4,
                              seed=2)
     steps = []
