@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import (PanelDataset, PredictionSeries, _read_dated, _write_rows, format_float,
-                   format_floats)
+from .data import PanelDataset, PredictionSeries, _read_dated, _write_dated, format_float
 from .errors import ConfigError, DataError
 from .evaluate import _ratio
 
@@ -102,13 +101,8 @@ class BacktestResult:
     flags: list[str] = field(default_factory=list)
 
     def write_csv(self, path) -> None:
-        cells = format_floats(np.column_stack(
-            [self.portfolio, self.benchmark, self.excess, self.cum_excess]))
-        _write_rows(
-            path,
-            BACKTEST_HEADER,
-            ([date, *cells[4 * t: 4 * t + 4]] for t, date in enumerate(self.dates)),
-        )
+        _write_dated(path, BACKTEST_HEADER, self.dates,
+                     [self.portfolio, self.benchmark, self.excess, self.cum_excess])
 
 
 def read_backtest_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:

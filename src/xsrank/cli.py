@@ -1,11 +1,15 @@
 """Command line front end: six batch subcommands over file artifacts.
 
-Every command reads CSVs and flags, writes CSVs (plus an SVG for the
-backtest) into --out, and drops a manifest.json recording the resolved
-configuration, input digests, and artifact list; commands that read a
-panel also list the instruments it dropped. With a fixed seed the
-CSV/SVG artifacts are byte-identical across runs; only the manifest's
-wall_time_seconds field varies.
+`COMMANDS` declares each subcommand once: its function, option schema,
+input flags, optional input flags and help. Every command reads CSVs
+and flags, writes CSVs (plus an SVG for the backtest) into --out, and
+`main` drops a manifest.json recording the resolved configuration,
+input digests, and artifact list; commands that read a panel also list
+the instruments it dropped. The manifest lists every input file named
+on the command line, config file included, hashed before the command
+runs, so a missing named input is refused before any work. With a
+fixed seed the CSV/SVG artifacts are byte-identical across runs; only
+the manifest's wall_time_seconds field varies.
 
 Config precedence is flags > config file > built-in defaults. Config
 files are flat `key=value` text, one pair per line, `#` comments. Every
@@ -35,6 +39,7 @@ from .backtest import (
 from .data import (
     PredictionSeries,
     SynthConfig,
+    _is_day,
     _write_rows,
     format_float,
     generate_synthetic,
@@ -64,14 +69,14 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-# schemas: key -> (type, default). A None default marks a key that is
-# either optional (may stay None) or checked as required after resolution.
+# schemas: key -> (type, default). A MISSING default marks a required key,
+# and a None default an optional one that may stay None.
 _FIELD_TYPES = {"int": int, "float": float, "str": str, "str | None": str}
 
 
-def _field_schema(cls, skip: str) -> dict:
+def _field_schema(cls, skip: str | None = None) -> dict:
     """The schema of every field of dataclass `cls` but `skip`."""
-    return {f.name: (_FIELD_TYPES[f.type], None if f.default is MISSING else f.default)
+    return {f.name: (_FIELD_TYPES[f.type], f.default)
             for f in fields(cls) if f.name != skip}
 
 
@@ -93,11 +98,7 @@ EVALUATE_SCHEMA = {
     "group_by": (str, None),
 }
 
-BACKTEST_SCHEMA = {
-    "k": (int, None),
-    "n_drop": (int, None),
-    "cost_bps": (float, 0.0),
-}
+BACKTEST_SCHEMA = _field_schema(StrategyConfig)
 
 REGRESS_SCHEMA = {
     "model": (str, "both"),
@@ -157,7 +158,8 @@ def coerce(raw, typ: type, key: str):
 
 
 def resolve_config(schema, args, file_values) -> dict:
-    """flags > config file > defaults; unknown file keys are an error."""
+    """flags > config file > defaults; unknown file keys are an error, and
+    so is a key with a MISSING default that neither sets."""
     unknown = sorted(set(file_values) - set(schema))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
@@ -170,15 +172,12 @@ def resolve_config(schema, args, file_values) -> dict:
             out[key] = coerce(file_values[key], typ, key)
         else:
             out[key] = default
-    return out
-
-
-def require(resolved: dict, *keys: str) -> None:
-    missing = [k for k in keys if resolved.get(k) is None]
+    missing = [key for key, value in out.items() if value is MISSING]
     if missing:
         raise ConfigError(
             f"missing required option(s): {', '.join(missing)} "
             "(set by flag or config file)")
+    return out
 
 
 def file_digest(path) -> str:
@@ -189,16 +188,14 @@ def file_digest(path) -> str:
 
 
 def write_manifest(out_dir: Path, command: str, config: dict,
-                   inputs: dict[str, str], artifacts: list[str],
+                   inputs: dict[str, dict], artifacts: list[str],
                    seed, started: float, ds=None) -> None:
-    """Write manifest.json; `ds` is the panel the command read, if any."""
+    """Write manifest.json; `inputs` maps each input name to its path and
+    digest, and `ds` is the panel the command read, if any."""
     payload = {
         "command": command,
         "config": config,
-        "inputs": {
-            name: {"path": str(p), "sha256": file_digest(p)}
-            for name, p in sorted(inputs.items())
-        },
+        "inputs": inputs,
         "artifacts": sorted(artifacts),
         "seed": seed,
         "wall_time_seconds": round(time.monotonic() - started, 3),
@@ -234,20 +231,12 @@ def load_graphs(ds, industry_path, region_path):
     )
 
 
-def input_map(args, *names: str) -> dict[str, str]:
-    inputs = {name: getattr(args, name) for name in names}
-    if getattr(args, "config", None):
-        inputs["config"] = args.config
-    return inputs
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (artifact names, the panel it read or None)
 # ---------------------------------------------------------------------------
 
 
-def cmd_synth(args, resolved, seed) -> int:
-    started = time.monotonic()
+def cmd_synth(args, resolved, seed):
     cfg = SynthConfig(seed=seed, **resolved)
     ds, graphs, factors = generate_synthetic(cfg)
     out = ensure_out(args)
@@ -255,17 +244,11 @@ def cmd_synth(args, resolved, seed) -> int:
     write_membership(out / "industry.csv", graphs.industry_labels)
     write_membership(out / "region.csv", graphs.region_labels)
     write_factors(factors, out / "factors.csv")
-    write_manifest(out, "synth", resolved, input_map(args),
-                   ["features.csv", "prices.csv", "industry.csv",
-                    "region.csv", "factors.csv"],
-                   seed, started)
-    return EXIT_OK
+    return ["features.csv", "prices.csv", "industry.csv", "region.csv",
+            "factors.csv"], None
 
 
-def cmd_train(args, resolved, seed) -> int:
-    started = time.monotonic()
-    require(resolved, "valid_start")
-
+def cmd_train(args, resolved, seed):
     ds = load_panel(args.features, args.prices)
     if resolved["standardize"]:
         ds = standardize_features(ds)
@@ -298,42 +281,31 @@ def cmd_train(args, resolved, seed) -> int:
          ["n_train_windows", str(history.n_train_windows)],
          ["n_valid_windows", str(history.n_valid_windows)]],
     )
-    write_manifest(out, "train", resolved,
-                   input_map(args, "features", "prices", "industry",
-                             "region"),
-                   ["checkpoint.json", "history.csv", "train_stats.csv"],
-                   seed, started, ds)
-    return EXIT_OK
+    return ["checkpoint.json", "history.csv", "train_stats.csv"], ds
 
 
-def cmd_predict(args, resolved, seed) -> int:
-    started = time.monotonic()
+def cmd_predict(args, resolved, seed):
+    start = resolved["start_date"]
+    if start is not None and not _is_day(start):
+        raise ConfigError(f"start_date {start!r} is not a YYYY-MM-DD day")
     model = load_checkpoint(args.checkpoint)
     ds = load_panel(args.features, args.prices)
     if resolved["standardize"]:
         ds = standardize_features(ds)
     graphs = load_graphs(ds, args.industry, args.region)
-    preds = predict_sliding(model, ds, graphs,
-                            start_date=resolved["start_date"])
+    preds = predict_sliding(model, ds, graphs, start_date=start)
     out = ensure_out(args)
     preds.write_csv(out / "predictions.csv")
-    write_manifest(out, "predict", resolved,
-                   input_map(args, "checkpoint", "features", "prices",
-                             "industry", "region"),
-                   ["predictions.csv"], seed, started, ds)
-    return EXIT_OK
+    return ["predictions.csv"], ds
 
 
-def cmd_evaluate(args, resolved, seed) -> int:
-    started = time.monotonic()
+def cmd_evaluate(args, resolved, seed):
     group_by = resolved["group_by"]
     if group_by not in (None, "industry", "region"):
         raise ConfigError("group_by must be industry or region")
-    path = None
-    if group_by:
-        path = args.industry if group_by == "industry" else args.region
-        if path is None:
-            raise ConfigError(f"--group-by {group_by} needs --{group_by}")
+    path = getattr(args, group_by) if group_by else None
+    if group_by and path is None:
+        raise ConfigError(f"--group-by {group_by} needs --{group_by}")
     preds = PredictionSeries.read_csv(args.predictions)
     ds = load_panel(args.features, args.prices)
     # the membership file is checked before any artifact is written
@@ -342,43 +314,34 @@ def cmd_evaluate(args, resolved, seed) -> int:
     out = ensure_out(args)
     write_metric_report(report, out / "metrics.csv")
     write_daily_metrics(report, out / "daily_metrics.csv")
-    artifacts = ["metrics.csv", "daily_metrics.csv"]
-    inputs = input_map(args, "predictions", "features", "prices")
+    if not group_by:
+        return ["metrics.csv", "daily_metrics.csv"], ds
 
-    if group_by:
-        groups = subgroup_metrics(preds, ds, labels)
-        rows = []
-        for category in sorted(groups):
-            rep = groups[category]
-            if rep is None:
-                rows.append([category, "", "", "", "", "", "too_thin"])
-            else:
-                rows.append([category,
-                             _format_metric(rep.ic),
-                             _format_metric(rep.icir),
-                             _format_metric(rep.rank_ic),
-                             _format_metric(rep.rank_icir),
-                             str(rep.n_days),
-                             ";".join(rep.flags)])
-        _write_rows(out / "subgroups.csv",
-                    ["category", "ic", "icir", "rank_ic", "rank_icir",
-                     "n_days", "flags"],
-                    rows)
-        artifacts.append("subgroups.csv")
-        inputs[group_by] = path
-
-    write_manifest(out, "evaluate", resolved, inputs, artifacts,
-                   seed, started, ds)
-    return EXIT_OK
+    groups = subgroup_metrics(preds, ds, labels)
+    rows = []
+    for category in sorted(groups):
+        rep = groups[category]
+        if rep is None:
+            rows.append([category, "", "", "", "", "", "too_thin"])
+        else:
+            rows.append([category,
+                         _format_metric(rep.ic),
+                         _format_metric(rep.icir),
+                         _format_metric(rep.rank_ic),
+                         _format_metric(rep.rank_icir),
+                         str(rep.n_days),
+                         ";".join(rep.flags)])
+    _write_rows(out / "subgroups.csv",
+                ["category", "ic", "icir", "rank_ic", "rank_icir",
+                 "n_days", "flags"],
+                rows)
+    return ["metrics.csv", "daily_metrics.csv", "subgroups.csv"], ds
 
 
-def cmd_backtest(args, resolved, seed) -> int:
-    started = time.monotonic()
-    require(resolved, "k", "n_drop")
+def cmd_backtest(args, resolved, seed):
+    cfg = StrategyConfig(**resolved)
     preds = PredictionSeries.read_csv(args.predictions)
     ds = load_panel(args.features, args.prices)
-    cfg = StrategyConfig(k=resolved["k"], n_drop=resolved["n_drop"],
-                         cost_bps=resolved["cost_bps"])
     result = run_backtest(preds, ds, cfg)
     # metrics refuse a one-day backtest, so they are computed before any
     # artifact is written
@@ -395,15 +358,10 @@ def cmd_backtest(args, resolved, seed) -> int:
     )
     result.write_csv(out / "backtest.csv")
     write_metric_report(metrics, out / "portfolio_metrics.csv")
-    write_manifest(out, "backtest", resolved,
-                   input_map(args, "predictions", "features", "prices"),
-                   ["backtest.csv", "portfolio_metrics.csv", "curves.svg"],
-                   seed, started, ds)
-    return EXIT_OK
+    return ["backtest.csv", "portfolio_metrics.csv", "curves.svg"], ds
 
 
-def cmd_regress(args, resolved, seed) -> int:
-    started = time.monotonic()
+def cmd_regress(args, resolved, seed):
     if resolved["model"] not in ("ff3", "ff5", "both"):
         raise ConfigError("model must be ff3, ff5, or both")
     dates, portfolio, _ = read_backtest_csv(args.backtest)
@@ -418,23 +376,30 @@ def cmd_regress(args, resolved, seed) -> int:
     ]
     out = ensure_out(args)
     write_regression_csv(results, out / "regression.csv")
-    write_manifest(out, "regress", resolved,
-                   input_map(args, "backtest", "factors"),
-                   ["regression.csv"], seed, started)
-    return EXIT_OK
+    return ["regression.csv"], None
 
 
 # ---------------------------------------------------------------------------
 # parser and dispatch
 # ---------------------------------------------------------------------------
 
+_PANEL = ("features", "prices")
+_GRAPHS = ("industry", "region")
+
+# name -> (function, option schema, input flags, optional input flags, help)
 COMMANDS = {
-    "synth": (cmd_synth, SYNTH_SCHEMA),
-    "train": (cmd_train, TRAIN_SCHEMA),
-    "predict": (cmd_predict, PREDICT_SCHEMA),
-    "evaluate": (cmd_evaluate, EVALUATE_SCHEMA),
-    "backtest": (cmd_backtest, BACKTEST_SCHEMA),
-    "regress": (cmd_regress, REGRESS_SCHEMA),
+    "synth": (cmd_synth, SYNTH_SCHEMA, (), (),
+              "write a seeded synthetic market"),
+    "train": (cmd_train, TRAIN_SCHEMA, _PANEL + _GRAPHS, (),
+              "fit a ranking model on a panel"),
+    "predict": (cmd_predict, PREDICT_SCHEMA, ("checkpoint",) + _PANEL + _GRAPHS, (),
+                "score every date with a checkpoint"),
+    "evaluate": (cmd_evaluate, EVALUATE_SCHEMA, ("predictions",) + _PANEL, _GRAPHS,
+                 "rank metrics for a prediction file"),
+    "backtest": (cmd_backtest, BACKTEST_SCHEMA, ("predictions",) + _PANEL, (),
+                 "run the top-k dropout strategy"),
+    "regress": (cmd_regress, REGRESS_SCHEMA, ("backtest", "factors"), (),
+                "factor regression of daily backtest returns"),
 }
 
 
@@ -444,53 +409,41 @@ def build_parser() -> argparse.ArgumentParser:
         description="cross-sectional ranking experiments over CSV panels",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    inputs_by_command = {
-        "synth": (),
-        "train": ("features", "prices", "industry", "region"),
-        "predict": ("checkpoint", "features", "prices", "industry",
-                    "region"),
-        "evaluate": ("predictions", "features", "prices"),
-        "backtest": ("predictions", "features", "prices"),
-        "regress": ("backtest", "factors"),
-    }
-    help_by_command = {
-        "synth": "write a seeded synthetic market",
-        "train": "fit a ranking model on a panel",
-        "predict": "score every date with a checkpoint",
-        "evaluate": "rank metrics for a prediction file",
-        "backtest": "run the top-k dropout strategy",
-        "regress": "factor regression of daily backtest returns",
-    }
-
-    for name, (func, schema) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_by_command[name])
+    for name, (_, schema, inputs, optional, help_text) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--config", default=None,
                        help="key=value config file")
         p.add_argument("--seed", default=None, metavar="V")
-        for inp in inputs_by_command[name]:
+        for inp in inputs:
             p.add_argument(f"--{inp}", required=True)
-        if name == "evaluate":
-            p.add_argument("--industry", default=None)
-            p.add_argument("--region", default=None)
+        for inp in optional:
+            p.add_argument(f"--{inp}", default=None)
         for key in schema:
             p.add_argument(f"--{key.replace('_', '-')}", dest=key,
                            default=None, metavar="V")
-        p.set_defaults(func=func, schema=schema)
-
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Resolve the config, hash every named input, run the command, and
+    write its manifest."""
+    args = build_parser().parse_args(argv)
+    func, schema, inputs, optional, _ = COMMANDS[args.command]
     try:
         file_values = (parse_config_file(args.config)
                        if args.config else {})
-        resolved = resolve_config(args.schema, args, file_values)
+        resolved = resolve_config(schema, args, file_values)
         seed = coerce(args.seed, int, "seed") if args.seed is not None else 0
-        return args.func(args, resolved, seed)
+        started = time.monotonic()
+        named = {name: getattr(args, name)
+                 for name in (*inputs, *optional, "config")}
+        digests = {name: {"path": str(path), "sha256": file_digest(path)}
+                   for name, path in sorted(named.items()) if path is not None}
+        artifacts, ds = func(args, resolved, seed)
+        write_manifest(Path(args.out), args.command, resolved, digests,
+                       artifacts, seed, started, ds)
+        return EXIT_OK
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

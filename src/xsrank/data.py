@@ -166,6 +166,15 @@ def _read_table(path, header, keys: int, days: bool = False, keep=None):
         raise DataError(f"{path}: {exc}") from exc
 
 
+def _write_dated(path, header, dates: list[str], columns) -> None:
+    """Write the table `_read_dated` reads: per day, the day and then one
+    number from each of `columns`."""
+    cells = format_floats(np.column_stack(columns))
+    width = len(columns)
+    _write_lines(path, header, (",".join([day, *cells[t * width: (t + 1) * width]])
+                                for t, day in enumerate(dates)))
+
+
 def _read_dated(path, header) -> tuple[list[str], np.ndarray]:
     """The days and [days, numbers] table of a CSV keyed by its first
     column. Refuses, besides `_read_table`'s faults, a missing or
@@ -636,15 +645,8 @@ def load_factors(path) -> FactorSeries:
 
 
 def write_factors(fs: FactorSeries, path) -> None:
-    table = np.column_stack([fs.risk_free] + [fs.factors[name] for name in FACTOR_NAMES])
-    cells = format_floats(table)
-    width = table.shape[1]
-    _write_lines(
-        path,
-        FACTORS_HEADER,
-        (",".join([dt, *cells[ti * width: (ti + 1) * width]])
-         for ti, dt in enumerate(fs.dates)),
-    )
+    _write_dated(path, FACTORS_HEADER, fs.dates,
+                 [fs.risk_free] + [fs.factors[name] for name in FACTOR_NAMES])
 
 
 # ---------------------------------------------------------------------------

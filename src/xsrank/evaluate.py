@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import PanelDataset, PredictionSeries, _write_rows, format_float
+from .data import PanelDataset, PredictionSeries, _write_dated, _write_rows, format_float
 from .errors import DataError
 
 MIN_SUBGROUP_SIZE = 5
@@ -257,8 +257,6 @@ def write_metric_report(report, path) -> None:
 
 def write_daily_metrics(report: MetricReport, path) -> None:
     rank_by_date = dict(report.daily_rank_ic)
-    rows = [
-        [date, format_float(ic), format_float(rank_by_date[date])]
-        for date, ic in report.daily_ic
-    ]
-    _write_rows(path, ["datetime", "ic", "rank_ic"], rows)
+    dates = [date for date, _ in report.daily_ic]
+    _write_dated(path, ["datetime", "ic", "rank_ic"], dates,
+                 [[ic for _, ic in report.daily_ic], [rank_by_date[d] for d in dates]])

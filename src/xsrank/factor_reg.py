@@ -200,16 +200,13 @@ REGRESSION_HEADER = [
     "beta_c", "r2", "obs",
 ]
 
-_BETA_COLUMNS = ["mktrf", "smb", "hml", "rmw", "cma"]
-
-
 def write_regression_csv(results: list[RegressionResult], path) -> None:
     """One row per fitted model; absent factor columns stay empty."""
     rows = []
     for res in results:
         cells = [res.model, format_float(res.alpha),
                  format_float(res.alpha_t)]
-        for name in _BETA_COLUMNS:
+        for name in FF5_FACTORS:
             if name in res.coef_names:
                 cells.append(format_float(res.beta(name)))
             else:

@@ -436,6 +436,10 @@ def save_checkpoint(model: ActModel, path) -> None:
 
 
 def load_checkpoint(path) -> ActModel:
+    """The model saved at `path`. A payload that is not a JSON object
+    with a `config` object, an integer `seed` and a `params` object of
+    entries whose `data` numbers fill their `shape` is refused with a
+    DataError naming the field."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -443,14 +447,25 @@ def load_checkpoint(path) -> ActModel:
         raise DataError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not a valid checkpoint: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: not a valid checkpoint: expected a JSON object")
     version = payload.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise ConfigError(f"{path}: unsupported checkpoint version {version!r}")
-    cfg = ActConfig.from_dict(payload["config"])
-    model = ActModel(cfg, seed=int(payload.get("seed", 0)))
+    for key in ("config", "params"):
+        if not isinstance(payload.get(key), dict):
+            raise DataError(f"{path}: checkpoint field {key!r} is missing or not an object")
+    seed = payload.get("seed", 0)
+    if type(seed) is not int:
+        raise DataError(f"{path}: checkpoint field 'seed' is {seed!r}, not an integer")
+    model = ActModel(ActConfig.from_dict(payload["config"]), seed=seed)
     state = {}
     for name, entry in payload["params"].items():
-        arr = np.asarray(entry["data"], dtype=np.float64)
-        state[name] = arr.reshape(entry["shape"])
+        if not isinstance(entry, dict) or not {"shape", "data"} <= entry.keys():
+            raise DataError(f"{path}: checkpoint field 'params.{name}' needs a shape and data")
+        try:
+            state[name] = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{path}: checkpoint field 'params.{name}': {exc}") from exc
     model.load_state_arrays(state)
     return model

@@ -1,4 +1,5 @@
-"""The benchmark's calls into the package, run in-process at tiny size.
+"""The benchmark's calls into the package, run in-process at tiny size,
+and the names its tracer wraps.
 
 `bench/workloads.py` builds its inputs through `PredictionSeries(rows)`,
 `.rows`, `write_csv`, `train`, `predict_sliding`, the checkpoint format
@@ -12,18 +13,20 @@ from pathlib import Path
 
 import pytest
 
+from xsrank import cli
+
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 
 
-def _load_workloads():
+def _load_bench(name):
     spec = importlib.util.spec_from_file_location(
-        "bench_workloads", BENCH_DIR / "workloads.py")
+        f"bench_{name}", BENCH_DIR / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-WORKLOADS = _load_workloads().WORKLOADS
+WORKLOADS = _load_bench("workloads").WORKLOADS
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
@@ -39,3 +42,20 @@ def test_workload_runs_and_repeats_at_tiny_size(name, tmp_path):
         assert isinstance(figures, dict)
         digests.append(digest)
     assert digests[0] == digests[1]
+
+
+def test_tracer_finds_and_wraps_every_cli_name(tmp_path):
+    # the tracer patches cli functions and the COMMANDS entries that
+    # cli.main dispatches through; a cli change that moves one fails here
+    # rather than in the next traced run
+    tracing = _load_bench("tracing")
+    tracer = tracing.Tracer()
+    assert [name for name in tracer.missing if name.startswith("xsrank.cli")] == []
+    config = tmp_path / "synth.cfg"
+    config.write_text("days=8\n")
+    with tracer.root("op"):
+        assert cli.main(["synth", "--out", str(tmp_path / "synth"),
+                         "--config", str(config), "--n-instruments", "8"]) == cli.EXIT_OK
+    assert tracer.restore_failures == []
+    names = {span[3] for span in tracer.spans}
+    assert {"cli.cmd_synth", "cli.file_digest", "data.write_panel"} <= names

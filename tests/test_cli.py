@@ -131,12 +131,11 @@ def test_cli_defaults_are_the_dataclass_defaults():
         by_name = {f.name: f for c in classes for f in fields(c)}
         for key, (_, value) in schema.items():
             f = by_name.get(key)
-            if f is None or (f.default is MISSING and value is not None):
+            if f is None or (f.default is MISSING and value is not MISSING):
                 cli_only[key] = value
             else:
                 # a field without a default stays required on the CLI too
-                want = None if f.default is MISSING else f.default
-                assert value == want, (key, value, want)
+                assert value == f.default, (key, value, f.default)
     assert cli_only == CLI_ONLY_DEFAULTS
     assert set(cli.ACT_KEYS + cli.SETTINGS_KEYS) <= set(cli.TRAIN_SCHEMA)
 
@@ -761,6 +760,119 @@ def test_bad_dates_and_prices_exit_3_with_one_error_line(workdir, tmp_path, caps
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and fault in err[0], err
     assert "line " in err[0]
+    assert not out.exists()
+
+
+def _command_args(command, root, tmp_path):
+    """Arguments for one small run of `command` over the shared pipeline;
+    evaluate also names the optional --region it does not group by."""
+    predictions = ["--predictions", str(root / "preds" / "predictions.csv")]
+    if command == "regress":
+        bt = tmp_path / "bt"
+        assert cli.main(["backtest", "--out", str(bt)] + predictions + panel_args(root)
+                        + ["--k", "3", "--n-drop", "1"]) == cli.EXIT_OK
+        return ["--backtest", str(bt / "backtest.csv"),
+                "--factors", str(root / "data" / "factors.csv"), "--lags", "2"]
+    return {
+        "synth": ["--n-instruments", "8", "--days", "8"],
+        "train": panel_args(root) + graph_args(root)
+        + ["--window", "8", "--hidden", "8", "--knn", "3", "--epochs", "1",
+           "--valid-start", "2015-03-01"],
+        "predict": ["--checkpoint", str(root / "model" / "checkpoint.json")]
+        + panel_args(root) + graph_args(root),
+        "evaluate": predictions + panel_args(root)
+        + ["--region", str(root / "data" / "region.csv")],
+        "backtest": predictions + panel_args(root) + ["--k", "3", "--n-drop", "1"],
+    }[command]
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_manifest_hashes_every_named_input(workdir, tmp_path, command):
+    config = tmp_path / "run.cfg"
+    config.write_text("# no keys\n")
+    argv = _command_args(command, workdir, tmp_path) + ["--config", str(config)]
+    out = tmp_path / "out"
+    assert cli.main([command, "--out", str(out)] + argv) == cli.EXIT_OK
+    _, _, inputs, optional, _ = cli.COMMANDS[command]
+    given = [name for name in optional if f"--{name}" in argv]
+    assert given == (["region"] if command == "evaluate" else [])
+    manifest = read_manifest(out)
+    assert sorted(manifest["inputs"]) == sorted([*inputs, *given, "config"])
+    for name, entry in manifest["inputs"].items():
+        path = argv[argv.index(f"--{name}") + 1]
+        assert entry == {"path": path, "sha256": digest(Path(path))}
+
+
+def test_evaluate_refuses_a_missing_named_input_before_any_work(workdir, tmp_path, capsys):
+    # before: an --industry that evaluate does not group by was never read,
+    # and the run exited 0
+    out = tmp_path / "eval"
+    missing = [tmp_path / "industry.csv", tmp_path / "region.csv"]
+    assert cli.main(["evaluate", "--out", str(out),
+                     "--predictions", str(workdir / "preds" / "predictions.csv")]
+                    + panel_args(workdir)
+                    + ["--region", str(missing[1]), "--industry", str(missing[0])]
+                    ) == cli.EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    # of several missing inputs, the first by name is reported
+    assert len(err) == 1 and err[0].startswith(f"error: {missing[0]}: [Errno 2] "), err
+    assert not out.exists()
+
+
+def _short_param(payload):
+    payload["params"]["out_w"]["data"].pop()
+    return payload
+
+
+def _without(key):
+    def edit(payload):
+        del payload[key]
+        return payload
+    return edit
+
+
+def _string_in_param(payload):
+    payload["params"]["out_w"]["data"][0] = "x"
+    return payload
+
+
+def _seed_abc(payload):
+    payload["seed"] = "abc"
+    return payload
+
+
+@pytest.mark.parametrize("edit, fault", [
+    (_short_param, "checkpoint field 'params.out_w': cannot reshape"),
+    (_without("params"), "checkpoint field 'params' is missing"),
+    (_without("config"), "checkpoint field 'config' is missing"),
+    (_string_in_param, "checkpoint field 'params.out_w': could not convert"),
+    (_seed_abc, "checkpoint field 'seed' is 'abc', not an integer"),
+    (lambda payload: [payload], "not a valid checkpoint: expected a JSON object"),
+], ids=["short_param", "no_params", "no_config", "string_in_param", "seed_abc", "list"])
+def test_predict_refuses_a_malformed_checkpoint(workdir, tmp_path, capsys, edit, fault):
+    # before: each raised a traceback out of predict
+    payload = json.loads((workdir / "model" / "checkpoint.json").read_text())
+    bad = tmp_path / "checkpoint.json"
+    bad.write_text(json.dumps(edit(payload)))
+    out = tmp_path / "preds"
+    rc = cli.main(["predict", "--out", str(out), "--checkpoint", str(bad)]
+                  + panel_args(workdir) + graph_args(workdir))
+    assert rc == cli.EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {bad}: {fault}"), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("day", ["2015-01-32", "2015-1-20"])
+def test_predict_refuses_a_start_date_that_is_not_a_day(workdir, tmp_path, capsys, day):
+    # before: the dates were compared as strings, so 2015-01-32 scored from
+    # February on and exited 0, and 2015-1-20 came after every date
+    out = tmp_path / "preds"
+    rc = cli.main(["predict", "--out", str(out),
+                   "--checkpoint", str(workdir / "model" / "checkpoint.json"),
+                   "--start-date", day] + panel_args(workdir) + graph_args(workdir))
+    assert rc == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: start_date {day!r} is not a YYYY-MM-DD day\n"
     assert not out.exists()
 
 
