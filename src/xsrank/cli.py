@@ -39,9 +39,7 @@ from .backtest import (
 from .data import (
     PredictionSeries,
     SynthConfig,
-    _is_day,
     _write_rows,
-    format_float,
     generate_synthetic,
     load_factors,
     load_membership,
@@ -53,7 +51,6 @@ from .data import (
 )
 from .errors import ConfigError, DataError, NonFiniteError, XsrankError
 from .evaluate import (
-    _format_metric,
     subgroup_metrics,
     summarize,
     write_daily_metrics,
@@ -84,14 +81,11 @@ def _field_schema(cls, skip: str | None = None) -> dict:
 SYNTH_SCHEMA = _field_schema(SynthConfig, "seed")
 _ACT_SCHEMA = _field_schema(ActConfig, "n_features")
 _SETTINGS_SCHEMA = _field_schema(TrainSettings, "seed")
-# ActConfig.window has no default, and standardize is a preprocessing step
-# rather than a field of any config
-TRAIN_SCHEMA = {**_ACT_SCHEMA, **_SETTINGS_SCHEMA,
-                "window": (int, 16), "standardize": (bool, True)}
+# ActConfig.window has no default
+TRAIN_SCHEMA = {**_ACT_SCHEMA, **_SETTINGS_SCHEMA, "window": (int, 16)}
 
 PREDICT_SCHEMA = {
     "start_date": (str, None),
-    "standardize": (bool, True),
 }
 
 EVALUATE_SCHEMA = {
@@ -249,9 +243,7 @@ def cmd_synth(args, resolved, seed):
 
 
 def cmd_train(args, resolved, seed):
-    ds = load_panel(args.features, args.prices)
-    if resolved["standardize"]:
-        ds = standardize_features(ds)
+    ds = standardize_features(load_panel(args.features, args.prices))
     graphs = load_graphs(ds, args.industry, args.region)
     cfg = ActConfig(n_features=ds.n_features,
                     **{k: resolved[k] for k in ACT_KEYS})
@@ -265,35 +257,24 @@ def cmd_train(args, resolved, seed):
         out / "history.csv",
         ["epoch", "train_loss", "train_ic_term", "train_mse_term",
          "valid_ic", "selected"],
-        ([str(e),
-          format_float(history.train_loss[e]),
-          format_float(history.train_ic_term[e]),
-          format_float(history.train_mse_term[e]),
-          format_float(history.valid_ic[e]),
-          "1" if e == history.selected_epoch else "0"]
-         for e in range(len(history.train_loss))),
+        ([e, *row, int(e == history.selected_epoch)]
+         for e, row in enumerate(zip(history.train_loss, history.train_ic_term,
+                                     history.train_mse_term, history.valid_ic))),
     )
     _write_rows(
         out / "train_stats.csv",
         ["metric", "value"],
-        [["selected_epoch", str(history.selected_epoch)],
-         ["skipped_ic_days", str(history.skipped_ic_days)],
-         ["n_train_windows", str(history.n_train_windows)],
-         ["n_valid_windows", str(history.n_valid_windows)]],
+        [(key, getattr(history, key)) for key in
+         ("selected_epoch", "skipped_ic_days", "n_train_windows", "n_valid_windows")],
     )
     return ["checkpoint.json", "history.csv", "train_stats.csv"], ds
 
 
 def cmd_predict(args, resolved, seed):
-    start = resolved["start_date"]
-    if start is not None and not _is_day(start):
-        raise ConfigError(f"start_date {start!r} is not a YYYY-MM-DD day")
     model = load_checkpoint(args.checkpoint)
-    ds = load_panel(args.features, args.prices)
-    if resolved["standardize"]:
-        ds = standardize_features(ds)
+    ds = standardize_features(load_panel(args.features, args.prices))
     graphs = load_graphs(ds, args.industry, args.region)
-    preds = predict_sliding(model, ds, graphs, start_date=start)
+    preds = predict_sliding(model, ds, graphs, start_date=resolved["start_date"])
     out = ensure_out(args)
     preds.write_csv(out / "predictions.csv")
     return ["predictions.csv"], ds
@@ -318,23 +299,13 @@ def cmd_evaluate(args, resolved, seed):
         return ["metrics.csv", "daily_metrics.csv"], ds
 
     groups = subgroup_metrics(preds, ds, labels)
-    rows = []
-    for category in sorted(groups):
-        rep = groups[category]
-        if rep is None:
-            rows.append([category, "", "", "", "", "", "too_thin"])
-        else:
-            rows.append([category,
-                         _format_metric(rep.ic),
-                         _format_metric(rep.icir),
-                         _format_metric(rep.rank_ic),
-                         _format_metric(rep.rank_icir),
-                         str(rep.n_days),
-                         ";".join(rep.flags)])
     _write_rows(out / "subgroups.csv",
                 ["category", "ic", "icir", "rank_ic", "rank_icir",
                  "n_days", "flags"],
-                rows)
+                ([cat, None, None, None, None, None, "too_thin"] if rep is None else
+                 [cat, rep.ic, rep.icir, rep.rank_ic, rep.rank_icir, rep.n_days,
+                  ";".join(rep.flags)]
+                 for cat, rep in sorted(groups.items())))
     return ["metrics.csv", "daily_metrics.csv", "subgroups.csv"], ds
 
 

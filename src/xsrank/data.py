@@ -9,6 +9,10 @@ streams its file through `_read_table` in blocks of at most CHUNK_CELLS
 cells, so a loader holds its output arrays and one block of rows, however
 long the file is, and of several faults reports the one on the earliest
 line.
+
+A file the program reads back (features, prices, predictions, factors,
+backtest.csv, the checkpoint) refuses a non-finite number; a report table,
+written by `_write_rows`, writes it as nan, inf or -inf.
 """
 
 from __future__ import annotations
@@ -67,8 +71,22 @@ def _write_lines(path, header, lines):
             fh.write(line + "\n")
 
 
+def _cell(value) -> str:
+    """A report-table cell: a str as is, None empty, an int in decimal, a
+    finite float in `format_float` digits and any other as nan, inf or
+    -inf. A bool, or a value of any other type, is refused, so no table
+    reads True."""
+    if value is None or isinstance(value, str):
+        return value or ""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"cannot write {value!r} as a table cell")
+    if isinstance(value, int) or not np.isfinite(value):
+        return str(value)
+    return format_float(value)
+
+
 def _write_rows(path, header, rows):
-    _write_lines(path, header, map(",".join, rows))
+    _write_lines(path, header, (",".join(map(_cell, row)) for row in rows))
 
 
 def _is_day(s: str) -> bool:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import PanelDataset, PredictionSeries, _write_dated, _write_rows, format_float
+from .data import PanelDataset, PredictionSeries, _write_rows
 from .errors import DataError
 
 MIN_SUBGROUP_SIZE = 5
@@ -237,26 +237,16 @@ def subgroup_metrics(
     return out
 
 
-def _format_metric(v: float) -> str:
-    if np.isfinite(v):
-        return format_float(v)
-    if np.isnan(v):
-        return "nan"
-    return "inf" if v > 0 else "-inf"
-
-
 def write_metric_report(report, path) -> None:
     """One metric,value row per entry of `report.rows()`, then one
     flag row per flag: the layout of both metrics.csv (a MetricReport)
     and portfolio_metrics.csv (a backtest.PortfolioMetrics)."""
-    rows = [[name, _format_metric(value)] for name, value in report.rows()]
-    for flag in report.flags:
-        rows.append(["flag", flag])
-    _write_rows(path, ["metric", "value"], rows)
+    _write_rows(path, ["metric", "value"],
+                [*report.rows(), *(("flag", f) for f in report.flags)])
 
 
 def write_daily_metrics(report: MetricReport, path) -> None:
-    rank_by_date = dict(report.daily_rank_ic)
-    dates = [date for date, _ in report.daily_ic]
-    _write_dated(path, ["datetime", "ic", "rank_ic"], dates,
-                 [[ic for _, ic in report.daily_ic], [rank_by_date[d] for d in dates]])
+    """One datetime,ic,rank_ic row per evaluated date."""
+    _write_rows(path, ["datetime", "ic", "rank_ic"],
+                ((day, ic, rank)
+                 for (day, ic), (_, rank) in zip(report.daily_ic, report.daily_rank_ic)))

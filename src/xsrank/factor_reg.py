@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import FACTOR_NAMES, FactorSeries, _write_rows, format_float
+from .data import FACTOR_NAMES, FactorSeries, _write_rows
 from .errors import ConfigError, DataError
 
 FF3_FACTORS = ["mktrf", "smb", "hml"]
@@ -202,16 +202,8 @@ REGRESSION_HEADER = [
 
 def write_regression_csv(results: list[RegressionResult], path) -> None:
     """One row per fitted model; absent factor columns stay empty."""
-    rows = []
-    for res in results:
-        cells = [res.model, format_float(res.alpha),
-                 format_float(res.alpha_t)]
-        for name in FF5_FACTORS:
-            if name in res.coef_names:
-                cells.append(format_float(res.beta(name)))
-            else:
-                cells.append("")
-        cells.append(format_float(res.r2))
-        cells.append(str(res.n_obs))
-        rows.append(cells)
-    _write_rows(path, REGRESSION_HEADER, rows)
+    _write_rows(path, REGRESSION_HEADER, (
+        [res.model, res.alpha, res.alpha_t,
+         *(res.beta(name) if name in res.coef_names else None for name in FF5_FACTORS),
+         res.r2, res.n_obs]
+        for res in results))

@@ -26,7 +26,7 @@ Branches:
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -95,13 +95,6 @@ class ActConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ActConfig":
-        try:
-            return cls(**raw)
-        except TypeError as exc:
-            raise ConfigError(f"bad config fields: {exc}") from exc
 
 
 def parameter_spec(cfg: ActConfig) -> dict[str, tuple[int, ...]]:
@@ -416,8 +409,12 @@ def save_checkpoint(model: ActModel, path) -> None:
     """Versioned JSON checkpoint: config header plus name -> tensor map.
 
     Floats are serialized with shortest round-trip repr, so saving the
-    same state twice yields byte-identical files.
+    same state twice yields byte-identical files. A non-finite parameter
+    is refused with a DataError, as `load_checkpoint` would refuse it.
     """
+    bad = next((name for name, t in model.params.items() if not np.isfinite(t.data).all()), None)
+    if bad is not None:
+        raise DataError(f"{path}: refusing to write non-finite parameter {bad}")
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "config": model.cfg.to_dict(),
@@ -435,11 +432,40 @@ def save_checkpoint(model: ActModel, path) -> None:
         fh.write("\n")
 
 
+# a checkpoint config value must be of its ActConfig field's kind
+_CONFIG_KINDS = {
+    "int": ("an integer", lambda v: type(v) is int),
+    "float": ("a number", lambda v: type(v) in (int, float)),
+    "str": ("a string", lambda v: type(v) is str),
+}
+
+
+def _checkpoint_config(path, raw: dict) -> ActConfig:
+    """The ActConfig of a checkpoint's `config` object: every key an
+    ActConfig field, every value of its field's kind, every field without
+    a default present, and the values passing ActConfig's own checks."""
+    by_name = {f.name: f for f in fields(ActConfig)}
+    for key, value in raw.items():
+        if key not in by_name:
+            raise DataError(f"{path}: checkpoint field 'config.{key}' is not a model setting")
+        kind, ok = _CONFIG_KINDS[by_name[key].type]
+        if not ok(value):
+            raise DataError(f"{path}: checkpoint field 'config.{key}' is {value!r}, not {kind}")
+    for name, f in by_name.items():
+        if f.default is MISSING and name not in raw:
+            raise DataError(f"{path}: checkpoint field 'config.{name}' is missing")
+    try:
+        return ActConfig(**raw)
+    except ConfigError as exc:
+        raise DataError(f"{path}: checkpoint field 'config': {exc}") from exc
+
+
 def load_checkpoint(path) -> ActModel:
     """The model saved at `path`. A payload that is not a JSON object
-    with a `config` object, an integer `seed` and a `params` object of
-    entries whose `data` numbers fill their `shape` is refused with a
-    DataError naming the field."""
+    with a `config` object of well-typed ActConfig fields, an integer
+    `seed` and a `params` object holding exactly the model's parameters,
+    each with finite `data` numbers that fill its `shape`, is refused
+    with a DataError naming the file and the field."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -458,14 +484,28 @@ def load_checkpoint(path) -> ActModel:
     seed = payload.get("seed", 0)
     if type(seed) is not int:
         raise DataError(f"{path}: checkpoint field 'seed' is {seed!r}, not an integer")
-    model = ActModel(ActConfig.from_dict(payload["config"]), seed=seed)
+    model = ActModel(_checkpoint_config(path, payload["config"]), seed=seed)
+    spec = parameter_spec(model.cfg)
+    params = payload["params"]
+    extra = sorted(params.keys() - spec.keys())
+    if extra:
+        raise DataError(f"{path}: checkpoint field 'params.{extra[0]}' is not a model parameter")
     state = {}
-    for name, entry in payload["params"].items():
+    for name, shape in spec.items():
+        where = f"{path}: checkpoint field 'params.{name}'"
+        entry = params.get(name)
+        if entry is None:
+            raise DataError(f"{where} is missing")
         if not isinstance(entry, dict) or not {"shape", "data"} <= entry.keys():
-            raise DataError(f"{path}: checkpoint field 'params.{name}' needs a shape and data")
+            raise DataError(f"{where} needs a shape and data")
         try:
-            state[name] = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+            arr = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
         except (TypeError, ValueError) as exc:
-            raise DataError(f"{path}: checkpoint field 'params.{name}': {exc}") from exc
+            raise DataError(f"{where}: {exc}") from exc
+        if arr.shape != shape:
+            raise DataError(f"{where}: shape {list(arr.shape)} is not {list(shape)}")
+        if not np.isfinite(arr).all():
+            raise DataError(f"{where} holds a non-finite number")
+        state[name] = arr
     model.load_state_arrays(state)
     return model

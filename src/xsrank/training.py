@@ -268,7 +268,10 @@ def train(
 
     Windows whose end date falls before `valid_start` train the model;
     those in [valid_start, test_start) drive model selection. Dates from
-    test_start on are never touched. Deterministic per seed.
+    test_start on are never touched. Deterministic per seed. A span
+    with no validation window, or none with two observed stocks whose
+    labels differ, has no IC to select on: a ConfigError before any
+    model is built.
 
     Each minibatch of `settings.batch_size` windows is decomposed when
     it is drawn, as one [T, B, N, F] stack, runs through one forward
@@ -294,6 +297,11 @@ def train(
         raise ConfigError("no training windows before valid_start")
     if not valid_samples:
         raise ConfigError("no validation windows in the validation span")
+    # a validation day has an IC only if two of its observed labels differ
+    if not any((y := s.labels[s.mask]).size and y.min() < y.max() for s in valid_samples):
+        raise ConfigError(
+            f"no validation window from valid_start {settings.valid_start} to "
+            f"test_start {stop} has two observed stocks whose labels differ")
 
     model = ActModel(cfg, seed=settings.seed)
     optimizer = Adam(
@@ -385,8 +393,11 @@ def predict_sliding(
     after `start_date` still draw history from before it) and keeps the
     records whose end date is >= start_date, the unlabelled final date
     included. Dropout stays off; the dynamic graph is rebuilt inside
-    every window. Each window is decomposed and scored alone.
+    every window. Each window is decomposed and scored alone. A
+    `start_date` that is not a YYYY-MM-DD day is a ConfigError.
     """
+    if start_date is not None and not _is_day(start_date):
+        raise ConfigError(f"start_date {start_date!r} is not a YYYY-MM-DD day")
     cfg = model.cfg
     if len(ds.dates) < cfg.window:
         raise DataError(f"a window needs {cfg.window} dates, the panel has {len(ds.dates)}")

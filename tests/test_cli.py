@@ -25,8 +25,8 @@ from xsrank.data import (
 )
 from xsrank.data import SynthConfig
 from xsrank.errors import ConfigError
-from xsrank.model import ActConfig
-from xsrank.training import TrainSettings
+from xsrank.model import ActConfig, ActModel
+from xsrank.training import TrainHistory, TrainSettings
 
 
 def digest(path):
@@ -118,9 +118,8 @@ def test_resolve_config_precedence():
         cli.resolve_config(schema, Args(), {"nope": "1"})
 
 
-# ActConfig.window has no default, and standardize is a preprocessing
-# step rather than a field of any config
-CLI_ONLY_DEFAULTS = {"window": 16, "standardize": True}
+# ActConfig.window has no default
+CLI_ONLY_DEFAULTS = {"window": 16}
 
 
 def test_cli_defaults_are_the_dataclass_defaults():
@@ -188,6 +187,54 @@ def test_train_artifacts_and_manifest(workdir):
                           "valid_ic,selected")
     assert len(history) == 3
     assert sum(row.endswith(",1") for row in history[1:]) == 1
+    # both reports as written when each cell was formatted by hand
+    assert digest(model_dir / "history.csv") == (
+        "979aacef1e53dd18d51bc81619e70f5e0ca8dc158b3666136d591049e156b5b1")
+    assert digest(model_dir / "train_stats.csv") == (
+        "298265e08ed7821ab6e473bf9df225194883d901c8aeaa36e2bf0c8d4d290b94")
+
+
+def test_train_writes_an_epoch_without_a_validation_ic(workdir, tmp_path, monkeypatch):
+    # before: the -inf that marks an epoch with no validation IC was
+    # refused by the history writer, and train exited 3 after training
+    def fake_train(ds, graphs, cfg, settings):
+        history = TrainHistory(train_loss=[0.5, 0.25], train_ic_term=[0.5, 0.25],
+                               train_mse_term=[1.0, 0.5], valid_ic=[float("-inf"), 0.125],
+                               selected_epoch=1, n_train_windows=3, n_valid_windows=2)
+        return ActModel(cfg, seed=settings.seed), history
+
+    monkeypatch.setattr(cli, "train", fake_train)
+    out = tmp_path / "model"
+    assert cli.main(["train", "--out", str(out)] + panel_args(workdir) + graph_args(workdir)
+                    + ["--window", "8", "--hidden", "8", "--knn", "3",
+                       "--valid-start", "2015-03-01"]) == cli.EXIT_OK
+    assert (out / "history.csv").read_text().splitlines()[1:] == [
+        "0,0.5,0.5,1.0,-inf,0", "1,0.25,0.25,0.5,0.125,1"]
+    assert (out / "train_stats.csv").read_text().splitlines()[1:] == [
+        "selected_epoch,1", "skipped_ic_days,0", "n_train_windows,3", "n_valid_windows,2"]
+    assert read_manifest(out)["command"] == "train"
+
+
+def test_train_refuses_a_validation_span_with_nothing_to_score(workdir, tmp_path, capsys):
+    # before: every epoch ran, and train exited 3 only when the history
+    # writer refused the -inf validation IC, leaving a checkpoint behind.
+    # Only S000 has prices from 2015-02-19 on, so no validation day has
+    # two observed labels.
+    data = workdir / "data"
+    prices = tmp_path / "prices.csv"
+    header, *rows = (data / "prices.csv").read_text().splitlines()
+    prices.write_text("\n".join([header] + [
+        row for row in rows if row < "2015-02-19" or row.split(",")[1] == "S000"]) + "\n")
+    out = tmp_path / "model"
+    rc = cli.main(["train", "--out", str(out), "--features", str(data / "features.csv"),
+                   "--prices", str(prices)] + graph_args(workdir)
+                  + ["--window", "8", "--hidden", "8", "--knn", "3", "--epochs", "3",
+                     "--patience", "2", "--valid-start", "2015-02-20"])
+    assert rc == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: no validation window from valid_start 2015-02-20 to test_start None "
+        "has two observed stocks whose labels differ\n")
+    assert not out.exists()
 
 
 def test_train_ablation_recorded(workdir, tmp_path):
@@ -841,6 +888,25 @@ def _seed_abc(payload):
     return payload
 
 
+def _config(key, value):
+    def edit(payload):
+        payload["config"][key] = value
+        return payload
+    return edit
+
+
+def _without_param(payload):
+    del payload["params"]["out_w"]
+    return payload
+
+
+def _param(edit_entry):
+    def edit(payload):
+        edit_entry(payload["params"]["out_w"])
+        return payload
+    return edit
+
+
 @pytest.mark.parametrize("edit, fault", [
     (_short_param, "checkpoint field 'params.out_w': cannot reshape"),
     (_without("params"), "checkpoint field 'params' is missing"),
@@ -848,9 +914,28 @@ def _seed_abc(payload):
     (_string_in_param, "checkpoint field 'params.out_w': could not convert"),
     (_seed_abc, "checkpoint field 'seed' is 'abc', not an integer"),
     (lambda payload: [payload], "not a valid checkpoint: expected a JSON object"),
-], ids=["short_param", "no_params", "no_config", "string_in_param", "seed_abc", "list"])
+    (_config("hidden", 8.0), "checkpoint field 'config.hidden' is 8.0, not an integer"),
+    (_config("knn", 3.0), "checkpoint field 'config.knn' is 3.0, not an integer"),
+    (_config("window", 8.5), "checkpoint field 'config.window' is 8.5, not an integer"),
+    (_config("hidden", True), "checkpoint field 'config.hidden' is True, not an integer"),
+    (_config("hidden", "8"), "checkpoint field 'config.hidden' is '8', not an integer"),
+    (_config("dropout_rate", "0.1"),
+     "checkpoint field 'config.dropout_rate' is '0.1', not a number"),
+    (_config("pspe", 1), "checkpoint field 'config.pspe' is 1, not a string"),
+    (_config("hidden", 0), "checkpoint field 'config': hidden size must be >= 1"),
+    (_config("depth", 2), "checkpoint field 'config.depth' is not a model setting"),
+    (_without_param, "checkpoint field 'params.out_w' is missing"),
+    (_param(lambda e: e.update(shape=[1, 8])),
+     "checkpoint field 'params.out_w': shape [1, 8] is not [8, 1]"),
+    (_param(lambda e: e["data"].__setitem__(0, float("nan"))),
+     "checkpoint field 'params.out_w' holds a non-finite number"),
+], ids=["short_param", "no_params", "no_config", "string_in_param", "seed_abc", "list",
+        "hidden_float", "knn_float", "window_fraction", "hidden_bool", "hidden_string",
+        "rate_string", "pspe_int", "hidden_zero", "unknown_setting", "no_out_w",
+        "wrong_shape", "nan_param"])
 def test_predict_refuses_a_malformed_checkpoint(workdir, tmp_path, capsys, edit, fault):
-    # before: each raised a traceback out of predict
+    # before: each raised a traceback out of predict, exited 2 without
+    # naming the file, or (nan_param) exited 4 while scoring
     payload = json.loads((workdir / "model" / "checkpoint.json").read_text())
     bad = tmp_path / "checkpoint.json"
     bad.write_text(json.dumps(edit(payload)))

@@ -70,6 +70,20 @@ def test_format_float_plain_decimal_roundtrip():
         format_float(float("nan"))
 
 
+def test_write_rows_formats_each_cell_by_type(tmp_path):
+    path = tmp_path / "table.csv"
+    data._write_rows(path, ["a", "b"], [
+        ["x", None],
+        [3, 0.1],
+        [float("nan"), float("inf")],
+        [float("-inf"), np.float64(0.00001)],
+    ])
+    assert path.read_text() == "a,b\nx,\n3,0.1\nnan,inf\n-inf,0.00001\n"
+    for refused in (True, np.int64(3)):
+        with pytest.raises(TypeError, match="as a table cell"):
+            data._write_rows(path, ["a"], [[refused]])
+
+
 def test_load_panel_shapes_and_labels(tmp_path):
     fpath = _write(tmp_path / "features.csv", FEATURES_2x2x3)
     ppath = _write(tmp_path / "prices.csv", PRICES_2x2)

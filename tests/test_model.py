@@ -519,13 +519,23 @@ def test_checkpoint_rejects_bad_files(tmp_path):
     del payload["params"]["out_w"]
     bad2 = tmp_path / "bad2.json"
     bad2.write_text(json.dumps(payload))
-    with pytest.raises(ConfigError):
+    with pytest.raises(DataError, match="bad2.json: checkpoint field 'params.out_w' is missing"):
         load_checkpoint(bad2)
 
     notjson = tmp_path / "nope.json"
     notjson.write_text("{broken")
     with pytest.raises(DataError):
         load_checkpoint(notjson)
+
+
+def test_save_checkpoint_refuses_a_non_finite_parameter(tmp_path):
+    # before: json wrote NaN, which the loader now refuses
+    model = ActModel(small_cfg(), seed=15)
+    model["out_w"].data[0, 0] = np.nan
+    path = tmp_path / "ck.json"
+    with pytest.raises(DataError, match="ck.json: refusing to write non-finite parameter out_w"):
+        save_checkpoint(model, path)
+    assert not path.exists()
 
 
 def test_load_state_arrays_validates_shapes():

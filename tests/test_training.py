@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -405,9 +406,18 @@ def test_predict_sliding_errors():
     with pytest.raises(DataError):
         predict_sliding(ActModel(cfg, seed=0), ds, graphs)
     cfg = small_cfg(window=10)
-    with pytest.raises(DataError):
-        predict_sliding(ActModel(cfg, seed=0), ds, graphs,
-                        start_date=ds.dates[-1] + "z")
+    after_last = (date.fromisoformat(ds.dates[-1]) + timedelta(days=1)).isoformat()
+    with pytest.raises(DataError, match="no window-end dates"):
+        predict_sliding(ActModel(cfg, seed=0), ds, graphs, start_date=after_last)
+
+
+@pytest.mark.parametrize("day", ["2015-01-32", "2015-1-20"])
+def test_predict_sliding_refuses_a_start_date_that_is_not_a_day(day):
+    # before: compared as strings, 2015-01-32 scored the February windows
+    ds, graphs = small_panel(days=30)
+    with pytest.raises(ConfigError, match="is not a YYYY-MM-DD day"):
+        predict_sliding(ActModel(small_cfg(window=10), seed=0), ds, graphs,
+                        start_date=day)
 
 
 def test_predict_sliding_deterministic_csv(tmp_path):
