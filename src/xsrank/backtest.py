@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import PanelDataset, PredictionSeries, _read_dated, _write_dated, format_float
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_kinds
 from .evaluate import _ratio
 
 TRADING_DAYS = 252
@@ -29,6 +29,7 @@ class StrategyConfig:
     cost_bps: float = 0.0
 
     def __post_init__(self):
+        check_kinds(self)
         if self.k < 1:
             raise ConfigError("k must be >= 1")
         if not 1 <= self.n_drop <= self.k:

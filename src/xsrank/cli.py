@@ -49,7 +49,7 @@ from .data import (
     write_membership,
     write_panel,
 )
-from .errors import ConfigError, DataError, NonFiniteError, XsrankError
+from .errors import SETTING_KINDS, ConfigError, DataError, NonFiniteError, XsrankError
 from .evaluate import (
     subgroup_metrics,
     summarize,
@@ -66,14 +66,11 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-# schemas: key -> (type, default). A MISSING default marks a required key,
-# and a None default an optional one that may stay None.
-_FIELD_TYPES = {"int": int, "float": float, "str": str, "str | None": str}
-
-
+# schemas: key -> (parser, default). A MISSING default marks a required
+# key, and a None default an optional one that may stay None.
 def _field_schema(cls, skip: str | None = None) -> dict:
     """The schema of every field of dataclass `cls` but `skip`."""
-    return {f.name: (_FIELD_TYPES[f.type], f.default)
+    return {f.name: (SETTING_KINDS[f.type][0], f.default)
             for f in fields(cls) if f.name != skip}
 
 
@@ -132,10 +129,9 @@ def parse_config_file(path) -> dict[str, str]:
     return out
 
 
-def coerce(raw, typ: type, key: str):
-    if isinstance(raw, typ) and not (typ is int and isinstance(raw, bool)):
-        return raw
-    raw = str(raw)
+def coerce(raw: str, typ: type, key: str):
+    """The text `raw` of setting `key` parsed as `typ`; the setting's
+    dataclass checks the value."""
     if typ is str:
         return raw
     if typ is bool:
@@ -423,6 +419,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except (DataError, XsrankError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError:
+        print(f"error: out of memory running {args.command}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -24,7 +24,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_kinds
 from .graphs import RelationGraphs, build_relation_graphs
 
 FEATURE_PREFIX = "f"
@@ -95,6 +95,12 @@ def _is_day(s: str) -> bool:
         return _date.fromisoformat(s).isoformat() == s
     except ValueError:
         return False
+
+
+def _check_day(name: str, day: str | None) -> None:
+    """Refuse a day-valued setting `name` that is set and not a day."""
+    if day is not None and not _is_day(day):
+        raise ConfigError(f"{name} {day!r} is not a YYYY-MM-DD day")
 
 
 def _floats(cells: list[str]) -> tuple[np.ndarray, int]:
@@ -710,10 +716,8 @@ def make_windows(ds: PanelDataset, window: int) -> list[WindowSample]:
     training and validation skip it.
     """
     d = len(ds.dates)
-    if window < 1:
-        raise ConfigError(f"window must be >= 1, got {window}")
     if window > d:
-        raise ConfigError(f"window {window} exceeds series length {d}")
+        raise DataError(f"a window needs {window} dates, the panel has {d}")
     return [
         WindowSample(
             date=ds.dates[t],
@@ -729,6 +733,9 @@ def make_windows(ds: PanelDataset, window: int) -> list[WindowSample]:
 # synthetic market generator
 # ---------------------------------------------------------------------------
 
+# time constant, in days, of the AR(1) industry trends and region factors
+SIGNAL_TAU = 60.0
+
 
 @dataclass
 class SynthConfig:
@@ -743,7 +750,6 @@ class SynthConfig:
     n_instruments: int = 24
     n_features: int = 8
     days: int = 600
-    tau_signal: float = 60.0
     noise: float = 0.02
     seed: int = 0
     block_size: int = 5
@@ -751,24 +757,23 @@ class SynthConfig:
     start_date: str = "2015-01-01"
 
     def __post_init__(self):
+        check_kinds(self)
         if self.n_instruments < 4:
             raise ConfigError("need at least 4 instruments")
         if self.days < 3:
             raise ConfigError("need at least 3 days")
         if self.n_features < 3:
             raise ConfigError("need at least 3 features")
-        if self.tau_signal <= 0 or self.noise < 0:
-            raise ConfigError("tau_signal must be > 0 and noise >= 0")
+        if self.noise < 0:
+            raise ConfigError("noise must be >= 0")
         if self.block_size < 1 or self.n_regions < 1:
             raise ConfigError("block_size and n_regions must be >= 1")
+        _check_day("start_date", self.start_date)
 
 
 def trading_dates(start: str, count: int) -> list[str]:
-    """`count` consecutive weekdays starting at or after `start`."""
-    try:
-        cur = _date.fromisoformat(start)
-    except ValueError as exc:
-        raise ConfigError(f"bad start date {start!r}") from exc
+    """`count` consecutive weekdays starting at or after the day `start`."""
+    cur = _date.fromisoformat(start)
     out = []
     while len(out) < count:
         if cur.weekday() < 5:
@@ -814,8 +819,8 @@ def generate_synthetic(
     }
     graphs = build_relation_graphs(instruments, industry_labels, region_labels)
 
-    trend = _ar1_paths(rng, n_industries, d, cfg.tau_signal)      # g per industry
-    region_factor = _ar1_paths(rng, cfg.n_regions, d, cfg.tau_signal)
+    trend = _ar1_paths(rng, n_industries, d, SIGNAL_TAU)      # g per industry
+    region_factor = _ar1_paths(rng, cfg.n_regions, d, SIGNAL_TAU)
 
     n_sig = min(3, f - 2)
     features = rng.standard_normal((d, n, f))

@@ -44,9 +44,13 @@ def ols(y: np.ndarray, x: np.ndarray) -> OlsFit:
     coef, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
     if rank < p:
         raise DataError(f"design matrix is rank deficient ({rank} < {p})")
-    residuals = y - x @ coef
-    sst = float(((y - y.mean()) ** 2).sum())
-    ssr = float((residuals ** 2).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = y - x @ coef
+        sst = float(((y - y.mean()) ** 2).sum())
+        ssr = float((residuals ** 2).sum())
+    if not (np.isfinite(coef).all() and np.isfinite(sst) and np.isfinite(ssr)):
+        raise DataError("the regression overflows: its coefficients or sums of "
+                        "squares are not finite")
     r2 = 1.0 - ssr / sst if sst > 0.0 else 1.0
     return OlsFit(coefficients=coef, residuals=residuals, r2=r2)
 
@@ -71,17 +75,16 @@ def newey_west_se(
     negative diagonal entry yields NaN in that slot rather than a
     crash; callers should flag it.
     """
+    weights = bartlett_weights(lags)
     x = np.asarray(x, dtype=np.float64)
     u = np.asarray(residuals, dtype=np.float64)
     t, p = x.shape
-    if lags < 0:
-        raise ConfigError("lags must be >= 0")
     if t <= p + lags:
         raise DataError(f"need T > p + lags, got T={t} p={p} lags={lags}")
 
     scores = x * u[:, None]
     s = scores.T @ scores / t
-    for l, w in zip(range(1, lags + 1), bartlett_weights(lags)):
+    for l, w in zip(range(1, lags + 1), weights):
         gamma = scores[l:].T @ scores[:-l] / t
         s += w * (gamma + gamma.T)
 

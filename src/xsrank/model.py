@@ -32,7 +32,7 @@ import numpy as np
 
 from . import tensor as tz
 from .decompose import causal_moving_average
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_kinds
 from .graphs import (
     RelationGraphs,
     cosine_similarity_matrix,
@@ -69,6 +69,7 @@ class ActConfig:
     sci: str = "counterfactual"
 
     def __post_init__(self):
+        check_kinds(self)
         if self.n_features < 1 or self.window < 1:
             raise ConfigError("n_features and window must be >= 1")
         if self.hidden < 1:
@@ -84,8 +85,6 @@ class ActConfig:
             raise ConfigError("loss_mix must be in [0, 1]")
         if self.tcn_kernel < 1:
             raise ConfigError("tcn_kernel must be >= 1")
-        if not np.isfinite(self.leaky_slope):
-            raise ConfigError("leaky_slope must be finite")
         if self.pspe not in PSPE_MODES:
             raise ConfigError(f"pspe must be one of {PSPE_MODES}")
         if self.fci not in FCI_MODES:
@@ -185,16 +184,10 @@ class ActModel:
         return {name: t.data.copy() for name, t in self.params.items()}
 
     def load_state_arrays(self, state: dict[str, np.ndarray]) -> None:
-        spec = parameter_spec(self.cfg)
-        if set(state) != set(spec):
-            missing = set(spec) - set(state)
-            extra = set(state) - set(spec)
-            raise ConfigError(f"state mismatch: missing={sorted(missing)} extra={sorted(extra)}")
+        """Set each named parameter to a copy of its array; the names and
+        shapes are the caller's to check."""
         for name, arr in state.items():
-            arr = np.asarray(arr, dtype=np.float64)
-            if arr.shape != spec[name]:
-                raise ConfigError(f"param {name}: shape {arr.shape} != {spec[name]}")
-            self.params[name] = Tensor(arr.copy())
+            self.params[name] = Tensor(np.array(arr, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -432,25 +425,14 @@ def save_checkpoint(model: ActModel, path) -> None:
         fh.write("\n")
 
 
-# a checkpoint config value must be of its ActConfig field's kind
-_CONFIG_KINDS = {
-    "int": ("an integer", lambda v: type(v) is int),
-    "float": ("a number", lambda v: type(v) in (int, float)),
-    "str": ("a string", lambda v: type(v) is str),
-}
-
-
 def _checkpoint_config(path, raw: dict) -> ActConfig:
     """The ActConfig of a checkpoint's `config` object: every key an
-    ActConfig field, every value of its field's kind, every field without
-    a default present, and the values passing ActConfig's own checks."""
+    ActConfig field, every field without a default present, and the
+    values passing ActConfig's own checks, kinds first."""
     by_name = {f.name: f for f in fields(ActConfig)}
-    for key, value in raw.items():
+    for key in raw:
         if key not in by_name:
             raise DataError(f"{path}: checkpoint field 'config.{key}' is not a model setting")
-        kind, ok = _CONFIG_KINDS[by_name[key].type]
-        if not ok(value):
-            raise DataError(f"{path}: checkpoint field 'config.{key}' is {value!r}, not {kind}")
     for name, f in by_name.items():
         if f.default is MISSING and name not in raw:
             raise DataError(f"{path}: checkpoint field 'config.{name}' is missing")

@@ -13,9 +13,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import tensor as tz
-from .data import PanelDataset, PredictionSeries, WindowSample, _is_day, make_windows
+from .data import PanelDataset, PredictionSeries, WindowSample, _check_day, make_windows
 from .decompose import decompose
-from .errors import ConfigError, DataError, NonFiniteError, ShapeError
+from .errors import ConfigError, DataError, NonFiniteError, ShapeError, check_kinds
 from .evaluate import pearson
 from .graphs import RelationGraphs
 from .model import ActConfig, ActModel, act_forward_parts
@@ -23,6 +23,10 @@ from .tensor import Tape, Tensor, backward
 
 LABEL_CLIP = 0.1
 IC_EPS = 1e-8
+# Adam's first- and second-moment decays, and the floor added to the
+# second moment's root
+ADAM_DECAYS = (0.9, 0.999)
+ADAM_FLOOR = 1e-8
 
 
 def clip_labels(labels: np.ndarray) -> np.ndarray:
@@ -99,24 +103,18 @@ def mix_losses(ic_terms: Tensor | None, mse_terms: Tensor, loss_mix: float) -> T
 
 
 class Adam:
-    """Adaptive moment estimation over a named parameter dict."""
+    """Adam over a named parameter dict, with ADAM_DECAYS and ADAM_FLOOR."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        if lr <= 0:
-            raise ConfigError("learning rate must be positive")
+    def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_DECAYS
         for name, p in self.params.items():
             g = grads.get(name)
             if g is None:
@@ -135,7 +133,7 @@ class Adam:
             step *= self.lr
             denom = np.divide(v, 1 - b2 ** self.t, out=g2)
             np.sqrt(denom, out=denom)
-            denom += self.eps
+            denom += ADAM_FLOOR
             step /= denom
             p.data -= step
             if not np.isfinite(p.data).all():
@@ -149,32 +147,23 @@ class TrainSettings:
     valid_start: str
     test_start: str | None = None
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     batch_size: int = 4
     epochs: int = 50
     patience: int = 5
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.lr < np.inf:
-            raise ConfigError("lr must be positive and finite")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ConfigError(f"{name} must be in [0, 1)")
-        if not 0.0 < self.adam_eps < np.inf:
-            raise ConfigError("adam_eps must be positive and finite")
+        check_kinds(self)
+        if not self.lr > 0.0:
+            raise ConfigError("lr must be positive")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.patience < 1:
             raise ConfigError("patience must be >= 1")
-        for name in ("valid_start", "test_start"):
-            day = getattr(self, name)
-            if day is not None and not _is_day(day):
-                raise ConfigError(f"{name} {day!r} is not a YYYY-MM-DD day")
+        _check_day("valid_start", self.valid_start)
+        _check_day("test_start", self.test_start)
         if self.test_start is not None and self.test_start <= self.valid_start:
             raise ConfigError("test_start must come after valid_start")
 
@@ -304,10 +293,7 @@ def train(
             f"test_start {stop} has two observed stocks whose labels differ")
 
     model = ActModel(cfg, seed=settings.seed)
-    optimizer = Adam(
-        model.params, lr=settings.lr, beta1=settings.beta1,
-        beta2=settings.beta2, eps=settings.adam_eps,
-    )
+    optimizer = Adam(model.params, lr=settings.lr)
     history = TrainHistory(
         n_train_windows=len(train_samples), n_valid_windows=len(valid_samples)
     )
@@ -396,12 +382,8 @@ def predict_sliding(
     every window. Each window is decomposed and scored alone. A
     `start_date` that is not a YYYY-MM-DD day is a ConfigError.
     """
-    if start_date is not None and not _is_day(start_date):
-        raise ConfigError(f"start_date {start_date!r} is not a YYYY-MM-DD day")
-    cfg = model.cfg
-    if len(ds.dates) < cfg.window:
-        raise DataError(f"a window needs {cfg.window} dates, the panel has {len(ds.dates)}")
-    samples = [s for s in _checked_samples(ds, graphs, cfg)
+    _check_day("start_date", start_date)
+    samples = [s for s in _checked_samples(ds, graphs, model.cfg)
                if start_date is None or s.date >= start_date]
     rows = []
     for sample, scores in _score_samples(samples, graphs, model, 1):

@@ -492,22 +492,69 @@ def test_exit_codes(workdir, tmp_path):
                        "--lr", "1e150"]) == cli.EXIT_NUMERIC
 
 
-@pytest.mark.parametrize("flag, value", [
-    ("lr", "nan"), ("lr", "inf"), ("beta1", "2"), ("beta2", "-1"), ("adam-eps", "-1"),
-    ("valid-start", "2015-02-30"), ("valid-start", "abc"),
-    ("leaky-slope", "nan"), ("leaky-slope", "inf"),
-])
-def test_train_refuses_a_setting_it_cannot_use(workdir, tmp_path, capsys, flag, value):
-    # each was accepted before: a bad number failed or ran on mid-training,
-    # and a date that is not a day was compared as a string
-    given_flags = {"valid-start": "2015-03-01", flag: value}
-    out = tmp_path / "model"
-    assert cli.main(["train", "--out", str(out)] + panel_args(workdir) + graph_args(workdir)
-                    + ["--window", "8", "--hidden", "8", "--knn", "3", "--epochs", "1"]
-                    + [arg for key, v in given_flags.items() for arg in (f"--{key}", v)]
+SETTINGS_OF = {"synth": [SynthConfig], "train": [ActConfig, TrainSettings],
+               "backtest": [StrategyConfig]}
+# every number setting of each command's dataclasses, non-finite, and
+# the day settings that are not calendar days
+REFUSED_SETTINGS = [
+    (command, f.name.replace("_", "-"), value)
+    for command, classes in SETTINGS_OF.items() for c in classes for f in fields(c)
+    if f.type == "float" for value in ("nan", "inf", "-inf")
+] + [("train", "valid-start", "2015-02-30"), ("train", "valid-start", "abc"),
+     ("synth", "start-date", "20150105")]
+
+
+@pytest.mark.parametrize("command, flag, value", REFUSED_SETTINGS,
+                         ids=[f"{flag}-{value}" for _, flag, value in REFUSED_SETTINGS])
+def test_train_refuses_a_setting_it_cannot_use(workdir, tmp_path, capsys, command, flag,
+                                               value):
+    # each was accepted before: a bad number failed or ran on mid-training
+    # (train), wrote a partial panel (synth --noise nan) or failed drawing
+    # the chart (backtest), and a date that is not a day was compared as
+    # a string (train) or read in another form (synth)
+    out = tmp_path / "out"
+    argv = {
+        "synth": SYNTH_ARGS,
+        "train": panel_args(workdir) + graph_args(workdir)
+        + ["--window", "8", "--hidden", "8", "--knn", "3", "--epochs", "1",
+           "--valid-start", "2015-03-01"],
+        "backtest": ["--predictions", str(workdir / "preds" / "predictions.csv")]
+        + panel_args(workdir) + ["--k", "3", "--n-drop", "1"],
+    }[command]
+    # --flag=value, since argparse reads a bare -inf as an option
+    assert cli.main([command, "--out", str(out), *argv, f"--{flag}={value}"]
                     ) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag.replace('-', '_')} ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+SETTINGS_REQUIRED = {SynthConfig: {}, ActConfig: {"n_features": 4, "window": 8},
+                     TrainSettings: {"valid_start": "2015-03-02"},
+                     StrategyConfig: {"k": 3, "n_drop": 1}}
+
+
+@pytest.mark.parametrize("cls", list(SETTINGS_REQUIRED), ids=lambda c: c.__name__)
+def test_settings_refuse_a_value_of_another_kind(cls):
+    # before: ActConfig(hidden=True) and ActConfig(hidden=8.0) were accepted
+    for f in fields(cls):
+        bad, kind = {"int": (True, "an integer"), "float": ("1", "a finite number")
+                     }.get(f.type, (None, None))
+        if bad is None:
+            continue
+        with pytest.raises(ConfigError, match=f"^{f.name} is {bad!r}, not {kind}$"):
+            cls(**{**SETTINGS_REQUIRED[cls], f.name: bad})
+
+
+def test_out_of_memory_is_one_error_line(monkeypatch, tmp_path, capsys):
+    # before: train --hidden 100000000 ended in a MemoryError traceback
+    def exhausted(args, resolved, seed):
+        raise MemoryError
+
+    monkeypatch.setitem(cli.COMMANDS, "synth", (exhausted, *cli.COMMANDS["synth"][1:]))
+    out = tmp_path / "out"
+    assert cli.main(["synth", "--out", str(out)]) == cli.EXIT_DATA
+    assert capsys.readouterr().err == "error: out of memory running synth\n"
     assert not out.exists()
 
 
@@ -914,14 +961,14 @@ def _param(edit_entry):
     (_string_in_param, "checkpoint field 'params.out_w': could not convert"),
     (_seed_abc, "checkpoint field 'seed' is 'abc', not an integer"),
     (lambda payload: [payload], "not a valid checkpoint: expected a JSON object"),
-    (_config("hidden", 8.0), "checkpoint field 'config.hidden' is 8.0, not an integer"),
-    (_config("knn", 3.0), "checkpoint field 'config.knn' is 3.0, not an integer"),
-    (_config("window", 8.5), "checkpoint field 'config.window' is 8.5, not an integer"),
-    (_config("hidden", True), "checkpoint field 'config.hidden' is True, not an integer"),
-    (_config("hidden", "8"), "checkpoint field 'config.hidden' is '8', not an integer"),
+    (_config("hidden", 8.0), "checkpoint field 'config': hidden is 8.0, not an integer"),
+    (_config("knn", 3.0), "checkpoint field 'config': knn is 3.0, not an integer"),
+    (_config("window", 8.5), "checkpoint field 'config': window is 8.5, not an integer"),
+    (_config("hidden", True), "checkpoint field 'config': hidden is True, not an integer"),
+    (_config("hidden", "8"), "checkpoint field 'config': hidden is '8', not an integer"),
     (_config("dropout_rate", "0.1"),
-     "checkpoint field 'config.dropout_rate' is '0.1', not a number"),
-    (_config("pspe", 1), "checkpoint field 'config.pspe' is 1, not a string"),
+     "checkpoint field 'config': dropout_rate is '0.1', not a finite number"),
+    (_config("pspe", 1), "checkpoint field 'config': pspe is 1, not a string"),
     (_config("hidden", 0), "checkpoint field 'config': hidden size must be >= 1"),
     (_config("depth", 2), "checkpoint field 'config.depth' is not a model setting"),
     (_without_param, "checkpoint field 'params.out_w' is missing"),
@@ -1049,6 +1096,8 @@ def test_backtest_refused_after_running_leaves_no_artifact(fuzz_inputs, tmp_path
                 ("predictions.csv", "universe", 0, 0, "")])
 # a 1e308 price: finite returns whose chart scale overflows
 @example(edits=[("prices.csv", "cell", 28, 2, "1e308")])
+# a 1e308 portfolio return: a regression whose sums of squares overflow
+@example(edits=[("backtest.csv", "cell", 0, 1, "1e308")])
 def test_mutated_inputs_exit_cleanly_with_one_error_line(fuzz_inputs, edits):
     texts = dict(fuzz_inputs)
     for name, kind, a, b, cell in edits:

@@ -269,7 +269,7 @@ def test_make_windows_counts_and_alignment():
     ds40, _, _ = generate_synthetic(SynthConfig(n_instruments=4, days=40, seed=2))
     (only,) = make_windows(ds40, 40)
     assert only.date == ds40.dates[-1] and not only.mask.any()
-    with pytest.raises(ConfigError):
+    with pytest.raises(DataError, match="a window needs 41 dates, the panel has 40"):
         make_windows(ds40, 41)
 
 

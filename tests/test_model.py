@@ -538,19 +538,6 @@ def test_save_checkpoint_refuses_a_non_finite_parameter(tmp_path):
     assert not path.exists()
 
 
-def test_load_state_arrays_validates_shapes():
-    cfg = small_cfg()
-    model = ActModel(cfg, seed=16)
-    state = model.state_arrays()
-    state["out_w"] = np.zeros((3, 3))
-    with pytest.raises(ConfigError):
-        model.load_state_arrays(state)
-    state2 = model.state_arrays()
-    del state2["att_w1"]
-    with pytest.raises(ConfigError):
-        model.load_state_arrays(state2)
-
-
 def test_fci_depends_only_on_last_kernel_steps():
     rng = np.random.default_rng(13)
     cfg = small_cfg()
@@ -634,3 +621,38 @@ def test_batched_training_forward_is_deterministic_per_seed(pspe, fci, sci):
     evaluated = act_forward_parts(batch, graphs, model)[0].data
     dropped = fci == "tcn" or sci == "counterfactual"
     assert np.array_equal(runs[0], evaluated) is not dropped
+
+
+@pytest.mark.parametrize("fci,sci", list(itertools.product(FCI_MODES, SCI_MODES)))
+@settings(max_examples=10, deadline=None)
+@given(b=st.integers(2, 4), n=st.integers(4, 8), stock=st.integers(0, 7),
+       seed=st.integers(0, 2**16))
+def test_only_the_trend_branch_mixes_stocks(fci, sci, b, n, stock, seed):
+    # the fluctuation and shock branches keep each stock's local patterns:
+    # perturbing one stock's window leaves every other stock's embeddings
+    # bitwise equal, for one window and for a batch, while the trend
+    # branch, which relates stocks, moves
+    rng = np.random.default_rng(seed)
+    cfg = small_cfg(fci=fci, sci=sci)
+    model = ActModel(cfg, seed=seed)
+    instruments = [f"S{i:03d}" for i in range(n)]
+    # every stock shares a region with another
+    graphs = build_relation_graphs(instruments,
+                                   {s: f"I{i // 2}" for i, s in enumerate(instruments)},
+                                   {s: f"R{i % 2}" for i, s in enumerate(instruments)})
+    stock %= n
+    windows = _windows(cfg, n, b, rng)
+    bumped = [w.copy() for w in windows]
+    bumped[-1][:, stock, :] += rng.normal(size=(cfg.window, cfg.n_features))
+    others = np.arange(n) != stock
+    decomposed = (lambda w: decompose(w, cfg.trend_window, cfg.fluct_window),
+                  lambda ws: _stacked(cfg, ws))
+    for parts, moved in ((decomposed[0](windows[-1]), decomposed[0](bumped[-1])),
+                         (decomposed[1](windows), decomposed[1](bumped))):
+        for forward, component in ((fci_forward, "fluct"), (sci_forward, "shock")):
+            z = forward(getattr(parts, component), model, cfg).data
+            z_moved = forward(getattr(moved, component), model, cfg).data
+            assert np.array_equal(z[..., others, :], z_moved[..., others, :]), component
+        trend = pspe_forward(parts.trend, graphs, model, cfg)[0].data
+        trend_moved = pspe_forward(moved.trend, graphs, model, cfg)[0].data
+        assert not np.array_equal(trend[..., others, :], trend_moved[..., others, :])
