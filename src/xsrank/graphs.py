@@ -161,15 +161,20 @@ def gcn_layer(x: Tensor, mean: tuple[Tensor, Tensor], weight: Tensor, bias: Tens
 def cosine_similarity_matrix(u: np.ndarray) -> np.ndarray:
     """Pairwise cosine similarity with the diagonal set to -inf.
 
-    u is [..., N, d] and the result [..., N, N]. The product of norms is
-    floored by 1e-12 so zero rows yield similarity 0 instead of NaN.
+    u is [..., N, d] and the result [..., N, N], one GEMM of unit rows.
+    Each row is first divided by its largest magnitude, so no row's norm
+    underflows however small its scale, then by its norm; a zero row is
+    divided by 1 both times and so has similarity 0 with every row.
     """
     u = np.asarray(u, dtype=np.float64)
     if u.ndim < 2:
         raise DataError(f"expected [..., N, d] representations, got {u.shape}")
-    norms = np.sqrt((u * u).sum(axis=-1))
-    denom = norms[..., :, None] * norms[..., None, :] + 1e-12
-    sim = (u @ np.swapaxes(u, -1, -2)) / denom
+    scale = np.abs(u).max(axis=-1, keepdims=True, initial=0.0)
+    scale[scale == 0] = 1.0
+    u = u / scale
+    # a nonzero row now has an entry of magnitude 1, so its norm is >= 1
+    unit = u / np.maximum(np.sqrt((u * u).sum(axis=-1, keepdims=True)), 1.0)
+    sim = unit @ np.swapaxes(unit, -1, -2)
     _fill_diagonal(sim, -np.inf)
     return sim
 
@@ -207,7 +212,7 @@ def topk_graph(similarity: np.ndarray, k: int) -> np.ndarray:
         _fill_diagonal(tied, False)
         slots = k - above.sum(axis=-1, keepdims=True)
         picked = above | (tied & (np.cumsum(tied, axis=-1) <= slots))
-    return np.nonzero(picked)[-1].reshape(sim.shape[:-1] + (k,))
+    return (np.flatnonzero(picked) % n).reshape(sim.shape[:-1] + (k,))
 
 
 def _batch_key(lead: tuple[int, ...], neighbors: np.ndarray) -> tuple:

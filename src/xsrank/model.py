@@ -402,27 +402,24 @@ def save_checkpoint(model: ActModel, path) -> None:
     """Versioned JSON checkpoint: config header plus name -> tensor map.
 
     Floats are serialized with shortest round-trip repr, so saving the
-    same state twice yields byte-identical files. A non-finite parameter
-    is refused with a DataError, as `load_checkpoint` would refuse it.
+    same state twice yields byte-identical files. The bytes are those of
+    one `json.dumps(payload, sort_keys=True, separators=(",", ":"))` plus
+    a newline, written one parameter at a time through the C encoder
+    (`json.dump` to a file handle takes the pure-Python one). A
+    non-finite parameter is refused with a DataError, as
+    `load_checkpoint` would refuse it, before any byte is written.
     """
     bad = next((name for name, t in model.params.items() if not np.isfinite(t.data).all()), None)
     if bad is not None:
         raise DataError(f"{path}: refusing to write non-finite parameter {bad}")
-    payload = {
-        "format_version": CHECKPOINT_VERSION,
-        "config": model.cfg.to_dict(),
-        "seed": model.seed,
-        "params": {
-            name: {
-                "shape": list(t.shape),
-                "data": [float(v) for v in t.data.reshape(-1)],
-            }
-            for name, t in model.params.items()
-        },
-    }
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    head = encode({"config": model.cfg.to_dict(), "format_version": CHECKPOINT_VERSION})
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(head[:-1] + ',"params":{')
+        for i, (name, t) in enumerate(sorted(model.params.items())):
+            entry = {"data": t.data.reshape(-1).tolist(), "shape": list(t.shape)}
+            fh.write(("," if i else "") + encode(name) + ":" + encode(entry))
+        fh.write("}," + encode({"seed": model.seed})[1:] + "\n")
 
 
 def _checkpoint_config(path, raw: dict) -> ActConfig:
@@ -446,8 +443,8 @@ def load_checkpoint(path) -> ActModel:
     """The model saved at `path`. A payload that is not a JSON object
     with a `config` object of well-typed ActConfig fields, an integer
     `seed` and a `params` object holding exactly the model's parameters,
-    each with finite `data` numbers that fill its `shape`, is refused
-    with a DataError naming the file and the field."""
+    each with a flat list of finite `data` numbers that fill its `shape`,
+    is refused with a DataError naming the file and the field."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -482,8 +479,10 @@ def load_checkpoint(path) -> ActModel:
             raise DataError(f"{where} needs a shape and data")
         try:
             arr = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"{where}: {exc}") from exc
+        if type(entry["data"]) is not list or not set(map(type, entry["data"])) <= {int, float}:
+            raise DataError(f"{where}: data is not a flat list of numbers")
         if arr.shape != shape:
             raise DataError(f"{where}: shape {list(arr.shape)} is not {list(shape)}")
         if not np.isfinite(arr).all():

@@ -976,13 +976,24 @@ def _param(edit_entry):
      "checkpoint field 'params.out_w': shape [1, 8] is not [8, 1]"),
     (_param(lambda e: e["data"].__setitem__(0, float("nan"))),
      "checkpoint field 'params.out_w' holds a non-finite number"),
+    (_param(lambda e: e["data"].__setitem__(0, True)),
+     "checkpoint field 'params.out_w': data is not a flat list of numbers"),
+    (_param(lambda e: e["data"].__setitem__(0, "0.5")),
+     "checkpoint field 'params.out_w': data is not a flat list of numbers"),
+    (_param(lambda e: e.update(data=[[v] for v in e["data"]])),
+     "checkpoint field 'params.out_w': data is not a flat list of numbers"),
+    (_param(lambda e: e["data"].__setitem__(0, 10**400)),
+     "checkpoint field 'params.out_w': int too large to convert to float"),
 ], ids=["short_param", "no_params", "no_config", "string_in_param", "seed_abc", "list",
         "hidden_float", "knn_float", "window_fraction", "hidden_bool", "hidden_string",
         "rate_string", "pspe_int", "hidden_zero", "unknown_setting", "no_out_w",
-        "wrong_shape", "nan_param"])
+        "wrong_shape", "nan_param", "bool_param", "numeric_string_param", "nested_param",
+        "huge_int_param"])
 def test_predict_refuses_a_malformed_checkpoint(workdir, tmp_path, capsys, edit, fault):
     # before: each raised a traceback out of predict, exited 2 without
-    # naming the file, or (nan_param) exited 4 while scoring
+    # naming the file, or (nan_param) exited 4 while scoring; bool_param,
+    # numeric_string_param and nested_param exited 0, scoring with the
+    # value numpy made of them, and huge_int_param raised an OverflowError
     payload = json.loads((workdir / "model" / "checkpoint.json").read_text())
     bad = tmp_path / "checkpoint.json"
     bad.write_text(json.dumps(edit(payload)))

@@ -27,3 +27,18 @@ def test_library_imports_only_stdlib_and_numpy():
     assert "numpy" in found
     stray = {top: where for top, where in found.items() if top not in ALLOWED}
     assert not stray, f"imports outside the stdlib and numpy: {stray}"
+
+
+def test_library_never_encodes_through_json_dump():
+    # json.dump to a file handle takes the pure-Python encoder, float by
+    # float; json.dumps and JSONEncoder.encode take the C one
+    found = []
+    for path in sorted(Path(xsrank.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                found += [f"{path.name}:{node.lineno}" for alias in node.names if alias.name == "dump"]
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "dump" and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "json"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"json.dump calls: {found}"

@@ -215,6 +215,22 @@ def test_cosine_similarity_parallel_orthogonal_zero():
     np.testing.assert_allclose(s[off], s.T[off], atol=1e-12)
 
 
+def test_cosine_similarity_of_rows_at_extreme_scales():
+    # before: the 1e-12 floor on the product of norms pulled the 1e-8 row's
+    # similarity with the unit row, and every similarity of the 1e-200 row,
+    # toward 0
+    base = np.random.default_rng(4).normal(size=(5, 3))
+    scales = np.array([0.0, 1e-200, 1e-8, 1.0, 1e8])
+    s = cosine_similarity_matrix(base * scales[:, None])
+    off = ~np.eye(5, dtype=bool)
+    assert np.isfinite(s[off]).all()
+    assert (np.abs(s[off]) <= 1 + 1e-12).all()
+    assert (s[0, 1:] == 0).all() and (s[1:, 0] == 0).all()
+    # cosine does not depend on a row's scale, so the unscaled rows are the reference
+    want = oracle.cosine_np(base[1:])
+    np.testing.assert_allclose(s[1:, 1:][off[1:, 1:]], want[off[1:, 1:]], rtol=0, atol=1e-12)
+
+
 def test_topk_graph_counts_and_tie_rule():
     s = np.zeros((4, 4))
     np.fill_diagonal(s, -np.inf)

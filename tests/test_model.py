@@ -1,4 +1,5 @@
 import itertools
+import json
 import tempfile
 from pathlib import Path
 
@@ -499,6 +500,23 @@ def test_checkpoint_round_trip(pspe, fci, sci, hidden, tcn_kernel, seed):
         resaved = Path(tmp) / "model3.json"
         save_checkpoint(loaded, resaved)
         assert resaved.read_bytes() == path.read_bytes()
+
+        # the file is one json.dumps of the payload, exponent and signed-zero
+        # reprs included, and those values load back bit for bit
+        widest = max(model.params, key=lambda name: model[name].data.size)
+        specials = [-0.0, 1e-05, 1e16, 5e-324]
+        count = min(len(specials), model[widest].data.size)
+        model[widest].data.flat[:count] = specials[:count]
+        save_checkpoint(model, path)
+        reference = json.dumps({
+            "config": cfg.to_dict(),
+            "format_version": 1,
+            "params": {name: {"data": t.data.ravel().tolist(), "shape": list(t.shape)}
+                       for name, t in model.params.items()},
+            "seed": seed,
+        }, sort_keys=True, separators=(",", ":")) + "\n"
+        assert path.read_bytes() == reference.encode("utf-8")
+        assert load_checkpoint(path)[widest].data.tobytes() == model[widest].data.tobytes()
 
 
 def test_checkpoint_rejects_bad_files(tmp_path):
