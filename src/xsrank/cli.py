@@ -1,15 +1,15 @@
 """Command line front end: six batch subcommands over file artifacts.
 
-`COMMANDS` declares each subcommand once: its function, option schema,
-input flags, optional input flags and help. Every command reads CSVs
-and flags, writes CSVs (plus an SVG for the backtest) into --out, and
-`main` drops a manifest.json recording the resolved configuration,
-input digests, and artifact list; commands that read a panel also list
-the instruments it dropped. The manifest lists every input file named
-on the command line, config file included, hashed before the command
-runs, so a missing named input is refused before any work. With a
-fixed seed the CSV/SVG artifacts are byte-identical across runs; only
-the manifest's wall_time_seconds field varies.
+`COMMANDS` declares each subcommand once: its function, the settings
+classes whose fields are its options, input flags, optional input flags
+and help. Every command reads CSVs and flags, writes CSVs (plus an SVG
+for the backtest) into --out, and `main` drops a manifest.json recording
+the resolved configuration, input digests, and artifact list; commands
+that read a panel also list the instruments it dropped. The manifest
+lists every input file named on the command line, config file included,
+hashed before the command runs, so a missing named input is refused
+before any work. With a fixed seed the CSV/SVG artifacts are
+byte-identical across runs; only the manifest's wall_time_seconds varies.
 
 Config precedence is flags > config file > built-in defaults. Config
 files are flat `key=value` text, one pair per line, `#` comments. Every
@@ -51,55 +51,21 @@ from .data import (
 )
 from .errors import SETTING_KINDS, ConfigError, DataError, NonFiniteError, XsrankError
 from .evaluate import (
+    EvaluateSettings,
     subgroup_metrics,
     summarize,
     write_daily_metrics,
     write_metric_report,
 )
-from .factor_reg import ff_regression, write_regression_csv
+from .factor_reg import RegressSettings, ff_regression, write_regression_csv
 from .graphs import build_relation_graphs
 from .model import ActConfig, load_checkpoint, save_checkpoint
-from .training import TrainSettings, predict_sliding, train
+from .training import PredictSettings, TrainSettings, predict_sliding, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
-
-# schemas: key -> (parser, default). A MISSING default marks a required
-# key, and a None default an optional one that may stay None.
-def _field_schema(cls, skip: str | None = None) -> dict:
-    """The schema of every field of dataclass `cls` but `skip`."""
-    return {f.name: (SETTING_KINDS[f.type][0], f.default)
-            for f in fields(cls) if f.name != skip}
-
-
-# seed comes from --seed, and n_features from the panel
-SYNTH_SCHEMA = _field_schema(SynthConfig, "seed")
-_ACT_SCHEMA = _field_schema(ActConfig, "n_features")
-_SETTINGS_SCHEMA = _field_schema(TrainSettings, "seed")
-# ActConfig.window has no default
-TRAIN_SCHEMA = {**_ACT_SCHEMA, **_SETTINGS_SCHEMA, "window": (int, 16)}
-
-PREDICT_SCHEMA = {
-    "start_date": (str, None),
-}
-
-EVALUATE_SCHEMA = {
-    "group_by": (str, None),
-}
-
-BACKTEST_SCHEMA = _field_schema(StrategyConfig)
-
-REGRESS_SCHEMA = {
-    "model": (str, "both"),
-    "lags": (int, 5),
-    "dof_correction": (bool, False),
-}
-
-ACT_KEYS = list(_ACT_SCHEMA)
-SETTINGS_KEYS = list(_SETTINGS_SCHEMA)
-
 
 # ---------------------------------------------------------------------------
 # config plumbing
@@ -129,39 +95,23 @@ def parse_config_file(path) -> dict[str, str]:
     return out
 
 
-def coerce(raw: str, typ: type, key: str):
-    """The text `raw` of setting `key` parsed as `typ`; the setting's
-    dataclass checks the value."""
-    if typ is str:
-        return raw
-    if typ is bool:
-        low = raw.lower()
-        if low in ("true", "1", "yes"):
-            return True
-        if low in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"{key}: expected true/false, got {raw!r}")
-    try:
-        return typ(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: bad {typ.__name__} value {raw!r}") from exc
-
-
 def resolve_config(schema, args, file_values) -> dict:
-    """flags > config file > defaults; unknown file keys are an error, and
-    so is a key with a MISSING default that neither sets."""
+    """Each key of `schema` (key -> (kind, default)) from flags > config
+    file > defaults, its text read as its kind and refused, as check_kinds
+    refuses a value, when it does not parse. Unknown file keys are an
+    error, and so is a key with a MISSING default that neither sets."""
     unknown = sorted(set(file_values) - set(schema))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     out = {}
-    for key, (typ, default) in schema.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            out[key] = coerce(flag, typ, key)
-        elif key in file_values:
-            out[key] = coerce(file_values[key], typ, key)
-        else:
-            out[key] = default
+    for key, (kind, default) in schema.items():
+        raw = getattr(args, key, None)
+        raw = file_values.get(key) if raw is None else raw
+        parse, what, _ = SETTING_KINDS[kind]
+        try:
+            out[key] = default if raw is None else parse(raw)
+        except (KeyError, ValueError):
+            raise ConfigError(f"{key} is {raw!r}, not {what}") from None
     missing = [key for key, value in out.items() if value is MISSING]
     if missing:
         raise ConfigError(
@@ -239,12 +189,11 @@ def cmd_synth(args, resolved, seed):
 
 
 def cmd_train(args, resolved, seed):
+    act = {f.name for f in fields(ActConfig)}
+    settings = TrainSettings(seed=seed, **{k: v for k, v in resolved.items() if k not in act})
     ds = standardize_features(load_panel(args.features, args.prices))
     graphs = load_graphs(ds, args.industry, args.region)
-    cfg = ActConfig(n_features=ds.n_features,
-                    **{k: resolved[k] for k in ACT_KEYS})
-    settings = TrainSettings(seed=seed,
-                             **{k: resolved[k] for k in SETTINGS_KEYS})
+    cfg = ActConfig(n_features=ds.n_features, **{k: v for k, v in resolved.items() if k in act})
     model, history = train(ds, graphs, cfg, settings)
 
     out = ensure_out(args)
@@ -267,19 +216,18 @@ def cmd_train(args, resolved, seed):
 
 
 def cmd_predict(args, resolved, seed):
+    settings = PredictSettings(**resolved)
     model = load_checkpoint(args.checkpoint)
     ds = standardize_features(load_panel(args.features, args.prices))
     graphs = load_graphs(ds, args.industry, args.region)
-    preds = predict_sliding(model, ds, graphs, start_date=resolved["start_date"])
+    preds = predict_sliding(model, ds, graphs, start_date=settings.start_date)
     out = ensure_out(args)
     preds.write_csv(out / "predictions.csv")
     return ["predictions.csv"], ds
 
 
 def cmd_evaluate(args, resolved, seed):
-    group_by = resolved["group_by"]
-    if group_by not in (None, "industry", "region"):
-        raise ConfigError("group_by must be industry or region")
+    group_by = EvaluateSettings(**resolved).group_by
     path = getattr(args, group_by) if group_by else None
     if group_by and path is None:
         raise ConfigError(f"--group-by {group_by} needs --{group_by}")
@@ -329,16 +277,13 @@ def cmd_backtest(args, resolved, seed):
 
 
 def cmd_regress(args, resolved, seed):
-    if resolved["model"] not in ("ff3", "ff5", "both"):
-        raise ConfigError("model must be ff3, ff5, or both")
+    settings = RegressSettings(**resolved)
     dates, portfolio, _ = read_backtest_csv(args.backtest)
     factors = load_factors(args.factors)
-    models = (["ff3", "ff5"] if resolved["model"] == "both"
-              else [resolved["model"]])
+    models = ["ff3", "ff5"] if settings.model == "both" else [settings.model]
     results = [
-        ff_regression(dates, portfolio, factors, model=m,
-                      lags=resolved["lags"],
-                      dof_correction=resolved["dof_correction"])
+        ff_regression(dates, portfolio, factors, model=m, lags=settings.lags,
+                      dof_correction=settings.dof_correction)
         for m in models
     ]
     out = ensure_out(args)
@@ -353,21 +298,33 @@ def cmd_regress(args, resolved, seed):
 _PANEL = ("features", "prices")
 _GRAPHS = ("industry", "region")
 
-# name -> (function, option schema, input flags, optional input flags, help)
+# name -> (function, settings classes, input flags, optional input flags, help)
 COMMANDS = {
-    "synth": (cmd_synth, SYNTH_SCHEMA, (), (),
+    "synth": (cmd_synth, (SynthConfig,), (), (),
               "write a seeded synthetic market"),
-    "train": (cmd_train, TRAIN_SCHEMA, _PANEL + _GRAPHS, (),
+    "train": (cmd_train, (ActConfig, TrainSettings), _PANEL + _GRAPHS, (),
               "fit a ranking model on a panel"),
-    "predict": (cmd_predict, PREDICT_SCHEMA, ("checkpoint",) + _PANEL + _GRAPHS, (),
+    "predict": (cmd_predict, (PredictSettings,), ("checkpoint",) + _PANEL + _GRAPHS, (),
                 "score every date with a checkpoint"),
-    "evaluate": (cmd_evaluate, EVALUATE_SCHEMA, ("predictions",) + _PANEL, _GRAPHS,
+    "evaluate": (cmd_evaluate, (EvaluateSettings,), ("predictions",) + _PANEL, _GRAPHS,
                  "rank metrics for a prediction file"),
-    "backtest": (cmd_backtest, BACKTEST_SCHEMA, ("predictions",) + _PANEL, (),
+    "backtest": (cmd_backtest, (StrategyConfig,), ("predictions",) + _PANEL, (),
                  "run the top-k dropout strategy"),
-    "regress": (cmd_regress, REGRESS_SCHEMA, ("backtest", "factors"), (),
+    "regress": (cmd_regress, (RegressSettings,), ("backtest", "factors"), (),
                 "factor regression of daily backtest returns"),
 }
+# the field a command fills: the seed from --seed, the feature count from the panel
+FILLED = {SynthConfig: "seed", TrainSettings: "seed", ActConfig: "n_features"}
+# a checkpoint must name its window, so ActConfig.window has no default
+CLI_DEFAULTS = {"window": 16}
+
+
+def command_options(name: str) -> dict:
+    """Each option of command `name` -> (kind, default): the fields of its
+    settings classes but those it fills. A MISSING default marks a
+    required option, and a None default one that may stay None."""
+    return {f.name: (f.type, CLI_DEFAULTS.get(f.name, f.default))
+            for cls in COMMANDS[name][1] for f in fields(cls) if f.name != FILLED.get(cls)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -376,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="cross-sectional ranking experiments over CSV panels",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, schema, inputs, optional, help_text) in COMMANDS.items():
+    for name, (_, _, inputs, optional, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--config", default=None,
@@ -386,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(f"--{inp}", required=True)
         for inp in optional:
             p.add_argument(f"--{inp}", default=None)
-        for key in schema:
+        for key in command_options(name):
             p.add_argument(f"--{key.replace('_', '-')}", dest=key,
                            default=None, metavar="V")
     return parser
@@ -396,12 +353,12 @@ def main(argv=None) -> int:
     """Resolve the config, hash every named input, run the command, and
     write its manifest."""
     args = build_parser().parse_args(argv)
-    func, schema, inputs, optional, _ = COMMANDS[args.command]
+    func, _, inputs, optional, _ = COMMANDS[args.command]
     try:
         file_values = (parse_config_file(args.config)
                        if args.config else {})
-        resolved = resolve_config(schema, args, file_values)
-        seed = coerce(args.seed, int, "seed") if args.seed is not None else 0
+        resolved = resolve_config(command_options(args.command), args, file_values)
+        seed = resolve_config({"seed": ("int", 0)}, args, {})["seed"]
         started = time.monotonic()
         named = {name: getattr(args, name)
                  for name in (*inputs, *optional, "config")}

@@ -438,43 +438,52 @@ def vwap_matrix(
     i: np.ndarray,
     price: np.ndarray,
     volume: np.ndarray,
-    shape: tuple[int, int],
+    dates: list[str],
+    instruments: list[str],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell VWAP and total volume of bars k at cell (t[k], i[k]).
+    """Per-cell VWAP and total volume of bars k at cell (dates[t[k]], instruments[i[k]]).
 
     A cell is sum(price * volume) / sum(volume) over its bars, each sum
     taken one bar at a time in the order given; a one-bar cell is its
-    price exactly. Cells without bars are NaN. The first cell in (date,
-    instrument) order with a negative or all-zero volume raises DataError.
+    price exactly, with no product formed. Cells without bars are NaN.
+    The first cell in (date, instrument) order with a negative or
+    all-zero volume, or with sums that overflow, raises DataError.
     """
+    shape = (len(dates), len(instruments))
     price = np.asarray(price, dtype=np.float64)
     volume = np.asarray(volume, dtype=np.float64)
     cell = np.ravel_multi_index((np.asarray(t, dtype=np.intp),
                                  np.asarray(i, dtype=np.intp)), shape)
     size = shape[0] * shape[1]
     count = np.bincount(cell, minlength=size)
+    shared = count[cell] > 1
     num = np.zeros(size)
     den = np.zeros(size)
-    np.add.at(num, cell, price * volume)
-    np.add.at(den, cell, volume)
+    # a cell whose sums overflow is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(num, cell[shared], price[shared] * volume[shared])
+        np.add.at(den, cell, volume)
 
     negative = np.zeros(size, dtype=bool)
     negative[cell[volume < 0]] = True
-    bad = negative | ((count > 0) & (den <= 0))
+    many = count > 1
+    overflow = many & ~(np.isfinite(num) & np.isfinite(den))
+    bad = negative | ((count > 0) & (den <= 0)) | overflow
     if bad.any():
         first = int(np.argmax(bad))
         if negative[first]:
             k = np.flatnonzero((cell == first) & (volume < 0))[0]
             raise DataError(f"negative volume {float(volume[k])}")
-        raise DataError("non-positive VWAP denominator (all-zero volume)")
+        if not overflow[first]:
+            raise DataError("non-positive VWAP denominator (all-zero volume)")
+        row, col = np.unravel_index(first, shape)
+        raise DataError(f"the VWAP sums of {instruments[col]} on {dates[row]} overflow")
 
     vwap = np.full(size, np.nan)
-    many = count > 1
     vwap[many] = num[many] / den[many]
     # one bar: its exact price, avoiding the (p*v)/v rounding so
     # canonical files round-trip
-    single = count[cell] == 1
-    vwap[cell[single]] = price[single]
+    vwap[cell[~shared]] = price[~shared]
     total = np.where(count > 0, den, np.nan)
     return vwap.reshape(shape), total.reshape(shape)
 
@@ -603,7 +612,7 @@ def load_panel(features_path, prices_path) -> PanelDataset:
 
     bars = np.concatenate(bar_values)
     vwap, volume = vwap_matrix(np.concatenate(bar_t), np.concatenate(bar_i),
-                               bars[:, 0], bars[:, 1], (len(dates), len(instruments)))
+                               bars[:, 0], bars[:, 1], dates, instruments)
     return PanelDataset(
         dates=dates,
         instruments=instruments,

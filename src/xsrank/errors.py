@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the kind check every
-settings dataclass runs on its own fields."""
+"""Exception types shared across the package, and the kinds of settings:
+how each kind's text is read and checked on settings dataclass fields."""
 
 import sys
 from dataclasses import fields
@@ -34,11 +34,14 @@ def _real(value) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool)
 
 
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
 # a settings field's annotation -> (parser of its text, what it must be, test)
 SETTING_KINDS = {
     "int": (int, "an integer", lambda v: _real(v) and isinstance(v, Integral)),
     # an int beyond the float range is no finite float either
     "float": (float, "a finite number", lambda v: _real(v) and abs(v) <= sys.float_info.max),
+    "bool": (lambda raw: _BOOLS[raw.lower()], "true or false", lambda v: isinstance(v, bool)),
     "str": (str, "a string", lambda v: isinstance(v, str)),
     "str | None": (str, "a string", lambda v: v is None or isinstance(v, str)),
 }

@@ -12,9 +12,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import PanelDataset, PredictionSeries, _write_rows
-from .errors import DataError
+from .errors import ConfigError, DataError, check_kinds
 
 MIN_SUBGROUP_SIZE = 5
+
+
+@dataclass
+class EvaluateSettings:
+    """The membership, industry or region, whose categories are also scored."""
+
+    group_by: str | None = None
+
+    def __post_init__(self):
+        check_kinds(self)
+        if self.group_by not in (None, "industry", "region"):
+            raise ConfigError("group_by must be industry or region")
 
 
 def _pearson_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:

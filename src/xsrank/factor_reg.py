@@ -13,12 +13,28 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import FACTOR_NAMES, FactorSeries, _write_rows
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_kinds
 
 FF3_FACTORS = ["mktrf", "smb", "hml"]
 FF5_FACTORS = list(FACTOR_NAMES)
 
 STAR_LEVELS = [(2.576, "***"), (1.960, "**"), (1.645, "*")]
+
+
+@dataclass
+class RegressSettings:
+    """Models to fit (ff3, ff5 or both) and their Newey-West settings."""
+
+    model: str = "both"
+    lags: int = 5
+    dof_correction: bool = False
+
+    def __post_init__(self):
+        check_kinds(self)
+        if self.model not in ("ff3", "ff5", "both"):
+            raise ConfigError("model must be ff3, ff5, or both")
+        if self.lags < 0:
+            raise ConfigError("lags must be >= 0")
 
 
 @dataclass

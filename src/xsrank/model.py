@@ -70,21 +70,16 @@ class ActConfig:
 
     def __post_init__(self):
         check_kinds(self)
-        if self.n_features < 1 or self.window < 1:
-            raise ConfigError("n_features and window must be >= 1")
         if self.hidden < 1:
             raise ConfigError("hidden size must be >= 1")
-        for name in ("trend_window", "fluct_window", "shock_window"):
+        for name in ("n_features", "window", "trend_window", "fluct_window", "shock_window",
+                     "knn", "tcn_kernel"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.knn < 1:
-            raise ConfigError("knn must be >= 1")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError("dropout_rate must be in [0, 1)")
         if not 0.0 <= self.loss_mix <= 1.0:
             raise ConfigError("loss_mix must be in [0, 1]")
-        if self.tcn_kernel < 1:
-            raise ConfigError("tcn_kernel must be >= 1")
         if self.pspe not in PSPE_MODES:
             raise ConfigError(f"pspe must be one of {PSPE_MODES}")
         if self.fci not in FCI_MODES:

@@ -156,28 +156,34 @@ class TrainSettings:
         check_kinds(self)
         if not self.lr > 0.0:
             raise ConfigError("lr must be positive")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.patience < 1:
-            raise ConfigError("patience must be >= 1")
+        for name in ("batch_size", "epochs", "patience"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         _check_day("valid_start", self.valid_start)
         _check_day("test_start", self.test_start)
         if self.test_start is not None and self.test_start <= self.valid_start:
             raise ConfigError("test_start must come after valid_start")
 
 
+@dataclass
+class PredictSettings:
+    """The first window-end date `predict_sliding` scores; None scores all."""
+
+    start_date: str | None = None
+
+    def __post_init__(self):
+        check_kinds(self)
+        _check_day("start_date", self.start_date)
+
+
 class EarlyStopper:
     """Stops after `patience` consecutive evaluations without a new best.
 
     Only a strict improvement resets the counter, so a plateau at the
-    best value still runs the patience down.
+    best value still runs the patience down. TrainSettings checks it.
     """
 
     def __init__(self, patience: int):
-        if patience < 1:
-            raise ConfigError("patience must be >= 1")
         self.patience = patience
         self.best = -np.inf
         self.best_index = -1

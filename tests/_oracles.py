@@ -745,7 +745,7 @@ def load_panel_rows(features_path, prices_path):
     vwap, volume = vwap_matrix(
         [date_pos[price_rows[k][0]] for k in bar_rows],
         [inst_pos[price_rows[k][1]] for k in bar_rows],
-        bars[:, 0], bars[:, 1], (len(dates), len(instruments)))
+        bars[:, 0], bars[:, 1], dates, instruments)
     labels = returns_from_prices(vwap)
     return PanelDataset(
         dates=dates, instruments=instruments, features=features, labels=labels,

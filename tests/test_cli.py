@@ -1,7 +1,9 @@
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import re
 import tempfile
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -25,8 +27,8 @@ from xsrank.data import (
 )
 from xsrank.data import SynthConfig
 from xsrank.errors import ConfigError
-from xsrank.model import ActConfig, ActModel
-from xsrank.training import TrainHistory, TrainSettings
+from xsrank.model import ActModel
+from xsrank.training import TrainHistory
 
 
 def digest(path):
@@ -92,19 +94,27 @@ def test_parse_config_file(tmp_path):
 
 
 def test_coerce_values():
-    assert cli.coerce("12", int, "k") == 12
-    assert cli.coerce("0.5", float, "k") == 0.5
-    assert cli.coerce("true", bool, "k") is True
-    assert cli.coerce("0", bool, "k") is False
-    assert cli.coerce("abc", str, "k") == "abc"
-    with pytest.raises(ConfigError):
-        cli.coerce("x", int, "k")
-    with pytest.raises(ConfigError):
-        cli.coerce("maybe", bool, "k")
+    # every setting's text, --seed included, is read through the kind table
+    def parse(kind, raw):
+        return cli.resolve_config({"k": (kind, None)}, None, {"k": raw})["k"]
+
+    assert parse("int", "12") == 12
+    assert parse("float", "0.5") == 0.5
+    assert parse("bool", "true") is True
+    assert parse("bool", "0") is False
+    assert parse("str", "abc") == "abc"
+    with pytest.raises(ConfigError, match="^k is 'x', not an integer$"):
+        parse("int", "x")
+    with pytest.raises(ConfigError, match="^k is 'maybe', not true or false$"):
+        parse("bool", "maybe")
+    # the bool spellings, in any case
+    for raw, value in (("TRUE", True), ("1", True), ("Yes", True),
+                       ("False", False), ("0", False), ("NO", False)):
+        assert parse("bool", raw) is value
 
 
 def test_resolve_config_precedence():
-    schema = {"hidden": (int, 64), "lr": (float, 1e-3)}
+    schema = {"hidden": ("int", 64), "lr": ("float", 1e-3)}
 
     class Args:
         hidden = "12"
@@ -124,19 +134,20 @@ CLI_ONLY_DEFAULTS = {"window": 16}
 
 def test_cli_defaults_are_the_dataclass_defaults():
     cli_only = {}
-    for schema, classes in ((cli.SYNTH_SCHEMA, [SynthConfig]),
-                            (cli.TRAIN_SCHEMA, [ActConfig, TrainSettings]),
-                            (cli.BACKTEST_SCHEMA, [StrategyConfig])):
+    for command, (_, classes, *_) in cli.COMMANDS.items():
         by_name = {f.name: f for c in classes for f in fields(c)}
-        for key, (_, value) in schema.items():
-            f = by_name.get(key)
-            if f is None or (f.default is MISSING and value is not MISSING):
+        options = cli.command_options(command)
+        # every field is an option but the seed and the panel's feature count
+        assert set(by_name) - set(options) <= {"seed", "n_features"}
+        for key, (kind, value) in options.items():
+            f = by_name[key]
+            assert kind == f.type, (key, kind, f.type)
+            if f.default is MISSING and value is not MISSING:
                 cli_only[key] = value
             else:
                 # a field without a default stays required on the CLI too
                 assert value == f.default, (key, value, f.default)
     assert cli_only == CLI_ONLY_DEFAULTS
-    assert set(cli.ACT_KEYS + cli.SETTINGS_KEYS) <= set(cli.TRAIN_SCHEMA)
 
 
 def test_synth_deterministic(workdir, tmp_path):
@@ -492,14 +503,12 @@ def test_exit_codes(workdir, tmp_path):
                        "--lr", "1e150"]) == cli.EXIT_NUMERIC
 
 
-SETTINGS_OF = {"synth": [SynthConfig], "train": [ActConfig, TrainSettings],
-               "backtest": [StrategyConfig]}
-# every number setting of each command's dataclasses, non-finite, and
-# the day settings that are not calendar days
+# every float option of each command, non-finite, and the day settings
+# that are not calendar days
 REFUSED_SETTINGS = [
-    (command, f.name.replace("_", "-"), value)
-    for command, classes in SETTINGS_OF.items() for c in classes for f in fields(c)
-    if f.type == "float" for value in ("nan", "inf", "-inf")
+    (command, key.replace("_", "-"), value)
+    for command in cli.COMMANDS for key, (kind, _) in cli.command_options(command).items()
+    if kind == "float" for value in ("nan", "inf", "-inf")
 ] + [("train", "valid-start", "2015-02-30"), ("train", "valid-start", "abc"),
      ("synth", "start-date", "20150105")]
 
@@ -529,21 +538,78 @@ def test_train_refuses_a_setting_it_cannot_use(workdir, tmp_path, capsys, comman
     assert not out.exists()
 
 
-SETTINGS_REQUIRED = {SynthConfig: {}, ActConfig: {"n_features": 4, "window": 8},
-                     TrainSettings: {"valid_start": "2015-03-02"},
-                     StrategyConfig: {"k": 3, "n_drop": 1}}
+# the settings classes of every command, and a value for each field
+# without a default
+SETTINGS_CLASSES = sorted({c for _, classes, *_ in cli.COMMANDS.values() for c in classes},
+                          key=lambda c: c.__name__)
+REQUIRED_VALUES = {"n_features": 4, "window": 8, "valid_start": "2015-03-02", "k": 3,
+                   "n_drop": 1}
+# a value of another kind for each kind, and what the kind must be
+WRONG_KINDS = {"int": (True, "an integer"), "float": ("1", "a finite number"),
+               "bool": (1, "true or false"), "str": (1, "a string"),
+               "str | None": (1, "a string")}
 
 
-@pytest.mark.parametrize("cls", list(SETTINGS_REQUIRED), ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", SETTINGS_CLASSES, ids=lambda c: c.__name__)
 def test_settings_refuse_a_value_of_another_kind(cls):
     # before: ActConfig(hidden=True) and ActConfig(hidden=8.0) were accepted
+    required = {f.name: REQUIRED_VALUES[f.name] for f in fields(cls) if f.default is MISSING}
     for f in fields(cls):
-        bad, kind = {"int": (True, "an integer"), "float": ("1", "a finite number")
-                     }.get(f.type, (None, None))
-        if bad is None:
-            continue
+        bad, kind = WRONG_KINDS[f.type]
         with pytest.raises(ConfigError, match=f"^{f.name} is {bad!r}, not {kind}$"):
-            cls(**{**SETTINGS_REQUIRED[cls], f.name: bad})
+            cls(**{**required, f.name: bad})
+
+
+def _refuse(*_args, **_kwargs):
+    raise AssertionError("an input was parsed")
+
+
+def test_regress_refuses_its_settings_before_parsing_an_input(workdir, tmp_path, capsys,
+                                                              monkeypatch):
+    # before: --lags -1 was refused inside newey_west_se, after both files
+    # were read and the first model was fit
+    monkeypatch.setattr(cli, "read_backtest_csv", _refuse)
+    monkeypatch.setattr(cli, "load_factors", _refuse)
+    # any files that exist: main hashes them, and nothing may parse them
+    files = ["--backtest", str(workdir / "data" / "prices.csv"),
+             "--factors", str(workdir / "data" / "factors.csv")]
+    for flag, error in (("--lags=-1", "lags must be >= 0"),
+                        ("--dof-correction=maybe", "dof_correction is 'maybe', not true or false"),
+                        ("--model=ff6", "model must be ff3, ff5, or both")):
+        out = tmp_path / flag.split("=")[0][2:]
+        assert cli.main(["regress", "--out", str(out), *files, flag]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
+
+
+def test_evaluate_refuses_an_unknown_group_before_parsing_an_input(workdir, tmp_path, capsys,
+                                                                  monkeypatch):
+    monkeypatch.setattr(cli.PredictionSeries, "read_csv", _refuse)
+    monkeypatch.setattr(cli, "load_panel", _refuse)
+    out = tmp_path / "eval"
+    assert cli.main(["evaluate", "--out", str(out),
+                     "--predictions", str(workdir / "preds" / "predictions.csv")]
+                    + panel_args(workdir) + ["--group-by", "sector"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "error: group_by must be industry or region\n"
+    assert not out.exists()
+
+
+def test_readme_usage_flags_are_cli_options():
+    # the usage block names each command at the start of its first line,
+    # and every flag on that line or the indented ones under it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    flags = {}
+    for line in block.strip().splitlines():
+        if line.startswith("xsrank "):
+            command = line.split()[1]
+        flags.setdefault(command, set()).update(re.findall(r"--[a-z][a-z-]*", line))
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(flags) == set(cli.COMMANDS)
+    for command, named in flags.items():
+        accepted = set(subparsers[command]._option_string_actions)
+        assert named <= accepted, (command, sorted(named - accepted))
 
 
 def test_out_of_memory_is_one_error_line(monkeypatch, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -189,7 +190,7 @@ def test_compute_vwap_returns_three_dates():
     assert labels[1, 0] == pytest.approx(-0.2)
     assert np.isnan(labels[2, 0])
     vwap, _ = vwap_matrix([0, 1, 2], [0, 0, 0], [100.0, 105.0, 84.0], [1.0, 1.0, 1.0],
-                          (3, 1))
+                          dates, ["A"])
     np.testing.assert_array_equal(returns_from_prices(vwap), labels)
 
 
@@ -561,6 +562,23 @@ def test_vwap_errors_name_the_first_bad_cell(tmp_path):
     zero = prices.replace("-3.0", "3.0").replace("-4.0", "4.0")
     with pytest.raises(DataError, match="non-positive VWAP denominator"):
         load_panel(f, _write(tmp_path / "z.csv", zero))
+
+
+def test_vwap_of_a_huge_price(tmp_path):
+    # before: a one-bar cell's price * volume overflowed with a warning,
+    # though the cell takes its price alone
+    f = _write(tmp_path / "features.csv", FEATURES_2x2x3)
+    prices = PRICES_2x2.replace("2020-01-02,B,49.0,", "2020-01-02,B,1e308,")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ds = load_panel(f, _write(tmp_path / "p.csv", prices))
+    assert ds.vwap[1, 1] == 1e308
+    # two such bars in one cell: sums no float holds
+    prices += "2020-01-02,B,1e308,1000.0\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=r"^the VWAP sums of B on 2020-01-02 overflow$"):
+            load_panel(f, _write(tmp_path / "p2.csv", prices))
 
 
 def test_masks_are_read_off_the_arrays_and_refuse_writes():

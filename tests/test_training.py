@@ -272,15 +272,15 @@ def test_early_stopper_rules():
         improving.update(value)
     assert not improving.should_stop and improving.best_index == 3
 
-    with pytest.raises(ConfigError):
-        EarlyStopper(0)
-
 
 def test_train_settings_validation():
     with pytest.raises(ConfigError):
         TrainSettings(valid_start="2015-06-01", lr=0.0)
     with pytest.raises(ConfigError):
         TrainSettings(valid_start="2015-06-01", batch_size=0)
+    # the one check of the patience EarlyStopper runs down
+    with pytest.raises(ConfigError, match="^patience must be >= 1$"):
+        TrainSettings(valid_start="2015-06-01", patience=0)
     with pytest.raises(ConfigError):
         TrainSettings(valid_start="2015-06-01", test_start="2015-01-01")
 
