@@ -131,6 +131,7 @@ def run_backtest(
     """
     t_pos, i_pos = preds.panel_positions(ds)
     panel_index = dict(zip(preds.instruments, i_pos.tolist()))
+    observed = ds.observed_mask
 
     holdings: frozenset[str] = frozenset()
     dates_out: list[str] = []
@@ -166,20 +167,20 @@ def run_backtest(
         weight = 1.0 / len(holdings)
         ret = 0.0
         for inst in sorted(holdings):
-            label = ds.labels[t, panel_index[inst]]
-            if not np.isfinite(label):
+            i = panel_index[inst]
+            if not observed[t, i]:
                 flags.append(f"{date}: no realized return for {inst}, frozen")
                 continue
-            ret += weight * label
+            ret += weight * ds.labels[t, i]
         ret -= day_turnover * cfg.cost_bps / 1e4
 
-        observed = ds.labels[t][np.isfinite(ds.labels[t])]
-        if observed.size == 0:
+        realized = ds.labels[t][observed[t]]
+        if realized.size == 0:
             raise DataError(f"no realized returns on {date}")
 
         dates_out.append(ds.dates[t + 1])
         port_out.append(ret)
-        bench_out.append(float(observed.mean()))
+        bench_out.append(float(realized.mean()))
         turnover_out.append(day_turnover)
 
     if not dates_out:

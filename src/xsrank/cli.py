@@ -2,24 +2,26 @@
 
 `COMMANDS` declares each subcommand once: its function, the settings
 classes whose fields are its options, input flags, optional input flags
-and help. Every command reads CSVs and flags, writes CSVs (plus an SVG
-for the backtest) into --out, and `main` drops a manifest.json recording
-the resolved configuration, input digests, and artifact list; commands
-that read a panel also list the instruments it dropped. The manifest
-lists every input file named on the command line, config file included,
-hashed before the command runs, so a missing named input is refused
-before any work. With a fixed seed the CSV/SVG artifacts are
-byte-identical across runs; only the manifest's wall_time_seconds varies.
+and help. `main` builds the settings from flags and config file, so a
+refused option is refused before any other input is read (ActConfig's
+checks wait for the panel's feature count). It then hashes each named
+input file, config file included, so a missing one is refused before
+any work. Every command reads CSVs, writes CSVs (plus an SVG for
+the backtest) into --out, and `main` drops a manifest.json recording the
+resolved configuration, input digests, and artifact list; commands that
+read a panel also list the instruments it dropped. With a fixed seed the
+CSV/SVG artifacts are byte-identical across runs; only the manifest's
+wall_time_seconds varies.
 
 Config precedence is flags > config file > built-in defaults. Config
 files are flat `key=value` text, one pair per line, `#` comments. Every
-subcommand accepts --out, --config, and --seed; commands without any
-randomness just echo the seed into their manifest.
+subcommand accepts --out and --config.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -129,7 +131,7 @@ def file_digest(path) -> str:
 
 def write_manifest(out_dir: Path, command: str, config: dict,
                    inputs: dict[str, dict], artifacts: list[str],
-                   seed, started: float, ds=None) -> None:
+                   started: float, ds=None) -> None:
     """Write manifest.json; `inputs` maps each input name to its path and
     digest, and `ds` is the panel the command read, if any."""
     payload = {
@@ -137,7 +139,6 @@ def write_manifest(out_dir: Path, command: str, config: dict,
         "config": config,
         "inputs": inputs,
         "artifacts": sorted(artifacts),
-        "seed": seed,
         "wall_time_seconds": round(time.monotonic() - started, 3),
     }
     if ds is not None:
@@ -172,12 +173,12 @@ def load_graphs(ds, industry_path, region_path):
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns (artifact names, the panel it read or None)
+# subcommands: each takes (args, *settings) and returns (artifact names,
+# the panel it read or None)
 # ---------------------------------------------------------------------------
 
 
-def cmd_synth(args, resolved, seed):
-    cfg = SynthConfig(seed=seed, **resolved)
+def cmd_synth(args, cfg):
     ds, graphs, factors = generate_synthetic(cfg)
     out = ensure_out(args)
     write_panel(ds, out / "features.csv", out / "prices.csv")
@@ -188,13 +189,10 @@ def cmd_synth(args, resolved, seed):
             "factors.csv"], None
 
 
-def cmd_train(args, resolved, seed):
-    act = {f.name for f in fields(ActConfig)}
-    settings = TrainSettings(seed=seed, **{k: v for k, v in resolved.items() if k not in act})
+def cmd_train(args, act, settings):
     ds = standardize_features(load_panel(args.features, args.prices))
     graphs = load_graphs(ds, args.industry, args.region)
-    cfg = ActConfig(n_features=ds.n_features, **{k: v for k, v in resolved.items() if k in act})
-    model, history = train(ds, graphs, cfg, settings)
+    model, history = train(ds, graphs, act(n_features=ds.n_features), settings)
 
     out = ensure_out(args)
     save_checkpoint(model, out / "checkpoint.json")
@@ -215,8 +213,7 @@ def cmd_train(args, resolved, seed):
     return ["checkpoint.json", "history.csv", "train_stats.csv"], ds
 
 
-def cmd_predict(args, resolved, seed):
-    settings = PredictSettings(**resolved)
+def cmd_predict(args, settings):
     model = load_checkpoint(args.checkpoint)
     ds = standardize_features(load_panel(args.features, args.prices))
     graphs = load_graphs(ds, args.industry, args.region)
@@ -226,8 +223,8 @@ def cmd_predict(args, resolved, seed):
     return ["predictions.csv"], ds
 
 
-def cmd_evaluate(args, resolved, seed):
-    group_by = EvaluateSettings(**resolved).group_by
+def cmd_evaluate(args, settings):
+    group_by = settings.group_by
     path = getattr(args, group_by) if group_by else None
     if group_by and path is None:
         raise ConfigError(f"--group-by {group_by} needs --{group_by}")
@@ -253,8 +250,7 @@ def cmd_evaluate(args, resolved, seed):
     return ["metrics.csv", "daily_metrics.csv", "subgroups.csv"], ds
 
 
-def cmd_backtest(args, resolved, seed):
-    cfg = StrategyConfig(**resolved)
+def cmd_backtest(args, cfg):
     preds = PredictionSeries.read_csv(args.predictions)
     ds = load_panel(args.features, args.prices)
     result = run_backtest(preds, ds, cfg)
@@ -276,8 +272,7 @@ def cmd_backtest(args, resolved, seed):
     return ["backtest.csv", "portfolio_metrics.csv", "curves.svg"], ds
 
 
-def cmd_regress(args, resolved, seed):
-    settings = RegressSettings(**resolved)
+def cmd_regress(args, settings):
     dates, portfolio, _ = read_backtest_csv(args.backtest)
     factors = load_factors(args.factors)
     models = ["ff3", "ff5"] if settings.model == "both" else [settings.model]
@@ -313,8 +308,8 @@ COMMANDS = {
     "regress": (cmd_regress, (RegressSettings,), ("backtest", "factors"), (),
                 "factor regression of daily backtest returns"),
 }
-# the field a command fills: the seed from --seed, the feature count from the panel
-FILLED = {SynthConfig: "seed", TrainSettings: "seed", ActConfig: "n_features"}
+# the field a command fills from its input: the panel's feature count
+FILLED = {ActConfig: "n_features"}
 # a checkpoint must name its window, so ActConfig.window has no default
 CLI_DEFAULTS = {"window": 16}
 
@@ -338,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--config", default=None,
                        help="key=value config file")
-        p.add_argument("--seed", default=None, metavar="V")
         for inp in inputs:
             p.add_argument(f"--{inp}", required=True)
         for inp in optional:
@@ -349,24 +343,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def build_settings(cls, resolved: dict):
+    """`cls` built from its options in `resolved`; a class in FILLED comes
+    back unfinished, to be called with the field its command fills."""
+    own = {f.name: resolved[f.name] for f in fields(cls) if f.name != FILLED.get(cls)}
+    return functools.partial(cls, **own) if cls in FILLED else cls(**own)
+
+
 def main(argv=None) -> int:
-    """Resolve the config, hash every named input, run the command, and
-    write its manifest."""
+    """Resolve the config, build the settings, hash every named input,
+    run the command, and write its manifest."""
     args = build_parser().parse_args(argv)
-    func, _, inputs, optional, _ = COMMANDS[args.command]
+    func, classes, inputs, optional, _ = COMMANDS[args.command]
     try:
-        file_values = (parse_config_file(args.config)
-                       if args.config else {})
+        file_values = parse_config_file(args.config) if args.config else {}
         resolved = resolve_config(command_options(args.command), args, file_values)
-        seed = resolve_config({"seed": ("int", 0)}, args, {})["seed"]
+        settings = [build_settings(cls, resolved) for cls in classes]
         started = time.monotonic()
         named = {name: getattr(args, name)
                  for name in (*inputs, *optional, "config")}
         digests = {name: {"path": str(path), "sha256": file_digest(path)}
                    for name, path in sorted(named.items()) if path is not None}
-        artifacts, ds = func(args, resolved, seed)
+        artifacts, ds = func(args, *settings)
         write_manifest(Path(args.out), args.command, resolved, digests,
-                       artifacts, seed, started, ds)
+                       artifacts, started, ds)
         return EXIT_OK
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -638,10 +638,11 @@ def write_panel(ds: PanelDataset, features_path, prices_path) -> None:
                 yield ",".join([dt, inst, *cells[ii * n_feat: (ii + 1) * n_feat]])
 
     _write_lines(features_path, feat_header, feature_lines())
+    present = ds.present_mask
 
     def price_lines():
         for ti, dt in enumerate(ds.dates):
-            cols = np.flatnonzero(np.isfinite(ds.vwap[ti]))
+            cols = np.flatnonzero(present[ti])
             prices = format_floats(ds.vwap[ti, cols])
             volumes = format_floats(ds.volume[ti, cols])
             for ii, price, volume in zip(cols.tolist(), prices, volumes):

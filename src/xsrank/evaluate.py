@@ -30,18 +30,20 @@ class EvaluateSettings:
 
 
 def _pearson_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Correlation of each row pair along the last axis, NaN where either
-    side has zero variance. A row's sums are the same pairwise sums as
-    those of a 1-D call on it, so stacking rows changes no bit."""
-    da = a - a.mean(axis=-1, keepdims=True)
-    db = b - b.mean(axis=-1, keepdims=True)
-    denom = np.sqrt((da * da).sum(axis=-1)) * np.sqrt((db * db).sum(axis=-1))
-    num = (da * db).sum(axis=-1)
-    return np.divide(num, denom, out=np.full(num.shape, np.nan), where=denom != 0.0)
+    """Correlation of each row pair along the last axis, NaN where a side
+    is constant or a sum overflows. A row's sums are the pairwise sums of
+    a 1-D call on it, so stacking rows changes no bit."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        da = a - a.mean(axis=-1, keepdims=True)
+        db = b - b.mean(axis=-1, keepdims=True)
+        denom = np.sqrt((da * da).sum(axis=-1)) * np.sqrt((db * db).sum(axis=-1))
+        num = (da * db).sum(axis=-1)
+    defined = (denom != 0.0) & np.isfinite(denom) & np.isfinite(num)
+    return np.divide(num, denom, out=np.full(num.shape, np.nan), where=defined)
 
 
 def pearson(a: np.ndarray, b: np.ndarray):
-    """Correlation, or None when either side has zero variance."""
+    """Correlation, or None when either side is constant or a sum overflows."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.size < 2:
@@ -111,8 +113,13 @@ class MetricReport:
 
 
 def _ratio(values: np.ndarray, name: str, flags: list[str]) -> float:
-    mean = float(values.mean())
-    std = float(values.std(ddof=1))
+    """mean / sample std, flagged undefined on an overflow or a zero std."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(values.mean())
+        std = float(values.std(ddof=1))
+    if not (np.isfinite(mean) and np.isfinite(std)):
+        flags.append(f"{name}_undefined_overflow")
+        return float("nan")
     if std == 0.0:
         flags.append(f"{name}_undefined_zero_std")
         if mean > 0:

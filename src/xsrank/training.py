@@ -391,12 +391,13 @@ def predict_sliding(
     _check_day("start_date", start_date)
     samples = [s for s in _checked_samples(ds, graphs, model.cfg)
                if start_date is None or s.date >= start_date]
+    present = ds.present_mask
     rows = []
     for sample, scores in _score_samples(samples, graphs, model, 1):
-        present = np.isfinite(ds.vwap[sample.end_index])
-        for i, inst in enumerate(ds.instruments):
-            if present[i]:
-                rows.append((sample.date, inst, float(scores[i])))
+        for inst, here, score in zip(ds.instruments, present[sample.end_index],
+                                     scores.tolist()):
+            if here:
+                rows.append((sample.date, inst, score))
     if not rows:
         raise DataError("no window-end dates at or after start_date")
     return PredictionSeries(rows)

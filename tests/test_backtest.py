@@ -351,6 +351,15 @@ def test_portfolio_metrics_zero_excess_flagged():
     assert np.isfinite(m.sharpe)
 
 
+def test_portfolio_metrics_overflow_flagged():
+    # before: the squared deviations overflowed, so the standard deviation
+    # was inf and ir = sharpe = 0.0 with no flag
+    series = np.array([0.01, 1e308, -0.5])
+    m = portfolio_metrics(series, series)
+    assert np.isnan(m.ir) and np.isnan(m.sharpe)
+    assert m.flags == ["information_ratio_undefined_overflow", "sharpe_undefined_overflow"]
+
+
 def test_portfolio_metrics_identities():
     rng = np.random.default_rng(3)
     for _ in range(10):

@@ -26,7 +26,7 @@ from xsrank.data import (
     write_panel,
 )
 from xsrank.data import SynthConfig
-from xsrank.errors import ConfigError
+from xsrank.errors import SETTING_KINDS, ConfigError
 from xsrank.model import ActModel
 from xsrank.training import TrainHistory
 
@@ -94,7 +94,7 @@ def test_parse_config_file(tmp_path):
 
 
 def test_coerce_values():
-    # every setting's text, --seed included, is read through the kind table
+    # every setting's text is read through the kind table
     def parse(kind, raw):
         return cli.resolve_config({"k": (kind, None)}, None, {"k": raw})["k"]
 
@@ -137,8 +137,8 @@ def test_cli_defaults_are_the_dataclass_defaults():
     for command, (_, classes, *_) in cli.COMMANDS.items():
         by_name = {f.name: f for c in classes for f in fields(c)}
         options = cli.command_options(command)
-        # every field is an option but the seed and the panel's feature count
-        assert set(by_name) - set(options) <= {"seed", "n_features"}
+        # every field is an option but the panel's feature count
+        assert set(by_name) - set(options) <= {"n_features"}
         for key, (kind, value) in options.items():
             f = by_name[key]
             assert kind == f.type, (key, kind, f.type)
@@ -150,12 +150,50 @@ def test_cli_defaults_are_the_dataclass_defaults():
     assert cli_only == CLI_ONLY_DEFAULTS
 
 
+# text each kind reads, for an option set both ways
+KIND_TEXT = {"int": "3", "float": "0.5", "bool": "yes", "str": "mlp",
+             "str | None": "2015-03-02"}
+OPTIONS = [(command, key) for command in cli.COMMANDS for key in cli.command_options(command)]
+
+
+@pytest.mark.parametrize("command, key", OPTIONS, ids=[f"{c}-{k}" for c, k in OPTIONS])
+def test_every_option_reads_the_same_from_its_flag_and_its_config_key(command, key):
+    options = cli.command_options(command)
+    text = KIND_TEXT[options[key][0]]
+    # the other required options come from the file in both runs
+    required = {k: KIND_TEXT[kind] for k, (kind, default) in options.items()
+                if default is MISSING and k != key}
+    parser = cli.build_parser()
+    base = [command, "--out", "out"] + [
+        arg for name in cli.COMMANDS[command][2] for arg in (f"--{name}", "in.csv")]
+    flag = f"--{key.replace('_', '-')}={text}"
+    by_flag = cli.resolve_config(options, parser.parse_args(base + [flag]), required)
+    by_file = cli.resolve_config(options, parser.parse_args(base), {**required, key: text})
+    assert by_flag == by_file
+    assert by_flag[key] == SETTING_KINDS[options[key][0]][0](text)
+
+
 def test_synth_deterministic(workdir, tmp_path):
     again = tmp_path / "again"
     assert cli.main(["synth", "--out", str(again)] + SYNTH_ARGS) == 0
     for name in ("features.csv", "prices.csv", "industry.csv",
                  "region.csv", "factors.csv"):
         assert digest(again / name) == digest(workdir / "data" / name)
+
+
+def test_synth_reads_the_seed_from_a_config_file(tmp_path):
+    # before: seed was no config key, and synth --config exited 2 on it
+    config = tmp_path / "run.cfg"
+    config.write_text("seed=5\n")
+    small = ["--n-instruments", "8", "--days", "30"]
+    runs = {"file": ["--config", str(config)], "flag": ["--seed", "5"], "default": []}
+    for name, extra in runs.items():
+        assert cli.main(["synth", "--out", str(tmp_path / name), *small, *extra]) == 0
+    artifacts = read_manifest(tmp_path / "flag")["artifacts"]
+    for name in artifacts:
+        assert digest(tmp_path / "file" / name) == digest(tmp_path / "flag" / name)
+    assert digest(tmp_path / "file" / "prices.csv") != digest(tmp_path / "default" / "prices.csv")
+    assert read_manifest(tmp_path / "file")["config"]["seed"] == 5
 
 
 def test_synth_block_structure(tmp_path):
@@ -186,7 +224,8 @@ def test_train_artifacts_and_manifest(workdir):
     assert manifest["command"] == "train"
     assert manifest["config"]["hidden"] == 8
     assert manifest["config"]["pspe"] == "full"
-    assert manifest["seed"] == 1
+    assert manifest["config"]["seed"] == 1
+    assert "seed" not in manifest
     assert sorted(manifest["artifacts"]) == [
         "checkpoint.json", "history.csv", "train_stats.csv"]
     assert set(manifest["inputs"]) == {"features", "prices", "industry",
@@ -582,6 +621,31 @@ def test_regress_refuses_its_settings_before_parsing_an_input(workdir, tmp_path,
         assert not out.exists()
 
 
+# per command that reads inputs: a refused option, and the options it needs
+REFUSED_OPTIONS = [
+    ("regress", ["--lags=-1"], "lags must be >= 0"),
+    ("backtest", ["--k", "0", "--n-drop", "1"], "k must be >= 1"),
+    ("train", ["--lr", "0", "--valid-start", "2015-03-01"], "lr must be positive"),
+    ("evaluate", ["--group-by", "sector"], "group_by must be industry or region"),
+]
+
+
+@pytest.mark.parametrize("command, flags, error", REFUSED_OPTIONS,
+                         ids=[command for command, *_ in REFUSED_OPTIONS])
+def test_a_refused_option_exits_2_before_any_input_is_hashed(tmp_path, capsys, monkeypatch,
+                                                             command, flags, error):
+    # before: main hashed every named input first, so a missing one
+    # exited 3 and the refused option was never reported
+    monkeypatch.setattr(cli, "file_digest", _refuse)
+    _, _, inputs, optional, _ = cli.COMMANDS[command]
+    missing = [arg for name in (*inputs, *optional)
+               for arg in (f"--{name}", str(tmp_path / f"{name}.csv"))]
+    out = tmp_path / "out"
+    assert cli.main([command, "--out", str(out), *missing, *flags]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not out.exists()
+
+
 def test_evaluate_refuses_an_unknown_group_before_parsing_an_input(workdir, tmp_path, capsys,
                                                                   monkeypatch):
     monkeypatch.setattr(cli.PredictionSeries, "read_csv", _refuse)
@@ -614,7 +678,7 @@ def test_readme_usage_flags_are_cli_options():
 
 def test_out_of_memory_is_one_error_line(monkeypatch, tmp_path, capsys):
     # before: train --hidden 100000000 ended in a MemoryError traceback
-    def exhausted(args, resolved, seed):
+    def exhausted(args, cfg):
         raise MemoryError
 
     monkeypatch.setitem(cli.COMMANDS, "synth", (exhausted, *cli.COMMANDS["synth"][1:]))

@@ -109,6 +109,19 @@ def make_preds(dates, instruments, scores):
     return PredictionSeries(rows)
 
 
+def test_a_day_whose_sums_overflow_is_excluded():
+    # before: the labels' squared deviations overflowed to inf, the day
+    # correlated to -0.0 and counted as a valid date
+    assert pearson([0.1, 0.2, 0.3, 0.4], [1e308, -1e308, 0.5, 0.2]) is None
+    dates = ["2020-01-01", "2020-01-02", "2020-01-03"]
+    labels = [[0.01, 0.02, 0.03, 0.05], [1e308, -1e308, 0.5, 0.2],
+              [0.02, 0.01, 0.04, 0.03]]
+    report = summarize(make_preds(dates, list("ABCD"), [[0.1, 0.2, 0.3, 0.4]] * 3),
+                       panel_from_labels(dates, list("ABCD"), labels))
+    assert (report.n_days, report.n_excluded_days) == (2, 1)
+    assert [day for day, _ in report.daily_ic] == [dates[0], dates[2]]
+
+
 def _same_bits(got, want):
     """`got` (NaN for undefined) carries the bits of the 1-D result `want`
     (None for undefined)."""
