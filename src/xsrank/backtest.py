@@ -223,6 +223,14 @@ class PortfolioMetrics:
         ]
 
 
+def _finite(value: float, name: str, flags: list[str]) -> float:
+    """`value`, or NaN flagged `{name}_undefined_overflow` if it overflowed."""
+    if np.isfinite(value):
+        return value
+    flags.append(f"{name}_undefined_overflow")
+    return float("nan")
+
+
 def portfolio_metrics(
     excess: np.ndarray, portfolio: np.ndarray
 ) -> PortfolioMetrics:
@@ -231,7 +239,8 @@ def portfolio_metrics(
     AR annualizes arithmetically (x252); the drawdown runs on the
     compounded excess curve from a 1.0 baseline; CR compounds the raw
     portfolio returns; Sharpe applies the IR formula to raw portfolio
-    returns with a zero risk-free rate.
+    returns with a zero risk-free rate. A metric whose arithmetic
+    overflows is NaN and flagged, as `_ratio` does for IR and Sharpe.
     """
     excess = np.asarray(excess, dtype=np.float64)
     portfolio = np.asarray(portfolio, dtype=np.float64)
@@ -239,19 +248,20 @@ def portfolio_metrics(
         raise DataError("need at least 2 aligned daily returns")
     flags: list[str] = []
 
-    ar = float(excess.mean()) * TRADING_DAYS
-    ir = _ratio(excess, "information_ratio", flags) * np.sqrt(TRADING_DAYS)
-    sharpe = _ratio(portfolio, "sharpe", flags) * np.sqrt(TRADING_DAYS)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ar = _finite(float(excess.mean()) * TRADING_DAYS, "annualized_excess_return", flags)
+        ir = _ratio(excess, "information_ratio", flags) * np.sqrt(TRADING_DAYS)
+        sharpe = _ratio(portfolio, "sharpe", flags) * np.sqrt(TRADING_DAYS)
 
-    curve = np.cumprod(1.0 + excess)
-    peak = np.maximum.accumulate(np.concatenate(([1.0], curve)))[1:]
-    md = float(np.min(curve / peak - 1.0))
-    cr = float(np.prod(1.0 + portfolio) - 1.0)
+        curve = np.cumprod(1.0 + excess)
+        peak = np.maximum.accumulate(np.concatenate(([1.0], curve)))[1:]
+        md = _finite(float(np.min(curve / peak - 1.0)), "max_drawdown", flags)
+        cr = _finite(float(np.prod(1.0 + portfolio) - 1.0), "cumulative_return", flags)
     if md == 0.0:
         flags.append("calmar_undefined_zero_drawdown")
         calmar = float("inf") if ar > 0 else (float("-inf") if ar < 0 else float("nan"))
     else:
-        calmar = ar / abs(md)
+        calmar = _finite(ar / abs(md), "calmar", flags)
     return PortfolioMetrics(ar=ar, ir=ir, md=md, cr=cr, sharpe=sharpe,
                             calmar=calmar, flags=flags)
 

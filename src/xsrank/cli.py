@@ -225,13 +225,10 @@ def cmd_predict(args, settings):
 
 def cmd_evaluate(args, settings):
     group_by = settings.group_by
-    path = getattr(args, group_by) if group_by else None
-    if group_by and path is None:
-        raise ConfigError(f"--group-by {group_by} needs --{group_by}")
     preds = PredictionSeries.read_csv(args.predictions)
     ds = load_panel(args.features, args.prices)
     # the membership file is checked before any artifact is written
-    labels = load_panel_membership(path, ds.instruments) if group_by else None
+    labels = load_panel_membership(getattr(args, group_by), ds.instruments) if group_by else None
     report = summarize(preds, ds)
     out = ensure_out(args)
     write_metric_report(report, out / "metrics.csv")
@@ -359,6 +356,10 @@ def main(argv=None) -> int:
         file_values = parse_config_file(args.config) if args.config else {}
         resolved = resolve_config(command_options(args.command), args, file_values)
         settings = [build_settings(cls, resolved) for cls in classes]
+        # --group-by names the membership file it scores by
+        group_by = resolved.get("group_by")
+        if group_by and getattr(args, group_by) is None:
+            raise ConfigError(f"--group-by {group_by} needs --{group_by}")
         started = time.monotonic()
         named = {name: getattr(args, name)
                  for name in (*inputs, *optional, "config")}

@@ -411,23 +411,6 @@ class PredictionSeries:
         return preds
 
 
-@dataclass
-class WindowSample:
-    """One training/inference sample: a lookback window ending at `date`."""
-
-    date: str
-    end_index: int
-    features: np.ndarray  # [T, N, F]
-    labels: np.ndarray    # [N], NaN where unobserved
-    # [N] read-only: the loss set for this date, the finite labels, read
-    # off them once when the window is built; a mask made on every read in
-    # the training loop raised the train_n24 benchmark's peak RSS
-    mask: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.mask = _frozen(np.isfinite(self.labels))
-
-
 # ---------------------------------------------------------------------------
 # VWAP labels
 # ---------------------------------------------------------------------------
@@ -717,26 +700,19 @@ def standardize_features(ds: PanelDataset) -> PanelDataset:
     )
 
 
-def make_windows(ds: PanelDataset, window: int) -> list[WindowSample]:
-    """Sliding lookback samples: one per date index in [window-1, D-1].
+def make_windows(ds: PanelDataset, window: int) -> np.ndarray:
+    """Sliding lookback windows as their end indices: [window-1, D-1].
 
-    The sample at index t sees features[t-window+1 .. t] and targets the
-    t -> t+1 return stored at labels[t]. The final date's sample has an
-    empty mask, since its label cannot exist: prediction scores it,
-    training and validation skip it.
+    The window ending at index t sees features[t-window+1 .. t] and
+    targets the t -> t+1 return stored at labels[t], on the loss set
+    observed_mask[t]. The final date's window has an empty mask, since
+    its label cannot exist: prediction scores it, training and
+    validation skip it.
     """
     d = len(ds.dates)
     if window > d:
         raise DataError(f"a window needs {window} dates, the panel has {d}")
-    return [
-        WindowSample(
-            date=ds.dates[t],
-            end_index=t,
-            features=ds.features[t - window + 1: t + 1],
-            labels=ds.labels[t],
-        )
-        for t in range(window - 1, d)
-    ]
+    return np.arange(window - 1, d)
 
 
 # ---------------------------------------------------------------------------

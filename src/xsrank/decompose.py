@@ -59,7 +59,7 @@ class Decomposition:
     shock: np.ndarray
 
 
-def decompose(x: np.ndarray, trend_window: int = 20, fluct_window: int = 5) -> Decomposition:
+def decompose(x: np.ndarray, trend_window: int, fluct_window: int) -> Decomposition:
     """Chain two causal moving averages into an exact additive split.
 
     trend = CMA(x, trend_window); fluct = CMA(x - trend, fluct_window);

@@ -8,12 +8,13 @@ adaptive moment estimation with early stopping on validation IC.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import tensor as tz
-from .data import PanelDataset, PredictionSeries, WindowSample, _check_day, make_windows
+from .data import PanelDataset, PredictionSeries, _check_day, make_windows
 from .decompose import decompose
 from .errors import ConfigError, DataError, NonFiniteError, ShapeError, check_kinds
 from .evaluate import pearson
@@ -176,35 +177,6 @@ class PredictSettings:
         _check_day("start_date", self.start_date)
 
 
-class EarlyStopper:
-    """Stops after `patience` consecutive evaluations without a new best.
-
-    Only a strict improvement resets the counter, so a plateau at the
-    best value still runs the patience down. TrainSettings checks it.
-    """
-
-    def __init__(self, patience: int):
-        self.patience = patience
-        self.best = -np.inf
-        self.best_index = -1
-        self.bad_evals = 0
-        self.n_evals = 0
-        self.should_stop = False
-
-    def update(self, value: float) -> bool:
-        index = self.n_evals
-        self.n_evals += 1
-        if value > self.best:
-            self.best = value
-            self.best_index = index
-            self.bad_evals = 0
-            return True
-        self.bad_evals += 1
-        if self.bad_evals >= self.patience:
-            self.should_stop = True
-        return False
-
-
 @dataclass
 class TrainHistory:
     """Per-epoch training record; `selected_epoch` hit the best valid IC."""
@@ -222,10 +194,11 @@ class TrainHistory:
         return asdict(self)
 
 
-def _checked_samples(ds: PanelDataset, graphs: RelationGraphs,
-                     cfg: ActConfig) -> list[WindowSample]:
-    """Run the checks that hold for every window, then build the samples;
-    finiteness is left to `decompose`, which checks the windows read."""
+def _checked_windows(ds: PanelDataset, graphs: RelationGraphs,
+                     cfg: ActConfig) -> np.ndarray:
+    """Run the checks that hold for every window, then return the window
+    end indices; finiteness is left to `decompose`, which checks the
+    windows read."""
     n = len(ds.instruments)
     if cfg.pspe == "full" and cfg.knn > n - 1:
         raise ConfigError(f"knn={cfg.knn} needs at least knn + 1 instruments, "
@@ -238,19 +211,21 @@ def _checked_samples(ds: PanelDataset, graphs: RelationGraphs,
     return make_windows(ds, cfg.window)
 
 
-def _decompose_samples(samples, cfg: ActConfig):
-    """Decomposition of the samples' windows stacked on axis 1, [T, B, N, F]."""
-    return decompose(np.stack([s.features for s in samples], axis=1),
+def _decompose_windows(ds: PanelDataset, ends: np.ndarray, cfg: ActConfig):
+    """Decomposition of the windows ending at `ends`, stacked on axis 1:
+    [T, B, N, F], gathered from the panel's feature rows."""
+    return decompose(ds.features[ends + np.arange(1 - cfg.window, 1)[:, None]],
                      cfg.trend_window, cfg.fluct_window)
 
 
-def _score_samples(samples, graphs: RelationGraphs, model: ActModel, size: int):
-    """Yield (sample, scores [N]) per sample, `size` windows per forward pass
-    with dropout off, each chunk decomposed as it is drawn."""
-    for start in range(0, len(samples), size):
-        chunk = samples[start: start + size]
-        y_hat = act_forward_parts(_decompose_samples(chunk, model.cfg), graphs, model)[0]
-        yield from zip(chunk, y_hat.data)
+def _score_windows(ds: PanelDataset, ends: np.ndarray, graphs: RelationGraphs,
+                   model: ActModel, size: int):
+    """Yield (end index, scores [N]) per window, `size` windows per forward
+    pass with dropout off, each chunk decomposed as it is drawn."""
+    for start in range(0, len(ends), size):
+        chunk = ends[start: start + size]
+        y_hat = act_forward_parts(_decompose_windows(ds, chunk, model.cfg), graphs, model)[0]
+        yield from zip(chunk.tolist(), y_hat.data)
 
 
 def train(
@@ -278,22 +253,28 @@ def train(
     Validation scores windows in chunks of the same size, decomposed the
     same way. Nothing is cached across batches, so a step holds one
     batch's decomposition, activations and the gradients that reach a
-    parameter, whatever the panel's length. The final date's sample has
+    parameter, whatever the panel's length. The final date's window has
     no label and is dropped.
+
+    Early stopping: only a validation IC strictly above the best so far
+    selects an epoch, so a plateau does not reset the count; training
+    stops `patience` epochs after the selected one (or after the start).
+    The model keeps the selected epoch's weights, or its start weights
+    with `selected_epoch` -1 when no epoch had a validation IC.
     """
-    samples = _checked_samples(ds, graphs, cfg)[:-1]
-    train_samples = [s for s in samples if s.date < settings.valid_start]
+    ends = _checked_windows(ds, graphs, cfg)[:-1]
+    first_valid = bisect_left(ds.dates, settings.valid_start)
     stop = settings.test_start
-    valid_samples = [
-        s for s in samples
-        if s.date >= settings.valid_start and (stop is None or s.date < stop)
-    ]
-    if not train_samples:
+    first_test = len(ds.dates) if stop is None else bisect_left(ds.dates, stop)
+    train_ends = ends[ends < first_valid]
+    valid_ends = ends[(ends >= first_valid) & (ends < first_test)]
+    if not train_ends.size:
         raise ConfigError("no training windows before valid_start")
-    if not valid_samples:
+    if not valid_ends.size:
         raise ConfigError("no validation windows in the validation span")
+    labels, observed = ds.labels, ds.observed_mask
     # a validation day has an IC only if two of its observed labels differ
-    if not any((y := s.labels[s.mask]).size and y.min() < y.max() for s in valid_samples):
+    if not any((y := labels[t][observed[t]]).size and y.min() < y.max() for t in valid_ends):
         raise ConfigError(
             f"no validation window from valid_start {settings.valid_start} to "
             f"test_start {stop} has two observed stocks whose labels differ")
@@ -301,39 +282,37 @@ def train(
     model = ActModel(cfg, seed=settings.seed)
     optimizer = Adam(model.params, lr=settings.lr)
     history = TrainHistory(
-        n_train_windows=len(train_samples), n_valid_windows=len(valid_samples)
+        n_train_windows=len(train_ends), n_valid_windows=len(valid_ends)
     )
     shuffle_rng = np.random.default_rng(settings.seed)
-    stopper = EarlyStopper(settings.patience)
-    best_state = model.state_arrays()
+    best_ic, best_state = -np.inf, model.state_arrays()
     size = settings.batch_size
 
     for epoch in range(settings.epochs):
-        order = shuffle_rng.permutation(len(train_samples))
+        order = shuffle_rng.permutation(len(train_ends))
         loss_sum = ic_sum = mse_sum = 0.0
         n_loss = n_ic = 0
 
         for start in range(0, len(order), size):
-            drawn = [train_samples[i] for i in order[start: start + size]]
+            drawn = train_ends[order[start: start + size]]
             # a window with no observed stock has no loss term at all
-            batch = [s for s in drawn if s.mask.any()]
+            batch = drawn[observed[drawn].any(axis=1)]
             history.skipped_ic_days += len(drawn) - len(batch)
-            if not batch:
+            if not batch.size:
                 continue
-            labels = np.stack([s.labels for s in batch])
-            mask = np.stack([s.mask for s in batch])
+            batch_labels, mask = labels[batch], observed[batch]
             scored = mask.sum(axis=1) >= 2
             history.skipped_ic_days += int((~scored).sum())
             try:
-                parts = _decompose_samples(batch, cfg)
+                parts = _decompose_windows(ds, batch, cfg)
                 with Tape() as tape:
                     for p in model.params.values():
                         tape.watch(p)
                     # the diagnostics are the forward's own arrays; held
                     # through the step, they raised train_n24's peak RSS
                     y_hat = act_forward_parts(parts, graphs, model, training=True)[0]
-                    ic_terms = ic_loss(y_hat, labels, mask) if scored.any() else None
-                    mse_terms = mse_loss(y_hat, labels, mask)
+                    ic_terms = ic_loss(y_hat, batch_labels, mask) if scored.any() else None
+                    mse_terms = mse_loss(y_hat, batch_labels, mask)
                     window_loss = mix_losses(ic_terms, mse_terms, cfg.loss_mix)
                     backward(tz.div(tz.tensor_sum(window_loss), Tensor(float(len(batch)))))
                     grad_arrays = {
@@ -356,20 +335,19 @@ def train(
         history.train_mse_term.append(mse_sum / max(n_loss, 1))
 
         day_ics = []
-        for sample, scores in _score_samples(valid_samples, graphs, model, size):
-            ic = pearson(scores[sample.mask], sample.labels[sample.mask])
+        for t, scores in _score_windows(ds, valid_ends, graphs, model, size):
+            ic = pearson(scores[observed[t]], labels[t][observed[t]])
             if ic is not None:
                 day_ics.append(ic)
         epoch_ic = float(np.mean(day_ics)) if day_ics else -np.inf
         history.valid_ic.append(epoch_ic)
 
-        if stopper.update(epoch_ic):
-            best_state = model.state_arrays()
-        if stopper.should_stop:
+        if epoch_ic > best_ic:
+            best_ic, best_state, history.selected_epoch = epoch_ic, model.state_arrays(), epoch
+        elif epoch - history.selected_epoch >= settings.patience:
             break
 
     model.load_state_arrays(best_state)
-    history.selected_epoch = stopper.best_index
     return model, history
 
 
@@ -389,15 +367,15 @@ def predict_sliding(
     `start_date` that is not a YYYY-MM-DD day is a ConfigError.
     """
     _check_day("start_date", start_date)
-    samples = [s for s in _checked_samples(ds, graphs, model.cfg)
-               if start_date is None or s.date >= start_date]
+    ends = _checked_windows(ds, graphs, model.cfg)
+    if start_date is not None:
+        ends = ends[ends >= bisect_left(ds.dates, start_date)]
     present = ds.present_mask
     rows = []
-    for sample, scores in _score_samples(samples, graphs, model, 1):
-        for inst, here, score in zip(ds.instruments, present[sample.end_index],
-                                     scores.tolist()):
+    for t, scores in _score_windows(ds, ends, graphs, model, 1):
+        for inst, here, score in zip(ds.instruments, present[t], scores.tolist()):
             if here:
-                rows.append((sample.date, inst, score))
+                rows.append((ds.dates[t], inst, score))
     if not rows:
         raise DataError("no window-end dates at or after start_date")
     return PredictionSeries(rows)

@@ -353,11 +353,26 @@ def test_portfolio_metrics_zero_excess_flagged():
 
 def test_portfolio_metrics_overflow_flagged():
     # before: the squared deviations overflowed, so the standard deviation
-    # was inf and ir = sharpe = 0.0 with no flag
+    # was inf and ir = sharpe = 0.0 with no flag; ar = calmar = inf, unflagged
     series = np.array([0.01, 1e308, -0.5])
     m = portfolio_metrics(series, series)
-    assert np.isnan(m.ir) and np.isnan(m.sharpe)
-    assert m.flags == ["information_ratio_undefined_overflow", "sharpe_undefined_overflow"]
+    assert np.isnan(m.ar) and np.isnan(m.ir) and np.isnan(m.sharpe) and np.isnan(m.calmar)
+    assert m.md == -0.5 and np.isfinite(m.cr)
+    assert m.flags == ["annualized_excess_return_undefined_overflow",
+                       "information_ratio_undefined_overflow", "sharpe_undefined_overflow",
+                       "calmar_undefined_overflow"]
+    # before: the mean, the drawdown curve and the product overflowed
+    # outside any guard, each with a RuntimeWarning
+    big, small = np.array([1e308, 1e308]), np.array([0.1, 0.2])
+    m = portfolio_metrics(big, small)
+    assert np.isnan(m.ar) and np.isnan(m.md) and np.isnan(m.calmar) and m.cr == 1.1 * 1.2 - 1.0
+    assert m.flags == ["annualized_excess_return_undefined_overflow",
+                       "information_ratio_undefined_overflow",
+                       "max_drawdown_undefined_overflow", "calmar_undefined_overflow"]
+    m = portfolio_metrics(small, big)
+    assert np.isnan(m.cr) and m.ar == float(small.mean()) * 252
+    assert m.flags == ["sharpe_undefined_overflow", "cumulative_return_undefined_overflow",
+                       "calmar_undefined_zero_drawdown"]
 
 
 def test_portfolio_metrics_identities():

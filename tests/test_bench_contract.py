@@ -47,10 +47,14 @@ def test_workload_runs_and_repeats_at_tiny_size(name, tmp_path):
 def test_tracer_finds_and_wraps_every_cli_name(tmp_path):
     # the tracer patches cli functions and the COMMANDS entries that
     # cli.main dispatches through; a cli change that moves one fails here
-    # rather than in the next traced run
+    # rather than in the next traced run. So does a library edit that drops
+    # any other wrapped name, such as training.make_windows, .decompose or
+    # .act_forward_parts, which would zero its span silently; only these
+    # two names are known to be stale
     tracing = _load_bench("tracing")
     tracer = tracing.Tracer()
-    assert [name for name in tracer.missing if name.startswith("xsrank.cli")] == []
+    assert set(tracer.missing) <= {"xsrank.model.decompose",
+                                   "xsrank.graphs.normalized_adjacency"}
     config = tmp_path / "synth.cfg"
     config.write_text("days=8\n")
     with tracer.root("op"):
@@ -59,3 +63,4 @@ def test_tracer_finds_and_wraps_every_cli_name(tmp_path):
     assert tracer.restore_failures == []
     names = {span[3] for span in tracer.spans}
     assert {"cli.cmd_synth", "cli.file_digest", "data.write_panel"} <= names
+

@@ -621,24 +621,29 @@ def test_regress_refuses_its_settings_before_parsing_an_input(workdir, tmp_path,
         assert not out.exists()
 
 
-# per command that reads inputs: a refused option, and the options it needs
+# per command that reads inputs: a refused option, the options it needs,
+# and the optional inputs it names (none of the named files exists)
 REFUSED_OPTIONS = [
-    ("regress", ["--lags=-1"], "lags must be >= 0"),
-    ("backtest", ["--k", "0", "--n-drop", "1"], "k must be >= 1"),
-    ("train", ["--lr", "0", "--valid-start", "2015-03-01"], "lr must be positive"),
-    ("evaluate", ["--group-by", "sector"], "group_by must be industry or region"),
+    pytest.param("regress", ["--lags=-1"], "lags must be >= 0", id="regress"),
+    pytest.param("backtest", ["--k", "0", "--n-drop", "1"], "k must be >= 1", id="backtest"),
+    pytest.param("train", ["--lr", "0", "--valid-start", "2015-03-01"], "lr must be positive",
+                 id="train"),
+    pytest.param("evaluate", ["--group-by", "sector", "--industry", "industry.csv",
+                              "--region", "region.csv"],
+                 "group_by must be industry or region", id="evaluate"),
+    # before: checked by the command, after every input was hashed
+    pytest.param("evaluate", ["--group-by", "industry", "--region", "region.csv"],
+                 "--group-by industry needs --industry", id="evaluate-unnamed-membership"),
 ]
 
 
-@pytest.mark.parametrize("command, flags, error", REFUSED_OPTIONS,
-                         ids=[command for command, *_ in REFUSED_OPTIONS])
+@pytest.mark.parametrize("command, flags, error", REFUSED_OPTIONS)
 def test_a_refused_option_exits_2_before_any_input_is_hashed(tmp_path, capsys, monkeypatch,
                                                              command, flags, error):
     # before: main hashed every named input first, so a missing one
     # exited 3 and the refused option was never reported
     monkeypatch.setattr(cli, "file_digest", _refuse)
-    _, _, inputs, optional, _ = cli.COMMANDS[command]
-    missing = [arg for name in (*inputs, *optional)
+    missing = [arg for name in cli.COMMANDS[command][2]
                for arg in (f"--{name}", str(tmp_path / f"{name}.csv"))]
     out = tmp_path / "out"
     assert cli.main([command, "--out", str(out), *missing, *flags]) == cli.EXIT_CONFIG

@@ -254,22 +254,16 @@ def test_panel_roundtrip_byte_identical(tmp_path):
 
 def test_make_windows_counts_and_alignment():
     ds, _, _ = generate_synthetic(SynthConfig(n_instruments=4, days=42, seed=2))
-    wins = make_windows(ds, 40)
-    assert len(wins) == 3
-    assert wins[0].date == ds.dates[39]
-    assert wins[0].features.shape == (40, 4, 8)
-    np.testing.assert_array_equal(wins[0].features, ds.features[0:40])
-    np.testing.assert_array_equal(wins[1].features, ds.features[1:41])
-    np.testing.assert_array_equal(wins[0].labels, ds.labels[39])
-    assert wins[0].mask.all()
-    # the final date is sampled for prediction, with nothing to score
-    assert wins[2].date == ds.dates[-1] and wins[2].end_index == 41
-    np.testing.assert_array_equal(wins[2].features, ds.features[2:42])
-    assert not wins[2].mask.any()
+    ends = make_windows(ds, 40)
+    # a window is its end row t: features[t-39 .. t], labels[t], observed_mask[t]
+    np.testing.assert_array_equal(ends, [39, 40, 41])
+    assert ds.observed_mask[ends[0]].all()
+    # the final date is a window for prediction, with nothing to score
+    assert not ds.observed_mask[ends[-1]].any()
 
     ds40, _, _ = generate_synthetic(SynthConfig(n_instruments=4, days=40, seed=2))
     (only,) = make_windows(ds40, 40)
-    assert only.date == ds40.dates[-1] and not only.mask.any()
+    assert only == 39 and not ds40.observed_mask[only].any()
     with pytest.raises(DataError, match="a window needs 41 dates, the panel has 40"):
         make_windows(ds40, 41)
 
@@ -587,9 +581,7 @@ def test_masks_are_read_off_the_arrays_and_refuse_writes():
     ds.vwap[3, 0] = np.nan
     assert not ds.observed_mask[1, 2] and ds.observed_mask.sum() == 4 * 4 - 1
     assert not ds.present_mask[3, 0] and ds.present_mask.sum() == 4 * 5 - 1
-    sample = make_windows(ds, 2)[0]
-    assert sample.end_index == 1 and not sample.mask[2] and sample.mask.sum() == 3
-    for mask in (ds.observed_mask, ds.present_mask, sample.mask):
+    for mask in (ds.observed_mask, ds.present_mask):
         with pytest.raises(ValueError, match="read-only"):
             mask[0] = False
 

@@ -24,7 +24,6 @@ from xsrank.model import (
 from xsrank.tensor import PrimitiveKind, Tape, Tensor, backward
 from xsrank.training import (
     Adam,
-    EarlyStopper,
     TrainSettings,
     clip_labels,
     ic_loss,
@@ -249,36 +248,12 @@ def test_adam_missing_grad_leaves_param():
     assert not np.array_equal(param.data, np.ones(3))
 
 
-def test_early_stopper_rules():
-    s = EarlyStopper(patience=1)
-    assert s.update(0.5) is True
-    assert s.update(0.4) is False
-    assert s.should_stop and s.n_evals == 2 and s.best_index == 0
-
-    s = EarlyStopper(patience=2)
-    for value in (0.1, 0.2, 0.15, 0.18):
-        s.update(value)
-    assert s.should_stop and s.best_index == 1
-
-    # a plateau never counts as improvement
-    s = EarlyStopper(patience=2)
-    s.update(0.3)
-    s.update(0.3)
-    s.update(0.3)
-    assert s.should_stop and s.best_index == 0
-
-    improving = EarlyStopper(patience=1)
-    for value in (0.1, 0.2, 0.3, 0.4):
-        improving.update(value)
-    assert not improving.should_stop and improving.best_index == 3
-
-
 def test_train_settings_validation():
     with pytest.raises(ConfigError):
         TrainSettings(valid_start="2015-06-01", lr=0.0)
     with pytest.raises(ConfigError):
         TrainSettings(valid_start="2015-06-01", batch_size=0)
-    # the one check of the patience EarlyStopper runs down
+    # the one check of the patience that early stopping runs down
     with pytest.raises(ConfigError, match="^patience must be >= 1$"):
         TrainSettings(valid_start="2015-06-01", patience=0)
     with pytest.raises(ConfigError):
@@ -298,6 +273,39 @@ def small_cfg(**over):
                 fluct_window=3, shock_window=3, knn=2, dropout_rate=0.1)
     base.update(over)
     return ActConfig(**base)
+
+
+def test_early_stopper_rules(monkeypatch):
+    # one validation window, so each epoch's validation IC is one scripted
+    # pearson value; the 0.9s after the script would be improvements
+    ds, graphs = small_panel(days=30)
+    cfg = small_cfg()
+    start = ActModel(cfg, seed=0).state_arrays()
+    cases = [
+        (1, [0.5, 0.4], 0),
+        (2, [0.1, 0.2, 0.15, 0.18], 1),
+        # a plateau never counts as improvement
+        (2, [0.3, 0.3, 0.3], 0),
+        # with no IC nothing is selected, and the start weights are kept
+        (2, [None, None], -1),
+    ]
+    for patience, ics, selected in cases:
+        script = iter(ics + [0.9, 0.9])
+        monkeypatch.setattr("xsrank.training.pearson", lambda a, b: next(script))
+        settings = TrainSettings(valid_start=ds.dates[20], test_start=ds.dates[21],
+                                 epochs=len(ics) + 2, patience=patience)
+        model, hist = train(ds, graphs, cfg, settings)
+        assert hist.n_valid_windows == 1
+        assert len(hist.valid_ic) == len(ics) and hist.selected_epoch == selected
+        if selected == -1:
+            assert all(np.array_equal(model[name].data, start[name]) for name in start)
+
+    improving = iter([0.1, 0.2, 0.3, 0.4])
+    monkeypatch.setattr("xsrank.training.pearson", lambda a, b: next(improving))
+    settings = TrainSettings(valid_start=ds.dates[20], test_start=ds.dates[21],
+                             epochs=4, patience=1)
+    _, hist = train(ds, graphs, cfg, settings)
+    assert hist.valid_ic == [0.1, 0.2, 0.3, 0.4] and hist.selected_epoch == 3
 
 
 def test_train_is_deterministic():
