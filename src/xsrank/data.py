@@ -243,6 +243,79 @@ class _Coder:
         return [self.names[k] for k in order], rank
 
 
+def _read_grid(blocks, names: list[str], missing_ok: bool, path=None):
+    """The date x instrument grid of keyed rows, read block by block.
+
+    `blocks` is a two-key `_read_table` stream of `path`, or, for rows
+    that come from no file (`path` None), one (None, rows, values, None)
+    block. `names` labels the number columns. Returns the sorted dates,
+    the sorted instruments, the [D, M, C] values, NaN where no row gave
+    a cell, and the [D, M] mask of the cells some row gave.
+
+    Refuses an infinite number, a NaN unless `missing_ok`, and a row that
+    repeats an earlier (date, instrument) pair. An error names the file
+    and line, or a row by its pair; of these faults and the stream's own,
+    the one on the earliest line is raised, a bad number before a
+    duplicate on the same line.
+    """
+    day_codes, name_codes = _Coder(), _Coder()
+    parts = []  # (lines, date codes, instrument codes, values) per block
+
+    def at(lines, k: int, t: int, i: int) -> str:
+        if path is None:
+            return f"row ({day_codes.names[t]}, {name_codes.names[i]})"
+        return f"{path}: line {lines[k]}"
+
+    def check_duplicates(limit):
+        """Raise for the first row read that repeats an earlier pair, if it
+        comes before row `limit`."""
+        t = np.concatenate([part[1] for part in parts])
+        i = np.concatenate([part[2] for part in parts])
+        _, first = np.unique(t.astype(np.int64) * len(name_codes.names) + i,
+                             return_index=True)
+        repeats = np.setdiff1d(np.arange(t.size), first)
+        if not repeats.size or repeats[0] >= limit:
+            return
+        dup = int(repeats[0])
+        for lines, t, i, _ in parts:
+            if dup < t.size:
+                raise DataError(f"{at(lines, dup, t[dup], i[dup])}: "
+                                f"duplicate (date, instrument) pair")
+            dup -= t.size
+
+    n_rows = 0
+    for lines, rows, values, fault in blocks:
+        t = day_codes([row[0] for row in rows])
+        i = name_codes([row[1] for row in rows])
+        parts.append((lines, t, i, values))
+        n_rows += len(rows)
+        bad = np.isinf(values) if missing_ok else ~np.isfinite(values)
+        if bad.any():
+            k, col = divmod(int(np.argmax(bad)), len(names))
+            check_duplicates(n_rows - len(rows) + k)
+            raw = float(values[k, col]) if path is None else rows[k][2 + col]
+            raise DataError(f"{at(lines, k, t[k], i[k])}: {names[col]} is {raw!r}; " +
+                            ("leave a missing value empty" if missing_ok else
+                             "give a finite number"))
+        if fault is not None:
+            check_duplicates(n_rows)
+            raise fault
+    rows = None  # the grid is built without the last block's strings
+
+    dates, rank_t = day_codes.ranked()
+    instruments, rank_i = name_codes.ranked()
+    grid = np.full((len(dates), len(instruments), len(names)), np.nan)
+    mask = np.zeros(grid.shape[:2], dtype=bool)
+    for _, t, i, values in parts:
+        cell = rank_t[t], rank_i[i]
+        mask[cell] = True
+        grid[cell] = values
+    # the mask counts fewer cells than rows only when a pair repeats
+    if np.count_nonzero(mask) < n_rows:
+        check_duplicates(n_rows)
+    return dates, instruments, grid, mask
+
+
 def _positions(names: list[str], universe: list[str]) -> np.ndarray:
     """Position of each name in `universe`, -1 where it is absent."""
     pos = {name: k for k, name in enumerate(universe)}
@@ -341,35 +414,14 @@ class PredictionSeries:
 
     def __init__(self, rows):
         rows = list(rows)
-        dates, instruments = _Coder(), _Coder()
-        self._fill(dates, instruments,
-                   [(dates([row[0] for row in rows]), instruments([row[1] for row in rows]),
-                     np.array([row[2] for row in rows], dtype=np.float64))])
+        scores = np.array([row[2] for row in rows], dtype=np.float64).reshape(-1, 1)
+        self._grid([(None, rows, scores, None)])
 
-    def _fill(self, dates: "_Coder", instruments: "_Coder", parts: list) -> None:
-        """Build the grid from (date codes, instrument codes, scores)
-        blocks, emptying `parts` as it goes."""
-        self.dates, rank_t = dates.ranked()
-        self.instruments, rank_i = instruments.ranked()
-        m = len(self.instruments)
-        scores = np.full(len(self.dates) * m, np.nan)
-        seen = np.zeros(scores.size, dtype=bool)
-        n_rows, first_bad = 0, scores.size
-        while parts:
-            t, i, values = parts.pop()
-            cell = rank_t[t] * m + rank_i[i]
-            seen[cell] = True
-            n_rows += cell.size
-            scores[cell] = values
-            bad = ~np.isfinite(values)
-            if bad.any():
-                first_bad = min(first_bad, int(cell[bad].min()))
-        if np.count_nonzero(seen) < n_rows:
-            raise DataError("duplicate (date, instrument) prediction")
-        if first_bad < scores.size:
-            d, k = divmod(first_bad, m)
-            raise DataError(f"non-finite score at ({self.dates[d]}, {self.instruments[k]})")
-        self.scores = scores.reshape(len(self.dates), m)
+    def _grid(self, blocks, path=None) -> None:
+        """Set the grid from `_read_grid` blocks of rows of `path`."""
+        self.dates, self.instruments, scores, _ = _read_grid(
+            blocks, ["score"], missing_ok=False, path=path)
+        self.scores = scores[:, :, 0]
 
     @property
     def rows(self) -> list[tuple[str, str, float]]:
@@ -396,18 +448,8 @@ class PredictionSeries:
 
     @classmethod
     def read_csv(cls, path) -> "PredictionSeries":
-        dates, instruments = _Coder(), _Coder()
-
-        def part(lines, rows, scores, fault):
-            if fault is not None:
-                raise fault
-            return (dates([row[0] for row in rows]), instruments([row[1] for row in rows]),
-                    scores.ravel())
-
-        # no block of rows outlives its part while the grid is built
         preds = cls.__new__(cls)
-        preds._fill(dates, instruments,
-                    [part(*block) for block in _read_table(path, PREDICTIONS_HEADER, keys=2)])
+        preds._grid(_read_table(path, PREDICTIONS_HEADER, keys=2), path)
         return preds
 
 
@@ -508,67 +550,18 @@ def load_panel(features_path, prices_path) -> PanelDataset:
     if header[2:] != want:
         raise DataError(f"{features_path}: feature columns must be f0..f{n_feat - 1}")
 
-    day_codes, name_codes = _Coder(), _Coder()
-    parts = []  # (date codes, instrument codes, [rows, F] features) per block
-
-    def check_duplicates(limit):
-        """Raise for the first row read that repeats an earlier (date,
-        instrument) pair, if it comes before row `limit`."""
-        t = np.concatenate([part[0] for part in parts])
-        i = np.concatenate([part[1] for part in parts])
-        _, first = np.unique(t.astype(np.int64) * len(name_codes.names) + i,
-                             return_index=True)
-        if first.size < t.size:
-            seen = np.zeros(t.size, dtype=bool)
-            seen[first] = True
-            dup = int(np.argmin(seen))
-            if dup < limit:
-                raise DataError(f"{features_path}: duplicate "
-                                f"({day_codes.names[t[dup]]}, {name_codes.names[i[dup]]})")
-
-    n_read = 0
-    for lines, rows, values, fault in table:
-        parts.append((day_codes([row[0] for row in rows]),
-                      name_codes([row[1] for row in rows]), values))
-        n_read += len(rows)
-        # only an empty cell stands for a missing feature; inf is refused. The
-        # NaN-skipping extremes find one without a mask the size of the block.
-        cells = values.ravel()
-        bad = cells.size
-        if cells.size and np.isinf([np.fmax.reduce(cells), np.fmin.reduce(cells)]).any():
-            bad = int(np.argmax(np.isinf(cells)))
-        if fault is None and bad == cells.size:
-            continue
-        row, col = divmod(bad, n_feat)
-        # a duplicate of an earlier line, in this block or before it, is
-        # reported first
-        check_duplicates(n_read - len(rows) + row)
-        if bad < cells.size:
-            raise DataError(f"{features_path}: line {lines[row]}: feature "
-                            f"{header[2 + col]} is {rows[row][2 + col]!r}; "
-                            f"leave a missing value empty")
-        raise fault
-    if not parts:
+    dates, names, features, present = _read_grid(
+        table, [f"feature {name}" for name in header[2:]], missing_ok=True,
+        path=features_path)
+    if not dates:
         raise DataError(f"{features_path}: no data rows")
-    check_duplicates(float("inf"))
-
-    dates, day_pos = day_codes.ranked()
-    names, name_pos = name_codes.ranked()
-    present = np.zeros((len(dates), len(names)), dtype=bool)
-    for t, i, _ in parts:
-        present[day_pos[t], name_pos[i]] = True
     keep = present.all(axis=0)
     if not keep.any():
         raise DataError(f"{features_path}: no instrument present on every date")
     instruments = [names[j] for j in np.flatnonzero(keep)]
     dropped = [names[j] for j in np.flatnonzero(~keep)]
-    # sorted name position -> column among the kept instruments
-    column = np.cumsum(keep) - 1
-    features = np.empty((len(dates), len(instruments), n_feat))
-    while parts:
-        t, i, values = parts.pop()
-        kept = keep[name_pos[i]]
-        features[day_pos[t[kept]], column[name_pos[i[kept]]]] = values[kept]
+    if dropped:
+        features = features[:, keep]
 
     date_pos = {d: k for k, d in enumerate(dates)}
     inst_pos = {s: k for k, s in enumerate(instruments)}
@@ -635,14 +628,17 @@ def write_panel(ds: PanelDataset, features_path, prices_path) -> None:
 
 
 def load_membership(path) -> dict[str, str]:
-    """instrument -> category map; conflicting duplicates are an error."""
+    """instrument -> category map. An empty or blank cell is an error, not
+    a category named "" that would relate every instrument missing one,
+    and so are conflicting duplicates."""
     out: dict[str, str] = {}
-    for _, rows, _, fault in _read_table(path, MEMBERSHIP_HEADER, keys=2):
-        for inst, cat in rows:
+    for lines, rows, _, fault in _read_table(path, MEMBERSHIP_HEADER, keys=2):
+        for line, (inst, cat) in zip(lines, rows):
+            if not (inst.strip() and cat.strip()):
+                raise DataError(f"{path}: line {line}: empty instrument or category")
             if out.setdefault(inst, cat) != cat:
-                raise DataError(
-                    f"{path}: instrument {inst!r} mapped to both {out[inst]!r} and {cat!r}"
-                )
+                raise DataError(f"{path}: line {line}: instrument {inst!r} mapped to "
+                                f"both {out[inst]!r} and {cat!r}")
         if fault is not None:
             raise fault
     return out

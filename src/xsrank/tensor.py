@@ -32,6 +32,9 @@ import numpy as np
 
 from .errors import NonFiniteError, ShapeError, TapeError
 
+# added to the row variance before LAYER_NORM takes its square root
+LAYER_NORM_EPS = 1e-5
+
 
 class PrimitiveKind(Enum):
     MATMUL = "matmul"
@@ -283,11 +286,10 @@ def _fw_layer_norm(inputs, attrs):
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError("layer_norm gamma/beta must match the last axis")
-    eps = attrs.get("eps", 1e-5)
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv
     out = gamma * xhat + beta
 
@@ -425,7 +427,7 @@ _REGISTRY: dict[PrimitiveKind, tuple[Callable, frozenset, frozenset]] = {
     PrimitiveKind.MUL: (_fw_mul, frozenset(), frozenset()),
     PrimitiveKind.DIV: (_fw_div, frozenset(), frozenset()),
     PrimitiveKind.CONCAT_LAST: (_fw_concat_last, frozenset(), frozenset()),
-    PrimitiveKind.LAYER_NORM: (_fw_layer_norm, frozenset(), frozenset({"eps"})),
+    PrimitiveKind.LAYER_NORM: (_fw_layer_norm, frozenset(), frozenset()),
     PrimitiveKind.LEAKY_RELU: (_fw_leaky_relu, frozenset({"slope"}), frozenset()),
     PrimitiveKind.SIGMOID: (_fw_sigmoid, frozenset(), frozenset()),
     PrimitiveKind.TANH: (_fw_tanh, frozenset(), frozenset()),
@@ -565,11 +567,9 @@ def concat_last(tensors: Iterable) -> Tensor:
     return apply_primitive(PrimitiveKind.CONCAT_LAST, [_as_tensor(t) for t in tensors])
 
 
-def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
+def layer_norm(x, gamma, beta) -> Tensor:
     return apply_primitive(
-        PrimitiveKind.LAYER_NORM,
-        [_as_tensor(x), _as_tensor(gamma), _as_tensor(beta)],
-        {"eps": eps},
+        PrimitiveKind.LAYER_NORM, [_as_tensor(x), _as_tensor(gamma), _as_tensor(beta)]
     )
 
 

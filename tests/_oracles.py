@@ -16,10 +16,12 @@ size; they share `_ratio` and `topk_dropout_rebalance` with the package.
 The row-based loaders at the end keep the earlier `load_panel` and
 `PredictionSeries.read_csv`, which held every row of a file as a list of
 strings before parsing it, and the cell parser they used, so tests can
-pin the streaming readers against them.
+pin the streaming readers against them. Each applies the fault rules
+itself, over the whole file at once, and fills its grid itself.
 """
 
 import csv
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -29,7 +31,6 @@ from xsrank.data import (
     PREDICTIONS_HEADER,
     PRICES_HEADER,
     PanelDataset,
-    PredictionSeries,
     _is_day,
     returns_from_prices,
     vwap_matrix,
@@ -643,16 +644,32 @@ def _codes(column):
 
 
 def read_predictions_rows(path):
-    """`PredictionSeries.read_csv` over the whole file held as rows."""
+    """`PredictionSeries.read_csv` over the whole file held as rows: the
+    same faults, the earliest line's raised, and the grid filled one row
+    at a time, with `dates`, `instruments` and `scores` as attributes."""
     _, raw = _read_rows(path, PREDICTIONS_HEADER)
     n_ok = _first_ragged(raw, 3)
     scores, error = _parse_floats([row[2] for row in raw[:n_ok]], path,
                                   lambda k: k + 2)
+    parsed = raw[: len(scores)]
+    seen = set()
+    for k, (row, score) in enumerate(zip(parsed, scores.tolist())):
+        if not np.isfinite(score):
+            raise DataError(f"{path}: line {k + 2}: score is {row[2]!r}; "
+                            f"give a finite number")
+        if (row[0], row[1]) in seen:
+            raise DataError(f"{path}: line {k + 2}: duplicate (date, instrument) pair")
+        seen.add((row[0], row[1]))
     if error is not None:
         raise error
     if n_ok < len(raw):
         raise DataError(f"{path}: line {n_ok + 2}: expected 3 columns")
-    return PredictionSeries([(row[0], row[1], s) for row, s in zip(raw, scores.tolist())])
+    dates = sorted({row[0] for row in parsed})
+    instruments = sorted({row[1] for row in parsed})
+    grid = np.full((len(dates), len(instruments)), np.nan)
+    for row, score in zip(parsed, scores.tolist()):
+        grid[dates.index(row[0]), instruments.index(row[1])] = score
+    return SimpleNamespace(dates=dates, instruments=instruments, scores=grid)
 
 
 def load_panel_rows(features_path, prices_path):
@@ -686,8 +703,8 @@ def load_panel_rows(features_path, prices_path):
         seen[first] = True
         dup = int(np.argmin(seen))
         if dup < min(bad_day, bad_row):
-            dt, inst = parsed[dup][:2]
-            raise DataError(f"{features_path}: duplicate ({dt}, {inst})")
+            raise DataError(f"{features_path}: line {dup + 2}: "
+                            f"duplicate (date, instrument) pair")
     if bad_day < len(parsed) and bad_day <= bad_row:
         raise DataError(f"{features_path}: line {bad_day + 2}: "
                         f"date {parsed[bad_day][0]!r} is not a YYYY-MM-DD day")

@@ -216,8 +216,19 @@ def test_membership_loaders(tmp_path):
     assert codes(path, ["a", "zz", "b", "c"]) == [0, 1, 0, 2]
 
     conflict = _write(tmp_path / "c.csv", "instrument,category\na,X\na,Y\n")
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="c.csv: line 3: instrument 'a' mapped to both"):
         load_membership(conflict)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("A,\nB,\n", 2), ("A,X\nB, \n", 3), (",X\nA,X\n", 2), ("A,X\n\t,Y\nB,\n", 3),
+], ids=["blank-categories", "space-category", "blank-instrument", "tab-instrument"])
+def test_membership_refuses_an_empty_cell(tmp_path, text, line):
+    # before: a blank category was a category named "", so A and B, each
+    # missing one, shared an industry code and a clique
+    path = _write(tmp_path / "industry.csv", "instrument,category\n" + text)
+    with pytest.raises(DataError, match=rf"industry.csv: line {line}: empty instrument"):
+        load_membership(path)
 
 
 def test_membership_roundtrip(tmp_path):
@@ -362,16 +373,36 @@ def test_prediction_series_roundtrip(tmp_path):
 
     assert all(type(s) is float for _, _, s in preds.rows)
 
-    with pytest.raises(DataError, match="duplicate"):
+    with pytest.raises(DataError, match=r"row \(d, i\): duplicate"):
         PredictionSeries(rows=[("d", "i", 0.0), ("d", "i", 1.0)])
-    with pytest.raises(DataError, match="duplicate"):
+    # before: grid order named the duplicate, and then the pair (d1, b);
+    # now the first offending row is named, as a file's earliest line is
+    with pytest.raises(DataError, match=r"row \(d, i\): score is nan"):
         PredictionSeries(rows=[("d", "i", float("nan")), ("d", "i", 1.0)])
-    # the first non-finite pair in (date, instrument) order is named
-    with pytest.raises(DataError, match=r"non-finite score at \(d1, b\)"):
+    with pytest.raises(DataError, match=r"row \(d2, a\): score is nan"):
         PredictionSeries(rows=[("d2", "a", float("nan")), ("d1", "c", float("inf")),
                                ("d1", "b", float("-inf")), ("d1", "a", 0.0)])
     empty = PredictionSeries([])
     assert empty.rows == [] and empty.scores.shape == (0, 0)
+
+
+@pytest.mark.parametrize("lines, error", [
+    (["2020-01-01,A,1.0", "2020-01-01,A,2.0", "2020-01-01,B,abc"],
+     r"line 3: duplicate \(date, instrument\) pair"),
+    (["2020-01-01,A,1.0", "2020-01-01,B,nan", "2020-01-02,A,abc"],
+     r"line 3: score is 'nan'"),
+    (["2020-01-01,A,nan", "2020-01-01,B,1.0", "2020-01-01,A,2.0"],
+     r"line 2: score is 'nan'"),
+    (["2020-01-01,A,nan", "2020-01-01,B,inf"], r"line 2: score is 'nan'"),
+], ids=["duplicate-then-unparseable", "nan-then-unparseable", "nan-then-duplicate",
+        "nan-then-inf"])
+def test_predictions_csv_reports_the_earliest_line(tmp_path, lines, error):
+    # before: the later unparseable cell won, and a duplicate or a
+    # non-finite score was named with no file and no line
+    path = _write(tmp_path / "predictions.csv",
+                  "\n".join(["datetime,instrument,score", *lines]) + "\n")
+    with pytest.raises(DataError, match=rf"predictions.csv: {error}"):
+        PredictionSeries.read_csv(path)
 
 
 @settings(max_examples=300, deadline=None)
@@ -425,7 +456,7 @@ def test_load_panel_reports_the_earliest_fault(tmp_path):
         "2020-01-02,A,x\n"        # unparseable on line 4
         "2020-01-02,B\n"          # ragged on line 5
     )
-    with pytest.raises(DataError, match="duplicate"):
+    with pytest.raises(DataError, match=r"f1.csv: line 3: duplicate \(date, instrument\)"):
         load_panel(_write(tmp_path / "f1.csv", feats), p)
     no_dup = feats.replace("2020-01-01,A,2.0", "2020-01-01,B,2.0")
     with pytest.raises(DataError, match="line 4: unparseable"):

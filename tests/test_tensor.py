@@ -113,6 +113,10 @@ def test_layer_norm_output_standardized():
     out = tz.layer_norm(Tensor(x), Tensor(np.ones(16)), Tensor(np.zeros(16))).data
     np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-10)
     np.testing.assert_allclose(out.var(axis=-1), 1.0, atol=1e-4)
+    # epsilon is a constant, not an attr: no caller ever set another
+    with pytest.raises(TapeError, match="unknown attr 'eps'"):
+        apply_primitive(PrimitiveKind.LAYER_NORM,
+                        [Tensor(x), Tensor(np.ones(16)), Tensor(np.zeros(16))], {"eps": 1e-3})
 
 
 def test_layer_norm_constant_row_grad_near_zero():
