@@ -629,13 +629,19 @@ def write_panel(ds: PanelDataset, features_path, prices_path) -> None:
 
 def load_membership(path) -> dict[str, str]:
     """instrument -> category map. An empty or blank cell is an error, not
-    a category named "" that would relate every instrument missing one,
-    and so are conflicting duplicates."""
+    a category named "" that would relate every instrument missing one;
+    so is a cell with leading or trailing whitespace, which would name a
+    category or instrument apart from its unpadded twin, and so are
+    conflicting duplicates."""
     out: dict[str, str] = {}
     for lines, rows, _, fault in _read_table(path, MEMBERSHIP_HEADER, keys=2):
         for line, (inst, cat) in zip(lines, rows):
             if not (inst.strip() and cat.strip()):
                 raise DataError(f"{path}: line {line}: empty instrument or category")
+            for name, cell in zip(MEMBERSHIP_HEADER, (inst, cat)):
+                if cell != cell.strip():
+                    raise DataError(f"{path}: line {line}: {name} {cell!r} has leading "
+                                    "or trailing whitespace")
             if out.setdefault(inst, cat) != cat:
                 raise DataError(f"{path}: line {line}: instrument {inst!r} mapped to "
                                 f"both {out[inst]!r} and {cat!r}")

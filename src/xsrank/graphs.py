@@ -33,6 +33,10 @@ from . import tensor as tz
 from .errors import ConfigError, DataError
 from .tensor import Tensor
 
+# cells of one block of rows that topk_graph keys at once: 512 KiB of
+# float64 keys, whatever N is (at least one row)
+TOPK_BLOCK_CELLS = 65_536
+
 
 @dataclass
 class RelationGraphs:
@@ -187,32 +191,43 @@ def topk_graph(similarity: np.ndarray, k: int) -> np.ndarray:
     order. Rows are ranked by similarity descending, ties break toward
     the lower column index, and a row never picks itself whatever its
     diagonal holds, so construction is fully deterministic. NaN ranks
-    below every number. All rows are selected at once: a partition finds
-    each row's k-th key and every column at or above it is kept. Only
-    when some row's k-th key is tied or NaN do the columns tied with it
-    fill the remaining slots in index order.
+    below every number. The rows of all slices are taken one block of
+    TOPK_BLOCK_CELLS // N rows at a time, through one reused key buffer,
+    so only one block of keys is held beside `similarity`. In a block a
+    partition finds each row's k-th key and every column at or above it
+    is kept. Only when some row's k-th key is tied or NaN do the columns
+    tied with it fill the remaining slots in index order.
     """
     sim = np.asarray(similarity, dtype=np.float64)
     n = _square(sim, "similarity")
     if not 1 <= k <= n - 1:
         raise ConfigError(f"k must satisfy 1 <= k <= N-1, got k={k}, N={n}")
-    # ascending key; NaN sorts last, so the NaN diagonal is never in the top k
-    key = -sim
-    _fill_diagonal(key, np.nan)
-    key.partition(k - 1, axis=-1)  # in place: only the k-th key is read from it
-    kth = key[..., k - 1: k]
-    picked = sim >= -kth  # key <= kth, as negation is exact
-    _fill_diagonal(picked, False)
-    if not (picked.sum(axis=-1) == k).all():
-        key = -sim
-        _fill_diagonal(key, np.nan)
-        nan_key = np.isnan(key)
-        above = (key < kth) | (np.isnan(kth) & ~nan_key)
-        tied = (key == kth) | (np.isnan(kth) & nan_key)
-        _fill_diagonal(tied, False)
-        slots = k - above.sum(axis=-1, keepdims=True)
-        picked = above | (tied & (np.cumsum(tied, axis=-1) <= slots))
-    return (np.flatnonzero(picked) % n).reshape(sim.shape[:-1] + (k,))
+    rows = sim.reshape(-1, n)
+    step = max(1, TOPK_BLOCK_CELLS // n)
+    buf = np.empty((min(step, len(rows)), n))
+    out = np.empty((len(rows), k), dtype=np.intp)
+    for start in range(0, len(rows), step):
+        stop = min(start + step, len(rows))
+        block = rows[start:stop]
+        diag = (np.arange(stop - start), np.arange(start, stop) % n)
+        # ascending key; NaN sorts last, so the NaN diagonal is never in the top k
+        key = np.negative(block, out=buf[:stop - start])
+        key[diag] = np.nan
+        key.partition(k - 1, axis=-1)  # in place: only the k-th key is read from it
+        kth = key[:, k - 1: k].copy()  # the tie fill below rewrites the buffer
+        picked = block >= -kth  # key <= kth, as negation is exact
+        picked[diag] = False
+        if not (picked.sum(axis=-1) == k).all():
+            np.negative(block, out=key)
+            key[diag] = np.nan
+            nan_key = np.isnan(key)
+            above = (key < kth) | (np.isnan(kth) & ~nan_key)
+            tied = (key == kth) | (np.isnan(kth) & nan_key)
+            tied[diag] = False
+            slots = k - above.sum(axis=-1, keepdims=True)
+            picked = above | (tied & (np.cumsum(tied, axis=-1) <= slots))
+        out[start:stop] = (np.flatnonzero(picked) % n).reshape(-1, k)
+    return out.reshape(sim.shape[:-1] + (k,))
 
 
 def _batch_key(lead: tuple[int, ...], neighbors: np.ndarray) -> tuple:

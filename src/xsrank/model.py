@@ -80,6 +80,8 @@ class ActConfig:
             raise ConfigError("dropout_rate must be in [0, 1)")
         if not 0.0 <= self.loss_mix <= 1.0:
             raise ConfigError("loss_mix must be in [0, 1]")
+        if not 0.0 <= self.leaky_slope < 1.0:
+            raise ConfigError("leaky_slope must be in [0, 1)")
         if self.pspe not in PSPE_MODES:
             raise ConfigError(f"pspe must be one of {PSPE_MODES}")
         if self.fci not in FCI_MODES:

@@ -231,6 +231,18 @@ def test_membership_refuses_an_empty_cell(tmp_path, text, line):
         load_membership(path)
 
 
+@pytest.mark.parametrize("text, line, cell", [
+    ("A,X\nB, X\nC,X\n", 3, "category ' X'"), ("A,X\nB,X \n", 3, "category 'X '"),
+    ("A,X\n B,X\n", 3, "instrument ' B'"), ("A\t,X\n", 2, r"instrument 'A\\t'"),
+], ids=["leading-category", "trailing-category", "leading-instrument", "tab-instrument"])
+def test_membership_refuses_a_padded_cell(tmp_path, text, line, cell):
+    # before: ' X' was a category apart from 'X', so B left A and C's
+    # clique (industry codes [0, 1, 0]), and ' B' matched no instrument
+    path = _write(tmp_path / "industry.csv", "instrument,category\n" + text)
+    with pytest.raises(DataError, match=rf"industry.csv: line {line}: {cell} has leading "):
+        load_membership(path)
+
+
 def test_membership_roundtrip(tmp_path):
     labels = {"b": "Y", "a": "X"}
     path = tmp_path / "m.csv"

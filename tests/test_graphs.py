@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracles as oracle
-from xsrank import tensor as tz
+from xsrank import graphs, tensor as tz
 from xsrank.errors import ConfigError, DataError
 from xsrank.graphs import (
     RelationGraphs,
@@ -463,12 +463,30 @@ def tied_similarity(draw):
 def test_topk_graph_matches_oracle_on_dense_ties(sim):
     # a batch of two windows: each [N, N] slice is its own graph
     batch = np.stack([sim, sim[::-1, ::-1]])
-    for k in range(1, sim.shape[0]):
-        want = oracle.neighbor_lists(oracle.topk_np(sim, k))
-        assert np.array_equal(topk_graph(sim, k), want)
-        got = topk_graph(batch, k)
-        for window, lists in zip(batch, got):
-            assert np.array_equal(lists, oracle.neighbor_lists(oracle.topk_np(window, k)))
+    n = sim.shape[0]
+    wants = [[oracle.neighbor_lists(oracle.topk_np(window, k)) for window in batch]
+             for k in range(1, n)]
+    # one block for all rows, one row per block (1 and N cells), and blocks
+    # of N + 1 rows, so that a block holds the rows of two windows
+    for cells in (graphs.TOPK_BLOCK_CELLS, 1, n, (n + 1) * n):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphs, "TOPK_BLOCK_CELLS", cells)
+            for k, want in enumerate(wants, start=1):
+                assert np.array_equal(topk_graph(sim, k), want[0])
+                assert np.array_equal(topk_graph(batch, k), np.stack(want))
+
+
+@pytest.mark.parametrize("shape", [(800, 800), (4, 800, 800)])
+def test_topk_graph_holds_one_block_beside_the_similarity(shape):
+    sim = np.random.default_rng(16).normal(size=shape)
+    tracemalloc.start()
+    try:
+        topk_graph(sim, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # before: a full [..., N, N] key array and a bool mask of the same shape
+    assert peak < sim.nbytes / 5, peak
 
 
 def test_batched_graph_helpers_keep_their_input_checks():

@@ -8,7 +8,8 @@ import pytest
 import _oracles as oracle
 from _fd import finite_difference_check
 from xsrank import tensor as tz
-from xsrank.errors import NonFiniteError, ShapeError, TapeError
+from xsrank.errors import ConfigError, NonFiniteError, ShapeError, TapeError
+from xsrank.model import ActConfig
 from xsrank.tensor import PrimitiveKind, Tape, Tensor, apply_primitive, backward
 
 
@@ -190,6 +191,27 @@ def test_sigmoid_equals_masked_formula_bitwise():
     got = tz.sigmoid(Tensor(x)).data
     assert np.array_equal(got, oracle.sigmoid_masked(x))
     assert np.array_equal(np.signbit(got), np.signbit(oracle.sigmoid_masked(x)))
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.2])
+def test_leaky_relu_equals_where_formula_bitwise(slope):
+    # the forward is maximum(x, slope * x), equal to the where form only
+    # for 0 <= slope < 1
+    rng = np.random.default_rng(24)
+    x = np.concatenate([rng.normal(size=500) * 10.0,
+                        [0.0, -0.0, 1e-300, -1e-300, 1e308, -1e308]])
+    got = tz.leaky_relu(Tensor(x), slope).data
+    want = np.where(x > 0, x, slope * x)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("slope", [1.0, 1.5, -0.1])
+def test_leaky_relu_refuses_a_slope_outside_0_1(slope):
+    with pytest.raises(TapeError, match="slope must be in"):
+        tz.leaky_relu(Tensor([1.0, -1.0]), slope)
+    with pytest.raises(ConfigError, match="leaky_slope"):
+        ActConfig(n_features=1, window=1, leaky_slope=slope)
 
 
 def test_non_finite_output_raises():
