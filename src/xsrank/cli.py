@@ -3,10 +3,9 @@
 `COMMANDS` declares each subcommand once: its function, the settings
 classes whose fields are its options, input flags, optional input flags
 and help. `main` builds the settings from flags and config file, so a
-refused option is refused before any other input is read (ActConfig's
-checks wait for the panel's feature count). It then hashes each named
-input file, config file included, so a missing one is refused before
-any work. Every command reads CSVs, writes CSVs (plus an SVG for
+refused option is refused before any other input is read. It then
+hashes each named input file, config file included, so a missing one is
+refused before any work. Every command reads CSVs, writes CSVs (plus an SVG for
 the backtest) into --out, and `main` drops a manifest.json recording the
 resolved configuration, input digests, and artifact list; commands that
 read a panel also list the instruments it dropped. With a fixed seed the
@@ -342,9 +341,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def build_settings(cls, resolved: dict):
     """`cls` built from its options in `resolved`; a class in FILLED comes
-    back unfinished, to be called with the field its command fills."""
+    back unfinished, to be called with the field its command fills, once
+    its checks have passed with that field at 1."""
     own = {f.name: resolved[f.name] for f in fields(cls) if f.name != FILLED.get(cls)}
-    return functools.partial(cls, **own) if cls in FILLED else cls(**own)
+    if cls not in FILLED:
+        return cls(**own)
+    cls(**own, **{FILLED[cls]: 1})
+    return functools.partial(cls, **own)
 
 
 def main(argv=None) -> int:

@@ -36,14 +36,17 @@ FACTOR_NAMES = ["mktrf", "smb", "hml", "rmw", "cma"]
 # cells per block a reader parses at once: counting cells, not rows, keeps
 # the bound on a panel with many feature columns
 CHUNK_CELLS = 1 << 11
+# lines a writer joins into one write call
+LINES_PER_WRITE = 1 << 10
 
 
 def format_floats(values) -> list[str]:
     """Shortest decimal strings that round-trip to the same fp64 values.
 
     `repr` gives the shortest round-trip digits but switches to exponent
-    notation below 1e-4 and from 1e16; only those strings are redone
-    positionally. Raises DataError on the first non-finite value.
+    notation exactly for magnitudes in (0, 1e-4) and from 1e16; only
+    those strings are redone positionally. Raises DataError on the first
+    non-finite value.
     """
     arr = np.asarray(values, dtype=np.float64).ravel()
     finite = np.isfinite(arr)
@@ -51,11 +54,9 @@ def format_floats(values) -> list[str]:
         bad = float(arr[np.argmin(finite)])
         raise DataError(f"refusing to write non-finite value {bad!r}")
     out = list(map(repr, arr.tolist()))
-    if "e" in "".join(out):
-        out = [
-            np.format_float_positional(v, unique=True, trim="0") if "e" in s else s
-            for s, v in zip(out, arr)
-        ]
+    size = np.abs(arr)
+    for k in np.flatnonzero(((size < 1e-4) & (size > 0)) | (size >= 1e16)).tolist():
+        out[k] = np.format_float_positional(arr[k], unique=True, trim="0")
     return out
 
 
@@ -65,10 +66,12 @@ def format_float(v: float) -> str:
 
 
 def _write_lines(path, header, lines):
+    """Write the header and `lines`, LINES_PER_WRITE lines per write call."""
+    lines = iter(lines)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for line in lines:
-            fh.write(line + "\n")
+        while block := list(islice(lines, LINES_PER_WRITE)):
+            fh.write("\n".join(block) + "\n")
 
 
 def _cell(value) -> str:
@@ -439,12 +442,9 @@ class PredictionSeries:
     def write_csv(self, path) -> None:
         t, i = np.nonzero(np.isfinite(self.scores))
         cells = format_floats(self.scores[t, i])
-        _write_lines(
-            path,
-            PREDICTIONS_HEADER,
-            (f"{self.dates[a]},{self.instruments[b]},{s}"
-             for a, b, s in zip(t.tolist(), i.tolist(), cells)),
-        )
+        dates = map(self.dates.__getitem__, t.tolist())
+        instruments = map(self.instruments.__getitem__, i.tolist())
+        _write_lines(path, PREDICTIONS_HEADER, map(",".join, zip(dates, instruments, cells)))
 
     @classmethod
     def read_csv(cls, path) -> "PredictionSeries":

@@ -25,7 +25,9 @@ Branches:
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
@@ -42,7 +44,7 @@ from .graphs import (
 )
 from .tensor import Tensor
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 PSPE_MODES = ("full", "gat_only")
 FCI_MODES = ("tcn", "mlp")
@@ -398,25 +400,25 @@ def act_forward_parts(
 def save_checkpoint(model: ActModel, path) -> None:
     """Versioned JSON checkpoint: config header plus name -> tensor map.
 
-    Floats are serialized with shortest round-trip repr, so saving the
-    same state twice yields byte-identical files. The bytes are those of
-    one `json.dumps(payload, sort_keys=True, separators=(",", ":"))` plus
-    a newline, written one parameter at a time through the C encoder
-    (`json.dump` to a file handle takes the pure-Python one). A
-    non-finite parameter is refused with a DataError, as
+    Each parameter's `data` is the base64 text of its row-major
+    little-endian float64 bytes, so saving the same state twice yields
+    byte-identical files. The bytes are those of one
+    `json.dumps(payload, sort_keys=True, separators=(",", ":"))` plus a
+    newline. A non-finite parameter is refused with a DataError, as
     `load_checkpoint` would refuse it, before any byte is written.
     """
     bad = next((name for name, t in model.params.items() if not np.isfinite(t.data).all()), None)
     if bad is not None:
         raise DataError(f"{path}: refusing to write non-finite parameter {bad}")
-    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-    head = encode({"config": model.cfg.to_dict(), "format_version": CHECKPOINT_VERSION})
+    params = {}
+    for name, t in model.params.items():
+        raw = t.data.astype("<f8", copy=False).tobytes()
+        params[name] = {"data": base64.b64encode(raw).decode("ascii"), "shape": list(t.shape)}
+    text = json.dumps({"config": model.cfg.to_dict(), "format_version": CHECKPOINT_VERSION,
+                       "params": params, "seed": model.seed},
+                      sort_keys=True, separators=(",", ":"))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(head[:-1] + ',"params":{')
-        for i, (name, t) in enumerate(sorted(model.params.items())):
-            entry = {"data": t.data.reshape(-1).tolist(), "shape": list(t.shape)}
-            fh.write(("," if i else "") + encode(name) + ":" + encode(entry))
-        fh.write("}," + encode({"seed": model.seed})[1:] + "\n")
+        fh.write(text + "\n")
 
 
 def _checkpoint_config(path, raw: dict) -> ActConfig:
@@ -440,8 +442,9 @@ def load_checkpoint(path) -> ActModel:
     """The model saved at `path`. A payload that is not a JSON object
     with a `config` object of well-typed ActConfig fields, an integer
     `seed` and a `params` object holding exactly the model's parameters,
-    each with a flat list of finite `data` numbers that fill its `shape`,
-    is refused with a DataError naming the file and the field."""
+    each with its `shape` and a base64 `data` string of that many finite
+    little-endian float64 values, is refused with a DataError naming the
+    file and the field. Another `format_version` is a ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -453,7 +456,8 @@ def load_checkpoint(path) -> ActModel:
         raise DataError(f"{path}: not a valid checkpoint: expected a JSON object")
     version = payload.get("format_version")
     if version != CHECKPOINT_VERSION:
-        raise ConfigError(f"{path}: unsupported checkpoint version {version!r}")
+        raise ConfigError(f"{path}: unsupported checkpoint version {version!r}, "
+                          f"not {CHECKPOINT_VERSION}; re-run train to write one")
     for key in ("config", "params"):
         if not isinstance(payload.get(key), dict):
             raise DataError(f"{path}: checkpoint field {key!r} is missing or not an object")
@@ -474,14 +478,21 @@ def load_checkpoint(path) -> ActModel:
             raise DataError(f"{where} is missing")
         if not isinstance(entry, dict) or not {"shape", "data"} <= entry.keys():
             raise DataError(f"{where} needs a shape and data")
+        data, given = entry["data"], entry["shape"]
+        if not isinstance(data, str):
+            raise DataError(f"{where}: data is not a string")
         try:
-            arr = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DataError(f"{where}: {exc}") from exc
-        if type(entry["data"]) is not list or not set(map(type, entry["data"])) <= {int, float}:
-            raise DataError(f"{where}: data is not a flat list of numbers")
-        if arr.shape != shape:
-            raise DataError(f"{where}: shape {list(arr.shape)} is not {list(shape)}")
+            raw = base64.b64decode(data, validate=True)
+        except ValueError as exc:
+            raise DataError(f"{where}: data is not valid base64: {exc}") from exc
+        # 8.0 == 8 and True == 1, so the sizes' type is checked too
+        if (type(given) is not list or not all(type(n) is int for n in given)
+                or tuple(given) != shape):
+            raise DataError(f"{where}: shape {given!r} is not {list(shape)}")
+        if len(raw) != 8 * math.prod(shape):
+            raise DataError(f"{where}: data holds {len(raw)} bytes, not 8 per value "
+                            f"of shape {list(shape)}")
+        arr = np.frombuffer(raw, dtype="<f8").reshape(shape)
         if not np.isfinite(arr).all():
             raise DataError(f"{where} holds a non-finite number")
         state[name] = arr

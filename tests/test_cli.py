@@ -1,4 +1,5 @@
 import argparse
+import base64
 import contextlib
 import hashlib
 import io
@@ -628,6 +629,16 @@ REFUSED_OPTIONS = [
     pytest.param("backtest", ["--k", "0", "--n-drop", "1"], "k must be >= 1", id="backtest"),
     pytest.param("train", ["--lr", "0", "--valid-start", "2015-03-01"], "lr must be positive",
                  id="train"),
+    # before: ActConfig was checked only once the panel was read, so these
+    # exited 3 on the missing features file
+    pytest.param("train", ["--dropout-rate", "1.5", "--valid-start", "2015-03-01"],
+                 "dropout_rate must be in [0, 1)", id="train-dropout-rate"),
+    pytest.param("train", ["--hidden", "0", "--valid-start", "2015-03-01"],
+                 "hidden size must be >= 1", id="train-hidden"),
+    pytest.param("train", ["--pspe", "both", "--valid-start", "2015-03-01"],
+                 "pspe must be one of ('full', 'gat_only')", id="train-pspe"),
+    pytest.param("train", ["--leaky-slope", "1.5", "--valid-start", "2015-03-01"],
+                 "leaky_slope must be in [0, 1)", id="train-leaky-slope"),
     pytest.param("evaluate", ["--group-by", "sector", "--industry", "industry.csv",
                               "--region", "region.csv"],
                  "group_by must be industry or region", id="evaluate"),
@@ -1048,9 +1059,22 @@ def test_evaluate_refuses_a_missing_named_input_before_any_work(workdir, tmp_pat
     assert not out.exists()
 
 
-def _short_param(payload):
-    payload["params"]["out_w"]["data"].pop()
-    return payload
+def _values(entry):
+    """A checkpoint entry's data as a writable float64 array."""
+    return np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8").copy()
+
+
+def _set_values(entry, values):
+    entry["data"] = base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _bit_pattern(value):
+    # the entry with its fourth value set to `value`
+    def edit(entry):
+        values = _values(entry)
+        values[3] = value
+        _set_values(entry, values)
+    return edit
 
 
 def _without(key):
@@ -1058,11 +1082,6 @@ def _without(key):
         del payload[key]
         return payload
     return edit
-
-
-def _string_in_param(payload):
-    payload["params"]["out_w"]["data"][0] = "x"
-    return payload
 
 
 def _seed_abc(payload):
@@ -1089,11 +1108,17 @@ def _param(edit_entry):
     return edit
 
 
+NOT_BASE64 = "checkpoint field 'params.out_w': data is not valid base64"
+NOT_A_STRING = "checkpoint field 'params.out_w': data is not a string"
+NON_FINITE = "checkpoint field 'params.out_w' holds a non-finite number"
+
+
 @pytest.mark.parametrize("edit, fault", [
-    (_short_param, "checkpoint field 'params.out_w': cannot reshape"),
+    (_param(lambda e: _set_values(e, _values(e)[:-1])),
+     "checkpoint field 'params.out_w': data holds 56 bytes, not 8 per value of shape [8, 1]"),
     (_without("params"), "checkpoint field 'params' is missing"),
     (_without("config"), "checkpoint field 'config' is missing"),
-    (_string_in_param, "checkpoint field 'params.out_w': could not convert"),
+    (_param(lambda e: e.update(data="x")), NOT_BASE64),
     (_seed_abc, "checkpoint field 'seed' is 'abc', not an integer"),
     (lambda payload: [payload], "not a valid checkpoint: expected a JSON object"),
     (_config("hidden", 8.0), "checkpoint field 'config': hidden is 8.0, not an integer"),
@@ -1109,26 +1134,46 @@ def _param(edit_entry):
     (_without_param, "checkpoint field 'params.out_w' is missing"),
     (_param(lambda e: e.update(shape=[1, 8])),
      "checkpoint field 'params.out_w': shape [1, 8] is not [8, 1]"),
-    (_param(lambda e: e["data"].__setitem__(0, float("nan"))),
-     "checkpoint field 'params.out_w' holds a non-finite number"),
-    (_param(lambda e: e["data"].__setitem__(0, True)),
-     "checkpoint field 'params.out_w': data is not a flat list of numbers"),
-    (_param(lambda e: e["data"].__setitem__(0, "0.5")),
-     "checkpoint field 'params.out_w': data is not a flat list of numbers"),
-    (_param(lambda e: e.update(data=[[v] for v in e["data"]])),
-     "checkpoint field 'params.out_w': data is not a flat list of numbers"),
-    (_param(lambda e: e["data"].__setitem__(0, 10**400)),
-     "checkpoint field 'params.out_w': int too large to convert to float"),
+    (_param(_bit_pattern(np.nan)), NON_FINITE),
+    (_param(lambda e: e.update(data=True)), NOT_A_STRING),
+    (_param(lambda e: e.update(data="0.5")), NOT_BASE64),
+    (_param(lambda e: e.update(data=[e["data"]])), NOT_A_STRING),
+    (_param(lambda e: e.update(data=10**400)), NOT_A_STRING),
+    (_param(_bit_pattern(np.inf)), NON_FINITE),
+    (_param(_bit_pattern(-np.inf)), NON_FINITE),
+    # a quiet NaN with payload bits and a signalling one
+    (_param(_bit_pattern(np.uint64(0x7FF8_0000_DEAD_BEEF).view(np.float64))), NON_FINITE),
+    (_param(_bit_pattern(np.uint64(0xFFF0_0000_0000_0001).view(np.float64))), NON_FINITE),
+    (_param(lambda e: e.update(data=e["data"][:40] + "\n" + e["data"][40:])), NOT_BASE64),
+    (_param(lambda e: e.update(data=e["data"][:40] + " " + e["data"][40:])), NOT_BASE64),
+    (_param(lambda e: e.update(data=e["data"].rstrip("="))), NOT_BASE64),
+    (_param(lambda e: e.update(data=e["data"] + "=")), NOT_BASE64),
+    (_param(lambda e: e.update(data=e["data"] + e["data"])), NOT_BASE64),
+    (_param(lambda e: e.update(data=e["data"][:-4] + "é===")), NOT_BASE64),
+    (_param(lambda e: _set_values(e, np.append(_values(e), 0.5))),
+     "checkpoint field 'params.out_w': data holds 72 bytes, not 8 per value of shape [8, 1]"),
+    (_param(lambda e: e.update(data="", shape=[0, 1])),
+     "checkpoint field 'params.out_w': shape [0, 1] is not [8, 1]"),
+    (_param(lambda e: e.update(shape=[8.0, 1])),
+     "checkpoint field 'params.out_w': shape [8.0, 1] is not [8, 1]"),
+    (_param(lambda e: e.update(shape=[8, True])),
+     "checkpoint field 'params.out_w': shape [8, True] is not [8, 1]"),
+    (_param(lambda e: e.update(shape="8,1")),
+     "checkpoint field 'params.out_w': shape '8,1' is not [8, 1]"),
 ], ids=["short_param", "no_params", "no_config", "string_in_param", "seed_abc", "list",
         "hidden_float", "knn_float", "window_fraction", "hidden_bool", "hidden_string",
         "rate_string", "pspe_int", "hidden_zero", "unknown_setting", "no_out_w",
         "wrong_shape", "nan_param", "bool_param", "numeric_string_param", "nested_param",
-        "huge_int_param"])
+        "huge_int_param", "inf_param", "minus_inf_param", "nan_payload_param",
+        "signalling_nan_param", "newline_in_base64", "space_in_base64", "missing_padding",
+        "extra_padding", "data_after_padding", "non_ascii_base64", "long_param",
+        "empty_param", "float_shape", "bool_shape", "string_shape"])
 def test_predict_refuses_a_malformed_checkpoint(workdir, tmp_path, capsys, edit, fault):
     # before: each raised a traceback out of predict, exited 2 without
-    # naming the file, or (nan_param) exited 4 while scoring; bool_param,
-    # numeric_string_param and nested_param exited 0, scoring with the
-    # value numpy made of them, and huge_int_param raised an OverflowError
+    # naming the file, or (nan_param) exited 4 while scoring. With data
+    # as a list of numbers, bool_param, numeric_string_param and
+    # nested_param exited 0, scoring with the value numpy made of them,
+    # and huge_int_param raised an OverflowError
     payload = json.loads((workdir / "model" / "checkpoint.json").read_text())
     bad = tmp_path / "checkpoint.json"
     bad.write_text(json.dumps(edit(payload)))
@@ -1138,6 +1183,23 @@ def test_predict_refuses_a_malformed_checkpoint(workdir, tmp_path, capsys, edit,
     assert rc == cli.EXIT_DATA
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {bad}: {fault}"), err
+    assert not out.exists()
+
+
+def test_predict_refuses_a_version_1_checkpoint(workdir, tmp_path, capsys):
+    # version 1 wrote each parameter as a list of decimal numbers
+    payload = json.loads((workdir / "model" / "checkpoint.json").read_text())
+    for entry in payload["params"].values():
+        entry["data"] = _values(entry).tolist()
+    payload["format_version"] = 1
+    old = tmp_path / "checkpoint.json"
+    old.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    out = tmp_path / "preds"
+    rc = cli.main(["predict", "--out", str(out), "--checkpoint", str(old)]
+                  + panel_args(workdir) + graph_args(workdir))
+    assert rc == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: {old}: unsupported checkpoint version 1, not 2; re-run train to write one\n")
     assert not out.exists()
 
 

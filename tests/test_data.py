@@ -421,7 +421,8 @@ def test_predictions_csv_reports_the_earliest_line(tmp_path, lines, error):
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
 def test_format_floats_equals_dragon4_positional(values):
     specials = [0.0, -0.0, 1e16, -1e16, 1e-5, 5e-324, -5e-324, 2.2250738585072014e-308,
-                1.7976931348623157e308, 9999999999999998.0, 1e-4, 0.00009999999999999999]
+                1.7976931348623157e308, 9999999999999998.0, 1e-4, 0.00009999999999999999,
+                -9999999999999998.0, -1e-4, -0.00009999999999999999, 1.0000000000000002e16]
     for vals in (values, specials):
         want = [np.format_float_positional(np.float64(v), unique=True, trim="0")
                 for v in vals]
@@ -760,6 +761,28 @@ def test_dated_and_membership_loaders_do_not_depend_on_block_size(
         # blocks of 1 to 15 cells, so faults straddle block boundaries
         mp.setattr(data, "CHUNK_CELLS", chunk_cells)
         assert [_table_outcome(fn, path) for fn, path in cases] == whole
+
+
+@settings(max_examples=20, deadline=None)
+@given(n_lines=st.integers(0, 7), per_write=st.integers(1, 4))
+def test_writers_do_not_depend_on_lines_per_write(n_lines, per_write):
+    ds, _, _ = generate_synthetic(SynthConfig(n_instruments=4, n_features=3, days=8,
+                                              seed=n_lines))
+    preds = PredictionSeries([(d, s, float(ds.features[t, i, 0]))
+                              for t, d in enumerate(ds.dates[:n_lines])
+                              for i, s in enumerate(ds.instruments)])
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        paths = [Path(tmp, name) for name in ("features.csv", "prices.csv", "preds.csv")]
+
+        def written():
+            write_panel(ds, *paths[:2])
+            preds.write_csv(paths[2])
+            return [path.read_bytes() for path in paths]
+
+        whole = written()
+        mp.setattr(data, "LINES_PER_WRITE", per_write)
+        assert written() == whole
+    assert whole[2].count(b"\n") == 1 + 4 * n_lines
 
 
 def test_loaders_hold_their_arrays_and_one_block(tmp_path):

@@ -1,3 +1,4 @@
+import base64
 import itertools
 import json
 import tempfile
@@ -501,17 +502,20 @@ def test_checkpoint_round_trip(pspe, fci, sci, hidden, tcn_kernel, seed):
         save_checkpoint(loaded, resaved)
         assert resaved.read_bytes() == path.read_bytes()
 
-        # the file is one json.dumps of the payload, exponent and signed-zero
-        # reprs included, and those values load back bit for bit
+        # the file is one json.dumps of the payload, each parameter the
+        # base64 of its row-major little-endian float64 bytes, and a signed
+        # zero, the smallest subnormal, 1e16 and the largest float load
+        # back bit for bit
         widest = max(model.params, key=lambda name: model[name].data.size)
-        specials = [-0.0, 1e-05, 1e16, 5e-324]
+        specials = [-0.0, 5e-324, 1e16, np.finfo(np.float64).max]
         count = min(len(specials), model[widest].data.size)
         model[widest].data.flat[:count] = specials[:count]
         save_checkpoint(model, path)
         reference = json.dumps({
             "config": cfg.to_dict(),
-            "format_version": 1,
-            "params": {name: {"data": t.data.ravel().tolist(), "shape": list(t.shape)}
+            "format_version": 2,
+            "params": {name: {"data": base64.b64encode(t.data.astype("<f8").tobytes()).decode(),
+                              "shape": list(t.shape)}
                        for name, t in model.params.items()},
             "seed": seed,
         }, sort_keys=True, separators=(",", ":")) + "\n"
@@ -530,7 +534,8 @@ def test_checkpoint_rejects_bad_files(tmp_path):
     payload["format_version"] = 99
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(payload))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="bad.json: unsupported checkpoint version 99, not 2; "
+                                          "re-run train to write one"):
         load_checkpoint(bad)
 
     payload = json.loads(path.read_text())
@@ -544,6 +549,16 @@ def test_checkpoint_rejects_bad_files(tmp_path):
     notjson.write_text("{broken")
     with pytest.raises(DataError):
         load_checkpoint(notjson)
+
+
+def test_hidden_64_checkpoint_stays_within_its_byte_size(tmp_path):
+    # 113,600 float64 values in base64 take 1,213,800 bytes; written as
+    # decimal text they took about 2,330,000
+    model = ActModel(ActConfig(n_features=8, window=16), seed=0)
+    assert model.cfg.hidden == 64
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(model, path)
+    assert path.stat().st_size <= 1_250_000
 
 
 def test_save_checkpoint_refuses_a_non_finite_parameter(tmp_path):
