@@ -7,10 +7,10 @@ refused option is refused before any other input is read. It then
 hashes each named input file, config file included, so a missing one is
 refused before any work. Every command reads CSVs, writes CSVs (plus an SVG for
 the backtest) into --out, and `main` drops a manifest.json recording the
-resolved configuration, input digests, and artifact list; commands that
-read a panel also list the instruments it dropped. With a fixed seed the
-CSV/SVG artifacts are byte-identical across runs; only the manifest's
-wall_time_seconds varies.
+resolved configuration, input digests, artifact list and the numpy, BLAS
+and thread settings it ran under; commands that read a panel also list
+the instruments it dropped. With a fixed seed the CSV/SVG artifacts are
+byte-identical across runs; only the manifest's wall_time_seconds varies.
 
 Config precedence is flags > config file > built-in defaults. Config
 files are flat `key=value` text, one pair per line, `#` comments. Every
@@ -23,6 +23,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import MISSING, fields
@@ -67,6 +68,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+# environment variables that set the BLAS thread count
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # ---------------------------------------------------------------------------
 # config plumbing
@@ -128,6 +131,22 @@ def file_digest(path) -> str:
         raise DataError(f"{path}: {exc}") from exc
 
 
+def environment() -> dict:
+    """What a run's numbers may depend on beyond its inputs: the numpy
+    version, the BLAS it was built with (None where numpy cannot say) and
+    the BLAS thread count variables (None where unset)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas.get("name"), "version": blas.get("version")}
+    except (TypeError, KeyError, AttributeError):
+        blas = None
+    return {
+        "numpy": np.__version__,
+        "blas": blas,
+        "threads": {var: os.environ.get(var) for var in THREAD_VARS},
+    }
+
+
 def write_manifest(out_dir: Path, command: str, config: dict,
                    inputs: dict[str, dict], artifacts: list[str],
                    started: float, ds=None) -> None:
@@ -138,6 +157,7 @@ def write_manifest(out_dir: Path, command: str, config: dict,
         "config": config,
         "inputs": inputs,
         "artifacts": sorted(artifacts),
+        "environment": environment(),
         "wall_time_seconds": round(time.monotonic() - started, 3),
     }
     if ds is not None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from datetime import date as _date, timedelta
+from datetime import date as _date
 from itertools import islice
 
 import numpy as np
@@ -687,9 +687,10 @@ def standardize_features(ds: PanelDataset) -> PanelDataset:
         col, miss = cols[ti, fi], bad[ti, fi]
         # an all-missing column becomes 0, which centering leaves at 0
         col[miss] = 0.0 if miss.all() else np.median(col[~miss])
-    mu = cols.mean(axis=2, keepdims=True)
-    sd = cols.std(axis=2, keepdims=True)
-    cols -= mu
+    cols -= cols.mean(axis=2, keepdims=True)
+    # np.std's own arithmetic on the centred columns, without its second
+    # mean pass: sqrt(sum(x * x) / n)
+    sd = np.sqrt(np.square(cols).sum(axis=2, keepdims=True) / cols.shape[2])
     np.divide(cols, sd, out=cols, where=sd > 0)
     return PanelDataset(
         dates=list(ds.dates),
@@ -723,6 +724,8 @@ def make_windows(ds: PanelDataset, window: int) -> np.ndarray:
 
 # time constant, in days, of the AR(1) industry trends and region factors
 SIGNAL_TAU = 60.0
+# the last day a synthetic calendar may reach: ISO dates have four-digit years
+LAST_DAY = "9999-12-31"
 
 
 @dataclass
@@ -732,7 +735,8 @@ class SynthConfig:
     Feature layout: the first min(3, F-2) columns carry linear return
     weights, column F-2 observes a region factor that never enters
     returns (a structural distractor), and column F-1 observes the
-    industry trend contaminated by that same region factor.
+    industry trend contaminated by that same region factor. The trading
+    calendar, `days` weekdays from `start_date` on, ends by LAST_DAY.
     """
 
     n_instruments: int = 24
@@ -757,29 +761,41 @@ class SynthConfig:
         if self.block_size < 1 or self.n_regions < 1:
             raise ConfigError("block_size and n_regions must be >= 1")
         _check_day("start_date", self.start_date)
+        if int(np.busday_count(self.start_date, np.datetime64(LAST_DAY) + 1)) < self.days:
+            raise ConfigError(f"start_date {self.start_date} with days {self.days} "
+                              f"runs past {LAST_DAY}")
 
 
 def trading_dates(start: str, count: int) -> list[str]:
     """`count` consecutive weekdays starting at or after the day `start`."""
-    cur = _date.fromisoformat(start)
-    out = []
-    while len(out) < count:
-        if cur.weekday() < 5:
-            out.append(cur.isoformat())
-        cur += timedelta(days=1)
-    return out
+    return np.busday_offset(start, np.arange(count), roll="forward").astype(str).tolist()
 
 
-def _ar1_paths(rng, n_paths: int, days: int, tau: float) -> np.ndarray:
-    """Unit-variance stationary AR(1) paths with decay exp(-1/tau)."""
+def _ar1_paths(rng, counts: tuple[int, ...], days: int, tau: float) -> list[np.ndarray]:
+    """Unit-variance stationary AR(1) paths with decay exp(-1/tau): one
+    time-major [days, n] array per n in `counts`, drawn in that order,
+    each its starting values and then its [n, days] shocks."""
     rho = float(np.exp(-1.0 / tau))
     innov_scale = float(np.sqrt(1.0 - rho * rho))
-    paths = np.empty((n_paths, days))
-    paths[:, 0] = rng.standard_normal(n_paths)
-    shocks = rng.standard_normal((n_paths, days))
-    for t in range(1, days):
-        paths[:, t] = rho * paths[:, t - 1] + innov_scale * shocks[:, t]
-    return paths
+    draws = [(rng.standard_normal(n), rng.standard_normal((n, days))) for n in counts]
+    # every relation's paths in one [days, paths] recursion; day 0's
+    # shocks are drawn but unused
+    paths = np.concatenate([shocks.T for _, shocks in draws], axis=1)
+    paths *= innov_scale
+    paths[0] = np.concatenate([start for start, _ in draws])
+    for prev, row in zip(paths, paths[1:]):
+        row += rho * prev
+    return np.split(paths, np.cumsum(counts)[:-1], axis=1)
+
+
+def _compound(base: np.ndarray, returns: np.ndarray) -> np.ndarray:
+    """[D, N] prices from day 0's `base`, each day's the previous day's
+    times (1 + that day's return): out[t] = out[t - 1] * (1 + returns[t - 1]),
+    multiplied in that order. The last day's return is not used."""
+    growth = np.empty(returns.shape)
+    growth[0] = base
+    np.add(1.0, returns[:-1], out=growth[1:])
+    return np.multiply.accumulate(growth, axis=0)
 
 
 def generate_synthetic(
@@ -807,16 +823,16 @@ def generate_synthetic(
     }
     graphs = build_relation_graphs(instruments, industry_labels, region_labels)
 
-    trend = _ar1_paths(rng, n_industries, d, SIGNAL_TAU)      # g per industry
-    region_factor = _ar1_paths(rng, cfg.n_regions, d, SIGNAL_TAU)
+    # [days, industries] trends g and [days, regions] factors
+    trend, region_factor = _ar1_paths(rng, (n_industries, cfg.n_regions), d, SIGNAL_TAU)
 
     n_sig = min(3, f - 2)
     features = rng.standard_normal((d, n, f))
     obs_noise = 0.3
-    features[:, :, f - 2] = region_factor[region_of].T + obs_noise * rng.standard_normal((d, n))
+    features[:, :, f - 2] = region_factor[:, region_of] + obs_noise * rng.standard_normal((d, n))
     features[:, :, f - 1] = (
-        trend[industry_of].T
-        + 0.5 * region_factor[region_of].T
+        trend[:, industry_of]
+        + 0.5 * region_factor[:, region_of]
         + obs_noise * rng.standard_normal((d, n))
     )
 
@@ -829,11 +845,7 @@ def generate_synthetic(
     returns += cfg.noise * rng.standard_normal((d, n))
     returns = np.clip(returns, -0.5, 0.5)
 
-    base = 40.0 + 2.0 * np.arange(n)
-    vwap = np.empty((d, n))
-    vwap[0] = base
-    for t in range(1, d):
-        vwap[t] = vwap[t - 1] * (1.0 + returns[t - 1])
+    vwap = _compound(40.0 + 2.0 * np.arange(n), returns)
     volume = rng.integers(100_000, 1_000_000, size=(d, n)).astype(np.float64)
 
     ds = PanelDataset(

@@ -164,16 +164,25 @@ def _init_value(name: str, shape: tuple[int, ...], rng) -> np.ndarray:
 
 
 class ActModel:
-    """Learnable parameters plus the dropout RNG for one model instance."""
+    """Learnable parameters plus the dropout RNG for one model instance.
 
-    def __init__(self, cfg: ActConfig, seed: int = 0):
+    The parameters are drawn from `seed`, or, when `state` is given, are
+    copies of its arrays, one per parameter, and nothing is drawn; the
+    names and shapes of `state` are the caller's to check.
+    """
+
+    def __init__(self, cfg: ActConfig, seed: int = 0, state: dict[str, np.ndarray] | None = None):
         self.cfg = cfg
         self.seed = int(seed)
-        rng = np.random.default_rng(self.seed)
-        self.params: dict[str, Tensor] = {
-            name: Tensor(_init_value(name, shape, rng))
-            for name, shape in parameter_spec(cfg).items()
-        }
+        if state is None:
+            rng = np.random.default_rng(self.seed)
+            self.params: dict[str, Tensor] = {
+                name: Tensor(_init_value(name, shape, rng))
+                for name, shape in parameter_spec(cfg).items()
+            }
+        else:
+            self.params = {}
+            self.load_state_arrays(state)
         self.dropout_rng = np.random.default_rng(self.seed + 1)
 
     def __getitem__(self, name: str) -> Tensor:
@@ -464,8 +473,8 @@ def load_checkpoint(path) -> ActModel:
     seed = payload.get("seed", 0)
     if type(seed) is not int:
         raise DataError(f"{path}: checkpoint field 'seed' is {seed!r}, not an integer")
-    model = ActModel(_checkpoint_config(path, payload["config"]), seed=seed)
-    spec = parameter_spec(model.cfg)
+    cfg = _checkpoint_config(path, payload["config"])
+    spec = parameter_spec(cfg)
     params = payload["params"]
     extra = sorted(params.keys() - spec.keys())
     if extra:
@@ -496,5 +505,4 @@ def load_checkpoint(path) -> ActModel:
         if not np.isfinite(arr).all():
             raise DataError(f"{where} holds a non-finite number")
         state[name] = arr
-    model.load_state_arrays(state)
-    return model
+    return ActModel(cfg, seed=seed, state=state)

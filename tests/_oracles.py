@@ -5,6 +5,10 @@ the layer definitions, independent of the package implementation: plain
 numpy on plain arrays, with no Tensor, no tape and no dropout (eval
 mode). The VWAP oracles work one bar and one cell at a time.
 
+The synthetic-market oracles build the generator's calendar, AR(1)
+paths and compounded prices one day at a time, and `synthetic_loop` the
+whole panel from them.
+
 The row-based prediction consumers keep the earlier implementation of
 `summarize`, `subgroup_metrics` and `run_backtest`, which walked a sorted
 list of (date, instrument, score) rows, so tests can pin the date x
@@ -21,15 +25,18 @@ itself, over the whole file at once, and fills its grid itself.
 """
 
 import csv
+from datetime import date, timedelta
 from types import SimpleNamespace
 
 import numpy as np
 
 from xsrank.backtest import BacktestResult, topk_dropout_rebalance
 from xsrank.data import (
+    FACTOR_NAMES,
     FEATURE_PREFIX,
     PREDICTIONS_HEADER,
     PRICES_HEADER,
+    SIGNAL_TAU,
     PanelDataset,
     _is_day,
     returns_from_prices,
@@ -340,6 +347,65 @@ def standardize_loop(features):
             if sd > 0:
                 col /= sd
     return feats
+
+
+def trading_dates_loop(start, count):
+    """`count` weekdays from the day `start` on, one calendar day at a time."""
+    cur = date.fromisoformat(start)
+    out = []
+    while len(out) < count:
+        if cur.weekday() < 5:
+            out.append(cur.isoformat())
+        cur += timedelta(days=1)
+    return out
+
+
+def ar1_loop(rng, n_paths, days, tau):
+    """[n_paths, days] AR(1) paths, one day at a time: the starting values,
+    then [n_paths, days] shocks, of which day 0's are unused."""
+    rho = float(np.exp(-1.0 / tau))
+    innov_scale = float(np.sqrt(1.0 - rho * rho))
+    paths = np.empty((n_paths, days))
+    paths[:, 0] = rng.standard_normal(n_paths)
+    shocks = rng.standard_normal((n_paths, days))
+    for t in range(1, days):
+        paths[:, t] = rho * paths[:, t - 1] + innov_scale * shocks[:, t]
+    return paths
+
+
+def vwap_loop(base, returns):
+    """Prices compounded one day at a time from `base`."""
+    vwap = np.empty(returns.shape)
+    vwap[0] = base
+    for t in range(1, len(returns)):
+        vwap[t] = vwap[t - 1] * (1.0 + returns[t - 1])
+    return vwap
+
+
+def synthetic_loop(cfg):
+    """`generate_synthetic`'s panel and factors, built with the day-by-day
+    loops above: the same draws, in the same order."""
+    rng = np.random.default_rng(cfg.seed)
+    n, f, d = cfg.n_instruments, cfg.n_features, cfg.days
+    industry_of = np.arange(n) // cfg.block_size
+    region_of = np.arange(n) % cfg.n_regions
+    trend = ar1_loop(rng, (n + cfg.block_size - 1) // cfg.block_size, d, SIGNAL_TAU)
+    region_factor = ar1_loop(rng, cfg.n_regions, d, SIGNAL_TAU)
+    n_sig = min(3, f - 2)
+    features = rng.standard_normal((d, n, f))
+    features[:, :, f - 2] = region_factor[region_of].T + 0.3 * rng.standard_normal((d, n))
+    features[:, :, f - 1] = (trend[industry_of].T + 0.5 * region_factor[region_of].T
+                             + 0.3 * rng.standard_normal((d, n)))
+    returns = features[:, :, :n_sig] @ np.array([0.006, 0.005, 0.004][:n_sig])
+    returns += 0.012 * features[:, :, f - 1]
+    returns -= 0.5 * 0.012 * features[:, :, f - 2]
+    returns += cfg.noise * rng.standard_normal((d, n))
+    vwap = vwap_loop(40.0 + 2.0 * np.arange(n), np.clip(returns, -0.5, 0.5))
+    volume = rng.integers(100_000, 1_000_000, size=(d, n)).astype(np.float64)
+    factors = {name: 0.01 * rng.standard_normal(d) for name in FACTOR_NAMES}
+    return SimpleNamespace(dates=trading_dates_loop(cfg.start_date, d), features=features,
+                           vwap=vwap, labels=returns_from_prices(vwap), volume=volume,
+                           factors=factors)
 
 
 def compute_vwap(bars):

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
 import tempfile
 from dataclasses import MISSING, fields
@@ -1041,6 +1042,38 @@ def test_manifest_hashes_every_named_input(workdir, tmp_path, command):
     for name, entry in manifest["inputs"].items():
         path = argv[argv.index(f"--{name}") + 1]
         assert entry == {"path": path, "sha256": digest(Path(path))}
+    # and the numpy, BLAS and thread settings the run had
+    env = manifest["environment"]
+    assert env == cli.environment()
+    assert env["numpy"] == np.__version__
+    assert env["blas"] is None or set(env["blas"]) == {"name", "version"}
+    assert env["threads"] == {var: os.environ.get(var) for var in
+                              ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
+def test_manifest_environment_without_blas_details(tmp_path, monkeypatch):
+    # numpy before 1.26 has a show_config() that takes no mode and only
+    # prints; its BLAS is recorded as unknown
+    def old_show_config():
+        return None
+
+    monkeypatch.setattr(np, "show_config", old_show_config)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    out = tmp_path / "out"
+    assert cli.main(["synth", "--out", str(out), "--n-instruments", "8", "--days", "8"]) == 0
+    env = read_manifest(out)["environment"]
+    assert env["blas"] is None
+    assert env["threads"]["OPENBLAS_NUM_THREADS"] == "1"
+
+
+def test_synth_refuses_a_calendar_past_9999(tmp_path, capsys):
+    # before: an OverflowError traceback and exit 1
+    out = tmp_path / "d"
+    assert cli.main(["synth", "--out", str(out), "--start-date", "9999-12-01",
+                     "--days", "600"]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: start_date 9999-12-01 with days 600 runs past 9999-12-31"]
+    assert not out.exists()
 
 
 def test_evaluate_refuses_a_missing_named_input_before_any_work(workdir, tmp_path, capsys):

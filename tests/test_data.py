@@ -3,6 +3,7 @@
 import tempfile
 import tracemalloc
 import warnings
+from datetime import date as _date, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -364,6 +365,104 @@ def test_synthetic_rejects_bad_config():
         SynthConfig(days=2)
     with pytest.raises(ConfigError):
         SynthConfig(noise=-0.1)
+
+
+def test_synthetic_refuses_a_calendar_past_9999():
+    # before: 600 trading days from 9999-12-01 raised an OverflowError
+    with pytest.raises(ConfigError, match="^start_date 9999-12-01 with days 600 "
+                                          "runs past 9999-12-31$"):
+        SynthConfig(start_date="9999-12-01", days=600)
+    # 9999-12-31 is a Friday, the 23rd weekday of its month
+    assert trading_dates("9999-12-01", 23)[-1] == "9999-12-31"
+    SynthConfig(start_date="9999-12-01", days=23)
+    with pytest.raises(ConfigError, match="with days 24 runs past"):
+        SynthConfig(start_date="9999-12-01", days=24)
+
+
+# ---------------------------------------------------------------------------
+# the synthetic market against its day-by-day oracles
+# ---------------------------------------------------------------------------
+
+
+def _bits_equal(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(counts=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+       days=st.integers(1, 700),
+       tau=st.one_of(st.just(data.SIGNAL_TAU), st.floats(0.05, 1e4)),
+       seed=st.integers(0, 2**32 - 1))
+def test_ar1_paths_equal_the_day_by_day_loop(counts, days, tau, seed):
+    got = data._ar1_paths(np.random.default_rng(seed), tuple(counts), days, tau)
+    rng = np.random.default_rng(seed)
+    want = [oracle.ar1_loop(rng, n, days, tau) for n in counts]
+    assert len(got) == len(want)
+    assert all(_bits_equal(g.T, w) for g, w in zip(got, want))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 8), days=st.integers(1, 700),
+       scale=st.sampled_from([1e-3, 0.02, 0.5]), seed=st.integers(0, 2**32 - 1))
+def test_compound_equals_the_day_by_day_loop(n, days, scale, seed):
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(1.0, 100.0, n)
+    returns = rng.uniform(-scale, scale, (days, n))
+    assert _bits_equal(data._compound(base, returns), oracle.vwap_loop(base, returns))
+
+
+# a start on each day of the week, across a year end, and anywhere up to
+# 9996, so that 700 weekdays stay within 9999, past which the loop oracle
+# overflows
+START_DAYS = st.one_of(
+    st.builds(lambda year, k: _date(year, 12, 24) + timedelta(days=k),
+              st.integers(1, 9995), st.integers(0, 13)),
+    st.dates(_date(1, 1, 1), _date(9996, 12, 31)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(start=START_DAYS, count=st.integers(0, 700))
+def test_trading_dates_equal_the_day_by_day_loop(start, count):
+    assert trading_dates(start.isoformat(), count) == oracle.trading_dates_loop(
+        start.isoformat(), count)
+
+
+@settings(max_examples=200, deadline=None)
+@given(back=st.integers(0, 1100), over=st.integers(-2, 2))
+def test_synth_config_accepts_exactly_the_calendars_that_fit(back, over):
+    # `fits` weekdays run from `start` to 9999-12-31; ask for about that many
+    start = _date(9999, 12, 31) - timedelta(days=back)
+    fits = sum((start + timedelta(days=k)).weekday() < 5 for k in range(back + 1))
+    days = max(3, fits + over)
+    try:
+        SynthConfig(start_date=start.isoformat(), days=days)
+    except ConfigError:
+        assert days > fits
+        return
+    assert days <= fits
+    dates = trading_dates(start.isoformat(), days)
+    assert dates[-1] <= data.LAST_DAY and all(map(data._is_day, dates))
+
+
+@pytest.mark.parametrize("cfg", [
+    SynthConfig(),
+    SynthConfig(n_instruments=30, days=30, block_size=6, n_regions=3, seed=11),
+    SynthConfig(n_instruments=7, n_features=3, days=3, block_size=3, n_regions=1,
+                seed=2, start_date="2016-02-27"),
+    SynthConfig(n_instruments=41, n_features=11, days=701, noise=0.0, block_size=1,
+                n_regions=9, seed=99, start_date="2019-12-28"),
+], ids=["default", "chain", "smallest", "wide"])
+def test_generate_synthetic_equals_the_day_by_day_oracle(cfg):
+    ds, _, factors = generate_synthetic(cfg)
+    want = oracle.synthetic_loop(cfg)
+    assert ds.dates == want.dates == factors.dates
+    for name in ("features", "vwap", "labels", "volume"):
+        assert _bits_equal(getattr(ds, name), getattr(want, name)), name
+    assert factors.factors.keys() == want.factors.keys()
+    assert all(_bits_equal(factors.factors[k], want.factors[k]) for k in want.factors)
+    assert _bits_equal(standardize_features(ds).features,
+                       oracle.standardize_loop(want.features))
 
 
 def test_prediction_series_roundtrip(tmp_path):

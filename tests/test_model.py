@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import _oracles as oracle
 from _fd import finite_difference_check_params
 from _helpers import act_forward
+from xsrank import model as model_module
 from xsrank import tensor as tz
 from xsrank.decompose import decompose
 from xsrank.errors import ConfigError, DataError
@@ -559,6 +560,28 @@ def test_hidden_64_checkpoint_stays_within_its_byte_size(tmp_path):
     path = tmp_path / "checkpoint.json"
     save_checkpoint(model, path)
     assert path.stat().st_size <= 1_250_000
+
+
+def test_load_checkpoint_draws_no_weights(tmp_path, monkeypatch):
+    # before: the loader built ActModel(cfg, seed), drew every weight, and
+    # then replaced them all with the file's
+    cfg = ActConfig(n_features=8, window=16)
+    model = ActModel(cfg, seed=3)
+    fresh = ActModel(cfg, seed=3)
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(model, path)
+
+    def refuse(*args):
+        raise AssertionError("load_checkpoint drew a weight")
+
+    monkeypatch.setattr(model_module, "_init_value", refuse)
+    loaded = load_checkpoint(path)
+    assert list(loaded.params) == list(model.params)
+    for name, t in model.params.items():
+        assert loaded[name].data.tobytes() == t.data.tobytes()
+        assert loaded[name].data.flags.writeable and loaded[name].data.flags.c_contiguous
+    assert loaded.seed == 3
+    assert loaded.dropout_rng.random(64).tobytes() == fresh.dropout_rng.random(64).tobytes()
 
 
 def test_save_checkpoint_refuses_a_non_finite_parameter(tmp_path):
