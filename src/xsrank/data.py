@@ -18,6 +18,7 @@ written by `_write_rows`, writes it as nan, inf or -inf.
 from __future__ import annotations
 
 import csv
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import date as _date
 from itertools import islice
@@ -133,7 +134,8 @@ def _read_table(path, header, keys: int, days: bool = False, keep=None):
     A row is faulty if it has the wrong width; failing that, if a number
     cell does not parse; failing that, with `days`, if its first cell is
     not a YYYY-MM-DD calendar day. `keep`, if given, drops the well-formed
-    rows it is false for before their numbers are parsed.
+    rows it is false for before their numbers are parsed; their days are
+    still checked.
 
     Yields (line numbers, rows, [rows, numbers] floats, fault) per block:
     the kept rows before the first faulty one, and that row's DataError,
@@ -172,19 +174,20 @@ def _read_table(path, header, keys: int, days: bool = False, keep=None):
                 cells = ([row[keys] for row in rows] if n_num == 1 else
                          [v for row in rows for v in row[keys:]])
                 values, n_cells = _floats(cells)
+                kept = len(rows)
                 if n_cells < len(cells):
-                    n = n_cells // n_num
-                    fault = (lines[n], f"unparseable number {cells[n_cells].strip()!r}")
-                else:
-                    n = len(rows)
+                    kept = n_cells // n_num
+                    fault = (lines[kept], f"unparseable number {cells[n_cells].strip()!r}")
+                    n = lines[kept] - line
                 if days:
-                    fresh = {row[0] for row in rows[:n]} - known_days
+                    fresh = {row[0] for row in block[:n]} - known_days
                     bad = {d for d in fresh if not _is_day(d)}
                     known_days |= fresh
                     if bad:
-                        n = next(k for k, row in enumerate(rows) if row[0] in bad)
-                        fault = (lines[n], f"date {rows[n][0]!r} is not a YYYY-MM-DD day")
-                yield (lines[:n], rows[:n], values[: n * n_num].reshape(n, n_num),
+                        n = next(k for k, row in enumerate(block) if row[0] in bad)
+                        fault = (line + n, f"date {block[n][0]!r} is not a YYYY-MM-DD day")
+                        kept = bisect_left(lines, line + n)
+                yield (lines[:kept], rows[:kept], values[: kept * n_num].reshape(kept, n_num),
                        fault and DataError(f"{path}: line {fault[0]}: {fault[1]}"))
                 if fault:
                     return
@@ -566,9 +569,9 @@ def load_panel(features_path, prices_path) -> PanelDataset:
     date_pos = {d: k for k, d in enumerate(dates)}
     inst_pos = {s: k for k, s in enumerate(instruments)}
     bar_t, bar_i, bar_values = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty((0, 2))]
-    # rows outside the universe are dropped before their cells are parsed
+    # rows outside the universe skip number parsing, not the day check
     for lines, rows, bars, fault in _read_table(
-            prices_path, PRICES_HEADER, keys=2,
+            prices_path, PRICES_HEADER, keys=2, days=True,
             keep=lambda row: row[0] in date_pos and row[1] in inst_pos):
         price_ok = np.isfinite(bars[:, 0]) & (bars[:, 0] > 0)
         bad = np.flatnonzero(~price_ok | ~np.isfinite(bars[:, 1]))
@@ -761,13 +764,19 @@ class SynthConfig:
         if self.block_size < 1 or self.n_regions < 1:
             raise ConfigError("block_size and n_regions must be >= 1")
         _check_day("start_date", self.start_date)
-        if int(np.busday_count(self.start_date, np.datetime64(LAST_DAY) + 1)) < self.days:
-            raise ConfigError(f"start_date {self.start_date} with days {self.days} "
-                              f"runs past {LAST_DAY}")
+        _check_calendar(self.start_date, self.days)
+
+
+def _check_calendar(start: str, count: int) -> None:
+    """Refuse `count` weekdays from `start` on that run past LAST_DAY."""
+    if int(np.busday_count(start, np.datetime64(LAST_DAY) + 1)) < count:
+        raise ConfigError(f"start_date {start} with days {count} runs past {LAST_DAY}")
 
 
 def trading_dates(start: str, count: int) -> list[str]:
-    """`count` consecutive weekdays starting at or after the day `start`."""
+    """`count` consecutive weekdays starting at or after the day `start`;
+    a calendar that runs past LAST_DAY is a ConfigError naming both."""
+    _check_calendar(start, count)
     return np.busday_offset(start, np.arange(count), roll="forward").astype(str).tolist()
 
 

@@ -63,11 +63,12 @@ def decompose(x: np.ndarray, trend_window: int, fluct_window: int) -> Decomposit
     """Chain two causal moving averages into an exact additive split.
 
     trend = CMA(x, trend_window); fluct = CMA(x - trend, fluct_window);
-    shock = x - trend - fluct.
+    shock = (x - trend) - fluct, bit for bit x - trend - fluct, written
+    over the x - trend array, which is not kept.
     """
     x = np.asarray(x, dtype=np.float64)
     trend = causal_moving_average(x, trend_window)
     detrended = x - trend
     fluct = causal_moving_average(detrended, fluct_window)
-    shock = x - trend - fluct
+    shock = np.subtract(detrended, fluct, out=detrended)
     return Decomposition(trend=trend, fluct=fluct, shock=shock)

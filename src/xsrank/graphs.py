@@ -19,7 +19,8 @@ the largest neighborhood.
 Every layer acts on leading batch axes: representations are [..., N, d],
 similarity [..., N, N] and neighbor lists [..., N, K], one slice per
 window, each computed exactly as a single window would be. The static
-category means and the union lists broadcast against the batch.
+category means broadcast against the batch; the GAT reads one list per
+window, so a caller broadcasts a shared list (the union's) itself.
 """
 
 from __future__ import annotations
@@ -230,21 +231,6 @@ def topk_graph(similarity: np.ndarray, k: int) -> np.ndarray:
     return out.reshape(sim.shape[:-1] + (k,))
 
 
-def _batch_key(lead: tuple[int, ...], neighbors: np.ndarray) -> tuple:
-    """INDEX key prefix that pairs each window's rows with its own lists.
-
-    Lists shared by the batch ([N, K]) take every window with a slice;
-    per-window lists ([..., N, K]) take window b with an arange that
-    broadcasts against them.
-    """
-    if neighbors.ndim == 2:
-        return (slice(None),) * len(lead)
-    if neighbors.shape[:-2] != lead:
-        raise DataError(f"neighbor lists {neighbors.shape} do not match batch {lead}")
-    return tuple(np.arange(size).reshape((-1,) + (1,) * (len(lead) + 1 - axis))
-                 for axis, size in enumerate(lead))
-
-
 def gat_layer(
     u: Tensor,
     neighbors: np.ndarray,
@@ -260,24 +246,28 @@ def gat_layer(
     Row i attends over its listed neighbors j with logits
     e_ij = leaky_relu(att_src . W u_i + att_dst . W u_j), softmaxed over
     the list, then z_i = leaky_relu(W_o sum_j alpha_ij W u_j). u is
-    [..., N, d]; `neighbors` is [..., N, K], one list per window, or one
-    [N, K] list shared by the batch. A -1 slot is padding: it gathers the
-    row itself and gets no attention. The attention, returned on request,
-    is [..., N, K], aligned with the lists.
+    [..., N, d] and `neighbors` [..., N, K] with the same leading shape,
+    one list per window; a list shared by the batch is broadcast to it
+    by the caller. A -1 slot is padding: it gathers the row itself and
+    gets no attention. The attention, returned on request, is
+    [..., N, K], aligned with the lists.
     """
     nbr = np.asarray(neighbors)
-    n = u.shape[-2]
-    if (nbr.ndim < 2 or nbr.shape[-2] != n or not np.issubdtype(nbr.dtype, np.integer)
+    lead, n = u.shape[:-2], u.shape[-2]
+    if (nbr.shape[:-1] != u.shape[:-1] or not np.issubdtype(nbr.dtype, np.integer)
             or ((nbr < -1) | (nbr >= n)).any()):
-        raise DataError(f"neighbors must be [..., {n}, K] columns or -1, got "
-                        f"{nbr.dtype} {nbr.shape}")
+        raise DataError(f"neighbors must be [{', '.join(map(str, u.shape[:-1]))}, K] "
+                        f"columns or -1, one list per window; got {nbr.dtype} {nbr.shape}")
     pad = nbr < 0
     if pad.all(axis=-1).any():
         raise DataError("gat_layer needs every row to have at least one neighbor")
     padded = pad.any()
     if padded:
         nbr = np.where(pad, np.arange(n)[:, None], nbr)
-    batch = _batch_key(u.shape[:-2], nbr)
+    # INDEX key prefix pairing each window's rows with its own lists: an
+    # arange per leading axis that broadcasts against the [..., N, K] lists
+    batch = tuple(np.arange(size).reshape((-1,) + (1,) * (len(lead) + 1 - axis))
+                  for axis, size in enumerate(lead))
 
     wu = tz.matmul(u, weight)  # [..., N, d]
     p = tz.matmul(wu, att_src)  # [..., N, 1] destination term

@@ -16,7 +16,8 @@ Branches:
             graph encodes the residual, and a sigmoid gate merges static
             and dynamic paths ("full"), or a plain GAT on the union
             relation graph ("gat_only"). Both GATs attend over
-            [..., N, K] neighbor lists (see graphs).
+            [..., N, K] neighbor lists, one per window (see graphs);
+            "gat_only" broadcasts its one union list to the batch.
   fluct  -- the last step of a gated causal temporal convolution
             ("tcn") or a one-layer per-stock MLP ("mlp");
   shock  -- comparison of the latest shock against its own smoothed
@@ -168,7 +169,8 @@ class ActModel:
 
     The parameters are drawn from `seed`, or, when `state` is given, are
     copies of its arrays, one per parameter, and nothing is drawn; the
-    names and shapes of `state` are the caller's to check.
+    names and shapes of `state` are the caller's to check. Only the
+    constructor gives a model its weights; Adam steps them in place.
     """
 
     def __init__(self, cfg: ActConfig, seed: int = 0, state: dict[str, np.ndarray] | None = None):
@@ -181,8 +183,8 @@ class ActModel:
                 for name, shape in parameter_spec(cfg).items()
             }
         else:
-            self.params = {}
-            self.load_state_arrays(state)
+            self.params = {name: Tensor(np.array(arr, dtype=np.float64))
+                           for name, arr in state.items()}
         self.dropout_rng = np.random.default_rng(self.seed + 1)
 
     def __getitem__(self, name: str) -> Tensor:
@@ -190,12 +192,6 @@ class ActModel:
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.params.items()}
-
-    def load_state_arrays(self, state: dict[str, np.ndarray]) -> None:
-        """Set each named parameter to a copy of its array; the names and
-        shapes are the caller's to check."""
-        for name, arr in state.items():
-            self.params[name] = Tensor(np.array(arr, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +249,8 @@ def pspe_forward(
     x0 = _proj_ln(x_trend[-1], model, "trend_proj", "trend_in_ln")
     if cfg.pspe == "gat_only":
         union = graphs.union_neighbors
-        z = _gat(x0, union, model, slope)
-        neighbors = np.broadcast_to(union, z.shape[:-1] + union.shape[-1:])
+        neighbors = np.broadcast_to(union, x0.shape[:-1] + union.shape[-1:])
+        z = _gat(x0, neighbors, model, slope)
         gate_mean = None
     else:
         backs = []

@@ -58,7 +58,7 @@ class Tensor:
 
     __slots__ = ("data", "node_id", "_tape_token")
 
-    def __init__(self, data, node_id: int | None = None, _tape_token: int | None = None):
+    def __init__(self, data):
         # ascontiguousarray would promote 0-d to 1-d, so only call it when needed
         arr = np.asarray(data, dtype=np.float64)
         if not arr.flags["C_CONTIGUOUS"]:
@@ -66,8 +66,8 @@ class Tensor:
         if not np.isfinite(arr).all():
             raise NonFiniteError("tensor constructed with non-finite values")
         self.data = arr
-        self.node_id = node_id
-        self._tape_token = _tape_token
+        self.node_id = None
+        self._tape_token = None
 
     @classmethod
     def _wrap_checked(cls, arr: np.ndarray, node_id: int | None = None,

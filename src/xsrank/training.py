@@ -259,8 +259,9 @@ def train(
     Early stopping: only a validation IC strictly above the best so far
     selects an epoch, so a plateau does not reset the count; training
     stops `patience` epochs after the selected one (or after the start).
-    The model keeps the selected epoch's weights, or its start weights
-    with `selected_epoch` -1 when no epoch had a validation IC.
+    The model returned is built from the selected epoch's weights, or the
+    start weights with `selected_epoch` -1 when no epoch had a
+    validation IC, with a fresh dropout stream, as a checkpoint's is.
     """
     ends = _checked_windows(ds, graphs, cfg)[:-1]
     first_valid = bisect_left(ds.dates, settings.valid_start)
@@ -347,8 +348,9 @@ def train(
         elif epoch - history.selected_epoch >= settings.patience:
             break
 
-    model.load_state_arrays(best_state)
-    return model, history
+    # free the trained weights and Adam moments before building the copy
+    del model, optimizer
+    return ActModel(cfg, seed=settings.seed, state=best_state), history
 
 
 def predict_sliding(

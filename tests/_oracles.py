@@ -802,9 +802,11 @@ def load_panel_rows(features_path, prices_path):
 
     _, price_rows = _read_rows(prices_path, PRICES_HEADER)
     n_ok = _first_ragged(price_rows, 4)
+    # every well-formed row's datetime must be a day, in the universe or not
+    bad_day = next((k for k in range(n_ok) if not _is_day(price_rows[k][0])), n_ok)
     date_pos = {d: k for k, d in enumerate(dates)}
     inst_pos = {s: k for k, s in enumerate(instruments)}
-    bar_rows = [k for k in range(n_ok)
+    bar_rows = [k for k in range(bad_day)
                 if price_rows[k][0] in date_pos and price_rows[k][1] in inst_pos]
     values, error = _parse_floats(
         [v for k in bar_rows for v in price_rows[k][2:]], prices_path,
@@ -822,6 +824,9 @@ def load_panel_rows(features_path, prices_path):
         raise DataError(f"{at}: volume {float(bars[k, 1])!r} is not finite")
     if error is not None:
         raise error
+    if bad_day < n_ok:
+        raise DataError(f"{prices_path}: line {bad_day + 2}: "
+                        f"date {price_rows[bad_day][0]!r} is not a YYYY-MM-DD day")
     if n_ok < len(price_rows):
         raise DataError(f"{prices_path}: line {n_ok + 2}: expected 4 columns")
 

@@ -5,7 +5,8 @@ and the names its tracer wraps.
 `.rows`, `write_csv`, `train`, `predict_sliding`, the checkpoint format
 and `cli.main`. Each workload runs set-up, one operation and its output
 check twice with one seed, so a change to any of those calls that the
-benchmark would trip over fails here first.
+benchmark would trip over fails here first. Each also runs once at full
+size and seed 5, against that run's pinned digest.
 """
 
 import importlib.util
@@ -42,6 +43,24 @@ def test_workload_runs_and_repeats_at_tiny_size(name, tmp_path):
         assert isinstance(figures, dict)
         digests.append(digest)
     assert digests[0] == digests[1]
+
+
+# the digest of each workload's full-size operation at seed 5, as the
+# benchmark's warm-up computes it; a change that moves any output bit
+# fails here
+FULL_SIZE_SEED5_DIGESTS = {
+    "cli_n800": "5227b7f0b2c2bcc39b4a3675517ed1af0e7c551e48cf563c5ba5cd8a92167096",
+    "predict_n800": "d7aca4cba6abafb97165a62c0dc1925bf7c3f13eb95cae8a9446a6e18040a8a5",
+    "train_n24": "34fd3cfe28323f0ada2facc180e1f085a8dd5beb437906d050a8b0c5172ebe93",
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_full_size_seed5_digest_is_pinned(name, tmp_path):
+    workload = WORKLOADS[name]
+    state = workload.setup(5, workload.full, tmp_path)
+    digest, _ = workload.check(state, workload.op(state))
+    assert digest == FULL_SIZE_SEED5_DIGESTS[name]
 
 
 def test_tracer_finds_and_wraps_every_cli_name(tmp_path):

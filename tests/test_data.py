@@ -374,6 +374,14 @@ def test_synthetic_refuses_a_calendar_past_9999():
         SynthConfig(start_date="9999-12-01", days=600)
     # 9999-12-31 is a Friday, the 23rd weekday of its month
     assert trading_dates("9999-12-01", 23)[-1] == "9999-12-31"
+    assert trading_dates("9999-12-31", 1) == ["9999-12-31"]
+    # before: the library calendar ran on to five-digit years, which every
+    # loader refuses (and which, as strings, sort before 9999)
+    for start, days in (("9999-12-01", 24), ("9999-12-01", 30), ("9999-12-31", 2),
+                        ("2015-01-01", 10**30)):
+        with pytest.raises(ConfigError, match=f"^start_date {start} with days {days} "
+                                              "runs past 9999-12-31$"):
+            trading_dates(start, days)
     SynthConfig(start_date="9999-12-01", days=23)
     with pytest.raises(ConfigError, match="with days 24 runs past"):
         SynthConfig(start_date="9999-12-01", days=24)
@@ -599,6 +607,31 @@ def test_load_panel_refuses_a_date_that_is_not_a_calendar_day(tmp_path, day):
     f = _write(tmp_path / "features.csv", feats)
     with pytest.raises(DataError, match=rf"features.csv: line 6: date '{day}' is not"):
         load_panel(f, _write(tmp_path / "prices.csv", PRICES_2x2))
+
+
+def test_load_panel_refuses_a_price_row_whose_datetime_is_not_a_day(tmp_path):
+    # before: the universe filter dropped the row unchecked, so A's
+    # 2020-01-02 price went missing and both of A's labels were unobserved
+    feats = "".join(["datetime,instrument,f0\n"] + [
+        f"2020-01-0{d},{s},1.0\n" for d in (1, 2, 3) for s in "AB"])
+    f = _write(tmp_path / "features.csv", feats)
+    prices = "".join(["datetime,instrument,price,volume\n"] + [
+        f"2020-01-0{d},{s},{10 + d},1\n" for d in (1, 2, 3) for s in "AB"])
+    typo = prices.replace("2020-01-02,A", "2020-0l-02,A")
+    with pytest.raises(DataError, match=r"prices.csv: line 4: date '2020-0l-02' is not"):
+        load_panel(f, _write(tmp_path / "prices.csv", typo))
+    # a row of an instrument outside the universe is checked too, and the
+    # earliest line's fault is reported
+    outside = prices.replace("2020-01-03,A,13,1\n", "2020-01-03,A,x,1\n") + "2020-13-01,C,1,1\n"
+    with pytest.raises(DataError, match="p1.csv: line 6: unparseable number 'x'"):
+        load_panel(f, _write(tmp_path / "p1.csv", outside))
+    before = prices.replace("2020-01-01,B,11,1\n", "2020-01-01,B,11,1\n20200102,C,x,1\n")
+    with pytest.raises(DataError, match="p2.csv: line 4: date '20200102' is not"):
+        load_panel(f, _write(tmp_path / "p2.csv", before + "2020-01-03,A\n"))
+    # a valid day that the features lack stays ignored
+    extra = load_panel(f, _write(tmp_path / "p3.csv", prices + "2020-01-06,A,99,1\n"))
+    assert np.array_equal(extra.vwap, load_panel(
+        f, _write(tmp_path / "p4.csv", prices)).vwap)
 
 
 def test_bad_date_and_duplicate_report_the_earlier_line(tmp_path):

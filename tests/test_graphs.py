@@ -346,15 +346,15 @@ def test_gat_lists_match_dense_oracle_batched_and_padded():
         np.testing.assert_allclose(
             alpha.data[w], np.take_along_axis(want_alpha, lists[w], axis=1), atol=1e-9)
 
-    # the gat_only graph: padded union lists, shared by the batch; S8 has
-    # no relative and attends to itself
+    # the gat_only graph: padded union lists, broadcast to the batch as
+    # pspe_forward does; S8 has no relative and attends to itself
     insts = [f"S{i}" for i in range(n)]
     g = build_relation_graphs(insts, {s: f"I{i % 3}" for i, s in enumerate(insts[:7])},
                               {"S0": "R", "S4": "R", "S5": "R", "S6": "R"})
     union = g.union_neighbors
     assert (union < 0).any() and union[8].tolist() == [8] + [-1] * (union.shape[1] - 1)
     dense = oracle.union_np(*oracle.relation_adjacencies(g))
-    got = gat_layer(Tensor(u), union, **params).data
+    got = gat_layer(Tensor(u), np.broadcast_to(union, (b,) + union.shape), **params).data
     for w in range(b):
         want, _ = oracle.gat_np(u[w], dense, *weights)
         np.testing.assert_allclose(got[w], want, atol=1e-9)
@@ -508,7 +508,6 @@ def test_batched_graph_helpers_keep_their_input_checks():
     params = _gat_params(rng, 2)
     nbr = np.stack([oracle.neighbor_lists(np.ones((3, 3)) - np.eye(3))] * 2)
     gat_layer(u, nbr, **params)
-    gat_layer(u, nbr[0], **params)
     lonely = nbr.copy()
     lonely[1, 2] = -1
     out_of_range = nbr.copy()
@@ -517,3 +516,7 @@ def test_batched_graph_helpers_keep_their_input_checks():
                 dtype=int), nbr.astype(float), lonely, out_of_range, out_of_range - 5):
         with pytest.raises(DataError):
             gat_layer(u, bad, **params)
+    # nbr[0] is one [N, K] list shared by the batch, which a caller broadcasts
+    with pytest.raises(DataError, match=r"must be \[2, 3, K\] columns or -1, one list per "
+                                        r"window; got int\d+ \(3, 2\)"):
+        gat_layer(u, nbr[0], **params)

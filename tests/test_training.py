@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 from datetime import date, timedelta
 
 import numpy as np
@@ -694,3 +695,31 @@ def test_ablation_variants_are_bitwise_pinned(variant):
     preds = predict_sliding(model, ds, graphs, start_date=settings.test_start)
     scores = hashlib.sha256("".join(f"{d},{s},{v!r}\n" for d, s, v in preds.rows).encode())
     assert (weights.hexdigest(), scores.hexdigest()) == VARIANT_DIGESTS[variant]
+
+
+# sha256 of the history, the weights (sorted by name) and every
+# predict_sliding row of two gat_only epochs in batches of three windows,
+# so the GAT reads the union lists broadcast to [3, N, K]. The lists are
+# padded, and S011 has no relative and attends to itself. VARIANT_DIGESTS
+# pins gat_only on the synth's own relations, where no row is lonely.
+GAT_ONLY_DIGEST = "b214699a568eeabd70fe56f9a3df46a6567095fecb299a8133959174e3ab724c"
+
+
+def test_gat_only_train_and_predict_are_bitwise_pinned():
+    ds, _, _ = generate_synthetic(SynthConfig(n_instruments=12, n_features=4, days=40, seed=9))
+    insts = ds.instruments
+    graphs = build_relation_graphs(insts, {s: f"I{i % 3}" for i, s in enumerate(insts[:11])},
+                                   {s: "R" for s in insts[:4]})
+    union = graphs.union_neighbors
+    assert union[11].tolist() == [11] + [-1] * (union.shape[1] - 1)
+    cfg = ActConfig(n_features=4, window=8, hidden=8, knn=4, pspe="gat_only")
+    settings = TrainSettings(valid_start=ds.dates[23], test_start=ds.dates[31],
+                             epochs=2, patience=2, batch_size=3, seed=2)
+    model, history = train(ds, graphs, cfg, settings)
+    h = hashlib.sha256(json.dumps(history.to_dict(), sort_keys=True).encode())
+    for name, arr in sorted(model.state_arrays().items()):
+        h.update(name.encode())
+        h.update(arr.tobytes())
+    for d, s, v in predict_sliding(model, ds, graphs).rows:
+        h.update(f"{d},{s},{v!r}\n".encode())
+    assert h.hexdigest() == GAT_ONLY_DIGEST
