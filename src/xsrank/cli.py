@@ -326,15 +326,13 @@ COMMANDS = {
 }
 # the field a command fills from its input: the panel's feature count
 FILLED = {ActConfig: "n_features"}
-# a checkpoint must name its window, so ActConfig.window has no default
-CLI_DEFAULTS = {"window": 16}
 
 
 def command_options(name: str) -> dict:
     """Each option of command `name` -> (kind, default): the fields of its
     settings classes but those it fills. A MISSING default marks a
     required option, and a None default one that may stay None."""
-    return {f.name: (f.type, CLI_DEFAULTS.get(f.name, f.default))
+    return {f.name: (f.type, f.default)
             for cls in COMMANDS[name][1] for f in fields(cls) if f.name != FILLED.get(cls)}
 
 

@@ -18,6 +18,7 @@ written by `_write_rows`, writes it as nan, inf or -inf.
 from __future__ import annotations
 
 import csv
+import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import date as _date
@@ -39,6 +40,8 @@ FACTOR_NAMES = ["mktrf", "smb", "hml", "rmw", "cma"]
 CHUNK_CELLS = 1 << 11
 # lines a writer joins into one write call
 LINES_PER_WRITE = 1 << 10
+# characters the writers, which never quote a cell, cannot put in a name
+_UNWRITABLE = re.compile(r'[,"\r\n]')
 
 
 def format_floats(values) -> list[str]:
@@ -196,6 +199,13 @@ def _read_table(path, header, keys: int, days: bool = False, keep=None):
         raise DataError(f"{path}: {exc}") from exc
 
 
+def _check_name(where: str, what: str, name: str) -> None:
+    """Refuse an instrument or category name the CSV writers cannot write
+    back, naming the file and line given in `where`."""
+    if _UNWRITABLE.search(name):
+        raise DataError(f"{where}: {what} {name!r} holds a comma, quote or line break")
+
+
 def _write_dated(path, header, dates: list[str], columns) -> None:
     """Write the table `_read_dated` reads: per day, the day and then one
     number from each of `columns`."""
@@ -292,12 +302,21 @@ def _read_grid(blocks, names: list[str], missing_ok: bool, path=None):
     n_rows = 0
     for lines, rows, values, fault in blocks:
         t = day_codes([row[0] for row in rows])
+        seen = len(name_codes.names)
         i = name_codes([row[1] for row in rows])
         parts.append((lines, t, i, values))
         n_rows += len(rows)
         bad = np.isinf(values) if missing_ok else ~np.isfinite(values)
-        if bad.any():
-            k, col = divmod(int(np.argmax(bad)), len(names))
+        k, col = divmod(int(np.argmax(bad)), len(names)) if bad.any() else (len(rows), 0)
+        # codes count up from first appearance, so the first unwritable new
+        # name is the one on the earliest line; it comes before a bad number
+        unwritable = next((c for c in range(seen, len(name_codes.names))
+                           if _UNWRITABLE.search(name_codes.names[c])), None)
+        if unwritable is not None and (k_name := int(np.argmax(i == unwritable))) <= k:
+            check_duplicates(n_rows - len(rows) + k_name)
+            _check_name(at(lines, k_name, t[k_name], i[k_name]), "instrument",
+                        name_codes.names[unwritable])
+        if k < len(rows):
             check_duplicates(n_rows - len(rows) + k)
             raw = float(values[k, col]) if path is None else rows[k][2 + col]
             raise DataError(f"{at(lines, k, t[k], i[k])}: {names[col]} is {raw!r}; " +
@@ -645,6 +664,7 @@ def load_membership(path) -> dict[str, str]:
                 if cell != cell.strip():
                     raise DataError(f"{path}: line {line}: {name} {cell!r} has leading "
                                     "or trailing whitespace")
+                _check_name(f"{path}: line {line}", name, cell)
             if out.setdefault(inst, cat) != cat:
                 raise DataError(f"{path}: line {line}: instrument {inst!r} mapped to "
                                 f"both {out[inst]!r} and {cat!r}")

@@ -29,7 +29,7 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -57,7 +57,7 @@ class ActConfig:
     """Hyperparameters; `pspe`/`fci`/`sci` select branch variants."""
 
     n_features: int
-    window: int
+    window: int = 16
     hidden: int = 64
     trend_window: int = 20
     fluct_window: int = 5
@@ -428,14 +428,15 @@ def save_checkpoint(model: ActModel, path) -> None:
 
 def _checkpoint_config(path, raw: dict) -> ActConfig:
     """The ActConfig of a checkpoint's `config` object: every key an
-    ActConfig field, every field without a default present, and the
-    values passing ActConfig's own checks, kinds first."""
-    by_name = {f.name: f for f in fields(ActConfig)}
+    ActConfig field, every field present, so that no default stands in
+    for a setting the weights were trained with, and the values passing
+    ActConfig's own checks, kinds first."""
+    names = [f.name for f in fields(ActConfig)]
     for key in raw:
-        if key not in by_name:
+        if key not in names:
             raise DataError(f"{path}: checkpoint field 'config.{key}' is not a model setting")
-    for name, f in by_name.items():
-        if f.default is MISSING and name not in raw:
+    for name in names:
+        if name not in raw:
             raise DataError(f"{path}: checkpoint field 'config.{name}' is missing")
     try:
         return ActConfig(**raw)

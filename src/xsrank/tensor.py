@@ -6,7 +6,11 @@ and nothing another kind already computes: selection and gathers are
 INDEX, the fluctuation branch's causal convolution is a broadcast
 MATMUL over stacked lags plus a SUM, ReLU is LEAKY_RELU at slope 0, a
 mean is SUM then DIV, and dropout is a MUL by a mask the model draws.
+A primitive takes Tensors, and its attributes (a slope, an axis, an
+INDEX key) as keyword arguments. INDEX takes any key numpy takes, lets
+numpy check it, and scatter-adds its gradient.
 
+A thread has at most one active tape; tapes do not nest.
 Differentiation starts from watched leaves: `tape.watch(t)` gives a
 tensor a node on the tape, and `train` watches every parameter before
 its forward pass. A primitive records a vector-Jacobian closure only
@@ -95,17 +99,8 @@ _STATE = threading.local()
 _TAPE_COUNTER = [0]
 
 
-def _tape_stack() -> list:
-    stack = getattr(_STATE, "stack", None)
-    if stack is None:
-        stack = []
-        _STATE.stack = stack
-    return stack
-
-
 def active_tape() -> "Tape | None":
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    return getattr(_STATE, "tape", None)
 
 
 class _Node:
@@ -120,8 +115,8 @@ class _Node:
 class Tape:
     """Records primitive applications for reverse-mode differentiation.
 
-    Use as a context manager; the innermost tape is the active one.
-    Single-threaded by design (the active stack is thread-local).
+    Use as a context manager. A thread has at most one active tape, so
+    entering a tape while another is active is a TapeError.
     """
 
     def __init__(self):
@@ -132,14 +127,13 @@ class Tape:
         self.gradients: dict[int, np.ndarray] = {}
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        if active_tape() is not None:
+            raise TapeError("a tape is already active; tapes do not nest")
+        _STATE.tape = self
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        stack = _tape_stack()
-        if not stack or stack[-1] is not self:
-            raise TapeError("tape exited out of order")
-        stack.pop()
+        _STATE.tape = None
 
     def watch(self, tensor: Tensor) -> int:
         """Make the tensor a leaf of this tape, so that backward() gives it
@@ -189,15 +183,15 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # forward + VJP builders, one per primitive
 #
-# Each builder takes the input arrays and validated attrs and returns
-# (out_array, vjp). vjp(g, needs) maps the output cotangent to a list of
-# per-input cotangents; needs[i] is False for an input that is not on the
-# tape, whose cotangent backward() discards, so a VJP may return None for
-# it instead of computing it.
+# Each builder takes the input arrays, and its attributes as keyword
+# parameters, and returns (out_array, vjp). vjp(g, needs) maps the output
+# cotangent to a list of per-input cotangents; needs[i] is False for an
+# input that is not on the tape, whose cotangent backward() discards, so
+# a VJP may return None for it instead of computing it.
 # ---------------------------------------------------------------------------
 
 
-def _fw_matmul(inputs, attrs):
+def _fw_matmul(inputs):
     a, b = inputs
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError("matmul operands must have at least 2 dimensions")
@@ -218,7 +212,7 @@ def _fw_matmul(inputs, attrs):
     return out, vjp
 
 
-def _fw_add(inputs, attrs):
+def _fw_add(inputs):
     a, b = inputs
     out = a + b
 
@@ -228,7 +222,7 @@ def _fw_add(inputs, attrs):
     return out, vjp
 
 
-def _fw_sub(inputs, attrs):
+def _fw_sub(inputs):
     a, b = inputs
     out = a - b
 
@@ -238,7 +232,7 @@ def _fw_sub(inputs, attrs):
     return out, vjp
 
 
-def _fw_mul(inputs, attrs):
+def _fw_mul(inputs):
     a, b = inputs
     out = a * b
 
@@ -249,7 +243,7 @@ def _fw_mul(inputs, attrs):
     return out, vjp
 
 
-def _fw_div(inputs, attrs):
+def _fw_div(inputs):
     a, b = inputs
     out = a / b
 
@@ -262,7 +256,7 @@ def _fw_div(inputs, attrs):
     return out, vjp
 
 
-def _fw_concat_last(inputs, attrs):
+def _fw_concat_last(inputs):
     base = inputs[0].shape[:-1]
     for x in inputs[1:]:
         if x.shape[:-1] != base:
@@ -281,7 +275,7 @@ def _fw_concat_last(inputs, attrs):
     return out, vjp
 
 
-def _fw_layer_norm(inputs, attrs):
+def _fw_layer_norm(inputs):
     x, gamma, beta = inputs
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
@@ -305,9 +299,8 @@ def _fw_layer_norm(inputs, attrs):
     return out, vjp
 
 
-def _fw_leaky_relu(inputs, attrs):
+def _fw_leaky_relu(inputs, slope):
     (x,) = inputs
-    slope = attrs["slope"]
     # for 0 <= slope < 1 this is where(x > 0, x, slope * x) bit for bit,
     # signed zeros included, in a fraction of the time
     if not 0.0 <= slope < 1.0:
@@ -320,7 +313,7 @@ def _fw_leaky_relu(inputs, attrs):
     return out, vjp
 
 
-def _fw_sigmoid(inputs, attrs):
+def _fw_sigmoid(inputs):
     (x,) = inputs
     s = _stable_sigmoid(x)
 
@@ -330,7 +323,7 @@ def _fw_sigmoid(inputs, attrs):
     return s, vjp
 
 
-def _fw_tanh(inputs, attrs):
+def _fw_tanh(inputs):
     (x,) = inputs
     t = np.tanh(x)
 
@@ -340,9 +333,8 @@ def _fw_tanh(inputs, attrs):
     return t, vjp
 
 
-def _fw_softmax(inputs, attrs):
+def _fw_softmax(inputs, axis):
     (x,) = inputs
-    axis = attrs["axis"]
     shifted = x - x.max(axis=axis, keepdims=True)
     ex = np.exp(shifted)
     s = ex / ex.sum(axis=axis, keepdims=True)
@@ -354,10 +346,8 @@ def _fw_softmax(inputs, attrs):
     return s, vjp
 
 
-def _fw_sum(inputs, attrs):
+def _fw_sum(inputs, axis=None, keepdims=False):
     (x,) = inputs
-    axis = attrs.get("axis")
-    keepdims = attrs.get("keepdims", False)
     out = x.sum(axis=axis, keepdims=keepdims)
 
     def vjp(g, needs):
@@ -369,7 +359,7 @@ def _fw_sum(inputs, attrs):
     return out, vjp
 
 
-def _fw_sqrt(inputs, attrs):
+def _fw_sqrt(inputs):
     (x,) = inputs
     out = np.sqrt(x)
 
@@ -379,92 +369,49 @@ def _fw_sqrt(inputs, attrs):
     return out, vjp
 
 
-def _fw_index(inputs, attrs):
-    # Ints, slices and None select each element at most once, so their VJP
-    # is an assignment into zeros. Integer arrays (numpy advanced indexing)
-    # may repeat an element; their VJP scatter-adds, in element order.
+def _fw_index(inputs, key):
+    # numpy checks the key. Every key's VJP scatter-adds, so an element
+    # that an integer array or list selects more than once sums its
+    # cotangents, in element order
     (x,) = inputs
-    key = attrs["key"]
-    parts = key if isinstance(key, tuple) else (key,)
-    advanced = False
-    axis = 0
-    for k in parts:
-        if k is None:
-            continue
-        if axis >= x.ndim:
-            raise ShapeError(f"index key {key!r} has more entries than {x.shape} has axes")
-        size = x.shape[axis]
-        axis += 1
-        if isinstance(k, slice):
-            continue
-        if isinstance(k, np.ndarray) and np.issubdtype(k.dtype, np.integer):
-            advanced = True
-            if k.size and not (-size <= k.min() and k.max() < size):
-                raise ShapeError(f"index array out of range for axis {axis - 1} of {x.shape}")
-            continue
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-            raise ShapeError(
-                f"index key entries must be ints, slices, None or integer arrays, got {k!r}"
-            )
-        if not -size <= k < size:
-            raise ShapeError(f"index {k} out of range for axis {axis - 1} of {x.shape}")
-    # advanced indexing already returns a fresh array; basic indexing a view
-    out = x[key] if advanced else x[key].copy()
+    out = x[key]
+    if np.may_share_memory(out, x):  # a basic key gives a view
+        out = out.copy()
 
     def vjp(g, needs):
-        if advanced:
-            flat = np.arange(x.size).reshape(x.shape)[key]
-            dx = np.bincount(flat.reshape(-1), weights=g.reshape(-1), minlength=x.size)
-            return [dx.reshape(x.shape)]
-        dx = np.zeros_like(x)
-        dx[key] = g
-        return [dx]
+        flat = np.arange(x.size).reshape(x.shape)[key]
+        dx = np.bincount(flat.reshape(-1), weights=g.reshape(-1), minlength=x.size)
+        return [dx.reshape(x.shape)]
 
     return out, vjp
 
 
-# kind -> (builder, required attr names, optional attr names)
-_REGISTRY: dict[PrimitiveKind, tuple[Callable, frozenset, frozenset]] = {
-    PrimitiveKind.MATMUL: (_fw_matmul, frozenset(), frozenset()),
-    PrimitiveKind.ADD: (_fw_add, frozenset(), frozenset()),
-    PrimitiveKind.SUB: (_fw_sub, frozenset(), frozenset()),
-    PrimitiveKind.MUL: (_fw_mul, frozenset(), frozenset()),
-    PrimitiveKind.DIV: (_fw_div, frozenset(), frozenset()),
-    PrimitiveKind.CONCAT_LAST: (_fw_concat_last, frozenset(), frozenset()),
-    PrimitiveKind.LAYER_NORM: (_fw_layer_norm, frozenset(), frozenset()),
-    PrimitiveKind.LEAKY_RELU: (_fw_leaky_relu, frozenset({"slope"}), frozenset()),
-    PrimitiveKind.SIGMOID: (_fw_sigmoid, frozenset(), frozenset()),
-    PrimitiveKind.TANH: (_fw_tanh, frozenset(), frozenset()),
-    PrimitiveKind.SOFTMAX: (_fw_softmax, frozenset({"axis"}), frozenset()),
-    PrimitiveKind.SUM: (_fw_sum, frozenset(), frozenset({"axis", "keepdims"})),
-    PrimitiveKind.SQRT: (_fw_sqrt, frozenset(), frozenset()),
-    PrimitiveKind.INDEX: (_fw_index, frozenset({"key"}), frozenset()),
+_BUILDERS: dict[PrimitiveKind, Callable] = {
+    PrimitiveKind.MATMUL: _fw_matmul,
+    PrimitiveKind.ADD: _fw_add,
+    PrimitiveKind.SUB: _fw_sub,
+    PrimitiveKind.MUL: _fw_mul,
+    PrimitiveKind.DIV: _fw_div,
+    PrimitiveKind.CONCAT_LAST: _fw_concat_last,
+    PrimitiveKind.LAYER_NORM: _fw_layer_norm,
+    PrimitiveKind.LEAKY_RELU: _fw_leaky_relu,
+    PrimitiveKind.SIGMOID: _fw_sigmoid,
+    PrimitiveKind.TANH: _fw_tanh,
+    PrimitiveKind.SOFTMAX: _fw_softmax,
+    PrimitiveKind.SUM: _fw_sum,
+    PrimitiveKind.SQRT: _fw_sqrt,
+    PrimitiveKind.INDEX: _fw_index,
 }
 
 
-def apply_primitive(
-    kind: PrimitiveKind,
-    inputs: Sequence[Tensor],
-    attrs: dict | None = None,
-) -> Tensor:
-    """Run one primitive, recording it on the active tape if any."""
-    attrs = dict(attrs) if attrs else {}
-    try:
-        builder, required, optional = _REGISTRY[kind]
-    except KeyError:
-        raise TapeError(f"unknown primitive kind: {kind!r}") from None
-    allowed = required | optional
-    for key in attrs:
-        if key not in allowed:
-            raise TapeError(f"{kind.value}: unknown attr {key!r}")
-    missing = required - attrs.keys()
-    if missing:
-        raise TapeError(f"{kind.value}: missing attrs {sorted(missing)}")
-
+def apply_primitive(kind: PrimitiveKind, inputs: Sequence[Tensor], **attrs) -> Tensor:
+    """Run one primitive, recording it on the active tape if any. `attrs`
+    go to the kind's builder as keyword arguments, so one it does not
+    take, or one it needs and is not given, is a TypeError."""
     arrays = [t.data for t in inputs]
     # overflow/invalid become NaN or Inf and are caught by the finite check
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out, vjp = builder(arrays, attrs)
+        out, vjp = _BUILDERS[kind](arrays, **attrs)
     out = np.asarray(out, dtype=np.float64)
     if not out.flags["C_CONTIGUOUS"]:
         out = np.ascontiguousarray(out)
@@ -543,68 +490,60 @@ def backward(loss: Tensor) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    return apply_primitive(PrimitiveKind.MATMUL, [a, b])
 
 
-def matmul(a, b) -> Tensor:
-    return apply_primitive(PrimitiveKind.MATMUL, [_as_tensor(a), _as_tensor(b)])
+def add(a: Tensor, b: Tensor) -> Tensor:
+    return apply_primitive(PrimitiveKind.ADD, [a, b])
 
 
-def add(a, b) -> Tensor:
-    return apply_primitive(PrimitiveKind.ADD, [_as_tensor(a), _as_tensor(b)])
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    return apply_primitive(PrimitiveKind.SUB, [a, b])
 
 
-def sub(a, b) -> Tensor:
-    return apply_primitive(PrimitiveKind.SUB, [_as_tensor(a), _as_tensor(b)])
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    return apply_primitive(PrimitiveKind.MUL, [a, b])
 
 
-def mul(a, b) -> Tensor:
-    return apply_primitive(PrimitiveKind.MUL, [_as_tensor(a), _as_tensor(b)])
+def div(a: Tensor, b: Tensor) -> Tensor:
+    return apply_primitive(PrimitiveKind.DIV, [a, b])
 
 
-def div(a, b) -> Tensor:
-    return apply_primitive(PrimitiveKind.DIV, [_as_tensor(a), _as_tensor(b)])
+def concat_last(tensors: Iterable[Tensor]) -> Tensor:
+    return apply_primitive(PrimitiveKind.CONCAT_LAST, list(tensors))
 
 
-def concat_last(tensors: Iterable) -> Tensor:
-    return apply_primitive(PrimitiveKind.CONCAT_LAST, [_as_tensor(t) for t in tensors])
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    return apply_primitive(PrimitiveKind.LAYER_NORM, [x, gamma, beta])
 
 
-def layer_norm(x, gamma, beta) -> Tensor:
-    return apply_primitive(
-        PrimitiveKind.LAYER_NORM, [_as_tensor(x), _as_tensor(gamma), _as_tensor(beta)]
-    )
+def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
+    return apply_primitive(PrimitiveKind.LEAKY_RELU, [x], slope=slope)
 
 
-def leaky_relu(x, slope: float = 0.2) -> Tensor:
-    return apply_primitive(PrimitiveKind.LEAKY_RELU, [_as_tensor(x)], {"slope": slope})
+def sigmoid(x: Tensor) -> Tensor:
+    return apply_primitive(PrimitiveKind.SIGMOID, [x])
 
 
-def sigmoid(x) -> Tensor:
-    return apply_primitive(PrimitiveKind.SIGMOID, [_as_tensor(x)])
+def tanh(x: Tensor) -> Tensor:
+    return apply_primitive(PrimitiveKind.TANH, [x])
 
 
-def tanh(x) -> Tensor:
-    return apply_primitive(PrimitiveKind.TANH, [_as_tensor(x)])
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    return apply_primitive(PrimitiveKind.SOFTMAX, [x], axis=axis)
 
 
-def softmax(x, axis: int = -1) -> Tensor:
-    return apply_primitive(PrimitiveKind.SOFTMAX, [_as_tensor(x)], {"axis": axis})
+def tensor_sum(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
+    return apply_primitive(PrimitiveKind.SUM, [x], axis=axis, keepdims=keepdims)
 
 
-def tensor_sum(x, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    return apply_primitive(
-        PrimitiveKind.SUM, [_as_tensor(x)], {"axis": axis, "keepdims": keepdims}
-    )
+def sqrt(x: Tensor) -> Tensor:
+    return apply_primitive(PrimitiveKind.SQRT, [x])
 
 
-def sqrt(x) -> Tensor:
-    return apply_primitive(PrimitiveKind.SQRT, [_as_tensor(x)])
-
-
-def index(x, key) -> Tensor:
-    """x[key] for a key of ints, slices, None and integer arrays, or a tuple
-    of those; integer arrays follow numpy's advanced-indexing rules."""
-    return apply_primitive(PrimitiveKind.INDEX, [_as_tensor(x)], {"key": key})
-
+def index(x: Tensor, key) -> Tensor:
+    """x[key] for any key numpy takes, which numpy checks. The gradient
+    scatter-adds, so an element the key selects more than once (a
+    repeated integer array or list) gets the sum of its cotangents."""
+    return apply_primitive(PrimitiveKind.INDEX, [x], key=key)

@@ -130,8 +130,8 @@ def test_resolve_config_precedence():
         cli.resolve_config(schema, Args(), {"nope": "1"})
 
 
-# ActConfig.window has no default
-CLI_ONLY_DEFAULTS = {"window": 16}
+# no option has a default its settings class lacks
+CLI_ONLY_DEFAULTS = {}
 
 
 def test_cli_defaults_are_the_dataclass_defaults():
@@ -583,8 +583,7 @@ def test_train_refuses_a_setting_it_cannot_use(workdir, tmp_path, capsys, comman
 # without a default
 SETTINGS_CLASSES = sorted({c for _, classes, *_ in cli.COMMANDS.values() for c in classes},
                           key=lambda c: c.__name__)
-REQUIRED_VALUES = {"n_features": 4, "window": 8, "valid_start": "2015-03-02", "k": 3,
-                   "n_drop": 1}
+REQUIRED_VALUES = {"n_features": 4, "valid_start": "2015-03-02", "k": 3, "n_drop": 1}
 # a value of another kind for each kind, and what the kind must be
 WRONG_KINDS = {"int": (True, "an integer"), "float": ("1", "a finite number"),
                "bool": (1, "true or false"), "str": (1, "a string"),
@@ -749,6 +748,31 @@ def test_membership_naming_no_panel_instrument_is_refused(workdir, tmp_path, cap
                   + ["--group-by", "industry", "--industry", str(stranger)])
     assert rc == cli.EXIT_DATA
     assert f"{stranger}: names no instrument of the panel" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, what", [("industry", "category"),
+                                        ("predictions", "instrument")])
+def test_evaluate_refuses_a_name_the_writers_cannot_write(workdir, tmp_path, capsys,
+                                                          name, what):
+    # before: a category "IND,00" exited 0 and wrote an 8-cell row under
+    # the 7-column subgroups.csv header, and an instrument "S0,01" was
+    # scored though no predictions.csv holding it can be written back
+    inputs = {"industry": workdir / "data" / "industry.csv",
+              "predictions": workdir / "preds" / "predictions.csv"}
+    header, first, *rest = inputs[name].read_text().splitlines()
+    cells = first.split(",")
+    cell = cells[1][:1] + "," + cells[1][1:]
+    cells[1] = f'"{cell}"'
+    inputs[name] = tmp_path / f"{name}.csv"
+    inputs[name].write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
+    out = tmp_path / "eval"
+    rc = cli.main(["evaluate", "--out", str(out), "--predictions", str(inputs["predictions"])]
+                  + panel_args(workdir)
+                  + ["--group-by", "industry", "--industry", str(inputs["industry"])])
+    assert rc == cli.EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"error: {inputs[name]}: line 2: {what} {cell!r} holds a comma, quote or line break\n")
+    assert not out.exists()
 
 
 def test_manifest_lists_dropped_instruments(workdir, tmp_path):
@@ -1129,6 +1153,14 @@ def _config(key, value):
     return edit
 
 
+def _without_setting(key):
+    # a default would stand in for the setting the weights were trained with
+    def edit(payload):
+        del payload["config"][key]
+        return payload
+    return edit
+
+
 def _without_param(payload):
     del payload["params"]["out_w"]
     return payload
@@ -1164,6 +1196,8 @@ NON_FINITE = "checkpoint field 'params.out_w' holds a non-finite number"
     (_config("pspe", 1), "checkpoint field 'config': pspe is 1, not a string"),
     (_config("hidden", 0), "checkpoint field 'config': hidden size must be >= 1"),
     (_config("depth", 2), "checkpoint field 'config.depth' is not a model setting"),
+    (_without_setting("knn"), "checkpoint field 'config.knn' is missing"),
+    (_without_setting("leaky_slope"), "checkpoint field 'config.leaky_slope' is missing"),
     (_without_param, "checkpoint field 'params.out_w' is missing"),
     (_param(lambda e: e.update(shape=[1, 8])),
      "checkpoint field 'params.out_w': shape [1, 8] is not [8, 1]"),
@@ -1195,7 +1229,8 @@ NON_FINITE = "checkpoint field 'params.out_w' holds a non-finite number"
      "checkpoint field 'params.out_w': shape '8,1' is not [8, 1]"),
 ], ids=["short_param", "no_params", "no_config", "string_in_param", "seed_abc", "list",
         "hidden_float", "knn_float", "window_fraction", "hidden_bool", "hidden_string",
-        "rate_string", "pspe_int", "hidden_zero", "unknown_setting", "no_out_w",
+        "rate_string", "pspe_int", "hidden_zero", "unknown_setting", "no_knn",
+        "no_leaky_slope", "no_out_w",
         "wrong_shape", "nan_param", "bool_param", "numeric_string_param", "nested_param",
         "huge_int_param", "inf_param", "minus_inf_param", "nan_payload_param",
         "signalling_nan_param", "newline_in_base64", "space_in_base64", "missing_padding",

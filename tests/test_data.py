@@ -1,5 +1,6 @@
 """Panel IO, VWAP labels, windowing, and synthetic generator tests."""
 
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -242,6 +243,55 @@ def test_membership_refuses_a_padded_cell(tmp_path, text, line, cell):
     path = _write(tmp_path / "industry.csv", "instrument,category\n" + text)
     with pytest.raises(DataError, match=rf"industry.csv: line {line}: {cell} has leading "):
         load_membership(path)
+
+
+# a quoted cell csv.reader reads as a name that holds a character the
+# writers, which never quote a cell, cannot write
+UNWRITABLE = [('"A,1"', "A,1"), ('"A""1"', 'A"1'), ('"A\r1"', "A\r1"), ('"A\n1"', "A\n1")]
+UNWRITABLE_IDS = ["comma", "quote", "carriage-return", "newline"]
+
+
+def _unwritable(path, line, what, name):
+    return re.escape(f"{path}: line {line}: {what} {name!r} holds a comma, quote or line break")
+
+
+@pytest.mark.parametrize("quoted, name", UNWRITABLE, ids=UNWRITABLE_IDS)
+def test_loaders_refuse_a_name_the_writers_cannot_write(tmp_path, quoted, name):
+    # before: each loaded, and a file written from it had a row of the
+    # wrong width or broke over two lines
+    prices = _write(tmp_path / "prices.csv", PRICES_2x2)
+    features = _write(tmp_path / "features.csv",
+                      FEATURES_2x2x3 + f"2020-01-02,{quoted},1.0,2.0,3.0\n")
+    with pytest.raises(DataError, match=_unwritable(features, 6, "instrument", name)):
+        load_panel(features, prices)
+    preds = _write(tmp_path / "predictions.csv",
+                   f"datetime,instrument,score\n2020-01-01,A,1.0\n2020-01-01,{quoted},2.0\n")
+    with pytest.raises(DataError, match=_unwritable(preds, 3, "instrument", name)):
+        PredictionSeries.read_csv(preds)
+    for text, line, what in ((f"A,X\n{quoted},X\n", 3, "instrument"),
+                             (f"A,X\nB,{quoted}\n", 3, "category")):
+        path = _write(tmp_path / "industry.csv", "instrument,category\n" + text)
+        with pytest.raises(DataError, match=_unwritable(path, line, what, name)):
+            load_membership(path)
+
+
+def test_an_unwritable_name_keeps_the_earliest_line_rule(tmp_path):
+    prices = _write(tmp_path / "prices.csv", PRICES_2x2)
+    # a bad number on an earlier line of the same block comes first
+    feats = FEATURES_2x2x3.replace("2020-01-01,B,4.0", "2020-01-01,B,inf")
+    path = _write(tmp_path / "f1.csv", feats + '2020-01-02,"C,1",1.0,2.0,3.0\n')
+    with pytest.raises(DataError, match="f1.csv: line 3: feature f0 is 'inf'"):
+        load_panel(path, prices)
+    # the name comes before a bad number on its own line and a later duplicate
+    path = _write(tmp_path / "f2.csv", FEATURES_2x2x3 + '2020-01-02,"C,1",inf,2.0,3.0\n'
+                  + "2020-01-02,A,1.0,2.0,3.0\n")
+    with pytest.raises(DataError, match="f2.csv: line 6: instrument 'C,1'"):
+        load_panel(path, prices)
+    # and after a duplicate on an earlier line
+    path = _write(tmp_path / "f3.csv", FEATURES_2x2x3 + "2020-01-02,A,1.0,2.0,3.0\n"
+                  + '2020-01-02,"C,1",1.0,2.0,3.0\n')
+    with pytest.raises(DataError, match="f3.csv: line 6: duplicate"):
+        load_panel(path, prices)
 
 
 def test_membership_roundtrip(tmp_path):

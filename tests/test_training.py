@@ -156,7 +156,7 @@ def test_every_primitive_kind_is_run_by_a_training_step(monkeypatch):
     seen = set()
     apply = tz.apply_primitive
     monkeypatch.setattr(tz, "apply_primitive",
-                        lambda kind, *args: seen.add(kind) or apply(kind, *args))
+                        lambda kind, *args, **attrs: seen.add(kind) or apply(kind, *args, **attrs))
     rng = np.random.default_rng(40)
     n, batch = 6, 2
     graphs = make_graphs(n)
