@@ -26,7 +26,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -284,7 +284,9 @@ def cmd_backtest(args, cfg):
         title=f"top-{cfg.k} dropout-{cfg.n_drop} backtest",
     )
     result.write_csv(out / "backtest.csv")
-    write_metric_report(metrics, out / "portfolio_metrics.csv")
+    # the backtest's per-day flags follow the metric flags
+    write_metric_report(replace(metrics, flags=metrics.flags + result.flags),
+                        out / "portfolio_metrics.csv")
     return ["backtest.csv", "portfolio_metrics.csv", "curves.svg"], ds
 
 

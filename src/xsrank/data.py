@@ -1,14 +1,17 @@
 """Panel data IO: feature/price/membership/factor CSVs, VWAP labels,
 windowing, and a seeded synthetic market generator with planted structure.
 
-All files are UTF-8 with LF line endings and ISO-8601 dates. Floats are
-written in shortest round-trip positional notation: the digits of `repr`,
-never exponent notation, so a load/write cycle of canonical files is
-byte-identical. Writers work a whole column or day at a time. Every reader
-streams its file through `_read_table` in blocks of at most CHUNK_CELLS
-cells, so a loader holds its output arrays and one block of rows, however
-long the file is, and of several faults reports the one on the earliest
-line.
+Every CSV has one dialect: UTF-8, a header row, LF line endings, and a
+cell wrapped in double quotes, its own doubled, only when it holds `,`,
+`"`, CR or LF (`_quote`), which is what `csv.reader` reads. Dates are
+ISO-8601, and a file whose first column is `datetime` has a calendar day
+in every row. Floats are written in shortest round-trip positional
+notation: the digits of `repr`, never exponent notation, so a load/write
+cycle of canonical files is byte-identical. Writers work a whole column or
+day at a time. Every reader streams its file through `_read_table` in
+blocks of at most CHUNK_CELLS cells, so a loader holds its output arrays
+and one block of rows, however long the file is, and of several faults
+reports the one on the earliest line.
 
 A file the program reads back (features, prices, predictions, factors,
 backtest.csv, the checkpoint) refuses a non-finite number; a report table,
@@ -40,8 +43,8 @@ FACTOR_NAMES = ["mktrf", "smb", "hml", "rmw", "cma"]
 CHUNK_CELLS = 1 << 11
 # lines a writer joins into one write call
 LINES_PER_WRITE = 1 << 10
-# characters the writers, which never quote a cell, cannot put in a name
-_UNWRITABLE = re.compile(r'[,"\r\n]')
+# characters that make a cell need quotes
+_SPECIAL = re.compile(r'[,"\r\n]')
 
 
 def format_floats(values) -> list[str]:
@@ -78,13 +81,21 @@ def _write_lines(path, header, lines):
             fh.write("\n".join(block) + "\n")
 
 
+def _quote(cell: str) -> str:
+    """`cell` as written: in double quotes, with its own doubled, when it
+    holds `,`, `"`, CR or LF, and as is otherwise."""
+    if _SPECIAL.search(cell):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
 def _cell(value) -> str:
-    """A report-table cell: a str as is, None empty, an int in decimal, a
-    finite float in `format_float` digits and any other as nan, inf or
+    """A report-table cell: a str `_quote`d, None empty, an int in decimal,
+    a finite float in `format_float` digits and any other as nan, inf or
     -inf. A bool, or a value of any other type, is refused, so no table
     reads True."""
     if value is None or isinstance(value, str):
-        return value or ""
+        return _quote(value or "")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"cannot write {value!r} as a table cell")
     if isinstance(value, int) or not np.isfinite(value):
@@ -129,16 +140,17 @@ def _floats(cells: list[str]) -> tuple[np.ndarray, int]:
     return np.array(values, dtype=np.float64), len(values)
 
 
-def _read_table(path, header, keys: int, days: bool = False, keep=None):
+def _read_table(path, header, keys: int, keep=None):
     """Stream the data rows of a CSV file in blocks of at most CHUNK_CELLS
     cells, or of one row when a row is wider than that.
 
     The first `keys` columns of a row are strings and the rest numbers.
     A row is faulty if it has the wrong width; failing that, if a number
-    cell does not parse; failing that, with `days`, if its first cell is
-    not a YYYY-MM-DD calendar day. `keep`, if given, drops the well-formed
-    rows it is false for before their numbers are parsed; their days are
-    still checked.
+    cell does not parse; failing that, in a file whose first header cell
+    is `datetime`, if its first cell is not a YYYY-MM-DD calendar day.
+    `keep`, if given, drops the well-formed rows it is false for before
+    their numbers are parsed; their days are still checked. Rows are
+    counted as lines from the header, line 1.
 
     Yields (line numbers, rows, [rows, numbers] floats, fault) per block:
     the kept rows before the first faulty one, and that row's DataError,
@@ -160,6 +172,7 @@ def _read_table(path, header, keys: int, days: bool = False, keep=None):
                     f"{path}: header {found!r} does not match expected {header!r}"
                 )
             width, n_num = len(found), len(found) - keys
+            days = found[0] == "datetime"
             size = max(1, CHUNK_CELLS // max(1, width))
             known_days: set[str] = set()
             line = 2
@@ -199,13 +212,6 @@ def _read_table(path, header, keys: int, days: bool = False, keep=None):
         raise DataError(f"{path}: {exc}") from exc
 
 
-def _check_name(where: str, what: str, name: str) -> None:
-    """Refuse an instrument or category name the CSV writers cannot write
-    back, naming the file and line given in `where`."""
-    if _UNWRITABLE.search(name):
-        raise DataError(f"{where}: {what} {name!r} holds a comma, quote or line break")
-
-
 def _write_dated(path, header, dates: list[str], columns) -> None:
     """Write the table `_read_dated` reads: per day, the day and then one
     number from each of `columns`."""
@@ -220,7 +226,7 @@ def _read_dated(path, header) -> tuple[list[str], np.ndarray]:
     column. Refuses, besides `_read_table`'s faults, a missing or
     non-finite number and days that are not unique and ascending."""
     dates, blocks = [], [np.empty((0, len(header) - 1))]
-    for lines, rows, values, fault in _read_table(path, header, keys=1, days=True):
+    for lines, rows, values, fault in _read_table(path, header, keys=1):
         missing = np.flatnonzero(~np.isfinite(values))
         if missing.size:
             row, col = divmod(int(missing[0]), values.shape[1])
@@ -302,20 +308,11 @@ def _read_grid(blocks, names: list[str], missing_ok: bool, path=None):
     n_rows = 0
     for lines, rows, values, fault in blocks:
         t = day_codes([row[0] for row in rows])
-        seen = len(name_codes.names)
         i = name_codes([row[1] for row in rows])
         parts.append((lines, t, i, values))
         n_rows += len(rows)
         bad = np.isinf(values) if missing_ok else ~np.isfinite(values)
         k, col = divmod(int(np.argmax(bad)), len(names)) if bad.any() else (len(rows), 0)
-        # codes count up from first appearance, so the first unwritable new
-        # name is the one on the earliest line; it comes before a bad number
-        unwritable = next((c for c in range(seen, len(name_codes.names))
-                           if _UNWRITABLE.search(name_codes.names[c])), None)
-        if unwritable is not None and (k_name := int(np.argmax(i == unwritable))) <= k:
-            check_duplicates(n_rows - len(rows) + k_name)
-            _check_name(at(lines, k_name, t[k_name], i[k_name]), "instrument",
-                        name_codes.names[unwritable])
         if k < len(rows):
             check_duplicates(n_rows - len(rows) + k)
             raw = float(values[k, col]) if path is None else rows[k][2 + col]
@@ -465,7 +462,7 @@ class PredictionSeries:
         t, i = np.nonzero(np.isfinite(self.scores))
         cells = format_floats(self.scores[t, i])
         dates = map(self.dates.__getitem__, t.tolist())
-        instruments = map(self.instruments.__getitem__, i.tolist())
+        instruments = map(list(map(_quote, self.instruments)).__getitem__, i.tolist())
         _write_lines(path, PREDICTIONS_HEADER, map(",".join, zip(dates, instruments, cells)))
 
     @classmethod
@@ -563,7 +560,7 @@ def load_panel(features_path, prices_path) -> PanelDataset:
     without a next-day price are simply unobserved. Of several faults the
     one on the earliest line is reported.
     """
-    table = _read_table(features_path, None, keys=2, days=True)
+    table = _read_table(features_path, None, keys=2)
     header = next(table)
     if len(header) < 3 or header[:2] != ["datetime", "instrument"]:
         raise DataError(f"{features_path}: header must start datetime,instrument")
@@ -590,7 +587,7 @@ def load_panel(features_path, prices_path) -> PanelDataset:
     bar_t, bar_i, bar_values = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty((0, 2))]
     # rows outside the universe skip number parsing, not the day check
     for lines, rows, bars, fault in _read_table(
-            prices_path, PRICES_HEADER, keys=2, days=True,
+            prices_path, PRICES_HEADER, keys=2,
             keep=lambda row: row[0] in date_pos and row[1] in inst_pos):
         price_ok = np.isfinite(bars[:, 0]) & (bars[:, 0] > 0)
         bad = np.flatnonzero(~price_ok | ~np.isfinite(bars[:, 1]))
@@ -628,11 +625,12 @@ def write_panel(ds: PanelDataset, features_path, prices_path) -> None:
     feat_header = ["datetime", "instrument"] + [
         f"{FEATURE_PREFIX}{i}" for i in range(n_feat)
     ]
+    names = list(map(_quote, ds.instruments))
 
     def feature_lines():
         for ti, dt in enumerate(ds.dates):
             cells = format_floats(ds.features[ti])
-            for ii, inst in enumerate(ds.instruments):
+            for ii, inst in enumerate(names):
                 yield ",".join([dt, inst, *cells[ii * n_feat: (ii + 1) * n_feat]])
 
     _write_lines(features_path, feat_header, feature_lines())
@@ -644,7 +642,7 @@ def write_panel(ds: PanelDataset, features_path, prices_path) -> None:
             prices = format_floats(ds.vwap[ti, cols])
             volumes = format_floats(ds.volume[ti, cols])
             for ii, price, volume in zip(cols.tolist(), prices, volumes):
-                yield f"{dt},{ds.instruments[ii]},{price},{volume}"
+                yield f"{dt},{names[ii]},{price},{volume}"
 
     _write_lines(prices_path, PRICES_HEADER, price_lines())
 
@@ -664,7 +662,6 @@ def load_membership(path) -> dict[str, str]:
                 if cell != cell.strip():
                     raise DataError(f"{path}: line {line}: {name} {cell!r} has leading "
                                     "or trailing whitespace")
-                _check_name(f"{path}: line {line}", name, cell)
             if out.setdefault(inst, cat) != cat:
                 raise DataError(f"{path}: line {line}: instrument {inst!r} mapped to "
                                 f"both {out[inst]!r} and {cat!r}")

@@ -718,6 +718,11 @@ def read_predictions_rows(path):
     scores, error = _parse_floats([row[2] for row in raw[:n_ok]], path,
                                   lambda k: k + 2)
     parsed = raw[: len(scores)]
+    bad_day = next((k for k, row in enumerate(parsed) if not _is_day(row[0])), len(parsed))
+    if bad_day < len(parsed):
+        error = DataError(f"{path}: line {bad_day + 2}: "
+                          f"date {parsed[bad_day][0]!r} is not a YYYY-MM-DD day")
+        parsed = parsed[:bad_day]
     seen = set()
     for k, (row, score) in enumerate(zip(parsed, scores.tolist())):
         if not np.isfinite(score):

@@ -1,6 +1,7 @@
 import argparse
 import base64
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -41,9 +42,13 @@ def read_manifest(out_dir):
     return json.loads((out_dir / "manifest.json").read_text())
 
 
+def read_csv_rows(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh))
+
+
 def metrics_map(path):
-    lines = path.read_text().splitlines()[1:]
-    return {row.split(",")[0]: row.split(",")[1] for row in lines}
+    return {row[0]: row[1] for row in read_csv_rows(path)[1:]}
 
 
 SYNTH_ARGS = ["--n-instruments", "8", "--n-features", "4", "--days", "60",
@@ -750,29 +755,63 @@ def test_membership_naming_no_panel_instrument_is_refused(workdir, tmp_path, cap
     assert f"{stranger}: names no instrument of the panel" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name, what", [("industry", "category"),
-                                        ("predictions", "instrument")])
-def test_evaluate_refuses_a_name_the_writers_cannot_write(workdir, tmp_path, capsys,
-                                                          name, what):
-    # before: a category "IND,00" exited 0 and wrote an 8-cell row under
-    # the 7-column subgroups.csv header, and an instrument "S0,01" was
-    # scored though no predictions.csv holding it can be written back
-    inputs = {"industry": workdir / "data" / "industry.csv",
-              "predictions": workdir / "preds" / "predictions.csv"}
-    header, first, *rest = inputs[name].read_text().splitlines()
-    cells = first.split(",")
-    cell = cells[1][:1] + "," + cells[1][1:]
-    cells[1] = f'"{cell}"'
-    inputs[name] = tmp_path / f"{name}.csv"
-    inputs[name].write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
+def test_evaluate_quotes_a_category_that_holds_a_comma(workdir, tmp_path):
+    # before: the category "IND,00" was written as is, an 8-cell row under
+    # the 7-column subgroups.csv header
+    industry = tmp_path / "industry.csv"
+    text = (workdir / "data" / "industry.csv").read_text()
+    industry.write_text(text.replace(",IND00\n", ',"IND,00"\n'))
     out = tmp_path / "eval"
-    rc = cli.main(["evaluate", "--out", str(out), "--predictions", str(inputs["predictions"])]
-                  + panel_args(workdir)
-                  + ["--group-by", "industry", "--industry", str(inputs["industry"])])
+    assert cli.main(["evaluate", "--out", str(out),
+                     "--predictions", str(workdir / "preds" / "predictions.csv")]
+                    + panel_args(workdir)
+                    + ["--group-by", "industry", "--industry", str(industry)]) == cli.EXIT_OK
+    rows = read_csv_rows(out / "subgroups.csv")
+    assert {len(row) for row in rows} == {7}
+    assert [row[0] for row in rows[1:]] == ["IND,00", "IND01"]
+
+
+@pytest.mark.parametrize("day", ["2020-13-01", '"2020-01-01,x"'], ids=["month-13", "comma"])
+def test_evaluate_refuses_a_prediction_date_that_is_not_a_day(workdir, tmp_path, capsys, day):
+    # before: the month-13 date was refused only as "prediction date
+    # 2020-13-01 not in the panel", with no file or line
+    header, first, *rest = (workdir / "preds" / "predictions.csv").read_text().splitlines()
+    predictions = tmp_path / "predictions.csv"
+    predictions.write_text("\n".join([header, day + first[first.index(","):], *rest]) + "\n")
+    out = tmp_path / "eval"
+    capsys.readouterr()
+    rc = cli.main(["evaluate", "--out", str(out), "--predictions", str(predictions)]
+                  + panel_args(workdir))
     assert rc == cli.EXIT_DATA
-    assert capsys.readouterr().err == (
-        f"error: {inputs[name]}: line 2: {what} {cell!r} holds a comma, quote or line break\n")
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {predictions}: line 2: date {day.strip(chr(34))!r} is not a YYYY-MM-DD day"]
     assert not out.exists()
+
+
+def test_backtest_writes_its_per_day_flags(workdir, tmp_path):
+    # before: BacktestResult.flags reached no artifact
+    data = workdir / "data"
+    ds = load_panel(data / "features.csv", data / "prices.csv")
+    d = ds.dates
+    # S000 has no price on d[2], so it earns no return over d[1] -> d[2]
+    prices = tmp_path / "prices.csv"
+    prices.write_text("".join(line for line in (data / "prices.csv").open()
+                              if not line.startswith(f"{d[2]},S000,")))
+    predictions = tmp_path / "predictions.csv"
+    PredictionSeries([(d[1], s, float(-k)) for k, s in enumerate(ds.instruments)]
+                     + [(d[3], "S001", 1.0), (d[3], "S002", 0.5)]).write_csv(predictions)
+    out = tmp_path / "bt"
+    assert cli.main(["backtest", "--out", str(out), "--predictions", str(predictions),
+                     "--features", str(data / "features.csv"), "--prices", str(prices),
+                     "--k", "3", "--n-drop", "1"]) == cli.EXIT_OK
+    flags = run_backtest(PredictionSeries.read_csv(predictions),
+                         load_panel(data / "features.csv", prices),
+                         StrategyConfig(k=3, n_drop=1)).flags
+    assert flags == [f"{d[1]}: no realized return for S000, frozen",
+                     f"{d[3]}: only 2 scored names, holding 2"]
+    rows = read_csv_rows(out / "portfolio_metrics.csv")
+    assert {len(row) for row in rows} == {2}
+    assert rows[-2:] == [["flag", flag] for flag in flags]
 
 
 def test_manifest_lists_dropped_instruments(workdir, tmp_path):
@@ -1331,7 +1370,7 @@ def _unflagged_non_finite(path):
     flags as undefined with a `{name}_undefined_` flag. A metric file
     (metric,value) names each value by its row, any other file by its
     column."""
-    header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+    header, *rows = read_csv_rows(path)
     flags = {flag for row in rows for cell in row for flag in cell.split(";")}
     found = []
     for row in rows:

@@ -245,53 +245,77 @@ def test_membership_refuses_a_padded_cell(tmp_path, text, line, cell):
         load_membership(path)
 
 
-# a quoted cell csv.reader reads as a name that holds a character the
-# writers, which never quote a cell, cannot write
-UNWRITABLE = [('"A,1"', "A,1"), ('"A""1"', 'A"1'), ('"A\r1"', "A\r1"), ('"A\n1"', "A\n1")]
-UNWRITABLE_IDS = ["comma", "quote", "carriage-return", "newline"]
+# names that hold every character a cell is quoted for, and spaces
+NAMES = st.text(alphabet='A ,"\r\n', min_size=1, max_size=5)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+# prices whose day-to-day returns cannot overflow
+PRICES = st.floats(min_value=1e-6, max_value=1e6)
 
 
-def _unwritable(path, line, what, name):
-    return re.escape(f"{path}: line {line}: {what} {name!r} holds a comma, quote or line break")
+@settings(max_examples=60, deadline=None)
+@given(names=st.lists(NAMES, min_size=1, max_size=4, unique=True), data_=st.data())
+def test_names_and_values_round_trip_through_every_writer(names, data_):
+    # before: each writer put a name holding a comma, quote or line break
+    # in the file as is, so it came back split or on two lines
+    names = sorted(names)
+    dates = ["2020-01-01", "2020-01-02"]
+    shape = (len(dates), len(names))
+
+    def draw(elements, size):
+        return np.array(data_.draw(st.lists(elements, min_size=size, max_size=size)))
+
+    vwap = draw(PRICES, 2 * len(names)).reshape(shape)
+    volume = draw(POSITIVE, 2 * len(names)).reshape(shape)
+    ds = PanelDataset(dates=dates, instruments=names,
+                      features=draw(FINITE, 2 * len(names) * 3).reshape(*shape, 3),
+                      labels=returns_from_prices(vwap), vwap=vwap, volume=volume)
+    preds = PredictionSeries([(d, s, score) for (d, s), score in zip(
+        [(d, s) for d in dates for s in names], draw(FINITE, 2 * len(names)).tolist())])
+    # a membership cell may not start or end with whitespace, CR and LF included
+    labels = {f"A{s}A": f"A{c}A" for s, c in zip(names, reversed(names))}
+    with tempfile.TemporaryDirectory() as tmp:
+        f, p, q, m = (Path(tmp, name) for name in ("f.csv", "p.csv", "q.csv", "m.csv"))
+        write_panel(ds, f, p)
+        preds.write_csv(q)
+        write_membership(m, labels)
+        panel, again = load_panel(f, p), PredictionSeries.read_csv(q)
+        assert load_membership(m) == labels
+    assert panel.instruments == names and again.instruments == names
+    for name in ("features", "vwap", "volume"):
+        assert getattr(panel, name).tobytes() == getattr(ds, name).tobytes()
+    assert again.scores.tobytes() == preds.scores.tobytes()
 
 
-@pytest.mark.parametrize("quoted, name", UNWRITABLE, ids=UNWRITABLE_IDS)
-def test_loaders_refuse_a_name_the_writers_cannot_write(tmp_path, quoted, name):
-    # before: each loaded, and a file written from it had a row of the
-    # wrong width or broke over two lines
+def test_a_quoted_name_keeps_the_earliest_line_rule(tmp_path):
     prices = _write(tmp_path / "prices.csv", PRICES_2x2)
-    features = _write(tmp_path / "features.csv",
-                      FEATURES_2x2x3 + f"2020-01-02,{quoted},1.0,2.0,3.0\n")
-    with pytest.raises(DataError, match=_unwritable(features, 6, "instrument", name)):
-        load_panel(features, prices)
-    preds = _write(tmp_path / "predictions.csv",
-                   f"datetime,instrument,score\n2020-01-01,A,1.0\n2020-01-01,{quoted},2.0\n")
-    with pytest.raises(DataError, match=_unwritable(preds, 3, "instrument", name)):
-        PredictionSeries.read_csv(preds)
-    for text, line, what in ((f"A,X\n{quoted},X\n", 3, "instrument"),
-                             (f"A,X\nB,{quoted}\n", 3, "category")):
-        path = _write(tmp_path / "industry.csv", "instrument,category\n" + text)
-        with pytest.raises(DataError, match=_unwritable(path, line, what, name)):
-            load_membership(path)
-
-
-def test_an_unwritable_name_keeps_the_earliest_line_rule(tmp_path):
-    prices = _write(tmp_path / "prices.csv", PRICES_2x2)
-    # a bad number on an earlier line of the same block comes first
-    feats = FEATURES_2x2x3.replace("2020-01-01,B,4.0", "2020-01-01,B,inf")
-    path = _write(tmp_path / "f1.csv", feats + '2020-01-02,"C,1",1.0,2.0,3.0\n')
+    # a bad number before a duplicate is reported, by its line
+    feats = (FEATURES_2x2x3.replace("2020-01-01,B,4.0", "2020-01-01,B,inf")
+             + '2020-01-02,"C,1",1.0,2.0,3.0\n2020-01-01,A,1.0,2.0,3.0\n')
     with pytest.raises(DataError, match="f1.csv: line 3: feature f0 is 'inf'"):
-        load_panel(path, prices)
-    # the name comes before a bad number on its own line and a later duplicate
-    path = _write(tmp_path / "f2.csv", FEATURES_2x2x3 + '2020-01-02,"C,1",inf,2.0,3.0\n'
-                  + "2020-01-02,A,1.0,2.0,3.0\n")
-    with pytest.raises(DataError, match="f2.csv: line 6: instrument 'C,1'"):
-        load_panel(path, prices)
-    # and after a duplicate on an earlier line
-    path = _write(tmp_path / "f3.csv", FEATURES_2x2x3 + "2020-01-02,A,1.0,2.0,3.0\n"
-                  + '2020-01-02,"C,1",1.0,2.0,3.0\n')
-    with pytest.raises(DataError, match="f3.csv: line 6: duplicate"):
-        load_panel(path, prices)
+        load_panel(_write(tmp_path / "f1.csv", feats), prices)
+    # and a duplicate before a bad number
+    feats = (FEATURES_2x2x3 + '2020-01-02,"C,1",1.0,2.0,3.0\n2020-01-01,A,1.0,2.0,3.0\n'
+             + "2020-01-02,B,inf,2.0,3.0\n")
+    with pytest.raises(DataError, match="f2.csv: line 7: duplicate"):
+        load_panel(_write(tmp_path / "f2.csv", feats), prices)
+    # a line counts rows from the header, so after a quoted line break it
+    # is one less than the line of the file
+    feats = FEATURES_2x2x3 + '2020-01-02,"C\n1",1.0,2.0,3.0\n2020-01-02,D,inf,2.0,3.0\n'
+    with pytest.raises(DataError, match="f3.csv: line 7: feature f0 is 'inf'"):
+        load_panel(_write(tmp_path / "f3.csv", feats), prices)
+
+
+@pytest.mark.parametrize("day", ["2020-13-01", '"2020-01-01,x"'], ids=["month-13", "comma"])
+def test_read_csv_refuses_a_prediction_date_that_is_not_a_day(tmp_path, day):
+    # before: both loaded; the quoted one was then written back as a
+    # 4-cell row, and evaluate refused the other only as a date not in
+    # the panel, with no file or line
+    path = _write(tmp_path / "predictions.csv",
+                  f"datetime,instrument,score\n2020-01-01,A,1.0\n{day},A,2.0\n")
+    with pytest.raises(DataError, match=re.escape(
+            f"predictions.csv: line 3: date {day.strip(chr(34))!r} is not a YYYY-MM-DD day")):
+        PredictionSeries.read_csv(path)
 
 
 def test_membership_roundtrip(tmp_path):
