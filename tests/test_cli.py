@@ -771,6 +771,32 @@ def test_evaluate_quotes_a_category_that_holds_a_comma(workdir, tmp_path):
     assert [row[0] for row in rows[1:]] == ["IND,00", "IND01"]
 
 
+@pytest.mark.parametrize("name, what", [("predictions", "instrument")])
+def test_evaluate_refuses_a_name_the_writers_cannot_write(workdir, tmp_path, capsys,
+                                                          name, what):
+    # before: the instrument "S0,01" was refused at load as a name the
+    # writers cannot write; they now quote it, so it reads back whole and
+    # is refused only as a name the panel lacks
+    source = workdir / "preds" / f"{name}.csv"
+    header, first, *rest = source.read_text().splitlines()
+    cells = first.split(",")
+    cell = cells[1][:1] + "," + cells[1][1:]
+    cells[1] = f'"{cell}"'
+    path = tmp_path / f"{name}.csv"
+    path.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
+    preds = PredictionSeries.read_csv(path)
+    assert cell in preds.instruments
+    preds.write_csv(tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+    out = tmp_path / "eval"
+    capsys.readouterr()
+    rc = cli.main(["evaluate", "--out", str(out), "--predictions", str(path)]
+                  + panel_args(workdir))
+    assert rc == cli.EXIT_DATA
+    assert capsys.readouterr().err == f"error: prediction {what} {cell} not in the panel\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("day", ["2020-13-01", '"2020-01-01,x"'], ids=["month-13", "comma"])
 def test_evaluate_refuses_a_prediction_date_that_is_not_a_day(workdir, tmp_path, capsys, day):
     # before: the month-13 date was refused only as "prediction date

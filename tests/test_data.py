@@ -245,6 +245,45 @@ def test_membership_refuses_a_padded_cell(tmp_path, text, line, cell):
         load_membership(path)
 
 
+# characters a cell is quoted for
+UNWRITABLE = [",", '"', "\r", "\n"]
+UNWRITABLE_IDS = ["comma", "quote", "carriage-return", "newline"]
+
+
+@pytest.mark.parametrize("char", UNWRITABLE, ids=UNWRITABLE_IDS)
+def test_loaders_refuse_a_name_the_writers_cannot_write(tmp_path, char):
+    # the writers quote an instrument or category but write a date as is,
+    # so a date holding `char` does not come back from its file; every
+    # dated loader refuses one, quoted so csv.reader reads it whole
+    day = "2020-01-02" + char
+    quoted = '"' + day.replace('"', '""') + '"'
+    written = tmp_path / "written.csv"
+    PredictionSeries([(day, "A", 1.0)]).write_csv(written)
+    with pytest.raises(DataError, match=re.escape(f"{written}: line 2: ")):
+        PredictionSeries.read_csv(written)
+
+    def refused(path, line):
+        return re.escape(f"{path}: line {line}: date {day!r} is not a YYYY-MM-DD day")
+
+    prices = _write(tmp_path / "prices.csv", PRICES_2x2)
+    features = _write(tmp_path / "features.csv",
+                      FEATURES_2x2x3 + f"{quoted},A,1.0,2.0,3.0\n")
+    with pytest.raises(DataError, match=refused(features, 6)):
+        load_panel(features, prices)
+    features = _write(tmp_path / "features.csv", FEATURES_2x2x3)
+    prices = _write(tmp_path / "prices.csv", PRICES_2x2 + f"{quoted},A,100.0,1000.0\n")
+    with pytest.raises(DataError, match=refused(prices, 6)):
+        load_panel(features, prices)
+    preds = _write(tmp_path / "predictions.csv",
+                   f"datetime,instrument,score\n2020-01-01,A,1.0\n{quoted},A,2.0\n")
+    with pytest.raises(DataError, match=refused(preds, 3)):
+        PredictionSeries.read_csv(preds)
+    factors = _write(tmp_path / "factors.csv", ",".join(data.FACTORS_HEADER) + "\n"
+                     + f"2020-01-01{',0.0' * 6}\n{quoted}{',0.0' * 6}\n")
+    with pytest.raises(DataError, match=refused(factors, 3)):
+        load_factors(factors)
+
+
 # names that hold every character a cell is quoted for, and spaces
 NAMES = st.text(alphabet='A ,"\r\n', min_size=1, max_size=5)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
