@@ -123,11 +123,12 @@ def run_backtest(
 ) -> BacktestResult:
     """Simulate the strategy over every scored date with a next day.
 
-    The benchmark is the equal-weighted mean return of the observed
-    universe. A held name with no realized return freezes at
-    zero for that day and is flagged. A day's turnover is the number of
-    names that entered or left the book over k, and costs
-    turnover * cost_bps / 1e4.
+    A scored pair outside the panel is refused, on any date, as
+    `evaluate.summarize` refuses it. The benchmark is the equal-weighted
+    mean return of the observed universe. A held name with no realized
+    return freezes at zero for that day and is flagged. A day's turnover
+    is the number of names that entered or left the book over k, and
+    costs turnover * cost_bps / 1e4.
     """
     t_pos, i_pos = preds.panel_positions(ds)
     panel_index = dict(zip(preds.instruments, i_pos.tolist()))
@@ -143,15 +144,9 @@ def run_backtest(
 
     for d, date in enumerate(preds.dates):
         t = t_pos[d]
-        if t < 0:
-            raise DataError(f"prediction date {date} not in the panel")
         if t + 1 >= len(ds.dates):
             continue  # nothing left to earn after the final panel date
         cols = np.flatnonzero(np.isfinite(preds.scores[d]))
-        unknown = cols[i_pos[cols] < 0]
-        if unknown.size:
-            raise DataError(
-                f"prediction instrument {preds.instruments[unknown[0]]} not in the panel")
         scores = dict(zip([preds.instruments[k] for k in cols],
                           preds.scores[d, cols].tolist()))
 

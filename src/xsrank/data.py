@@ -269,8 +269,8 @@ def _read_grid(blocks, names: list[str], missing_ok: bool, path=None):
     """The date x instrument grid of keyed rows, read block by block.
 
     `blocks` is a two-key `_read_table` stream of `path`, or, for rows
-    that come from no file (`path` None), one (None, rows, values, None)
-    block. `names` labels the number columns. Returns the sorted dates,
+    that come from no file (`path` None), one (None, rows, values, fault)
+    block whose last row is the faulty one, if any. `names` labels the number columns. Returns the sorted dates,
     the sorted instruments, the [D, M, C] values, NaN where no row gave
     a cell, and the [D, M] mask of the cells some row gave.
 
@@ -428,7 +428,7 @@ class FactorSeries:
 
 class PredictionSeries:
     """Scores on a date x instrument grid, built from (date, instrument,
-    score) rows in any order.
+    score) rows in any order, each date a YYYY-MM-DD day.
 
     `dates` and `instruments` are sorted and unique; `scores[t, i]` is
     the score of (dates[t], instruments[i]), NaN where no row gave one.
@@ -437,7 +437,12 @@ class PredictionSeries:
     def __init__(self, rows):
         rows = list(rows)
         scores = np.array([row[2] for row in rows], dtype=np.float64).reshape(-1, 1)
-        self._grid([(None, rows, scores, None)])
+        bad = {day for day in {row[0] for row in rows} if not _is_day(day)}
+        n = next((k for k, row in enumerate(rows) if row[0] in bad), len(rows))
+        fault = (DataError(f"row ({rows[n][0]}, {rows[n][1]}): date {rows[n][0]!r} is not "
+                           "a YYYY-MM-DD day") if n < len(rows) else None)
+        # that row's score is checked before its date, as a file's number is
+        self._grid([(None, rows[:n + 1], scores[:n + 1], fault)])
 
     def _grid(self, blocks, path=None) -> None:
         """Set the grid from `_read_grid` blocks of rows of `path`."""
@@ -454,9 +459,22 @@ class PredictionSeries:
                 for a, b, s in zip(t.tolist(), i.tolist(), self.scores[t, i].tolist())]
 
     def panel_positions(self, ds: PanelDataset) -> tuple[np.ndarray, np.ndarray]:
-        """Panel index of every grid date and of every grid instrument,
-        -1 where the panel lacks it."""
-        return _positions(self.dates, ds.dates), _positions(self.instruments, ds.instruments)
+        """Panel index of every grid date and of every grid instrument.
+
+        The one place a prediction grid meets a panel: the first scored
+        cell outside it, in (date, instrument) order, raises DataError
+        naming its date, or else its instrument. Every grid date and
+        instrument holds a score, so every position returned is >= 0.
+        """
+        t = _positions(self.dates, ds.dates)
+        i = _positions(self.instruments, ds.instruments)
+        outside = np.isfinite(self.scores) & ((t < 0)[:, None] | (i < 0))
+        if outside.any():
+            d, k = np.unravel_index(np.argmax(outside), outside.shape)
+            if t[d] < 0:
+                raise DataError(f"prediction date {self.dates[d]} not in the panel")
+            raise DataError(f"prediction instrument {self.instruments[k]} not in the panel")
+        return t, i
 
     def write_csv(self, path) -> None:
         t, i = np.nonzero(np.isfinite(self.scores))
@@ -533,13 +551,14 @@ def vwap_matrix(
 
 
 def returns_from_prices(prices: np.ndarray) -> np.ndarray:
-    """Forward one-step returns of a [D, N] price matrix, NaN-propagating."""
+    """Forward one-step returns of a [D, N] price matrix, NaN-propagating;
+    a return too large for a float, such as 5e-324 then 1.0, is inf."""
     labels = np.full_like(prices, np.nan)
     if prices.shape[0] < 2:
         return labels
     cur = prices[:-1]
     nxt = prices[1:]
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         ratio = (nxt - cur) / cur
     ok = np.isfinite(cur) & np.isfinite(nxt) & (cur != 0)
     labels[:-1][ok] = ratio[ok]
@@ -557,8 +576,9 @@ def load_panel(features_path, prices_path) -> PanelDataset:
     The instrument universe is the set present on every feature date;
     entering/exiting names are dropped and listed, sorted, in
     `dropped_instruments`. Labels come from VWAP returns, and cells
-    without a next-day price are simply unobserved. Of several faults the
-    one on the earliest line is reported.
+    without a next-day price are simply unobserved; the first return, in
+    (date, instrument) order, too large for a float is refused. Of several
+    faults the one on the earliest line is reported.
     """
     table = _read_table(features_path, None, keys=2)
     header = next(table)
@@ -608,11 +628,17 @@ def load_panel(features_path, prices_path) -> PanelDataset:
     bars = np.concatenate(bar_values)
     vwap, volume = vwap_matrix(np.concatenate(bar_t), np.concatenate(bar_i),
                                bars[:, 0], bars[:, 1], dates, instruments)
+    labels = returns_from_prices(vwap)
+    overflow = np.isinf(labels)
+    if overflow.any():
+        t, i = np.unravel_index(np.argmax(overflow), overflow.shape)
+        raise DataError(f"{prices_path}: the return of {instruments[i]} from {dates[t]} "
+                        f"to {dates[t + 1]} overflows")
     return PanelDataset(
         dates=dates,
         instruments=instruments,
         features=features,
-        labels=returns_from_prices(vwap),
+        labels=labels,
         vwap=vwap,
         volume=volume,
         dropped_instruments=dropped,

@@ -136,11 +136,11 @@ def _reports(preds: PredictionSeries, t: np.ndarray, i: np.ndarray,
     MetricReport per set, or the DataError of a set with fewer than 2
     valid dates.
 
-    `t` and `i` are the grid's panel positions; every scored cell in a
-    set must be in the panel. A date without a scored cell there, or on
-    which no panel instrument has an observed label (such as the final
-    panel date), is neither evaluated nor counted as excluded. The
-    (set, date) cross-sections of all sets are correlated together.
+    `t` and `i` are the grid's panel positions. A date without a scored
+    cell in a set, or on which no panel instrument has an observed label
+    (such as the final panel date), is neither evaluated nor counted as
+    excluded. The (set, date) cross-sections of all sets are correlated
+    together.
     """
     pairs, owner, dates = [], [], []
     excluded = np.zeros(len(col_sets), dtype=np.intp)
@@ -185,27 +185,16 @@ def _reports(preds: PredictionSeries, t: np.ndarray, i: np.ndarray,
     return out
 
 
-def _outside(preds: PredictionSeries, t: np.ndarray, i: np.ndarray) -> np.ndarray:
-    """[D, M] mask of the scored cells whose date or instrument is not
-    in the panel."""
-    return np.isfinite(preds.scores) & ((t < 0)[:, None] | (i < 0))
-
-
 def summarize(preds: PredictionSeries, ds: PanelDataset) -> MetricReport:
     """Daily correlations of scores against the panel's forward returns.
 
     A date enters only when at least two instruments are jointly scored
     and observed and neither side is degenerate; exclusions are counted.
     The first scored pair outside the panel, in (date, instrument)
-    order, raises DataError naming its date, or else its instrument.
+    order, raises DataError naming its date, or else its instrument
+    (`PredictionSeries.panel_positions`).
     """
     t, i = preds.panel_positions(ds)
-    outside = _outside(preds, t, i)
-    if outside.any():
-        d, k = np.unravel_index(np.argmax(outside), outside.shape)
-        if t[d] < 0:
-            raise DataError(f"prediction date {preds.dates[d]} not in the panel")
-        raise DataError(f"prediction instrument {preds.instruments[k]} not in the panel")
     (report,) = _reports(preds, t, i, [np.arange(len(preds.instruments))], ds)
     if isinstance(report, DataError):
         raise report
@@ -221,21 +210,18 @@ def subgroup_metrics(
 
     A category averaging fewer than 5 jointly-observed stocks per
     prediction date is marked absent (None), as is one without enough
-    valid dates or with a scored pair outside the panel. The average
-    runs over the dates that observe some label in the panel, so the
-    final panel date, which never has one, does not thin it.
-    Instruments missing from the grouping are skipped.
+    valid dates. The average runs over the dates that observe some label
+    in the panel, so the final panel date, which never has one, does not
+    thin it. Instruments missing from the grouping are skipped. A scored
+    pair outside the panel is refused, as `summarize` refuses it.
     """
     categories = sorted(set(grouping.values()))
     code = {cat: k for k, cat in enumerate(categories)}
     col_cat = np.array([code.get(grouping.get(s), -1) for s in preds.instruments],
                        dtype=np.intp)
     t, i = preds.panel_positions(ds)
-    outside = _outside(preds, t, i)
-    dd, kk = np.nonzero(np.isfinite(preds.scores) & ~outside)
-    observed = np.zeros(outside.shape, dtype=bool)
-    observed[dd, kk] = np.isfinite(ds.labels[t[dd], i[kk]])
-    labelled = ds.observed_mask.any(axis=1)[t] & (t >= 0)
+    observed = np.isfinite(preds.scores) & np.isfinite(ds.labels[np.ix_(t, i)])
+    labelled = ds.observed_mask.any(axis=1)[t]
 
     out: dict[str, MetricReport | None] = {}
     judged = []
@@ -245,8 +231,7 @@ def subgroup_metrics(
         if not np.isfinite(preds.scores[:, cols]).any():
             continue
         counts = observed[np.ix_(labelled, cols)].sum(axis=1)
-        if (not counts.size or float(np.mean(counts)) < MIN_SUBGROUP_SIZE
-                or outside[:, cols].any()):
+        if not counts.size or float(np.mean(counts)) < MIN_SUBGROUP_SIZE:
             continue
         judged.append((cat, cols))
     reports = _reports(preds, t, i, [cols for _, cols in judged], ds)

@@ -8,7 +8,7 @@ risk-free rate from the factor file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,7 +137,6 @@ class RegressionResult:
     n_obs: int
     lags: int
     dof_correction: bool
-    flags: list[str] = field(default_factory=list)
 
     @property
     def alpha(self) -> float:
@@ -194,9 +193,6 @@ def ff_regression(
 
     fit = ols(y, x)
     se = newey_west_se(x, fit.residuals, lags=lags, dof_correction=dof_correction)
-    flags = []
-    if not np.isfinite(se).all():
-        flags.append("nonpositive_hac_variance")
     with np.errstate(divide="ignore", invalid="ignore"):
         t_stats = fit.coefficients / se
     return RegressionResult(
@@ -210,7 +206,6 @@ def ff_regression(
         n_obs=len(rows),
         lags=lags,
         dof_correction=dof_correction,
-        flags=flags,
     )
 
 

@@ -239,8 +239,7 @@ def gat_layer(
     att_dst: Tensor,
     out_weight: Tensor,
     slope: float = 0.2,
-    return_attention: bool = False,
-):
+) -> Tensor:
     """Single-head graph attention over fixed neighbor lists.
 
     Row i attends over its listed neighbors j with logits
@@ -249,7 +248,7 @@ def gat_layer(
     [..., N, d] and `neighbors` [..., N, K] with the same leading shape,
     one list per window; a list shared by the batch is broadcast to it
     by the caller. A -1 slot is padding: it gathers the row itself and
-    gets no attention. The attention, returned on request, is
+    gets no attention. The attention alpha, the layer's one softmax, is
     [..., N, K], aligned with the lists.
     """
     nbr = np.asarray(neighbors)
@@ -281,7 +280,4 @@ def gat_layer(
     rows = (slice(None),) * (alpha.ndim - 1)
     # [..., N, 1, K] @ [..., N, K, d]: one weighted sum of gathered rows per row
     agg = tz.matmul(tz.index(alpha, rows + (None,)), tz.index(wu, batch + (nbr,)))
-    z = tz.leaky_relu(tz.matmul(tz.index(agg, rows + (0,)), out_weight), slope)
-    if return_attention:
-        return z, alpha
-    return z
+    return tz.leaky_relu(tz.matmul(tz.index(agg, rows + (0,)), out_weight), slope)

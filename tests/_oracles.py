@@ -529,8 +529,10 @@ def _report_rows(t, i, scores, ds):
     )
 
 
-def summarize_rows(rows, ds):
-    """`summarize` over (date, instrument, score) rows in any order."""
+def _panel_rows(rows, ds):
+    """Sorted rows and their panel positions and scores; the first row
+    outside the panel, in (date, instrument) order, raises the DataError
+    naming its date, or else its instrument."""
     rows = sorted(rows)
     t, i, scores = _row_positions(rows, ds)
     unknown = np.flatnonzero((t < 0) | (i < 0))
@@ -539,27 +541,30 @@ def summarize_rows(rows, ds):
         if t[unknown[0]] < 0:
             raise DataError(f"prediction date {date} not in the panel")
         raise DataError(f"prediction instrument {inst} not in the panel")
+    return rows, t, i, scores
+
+
+def summarize_rows(rows, ds):
+    """`summarize` over (date, instrument, score) rows in any order."""
+    _, t, i, scores = _panel_rows(rows, ds)
     return _report_rows(t, i, scores, ds)
 
 
 def subgroup_metrics_rows(rows, ds, grouping):
     """`subgroup_metrics` over (date, instrument, score) rows in any order."""
-    rows = sorted(rows)
+    rows, t, i, scores = _panel_rows(rows, ds)
     categories = sorted(set(grouping.values()))
     code = {cat: k for k, cat in enumerate(categories)}
     row_cat = np.array([code.get(grouping.get(s), -1) for _, s, _ in rows],
                        dtype=np.intp)
-    t, i, scores = _row_positions(rows, ds)
     dates = sorted({d for d, _, _ in rows})
     date_pos = {d: k for k, d in enumerate(dates)}
     row_date = np.array([date_pos[d] for d, _, _ in rows], dtype=np.intp)
     # sizes are averaged over the dates with some observed label in the panel
     panel_date = {d: k for k, d in enumerate(ds.dates)}
-    labelled = np.array([d in panel_date and bool(ds.observed_mask[panel_date[d]].any())
-                         for d in dates], dtype=bool)
-    known = (t >= 0) & (i >= 0)
-    observed = np.zeros(t.size, dtype=bool)
-    observed[known] = ds.observed_mask[t[known], i[known]]
+    labelled = np.array([bool(ds.observed_mask[panel_date[d]].any()) for d in dates],
+                        dtype=bool)
+    observed = ds.observed_mask[t, i]
     order = np.argsort(row_cat, kind="stable")
     bounds = np.searchsorted(row_cat[order], np.arange(len(categories) + 1))
     out = {}
@@ -570,8 +575,7 @@ def subgroup_metrics_rows(rows, ds, grouping):
             continue
         counts = np.bincount(row_date[members][observed[members]],
                              minlength=len(dates))[labelled]
-        if (not counts.size or float(np.mean(counts)) < MIN_SUBGROUP_SIZE
-                or not known[members].all()):
+        if not counts.size or float(np.mean(counts)) < MIN_SUBGROUP_SIZE:
             out[cat] = None
             continue
         try:
@@ -588,7 +592,7 @@ def run_backtest_rows(rows, ds, cfg):
     implementation did, so it matches the package only where no name is
     sold and bought back on one day; the returns match at cost_bps=0.
     """
-    rows = sorted(rows)
+    rows, _, _, _ = _panel_rows(rows, ds)
     date_index = {d: i for i, d in enumerate(ds.dates)}
     inst_index = {s: i for i, s in enumerate(ds.instruments)}
     by_date = {}
@@ -597,15 +601,10 @@ def run_backtest_rows(rows, ds, cfg):
     holdings = frozenset()
     dates_out, port_out, bench_out, turnover_out, ledger, flags = [], [], [], [], [], []
     for date in sorted(by_date):
-        if date not in date_index:
-            raise DataError(f"prediction date {date} not in the panel")
         t = date_index[date]
         if t + 1 >= len(ds.dates):
             continue
         scores = by_date[date]
-        for inst in scores:
-            if inst not in inst_index:
-                raise DataError(f"prediction instrument {inst} not in the panel")
         holdings, trade = topk_dropout_rebalance(scores, holdings, cfg)
         if trade["under_capacity"]:
             flags.append(f"{date}: only {len(scores)} scored names, "

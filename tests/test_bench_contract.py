@@ -10,13 +10,18 @@ size and seed 5, against that run's pinned digest.
 """
 
 import importlib.util
+import json
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from xsrank import cli
 
-BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_DIR = ROOT / "bench"
 
 
 def _load_bench(name):
@@ -43,6 +48,24 @@ def test_workload_runs_and_repeats_at_tiny_size(name, tmp_path):
         assert isinstance(figures, dict)
         digests.append(digest)
     assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_benchmark_command_runs_each_workload_at_tiny_size(name, tmp_path):
+    # the benchmark's own command, from a copy of bench/ and src/, since a
+    # run writes its reports and work files under bench/
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    skip = shutil.ignore_patterns("__pycache__", "results", "work")
+    for part in ("bench", "src"):
+        shutil.copytree(ROOT / part, tmp_path / part, ignore=skip)
+    proc = subprocess.run(
+        [sys.executable, *spec["command"][1:], "--workload", name, "--seed", "1",
+         "--seconds", "1", "--trace", "0", "--tiny"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    assert set(result["metrics"]) == {m["name"] for m in spec["end_to_end"]}
 
 
 # the digest of each workload's full-size operation at seed 5, as the

@@ -253,14 +253,14 @@ UNWRITABLE_IDS = ["comma", "quote", "carriage-return", "newline"]
 @pytest.mark.parametrize("char", UNWRITABLE, ids=UNWRITABLE_IDS)
 def test_loaders_refuse_a_name_the_writers_cannot_write(tmp_path, char):
     # the writers quote an instrument or category but write a date as is,
-    # so a date holding `char` does not come back from its file; every
-    # dated loader refuses one, quoted so csv.reader reads it whole
+    # so a date holding `char` is refused where it enters: at construction
+    # (before: it constructed, and the written line did not read back),
+    # and by every dated loader, quoted so csv.reader reads it whole
     day = "2020-01-02" + char
     quoted = '"' + day.replace('"', '""') + '"'
-    written = tmp_path / "written.csv"
-    PredictionSeries([(day, "A", 1.0)]).write_csv(written)
-    with pytest.raises(DataError, match=re.escape(f"{written}: line 2: ")):
-        PredictionSeries.read_csv(written)
+    with pytest.raises(DataError, match=re.escape(
+            f"row ({day}, A): date {day!r} is not a YYYY-MM-DD day")):
+        PredictionSeries([(day, "A", 1.0)])
 
     def refused(path, line):
         return re.escape(f"{path}: line {line}: date {day!r} is not a YYYY-MM-DD day")
@@ -605,17 +605,36 @@ def test_prediction_series_roundtrip(tmp_path):
 
     assert all(type(s) is float for _, _, s in preds.rows)
 
-    with pytest.raises(DataError, match=r"row \(d, i\): duplicate"):
-        PredictionSeries(rows=[("d", "i", 0.0), ("d", "i", 1.0)])
+    d, d1, d2 = "2021-01-01", "2021-01-04", "2021-01-05"
+    with pytest.raises(DataError, match=rf"row \({d}, i\): duplicate"):
+        PredictionSeries(rows=[(d, "i", 0.0), (d, "i", 1.0)])
     # before: grid order named the duplicate, and then the pair (d1, b);
     # now the first offending row is named, as a file's earliest line is
-    with pytest.raises(DataError, match=r"row \(d, i\): score is nan"):
-        PredictionSeries(rows=[("d", "i", float("nan")), ("d", "i", 1.0)])
-    with pytest.raises(DataError, match=r"row \(d2, a\): score is nan"):
-        PredictionSeries(rows=[("d2", "a", float("nan")), ("d1", "c", float("inf")),
-                               ("d1", "b", float("-inf")), ("d1", "a", 0.0)])
+    with pytest.raises(DataError, match=rf"row \({d}, i\): score is nan"):
+        PredictionSeries(rows=[(d, "i", float("nan")), (d, "i", 1.0)])
+    with pytest.raises(DataError, match=rf"row \({d2}, a\): score is nan"):
+        PredictionSeries(rows=[(d2, "a", float("nan")), (d1, "c", float("inf")),
+                               (d1, "b", float("-inf")), (d1, "a", 0.0)])
     empty = PredictionSeries([])
     assert empty.rows == [] and empty.scores.shape == (0, 0)
+
+
+@pytest.mark.parametrize("rows, error", [
+    ([("2020-13-01", "A", 1.0)], r"row \(2020-13-01, A\): date '2020-13-01' is not"),
+    ([("2020-01-01", "A", 1.0), ("2020-01-01", "A", 2.0), ("2020-13-01", "B", 1.0)],
+     r"row \(2020-01-01, A\): duplicate"),
+    ([("2020-02-30", "B", 1.0), ("2020-01-01", "A", 1.0), ("2020-01-01", "A", 2.0)],
+     r"row \(2020-02-30, B\): date '2020-02-30' is not"),
+    ([("2020-01-01", "A", float("inf")), ("x", "B", 1.0)], r"row \(2020-01-01, A\): score"),
+    ([("20200101", "A", float("nan"))], r"row \(20200101, A\): score is nan"),
+], ids=["month-13", "duplicate-then-date", "date-then-duplicate", "inf-then-date",
+        "nan-and-date-on-one-row"])
+def test_prediction_rows_refuse_a_date_that_is_not_a_day(rows, error):
+    # before: every one of these dates constructed, and `write_csv` then
+    # wrote lines `read_csv` refuses; the first faulty row is named, and on
+    # one row the score is checked before the date, as in a file
+    with pytest.raises(DataError, match=f"^{error}"):
+        PredictionSeries(rows)
 
 
 @pytest.mark.parametrize("lines, error", [
@@ -862,6 +881,21 @@ def test_vwap_of_a_huge_price(tmp_path):
         warnings.simplefilter("error")
         with pytest.raises(DataError, match=r"^the VWAP sums of B on 2020-01-02 overflow$"):
             load_panel(f, _write(tmp_path / "p2.csv", prices))
+
+
+def test_load_panel_refuses_a_return_that_overflows(tmp_path):
+    # before: 5e-324 then 1.0 warned "overflow encountered in divide" and
+    # left an inf label that observed_mask silently dropped
+    f = _write(tmp_path / "features.csv", FEATURES_2x2x3)
+    prices = _write(tmp_path / "p.csv", PRICES_2x2.replace("2020-01-01,B,50.0,",
+                                                           "2020-01-01,B,5e-324,")
+                    .replace("2020-01-02,B,49.0,", "2020-01-02,B,1.0,"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=re.escape(
+                f"{prices}: the return of B from 2020-01-01 to 2020-01-02 overflows")):
+            load_panel(f, prices)
+        assert returns_from_prices(np.array([[5e-324], [1.0]]))[0, 0] == np.inf
 
 
 def test_masks_are_read_off_the_arrays_and_refuse_writes():

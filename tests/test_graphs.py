@@ -272,16 +272,33 @@ def _gat_params(rng, d):
     )
 
 
+def _gat_attention(u, neighbors, **params):
+    """gat_layer's output and its attention: the output of the layer's one
+    SOFTMAX call, recorded as it is made."""
+    seen = []
+    softmax = tz.softmax
+
+    def record(x, axis):
+        seen.append(softmax(x, axis=axis))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tz, "softmax", record)
+        z = gat_layer(u, neighbors, **params)
+    (alpha,) = seen
+    return z, alpha
+
+
 def test_gat_uniform_attention_for_identical_neighbors():
     rng = np.random.default_rng(5)
     d = 3
     u = np.tile(rng.normal(size=(1, d)), (4, 1))
     others = oracle.neighbor_lists(np.ones((4, 4)) - np.eye(4))
-    _, alpha = gat_layer(Tensor(u), others, **_gat_params(rng, d), return_attention=True)
+    _, alpha = _gat_attention(Tensor(u), others, **_gat_params(rng, d))
     np.testing.assert_allclose(alpha.data, 1.0 / 3.0, atol=1e-12)
     # a padded slot gets no attention
     padded = np.array([[1, 2, -1], [0, 2, 3], [1, -1, -1], [0, 1, 2]])
-    _, alpha = gat_layer(Tensor(u), padded, **_gat_params(rng, d), return_attention=True)
+    _, alpha = _gat_attention(Tensor(u), padded, **_gat_params(rng, d))
     np.testing.assert_allclose(alpha.data.sum(axis=1), 1.0, atol=1e-12)
     valid = padded >= 0
     want = np.where(valid, 1.0 / valid.sum(axis=1, keepdims=True), 0.0)
@@ -295,7 +312,7 @@ def test_gat_k1_attention_is_one():
     u = rng.normal(size=(5, d))
     sim = cosine_similarity_matrix(u)
     g = topk_graph(sim, 1)
-    _, alpha = gat_layer(Tensor(u), g, **_gat_params(rng, d), return_attention=True)
+    _, alpha = _gat_attention(Tensor(u), g, **_gat_params(rng, d))
     assert alpha.shape == (5, 1)
     np.testing.assert_allclose(alpha.data, 1.0, atol=1e-12)
 
@@ -307,7 +324,7 @@ def test_gat_matches_dense_mask_oracle():
     u = rng.normal(size=(n, d))
     params = _gat_params(rng, d)
     g = topk_graph(cosine_similarity_matrix(u), k)
-    got, alpha = gat_layer(Tensor(u), g, **params, return_attention=True)
+    got, alpha = _gat_attention(Tensor(u), g, **params)
 
     w = params["weight"].data
     a1 = params["att_src"].data[:, 0]
@@ -336,7 +353,7 @@ def test_gat_lists_match_dense_oracle_batched_and_padded():
     params = _gat_params(rng, d)
     weights = [params[name].data for name in ("weight", "att_src", "att_dst", "out_weight")]
     lists = topk_graph(cosine_similarity_matrix(u), k)
-    got, alpha = gat_layer(Tensor(u), lists, **params, return_attention=True)
+    got, alpha = _gat_attention(Tensor(u), lists, **params)
     assert got.shape == (b, n, d) and alpha.shape == (b, n, k)
     for w in range(b):
         want, want_alpha = oracle.gat_np(u[w], oracle.adjacency(lists[w], n), *weights)
@@ -366,9 +383,7 @@ def test_gat_alpha_rows_sum_to_one():
         n, d = 6, 4
         u = rng.normal(size=(n, d))
         g = topk_graph(cosine_similarity_matrix(u), 3)
-        _, alpha = gat_layer(
-            Tensor(u), g, **_gat_params(rng, d), return_attention=True
-        )
+        _, alpha = _gat_attention(Tensor(u), g, **_gat_params(rng, d))
         assert alpha.shape == (n, 3)
         np.testing.assert_allclose(alpha.data.sum(axis=1), 1.0, atol=1e-12)
 

@@ -5,15 +5,29 @@
 sparse panels, with shuffled rows, tied scores, dates and instruments
 the panel lacks and instruments missing from the grouping, both must
 give bitwise-equal reports and ledgers, or the same DataError message.
+All three, and the `evaluate` and `backtest` commands, accept or refuse
+a scored pair outside the panel alike, on any date.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _oracles as oracle
+from xsrank import cli
 from xsrank.backtest import StrategyConfig, run_backtest
-from xsrank.data import PanelDataset, PredictionSeries
+from xsrank.data import (
+    PanelDataset,
+    PredictionSeries,
+    SynthConfig,
+    generate_synthetic,
+    load_panel,
+    write_panel,
+)
 from xsrank.errors import DataError
 from xsrank.evaluate import subgroup_metrics, summarize
 
@@ -38,7 +52,8 @@ def _ledger(fn, *args):
 
 def _case(n, d, density, ties, gap, stray_date, stray_inst, seed):
     rng = np.random.default_rng(seed)
-    dates = [f"2022-01-{t + 10:02d}" for t in range(d)]
+    # every other day, so a stray day can fall between two panel dates
+    dates = [f"2022-01-{2 * t + 10:02d}" for t in range(d)]
     instruments = [f"S{i}" for i in range(n)]
     labels = rng.normal(0, 0.02, size=(d, n))
     labels[rng.random((d, n)) < 0.1] = np.nan
@@ -54,7 +69,7 @@ def _case(n, d, density, ties, gap, stray_date, stray_inst, seed):
     pred_dates = list(dates)
     if 1 <= stray_date <= 3:
         # before, inside or after the panel's dates
-        pred_dates.append(["2022-01-01", "2022-01-10x", "2022-02-01"][stray_date - 1])
+        pred_dates.append(["2022-01-01", "2022-01-11", "2022-02-01"][stray_date - 1])
     pred_insts = list(instruments)
     if 1 <= stray_inst <= 3:
         pred_insts.append(["A", "S1b", "Z"][stray_inst - 1])
@@ -111,3 +126,70 @@ def test_grid_backtest_equals_row_reference(k, drop_frac, n, d, density, ties, g
     preds = PredictionSeries(rows)
     assert _ledger(run_backtest, preds, ds, cfg) == _ledger(
         oracle.run_backtest_rows, rows, ds, cfg)
+
+
+@pytest.fixture(scope="module")
+def panel_files(tmp_path_factory):
+    """A written 6-instrument, 12-day panel and the dataset read from it."""
+    root = tmp_path_factory.mktemp("panel")
+    ds, _, _ = generate_synthetic(SynthConfig(n_instruments=6, n_features=3, days=12,
+                                              seed=2))
+    files = root / "features.csv", root / "prices.csv"
+    write_panel(ds, *files)
+    return load_panel(*files), files
+
+
+def _refusal(fn, *args):
+    """The DataError message of the call, or None when it returns."""
+    try:
+        fn(*args)
+    except DataError as exc:
+        return str(exc)
+    return None
+
+
+# (date, instrument) choices: the panel's first, next-to-last and final
+# dates, and a date before, inside (a Saturday) and after them; two panel
+# instruments and three it lacks
+STRAY_DATES = [0, -2, -1, "2014-12-31", "2015-01-10", "2100-01-04"]
+STRAY_INSTRUMENTS = [0, -1, "A", "S003x", "ZZ"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(cells=st.lists(st.tuples(st.sampled_from(STRAY_DATES),
+                                st.sampled_from(STRAY_INSTRUMENTS)), max_size=3),
+       seed=st.integers(0, 2**16))
+# an instrument the panel lacks, scored only on the final panel date
+@example(cells=[(-1, "A")], seed=0)
+def test_evaluate_and_backtest_refuse_the_same_predictions(panel_files, cells, seed):
+    ds, files = panel_files
+    rng = np.random.default_rng(seed)
+    scores = {(d, s): float(rng.normal()) for d in ds.dates for s in ds.instruments}
+    for d, s in cells:
+        day = ds.dates[d] if isinstance(d, int) else d
+        name = ds.instruments[s] if isinstance(s, int) else s
+        scores[day, name] = float(rng.normal())
+    rows = [(d, s, v) for (d, s), v in scores.items()]
+    preds = PredictionSeries(rows)
+
+    outside = [(d, s) for d, s, _ in sorted(rows)
+               if d not in ds.dates or s not in ds.instruments]
+    expected = None
+    if outside:
+        d, s = outside[0]
+        expected = (f"prediction date {d} not in the panel" if d not in ds.dates else
+                    f"prediction instrument {s} not in the panel")
+    grouping = {s: "ALL" for _, s, _ in rows}
+    assert _refusal(summarize, preds, ds) == expected
+    assert _refusal(subgroup_metrics, preds, ds, grouping) == expected
+    assert _refusal(run_backtest, preds, ds, StrategyConfig(k=2, n_drop=1)) == expected
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "predictions.csv"
+        preds.write_csv(path)
+        common = ["--predictions", str(path), "--features", str(files[0]),
+                  "--prices", str(files[1])]
+        codes = {cli.main(["evaluate", "--out", str(Path(tmp) / "eval"), *common]),
+                 cli.main(["backtest", "--out", str(Path(tmp) / "bt"), *common,
+                           "--k", "2", "--n-drop", "1"])}
+    assert codes == {cli.EXIT_OK if expected is None else cli.EXIT_DATA}
