@@ -8,8 +8,7 @@ hashes each named input file, config file included, so a missing one is
 refused before any work. Every command reads CSVs, writes CSVs (plus an SVG for
 the backtest) into --out, and `main` drops a manifest.json recording the
 resolved configuration, input digests, artifact list and the numpy, BLAS
-and thread settings it ran under; commands that read a panel also list
-the instruments it dropped. With a fixed seed the CSV/SVG artifacts are
+and thread settings it ran under. With a fixed seed the CSV/SVG artifacts are
 byte-identical across runs; only the manifest's wall_time_seconds varies.
 
 Config precedence is flags > config file > built-in defaults. Config
@@ -149,9 +148,8 @@ def environment() -> dict:
 
 def write_manifest(out_dir: Path, command: str, config: dict,
                    inputs: dict[str, dict], artifacts: list[str],
-                   started: float, ds=None) -> None:
-    """Write manifest.json; `inputs` maps each input name to its path and
-    digest, and `ds` is the panel the command read, if any."""
+                   started: float) -> None:
+    """Write manifest.json; `inputs` maps each input name to its path and digest."""
     payload = {
         "command": command,
         "config": config,
@@ -160,8 +158,6 @@ def write_manifest(out_dir: Path, command: str, config: dict,
         "environment": environment(),
         "wall_time_seconds": round(time.monotonic() - started, 3),
     }
-    if ds is not None:
-        payload["dropped_instruments"] = ds.dropped_instruments
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     (out_dir / "manifest.json").write_text(text, encoding="utf-8")
 
@@ -192,8 +188,7 @@ def load_graphs(ds, industry_path, region_path):
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each takes (args, *settings) and returns (artifact names,
-# the panel it read or None)
+# subcommands: each takes (args, *settings) and returns its artifact names
 # ---------------------------------------------------------------------------
 
 
@@ -205,7 +200,7 @@ def cmd_synth(args, cfg):
     write_membership(out / "region.csv", graphs.region_labels)
     write_factors(factors, out / "factors.csv")
     return ["features.csv", "prices.csv", "industry.csv", "region.csv",
-            "factors.csv"], None
+            "factors.csv"]
 
 
 def cmd_train(args, act, settings):
@@ -229,7 +224,7 @@ def cmd_train(args, act, settings):
         [(key, getattr(history, key)) for key in
          ("selected_epoch", "skipped_ic_days", "n_train_windows", "n_valid_windows")],
     )
-    return ["checkpoint.json", "history.csv", "train_stats.csv"], ds
+    return ["checkpoint.json", "history.csv", "train_stats.csv"]
 
 
 def cmd_predict(args, settings):
@@ -239,7 +234,7 @@ def cmd_predict(args, settings):
     preds = predict_sliding(model, ds, graphs, start_date=settings.start_date)
     out = ensure_out(args)
     preds.write_csv(out / "predictions.csv")
-    return ["predictions.csv"], ds
+    return ["predictions.csv"]
 
 
 def cmd_evaluate(args, settings):
@@ -253,7 +248,7 @@ def cmd_evaluate(args, settings):
     write_metric_report(report, out / "metrics.csv")
     write_daily_metrics(report, out / "daily_metrics.csv")
     if not group_by:
-        return ["metrics.csv", "daily_metrics.csv"], ds
+        return ["metrics.csv", "daily_metrics.csv"]
 
     groups = subgroup_metrics(preds, ds, labels)
     _write_rows(out / "subgroups.csv",
@@ -263,7 +258,7 @@ def cmd_evaluate(args, settings):
                  [cat, rep.ic, rep.icir, rep.rank_ic, rep.rank_icir, rep.n_days,
                   ";".join(rep.flags)]
                  for cat, rep in sorted(groups.items())))
-    return ["metrics.csv", "daily_metrics.csv", "subgroups.csv"], ds
+    return ["metrics.csv", "daily_metrics.csv", "subgroups.csv"]
 
 
 def cmd_backtest(args, cfg):
@@ -287,7 +282,7 @@ def cmd_backtest(args, cfg):
     # the backtest's per-day flags follow the metric flags
     write_metric_report(replace(metrics, flags=metrics.flags + result.flags),
                         out / "portfolio_metrics.csv")
-    return ["backtest.csv", "portfolio_metrics.csv", "curves.svg"], ds
+    return ["backtest.csv", "portfolio_metrics.csv", "curves.svg"]
 
 
 def cmd_regress(args, settings):
@@ -301,7 +296,7 @@ def cmd_regress(args, settings):
     ]
     out = ensure_out(args)
     write_regression_csv(results, out / "regression.csv")
-    return ["regression.csv"], None
+    return ["regression.csv"]
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +383,9 @@ def main(argv=None) -> int:
                  for name in (*inputs, *optional, "config")}
         digests = {name: {"path": str(path), "sha256": file_digest(path)}
                    for name, path in sorted(named.items()) if path is not None}
-        artifacts, ds = func(args, *settings)
+        artifacts = func(args, *settings)
         write_manifest(Path(args.out), args.command, resolved, digests,
-                       artifacts, started, ds)
+                       artifacts, started)
         return EXIT_OK
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date as _date
 from itertools import islice
 
@@ -363,8 +363,7 @@ class PanelDataset:
     labels[t, i] is the t -> t+1 return, so the final date is always
     unobserved. Which cells count is read off the arrays, never stored
     beside them: a cell is observed (in the loss set) when its label is
-    finite and present when it has a price at t. `dropped_instruments`
-    lists the names a loader left out of the universe.
+    finite and present when it has a price at t.
     """
 
     dates: list[str]
@@ -373,7 +372,6 @@ class PanelDataset:
     labels: np.ndarray         # [D, N], NaN where missing
     vwap: np.ndarray           # [D, N], NaN where missing
     volume: np.ndarray         # [D, N], NaN where missing
-    dropped_instruments: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         if list(self.dates) != sorted(set(self.dates)):
@@ -573,9 +571,9 @@ def returns_from_prices(prices: np.ndarray) -> np.ndarray:
 def load_panel(features_path, prices_path) -> PanelDataset:
     """Read feature and price CSVs into an aligned PanelDataset.
 
-    The instrument universe is the set present on every feature date;
-    entering/exiting names are dropped and listed, sorted, in
-    `dropped_instruments`. Labels come from VWAP returns, and cells
+    The instrument universe is every instrument of the features file, and
+    each needs a row on every feature date: the first missing (date,
+    instrument) pair is refused. Labels come from VWAP returns, and cells
     without a next-day price are simply unobserved; the first return, in
     (date, instrument) order, too large for a float is refused. Of several
     faults the one on the earliest line is reported.
@@ -589,18 +587,14 @@ def load_panel(features_path, prices_path) -> PanelDataset:
     if header[2:] != want:
         raise DataError(f"{features_path}: feature columns must be f0..f{n_feat - 1}")
 
-    dates, names, features, present = _read_grid(
+    dates, instruments, features, present = _read_grid(
         table, [f"feature {name}" for name in header[2:]], missing_ok=True,
         path=features_path)
     if not dates:
         raise DataError(f"{features_path}: no data rows")
-    keep = present.all(axis=0)
-    if not keep.any():
-        raise DataError(f"{features_path}: no instrument present on every date")
-    instruments = [names[j] for j in np.flatnonzero(keep)]
-    dropped = [names[j] for j in np.flatnonzero(~keep)]
-    if dropped:
-        features = features[:, keep]
+    if not present.all():
+        t, i = np.unravel_index(np.argmin(present), present.shape)
+        raise DataError(f"{features_path}: {instruments[i]} has no row on {dates[t]}")
 
     date_pos = {d: k for k, d in enumerate(dates)}
     inst_pos = {s: k for k, s in enumerate(instruments)}
@@ -641,7 +635,6 @@ def load_panel(features_path, prices_path) -> PanelDataset:
         labels=labels,
         vwap=vwap,
         volume=volume,
-        dropped_instruments=dropped,
     )
 
 
@@ -722,21 +715,28 @@ def write_factors(fs: FactorSeries, path) -> None:
 def standardize_features(ds: PanelDataset) -> PanelDataset:
     """Impute daily cross-sectional medians, then z-score per day/feature.
 
-    A zero-variance (date, feature) column is centered and left unscaled.
-    Returns a new dataset; the input is untouched.
+    A zero-variance (date, feature) column is centered and left unscaled;
+    the first one whose mean or spread overflows, such as one holding
+    1e200, is refused. Returns a new dataset; the input is untouched.
     """
     # [D, F, N], so each (date, feature) column is a contiguous last-axis
     # row and mean/std reduce it with the same pairwise sum as a 1-D call
     cols = ds.features.transpose(0, 2, 1).copy()
     bad = ~np.isfinite(cols)
-    for ti, fi in zip(*np.nonzero(bad.any(axis=2))):
-        col, miss = cols[ti, fi], bad[ti, fi]
-        # an all-missing column becomes 0, which centering leaves at 0
-        col[miss] = 0.0 if miss.all() else np.median(col[~miss])
-    cols -= cols.mean(axis=2, keepdims=True)
-    # np.std's own arithmetic on the centred columns, without its second
-    # mean pass: sqrt(sum(x * x) / n)
-    sd = np.sqrt(np.square(cols).sum(axis=2, keepdims=True) / cols.shape[2])
+    # an overflow below leaves its column's spread non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ti, fi in zip(*np.nonzero(bad.any(axis=2))):
+            col, miss = cols[ti, fi], bad[ti, fi]
+            # an all-missing column becomes 0, which centering leaves at 0
+            col[miss] = 0.0 if miss.all() else np.median(col[~miss])
+        cols -= cols.mean(axis=2, keepdims=True)
+        # np.std's own arithmetic on the centred columns, without its second
+        # mean pass: sqrt(sum(x * x) / n)
+        sd = np.sqrt(np.square(cols).sum(axis=2, keepdims=True) / cols.shape[2])
+    if not np.isfinite(sd).all():
+        t, f, _ = np.unravel_index(np.argmin(np.isfinite(sd)), sd.shape)
+        raise DataError(f"feature {FEATURE_PREFIX}{f} on {ds.dates[t]}: mean or spread "
+                        "overflows, so it cannot be standardized")
     np.divide(cols, sd, out=cols, where=sd > 0)
     return PanelDataset(
         dates=list(ds.dates),
@@ -745,7 +745,6 @@ def standardize_features(ds: PanelDataset) -> PanelDataset:
         labels=ds.labels.copy(),
         vwap=ds.vwap.copy(),
         volume=ds.volume.copy(),
-        dropped_instruments=list(ds.dropped_instruments),
     )
 
 
@@ -802,8 +801,9 @@ class SynthConfig:
             raise ConfigError("need at least 3 days")
         if self.n_features < 3:
             raise ConfigError("need at least 3 features")
-        if self.noise < 0:
-            raise ConfigError("noise must be >= 0")
+        for name in ("noise", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
         if self.block_size < 1 or self.n_regions < 1:
             raise ConfigError("block_size and n_regions must be >= 1")
         _check_day("start_date", self.start_date)

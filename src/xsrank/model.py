@@ -29,7 +29,7 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -446,8 +446,8 @@ def _checkpoint_config(path, raw: dict) -> ActConfig:
 
 def load_checkpoint(path) -> ActModel:
     """The model saved at `path`. A payload that is not a JSON object
-    with a `config` object of well-typed ActConfig fields, an integer
-    `seed` and a `params` object holding exactly the model's parameters,
+    with a `config` object of well-typed ActConfig fields, a non-negative
+    integer `seed` and a `params` object holding exactly the model's parameters,
     each with its `shape` and a base64 `data` string of that many finite
     little-endian float64 values, is refused with a DataError naming the
     file and the field. Another `format_version` is a ConfigError."""
@@ -467,9 +467,11 @@ def load_checkpoint(path) -> ActModel:
     for key in ("config", "params"):
         if not isinstance(payload.get(key), dict):
             raise DataError(f"{path}: checkpoint field {key!r} is missing or not an object")
-    seed = payload.get("seed", 0)
-    if type(seed) is not int:
-        raise DataError(f"{path}: checkpoint field 'seed' is {seed!r}, not an integer")
+    if "seed" not in payload:
+        raise DataError(f"{path}: checkpoint field 'seed' is missing")
+    seed = payload["seed"]
+    if type(seed) is not int or seed < 0:
+        raise DataError(f"{path}: checkpoint field 'seed' is {seed!r}, not an integer >= 0")
     cfg = _checkpoint_config(path, payload["config"])
     spec = parameter_spec(cfg)
     params = payload["params"]

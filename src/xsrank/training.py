@@ -157,9 +157,9 @@ class TrainSettings:
         check_kinds(self)
         if not self.lr > 0.0:
             raise ConfigError("lr must be positive")
-        for name in ("batch_size", "epochs", "patience"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+        for name, low in (("batch_size", 1), ("epochs", 1), ("patience", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}")
         _check_day("valid_start", self.valid_start)
         _check_day("test_start", self.test_start)
         if self.test_start is not None and self.test_start <= self.valid_start:

@@ -759,7 +759,7 @@ def load_panel_rows(features_path, prices_path):
         lambda k: k // n_feat + 2)
     parsed = rows[: len(values) // n_feat]
     dates, t = _codes([row[0] for row in parsed])
-    names, i = _codes([row[1] for row in parsed])
+    instruments, i = _codes([row[1] for row in parsed])
     is_day = np.fromiter(map(_is_day, dates), dtype=bool, count=len(dates))
     bad_day = int(np.argmin(is_day[t])) if not is_day.all() else len(parsed)
     cells = values[: len(parsed) * n_feat]
@@ -767,7 +767,7 @@ def load_panel_rows(features_path, prices_path):
     if cells.size and np.isinf([np.fmax.reduce(cells), np.fmin.reduce(cells)]).any():
         bad_cell = int(np.argmax(np.isinf(cells)))
     bad_row = bad_cell // n_feat
-    _, first = np.unique(t * len(names) + i, return_index=True)
+    _, first = np.unique(t * len(instruments) + i, return_index=True)
     if first.size < t.size:
         seen = np.zeros(t.size, dtype=bool)
         seen[first] = True
@@ -792,17 +792,13 @@ def load_panel_rows(features_path, prices_path):
     if not rows:
         raise DataError(f"{features_path}: no data rows")
 
-    present = np.zeros((len(dates), len(names)), dtype=bool)
-    present[t, i] = True
-    keep = present.all(axis=0)
-    if not keep.any():
-        raise DataError(f"{features_path}: no instrument present on every date")
-    instruments = [names[j] for j in np.flatnonzero(keep)]
-    dropped = [names[j] for j in np.flatnonzero(~keep)]
-    column = np.cumsum(keep) - 1
-    kept = keep[i]
+    rows_of = {(row[0], row[1]) for row in parsed}
+    for day in dates:
+        for name in instruments:
+            if (day, name) not in rows_of:
+                raise DataError(f"{features_path}: {name} has no row on {day}")
     features = np.empty((len(dates), len(instruments), n_feat))
-    features[t[kept], column[i[kept]]] = values.reshape(-1, n_feat)[kept]
+    features[t, i] = values.reshape(-1, n_feat)
 
     _, price_rows = _read_rows(prices_path, PRICES_HEADER)
     n_ok = _first_ragged(price_rows, 4)
@@ -841,5 +837,5 @@ def load_panel_rows(features_path, prices_path):
     labels = returns_from_prices(vwap)
     return PanelDataset(
         dates=dates, instruments=instruments, features=features, labels=labels,
-        vwap=vwap, volume=volume, dropped_instruments=dropped,
+        vwap=vwap, volume=volume,
     )

@@ -644,6 +644,11 @@ REFUSED_OPTIONS = [
                  "pspe must be one of ('full', 'gat_only')", id="train-pspe"),
     pytest.param("train", ["--leaky-slope", "1.5", "--valid-start", "2015-03-01"],
                  "leaky_slope must be in [0, 1)", id="train-leaky-slope"),
+    # before: numpy's ValueError and a traceback, exit 1, once the inputs
+    # were hashed (train) or at once (synth)
+    pytest.param("train", ["--seed", "-2", "--valid-start", "2015-03-01"],
+                 "seed must be >= 0", id="train-seed"),
+    pytest.param("synth", ["--seed", "-1"], "seed must be >= 0", id="synth-seed"),
     pytest.param("evaluate", ["--group-by", "sector", "--industry", "industry.csv",
                               "--region", "region.csv"],
                  "group_by must be industry or region", id="evaluate"),
@@ -840,13 +845,16 @@ def test_backtest_writes_its_per_day_flags(workdir, tmp_path):
     assert rows[-2:] == [["flag", flag] for flag in flags]
 
 
-def test_manifest_lists_dropped_instruments(workdir, tmp_path):
+def test_commands_refuse_a_features_file_missing_a_row(workdir, tmp_path, capsys):
+    # before: S003 was dropped from the whole panel, so its last-date gap
+    # removed it from every earlier date's scores and moved the others',
+    # and each command exited 0 with the name in the manifest
     data = workdir / "data"
-    rows = (data / "features.csv").read_text().splitlines()
-    # S999 has features on the first date only, so the panel drops it
-    extra = "2015-01-01,S999," + ",".join(["0.5"] * (rows[0].count(",") - 1))
+    header, *rows = (data / "features.csv").read_text().splitlines()
+    last = rows[-1].split(",")[0]
     features = tmp_path / "features.csv"
-    features.write_text("\n".join(rows[:2] + [extra] + rows[2:]) + "\n")
+    features.write_text("\n".join([header] + [row for row in rows
+                                              if not row.startswith(f"{last},S003,")]) + "\n")
     panel = ["--features", str(features), "--prices", str(data / "prices.csv")]
     predictions = ["--predictions", str(workdir / "preds" / "predictions.csv")]
     runs = {
@@ -859,11 +867,59 @@ def test_manifest_lists_dropped_instruments(workdir, tmp_path):
     }
     for command, args in runs.items():
         out = tmp_path / command
-        assert cli.main([command, "--out", str(out)] + panel + args) == cli.EXIT_OK
-        assert read_manifest(out)["dropped_instruments"] == ["S999"]
+        assert cli.main([command, "--out", str(out)] + panel + args) == cli.EXIT_DATA
+        assert capsys.readouterr().err == f"error: {features}: S003 has no row on {last}\n"
+        assert not out.exists()
     assert cli.main(["evaluate", "--out", str(tmp_path / "full")] + predictions
                     + panel_args(workdir)) == cli.EXIT_OK
-    assert read_manifest(tmp_path / "full")["dropped_instruments"] == []
+    assert set(read_manifest(tmp_path / "full")) == {
+        "artifacts", "command", "config", "environment", "inputs", "wall_time_seconds"}
+
+
+def test_train_and_predict_refuse_a_feature_they_cannot_standardize(workdir, tmp_path, capsys):
+    # before: numpy warned of the overflow and predict exited 0, with
+    # 2015-02-27's f1 standardized to -0.0 for every instrument
+    data = workdir / "data"
+    features = tmp_path / "features.csv"
+    text = (data / "features.csv").read_text()
+    row = next(k for k, line in enumerate(text.splitlines()[1:])
+               if line.startswith("2015-02-27,S007,"))
+    features.write_text(edit_csv(text, "cell", row, 3, "1e200"))
+    panel = ["--features", str(features), "--prices", str(data / "prices.csv")]
+    runs = {
+        "train": ["--window", "8", "--hidden", "8", "--knn", "3", "--epochs", "1",
+                  "--valid-start", "2015-03-01"],
+        "predict": ["--checkpoint", str(workdir / "model" / "checkpoint.json")],
+    }
+    for command, args in runs.items():
+        out = tmp_path / command
+        assert cli.main([command, "--out", str(out)] + panel + graph_args(workdir)
+                        + args) == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            "error: feature f1 on 2015-02-27: mean or spread overflows, so it cannot be "
+            "standardized\n")
+        assert not out.exists()
+
+
+def test_backtest_refuses_a_day_no_instrument_earns(workdir, tmp_path, capsys):
+    # a skipped return day would let regress run its Newey-West lags across
+    # the gap, as a missing factors.csv day would; evaluate skips the dates
+    # that lost their labels
+    data = workdir / "data"
+    dates = load_panel(data / "features.csv", data / "prices.csv").dates
+    gap = dates[20]
+    prices = tmp_path / "prices.csv"
+    prices.write_text("".join(line for line in (data / "prices.csv").open()
+                              if not line.startswith(f"{gap},")))
+    panel = ["--features", str(data / "features.csv"), "--prices", str(prices)]
+    predictions = ["--predictions", str(workdir / "preds" / "predictions.csv")]
+    assert cli.main(["evaluate", "--out", str(tmp_path / "eval")] + predictions
+                    + panel) == cli.EXIT_OK
+    out = tmp_path / "bt"
+    assert cli.main(["backtest", "--out", str(out)] + predictions + panel
+                    + ["--k", "2", "--n-drop", "1"]) == cli.EXIT_DATA
+    assert capsys.readouterr().err == f"error: no realized returns on {dates[19]}\n"
+    assert not out.exists()
 
 
 # sha256 of every artifact of the chain below, as written before the CSV
@@ -1206,9 +1262,11 @@ def _without(key):
     return edit
 
 
-def _seed_abc(payload):
-    payload["seed"] = "abc"
-    return payload
+def _seed(value):
+    def edit(payload):
+        payload["seed"] = value
+        return payload
+    return edit
 
 
 def _config(key, value):
@@ -1249,7 +1307,9 @@ NON_FINITE = "checkpoint field 'params.out_w' holds a non-finite number"
     (_without("params"), "checkpoint field 'params' is missing"),
     (_without("config"), "checkpoint field 'config' is missing"),
     (_param(lambda e: e.update(data="x")), NOT_BASE64),
-    (_seed_abc, "checkpoint field 'seed' is 'abc', not an integer"),
+    (_seed("abc"), "checkpoint field 'seed' is 'abc', not an integer"),
+    (_seed(-7), "checkpoint field 'seed' is -7, not an integer >= 0"),
+    (_without("seed"), "checkpoint field 'seed' is missing"),
     (lambda payload: [payload], "not a valid checkpoint: expected a JSON object"),
     (_config("hidden", 8.0), "checkpoint field 'config': hidden is 8.0, not an integer"),
     (_config("knn", 3.0), "checkpoint field 'config': knn is 3.0, not an integer"),
@@ -1292,7 +1352,8 @@ NON_FINITE = "checkpoint field 'params.out_w' holds a non-finite number"
      "checkpoint field 'params.out_w': shape [8, True] is not [8, 1]"),
     (_param(lambda e: e.update(shape="8,1")),
      "checkpoint field 'params.out_w': shape '8,1' is not [8, 1]"),
-], ids=["short_param", "no_params", "no_config", "string_in_param", "seed_abc", "list",
+], ids=["short_param", "no_params", "no_config", "string_in_param", "seed_abc",
+        "negative_seed", "no_seed", "list",
         "hidden_float", "knn_float", "window_fraction", "hidden_bool", "hidden_string",
         "rate_string", "pspe_int", "hidden_zero", "unknown_setting", "no_knn",
         "no_leaky_slope", "no_out_w",
@@ -1303,7 +1364,8 @@ NON_FINITE = "checkpoint field 'params.out_w' holds a non-finite number"
         "empty_param", "float_shape", "bool_shape", "string_shape"])
 def test_predict_refuses_a_malformed_checkpoint(workdir, tmp_path, capsys, edit, fault):
     # before: each raised a traceback out of predict, exited 2 without
-    # naming the file, or (nan_param) exited 4 while scoring. With data
+    # naming the file, or (nan_param) exited 4 while scoring; no_seed
+    # loaded as seed 0, and negative_seed raised numpy's ValueError. With data
     # as a list of numbers, bool_param, numeric_string_param and
     # nested_param exited 0, scoring with the value numpy made of them,
     # and huge_int_param raised an OverflowError
@@ -1350,7 +1412,7 @@ def test_predict_refuses_a_start_date_that_is_not_a_day(workdir, tmp_path, capsy
 
 
 # ---------------------------------------------------------------------------
-# input fuzz: evaluate, backtest and regress on mutated files
+# input fuzz: predict, evaluate, backtest and regress on mutated files
 # ---------------------------------------------------------------------------
 
 FUZZ_FILES = ["features.csv", "prices.csv", "industry.csv", "factors.csv",
@@ -1367,8 +1429,9 @@ FUZZ_EDITS = st.lists(
 
 @pytest.fixture(scope="module")
 def fuzz_inputs(tmp_path_factory):
-    """Texts of a small synth set, a predictions file scoring every cell
-    with next-day returns plus noise, and the backtest of those scores."""
+    """Texts of a small synth set, a one-epoch checkpoint trained on it, a
+    predictions file scoring every cell with next-day returns plus noise,
+    and the backtest of those scores."""
     root = tmp_path_factory.mktemp("fuzz")
     synth = root / "synth"
     assert cli.main(["synth", "--out", str(synth), "--n-instruments", "12",
@@ -1384,8 +1447,15 @@ def fuzz_inputs(tmp_path_factory):
                      "--predictions", str(root / "predictions.csv"),
                      "--features", str(synth / "features.csv"),
                      "--prices", str(synth / "prices.csv"), "--k", "3", "--n-drop", "1"]) == 0
+    assert cli.main(["train", "--out", str(root / "model"),
+                     "--features", str(synth / "features.csv"),
+                     "--prices", str(synth / "prices.csv"),
+                     "--industry", str(synth / "industry.csv"),
+                     "--region", str(synth / "region.csv"), "--valid-start", "2015-01-16",
+                     "--window", "8", "--hidden", "4", "--knn", "3", "--epochs", "1"]) == 0
     paths = {name: synth / name for name in ("features.csv", "prices.csv", "industry.csv",
-                                             "factors.csv")}
+                                             "region.csv", "factors.csv")}
+    paths["checkpoint.json"] = root / "model" / "checkpoint.json"
     paths["predictions.csv"] = root / "predictions.csv"
     paths["backtest.csv"] = root / "bt" / "backtest.csv"
     return {name: path.read_text() for name, path in paths.items()}
@@ -1439,6 +1509,8 @@ def test_backtest_refused_after_running_leaves_no_artifact(fuzz_inputs, tmp_path
 @example(edits=[("prices.csv", "cell", 28, 2, "1e308")])
 # a 1e308 portfolio return: a regression whose sums of squares overflow
 @example(edits=[("backtest.csv", "cell", 0, 1, "1e308")])
+# a 1e308 feature: a spread whose square overflows in standardization
+@example(edits=[("features.csv", "cell", 40, 3, "1e308")])
 def test_mutated_inputs_exit_cleanly_with_one_error_line(fuzz_inputs, edits):
     texts = dict(fuzz_inputs)
     for name, kind, a, b, cell in edits:
@@ -1449,6 +1521,9 @@ def test_mutated_inputs_exit_cleanly_with_one_error_line(fuzz_inputs, edits):
             (root / name).write_text(text, encoding="utf-8")
         panel = ["--features", str(root / "features.csv"), "--prices", str(root / "prices.csv")]
         runs = {
+            "predict": ["--checkpoint", str(root / "checkpoint.json"), *panel,
+                        "--industry", str(root / "industry.csv"),
+                        "--region", str(root / "region.csv")],
             "evaluate": ["--predictions", str(root / "predictions.csv"), *panel,
                          "--group-by", "industry", "--industry", str(root / "industry.csv")],
             "backtest": ["--predictions", str(root / "predictions.csv"), *panel,

@@ -129,7 +129,9 @@ def test_load_panel_shuffled_rows_equal_sorted(tmp_path):
     np.testing.assert_array_equal(a.labels[a.observed_mask], b.labels[b.observed_mask])
 
 
-def test_load_panel_universe_is_intersection(tmp_path):
+def test_load_panel_refuses_an_instrument_missing_a_date(tmp_path):
+    # before: B was dropped from the whole panel, so a row missing on the
+    # last date rewrote every earlier cross-section
     feats = (
         "datetime,instrument,f0\n"
         "2020-01-01,A,1.0\n"
@@ -138,8 +140,11 @@ def test_load_panel_universe_is_intersection(tmp_path):
     )
     fpath = _write(tmp_path / "features.csv", feats)
     ppath = _write(tmp_path / "prices.csv", PRICES_2x2)
-    ds = load_panel(fpath, ppath)
-    assert ds.instruments == ["A"]
+    with pytest.raises(DataError, match=f"^{re.escape(str(fpath))}: B has no row on 2020-01-02$"):
+        load_panel(fpath, ppath)
+    # a row of empty cells is a row: its features are missing, not its date
+    ds = load_panel(_write(tmp_path / "g.csv", feats + "2020-01-02,B,\n"), ppath)
+    assert ds.instruments == ["A", "B"] and np.isnan(ds.features[1, 1, 0])
 
 
 def test_load_panel_errors(tmp_path):
@@ -478,6 +483,9 @@ def test_synthetic_rejects_bad_config():
         SynthConfig(days=2)
     with pytest.raises(ConfigError):
         SynthConfig(noise=-0.1)
+    # before: numpy's default_rng raised "expected non-negative integer"
+    with pytest.raises(ConfigError, match="^seed must be >= 0$"):
+        SynthConfig(seed=-1)
 
 
 def test_synthetic_refuses_a_calendar_past_9999():
@@ -909,16 +917,19 @@ def test_masks_are_read_off_the_arrays_and_refuse_writes():
             mask[0] = False
 
 
-def test_load_panel_records_dropped_instruments(tmp_path):
+def test_load_panel_names_the_first_missing_pair(tmp_path):
+    # C lacks 2020-01-02 and Aa lacks 2020-01-01: in (date, instrument)
+    # order, Aa's gap comes first
     feats = FEATURES_2x2x3 + "2020-01-01,C,1.0,1.0,1.0\n2020-01-02,Aa,1.0,1.0,1.0\n"
-    ds = load_panel(_write(tmp_path / "f.csv", feats),
-                    _write(tmp_path / "p.csv", PRICES_2x2))
-    assert ds.instruments == ["A", "B"]
-    assert ds.dropped_instruments == ["Aa", "C"]
-    assert standardize_features(ds).dropped_instruments == ["Aa", "C"]
-    full = load_panel(_write(tmp_path / "g.csv", FEATURES_2x2x3),
+    f = _write(tmp_path / "f.csv", feats)
+    with pytest.raises(DataError, match=f"^{re.escape(str(f))}: Aa has no row on 2020-01-01$"):
+        load_panel(f, _write(tmp_path / "p.csv", PRICES_2x2))
+    # every instrument of a complete file is kept, a price-less one too
+    full = load_panel(_write(tmp_path / "g.csv", feats + "2020-01-02,C,1.0,1.0,1.0\n"
+                             "2020-01-01,Aa,1.0,1.0,1.0\n"),
                       _write(tmp_path / "q.csv", PRICES_2x2))
-    assert full.dropped_instruments == []
+    assert full.instruments == ["A", "Aa", "B", "C"]
+    assert not full.present_mask[:, [1, 3]].any()
 
 
 def test_standardize_features_matches_loop_oracle():
@@ -944,6 +955,25 @@ def test_standardize_features_matches_loop_oracle():
         assert np.array_equal(got, oracle.standardize_loop(feats))
 
 
+@pytest.mark.parametrize("column", [
+    [1.0, 1e200, -2.0, 0.5],
+    [1e308, 1e308, 1e308, 1e308],
+    [1.7e308, -1.7e308, -1.7e308, 0.0],
+    [1.7e308, 1.7e308, np.nan, 0.0],
+], ids=["square", "mean", "deviation", "median"])
+def test_standardize_features_refuses_a_column_it_cannot_standardize(column):
+    # before: numpy warned of the overflow and the spread's square became
+    # inf, so the column was scaled to -0.0 and 0.0 everywhere
+    ds, _, _ = generate_synthetic(SynthConfig(n_instruments=4, n_features=3, days=5))
+    ds.features[3, :, 2] = column
+    ds.features[4, :, 1] = column
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=f"^feature f2 on {ds.dates[3]}: mean or spread "
+                           "overflows, so it cannot be standardized$"):
+            standardize_features(ds)
+
+
 # ---------------------------------------------------------------------------
 # streaming readers against the row-based reference
 # ---------------------------------------------------------------------------
@@ -965,7 +995,7 @@ def _panel_outcome(fn, *args):
     except DataError as exc:
         return f"DataError: {exc}"
     arrays = [getattr(ds, name) for name in ("features", "labels", "vwap", "volume")]
-    return (ds.dates, ds.instruments, ds.dropped_instruments,
+    return (ds.dates, ds.instruments,
             *((a.dtype.str, a.shape, a.tobytes()) for a in arrays))
 
 

@@ -42,3 +42,24 @@ def test_library_never_encodes_through_json_dump():
                     and node.func.value.id == "json"):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"json.dump calls: {found}"
+
+
+def test_library_reads_every_name_it_imports():
+    # __init__.py imports to re-export, and a __future__ import binds nothing
+    unused = []
+    for path in sorted(Path(xsrank.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno}: {name}" for name in bound
+                       if name not in read]
+    assert not unused, f"imported names never read: {unused}"

@@ -1,15 +1,24 @@
 import hashlib
 import itertools
 import json
+import tempfile
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import _oracles as oracle
 from _fd import finite_difference_check
 from _helpers import act_forward, item
-from xsrank.data import SynthConfig, generate_synthetic
+from xsrank.data import (
+    SynthConfig,
+    generate_synthetic,
+    load_panel,
+    standardize_features,
+    write_panel,
+)
 from xsrank import tensor as tz
 from xsrank.errors import ConfigError, DataError, NonFiniteError, ShapeError
 from xsrank.graphs import build_relation_graphs
@@ -259,6 +268,10 @@ def test_train_settings_validation():
         TrainSettings(valid_start="2015-06-01", patience=0)
     with pytest.raises(ConfigError):
         TrainSettings(valid_start="2015-06-01", test_start="2015-01-01")
+    # before: numpy's "expected non-negative integer" ValueError escaped
+    # train, after every input was hashed
+    with pytest.raises(ConfigError, match="^seed must be >= 0$"):
+        TrainSettings(valid_start="2015-06-01", seed=-2)
 
 
 def small_panel(days=70, n=8, noise=0.02, seed=5):
@@ -723,3 +736,84 @@ def test_gat_only_train_and_predict_are_bitwise_pinned():
     for d, s, v in predict_sliding(model, ds, graphs).rows:
         h.update(f"{d},{s},{v!r}\n".encode())
     assert h.hexdigest() == GAT_ONLY_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# no lookahead through the loader
+# ---------------------------------------------------------------------------
+
+CUT_WINDOW, CUT_DAYS = 4, 14
+# (file, drop or redraw, row among those after the cut, number cell, value)
+CUT_EDITS = st.lists(st.tuples(st.sampled_from(["features.csv", "prices.csv"]),
+                               st.sampled_from(["drop", "redraw"]),
+                               st.integers(0, 10**6), st.integers(0, 10**6),
+                               st.floats(0.5, 2.0)), max_size=4)
+
+
+def _scores(texts, graphs, model):
+    """Every predict_sliding row of the panel in `texts`, its score as hex,
+    after loading and standardizing as `predict` does; None when the load
+    is refused."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: Path(tmp, name) for name in texts}
+        for name, text in texts.items():
+            paths[name].write_text(text, encoding="utf-8")
+        try:
+            ds = standardize_features(load_panel(paths["features.csv"], paths["prices.csv"]))
+        except DataError:
+            return None
+    graphs = build_relation_graphs(ds.instruments, graphs.industry_labels, graphs.region_labels)
+    return [(d, s, v.hex()) for d, s, v in predict_sliding(model, ds, graphs).rows]
+
+
+@pytest.fixture(scope="module")
+def cut_market():
+    """The files of a small synth, its relations, a fixed seeded model and
+    the model's scores on the unedited files."""
+    ds, graphs, _ = generate_synthetic(SynthConfig(n_instruments=6, n_features=3,
+                                                   days=CUT_DAYS, seed=4, block_size=3,
+                                                   n_regions=2))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp, "features.csv"), Path(tmp, "prices.csv")]
+        write_panel(ds, *paths)
+        texts = {path.name: path.read_text() for path in paths}
+    cfg = ActConfig(n_features=3, window=CUT_WINDOW, hidden=4, trend_window=3,
+                    fluct_window=2, shock_window=2, knn=2)
+    model = ActModel(cfg, seed=0)
+    return ds.dates, texts, graphs, model, _scores(texts, graphs, model)
+
+
+def _edit_after(text, cut, kind, a, b, value):
+    """`text` with one data row dated after `cut` dropped, or with one of
+    its number cells set to `value`."""
+    header, *rows = text.splitlines()
+    later = [k for k, row in enumerate(rows) if row.split(",", 1)[0] > cut]
+    if later:
+        k = later[a % len(later)]
+        cells = rows[k].split(",")
+        cells[2 + b % (len(cells) - 2)] = repr(value)
+        rows[k: k + 1] = [] if kind == "drop" else [",".join(cells)]
+    return "\n".join([header, *rows]) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(cut=st.integers(CUT_WINDOW - 1, CUT_DAYS - 2), edits=CUT_EDITS)
+# the last date loses one features row
+@example(cut=CUT_DAYS - 2, edits=[("features.csv", "drop", 3, 0, 1.0)])
+# edits to prices.csv alone, and a redrawn feature, load
+@example(cut=CUT_WINDOW, edits=[("prices.csv", "drop", 0, 0, 1.0),
+                                ("prices.csv", "redraw", 7, 1, 0.5)])
+@example(cut=CUT_DAYS - 2, edits=[("features.csv", "redraw", 3, 2, 2.0)])
+def test_scores_up_to_a_cut_date_ignore_every_later_row(cut_market, cut, edits):
+    # before: a features row missing after the cut dropped its instrument
+    # from the whole panel, so scores up to the cut lost it and moved
+    dates, texts, graphs, model, unedited = cut_market
+    for name, *edit in edits:
+        texts = {**texts, name: _edit_after(texts[name], dates[cut], *edit)}
+    got = _scores(texts, graphs, model)
+    if got is None:
+        # only a missing features row may refuse the load
+        assert ("features.csv", "drop") in {(name, kind) for name, kind, *_ in edits}
+        return
+    assert ([row for row in got if row[0] <= dates[cut]]
+            == [row for row in unedited if row[0] <= dates[cut]])
