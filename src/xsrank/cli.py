@@ -393,7 +393,8 @@ def main(argv=None) -> int:
     except NonFiniteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (DataError, XsrankError) as exc:
+    # an artifact the command cannot write: the OS message names the path
+    except (DataError, XsrankError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except MemoryError:

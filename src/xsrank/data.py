@@ -1,5 +1,6 @@
-"""Panel data IO: feature/price/membership/factor CSVs, VWAP labels,
-windowing, and a seeded synthetic market generator with planted structure.
+"""Panel data IO: feature/price/membership/factor CSVs, next-day price
+labels, windowing, and a seeded synthetic market generator with planted
+structure.
 
 Every CSV has one dialect: UTF-8, a header row, LF line endings, and a
 cell wrapped in double quotes, its own doubled, only when it holds `,`,
@@ -184,8 +185,10 @@ def _read_table(path, header, keys: int, keep=None):
                              f"ragged row of {len(block[n])} columns")
                 lines, rows = range(line, line + n), block[:n]
                 if keep is not None:
-                    lines = [k for k in lines if keep(block[k - line])]
-                    rows = [block[k - line] for k in lines]
+                    kept_lines = [k for k in lines if keep(block[k - line])]
+                    rows = [block[k - line] for k in kept_lines]
+                    # an array: a grid reader holds every block's line numbers
+                    lines = np.array(kept_lines, dtype=np.intp)
                 # one number column (predictions) needs no per-row slice
                 cells = ([row[keys] for row in rows] if n_num == 1 else
                          [v for row in rows for v in row[keys:]])
@@ -266,13 +269,15 @@ class _Coder:
 
 
 def _read_grid(blocks, names: list[str], missing_ok: bool, path=None):
-    """The date x instrument grid of keyed rows, read block by block.
+    """The date x instrument grid of keyed rows, read block by block: the
+    one reader of features.csv, prices.csv and predictions.csv.
 
     `blocks` is a two-key `_read_table` stream of `path`, or, for rows
     that come from no file (`path` None), one (None, rows, values, fault)
-    block whose last row is the faulty one, if any. `names` labels the number columns. Returns the sorted dates,
-    the sorted instruments, the [D, M, C] values, NaN where no row gave
-    a cell, and the [D, M] mask of the cells some row gave.
+    block whose last row is the faulty one, if any. `names` labels the
+    number columns. Returns the sorted dates, the sorted instruments, the
+    [D, M, C] values, NaN where no row gave a cell, and the [D, M] mask of
+    the cells some row gave.
 
     Refuses an infinite number, a NaN unless `missing_ok`, and a row that
     repeats an earlier (date, instrument) pair. An error names the file
@@ -358,8 +363,9 @@ def _frozen(mask: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PanelDataset:
-    """Aligned panel of features, VWAP prices and the labels they give.
+    """Aligned panel of features, daily prices and the labels they give.
 
+    `vwap` and `volume` hold each cell's one price row of prices.csv.
     labels[t, i] is the t -> t+1 return, so the final date is always
     unobserved. Which cells count is read off the arrays, never stored
     beside them: a cell is observed (in the loss set) when its label is
@@ -489,63 +495,8 @@ class PredictionSeries:
 
 
 # ---------------------------------------------------------------------------
-# VWAP labels
+# labels
 # ---------------------------------------------------------------------------
-
-
-def vwap_matrix(
-    t: np.ndarray,
-    i: np.ndarray,
-    price: np.ndarray,
-    volume: np.ndarray,
-    dates: list[str],
-    instruments: list[str],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell VWAP and total volume of bars k at cell (dates[t[k]], instruments[i[k]]).
-
-    A cell is sum(price * volume) / sum(volume) over its bars, each sum
-    taken one bar at a time in the order given; a one-bar cell is its
-    price exactly, with no product formed. Cells without bars are NaN.
-    The first cell in (date, instrument) order with a negative or
-    all-zero volume, or with sums that overflow, raises DataError.
-    """
-    shape = (len(dates), len(instruments))
-    price = np.asarray(price, dtype=np.float64)
-    volume = np.asarray(volume, dtype=np.float64)
-    cell = np.ravel_multi_index((np.asarray(t, dtype=np.intp),
-                                 np.asarray(i, dtype=np.intp)), shape)
-    size = shape[0] * shape[1]
-    count = np.bincount(cell, minlength=size)
-    shared = count[cell] > 1
-    num = np.zeros(size)
-    den = np.zeros(size)
-    # a cell whose sums overflow is refused below
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.add.at(num, cell[shared], price[shared] * volume[shared])
-        np.add.at(den, cell, volume)
-
-    negative = np.zeros(size, dtype=bool)
-    negative[cell[volume < 0]] = True
-    many = count > 1
-    overflow = many & ~(np.isfinite(num) & np.isfinite(den))
-    bad = negative | ((count > 0) & (den <= 0)) | overflow
-    if bad.any():
-        first = int(np.argmax(bad))
-        if negative[first]:
-            k = np.flatnonzero((cell == first) & (volume < 0))[0]
-            raise DataError(f"negative volume {float(volume[k])}")
-        if not overflow[first]:
-            raise DataError("non-positive VWAP denominator (all-zero volume)")
-        row, col = np.unravel_index(first, shape)
-        raise DataError(f"the VWAP sums of {instruments[col]} on {dates[row]} overflow")
-
-    vwap = np.full(size, np.nan)
-    vwap[many] = num[many] / den[many]
-    # one bar: its exact price, avoiding the (p*v)/v rounding so
-    # canonical files round-trip
-    vwap[cell[~shared]] = price[~shared]
-    total = np.where(count > 0, den, np.nan)
-    return vwap.reshape(shape), total.reshape(shape)
 
 
 def returns_from_prices(prices: np.ndarray) -> np.ndarray:
@@ -568,15 +519,39 @@ def returns_from_prices(prices: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _positive_prices(blocks, path):
+    """`_read_table` blocks of a prices file, each cut before its first row
+    whose price or volume is missing or not positive and finite, with that
+    row's DataError as the block's fault. A block holds only rows before
+    its own fault, so the row's fault is the earlier one."""
+    for lines, rows, values, fault in blocks:
+        bad = np.flatnonzero(~(np.isfinite(values) & (values > 0)).all(axis=1))
+        if bad.size:
+            k = int(bad[0])
+            price, volume = values[k].tolist()
+            fault = DataError(f"{path}: line {lines[k]}: " + (
+                "missing price/volume" if np.isnan(values[k]).any() else
+                f"price {price!r} is not positive and finite" if not 0 < price < np.inf else
+                f"volume {volume!r} is not positive and finite"))
+            lines, rows, values = lines[:k], rows[:k], values[:k]
+        yield lines, rows, values, fault
+        if fault is not None:
+            return
+
+
 def load_panel(features_path, prices_path) -> PanelDataset:
     """Read feature and price CSVs into an aligned PanelDataset.
 
     The instrument universe is every instrument of the features file, and
     each needs a row on every feature date: the first missing (date,
-    instrument) pair is refused. Labels come from VWAP returns, and cells
-    without a next-day price are simply unobserved; the first return, in
-    (date, instrument) order, too large for a float is refused. Of several
-    faults the one on the earliest line is reported.
+    instrument) pair is refused. The prices file is a date x instrument
+    grid too, one row per cell, read by `_read_grid` like the features:
+    a repeated pair, and a price or volume that is missing or not
+    positive and finite, are refused by line. Labels are next-day price
+    returns, and cells without a next-day price are simply unobserved;
+    the first return, in (date, instrument) order, too large for a float
+    is refused. Of several faults the one on the earliest line is
+    reported.
     """
     table = _read_table(features_path, None, keys=2)
     header = next(table)
@@ -596,32 +571,16 @@ def load_panel(features_path, prices_path) -> PanelDataset:
         t, i = np.unravel_index(np.argmin(present), present.shape)
         raise DataError(f"{features_path}: {instruments[i]} has no row on {dates[t]}")
 
-    date_pos = {d: k for k, d in enumerate(dates)}
-    inst_pos = {s: k for k, s in enumerate(instruments)}
-    bar_t, bar_i, bar_values = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty((0, 2))]
+    days, names = set(dates), set(instruments)
     # rows outside the universe skip number parsing, not the day check
-    for lines, rows, bars, fault in _read_table(
-            prices_path, PRICES_HEADER, keys=2,
-            keep=lambda row: row[0] in date_pos and row[1] in inst_pos):
-        price_ok = np.isfinite(bars[:, 0]) & (bars[:, 0] > 0)
-        bad = np.flatnonzero(~price_ok | ~np.isfinite(bars[:, 1]))
-        if bad.size:
-            k = bad[0]
-            at = f"{prices_path}: line {lines[k]}"
-            if np.isnan(bars[k]).any():
-                raise DataError(f"{at}: missing price/volume")
-            if not price_ok[k]:
-                raise DataError(f"{at}: price {float(bars[k, 0])!r} is not positive and finite")
-            raise DataError(f"{at}: volume {float(bars[k, 1])!r} is not finite")
-        if fault is not None:
-            raise fault
-        bar_t.append(np.fromiter((date_pos[row[0]] for row in rows), np.intp, len(rows)))
-        bar_i.append(np.fromiter((inst_pos[row[1]] for row in rows), np.intp, len(rows)))
-        bar_values.append(bars)
-
-    bars = np.concatenate(bar_values)
-    vwap, volume = vwap_matrix(np.concatenate(bar_t), np.concatenate(bar_i),
-                               bars[:, 0], bars[:, 1], dates, instruments)
+    table = _read_table(prices_path, PRICES_HEADER, keys=2,
+                        keep=lambda row: row[0] in days and row[1] in names)
+    price_dates, price_names, cells, _ = _read_grid(
+        _positive_prices(table, prices_path), ["price", "volume"], missing_ok=False,
+        path=prices_path)
+    at = np.ix_(_positions(price_dates, dates), _positions(price_names, instruments))
+    vwap, volume = np.full((2, len(dates), len(instruments)), np.nan)
+    vwap[at], volume[at] = cells[..., 0], cells[..., 1]
     labels = returns_from_prices(vwap)
     overflow = np.isinf(labels)
     if overflow.any():
@@ -639,7 +598,8 @@ def load_panel(features_path, prices_path) -> PanelDataset:
 
 
 def write_panel(ds: PanelDataset, features_path, prices_path) -> None:
-    """Write the canonical CSV pair: sorted rows, one price bar per cell."""
+    """Write the canonical CSV pair: sorted rows, one price row per priced
+    cell."""
     n_feat = ds.n_features
     feat_header = ["datetime", "instrument"] + [
         f"{FEATURE_PREFIX}{i}" for i in range(n_feat)
@@ -856,8 +816,8 @@ def generate_synthetic(
     """Deterministic synthetic market with recoverable planted signal.
 
     Returns are a fixed linear readout of the named feature columns plus
-    i.i.d. noise of scale cfg.noise; prices follow the compounded VWAP
-    path so reloading files reproduces the labels.
+    i.i.d. noise of scale cfg.noise; prices compound those returns, so
+    reloading files reproduces the labels.
     """
     rng = np.random.default_rng(cfg.seed)
     n, f, d = cfg.n_instruments, cfg.n_features, cfg.days

@@ -3,7 +3,7 @@
 The model-equation oracles are straight-line numpy transcriptions of
 the layer definitions, independent of the package implementation: plain
 numpy on plain arrays, with no Tensor, no tape and no dropout (eval
-mode). The VWAP oracles work one bar and one cell at a time.
+mode).
 
 The synthetic-market oracles build the generator's calendar, AR(1)
 paths and compounded prices one day at a time, and `synthetic_loop` the
@@ -40,7 +40,6 @@ from xsrank.data import (
     PanelDataset,
     _is_day,
     returns_from_prices,
-    vwap_matrix,
 )
 from xsrank.errors import DataError
 from xsrank.evaluate import MIN_SUBGROUP_SIZE, MetricReport, _ratio
@@ -408,40 +407,6 @@ def synthetic_loop(cfg):
                            factors=factors)
 
 
-def compute_vwap(bars):
-    """Volume-weighted average price of one cell's (price, volume) bars."""
-    num = 0.0
-    den = 0.0
-    for price, volume in bars:
-        if volume < 0:
-            raise DataError(f"negative volume {volume}")
-        num += price * volume
-        den += volume
-    if den <= 0:
-        raise DataError("non-positive VWAP denominator (all-zero volume)")
-    if len(bars) == 1:
-        return bars[0][0]
-    return num / den
-
-
-def compute_vwap_returns(bars, dates, instruments):
-    """labels[t, i] = (VWAP_{t+1} - VWAP_t) / VWAP_t; last date missing.
-
-    `bars` maps (date, instrument) to that cell's bars.
-    """
-    vwap = np.full((len(dates), len(instruments)), np.nan)
-    for (date, inst), cell in bars.items():
-        if date in dates and inst in instruments:
-            vwap[dates.index(date), instruments.index(inst)] = compute_vwap(cell)
-    labels = np.full_like(vwap, np.nan)
-    for t in range(len(dates) - 1):
-        for i in range(len(instruments)):
-            cur, nxt = vwap[t, i], vwap[t + 1, i]
-            if np.isfinite(cur) and np.isfinite(nxt) and cur != 0:
-                labels[t, i] = (nxt - cur) / cur
-    return labels
-
-
 def pearson(a, b):
     """Correlation, or None when either side has zero variance."""
     a = np.asarray(a, dtype=np.float64)
@@ -744,7 +709,8 @@ def read_predictions_rows(path):
 
 def load_panel_rows(features_path, prices_path):
     """`load_panel` over both files held whole as rows: the same faults
-    in the same order, each found over the whole file at once."""
+    in the same order, each found over the whole file at once, and the
+    price grid filled one row at a time."""
     header, rows = _read_rows(features_path, None)
     if len(header) < 3 or header[:2] != ["datetime", "instrument"]:
         raise DataError(f"{features_path}: header must start datetime,instrument")
@@ -812,16 +778,22 @@ def load_panel_rows(features_path, prices_path):
         [v for k in bar_rows for v in price_rows[k][2:]], prices_path,
         lambda c: bar_rows[c // 2] + 2)
     bars = values[: len(values) // 2 * 2].reshape(-1, 2)
-    price_ok = np.isfinite(bars[:, 0]) & (bars[:, 0] > 0)
-    bad = np.flatnonzero(~price_ok | ~np.isfinite(bars[:, 1]))
-    if bad.size:
-        k = bad[0]
-        at = f"{prices_path}: line {bar_rows[k] + 2}"
-        if np.isnan(bars[k]).any():
+    bad = next((k for k, (price, volume) in enumerate(bars.tolist())
+                if not (0 < price < np.inf and 0 < volume < np.inf)), len(bars))
+    seen = set()
+    for k in bar_rows[:bad]:
+        pair = (price_rows[k][0], price_rows[k][1])
+        if pair in seen:
+            raise DataError(f"{prices_path}: line {k + 2}: duplicate (date, instrument) pair")
+        seen.add(pair)
+    if bad < len(bars):
+        price, volume = bars[bad].tolist()
+        at = f"{prices_path}: line {bar_rows[bad] + 2}"
+        if np.isnan(bars[bad]).any():
             raise DataError(f"{at}: missing price/volume")
-        if not price_ok[k]:
-            raise DataError(f"{at}: price {float(bars[k, 0])!r} is not positive and finite")
-        raise DataError(f"{at}: volume {float(bars[k, 1])!r} is not finite")
+        if not 0 < price < np.inf:
+            raise DataError(f"{at}: price {price!r} is not positive and finite")
+        raise DataError(f"{at}: volume {volume!r} is not positive and finite")
     if error is not None:
         raise error
     if bad_day < n_ok:
@@ -830,10 +802,11 @@ def load_panel_rows(features_path, prices_path):
     if n_ok < len(price_rows):
         raise DataError(f"{prices_path}: line {n_ok + 2}: expected 4 columns")
 
-    vwap, volume = vwap_matrix(
-        [date_pos[price_rows[k][0]] for k in bar_rows],
-        [inst_pos[price_rows[k][1]] for k in bar_rows],
-        bars[:, 0], bars[:, 1], dates, instruments)
+    vwap = np.full((len(dates), len(instruments)), np.nan)
+    volume = np.full_like(vwap, np.nan)
+    for k, (price, size) in zip(bar_rows, bars.tolist()):
+        cell = date_pos[price_rows[k][0]], inst_pos[price_rows[k][1]]
+        vwap[cell], volume[cell] = price, size
     labels = returns_from_prices(vwap)
     return PanelDataset(
         dates=dates, instruments=instruments, features=features, labels=labels,

@@ -714,6 +714,23 @@ def test_out_of_memory_is_one_error_line(monkeypatch, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_an_artifact_that_cannot_be_written_is_one_error_line(workdir, tmp_path, capsys):
+    # before: the writer's IsADirectoryError escaped main as a traceback
+    # and exit code 1
+    synth = tmp_path / "synth"
+    (synth / "features.csv").mkdir(parents=True)
+    model = tmp_path / "model"
+    (model / "checkpoint.json").mkdir(parents=True)
+    runs = [(synth / "features.csv", ["synth", "--out", str(synth), "--n-instruments", "8",
+                                      "--days", "8"]),
+            (model / "checkpoint.json",
+             ["train", "--out", str(model)] + _command_args("train", workdir, tmp_path))]
+    for path, argv in runs:
+        assert cli.main(argv) == cli.EXIT_DATA, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0], err
+
+
 def test_pipeline_noise_free_recovers_signal(tmp_path):
     """synth -> train -> predict -> evaluate on a noiseless panel."""
     data = tmp_path / "data"
@@ -1124,19 +1141,30 @@ def test_regress_refuses_a_backtest_day_missing_from_the_factors(workdir, tmp_pa
     (None, "-1.5", "price -1.5 is not positive and finite"),
     (None, "0", "price 0.0 is not positive and finite"),
     (None, "inf", "price inf is not positive and finite"),
+    # an int names the column of line 6 to set; line 5 is S003's on the same date
+    pytest.param(1, "S003", "prices.csv: line 6: duplicate (date, instrument) pair",
+                 id="duplicate-row"),
+    pytest.param(3, "0", "prices.csv: line 6: volume 0.0 is not positive and finite",
+                 id="volume-0"),
+    pytest.param(3, "-3", "prices.csv: line 6: volume -3.0 is not positive and finite",
+                 id="volume-minus-3"),
+    pytest.param(3, "inf", "prices.csv: line 6: volume inf is not positive and finite",
+                 id="volume-inf"),
 ])
 def test_bad_dates_and_prices_exit_3_with_one_error_line(workdir, tmp_path, capsys,
                                                          old, new, fault):
+    # before: a repeated row was averaged into its cell by volume, and a
+    # volume of zero or below was refused naming no file or line
     data = workdir / "data"
     features = tmp_path / "features.csv"
     prices = tmp_path / "prices.csv"
     feat_text = (data / "features.csv").read_text()
     price_lines = (data / "prices.csv").read_text().splitlines()
-    if old is None:
+    if not isinstance(old, str):
         cells = price_lines[5].split(",")
-        cells[2] = new
+        cells[2 if old is None else old] = new
         price_lines[5] = ",".join(cells)
-    features.write_text(feat_text if old is None else feat_text.replace(old, new))
+    features.write_text(feat_text.replace(old, new) if isinstance(old, str) else feat_text)
     prices.write_text("\n".join(price_lines) + "\n")
     out = tmp_path / "model"
     rc = cli.main(["train", "--out", str(out), "--features", str(features),
@@ -1419,12 +1447,55 @@ FUZZ_FILES = ["features.csv", "prices.csv", "industry.csv", "factors.csv",
               "predictions.csv", "backtest.csv"]
 FUZZ_CELLS = ["", "nan", "inf", "-inf", "x", "0", "-1.0", "1e308", "2015-13-01",
               "20150105", "S999", "IND99"]
-FUZZ_EDITS = st.lists(
+# JSON values a checkpoint edit may write in place of any value
+FUZZ_VALUES = [None, True, 1.5, -1, 1e30, "x", [], {}]
+BASE64_DIGITS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/="
+FUZZ_EDITS = st.lists(st.one_of(
     st.tuples(st.sampled_from(FUZZ_FILES),
               st.sampled_from(["drop", "dup", "move", "cell", "cell", "cell", "cut", "grow",
                                "column", "universe", "dates"]),
               st.integers(0, 10**6), st.integers(0, 10**6), st.sampled_from(FUZZ_CELLS)),
+    st.tuples(st.just("checkpoint.json"), st.sampled_from(["key", "retype", "base64", "cut"]),
+              st.integers(0, 10**6), st.integers(0, 10**6), st.sampled_from(FUZZ_VALUES))),
     min_size=1, max_size=3)
+
+
+def edit_checkpoint(text: str, kind: str, a: int, b: int, value) -> str:
+    """One edit to a checkpoint's JSON text, for input fuzzing: drop a key
+    (key) or set its value to `value` (retype), the key picked by `a`
+    among the keys of every object; change character `b` of parameter
+    `a`'s base64 data to the next base64 digit (base64); or cut the text
+    to `a` characters (cut). Text that is no longer JSON takes only cuts."""
+    if kind == "cut":
+        return text[: a % (len(text) + 1)]
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError:
+        return text
+
+    def keys(node):
+        for key, child in node.items():
+            yield node, key
+            if isinstance(child, dict):
+                yield from keys(child)
+
+    if kind == "base64":
+        data = [entry for entry in (payload.get("params") or {}).values()
+                if isinstance(entry, dict) and isinstance(entry.get("data"), str)
+                and entry["data"]]
+        if data:
+            entry = data[a % len(data)]
+            k = b % len(entry["data"])
+            digit = BASE64_DIGITS[(BASE64_DIGITS.find(entry["data"][k]) + 1)
+                                  % len(BASE64_DIGITS)]
+            entry["data"] = entry["data"][:k] + digit + entry["data"][k + 1:]
+    elif places := list(keys(payload)):
+        node, key = places[a % len(places)]
+        if kind == "key":
+            del node[key]
+        else:
+            node[key] = value
+    return json.dumps(payload)
 
 
 @pytest.fixture(scope="module")
@@ -1514,7 +1585,8 @@ def test_backtest_refused_after_running_leaves_no_artifact(fuzz_inputs, tmp_path
 def test_mutated_inputs_exit_cleanly_with_one_error_line(fuzz_inputs, edits):
     texts = dict(fuzz_inputs)
     for name, kind, a, b, cell in edits:
-        texts[name] = edit_csv(texts[name], kind, a, b, cell)
+        edit = edit_checkpoint if name == "checkpoint.json" else edit_csv
+        texts[name] = edit(texts[name], kind, a, b, cell)
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         for name, text in texts.items():

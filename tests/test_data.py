@@ -1,4 +1,4 @@
-"""Panel IO, VWAP labels, windowing, and synthetic generator tests."""
+"""Panel IO, next-day price labels, windowing, and synthetic generator tests."""
 
 import re
 import tempfile
@@ -29,7 +29,6 @@ from xsrank.data import (
     returns_from_prices,
     standardize_features,
     trading_dates,
-    vwap_matrix,
     write_factors,
     write_membership,
     write_panel,
@@ -167,38 +166,18 @@ def test_load_panel_errors(tmp_path):
         load_panel(_write(tmp_path / "h.csv", badhdr), p)
 
 
-def test_compute_vwap_examples():
-    assert oracle.compute_vwap([(10.0, 100.0), (12.0, 100.0)]) == pytest.approx(11.0)
-    with pytest.raises(DataError):
-        oracle.compute_vwap([(10.0, 0.0)])
-    with pytest.raises(DataError):
-        oracle.compute_vwap([(10.0, -5.0)])
-
-
-def test_vwap_bounded_by_bar_prices():
-    rng = np.random.default_rng(0)
-    for trial in range(50):
-        k = int(rng.integers(1, 6))
-        prices = rng.uniform(10, 200, size=k)
-        vols = rng.uniform(0.1, 1e6, size=k)
-        v = oracle.compute_vwap(list(zip(prices, vols)))
-        assert prices.min() - 1e-9 <= v <= prices.max() + 1e-9
-
-
-def test_compute_vwap_returns_three_dates():
-    dates = ["2020-01-01", "2020-01-02", "2020-01-03"]
-    bars = {
-        (dates[0], "A"): [(100.0, 1.0)],
-        (dates[1], "A"): [(105.0, 1.0)],
-        (dates[2], "A"): [(84.0, 1.0)],
-    }
-    labels = oracle.compute_vwap_returns(bars, dates, ["A"])
-    assert labels[0, 0] == pytest.approx(0.05)
-    assert labels[1, 0] == pytest.approx(-0.2)
-    assert np.isnan(labels[2, 0])
-    vwap, _ = vwap_matrix([0, 1, 2], [0, 0, 0], [100.0, 105.0, 84.0], [1.0, 1.0, 1.0],
-                          dates, ["A"])
-    np.testing.assert_array_equal(returns_from_prices(vwap), labels)
+def test_compute_vwap_returns_three_dates(tmp_path):
+    # labels[t] = price[t + 1] / price[t] - 1, and the last date has none
+    f = _write(tmp_path / "features.csv", "datetime,instrument,f0\n" + "".join(
+        f"2020-01-0{d},A,1.0\n" for d in (1, 2, 3)))
+    p = _write(tmp_path / "prices.csv", "datetime,instrument,price,volume\n"
+               "2020-01-01,A,100.0,1\n2020-01-02,A,105.0,2\n2020-01-03,A,84.0,3\n")
+    ds = load_panel(f, p)
+    np.testing.assert_array_equal(ds.vwap[:, 0], [100.0, 105.0, 84.0])
+    np.testing.assert_array_equal(ds.volume[:, 0], [1.0, 2.0, 3.0])
+    assert ds.labels[0, 0] == pytest.approx(0.05)
+    assert ds.labels[1, 0] == pytest.approx(-0.2)
+    assert np.isnan(ds.labels[2, 0])
 
 
 def test_membership_loaders(tmp_path):
@@ -832,46 +811,46 @@ def test_load_panel_refuses_a_price_that_is_not_positive_and_finite(tmp_path, pr
 def test_load_panel_refuses_an_infinite_volume(tmp_path):
     f = _write(tmp_path / "features.csv", FEATURES_2x2x3)
     prices = PRICES_2x2.replace("2020-01-02,B,49.0,1000.0", "2020-01-02,B,49.0,inf")
-    with pytest.raises(DataError, match="line 5: volume inf is not finite"):
+    with pytest.raises(DataError, match="line 5: volume inf is not positive and finite$"):
         load_panel(f, _write(tmp_path / "prices.csv", prices))
 
 
-def test_several_bars_per_cell_match_compute_vwap(tmp_path):
-    rng = np.random.default_rng(7)
+def test_a_second_price_row_for_a_cell_is_refused(tmp_path):
+    # before: the rows of a cell were averaged by volume, so a repeated
+    # row silently moved the cell's price and both labels around it
     f = _write(tmp_path / "features.csv", FEATURES_2x2x3)
-    cells = [(d, s) for d in ("2020-01-01", "2020-01-02") for s in ("A", "B")]
-    bars = {c: [(float(rng.uniform(10, 200)), float(rng.integers(1, 10**6)))
-                for _ in range(int(rng.integers(1, 6)))] for c in cells}
-    assert max(map(len, bars.values())) > 1
-    # round robin, last cell first: a cell's bars are spread through the
-    # file but keep their order
-    lines = [f"{d},{s},{format_float(p)},{format_float(v)}"
-             for j in range(5) for d, s in cells[::-1] if j < len(bars[d, s])
-             for p, v in [bars[d, s][j]]]
-    p = _write(tmp_path / "prices.csv",
-               "datetime,instrument,price,volume\n" + "\n".join(lines) + "\n")
-    ds = load_panel(f, p)
-    for (d, s), cell in bars.items():
-        t, i = ds.dates.index(d), ds.instruments.index(s)
-        assert ds.vwap[t, i] == oracle.compute_vwap(cell)
-        assert ds.volume[t, i] == sum(v for _, v in cell)
+    repeated = PRICES_2x2 + "2020-01-01,A,80.0,1000.0\n"
+    with pytest.raises(DataError,
+                       match=r"prices.csv: line 6: duplicate \(date, instrument\) pair$"):
+        load_panel(f, _write(tmp_path / "prices.csv", repeated))
+    # the repeat is refused wherever it stands, the same as an exact copy
+    moved = PRICES_2x2.replace("2020-01-02,B,", "2020-01-01,A,")
+    with pytest.raises(DataError, match="p1.csv: line 5: duplicate"):
+        load_panel(f, _write(tmp_path / "p1.csv", moved))
 
 
 def test_vwap_errors_name_the_first_bad_cell(tmp_path):
+    # before: a negative or all-zero volume was refused with no file or
+    # line, and only once the whole file was read
     f = _write(tmp_path / "features.csv", FEATURES_2x2x3)
     prices = (
         "datetime,instrument,price,volume\n"
-        "2020-01-02,A,100.0,-7.0\n"
+        "2020-01-02,A,100.0,7.0\n"
         "2020-01-01,B,50.0,0.0\n"
-        "2020-01-01,B,51.0,0.0\n"
+        "2020-01-01,B,51.0,-1.0\n"
         "2020-01-01,A,50.0,-3.0\n"
-        "2020-01-01,A,50.0,-4.0\n"
     )
-    with pytest.raises(DataError, match=r"^negative volume -3.0$"):
+    with pytest.raises(DataError, match=r"p.csv: line 3: volume 0.0 is not positive and finite$"):
         load_panel(f, _write(tmp_path / "p.csv", prices))
-    zero = prices.replace("-3.0", "3.0").replace("-4.0", "4.0")
-    with pytest.raises(DataError, match="non-positive VWAP denominator"):
-        load_panel(f, _write(tmp_path / "z.csv", zero))
+    # a bad volume is reported before a duplicate on the same line
+    positive = prices.replace(",0.0\n", ",2.0\n")
+    with pytest.raises(DataError, match=r"line 4: volume -1.0 is not positive and finite$"):
+        load_panel(f, _write(tmp_path / "p1.csv", positive))
+    with pytest.raises(DataError, match=r"line 4: duplicate \(date, instrument\) pair$"):
+        load_panel(f, _write(tmp_path / "p2.csv", positive.replace("-1.0", "1.0")))
+    unique = positive.replace("2020-01-01,B,51.0,-1.0", "2020-01-02,B,51.0,1.0")
+    with pytest.raises(DataError, match=r"line 5: volume -3.0 is not positive and finite$"):
+        load_panel(f, _write(tmp_path / "p3.csv", unique))
 
 
 def test_vwap_of_a_huge_price(tmp_path):
@@ -883,11 +862,11 @@ def test_vwap_of_a_huge_price(tmp_path):
         warnings.simplefilter("error")
         ds = load_panel(f, _write(tmp_path / "p.csv", prices))
     assert ds.vwap[1, 1] == 1e308
-    # two such bars in one cell: sums no float holds
+    # a second such row for the cell is a repeated pair, not a sum
     prices += "2020-01-02,B,1e308,1000.0\n"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DataError, match=r"^the VWAP sums of B on 2020-01-02 overflow$"):
+        with pytest.raises(DataError, match="p2.csv: line 6: duplicate"):
             load_panel(f, _write(tmp_path / "p2.csv", prices))
 
 
