@@ -8,15 +8,15 @@ cell wrapped in double quotes, its own doubled, only when it holds `,`,
 ISO-8601, and a file whose first column is `datetime` has a calendar day
 in every row. Floats are written in shortest round-trip positional
 notation: the digits of `repr`, never exponent notation, so a load/write
-cycle of canonical files is byte-identical. Writers work a whole column or
-day at a time. Every reader streams its file through `_read_table` in
-blocks of at most CHUNK_CELLS cells, so a loader holds its output arrays
-and one block of rows, however long the file is, and of several faults
-reports the one on the earliest line.
+cycle of canonical files is byte-identical. Every reader streams its file
+through `_read_table` in blocks of at most CHUNK_CELLS cells, so a loader
+holds its output arrays and one block of rows, however long the file is,
+and of several faults reports the one on the earliest line. Every CSV the
+program reads back is written by `_write_table`, a block of rows at a time.
 
-A file the program reads back (features, prices, predictions, factors,
-backtest.csv, the checkpoint) refuses a non-finite number; a report table,
-written by `_write_rows`, writes it as nan, inf or -inf.
+A file the program reads back, the checkpoint included, refuses a
+non-finite number before it is opened, so a refused write leaves no file;
+a report table, written by `_write_rows`, writes it as nan, inf or -inf.
 """
 
 from __future__ import annotations
@@ -73,15 +73,6 @@ def format_float(v: float) -> str:
     return format_floats([v])[0]
 
 
-def _write_lines(path, header, lines):
-    """Write the header and `lines`, LINES_PER_WRITE lines per write call."""
-    lines = iter(lines)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        while block := list(islice(lines, LINES_PER_WRITE)):
-            fh.write("\n".join(block) + "\n")
-
-
 def _quote(cell: str) -> str:
     """`cell` as written: in double quotes, with its own doubled, when it
     holds `,`, `"`, CR or LF, and as is otherwise."""
@@ -105,7 +96,35 @@ def _cell(value) -> str:
 
 
 def _write_rows(path, header, rows):
-    _write_lines(path, header, (",".join(map(_cell, row)) for row in rows))
+    rows = iter(rows)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        while block := list(islice(rows, LINES_PER_WRITE)):
+            fh.write("".join(",".join(map(_cell, row)) + "\n" for row in block))
+
+
+def _write_table(path, header, keys, values) -> None:
+    """Write the table `_read_table` reads: row r is each key column's
+    cell of code r, each key column given as (its distinct cells, [R]
+    codes), then the [R, C] `values[r]` in `format_floats` digits, in
+    blocks of LINES_PER_WRITE rows. A non-finite value is refused by its
+    column and row before the file is opened, so `path` is left as it was.
+    """
+    finite = np.isfinite(values)
+    if not finite.all():
+        r, c = divmod(int(np.argmin(finite)), values.shape[1])
+        row = ", ".join(cells[codes[r]] for cells, codes in keys)
+        raise DataError(f"{path}: refusing to write {header[len(keys) + c]} "
+                        f"{float(values[r, c])!r} of row ({row})")
+    keys = [(list(map(_quote, cells)), codes) for cells, codes in keys]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for a in range(0, len(values), LINES_PER_WRITE):
+            block = slice(a, a + LINES_PER_WRITE)
+            cells = format_floats(values[block])
+            columns = [map(q.__getitem__, codes[block].tolist()) for q, codes in keys]
+            columns += [cells[c::values.shape[1]] for c in range(values.shape[1])]
+            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
 def _is_day(s: str) -> bool:
@@ -213,15 +232,6 @@ def _read_table(path, header, keys: int, keep=None):
                 line += len(block)
     except (OSError, csv.Error) as exc:
         raise DataError(f"{path}: {exc}") from exc
-
-
-def _write_dated(path, header, dates: list[str], columns) -> None:
-    """Write the table `_read_dated` reads: per day, the day and then one
-    number from each of `columns`."""
-    cells = format_floats(np.column_stack(columns))
-    width = len(columns)
-    _write_lines(path, header, (",".join([day, *cells[t * width: (t + 1) * width]])
-                                for t, day in enumerate(dates)))
 
 
 def _read_dated(path, header) -> tuple[list[str], np.ndarray]:
@@ -481,11 +491,10 @@ class PredictionSeries:
         return t, i
 
     def write_csv(self, path) -> None:
-        t, i = np.nonzero(np.isfinite(self.scores))
-        cells = format_floats(self.scores[t, i])
-        dates = map(self.dates.__getitem__, t.tolist())
-        instruments = map(list(map(_quote, self.instruments)).__getitem__, i.tolist())
-        _write_lines(path, PREDICTIONS_HEADER, map(",".join, zip(dates, instruments, cells)))
+        """Write every cell that is not NaN, in (date, instrument) order."""
+        t, i = np.nonzero(~np.isnan(self.scores))
+        _write_table(path, PREDICTIONS_HEADER, [(self.dates, t), (self.instruments, i)],
+                     self.scores[t, i][:, None])
 
     @classmethod
     def read_csv(cls, path) -> "PredictionSeries":
@@ -547,7 +556,8 @@ def load_panel(features_path, prices_path) -> PanelDataset:
     instrument) pair is refused. The prices file is a date x instrument
     grid too, one row per cell, read by `_read_grid` like the features:
     a repeated pair, and a price or volume that is missing or not
-    positive and finite, are refused by line. Labels are next-day price
+    positive and finite, are refused by line, and a file that prices no
+    cell of the features is refused. Labels are next-day price
     returns, and cells without a next-day price are simply unobserved;
     the first return, in (date, instrument) order, too large for a float
     is refused. Of several faults the one on the earliest line is
@@ -578,6 +588,9 @@ def load_panel(features_path, prices_path) -> PanelDataset:
     price_dates, price_names, cells, _ = _read_grid(
         _positive_prices(table, prices_path), ["price", "volume"], missing_ok=False,
         path=prices_path)
+    # the kept rows are the universe's, so any row prices a cell
+    if not price_dates:
+        raise DataError(f"{prices_path}: prices no (date, instrument) cell of {features_path}")
     at = np.ix_(_positions(price_dates, dates), _positions(price_names, instruments))
     vwap, volume = np.full((2, len(dates), len(instruments)), np.nan)
     vwap[at], volume[at] = cells[..., 0], cells[..., 1]
@@ -598,32 +611,17 @@ def load_panel(features_path, prices_path) -> PanelDataset:
 
 
 def write_panel(ds: PanelDataset, features_path, prices_path) -> None:
-    """Write the canonical CSV pair: sorted rows, one price row per priced
-    cell."""
-    n_feat = ds.n_features
-    feat_header = ["datetime", "instrument"] + [
-        f"{FEATURE_PREFIX}{i}" for i in range(n_feat)
-    ]
-    names = list(map(_quote, ds.instruments))
-
-    def feature_lines():
-        for ti, dt in enumerate(ds.dates):
-            cells = format_floats(ds.features[ti])
-            for ii, inst in enumerate(names):
-                yield ",".join([dt, inst, *cells[ii * n_feat: (ii + 1) * n_feat]])
-
-    _write_lines(features_path, feat_header, feature_lines())
-    present = ds.present_mask
-
-    def price_lines():
-        for ti, dt in enumerate(ds.dates):
-            cols = np.flatnonzero(present[ti])
-            prices = format_floats(ds.vwap[ti, cols])
-            volumes = format_floats(ds.volume[ti, cols])
-            for ii, price, volume in zip(cols.tolist(), prices, volumes):
-                yield f"{dt},{names[ii]},{price},{volume}"
-
-    _write_lines(prices_path, PRICES_HEADER, price_lines())
+    """Write the canonical CSV pair in (date, instrument) order: a feature
+    row per cell, and a price row per cell whose price is not NaN."""
+    d, n, f = ds.features.shape
+    header = ["datetime", "instrument"] + [f"{FEATURE_PREFIX}{k}" for k in range(f)]
+    t, i = np.indices((d, n)).reshape(2, -1)
+    _write_table(features_path, header, [(ds.dates, t), (ds.instruments, i)],
+                 ds.features.reshape(d * n, f))
+    priced = ~np.isnan(ds.vwap)
+    values = np.column_stack([ds.vwap[priced], ds.volume[priced]])
+    t, i = np.nonzero(priced)
+    _write_table(prices_path, PRICES_HEADER, [(ds.dates, t), (ds.instruments, i)], values)
 
 
 def load_membership(path) -> dict[str, str]:
@@ -663,8 +661,8 @@ def load_factors(path) -> FactorSeries:
 
 
 def write_factors(fs: FactorSeries, path) -> None:
-    _write_dated(path, FACTORS_HEADER, fs.dates,
-                 [fs.risk_free] + [fs.factors[name] for name in FACTOR_NAMES])
+    _write_table(path, FACTORS_HEADER, [(fs.dates, np.arange(len(fs.dates)))],
+                 np.column_stack([fs.risk_free] + [fs.factors[name] for name in FACTOR_NAMES]))
 
 
 # ---------------------------------------------------------------------------

@@ -379,5 +379,6 @@ def predict_sliding(
             if here:
                 rows.append((ds.dates[t], inst, score))
     if not rows:
-        raise DataError("no window-end dates at or after start_date")
+        raise DataError("no instrument is priced on a window-end date" + (
+            f" at or after start_date {start_date}" if start_date is not None else ""))
     return PredictionSeries(rows)

@@ -843,8 +843,8 @@ def test_backtest_writes_its_per_day_flags(workdir, tmp_path):
     d = ds.dates
     # S000 has no price on d[2], so it earns no return over d[1] -> d[2]
     prices = tmp_path / "prices.csv"
-    prices.write_text("".join(line for line in (data / "prices.csv").open()
-                              if not line.startswith(f"{d[2]},S000,")))
+    with (data / "prices.csv").open() as fh:
+        prices.write_text("".join(line for line in fh if not line.startswith(f"{d[2]},S000,")))
     predictions = tmp_path / "predictions.csv"
     PredictionSeries([(d[1], s, float(-k)) for k, s in enumerate(ds.instruments)]
                      + [(d[3], "S001", 1.0), (d[3], "S002", 0.5)]).write_csv(predictions)
@@ -862,6 +862,20 @@ def test_backtest_writes_its_per_day_flags(workdir, tmp_path):
     assert rows[-2:] == [["flag", flag] for flag in flags]
 
 
+def panel_commands(root):
+    """The arguments, besides --out and the panel, of one small run of
+    each command that loads a panel."""
+    predictions = ["--predictions", str(root / "preds" / "predictions.csv")]
+    return {
+        "train": ["--window", "8", "--hidden", "8", "--knn", "3", "--epochs", "1",
+                  "--valid-start", "2015-03-01"] + graph_args(root),
+        "predict": ["--checkpoint", str(root / "model" / "checkpoint.json")]
+        + graph_args(root),
+        "evaluate": predictions,
+        "backtest": predictions + ["--k", "2", "--n-drop", "1"],
+    }
+
+
 def test_commands_refuse_a_features_file_missing_a_row(workdir, tmp_path, capsys):
     # before: S003 was dropped from the whole panel, so its last-date gap
     # removed it from every earlier date's scores and moved the others',
@@ -873,21 +887,13 @@ def test_commands_refuse_a_features_file_missing_a_row(workdir, tmp_path, capsys
     features.write_text("\n".join([header] + [row for row in rows
                                               if not row.startswith(f"{last},S003,")]) + "\n")
     panel = ["--features", str(features), "--prices", str(data / "prices.csv")]
-    predictions = ["--predictions", str(workdir / "preds" / "predictions.csv")]
-    runs = {
-        "train": ["--window", "8", "--hidden", "8", "--knn", "3", "--epochs", "1",
-                  "--valid-start", "2015-03-01"] + graph_args(workdir),
-        "predict": ["--checkpoint", str(workdir / "model" / "checkpoint.json")]
-        + graph_args(workdir),
-        "evaluate": predictions,
-        "backtest": predictions + ["--k", "2", "--n-drop", "1"],
-    }
-    for command, args in runs.items():
+    for command, args in panel_commands(workdir).items():
         out = tmp_path / command
         assert cli.main([command, "--out", str(out)] + panel + args) == cli.EXIT_DATA
         assert capsys.readouterr().err == f"error: {features}: S003 has no row on {last}\n"
         assert not out.exists()
-    assert cli.main(["evaluate", "--out", str(tmp_path / "full")] + predictions
+    assert cli.main(["evaluate", "--out", str(tmp_path / "full"), "--predictions",
+                     str(workdir / "preds" / "predictions.csv")]
                     + panel_args(workdir)) == cli.EXIT_OK
     assert set(read_manifest(tmp_path / "full")) == {
         "artifacts", "command", "config", "environment", "inputs", "wall_time_seconds"}
@@ -926,8 +932,8 @@ def test_backtest_refuses_a_day_no_instrument_earns(workdir, tmp_path, capsys):
     dates = load_panel(data / "features.csv", data / "prices.csv").dates
     gap = dates[20]
     prices = tmp_path / "prices.csv"
-    prices.write_text("".join(line for line in (data / "prices.csv").open()
-                              if not line.startswith(f"{gap},")))
+    with (data / "prices.csv").open() as fh:
+        prices.write_text("".join(line for line in fh if not line.startswith(f"{gap},")))
     panel = ["--features", str(data / "features.csv"), "--prices", str(prices)]
     predictions = ["--predictions", str(workdir / "preds" / "predictions.csv")]
     assert cli.main(["evaluate", "--out", str(tmp_path / "eval")] + predictions
@@ -1136,6 +1142,9 @@ def test_regress_refuses_a_backtest_day_missing_from_the_factors(workdir, tmp_pa
     assert not (tmp_path / "reg").exists()
 
 
+UNPRICED = "prices no (date, instrument) cell of"
+
+
 @pytest.mark.parametrize("old, new, fault", [
     ("2015-01-02,", "2015-13-02,", "is not a YYYY-MM-DD day"),
     (None, "-1.5", "price -1.5 is not positive and finite"),
@@ -1150,31 +1159,45 @@ def test_regress_refuses_a_backtest_day_missing_from_the_factors(workdir, tmp_pa
                  id="volume-minus-3"),
     pytest.param(3, "inf", "prices.csv: line 6: volume inf is not positive and finite",
                  id="volume-inf"),
+    # a callable rewrites the price lines into a file that prices no cell
+    # of the panel, which every command refuses naming both files
+    pytest.param(lambda lines: lines[:1], None, UNPRICED, id="header-only"),
+    pytest.param(lambda lines: [line.replace("2015-", "2014-") for line in lines], None,
+                 UNPRICED, id="other-dates"),
+    pytest.param(lambda lines: [line.replace(",S0", ",T0") for line in lines], None,
+                 UNPRICED, id="other-instruments"),
 ])
 def test_bad_dates_and_prices_exit_3_with_one_error_line(workdir, tmp_path, capsys,
                                                          old, new, fault):
     # before: a repeated row was averaged into its cell by volume, and a
-    # volume of zero or below was refused naming no file or line
+    # volume of zero or below was refused naming no file or line; and a
+    # prices.csv with only its header failed each command differently:
+    # train exited 2 naming the validation window, predict named a
+    # start_date it was not given, and evaluate and backtest named days
     data = workdir / "data"
     features = tmp_path / "features.csv"
     prices = tmp_path / "prices.csv"
     feat_text = (data / "features.csv").read_text()
     price_lines = (data / "prices.csv").read_text().splitlines()
-    if not isinstance(old, str):
+    if callable(old):
+        price_lines = old(price_lines)
+    elif not isinstance(old, str):
         cells = price_lines[5].split(",")
         cells[2 if old is None else old] = new
         price_lines[5] = ",".join(cells)
     features.write_text(feat_text.replace(old, new) if isinstance(old, str) else feat_text)
     prices.write_text("\n".join(price_lines) + "\n")
-    out = tmp_path / "model"
-    rc = cli.main(["train", "--out", str(out), "--features", str(features),
-                   "--prices", str(prices)] + graph_args(workdir)
-                  + ["--valid-start", "2015-03-01", "--epochs", "1"])
-    assert rc == cli.EXIT_DATA
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and fault in err[0], err
-    assert "line " in err[0]
-    assert not out.exists()
+    panel = ["--features", str(features), "--prices", str(prices)]
+    for command, args in panel_commands(workdir).items():
+        out = tmp_path / command
+        assert cli.main([command, "--out", str(out)] + panel + args) == cli.EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        if callable(old):
+            assert err == [f"error: {prices}: {fault} {features}"], err
+        else:
+            assert len(err) == 1 and err[0].startswith("error:") and fault in err[0], err
+            assert "line " in err[0]
+        assert not out.exists()
 
 
 def _command_args(command, root, tmp_path):

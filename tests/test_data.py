@@ -663,6 +663,49 @@ def test_format_floats_rejects_first_non_finite():
         format_floats(np.array([[0.5, float("nan")], [float("-inf"), 2.0]]))
 
 
+def _refused_write(case, tmp_path):
+    """A write of one file of a synthetic market whose arrays were changed
+    so that it is refused, that file, and the value and row it names."""
+    ds, _, fs = generate_synthetic(SynthConfig(n_instruments=8, days=300))
+    day = ds.dates[200]
+    preds = PredictionSeries([(d, s, float(ds.features[t, i, 0]))
+                              for t, d in enumerate(ds.dates)
+                              for i, s in enumerate(ds.instruments)])
+    result = run_backtest(preds, ds, StrategyConfig(k=2, n_drop=1))
+    f, p, path = tmp_path / "f.csv", tmp_path / "p.csv", tmp_path / f"{case}.csv"
+    if case == "features":
+        ds.features[200, 3, 1] = np.nan
+        return lambda: write_panel(ds, f, p), f, f"f1 nan of row ({day}, S003)"
+    if case == "prices":
+        ds.volume[200, 5] = np.inf
+        return lambda: write_panel(ds, f, p), p, f"volume inf of row ({day}, S005)"
+    if case == "predictions":
+        preds.scores[200, 2] = -np.inf
+        return lambda: preds.write_csv(path), path, f"score -inf of row ({day}, S002)"
+    if case == "factors":
+        fs.factors["hml"][200] = np.nan
+        return lambda: write_factors(fs, path), path, f"hml nan of row ({day})"
+    result.cum_excess[199] = np.inf
+    return (lambda: result.write_csv(path), path,
+            f"cum_excess inf of row ({result.dates[199]})")
+
+
+@pytest.mark.parametrize("case", ["features", "prices", "predictions", "factors", "backtest"])
+def test_a_refused_write_leaves_no_file_and_names_it(tmp_path, case):
+    # before: write_panel opened features.csv before it checked a value, so
+    # a NaN feature truncated the earlier file and an infinite volume left
+    # prices.csv with only its header; no refusal named a file or a row
+    write, path, refused = _refused_write(case, tmp_path)
+    refusal = "^" + re.escape(f"{path}: refusing to write {refused}") + "$"
+    with pytest.raises(DataError, match=refusal):
+        write()
+    assert not path.exists()
+    path.write_bytes(b"earlier,file\n")
+    with pytest.raises(DataError, match=refusal):
+        write()
+    assert path.read_bytes() == b"earlier,file\n"
+
+
 def test_bad_number_reports_its_line_and_empty_cell_is_nan(tmp_path):
     p = _write(tmp_path / "prices.csv", PRICES_2x2)
     lines = FEATURES_2x2x3.splitlines()
@@ -1054,17 +1097,24 @@ def test_dated_and_membership_loaders_do_not_depend_on_block_size(
 @settings(max_examples=20, deadline=None)
 @given(n_lines=st.integers(0, 7), per_write=st.integers(1, 4))
 def test_writers_do_not_depend_on_lines_per_write(n_lines, per_write):
-    ds, _, _ = generate_synthetic(SynthConfig(n_instruments=4, n_features=3, days=8,
+    ds, _, fs = generate_synthetic(SynthConfig(n_instruments=4, n_features=3, days=8,
                                               seed=n_lines))
     preds = PredictionSeries([(d, s, float(ds.features[t, i, 0]))
                               for t, d in enumerate(ds.dates[:n_lines])
                               for i, s in enumerate(ds.instruments)])
+    result = run_backtest(PredictionSeries([(d, s, float(ds.features[t, i, 0]))
+                                            for t, d in enumerate(ds.dates)
+                                            for i, s in enumerate(ds.instruments)]),
+                          ds, StrategyConfig(k=2, n_drop=1))
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-        paths = [Path(tmp, name) for name in ("features.csv", "prices.csv", "preds.csv")]
+        paths = [Path(tmp, name) for name in ("features.csv", "prices.csv", "preds.csv",
+                                              "factors.csv", "backtest.csv")]
 
         def written():
             write_panel(ds, *paths[:2])
             preds.write_csv(paths[2])
+            write_factors(fs, paths[3])
+            result.write_csv(paths[4])
             return [path.read_bytes() for path in paths]
 
         whole = written()
@@ -1078,10 +1128,9 @@ def test_loaders_hold_their_arrays_and_one_block(tmp_path):
     # the bytes of the arrays load_panel returns, and more for read_csv
     ds, _, _ = generate_synthetic(SynthConfig(n_instruments=400, days=120, seed=4))
     f, p, q = tmp_path / "features.csv", tmp_path / "prices.csv", tmp_path / "preds.csv"
-    write_panel(ds, f, p)
-    PredictionSeries([(d, s, float(ds.features[t, i, 0]))
-                      for t, d in enumerate(ds.dates)
-                      for i, s in enumerate(ds.instruments)]).write_csv(q)
+    preds = PredictionSeries([(d, s, float(ds.features[t, i, 0]))
+                              for t, d in enumerate(ds.dates)
+                              for i, s in enumerate(ds.instruments)])
 
     def peak(fn, *args):
         tracemalloc.start()
@@ -1090,6 +1139,14 @@ def test_loaders_hold_their_arrays_and_one_block(tmp_path):
             return out, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    # the writers hold their code arrays and one block of lines; before,
+    # write_csv held every line of the file, 17x its score grid
+    _, used = peak(write_panel, ds, f, p)
+    written = sum(getattr(ds, name).nbytes for name in ("features", "vwap", "volume"))
+    assert used <= written, (used, written)
+    _, used = peak(preds.write_csv, q)
+    assert used <= 5 * preds.scores.nbytes, (used, preds.scores.nbytes)
 
     panel, used = peak(load_panel, f, p)
     arrays = sum(getattr(panel, name).nbytes for name in (

@@ -1,7 +1,9 @@
 import hashlib
 import itertools
 import json
+import re
 import tempfile
+from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -429,8 +431,13 @@ def test_predict_sliding_errors():
         predict_sliding(ActModel(cfg, seed=0), ds, graphs)
     cfg = small_cfg(window=10)
     after_last = (date.fromisoformat(ds.dates[-1]) + timedelta(days=1)).isoformat()
-    with pytest.raises(DataError, match="no window-end dates"):
+    with pytest.raises(DataError, match=re.escape(
+            f"no instrument is priced on a window-end date at or after start_date {after_last}")):
         predict_sliding(ActModel(cfg, seed=0), ds, graphs, start_date=after_last)
+    # a panel priced on no window-end date names no start_date it was not given
+    unpriced = replace(ds, vwap=np.where(np.arange(len(ds.dates))[:, None] < 9, ds.vwap, np.nan))
+    with pytest.raises(DataError, match="^no instrument is priced on a window-end date$"):
+        predict_sliding(ActModel(cfg, seed=0), unpriced, graphs)
 
 
 @pytest.mark.parametrize("day", ["2015-01-32", "2015-1-20"])
