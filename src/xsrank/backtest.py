@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import PanelDataset, PredictionSeries, _read_dated, _write_table, format_float
+from .data import PanelDataset, PredictionSeries, _read_dated, _write_tables, format_float
 from .errors import ConfigError, DataError, check_kinds
 from .evaluate import _ratio
 
@@ -102,8 +102,8 @@ class BacktestResult:
     flags: list[str] = field(default_factory=list)
 
     def write_csv(self, path) -> None:
-        _write_table(path, BACKTEST_HEADER, [(self.dates, np.arange(len(self.dates)))],
-                     np.c_[self.portfolio, self.benchmark, self.excess, self.cum_excess])
+        _write_tables((path, BACKTEST_HEADER, [(self.dates, np.arange(len(self.dates)))],
+                       np.c_[self.portfolio, self.benchmark, self.excess, self.cum_excess]))
 
 
 def read_backtest_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:

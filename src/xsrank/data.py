@@ -12,7 +12,7 @@ cycle of canonical files is byte-identical. Every reader streams its file
 through `_read_table` in blocks of at most CHUNK_CELLS cells, so a loader
 holds its output arrays and one block of rows, however long the file is,
 and of several faults reports the one on the earliest line. Every CSV the
-program reads back is written by `_write_table`, a block of rows at a time.
+program reads back is written by `_write_tables`, a block of rows at a time.
 
 A file the program reads back, the checkpoint included, refuses a
 non-finite number before it is opened, so a refused write leaves no file;
@@ -103,28 +103,31 @@ def _write_rows(path, header, rows):
             fh.write("".join(",".join(map(_cell, row)) + "\n" for row in block))
 
 
-def _write_table(path, header, keys, values) -> None:
-    """Write the table `_read_table` reads: row r is each key column's
-    cell of code r, each key column given as (its distinct cells, [R]
-    codes), then the [R, C] `values[r]` in `format_floats` digits, in
-    blocks of LINES_PER_WRITE rows. A non-finite value is refused by its
-    column and row before the file is opened, so `path` is left as it was.
+def _write_tables(*tables) -> None:
+    """Write each (path, header, keys, values) table as `_read_table`
+    reads it: row r is each key column's cell of code r, each key column
+    given as (its distinct cells, [R] codes), then the [R, C] `values[r]`
+    in `format_floats` digits, in blocks of LINES_PER_WRITE rows. A
+    non-finite value in any table is refused by its path, column and row
+    before any file is opened, so every path is left as it was.
     """
-    finite = np.isfinite(values)
-    if not finite.all():
-        r, c = divmod(int(np.argmin(finite)), values.shape[1])
-        row = ", ".join(cells[codes[r]] for cells, codes in keys)
-        raise DataError(f"{path}: refusing to write {header[len(keys) + c]} "
-                        f"{float(values[r, c])!r} of row ({row})")
-    keys = [(list(map(_quote, cells)), codes) for cells, codes in keys]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for a in range(0, len(values), LINES_PER_WRITE):
-            block = slice(a, a + LINES_PER_WRITE)
-            cells = format_floats(values[block])
-            columns = [map(q.__getitem__, codes[block].tolist()) for q, codes in keys]
-            columns += [cells[c::values.shape[1]] for c in range(values.shape[1])]
-            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
+    for path, header, keys, values in tables:
+        finite = np.isfinite(values)
+        if not finite.all():
+            r, c = divmod(int(np.argmin(finite)), values.shape[1])
+            row = ", ".join(cells[codes[r]] for cells, codes in keys)
+            raise DataError(f"{path}: refusing to write {header[len(keys) + c]} "
+                            f"{float(values[r, c])!r} of row ({row})")
+    for path, header, keys, values in tables:
+        keys = [(list(map(_quote, cells)), codes) for cells, codes in keys]
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
+            for a in range(0, len(values), LINES_PER_WRITE):
+                block = slice(a, a + LINES_PER_WRITE)
+                cells = format_floats(values[block])
+                columns = [map(q.__getitem__, codes[block].tolist()) for q, codes in keys]
+                columns += [cells[c::values.shape[1]] for c in range(values.shape[1])]
+                fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
 def _is_day(s: str) -> bool:
@@ -493,8 +496,8 @@ class PredictionSeries:
     def write_csv(self, path) -> None:
         """Write every cell that is not NaN, in (date, instrument) order."""
         t, i = np.nonzero(~np.isnan(self.scores))
-        _write_table(path, PREDICTIONS_HEADER, [(self.dates, t), (self.instruments, i)],
-                     self.scores[t, i][:, None])
+        _write_tables((path, PREDICTIONS_HEADER, [(self.dates, t), (self.instruments, i)],
+                       self.scores[t, i][:, None]))
 
     @classmethod
     def read_csv(cls, path) -> "PredictionSeries":
@@ -612,16 +615,18 @@ def load_panel(features_path, prices_path) -> PanelDataset:
 
 def write_panel(ds: PanelDataset, features_path, prices_path) -> None:
     """Write the canonical CSV pair in (date, instrument) order: a feature
-    row per cell, and a price row per cell whose price is not NaN."""
+    row per cell, and a price row per cell whose price is not NaN. Both
+    are checked before either file is opened, so a refusal leaves both."""
     d, n, f = ds.features.shape
     header = ["datetime", "instrument"] + [f"{FEATURE_PREFIX}{k}" for k in range(f)]
-    t, i = np.indices((d, n)).reshape(2, -1)
-    _write_table(features_path, header, [(ds.dates, t), (ds.instruments, i)],
-                 ds.features.reshape(d * n, f))
-    priced = ~np.isnan(ds.vwap)
-    values = np.column_stack([ds.vwap[priced], ds.volume[priced]])
-    t, i = np.nonzero(priced)
-    _write_table(prices_path, PRICES_HEADER, [(ds.dates, t), (ds.instruments, i)], values)
+    # int32 codes: both tables are held while features.csv is written
+    t, i = np.indices((d, n), dtype=np.int32).reshape(2, -1)
+    priced = ~np.isnan(ds.vwap.ravel())
+    _write_tables(
+        (features_path, header, [(ds.dates, t), (ds.instruments, i)],
+         ds.features.reshape(d * n, f)),
+        (prices_path, PRICES_HEADER, [(ds.dates, t[priced]), (ds.instruments, i[priced])],
+         np.column_stack([ds.vwap.ravel()[priced], ds.volume.ravel()[priced]])))
 
 
 def load_membership(path) -> dict[str, str]:
@@ -661,8 +666,8 @@ def load_factors(path) -> FactorSeries:
 
 
 def write_factors(fs: FactorSeries, path) -> None:
-    _write_table(path, FACTORS_HEADER, [(fs.dates, np.arange(len(fs.dates)))],
-                 np.column_stack([fs.risk_free] + [fs.factors[name] for name in FACTOR_NAMES]))
+    _write_tables((path, FACTORS_HEADER, [(fs.dates, np.arange(len(fs.dates)))],
+                   np.column_stack([fs.risk_free] + [fs.factors[name] for name in FACTOR_NAMES])))
 
 
 # ---------------------------------------------------------------------------

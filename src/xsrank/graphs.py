@@ -5,8 +5,10 @@ is a set of cliques. A relation is stored as one [N] integer category
 code per instrument: two instruments are related when their codes are
 equal, and an instrument with no category has a code of its own. On a
 clique the GCN propagation D^-1/2 (A + I) D^-1/2 is the mean over the
-category, so no static [N, N] array is built in a forward pass. The
-dynamic k-NN graph is rebuilt per forward pass from the current
+category, so no static [N, N] array is built in a forward pass. Only
+the codes are kept: a forward pass builds the [C, N] mean matrices of a
+relation's C categories for its GCN call alone, so with no tape they
+are freed when the call returns. The dynamic k-NN graph is rebuilt per forward pass from the current
 representations; its construction is deliberately outside the tape, so
 no gradient flows through neighbor selection.
 
@@ -84,16 +86,6 @@ class RelationGraphs:
         out[np.arange(out.shape[1]) < degree[:, None]] = np.nonzero(related)[1]
         return out
 
-    @cached_property
-    def industry_mean(self) -> tuple[Tensor, Tensor]:
-        """`category_mean_matrices` of the industry codes, built on first use."""
-        return category_mean_matrices(self.industry)
-
-    @cached_property
-    def region_mean(self) -> tuple[Tensor, Tensor]:
-        """`category_mean_matrices` of the region codes, built on first use."""
-        return category_mean_matrices(self.region)
-
 
 def _category_codes(instruments: list[str], labels: dict[str, str]) -> np.ndarray:
     """[N] codes numbering categories in order of first appearance.
@@ -151,8 +143,9 @@ def category_mean_matrices(codes: np.ndarray) -> tuple[Tensor, Tensor]:
 def gcn_layer(x: Tensor, mean: tuple[Tensor, Tensor], weight: Tensor, bias: Tensor) -> Tensor:
     """One propagation step on a static clique relation: Ahat x W + b.
 
-    x is [..., N, d] and `mean` the relation's `category_mean_matrices`
-    (`RelationGraphs.industry_mean` or `region_mean`). With
+    x is [..., N, d] and `mean` the `category_mean_matrices` of the
+    relation's codes (`RelationGraphs.industry` or `region`), which a
+    forward pass builds for this call alone. With
     Ahat = D^-1/2 (A + I) D^-1/2, every entry of a category of s members
     is 1/s, so Ahat y is the category mean of y: onehot @ (pool @ y),
     both matrices broadcast against the batch. The activation is applied

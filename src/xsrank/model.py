@@ -38,6 +38,7 @@ from .decompose import causal_moving_average
 from .errors import ConfigError, DataError, check_kinds
 from .graphs import (
     RelationGraphs,
+    category_mean_matrices,
     cosine_similarity_matrix,
     gat_layer,
     gcn_layer,
@@ -227,6 +228,15 @@ def _gat(u: Tensor, neighbors: np.ndarray, model: ActModel, slope: float) -> Ten
                      model["gat_att_dst"], model["gat_out_w"], slope=slope)
 
 
+def steps_read(cfg: ActConfig) -> tuple[int, int, int]:
+    """Trailing steps of the trend, fluctuation and shock components that
+    the branches read: the trend's last one, the convolution's
+    `tcn_kernel` taps and the shock buffer's `shock_window` steps; an
+    "mlp" variant reads the last step alone."""
+    return (1, cfg.tcn_kernel if cfg.fci == "tcn" else 1,
+            cfg.shock_window if cfg.sci == "counterfactual" else 1)
+
+
 def pspe_forward(
     x_trend: np.ndarray,
     graphs: RelationGraphs,
@@ -253,18 +263,19 @@ def pspe_forward(
         z = _gat(x0, neighbors, model, slope)
         gate_mean = None
     else:
-        backs = []
-        fwds = []
-        for rel, mean in (("ind", graphs.industry_mean), ("reg", graphs.region_mean)):
-            h = tz.leaky_relu(
-                gcn_layer(x0, mean, model[f"gcn_{rel}_w"], model[f"gcn_{rel}_b"]), slope
-            )
+        # u = (x0 - back_ind) - back_reg, each back head subtracted as its
+        # relation finishes, so that with no tape only z_s and u_tilde
+        # are held when the similarity is built
+        u, fwds = x0, []
+        for rel, codes in (("ind", graphs.industry), ("reg", graphs.region)):
+            h = tz.leaky_relu(gcn_layer(x0, category_mean_matrices(codes),
+                                        model[f"gcn_{rel}_w"], model[f"gcn_{rel}_b"]), slope)
             fwds.append(tz.leaky_relu(tz.matmul(h, model[f"fwd_head_{rel}"]), slope))
-            backs.append(tz.matmul(h, model[f"back_head_{rel}"]))
-
-        u = tz.sub(tz.sub(x0, backs[0]), backs[1])
+            u = tz.sub(u, tz.matmul(h, model[f"back_head_{rel}"]))
+        del x0, h
         z_s = tz.matmul(tz.concat_last(fwds), model["static_mix_w"])
         u_tilde = tz.leaky_relu(tz.matmul(u, model["resid_proj_w"]), slope)
+        del fwds, u
 
         # hard TopK selection: detached, no gradient through construction
         neighbors = topk_graph(cosine_similarity_matrix(u_tilde.data), cfg.knn)
@@ -381,7 +392,8 @@ def act_forward_parts(
 
     Training, validation and prediction all score through it; `parts`
     is the value of decompose() for a [T, N, F] window, or for B of
-    them stacked on axis 1, [T, B, N, F]. Returns
+    them stacked on axis 1, [T, B, N, F], or any trailing steps of it
+    that hold the `steps_read` ones, with the same scores. Returns
     (y_hat [N] or [B, N], diagnostics) with the fusion weights `alpha`
     [..., N, 3], the `neighbors` [..., N, K] the trend branch attended
     over (the k-NN lists, or the -1 padded union lists for gat_only),

@@ -280,12 +280,11 @@ def _fw_layer_norm(inputs):
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError("layer_norm gamma/beta must match the last axis")
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = xc * inv
-    out = gamma * xhat + beta
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
+    xhat *= inv
+    out = gamma * xhat
+    out += beta
 
     def vjp(g, needs):
         dgamma = (g * xhat).reshape(-1, d).sum(axis=0)

@@ -15,11 +15,11 @@ import numpy as np
 
 from . import tensor as tz
 from .data import PanelDataset, PredictionSeries, _check_day, make_windows
-from .decompose import decompose
+from .decompose import Decomposition, decompose
 from .errors import ConfigError, DataError, NonFiniteError, ShapeError, check_kinds
 from .evaluate import pearson
 from .graphs import RelationGraphs
-from .model import ActConfig, ActModel, act_forward_parts
+from .model import ActConfig, ActModel, act_forward_parts, steps_read
 from .tensor import Tape, Tensor, backward
 
 LABEL_CLIP = 0.1
@@ -212,10 +212,14 @@ def _checked_windows(ds: PanelDataset, graphs: RelationGraphs,
 
 
 def _decompose_windows(ds: PanelDataset, ends: np.ndarray, cfg: ActConfig):
-    """Decomposition of the windows ending at `ends`, stacked on axis 1:
-    [T, B, N, F], gathered from the panel's feature rows."""
-    return decompose(ds.features[ends + np.arange(1 - cfg.window, 1)[:, None]],
-                     cfg.trend_window, cfg.fluct_window)
+    """Decomposition of the windows ending at `ends`, stacked on axis 1,
+    gathered from the panel's feature rows. All T steps are decomposed,
+    as the causal means need them, and each component keeps a copy of
+    only the `steps_read` trailing steps its branch reads: [S, B, N, F]."""
+    parts = decompose(ds.features[ends + np.arange(1 - cfg.window, 1)[:, None]],
+                      cfg.trend_window, cfg.fluct_window)
+    return Decomposition(*(c[-s:].copy() for c, s in
+                           zip((parts.trend, parts.fluct, parts.shock), steps_read(cfg))))
 
 
 def _score_windows(ds: PanelDataset, ends: np.ndarray, graphs: RelationGraphs,

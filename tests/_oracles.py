@@ -801,6 +801,8 @@ def load_panel_rows(features_path, prices_path):
                         f"date {price_rows[bad_day][0]!r} is not a YYYY-MM-DD day")
     if n_ok < len(price_rows):
         raise DataError(f"{prices_path}: line {n_ok + 2}: expected 4 columns")
+    if not bar_rows:
+        raise DataError(f"{prices_path}: prices no (date, instrument) cell of {features_path}")
 
     vwap = np.full((len(dates), len(instruments)), np.nan)
     volume = np.full_like(vwap, np.nan)

@@ -32,6 +32,7 @@ from xsrank.evaluate import summarize
 from xsrank.factor_reg import ff_regression, newey_west_se, ols
 from xsrank.graphs import (
     build_relation_graphs,
+    category_mean_matrices,
     cosine_similarity_matrix,
     gat_layer,
     gcn_layer,
@@ -191,7 +192,8 @@ def test_criterion_3_module_oracles():
     errs["gcn"] = max(
         np.max(np.abs(gcn_layer(Tensor(x), mean, Tensor(w), Tensor(b)).data
                       - oracle.gcn_np(x, adj, w, b)))
-        for mean, adj in ((graphs.industry_mean, ind_adj), (graphs.region_mean, reg_adj)))
+        for mean, adj in ((category_mean_matrices(graphs.industry), ind_adj),
+                          (category_mean_matrices(graphs.region), reg_adj)))
     sim = cosine_similarity_matrix(x)
     want_adj = oracle.topk_np(oracle.cosine_np(x), 2)
     errs["topk"] = float(

@@ -664,8 +664,9 @@ def test_format_floats_rejects_first_non_finite():
 
 
 def _refused_write(case, tmp_path):
-    """A write of one file of a synthetic market whose arrays were changed
-    so that it is refused, that file, and the value and row it names."""
+    """A write of a synthetic market's file, or of its panel's two, whose
+    arrays were changed so that it is refused, the file it names, and the
+    value and row it names."""
     ds, _, fs = generate_synthetic(SynthConfig(n_instruments=8, days=300))
     day = ds.dates[200]
     preds = PredictionSeries([(d, s, float(ds.features[t, i, 0]))
@@ -694,16 +695,21 @@ def _refused_write(case, tmp_path):
 def test_a_refused_write_leaves_no_file_and_names_it(tmp_path, case):
     # before: write_panel opened features.csv before it checked a value, so
     # a NaN feature truncated the earlier file and an infinite volume left
-    # prices.csv with only its header; no refusal named a file or a row
+    # prices.csv with only its header; no refusal named a file or a row.
+    # Then it checked the prices only after it wrote features.csv, so an
+    # infinite volume left a new features.csv beside the earlier prices.csv
     write, path, refused = _refused_write(case, tmp_path)
+    files = [tmp_path / "f.csv", tmp_path / "p.csv"] if case in ("features", "prices") else [path]
     refusal = "^" + re.escape(f"{path}: refusing to write {refused}") + "$"
     with pytest.raises(DataError, match=refusal):
         write()
-    assert not path.exists()
-    path.write_bytes(b"earlier,file\n")
+    assert not any(file.exists() for file in files)
+    for k, file in enumerate(files):
+        file.write_bytes(b"earlier,file%d\n" % k)
     with pytest.raises(DataError, match=refusal):
         write()
-    assert path.read_bytes() == b"earlier,file\n"
+    assert [file.read_bytes() for file in files] == [b"earlier,file%d\n" % k
+                                                     for k in range(len(files))]
 
 
 def test_bad_number_reports_its_line_and_empty_cell_is_nan(tmp_path):

@@ -1,6 +1,7 @@
 """Graph primitive tests against dense brute-force oracles."""
 
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -67,11 +68,12 @@ def test_relation_graphs_check_once_and_build_union_once():
     insts = [f"S{i}" for i in range(7)]
     g = build_relation_graphs(insts, {s: f"I{i // 3}" for i, s in enumerate(insts)},
                               {s: f"R{i % 2}" for i, s in enumerate(insts[:5])})
-    assert not {"union_neighbors", "industry_mean", "region_mean"} & vars(g).keys()
+    assert "union_neighbors" not in vars(g)
     want = oracle.neighbor_lists(oracle.union_np(*oracle.relation_adjacencies(g)))
     assert np.array_equal(g.union_neighbors, want)
     assert g.union_neighbors is g.union_neighbors
-    assert g.industry_mean is g.industry_mean and g.region_mean is g.region_mean
+    # no mean matrix is stored on the graphs: a forward pass builds its own
+    assert vars(g).keys() == {f.name for f in fields(RelationGraphs)} | {"union_neighbors"}
     # bad codes are refused when the graphs are built, not in a forward pass
     with pytest.raises(DataError):
         RelationGraphs(instruments=insts[:2], industry=np.eye(2),
@@ -136,7 +138,7 @@ def test_static_relations_allocate_no_square_array():
     tracemalloc.start()
     try:
         g = build_relation_graphs(insts, labels, labels)
-        gcn_layer(x, g.industry_mean, w, b)
+        gcn_layer(x, category_mean_matrices(g.industry), w, b)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -190,11 +192,12 @@ def test_gcn_layer_matches_dense_oracle_and_is_linear():
     at = adj + np.eye(n)
     dis = np.diag(1.0 / np.sqrt(at.sum(axis=1)))
     want = dis @ at @ dis @ x1 @ w + b
-    got = gcn_layer(Tensor(x1), g.industry_mean, Tensor(w), Tensor(b)).data
+    got = gcn_layer(Tensor(x1), category_mean_matrices(g.industry), Tensor(w), Tensor(b)).data
     np.testing.assert_allclose(got, want, atol=1e-9)
 
     # superposition in x with bias removed
-    f = lambda x: gcn_layer(Tensor(x), g.industry_mean, Tensor(w), Tensor(np.zeros(d))).data
+    f = lambda x: gcn_layer(Tensor(x), category_mean_matrices(g.industry), Tensor(w),
+                             Tensor(np.zeros(d))).data
     np.testing.assert_allclose(f(x1 + x2), f(x1) + f(x2), atol=1e-9)
 
 

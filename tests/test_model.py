@@ -2,6 +2,7 @@ import base64
 import itertools
 import json
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,8 @@ from _fd import finite_difference_check_params
 from _helpers import act_forward
 from xsrank import model as model_module
 from xsrank import tensor as tz
+from xsrank import training
+from xsrank.data import SynthConfig, generate_synthetic
 from xsrank.decompose import decompose
 from xsrank.errors import ConfigError, DataError
 from xsrank.graphs import RelationGraphs, build_relation_graphs
@@ -32,6 +35,7 @@ from xsrank.model import (
     pspe_forward,
     save_checkpoint,
     sci_forward,
+    steps_read,
 )
 from xsrank.tensor import Tensor
 
@@ -155,20 +159,18 @@ def test_act_forward_does_not_recheck_static_graphs(monkeypatch):
     check = RelationGraphs.__post_init__
     monkeypatch.setattr(RelationGraphs, "__post_init__",
                         lambda self: checked.append(self) or check(self))
+    stored = {f.name for f in fields(RelationGraphs)} | {"union_neighbors"}
     cached = []
     for pspe in ("full", "full", "gat_only", "gat_only"):
         cfg = small_cfg(pspe=pspe)
         y, _ = act_forward(make_window(cfg, n, rng), graphs, ActModel(cfg, seed=1))
         assert np.isfinite(y.data).all()
-        cached.append({name: vars(graphs).get(name)
-                       for name in ("industry_mean", "region_mean", "union_neighbors")})
-    # the codes were checked when the graphs were built; the GCN matrices
-    # are built once, by the first full pass, and the union lists once, by
-    # the first gat_only pass
+        assert vars(graphs).keys() <= stored
+        cached.append({"union_neighbors": vars(graphs).get("union_neighbors")})
+    # the codes were checked when the graphs were built; no GCN mean
+    # matrix is stored on the graphs, as each full pass builds its own,
+    # and the union lists are built once, by the first gat_only pass
     assert checked == []
-    for name in ("industry_mean", "region_mean"):
-        assert cached[0][name] is not None
-        assert all(c[name] is cached[0][name] for c in cached)
     assert cached[0]["union_neighbors"] is None and cached[1]["union_neighbors"] is None
     assert cached[2]["union_neighbors"] is not None
     assert cached[3]["union_neighbors"] is cached[2]["union_neighbors"]
@@ -615,6 +617,31 @@ def test_fci_depends_only_on_last_kernel_steps():
 
 
 VARIANTS = list(itertools.product(PSPE_MODES, FCI_MODES, SCI_MODES))
+
+
+@pytest.mark.parametrize("pspe,fci,sci", VARIANTS)
+def test_forward_on_the_kept_steps_equals_the_whole_decomposition(pspe, fci, sci):
+    # a window keeps copies of only the trailing steps its branches read,
+    # and scores as the decomposition of all its steps does, bit for bit,
+    # in training and in inference, down to windows shorter than the
+    # kernel and the shock buffer
+    ds, graphs = generate_synthetic(SynthConfig(n_instruments=6, n_features=4, days=12,
+                                                seed=3))[:2]
+    ends = np.array([7, 11])
+    for window in (1, 2, 8):
+        cfg = small_cfg(window=window, tcn_kernel=3, shock_window=5,
+                        pspe=pspe, fci=fci, sci=sci)
+        whole = decompose(np.stack([ds.features[e + 1 - window: e + 1] for e in ends], axis=1),
+                          cfg.trend_window, cfg.fluct_window)
+        kept = training._decompose_windows(ds, ends, cfg)
+        comps = (kept.trend, kept.fluct, kept.shock)
+        assert [len(c) for c in comps] == [min(s, window) for s in steps_read(cfg)]
+        assert all(c.base is None and c.flags["C_CONTIGUOUS"] for c in comps)
+        for train_mode in (False, True):
+            got, want = (act_forward_parts(parts, graphs, ActModel(cfg, seed=4),
+                                           training=train_mode)[0].data
+                         for parts in (kept, whole))
+            assert np.array_equal(got, want)
 
 
 def _windows(cfg, n, b, rng):

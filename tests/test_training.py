@@ -606,6 +606,30 @@ def test_train_memory_does_not_grow_with_the_panel():
     assert long - short < 2.0, (short, long)
 
 
+def test_one_n800_scoring_window_holds_one_similarity_and_little_else():
+    import tracemalloc
+
+    ds, graphs = generate_synthetic(SynthConfig(n_instruments=800, days=16, seed=5))[:2]
+    model = ActModel(ActConfig(n_features=ds.n_features), seed=5)
+    tracemalloc.start()
+    try:
+        # what the first window leaves behind is traced as held memory
+        predict_sliding(model, ds, graphs, start_date=ds.dates[-1])
+        tracemalloc.reset_peak()
+        predict_sliding(model, ds, graphs, start_date=ds.dates[-1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The k-NN graph needs the [N, N] cosine similarity, 5.12 MB. Beside
+    # it the window holds about 2.2 MB: the two [N, d] arrays that build
+    # it, u_tilde, z_s and the kept decomposition steps (7.31 MB in all).
+    # The bound, 7.68 MB, leaves 0.37 MB, less than one [N, 64] activation
+    # (0.41 MB). Before, the window also held the whole decomposition,
+    # x0, the four static heads and the cached GCN mean matrices: 14.3 MB.
+    similarity = 800 * 800 * 8
+    assert peak <= 1.5 * similarity, (peak, similarity)
+
+
 def test_train_batch_loss_is_the_mean_over_contributing_windows(monkeypatch):
     from xsrank import training
 
