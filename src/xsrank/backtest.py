@@ -38,49 +38,31 @@ class StrategyConfig:
             raise ConfigError("cost_bps must be >= 0")
 
 
-def topk_dropout_rebalance(
-    scores: dict[str, float],
-    holdings: frozenset[str],
-    cfg: StrategyConfig,
-) -> tuple[frozenset[str], dict]:
-    """One rebalance step; returns (new holdings, trade record).
+def topk_dropout_rebalance(scores: np.ndarray, held: np.ndarray,
+                           cfg: StrategyConfig) -> np.ndarray:
+    """One rebalance step: the book after trading on one grid row.
 
-    Held names without a score today rank below every scored name, so
-    the dropout pushes them out first. Just-sold names sit in the same
-    buy pool as everyone else and re-enter only on score merit. All
-    ties break toward the lower instrument id.
+    `scores` is the row, NaN where a column is unscored, and `held` the
+    [M] bool book over the same columns. Held names without a score
+    rank below every scored name, so the dropout pushes them out first.
+    Just-sold names sit in the same buy pool as everyone else and
+    re-enter only on score merit. All ties break toward the lower
+    column, which is the lower instrument id.
     """
-    target = min(cfg.k, len(scores))
-
-    def held_rank(inst):
-        if inst in scores:
-            return (0, -scores[inst], inst)
-        return (1, 0.0, inst)
-
-    ranked = sorted(holdings, key=held_rank)
-    n_sell = cfg.n_drop if len(holdings) >= target else max(
-        0, cfg.n_drop - (target - len(holdings))
-    )
-    n_sell = min(n_sell, len(holdings))
-    sold = ranked[len(ranked) - n_sell:] if n_sell else []
-    kept = set(ranked[: len(ranked) - n_sell])
-
-    pool = sorted(
-        (i for i in scores if i not in kept),
-        key=lambda i: (-scores[i], i),
-    )
-    bought = []
-    for inst in pool:
-        if len(kept) + len(bought) >= target:
-            break
-        bought.append(inst)
-    new_holdings = frozenset(kept | set(bought))
-    trade = {
-        "sold": sorted(sold),
-        "bought": sorted(bought),
-        "under_capacity": target < cfg.k,
-    }
-    return new_holdings, trade
+    scored = np.isfinite(scores)
+    target = min(cfg.k, int(np.count_nonzero(scored)))
+    cols = np.flatnonzero(held)
+    # worst last: scored first, then score descending, then column
+    ranked = cols[np.lexsort((cols, np.where(scored, -scores, 0.0)[cols], ~scored[cols]))]
+    # a book short of its target sells n_drop less the free slots
+    n_sell = min(len(cols), max(0, cfg.n_drop - max(0, target - len(cols))))
+    n_kept = len(cols) - n_sell
+    new = np.zeros_like(held)
+    new[ranked[:n_kept]] = True
+    pool = np.flatnonzero(scored & ~new)
+    pool = pool[np.argsort(-scores[pool], kind="stable")]
+    new[pool[:max(0, target - n_kept)]] = True
+    return new
 
 
 @dataclass
@@ -131,10 +113,10 @@ def run_backtest(
     costs turnover * cost_bps / 1e4.
     """
     t_pos, i_pos = preds.panel_positions(ds)
-    panel_index = dict(zip(preds.instruments, i_pos.tolist()))
+    names = np.array(preds.instruments, dtype=object)
     observed = ds.observed_mask
 
-    holdings: frozenset[str] = frozenset()
+    held = np.zeros(len(names), dtype=bool)
     dates_out: list[str] = []
     port_out: list[float] = []
     bench_out: list[float] = []
@@ -146,27 +128,24 @@ def run_backtest(
         t = t_pos[d]
         if t + 1 >= len(ds.dates):
             continue  # nothing left to earn after the final panel date
-        cols = np.flatnonzero(np.isfinite(preds.scores[d]))
-        scores = dict(zip([preds.instruments[k] for k in cols],
-                          preds.scores[d, cols].tolist()))
-
-        prev = holdings
-        holdings, trade = topk_dropout_rebalance(scores, holdings, cfg)
-        if trade["under_capacity"]:
-            flags.append(f"{date}: only {len(scores)} scored names, "
-                         f"holding {len(holdings)}")
-        ledger.append((date, tuple(sorted(holdings))))
+        prev = held
+        held = topk_dropout_rebalance(preds.scores[d], held, cfg)
+        cols = np.flatnonzero(held)
+        n_scored = int(np.count_nonzero(np.isfinite(preds.scores[d])))
+        if n_scored < cfg.k:
+            flags.append(f"{date}: only {n_scored} scored names, holding {len(cols)}")
+        ledger.append((date, tuple(names[cols])))
 
         # a name sold and bought back the same day leaves the book as it was
-        day_turnover = len(holdings ^ prev) / cfg.k
-        weight = 1.0 / len(holdings)
+        day_turnover = np.count_nonzero(held ^ prev) / cfg.k
+        earns = observed[t, i_pos[cols]]
+        flags += [f"{date}: no realized return for {inst}, frozen" for inst in names[cols[~earns]]]
+        weight = 1.0 / len(cols)
+        # summed one name at a time in column order: np.sum's pairwise
+        # order would move the last bits once more than 8 names are held
         ret = 0.0
-        for inst in sorted(holdings):
-            i = panel_index[inst]
-            if not observed[t, i]:
-                flags.append(f"{date}: no realized return for {inst}, frozen")
-                continue
-            ret += weight * ds.labels[t, i]
+        for label in ds.labels[t, i_pos[cols[earns]]]:
+            ret += weight * label
         ret -= day_turnover * cfg.cost_bps / 1e4
 
         realized = ds.labels[t][observed[t]]

@@ -231,7 +231,12 @@ def cmd_predict(args, settings):
     model = load_checkpoint(args.checkpoint)
     ds = standardize_features(load_panel(args.features, args.prices))
     graphs = load_graphs(ds, args.industry, args.region)
-    preds = predict_sliding(model, ds, graphs, start_date=settings.start_date)
+    try:
+        preds = predict_sliding(model, ds, graphs, start_date=settings.start_date)
+    except NonFiniteError as exc:
+        # standardized features are finite z-scores, so only the weights
+        # can overflow a forward pass
+        raise DataError(f"{args.checkpoint}: its weights overflow a forward pass: {exc}") from exc
     out = ensure_out(args)
     preds.write_csv(out / "predictions.csv")
     return ["predictions.csv"]

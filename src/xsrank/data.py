@@ -653,7 +653,11 @@ def load_membership(path) -> dict[str, str]:
 
 
 def write_membership(path, labels: dict[str, str]) -> None:
-    _write_rows(path, MEMBERSHIP_HEADER, ([i, c] for i, c in sorted(labels.items())))
+    """A keys-only table: each instrument and its category, by name."""
+    names = sorted(labels)
+    rows = np.arange(len(names))
+    _write_tables((path, MEMBERSHIP_HEADER, [(names, rows), ([labels[i] for i in names], rows)],
+                   np.empty((len(names), 0))))
 
 
 def load_factors(path) -> FactorSeries:

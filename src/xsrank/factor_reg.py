@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FACTOR_NAMES, FactorSeries, _write_rows
+from .data import FACTOR_NAMES, FactorSeries, _positions, _write_rows
 from .errors import ConfigError, DataError, check_kinds
 
 FF3_FACTORS = ["mktrf", "smb", "hml"]
@@ -175,17 +175,16 @@ def ff_regression(
     if len(dates) != returns.size:
         raise DataError("dates and returns length mismatch")
 
-    fac_index = {d: i for i, d in enumerate(factors.dates)}
-    missing = [d for d in dates if d not in fac_index]
-    if missing:
-        raise DataError(f"{len(missing)} of {len(dates)} return days have no "
-                        f"factor row; the first is {missing[0]}")
+    rows = _positions(dates, factors.dates)
+    missing = np.flatnonzero(rows < 0)
+    if missing.size:
+        raise DataError(f"{missing.size} of {len(dates)} return days have no "
+                        f"factor row; the first is {dates[missing[0]]}")
     p = len(names) + 1
     if len(dates) < p + lags + 2:
         raise DataError(
             f"need at least {p + lags + 2} aligned dates, got {len(dates)}"
         )
-    rows = [fac_index[d] for d in dates]
     y = returns - factors.risk_free[rows]
     x = np.column_stack(
         [np.ones(len(rows))] + [factors.factors[n][rows] for n in names]

@@ -15,7 +15,10 @@ list of (date, instrument, score) rows, so tests can pin the date x
 instrument grid versions bitwise against it. They correlate one
 cross-section per call with the 1-D `pearson`, `average_ranks` and
 `spearman` kept here, where the package stacks the cross-sections of one
-size; they share `_ratio` and `topk_dropout_rebalance` with the package.
+size; they share `_ratio` with the package. `rebalance_dict` keeps the
+earlier top-k dropout step on a dict of scores and a frozenset book,
+sorting names, so the package's column-mask rebalance is checked against
+code it does not share.
 
 The row-based loaders at the end keep the earlier `load_panel` and
 `PredictionSeries.read_csv`, which held every row of a file as a list of
@@ -30,7 +33,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from xsrank.backtest import BacktestResult, topk_dropout_rebalance
+from xsrank.backtest import BacktestResult
 from xsrank.data import (
     FACTOR_NAMES,
     FEATURE_PREFIX,
@@ -550,6 +553,48 @@ def subgroup_metrics_rows(rows, ds, grouping):
     return out
 
 
+def rebalance_dict(scores, holdings, cfg):
+    """One rebalance step; returns (new holdings, trade record).
+
+    The earlier `topk_dropout_rebalance`, on a {name: score} dict and a
+    frozenset book. Held names without a score today rank below every
+    scored name, so the dropout pushes them out first. Just-sold names
+    sit in the same buy pool as everyone else and re-enter only on score
+    merit. All ties break toward the lower instrument id.
+    """
+    target = min(cfg.k, len(scores))
+
+    def held_rank(inst):
+        if inst in scores:
+            return (0, -scores[inst], inst)
+        return (1, 0.0, inst)
+
+    ranked = sorted(holdings, key=held_rank)
+    n_sell = cfg.n_drop if len(holdings) >= target else max(
+        0, cfg.n_drop - (target - len(holdings))
+    )
+    n_sell = min(n_sell, len(holdings))
+    sold = ranked[len(ranked) - n_sell:] if n_sell else []
+    kept = set(ranked[: len(ranked) - n_sell])
+
+    pool = sorted(
+        (i for i in scores if i not in kept),
+        key=lambda i: (-scores[i], i),
+    )
+    bought = []
+    for inst in pool:
+        if len(kept) + len(bought) >= target:
+            break
+        bought.append(inst)
+    new_holdings = frozenset(kept | set(bought))
+    trade = {
+        "sold": sorted(sold),
+        "bought": sorted(bought),
+        "under_capacity": target < cfg.k,
+    }
+    return new_holdings, trade
+
+
 def run_backtest_rows(rows, ds, cfg):
     """`run_backtest` over rows in any order, with the default benchmark.
 
@@ -570,7 +615,7 @@ def run_backtest_rows(rows, ds, cfg):
         if t + 1 >= len(ds.dates):
             continue
         scores = by_date[date]
-        holdings, trade = topk_dropout_rebalance(scores, holdings, cfg)
+        holdings, trade = rebalance_dict(scores, holdings, cfg)
         if trade["under_capacity"]:
             flags.append(f"{date}: only {len(scores)} scored names, "
                          f"holding {len(holdings)}")

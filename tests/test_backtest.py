@@ -1,3 +1,4 @@
+import _oracles as oracle
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,25 +42,34 @@ def test_strategy_config_validation():
         StrategyConfig(k=3, n_drop=1, cost_bps=-1)
 
 
+def rebalance(names, scores, held, cfg):
+    """`topk_dropout_rebalance` on the sorted columns `names`, with
+    `scores` a {name: score} dict and `held` a set of names; returns the
+    book, the names sold (prev & ~new) and those bought (new & ~prev)."""
+    cols = np.array(list(names), dtype=object)
+    row = np.array([scores.get(name, np.nan) for name in cols])
+    prev = np.isin(cols, sorted(held))
+    new = topk_dropout_rebalance(row, prev, cfg)
+    assert new.dtype == bool and new.shape == prev.shape
+    return set(cols[new]), set(cols[prev & ~new]), set(cols[new & ~prev])
+
+
 def test_rebalance_cold_start_buys_top_k():
     cfg = StrategyConfig(k=3, n_drop=1)
     scores = {"A": 4.0, "B": 3.0, "C": 2.0, "D": 1.0}
-    holdings, trade = topk_dropout_rebalance(scores, frozenset(), cfg)
-    assert holdings == frozenset({"A", "B", "C"})
-    assert trade["sold"] == []
-    assert trade["bought"] == ["A", "B", "C"]
-    assert not trade["under_capacity"]
+    book, sold, bought = rebalance("ABCD", scores, set(), cfg)
+    assert book == {"A", "B", "C"}
+    assert sold == set()
+    assert bought == {"A", "B", "C"}
 
 
 def test_rebalance_drops_worst_and_buys_best_outsider():
     cfg = StrategyConfig(k=3, n_drop=1)
     scores = {"D": 10.0, "A": 3.0, "B": 2.0, "C": 1.0}
-    holdings, trade = topk_dropout_rebalance(
-        scores, frozenset({"A", "B", "C"}), cfg
-    )
-    assert holdings == frozenset({"A", "B", "D"})
-    assert trade["sold"] == ["C"]
-    assert trade["bought"] == ["D"]
+    book, sold, bought = rebalance("ABCD", scores, {"A", "B", "C"}, cfg)
+    assert book == {"A", "B", "D"}
+    assert sold == {"C"}
+    assert bought == {"D"}
 
 
 def test_rebalance_sold_name_can_reenter_on_merit():
@@ -67,55 +77,72 @@ def test_rebalance_sold_name_can_reenter_on_merit():
     # score it is bought right back
     cfg = StrategyConfig(k=2, n_drop=1)
     scores = {"A": 5.0, "B": 1.0, "C": 3.0}
-    holdings, trade = topk_dropout_rebalance(scores, frozenset({"A", "B"}), cfg)
-    assert trade["sold"] == ["B"]
-    assert trade["bought"] == ["C"]
-    assert holdings == frozenset({"A", "C"})
+    book, sold, bought = rebalance("ABC", scores, {"A", "B"}, cfg)
+    assert sold == {"B"}
+    assert bought == {"C"}
+    assert book == {"A", "C"}
 
+    # B is sold and bought back: the book, the only effect any output
+    # shows, is unchanged
     scores2 = {"A": 5.0, "B": 4.0, "C": 3.0}
-    holdings2, trade2 = topk_dropout_rebalance(scores2, frozenset({"A", "B"}), cfg)
-    assert trade2["sold"] == ["B"]
-    assert trade2["bought"] == ["B"]
-    assert holdings2 == frozenset({"A", "B"})
+    book2, sold2, bought2 = rebalance("ABC", scores2, {"A", "B"}, cfg)
+    assert book2 == {"A", "B"}
+    assert sold2 == bought2 == set()
 
 
 def test_rebalance_full_turnover_when_n_drop_equals_k():
     cfg = StrategyConfig(k=2, n_drop=2)
     scores = {"A": 1.0, "B": 2.0, "C": 3.0, "D": 4.0}
-    holdings, _ = topk_dropout_rebalance(scores, frozenset({"A", "B"}), cfg)
-    assert holdings == frozenset({"C", "D"})
+    book, _, _ = rebalance("ABCD", scores, {"A", "B"}, cfg)
+    assert book == {"C", "D"}
 
 
 def test_rebalance_unscored_holdings_sold_first():
     cfg = StrategyConfig(k=3, n_drop=1)
     scores = {"A": 9.0, "B": 8.0, "Y": 7.0}
-    holdings, trade = topk_dropout_rebalance(
-        scores, frozenset({"X", "Y", "Z"}), cfg
-    )
-    assert trade["sold"] == ["Z"]
-    assert trade["bought"] == ["A"]
-    assert holdings == frozenset({"A", "X", "Y"})
+    book, sold, bought = rebalance("ABXYZ", scores, {"X", "Y", "Z"}, cfg)
+    assert sold == {"Z"}
+    assert bought == {"A"}
+    assert book == {"A", "X", "Y"}
 
 
 def test_rebalance_ties_break_to_lower_id():
     cfg = StrategyConfig(k=3, n_drop=1)
     scores = {"A": 5.0, "B": 5.0, "C": 5.0, "D": 5.0}
-    holdings, trade = topk_dropout_rebalance(
-        scores, frozenset({"A", "C", "D"}), cfg
-    )
-    # among tied holdings the highest id ranks worst; among tied
-    # candidates the lowest id is bought first
-    assert trade["sold"] == ["D"]
-    assert trade["bought"] == ["B"]
-    assert holdings == frozenset({"A", "B", "C"})
+    book, sold, bought = rebalance("ABCD", scores, {"A", "C", "D"}, cfg)
+    # among tied holdings the highest column ranks worst; among tied
+    # candidates the lowest column is bought first
+    assert sold == {"D"}
+    assert bought == {"B"}
+    assert book == {"A", "B", "C"}
 
 
 def test_rebalance_under_capacity_flags():
+    # fewer scored names than k: the book holds every one of them, and
+    # run_backtest flags the day (test_run_backtest_under_capacity_flagged)
     cfg = StrategyConfig(k=3, n_drop=1)
     scores = {"A": 2.0, "B": 1.0}
-    holdings, trade = topk_dropout_rebalance(scores, frozenset(), cfg)
-    assert holdings == frozenset({"A", "B"})
-    assert trade["under_capacity"]
+    book, _, bought = rebalance("ABCD", scores, set(), cfg)
+    assert book == bought == {"A", "B"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=st.lists(st.tuples(st.sampled_from([np.nan, -0.0, 0.0, 1.0, 2.0]),
+                                st.booleans()), min_size=1, max_size=9),
+       k=st.integers(1, 6), drop_frac=st.floats(0.0, 1.0))
+def test_rebalance_equals_dict_oracle(cells, k, drop_frac):
+    # random books over few distinct scores: tied scores, unscored held
+    # names, and books larger than k or than the scored count
+    cfg = StrategyConfig(k=k, n_drop=1 + int(drop_frac * (k - 1)))
+    names = [f"S{i}" for i in range(len(cells))]
+    scores = {name: s for name, (s, _) in zip(names, cells) if np.isfinite(s)}
+    held = {name for name, (_, h) in zip(names, cells) if h}
+    want, trade = oracle.rebalance_dict(scores, frozenset(held), cfg)
+    book, sold, bought = rebalance(names, scores, held, cfg)
+    assert book == set(want)
+    # the oracle's trade record counts a name sold and bought back twice
+    assert sold == set(trade["sold"]) - set(trade["bought"])
+    assert bought == set(trade["bought"]) - set(trade["sold"])
 
 
 def hand_scenario():

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from xsrank import cli
+from xsrank import cli, data
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH_DIR = ROOT / "bench"
@@ -106,3 +106,34 @@ def test_tracer_finds_and_wraps_every_cli_name(tmp_path):
     names = {span[3] for span in tracer.spans}
     assert {"cli.cmd_synth", "cli.file_digest", "data.write_panel"} <= names
 
+
+
+def test_tracer_records_one_rebalance_span_per_traded_day(tmp_path):
+    # run_backtest calls topk_dropout_rebalance once per scored day that
+    # has a next return day, each call inside the run_backtest span
+    tracing = _load_bench("tracing")
+    tracer = tracing.Tracer()
+    config = tmp_path / "synth.cfg"
+    config.write_text("days=8\n")
+    synth = tmp_path / "synth"
+    assert cli.main(["synth", "--out", str(synth), "--config", str(config),
+                     "--n-instruments", "8"]) == cli.EXIT_OK
+    ds = data.load_panel(synth / "features.csv", synth / "prices.csv")
+    # every other day scored, the last panel day among them, and some
+    # names unscored on each
+    scored = ds.dates[::-2]
+    rows = [(day, inst, float((t * 7 + i * 3) % 5))
+            for t, day in enumerate(scored) for i, inst in enumerate(ds.instruments)
+            if (t + i) % 3]
+    data.PredictionSeries(rows).write_csv(tmp_path / "predictions.csv")
+    with tracer.root("op"):
+        assert cli.main(["backtest", "--out", str(tmp_path / "bt"),
+                         "--predictions", str(tmp_path / "predictions.csv"),
+                         "--features", str(synth / "features.csv"),
+                         "--prices", str(synth / "prices.csv"),
+                         "--k", "3", "--n-drop", "1"]) == cli.EXIT_OK
+    assert tracer.restore_failures == []
+    [run] = [span for span in tracer.spans if span[3] == "backtest.run_backtest"]
+    steps = [span for span in tracer.spans if span[3] == "backtest.topk_dropout_rebalance"]
+    assert len(steps) == len(scored) - 1
+    assert all(span[1] == run[0] for span in steps)

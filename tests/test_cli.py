@@ -1449,6 +1449,24 @@ def test_predict_refuses_a_version_1_checkpoint(workdir, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_predict_refuses_weights_that_overflow_a_forward_pass(workdir, tmp_path, capsys):
+    # a finite 1e308 gamma loads, then overflows the first layer norm;
+    # before, predict exited 4 without naming the file
+    payload = json.loads((workdir / "model" / "checkpoint.json").read_text())
+    entry = payload["params"]["trend_in_ln_g"]
+    _set_values(entry, np.full_like(_values(entry), 1e308))
+    bad = tmp_path / "checkpoint.json"
+    bad.write_text(json.dumps(payload))
+    out = tmp_path / "preds"
+    rc = cli.main(["predict", "--out", str(out), "--checkpoint", str(bad)]
+                  + panel_args(workdir) + graph_args(workdir))
+    assert rc == cli.EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        f"error: {bad}: its weights overflow a forward pass: "), err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("day", ["2015-01-32", "2015-1-20"])
 def test_predict_refuses_a_start_date_that_is_not_a_day(workdir, tmp_path, capsys, day):
     # before: the dates were compared as strings, so 2015-01-32 scored from
