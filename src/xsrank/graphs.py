@@ -18,15 +18,19 @@ padded slot. The k-NN graph has exactly k columns per row; the union of
 the static relations, used by the gat_only ablation, pads each row to
 the largest neighborhood.
 
-Every layer acts on leading batch axes: representations are [..., N, d],
-similarity [..., N, N] and neighbor lists [..., N, K], one slice per
-window, each computed exactly as a single window would be. The static
-category means broadcast against the batch; the GAT reads one list per
-window, so a caller broadcasts a shared list (the union's) itself.
+Every layer acts on leading batch axes: representations are [..., N, d]
+and neighbor lists [..., N, K], one slice per window, each computed
+exactly as a single window would be. A similarity is [..., R, N]: R rows
+of the window, row i's own column at -inf, so a caller that builds the
+k-NN lists one block of rows at a time never holds an [..., N, N] array;
+`row_blocks` sizes the blocks. The static category means broadcast
+against the batch; the GAT reads one list per window, so a caller
+broadcasts a shared list (the union's) itself.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -36,9 +40,17 @@ from . import tensor as tz
 from .errors import ConfigError, DataError
 from .tensor import Tensor
 
-# cells of one block of rows that topk_graph keys at once: 512 KiB of
-# float64 keys, whatever N is (at least one row)
+# cells of one block of rows that the k-NN build, topk_graph's keys and
+# the GAT's neighbor sum with no tape take at once: 512 KiB of float64,
+# whatever N is (at least one row)
 TOPK_BLOCK_CELLS = 65_536
+
+
+def row_blocks(rows: int, width: int) -> list[slice]:
+    """Successive slices of `rows` rows, each TOPK_BLOCK_CELLS // width
+    rows of `width` cells (at least one row)."""
+    step = max(1, TOPK_BLOCK_CELLS // max(width, 1))
+    return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
 
 
 @dataclass
@@ -80,7 +92,7 @@ class RelationGraphs:
         ind, reg = self.industry, self.region
         related = (ind[:, None] == ind) | (reg[:, None] == reg)
         lonely = related.sum(axis=1) == 1
-        _fill_diagonal(related, lonely)
+        np.fill_diagonal(related, lonely)
         degree = related.sum(axis=1)
         out = np.full((len(ind), degree.max(initial=0)), -1, dtype=np.intp)
         out[np.arange(out.shape[1]) < degree[:, None]] = np.nonzero(related)[1]
@@ -114,19 +126,6 @@ def build_relation_graphs(
     )
 
 
-def _square(mat: np.ndarray, what: str) -> int:
-    """N of a [..., N, N] array; anything else is a DataError."""
-    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
-        raise DataError(f"{what} must be square, got {mat.shape}")
-    return mat.shape[-1]
-
-
-def _fill_diagonal(mat: np.ndarray, value) -> None:
-    """np.fill_diagonal on every [N, N] slice of `mat`."""
-    idx = np.arange(mat.shape[-1])
-    mat[..., idx, idx] = value
-
-
 def category_mean_matrices(codes: np.ndarray) -> tuple[Tensor, Tensor]:
     """The [C, N] mean-pooling and [N, C] membership matrices of [N] codes.
 
@@ -156,13 +155,12 @@ def gcn_layer(x: Tensor, mean: tuple[Tensor, Tensor], weight: Tensor, bias: Tens
     return tz.add(tz.matmul(onehot, tz.matmul(pool, tz.matmul(x, weight))), bias)
 
 
-def cosine_similarity_matrix(u: np.ndarray) -> np.ndarray:
-    """Pairwise cosine similarity with the diagonal set to -inf.
+def unit_rows(u: np.ndarray) -> np.ndarray:
+    """The rows of [..., N, d] `u` scaled to unit norm; a zero row stays 0.
 
-    u is [..., N, d] and the result [..., N, N], one GEMM of unit rows.
     Each row is first divided by its largest magnitude, so no row's norm
     underflows however small its scale, then by its norm; a zero row is
-    divided by 1 both times and so has similarity 0 with every row.
+    divided by 1 both times.
     """
     u = np.asarray(u, dtype=np.float64)
     if u.ndim < 2:
@@ -171,41 +169,67 @@ def cosine_similarity_matrix(u: np.ndarray) -> np.ndarray:
     scale[scale == 0] = 1.0
     u = u / scale
     # a nonzero row now has an entry of magnitude 1, so its norm is >= 1
-    unit = u / np.maximum(np.sqrt((u * u).sum(axis=-1, keepdims=True)), 1.0)
-    sim = unit @ np.swapaxes(unit, -1, -2)
-    _fill_diagonal(sim, -np.inf)
+    return u / np.maximum(np.sqrt((u * u).sum(axis=-1, keepdims=True)), 1.0)
+
+
+def cosine_similarity_matrix(u: np.ndarray, unit: np.ndarray | None = None,
+                             first: int = 0) -> np.ndarray:
+    """Cosine similarity of u's rows with every row, own column at -inf.
+
+    `unit` is a window's [..., N, d] `unit_rows`, and u [..., R, d] its
+    rows first .. first + R - 1; the result is [..., R, N], one GEMM,
+    with row i's own column first + i at -inf. So a caller can take the
+    similarity one block of rows at a time. Without `unit`, u's rows are
+    scaled by `unit_rows` and compared with each other: the whole
+    [..., N, N] square, its diagonal at -inf. A zero row has similarity
+    0 with every row.
+    """
+    if unit is None:
+        u = unit = unit_rows(u)
+    sim = u @ np.swapaxes(unit, -1, -2)
+    own = np.arange(sim.shape[-2])
+    sim[..., own, first + own] = -np.inf
     return sim
 
 
-def topk_graph(similarity: np.ndarray, k: int) -> np.ndarray:
-    """Each row's k most similar columns, as [..., N, k] neighbor lists.
+def topk_graph(similarity: np.ndarray, k: int, first: int | None = None) -> np.ndarray:
+    """Each row's k most similar columns, as [..., R, k] neighbor lists.
 
-    `similarity` is [..., N, N]; each [N, N] slice is one graph. Row i of
-    the result holds the k columns row i picked, in ascending column
+    `similarity` is [..., R, N], rows first .. first + R - 1 of each
+    window's N, as `cosine_similarity_matrix` builds a block of them; with
+    `first` None it is the whole [..., N, N] square, checked square. Row i
+    of the result holds the k columns row i picked, in ascending column
     order. Rows are ranked by similarity descending, ties break toward
-    the lower column index, and a row never picks itself whatever its
-    diagonal holds, so construction is fully deterministic. NaN ranks
-    below every number. The rows of all slices are taken one block of
-    TOPK_BLOCK_CELLS // N rows at a time, through one reused key buffer,
-    so only one block of keys is held beside `similarity`. In a block a
+    the lower column index, and a row never picks its own column,
+    first + i, whatever it holds, so construction is fully deterministic.
+    NaN ranks below every number. The rows of all slices are taken one
+    `row_blocks` block at a time, through one reused key buffer, so only
+    one block of keys is held beside `similarity`. In a block a
     partition finds each row's k-th key and every column at or above it
     is kept. Only when some row's k-th key is tied or NaN do the columns
     tied with it fill the remaining slots in index order.
     """
     sim = np.asarray(similarity, dtype=np.float64)
-    n = _square(sim, "similarity")
+    if sim.ndim < 2:
+        raise DataError(f"similarity must be [..., R, N], got {sim.shape}")
+    r, n = sim.shape[-2:]
+    if first is None:
+        if r != n:
+            raise DataError(f"similarity must be square, got {sim.shape}")
+        first = 0
+    elif not 0 <= first <= n - r:
+        raise DataError(f"similarity rows {first} .. {first + r - 1} are not rows of N={n}")
     if not 1 <= k <= n - 1:
         raise ConfigError(f"k must satisfy 1 <= k <= N-1, got k={k}, N={n}")
     rows = sim.reshape(-1, n)
-    step = max(1, TOPK_BLOCK_CELLS // n)
-    buf = np.empty((min(step, len(rows)), n))
+    blocks = row_blocks(len(rows), n)
+    buf = np.empty((blocks[0].stop, n)) if blocks else None
     out = np.empty((len(rows), k), dtype=np.intp)
-    for start in range(0, len(rows), step):
-        stop = min(start + step, len(rows))
-        block = rows[start:stop]
-        diag = (np.arange(stop - start), np.arange(start, stop) % n)
+    for span in blocks:
+        block = rows[span]
+        diag = (np.arange(len(block)), first + np.arange(span.start, span.stop) % r)
         # ascending key; NaN sorts last, so the NaN diagonal is never in the top k
-        key = np.negative(block, out=buf[:stop - start])
+        key = np.negative(block, out=buf[:len(block)])
         key[diag] = np.nan
         key.partition(k - 1, axis=-1)  # in place: only the k-th key is read from it
         kth = key[:, k - 1: k].copy()  # the tie fill below rewrites the buffer
@@ -220,7 +244,7 @@ def topk_graph(similarity: np.ndarray, k: int) -> np.ndarray:
             tied[diag] = False
             slots = k - above.sum(axis=-1, keepdims=True)
             picked = above | (tied & (np.cumsum(tied, axis=-1) <= slots))
-        out[start:stop] = (np.flatnonzero(picked) % n).reshape(-1, k)
+        out[span] = (np.flatnonzero(picked) % n).reshape(-1, k)
     return out.reshape(sim.shape[:-1] + (k,))
 
 
@@ -243,6 +267,11 @@ def gat_layer(
     by the caller. A -1 slot is padding: it gathers the row itself and
     gets no attention. The attention alpha, the layer's one softmax, is
     [..., N, K], aligned with the lists.
+
+    Under a recording tape the neighbor sum is one INDEX + MATMUL pair
+    over a [..., N, K, d] gather of all rows, which backward reads. With
+    no tape it is the same per-row product over `row_blocks` of that
+    gather, bit for bit, so the layer holds O(N (K + d)) plus one block.
     """
     nbr = np.asarray(neighbors)
     lead, n = u.shape[:-2], u.shape[-2]
@@ -262,15 +291,28 @@ def gat_layer(
                   for axis, size in enumerate(lead))
 
     wu = tz.matmul(u, weight)  # [..., N, d]
-    p = tz.matmul(wu, att_src)  # [..., N, 1] destination term
-    q = tz.index(tz.matmul(wu, att_dst), batch + (nbr, 0))  # [..., N, K] source terms
-    logits = tz.leaky_relu(tz.add(p, q), slope)  # e[i, j]
+    # e[i, j] from the [..., N, 1] destination and [..., N, K] source
+    # terms, neither held past the sum
+    logits = tz.leaky_relu(tz.add(tz.matmul(wu, att_src),
+                                  tz.index(tz.matmul(wu, att_dst), batch + (nbr, 0))), slope)
     if padded:
         # padded slots get -1e30, which underflows to exactly 0 after
         # softmax, keeping every tensor finite
         logits = tz.add(logits, Tensor(np.where(pad, -1e30, 0.0)))
     alpha = tz.softmax(logits, axis=-1)
-    rows = (slice(None),) * (alpha.ndim - 1)
     # [..., N, 1, K] @ [..., N, K, d]: one weighted sum of gathered rows per row
-    agg = tz.matmul(tz.index(alpha, rows + (None,)), tz.index(wu, batch + (nbr,)))
-    return tz.leaky_relu(tz.matmul(tz.index(agg, rows + (0,)), out_weight), slope)
+    if tz.active_tape() is None:
+        # the same [1, K] @ [K, d] product per row, one block of rows at a
+        # time, so no [..., N, K, d] gather is held; Tensor checks the sums
+        sums = np.empty(wu.shape)
+        width = math.prod(lead) * nbr.shape[-1] * wu.shape[-1]
+        for rows in row_blocks(n, width):
+            gathered = wu.data[batch + (nbr[..., rows, :],)]
+            sums[..., rows, :] = np.matmul(alpha.data[..., rows, None, :], gathered)[..., 0, :]
+        agg = Tensor(sums)
+    else:
+        # backward reads the gathered rows, so the taped pair takes all rows
+        rows = (slice(None),) * (alpha.ndim - 1)
+        agg = tz.index(tz.matmul(tz.index(alpha, rows + (None,)), tz.index(wu, batch + (nbr,))),
+                       rows + (0,))
+    return tz.leaky_relu(tz.matmul(agg, out_weight), slope)

@@ -42,7 +42,9 @@ from .graphs import (
     cosine_similarity_matrix,
     gat_layer,
     gcn_layer,
+    row_blocks,
     topk_graph,
+    unit_rows,
 )
 from .tensor import Tensor
 
@@ -228,6 +230,25 @@ def _gat(u: Tensor, neighbors: np.ndarray, model: ActModel, slope: float) -> Ten
                      model["gat_att_dst"], model["gat_out_w"], slope=slope)
 
 
+def knn_lists(u: np.ndarray, k: int) -> np.ndarray:
+    """[..., N, k] cosine k-NN lists of [..., N, d] rows, no row its own.
+
+    The rows are scaled by `unit_rows` once; then each `row_blocks`
+    block of them, TOPK_BLOCK_CELLS // N rows, gets its [..., R, N]
+    `cosine_similarity_matrix` and `topk_graph` lists, so no [..., N, N]
+    similarity is held. With one block (N <= 256) the GEMM is the whole
+    square's; with more, a block's product can differ from the square's
+    by an ulp, which moves a pick only between exactly tied columns.
+    """
+    unit = unit_rows(u)
+    n = unit.shape[-2]
+    out = np.empty(unit.shape[:-1] + (k,), dtype=np.intp)
+    for rows in row_blocks(n, n):
+        sim = cosine_similarity_matrix(unit[..., rows, :], unit, rows.start)
+        out[..., rows, :] = topk_graph(sim, k, rows.start)
+    return out
+
+
 def steps_read(cfg: ActConfig) -> tuple[int, int, int]:
     """Trailing steps of the trend, fluctuation and shock components that
     the branches read: the trend's last one, the convolution's
@@ -265,7 +286,7 @@ def pspe_forward(
     else:
         # u = (x0 - back_ind) - back_reg, each back head subtracted as its
         # relation finishes, so that with no tape only z_s and u_tilde
-        # are held when the similarity is built
+        # are held when the k-NN lists are built
         u, fwds = x0, []
         for rel, codes in (("ind", graphs.industry), ("reg", graphs.region)):
             h = tz.leaky_relu(gcn_layer(x0, category_mean_matrices(codes),
@@ -278,7 +299,7 @@ def pspe_forward(
         del fwds, u
 
         # hard TopK selection: detached, no gradient through construction
-        neighbors = topk_graph(cosine_similarity_matrix(u_tilde.data), cfg.knn)
+        neighbors = knn_lists(u_tilde.data, cfg.knn)
         z_d = _gat(u_tilde, neighbors, model, slope)
 
         gate_h = tz.leaky_relu(
@@ -421,21 +442,27 @@ def save_checkpoint(model: ActModel, path) -> None:
     little-endian float64 bytes, so saving the same state twice yields
     byte-identical files. The bytes are those of one
     `json.dumps(payload, sort_keys=True, separators=(",", ":"))` plus a
-    newline. A non-finite parameter is refused with a DataError, as
+    newline, written one parameter at a time, so only one parameter's
+    text is held. A non-finite parameter is refused with a DataError, as
     `load_checkpoint` would refuse it, before any byte is written.
     """
     bad = next((name for name, t in model.params.items() if not np.isfinite(t.data).all()), None)
     if bad is not None:
         raise DataError(f"{path}: refusing to write non-finite parameter {bad}")
-    params = {}
-    for name, t in model.params.items():
-        raw = t.data.astype("<f8", copy=False).tobytes()
-        params[name] = {"data": base64.b64encode(raw).decode("ascii"), "shape": list(t.shape)}
-    text = json.dumps({"config": model.cfg.to_dict(), "format_version": CHECKPOINT_VERSION,
-                       "params": params, "seed": model.seed},
-                      sort_keys=True, separators=(",", ":"))
+
+    def dumps(value) -> str:
+        return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
+        fh.write(f'{{"config":{dumps(model.cfg.to_dict())},'
+                 f'"format_version":{dumps(CHECKPOINT_VERSION)},"params":{{')
+        for i, name in enumerate(sorted(model.params)):
+            t = model.params[name]
+            raw = base64.b64encode(t.data.astype("<f8", copy=False).tobytes()).decode("ascii")
+            # base64 text needs no JSON escape
+            fh.write(f'{"," if i else ""}{dumps(name)}:{{"data":"{raw}",'
+                     f'"shape":{dumps(list(t.shape))}}}')
+        fh.write(f'}},"seed":{dumps(model.seed)}}}\n')
 
 
 def _checkpoint_config(path, raw: dict) -> ActConfig:

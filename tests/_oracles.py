@@ -46,6 +46,7 @@ from xsrank.data import (
 )
 from xsrank.errors import DataError
 from xsrank.evaluate import MIN_SUBGROUP_SIZE, MetricReport, _ratio
+from xsrank.graphs import cosine_similarity_matrix, topk_graph
 
 
 def leaky(x, slope=0.2):
@@ -111,6 +112,12 @@ def topk_np(sim, k):
         for j in order[:k]:
             adj[i, j] = 1.0
     return adj
+
+
+def knn_full(u, k):
+    """The k-NN lists of [..., N, d] rows from the whole [..., N, N]
+    similarity in one GEMM: the build before it took blocks of rows."""
+    return topk_graph(cosine_similarity_matrix(u), k)
 
 
 def neighbor_lists(adj):

@@ -18,7 +18,9 @@ from pathlib import Path
 
 import pytest
 
-from xsrank import cli, data
+from xsrank import cli, data, graphs
+from xsrank.model import ActConfig, ActModel
+from xsrank.training import predict_sliding
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH_DIR = ROOT / "bench"
@@ -137,3 +139,24 @@ def test_tracer_records_one_rebalance_span_per_traded_day(tmp_path):
     steps = [span for span in tracer.spans if span[3] == "backtest.topk_dropout_rebalance"]
     assert len(steps) == len(scored) - 1
     assert all(span[1] == run[0] for span in steps)
+
+
+def test_tracer_records_one_knn_span_pair_per_block_of_each_window(tmp_path, monkeypatch):
+    # pspe_forward builds a window's k-NN lists one block of rows at a
+    # time through model.cosine_similarity_matrix and model.topk_graph,
+    # the names the tracer wraps, so each block is one span of each,
+    # inside its window's pspe_forward span
+    tracing = _load_bench("tracing")
+    tracer = tracing.Tracer()
+    ds, relations = data.generate_synthetic(data.SynthConfig(n_instruments=12, days=24,
+                                                             seed=1))[:2]
+    model = ActModel(ActConfig(n_features=ds.n_features, knn=3), seed=1)
+    monkeypatch.setattr(graphs, "TOPK_BLOCK_CELLS", 5 * 12)  # blocks of 5, 5 and 2 rows
+    with tracer.root("op"):
+        predict_sliding(model, ds, relations, start_date=ds.dates[-3])
+    assert tracer.restore_failures == []
+    windows = [span[0] for span in tracer.spans if span[3] == "model.pspe_forward"]
+    assert len(windows) == 3
+    for name in ("graphs.cosine_similarity_matrix", "graphs.topk_graph"):
+        parents = [span[1] for span in tracer.spans if span[3] == name]
+        assert sorted(parents) == sorted(windows * 3), name

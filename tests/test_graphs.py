@@ -1,5 +1,6 @@
 """Graph primitive tests against dense brute-force oracles."""
 
+import math
 import tracemalloc
 from dataclasses import fields
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracles as oracle
-from xsrank import graphs, tensor as tz
+from xsrank import graphs, model as act_model, tensor as tz
 from xsrank.errors import ConfigError, DataError
 from xsrank.graphs import (
     RelationGraphs,
@@ -19,6 +20,7 @@ from xsrank.graphs import (
     gcn_layer,
     topk_graph,
 )
+from xsrank.model import knn_lists
 from xsrank.tensor import Tape, Tensor, backward
 
 
@@ -507,6 +509,87 @@ def test_topk_graph_holds_one_block_beside_the_similarity(shape):
     assert peak < sim.nbytes / 5, peak
 
 
+@st.composite
+def tied_rows(draw):
+    # rows from a small value set, so that cosines tie exactly and often;
+    # some rows are zero and some repeat another row
+    n, d = draw(st.integers(2, 11)), draw(st.integers(1, 3))
+    values = st.sampled_from([0.0, 1.0, -1.0, 2.0])
+    u = np.array(draw(st.lists(values, min_size=n * d, max_size=n * d))).reshape(n, d)
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=n // 2)):
+        u[i] = 0.0
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=3)):
+        u[i] = u[j]
+    return u
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_rows(), st.data())
+def test_knn_lists_match_a_sort_oracle_over_their_own_similarity_blocks(u, data):
+    # the blocked build hands each block's [..., R, N] similarity to
+    # topk_graph; its lists are the sort oracle's picks over those rows
+    n = len(u)
+    k = data.draw(st.integers(1, n - 1))
+    batch = np.stack([u, 3.0 * u[::-1]])
+    seen = []
+
+    def record(*args):
+        seen.append(cosine_similarity_matrix(*args))
+        return seen[-1]
+
+    # one row a block, two rows, and three, which need not divide N
+    for rows_per_block in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphs, "TOPK_BLOCK_CELLS", rows_per_block * n)
+            mp.setattr(act_model, "cosine_similarity_matrix", record)
+            for rows in (u, batch):
+                seen.clear()
+                got = knn_lists(rows, k)
+                assert [block.shape[-2] for block in seen] == [
+                    min(rows_per_block, n - start) for start in range(0, n, rows_per_block)]
+                sim = np.concatenate(seen, axis=-2).reshape(-1, n, n)
+                want = [oracle.neighbor_lists(oracle.topk_np(window, k)) for window in sim]
+                assert np.array_equal(got.reshape(-1, n, k), want)
+
+
+@pytest.mark.parametrize("n", [257, 300, 500, 800])
+def test_knn_lists_equal_the_whole_square_build_on_continuous_rows(n):
+    # 257 rows is the first N that takes two blocks. A block's GEMM can
+    # differ from the whole square's by an ulp, which moves a pick only
+    # between exactly tied columns; continuous rows have none
+    rng = np.random.default_rng(n)
+    u = rng.normal(size=(n, 64))
+    assert len(graphs.row_blocks(n, n)) > 1
+    for k in (1, 10):
+        assert np.array_equal(knn_lists(u, k), oracle.knn_full(u, k))
+    batch = rng.normal(size=(2, n, 8))
+    assert np.array_equal(knn_lists(batch, 10), oracle.knn_full(batch, 10))
+
+
+@pytest.mark.parametrize("lead", [(), (2,)])
+@pytest.mark.parametrize("blocks", ["one", "two", "many"])
+def test_gat_layer_sums_the_same_bits_with_and_without_a_tape(lead, blocks):
+    # with no tape the neighbor sum runs one block of rows at a time; the
+    # taped INDEX + MATMUL pair over all rows is the reference
+    rng = np.random.default_rng(17)
+    n, k, d = 37, 6, 5
+    u = Tensor(rng.normal(size=lead + (n, d)))
+    lists = np.sort(rng.integers(0, n, size=lead + (n, k)), axis=-1)
+    lists[..., :3][rng.random(lead + (n, 3)) < 0.4] = -1  # padded slots
+    params = _gat_params(rng, d)
+    with Tape() as tape:
+        tape.watch(u)
+        taped = gat_layer(u, lists, **params).data
+    width = math.prod(lead) * k * d
+    cells = {"one": graphs.TOPK_BLOCK_CELLS, "two": width * ((n + 1) // 2), "many": 1}[blocks]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "TOPK_BLOCK_CELLS", cells)
+        assert len(graphs.row_blocks(n, width)) == {"one": 1, "two": 2, "many": n}[blocks]
+        free = gat_layer(u, lists, **params).data
+    assert free.tobytes() == taped.tobytes()
+
+
 def test_batched_graph_helpers_keep_their_input_checks():
     rng = np.random.default_rng(13)
     with pytest.raises(DataError):
@@ -518,6 +601,11 @@ def test_batched_graph_helpers_keep_their_input_checks():
     for bad in (np.zeros((2, 3, 4)), np.zeros(4)):
         with pytest.raises(DataError):
             topk_graph(bad, 1)
+    # a block of rows must be rows of its N columns
+    assert topk_graph(np.zeros((2, 3, 4)), 1, first=1).shape == (2, 3, 1)
+    for first in (-1, 2):
+        with pytest.raises(DataError, match="are not rows of N=4"):
+            topk_graph(np.zeros((2, 3, 4)), 1, first=first)
     for k in (0, 4):
         with pytest.raises(ConfigError):
             topk_graph(sim, k)

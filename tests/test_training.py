@@ -606,28 +606,73 @@ def test_train_memory_does_not_grow_with_the_panel():
     assert long - short < 2.0, (short, long)
 
 
-def test_one_n800_scoring_window_holds_one_similarity_and_little_else():
+def _n800_window_peak(pspe: str) -> float:
+    """tracemalloc peak, in bytes, of one N = 800 `predict_sliding` window
+    of the default `ActConfig` with the given trend branch, traced after a
+    warm-up window so that what the first one leaves behind counts as held."""
     import tracemalloc
 
     ds, graphs = generate_synthetic(SynthConfig(n_instruments=800, days=16, seed=5))[:2]
-    model = ActModel(ActConfig(n_features=ds.n_features), seed=5)
+    model = ActModel(ActConfig(n_features=ds.n_features, pspe=pspe), seed=5)
     tracemalloc.start()
     try:
-        # what the first window leaves behind is traced as held memory
         predict_sliding(model, ds, graphs, start_date=ds.dates[-1])
         tracemalloc.reset_peak()
         predict_sliding(model, ds, graphs, start_date=ds.dates[-1])
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_one_n800_scoring_window_holds_a_few_activations():
+    # The k-NN lists are built one block of TOPK_BLOCK_CELLS // N rows at a
+    # time, so no [N, N] similarity (5.12 MB) is held. The window peaks at
+    # 5.16 MB, about 12.6 [N, d] activations, in the fluctuation branch's
+    # stacked lags. The bound, 13.5 activations (5.53 MB), leaves 0.37 MB,
+    # less than one activation (0.41 MB). Before: 7.31 MB with the whole
+    # similarity, and 14.3 MB before that with the whole decomposition.
+    activation = 800 * 64 * 8
+    peak = _n800_window_peak("full")
+    assert peak <= 13.5 * activation, (peak, activation)
+
+
+def test_one_n800_gat_only_scoring_window_holds_no_neighbor_gather():
+    # gat_only attends over the union lists, K = 203 wide on this market.
+    # With no tape the GAT sums its neighbors one block of rows at a time,
+    # so no [N, K, d] gather (83 MB) is held. The window peaks at 9.39 MB,
+    # a few [N, K] arrays (1.30 MB each: the lists, the source terms, the
+    # logits and the attention) beside the [N, d] activations. The bound,
+    # 8 [N, K] arrays (10.39 MB), leaves 1.0 MB, less than one of them.
+    # Before: 102.9 MB.
+    lists = 800 * 203 * 8
+    peak = _n800_window_peak("gat_only")
+    assert peak <= 8 * lists, (peak, lists)
+
+
+def test_one_n300_training_epoch_holds_its_step_and_little_else():
+    # one epoch of `train` at CSI 300 size: 16 training windows in batches
+    # of 4 and 8 validation windows. The step's tape holds the batch's
+    # activations, [4, 300, 64] each (0.61 MB), and its GAT gather. The
+    # epoch peaks at 67.65 MB, about 110.1 activations. The bound, 112
+    # activations (68.81 MB), leaves 1.16 MB, under two activations.
+    import tracemalloc
+
+    window, n_windows, n_valid = 16, 24, 8
+    ds, graphs = generate_synthetic(SynthConfig(
+        n_instruments=300, days=window + n_windows + 1, block_size=30, seed=5))[:2]
+    cfg = ActConfig(n_features=ds.n_features, window=window, hidden=64)
+    first = window - 1 + n_windows - n_valid
+    settings = TrainSettings(valid_start=ds.dates[first],
+                             test_start=ds.dates[first + n_valid],
+                             epochs=1, patience=1, seed=5)
+    tracemalloc.start()
+    try:
+        train(ds, graphs, cfg, settings)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # The k-NN graph needs the [N, N] cosine similarity, 5.12 MB. Beside
-    # it the window holds about 2.2 MB: the two [N, d] arrays that build
-    # it, u_tilde, z_s and the kept decomposition steps (7.31 MB in all).
-    # The bound, 7.68 MB, leaves 0.37 MB, less than one [N, 64] activation
-    # (0.41 MB). Before, the window also held the whole decomposition,
-    # x0, the four static heads and the cached GCN mean matrices: 14.3 MB.
-    similarity = 800 * 800 * 8
-    assert peak <= 1.5 * similarity, (peak, similarity)
+    activation = 4 * 300 * 64 * 8
+    assert peak <= 112 * activation, (peak, activation)
 
 
 def test_train_batch_loss_is_the_mean_over_contributing_windows(monkeypatch):
