@@ -20,10 +20,10 @@ the largest neighborhood.
 
 Every layer acts on leading batch axes: representations are [..., N, d]
 and neighbor lists [..., N, K], one slice per window, each computed
-exactly as a single window would be. A similarity is [..., R, N]: R rows
-of the window, row i's own column at -inf, so a caller that builds the
-k-NN lists one block of rows at a time never holds an [..., N, N] array;
-`row_blocks` sizes the blocks. The static category means broadcast
+exactly as a single window would be. A similarity is [..., R, N]: a
+block of R rows of each window against all N, so `model.knn_lists`,
+which builds the k-NN lists one `row_blocks` block at a time, never
+holds an [..., N, N] array. The static category means broadcast
 against the batch; the GAT reads one list per window, so a caller
 broadcasts a shared list (the union's) itself.
 """
@@ -40,9 +40,10 @@ from . import tensor as tz
 from .errors import ConfigError, DataError
 from .tensor import Tensor
 
-# cells of one block of rows that the k-NN build, topk_graph's keys and
-# the GAT's neighbor sum with no tape take at once: 512 KiB of float64,
-# whatever N is (at least one row)
+# cells of one block of rows, across the whole batch, that the k-NN
+# build's similarity and keys and the GAT's neighbor sum with no tape
+# take at once: 512 KiB of float64, whatever B and N are (at least one
+# row of each window)
 TOPK_BLOCK_CELLS = 65_536
 
 
@@ -172,80 +173,57 @@ def unit_rows(u: np.ndarray) -> np.ndarray:
     return u / np.maximum(np.sqrt((u * u).sum(axis=-1, keepdims=True)), 1.0)
 
 
-def cosine_similarity_matrix(u: np.ndarray, unit: np.ndarray | None = None,
-                             first: int = 0) -> np.ndarray:
-    """Cosine similarity of u's rows with every row, own column at -inf.
+def cosine_similarity_matrix(u: np.ndarray, unit: np.ndarray) -> np.ndarray:
+    """Cosine similarity of [..., R, d] unit rows `u` with a window's
+    [..., N, d] `unit_rows`: the [..., R, N] GEMM u @ unit^T.
 
-    `unit` is a window's [..., N, d] `unit_rows`, and u [..., R, d] its
-    rows first .. first + R - 1; the result is [..., R, N], one GEMM,
-    with row i's own column first + i at -inf. So a caller can take the
-    similarity one block of rows at a time. Without `unit`, u's rows are
-    scaled by `unit_rows` and compared with each other: the whole
-    [..., N, N] square, its diagonal at -inf. A zero row has similarity
-    0 with every row.
+    u is a block of `unit`'s rows, so a caller takes the similarity one
+    block at a time. A zero row has similarity 0 with every row. A row's
+    own column keeps its cosine; `topk_graph` never picks it.
     """
-    if unit is None:
-        u = unit = unit_rows(u)
-    sim = u @ np.swapaxes(unit, -1, -2)
-    own = np.arange(sim.shape[-2])
-    sim[..., own, first + own] = -np.inf
-    return sim
+    return u @ np.swapaxes(unit, -1, -2)
 
 
-def topk_graph(similarity: np.ndarray, k: int, first: int | None = None) -> np.ndarray:
+def topk_graph(similarity: np.ndarray, k: int, first: int) -> np.ndarray:
     """Each row's k most similar columns, as [..., R, k] neighbor lists.
 
     `similarity` is [..., R, N], rows first .. first + R - 1 of each
-    window's N, as `cosine_similarity_matrix` builds a block of them; with
-    `first` None it is the whole [..., N, N] square, checked square. Row i
-    of the result holds the k columns row i picked, in ascending column
+    window's N, as `cosine_similarity_matrix` builds a block of them. Row
+    i of the result holds the k columns row i picked, in ascending column
     order. Rows are ranked by similarity descending, ties break toward
     the lower column index, and a row never picks its own column,
     first + i, whatever it holds, so construction is fully deterministic.
-    NaN ranks below every number. The rows of all slices are taken one
-    `row_blocks` block at a time, through one reused key buffer, so only
-    one block of keys is held beside `similarity`. In a block a
-    partition finds each row's k-th key and every column at or above it
-    is kept. Only when some row's k-th key is tied or NaN do the columns
-    tied with it fill the remaining slots in index order.
+    NaN ranks below every number. A partition finds each row's k-th key
+    and every column at or above it is kept. Only when some row's k-th
+    key is tied or NaN do the columns tied with it fill the remaining
+    slots in index order.
     """
     sim = np.asarray(similarity, dtype=np.float64)
     if sim.ndim < 2:
         raise DataError(f"similarity must be [..., R, N], got {sim.shape}")
     r, n = sim.shape[-2:]
-    if first is None:
-        if r != n:
-            raise DataError(f"similarity must be square, got {sim.shape}")
-        first = 0
-    elif not 0 <= first <= n - r:
+    if not 0 <= first <= n - r:
         raise DataError(f"similarity rows {first} .. {first + r - 1} are not rows of N={n}")
     if not 1 <= k <= n - 1:
         raise ConfigError(f"k must satisfy 1 <= k <= N-1, got k={k}, N={n}")
-    rows = sim.reshape(-1, n)
-    blocks = row_blocks(len(rows), n)
-    buf = np.empty((blocks[0].stop, n)) if blocks else None
-    out = np.empty((len(rows), k), dtype=np.intp)
-    for span in blocks:
-        block = rows[span]
-        diag = (np.arange(len(block)), first + np.arange(span.start, span.stop) % r)
-        # ascending key; NaN sorts last, so the NaN diagonal is never in the top k
-        key = np.negative(block, out=buf[:len(block)])
-        key[diag] = np.nan
-        key.partition(k - 1, axis=-1)  # in place: only the k-th key is read from it
-        kth = key[:, k - 1: k].copy()  # the tie fill below rewrites the buffer
-        picked = block >= -kth  # key <= kth, as negation is exact
-        picked[diag] = False
-        if not (picked.sum(axis=-1) == k).all():
-            np.negative(block, out=key)
-            key[diag] = np.nan
-            nan_key = np.isnan(key)
-            above = (key < kth) | (np.isnan(kth) & ~nan_key)
-            tied = (key == kth) | (np.isnan(kth) & nan_key)
-            tied[diag] = False
-            slots = k - above.sum(axis=-1, keepdims=True)
-            picked = above | (tied & (np.cumsum(tied, axis=-1) <= slots))
-        out[span] = (np.flatnonzero(picked) % n).reshape(-1, k)
-    return out.reshape(sim.shape[:-1] + (k,))
+    own = (..., np.arange(r), first + np.arange(r))
+    # ascending key; NaN sorts last, so the NaN own column is never in the top k
+    key = np.negative(sim)
+    key[own] = np.nan
+    key.partition(k - 1, axis=-1)  # in place: only the k-th key is read from it
+    kth = key[..., k - 1: k].copy()  # the tie fill below rewrites the key
+    picked = sim >= -kth  # key <= kth, as negation is exact
+    picked[own] = False
+    if not (picked.sum(axis=-1) == k).all():
+        np.negative(sim, out=key)
+        key[own] = np.nan
+        nan_key = np.isnan(key)
+        above = (key < kth) | (np.isnan(kth) & ~nan_key)
+        tied = (key == kth) | (np.isnan(kth) & nan_key)
+        tied[own] = False
+        slots = k - above.sum(axis=-1, keepdims=True)
+        picked = above | (tied & (np.cumsum(tied, axis=-1) <= slots))
+    return (np.flatnonzero(picked) % n).reshape(sim.shape[:-1] + (k,))
 
 
 def gat_layer(

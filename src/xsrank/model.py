@@ -233,18 +233,19 @@ def _gat(u: Tensor, neighbors: np.ndarray, model: ActModel, slope: float) -> Ten
 def knn_lists(u: np.ndarray, k: int) -> np.ndarray:
     """[..., N, k] cosine k-NN lists of [..., N, d] rows, no row its own.
 
-    The rows are scaled by `unit_rows` once; then each `row_blocks`
-    block of them, TOPK_BLOCK_CELLS // N rows, gets its [..., R, N]
-    `cosine_similarity_matrix` and `topk_graph` lists, so no [..., N, N]
-    similarity is held. With one block (N <= 256) the GEMM is the whole
-    square's; with more, a block's product can differ from the square's
-    by an ulp, which moves a pick only between exactly tied columns.
+    The rows are scaled by `unit_rows` once. Then each `row_blocks`
+    block, R = TOPK_BLOCK_CELLS // (B N) rows of each of the B windows,
+    gets its [..., R, N] `cosine_similarity_matrix` and `topk_graph`
+    lists, so no [..., N, N] similarity is held. While B N^2 fits in one
+    block the GEMM is the whole square's; with more blocks a block's
+    product can differ from the square's by an ulp, which moves a pick
+    only between exactly tied columns.
     """
     unit = unit_rows(u)
-    n = unit.shape[-2]
+    lead, n = unit.shape[:-2], unit.shape[-2]
     out = np.empty(unit.shape[:-1] + (k,), dtype=np.intp)
-    for rows in row_blocks(n, n):
-        sim = cosine_similarity_matrix(unit[..., rows, :], unit, rows.start)
+    for rows in row_blocks(n, math.prod(lead) * n):
+        sim = cosine_similarity_matrix(unit[..., rows, :], unit)
         out[..., rows, :] = topk_graph(sim, k, rows.start)
     return out
 

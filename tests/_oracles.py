@@ -46,7 +46,7 @@ from xsrank.data import (
 )
 from xsrank.errors import DataError
 from xsrank.evaluate import MIN_SUBGROUP_SIZE, MetricReport, _ratio
-from xsrank.graphs import cosine_similarity_matrix, topk_graph
+from xsrank.graphs import topk_graph, unit_rows
 
 
 def leaky(x, slope=0.2):
@@ -116,8 +116,10 @@ def topk_np(sim, k):
 
 def knn_full(u, k):
     """The k-NN lists of [..., N, d] rows from the whole [..., N, N]
-    similarity in one GEMM: the build before it took blocks of rows."""
-    return topk_graph(cosine_similarity_matrix(u), k)
+    similarity, one GEMM of their unit rows with themselves: the build
+    before it took blocks of rows."""
+    unit = unit_rows(u)
+    return topk_graph(unit @ np.swapaxes(unit, -1, -2), k, 0)
 
 
 def neighbor_lists(adj):

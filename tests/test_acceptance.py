@@ -33,12 +33,10 @@ from xsrank.factor_reg import ff_regression, newey_west_se, ols
 from xsrank.graphs import (
     build_relation_graphs,
     category_mean_matrices,
-    cosine_similarity_matrix,
     gat_layer,
     gcn_layer,
-    topk_graph,
 )
-from xsrank.model import ActConfig, ActModel, pspe_forward, \
+from xsrank.model import ActConfig, ActModel, knn_lists, pspe_forward, \
     fci_forward, sci_forward, acf_forward
 from xsrank.tensor import PrimitiveKind, Tensor
 from xsrank.training import TrainSettings, clip_labels, ic_loss, \
@@ -194,10 +192,9 @@ def test_criterion_3_module_oracles():
                       - oracle.gcn_np(x, adj, w, b)))
         for mean, adj in ((category_mean_matrices(graphs.industry), ind_adj),
                           (category_mean_matrices(graphs.region), reg_adj)))
-    sim = cosine_similarity_matrix(x)
     want_adj = oracle.topk_np(oracle.cosine_np(x), 2)
     errs["topk"] = float(
-        not np.array_equal(topk_graph(sim, 2), oracle.neighbor_lists(want_adj)))
+        not np.array_equal(knn_lists(x, 2), oracle.neighbor_lists(want_adj)))
     adj = want_adj.copy()
     a_src = rng.normal(size=(4, 1))
     a_dst = rng.normal(size=(4, 1))

@@ -20,7 +20,7 @@ import pytest
 
 from xsrank import cli, data, graphs
 from xsrank.model import ActConfig, ActModel
-from xsrank.training import predict_sliding
+from xsrank.training import TrainSettings, predict_sliding, train
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH_DIR = ROOT / "bench"
@@ -160,3 +160,21 @@ def test_tracer_records_one_knn_span_pair_per_block_of_each_window(tmp_path, mon
     for name in ("graphs.cosine_similarity_matrix", "graphs.topk_graph"):
         parents = [span[1] for span in tracer.spans if span[3] == name]
         assert sorted(parents) == sorted(windows * 3), name
+
+    # a training step forwards a batch of 4 windows, and a block spans the
+    # batch: TOPK_BLOCK_CELLS // (4 N) rows of each window, 5, 5 and 2 rows
+    # again, so each training forward's pspe_forward has three of each span
+    monkeypatch.setattr(graphs, "TOPK_BLOCK_CELLS", 4 * 5 * 12)
+    tracer = tracing.Tracer()
+    cfg = ActConfig(n_features=ds.n_features, window=8, knn=3)
+    # 8 training windows, two batches of 4, and 8 validation windows
+    settings = TrainSettings(valid_start=ds.dates[15], epochs=1, batch_size=4, seed=1)
+    with tracer.root("op"):
+        train(ds, relations, cfg, settings)
+    assert tracer.restore_failures == []
+    steps = [span[0] for span in tracer.spans if span[3] == "model.act_forward_parts.train"]
+    assert len(steps) == 2
+    step_of = {span[0]: span[1] for span in tracer.spans if span[3] == "model.pspe_forward"}
+    for name in ("graphs.cosine_similarity_matrix", "graphs.topk_graph"):
+        parents = [step_of[span[1]] for span in tracer.spans if span[3] == name]
+        assert sorted(p for p in parents if p in steps) == sorted(steps * 3), name

@@ -1484,7 +1484,7 @@ def test_predict_refuses_a_start_date_that_is_not_a_day(workdir, tmp_path, capsy
 # input fuzz: predict, evaluate, backtest and regress on mutated files
 # ---------------------------------------------------------------------------
 
-FUZZ_FILES = ["features.csv", "prices.csv", "industry.csv", "factors.csv",
+FUZZ_FILES = ["features.csv", "prices.csv", "industry.csv", "region.csv", "factors.csv",
               "predictions.csv", "backtest.csv"]
 FUZZ_CELLS = ["", "nan", "inf", "-inf", "x", "0", "-1.0", "1e308", "2015-13-01",
               "20150105", "S999", "IND99"]

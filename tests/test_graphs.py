@@ -19,6 +19,7 @@ from xsrank.graphs import (
     gat_layer,
     gcn_layer,
     topk_graph,
+    unit_rows,
 )
 from xsrank.model import knn_lists
 from xsrank.tensor import Tape, Tensor, backward
@@ -210,14 +211,14 @@ def test_cosine_similarity_parallel_orthogonal_zero():
         [0.0, 3.0],   # orthogonal to rows 0, 1
         [0.0, 0.0],   # zero row
     ])
-    s = cosine_similarity_matrix(u)
+    unit = unit_rows(u)
+    s = cosine_similarity_matrix(unit, unit)
     assert s[0, 1] == pytest.approx(1.0, abs=1e-9)
     assert s[0, 2] == pytest.approx(0.0, abs=1e-12)
     assert s[3, 0] == pytest.approx(0.0, abs=1e-12)
-    assert np.isneginf(np.diag(s)).all()
-    # symmetric off the diagonal
-    off = ~np.eye(4, dtype=bool)
-    np.testing.assert_allclose(s[off], s.T[off], atol=1e-12)
+    np.testing.assert_allclose(s, s.T, atol=1e-12)
+    # a block of rows is those rows of the whole square
+    np.testing.assert_allclose(cosine_similarity_matrix(unit[1:3], unit), s[1:3], atol=1e-12)
 
 
 def test_cosine_similarity_of_rows_at_extreme_scales():
@@ -226,7 +227,8 @@ def test_cosine_similarity_of_rows_at_extreme_scales():
     # toward 0
     base = np.random.default_rng(4).normal(size=(5, 3))
     scales = np.array([0.0, 1e-200, 1e-8, 1.0, 1e8])
-    s = cosine_similarity_matrix(base * scales[:, None])
+    unit = unit_rows(base * scales[:, None])
+    s = cosine_similarity_matrix(unit, unit)
     off = ~np.eye(5, dtype=bool)
     assert np.isfinite(s[off]).all()
     assert (np.abs(s[off]) <= 1 + 1e-12).all()
@@ -238,8 +240,7 @@ def test_cosine_similarity_of_rows_at_extreme_scales():
 
 def test_topk_graph_counts_and_tie_rule():
     s = np.zeros((4, 4))
-    np.fill_diagonal(s, -np.inf)
-    g = topk_graph(s, 2)
+    g = topk_graph(s, 2, 0)
     # all-equal similarities: lowest indices win, never the row itself
     np.testing.assert_array_equal(g, [[1, 2], [0, 2], [0, 1], [0, 1]])
 
@@ -250,8 +251,7 @@ def test_topk_graph_matches_sort_oracle():
         n = int(rng.integers(3, 9))
         k = int(rng.integers(1, n))
         s = rng.normal(size=(n, n))
-        np.fill_diagonal(s, -np.inf)
-        g = topk_graph(s, k)
+        g = topk_graph(s, k, 0)
         for i in range(n):
             order = sorted(
                 (j for j in range(n) if j != i),
@@ -263,9 +263,9 @@ def test_topk_graph_matches_sort_oracle():
 def test_topk_graph_k_out_of_range():
     s = np.zeros((3, 3))
     with pytest.raises(ConfigError):
-        topk_graph(s, 0)
+        topk_graph(s, 0, 0)
     with pytest.raises(ConfigError):
-        topk_graph(s, 3)
+        topk_graph(s, 3, 0)
 
 
 def _gat_params(rng, d):
@@ -315,8 +315,7 @@ def test_gat_k1_attention_is_one():
     rng = np.random.default_rng(6)
     d = 4
     u = rng.normal(size=(5, d))
-    sim = cosine_similarity_matrix(u)
-    g = topk_graph(sim, 1)
+    g = oracle.knn_full(u, 1)
     _, alpha = _gat_attention(Tensor(u), g, **_gat_params(rng, d))
     assert alpha.shape == (5, 1)
     np.testing.assert_allclose(alpha.data, 1.0, atol=1e-12)
@@ -328,7 +327,7 @@ def test_gat_matches_dense_mask_oracle():
     n, d, k, slope = 4, 3, 2, 0.2
     u = rng.normal(size=(n, d))
     params = _gat_params(rng, d)
-    g = topk_graph(cosine_similarity_matrix(u), k)
+    g = oracle.knn_full(u, k)
     got, alpha = _gat_attention(Tensor(u), g, **params)
 
     w = params["weight"].data
@@ -357,7 +356,7 @@ def test_gat_lists_match_dense_oracle_batched_and_padded():
     u = rng.normal(size=(b, n, d))
     params = _gat_params(rng, d)
     weights = [params[name].data for name in ("weight", "att_src", "att_dst", "out_weight")]
-    lists = topk_graph(cosine_similarity_matrix(u), k)
+    lists = oracle.knn_full(u, k)
     got, alpha = _gat_attention(Tensor(u), lists, **params)
     assert got.shape == (b, n, d) and alpha.shape == (b, n, k)
     for w in range(b):
@@ -387,7 +386,7 @@ def test_gat_alpha_rows_sum_to_one():
     for trial in range(5):
         n, d = 6, 4
         u = rng.normal(size=(n, d))
-        g = topk_graph(cosine_similarity_matrix(u), 3)
+        g = oracle.knn_full(u, 3)
         _, alpha = _gat_attention(Tensor(u), g, **_gat_params(rng, d))
         assert alpha.shape == (n, 3)
         np.testing.assert_allclose(alpha.data.sum(axis=1), 1.0, atol=1e-12)
@@ -405,7 +404,7 @@ def test_gat_gradients_flow():
     n, d = 5, 3
     u = rng.normal(size=(n, d))
     params = _gat_params(rng, d)
-    g = topk_graph(cosine_similarity_matrix(u), 2)
+    g = oracle.knn_full(u, 2)
     with Tape() as tape:
         tu = Tensor(u)
         for t in [tu, *params.values()]:
@@ -425,8 +424,8 @@ def test_equivariance_under_permutation():
     params = _gat_params(rng, d)
     perm = rng.permutation(n)
 
-    g = topk_graph(cosine_similarity_matrix(u), k)
-    g_p = topk_graph(cosine_similarity_matrix(u[perm]), k)
+    g = oracle.knn_full(u, k)
+    g_p = oracle.knn_full(u[perm], k)
     np.testing.assert_array_equal(oracle.adjacency(g_p, n),
                                   oracle.adjacency(g, n)[perm][:, perm])
 
@@ -458,7 +457,7 @@ def test_union_graph_or_and_self_loop_fallback():
 def test_dynamic_graph_row_sums():
     rng = np.random.default_rng(12)
     u = rng.normal(size=(7, 3))
-    g = topk_graph(cosine_similarity_matrix(u), 4)
+    g = oracle.knn_full(u, 4)
     assert g.shape == (7, 4) and np.issubdtype(g.dtype, np.integer)
     assert (np.diff(g, axis=1) > 0).all()
     assert (g != np.arange(7)[:, None]).all()
@@ -484,29 +483,33 @@ def test_topk_graph_matches_oracle_on_dense_ties(sim):
     # a batch of two windows: each [N, N] slice is its own graph
     batch = np.stack([sim, sim[::-1, ::-1]])
     n = sim.shape[0]
-    wants = [[oracle.neighbor_lists(oracle.topk_np(window, k)) for window in batch]
-             for k in range(1, n)]
-    # one block for all rows, one row per block (1 and N cells), and blocks
-    # of N + 1 rows, so that a block holds the rows of two windows
-    for cells in (graphs.TOPK_BLOCK_CELLS, 1, n, (n + 1) * n):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(graphs, "TOPK_BLOCK_CELLS", cells)
-            for k, want in enumerate(wants, start=1):
-                assert np.array_equal(topk_graph(sim, k), want[0])
-                assert np.array_equal(topk_graph(batch, k), np.stack(want))
+    for k in range(1, n):
+        want = [oracle.neighbor_lists(oracle.topk_np(window, k)) for window in batch]
+        assert np.array_equal(topk_graph(sim, k, 0), want[0])
+        assert np.array_equal(topk_graph(batch, k, 0), np.stack(want))
+        # a block of the later rows skips its own columns, not the block's first
+        first = n // 2
+        assert np.array_equal(topk_graph(batch[:, first:], k, first),
+                              np.stack(want)[:, first:])
 
 
-@pytest.mark.parametrize("shape", [(800, 800), (4, 800, 800)])
-def test_topk_graph_holds_one_block_beside_the_similarity(shape):
-    sim = np.random.default_rng(16).normal(size=shape)
+def test_knn_lists_of_a_batch_hold_a_few_blocks_beside_the_unit_rows():
+    # a block of rows spans the batch: TOPK_BLOCK_CELLS // (B N) rows of
+    # each window, so the build holds the unit rows (0.61 MB here) and a
+    # few blocks of cells (0.52 MB each: the similarity and its keys). It
+    # peaks at 1.88 MB, the unit rows and 2.4 blocks. The bound, the unit
+    # rows and 3 blocks (2.19 MB), leaves 0.30 MB, under one block.
+    # Before: 3.60 MB, with a block of TOPK_BLOCK_CELLS // N rows of every
+    # window and topk_graph's own blocks of keys beside it.
+    u = np.random.default_rng(16).normal(size=(4, 300, 64))
     tracemalloc.start()
     try:
-        topk_graph(sim, 10)
+        knn_lists(u, 10)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # before: a full [..., N, N] key array and a bool mask of the same shape
-    assert peak < sim.nbytes / 5, peak
+    block = graphs.TOPK_BLOCK_CELLS * 8
+    assert peak <= u.nbytes + 3 * block, (peak, u.nbytes, block)
 
 
 @st.composite
@@ -538,16 +541,19 @@ def test_knn_lists_match_a_sort_oracle_over_their_own_similarity_blocks(u, data)
         seen.append(cosine_similarity_matrix(*args))
         return seen[-1]
 
-    # one row a block, two rows, and three, which need not divide N
-    for rows_per_block in (1, 2, 3):
+    # a block is TOPK_BLOCK_CELLS // (B N) rows of each of the B windows
+    # (at least one), here 1, 2, 3 or 6 rows of a window and 1 or 3 of a
+    # pair, which need not divide N
+    for cells in (n, 2 * n, 3 * n, 6 * n):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(graphs, "TOPK_BLOCK_CELLS", rows_per_block * n)
+            mp.setattr(graphs, "TOPK_BLOCK_CELLS", cells)
             mp.setattr(act_model, "cosine_similarity_matrix", record)
             for rows in (u, batch):
                 seen.clear()
                 got = knn_lists(rows, k)
+                step = max(1, cells // math.prod(rows.shape[:-1]))  # B N rows in all
                 assert [block.shape[-2] for block in seen] == [
-                    min(rows_per_block, n - start) for start in range(0, n, rows_per_block)]
+                    min(step, n - start) for start in range(0, n, step)]
                 sim = np.concatenate(seen, axis=-2).reshape(-1, n, n)
                 want = [oracle.neighbor_lists(oracle.topk_np(window, k)) for window in sim]
                 assert np.array_equal(got.reshape(-1, n, k), want)
@@ -593,14 +599,13 @@ def test_gat_layer_sums_the_same_bits_with_and_without_a_tape(lead, blocks):
 def test_batched_graph_helpers_keep_their_input_checks():
     rng = np.random.default_rng(13)
     with pytest.raises(DataError):
-        cosine_similarity_matrix(rng.normal(size=5))
-    sim = cosine_similarity_matrix(rng.normal(size=(2, 4, 3)))
+        unit_rows(rng.normal(size=5))
+    unit = unit_rows(rng.normal(size=(2, 4, 3)))
+    sim = cosine_similarity_matrix(unit, unit)
     assert sim.shape == (2, 4, 4)
-    assert (np.diagonal(sim, axis1=-2, axis2=-1) == -np.inf).all()
 
-    for bad in (np.zeros((2, 3, 4)), np.zeros(4)):
-        with pytest.raises(DataError):
-            topk_graph(bad, 1)
+    with pytest.raises(DataError):
+        topk_graph(np.zeros(4), 1, 0)
     # a block of rows must be rows of its N columns
     assert topk_graph(np.zeros((2, 3, 4)), 1, first=1).shape == (2, 3, 1)
     for first in (-1, 2):
@@ -608,7 +613,7 @@ def test_batched_graph_helpers_keep_their_input_checks():
             topk_graph(np.zeros((2, 3, 4)), 1, first=first)
     for k in (0, 4):
         with pytest.raises(ConfigError):
-            topk_graph(sim, k)
+            topk_graph(sim, k, 0)
 
     u = Tensor(rng.normal(size=(2, 3, 2)))
     params = _gat_params(rng, 2)
