@@ -21,9 +21,9 @@ the largest neighborhood.
 Every layer acts on leading batch axes: representations are [..., N, d]
 and neighbor lists [..., N, K], one slice per window, each computed
 exactly as a single window would be. A similarity is [..., R, N]: a
-block of R rows of each window against all N, so `model.knn_lists`,
-which builds the k-NN lists one `row_blocks` block at a time, never
-holds an [..., N, N] array. The static category means broadcast
+block of R rows against all N, so `model.knn_lists`, which builds each
+window's k-NN lists one `row_blocks` block at a time, never holds an
+[N, N] array. The static category means broadcast
 against the batch; the GAT reads one list per window, so a caller
 broadcasts a shared list (the union's) itself.
 """
@@ -40,10 +40,10 @@ from . import tensor as tz
 from .errors import ConfigError, DataError
 from .tensor import Tensor
 
-# cells of one block of rows, across the whole batch, that the k-NN
-# build's similarity and keys and the GAT's neighbor sum with no tape
-# take at once: 512 KiB of float64, whatever B and N are (at least one
-# row of each window)
+# cells of one block of rows that the k-NN build's similarity and keys
+# (one window's rows) and the GAT's neighbor sum with no tape (rows of
+# every window of the batch) take at once: 512 KiB of float64, whatever
+# B and N are (at least one row)
 TOPK_BLOCK_CELLS = 65_536
 
 

@@ -233,20 +233,23 @@ def _gat(u: Tensor, neighbors: np.ndarray, model: ActModel, slope: float) -> Ten
 def knn_lists(u: np.ndarray, k: int) -> np.ndarray:
     """[..., N, k] cosine k-NN lists of [..., N, d] rows, no row its own.
 
-    The rows are scaled by `unit_rows` once. Then each `row_blocks`
-    block, R = TOPK_BLOCK_CELLS // (B N) rows of each of the B windows,
-    gets its [..., R, N] `cosine_similarity_matrix` and `topk_graph`
-    lists, so no [..., N, N] similarity is held. While B N^2 fits in one
-    block the GEMM is the whole square's; with more blocks a block's
-    product can differ from the square's by an ulp, which moves a pick
-    only between exactly tied columns.
+    The rows are scaled by `unit_rows` once. Then each window, one at a
+    time, takes its `row_blocks(N, N)` blocks of R = TOPK_BLOCK_CELLS // N
+    rows, and each block gets its [R, N] `cosine_similarity_matrix` and
+    `topk_graph` lists, so no [N, N] similarity is held. A window's GEMMs
+    have the same shapes in any batch, so it gets the same lists as when
+    it is alone, bit for bit. While N^2 fits in one block the GEMM is the
+    whole square's; with more blocks a block's product can differ from
+    the square's by an ulp, which moves a pick only between exactly tied
+    columns.
     """
     unit = unit_rows(u)
     lead, n = unit.shape[:-2], unit.shape[-2]
     out = np.empty(unit.shape[:-1] + (k,), dtype=np.intp)
-    for rows in row_blocks(n, math.prod(lead) * n):
-        sim = cosine_similarity_matrix(unit[..., rows, :], unit)
-        out[..., rows, :] = topk_graph(sim, k, rows.start)
+    for window in np.ndindex(lead):
+        for rows in row_blocks(n, n):
+            sim = cosine_similarity_matrix(unit[window][rows], unit[window])
+            out[window][rows] = topk_graph(sim, k, rows.start)
     return out
 
 

@@ -18,9 +18,12 @@ when some input is already on the active tape, a watched leaf or a
 recorded output, so an op whose inputs are all constants (masks,
 labels, pool matrices, raw features) computes its value and records
 nothing. Running a primitive with no active tape just computes the
-value, which is how inference runs. `backward` fills gradients for the
-watched leaves the loss reaches and drops every interior gradient once
-it has been passed on.
+value, which is how inference runs. A recorded closure holds only the
+arrays its VJP reads: a shape or a sign mask stands in for an input
+whose values it never reads, and an operand that only a constant's
+gradient would read is let go at forward time. `backward` fills
+gradients for the watched leaves the loss reaches and drops every
+interior gradient once it has been passed on.
 
 Every primitive output is checked for finiteness; NaN or Inf anywhere is
 an error, never a silent state.
@@ -183,15 +186,17 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # forward + VJP builders, one per primitive
 #
-# Each builder takes the input arrays, and its attributes as keyword
-# parameters, and returns (out_array, vjp). vjp(g, needs) maps the output
-# cotangent to a list of per-input cotangents; needs[i] is False for an
-# input that is not on the tape, whose cotangent backward() discards, so
-# a VJP may return None for it instead of computing it.
+# Each builder takes the input arrays, `needs` (needs[i] is True when
+# input i is on the active tape, all False with no tape) and its
+# attributes as keyword parameters, and returns (out_array, vjp). vjp(g)
+# maps the output cotangent to a list of per-input cotangents, None for
+# an input that does not need one. The closure keeps only what vjp reads:
+# a shape or a sign mask in place of an input it reads no value of, and
+# no operand that only an unneeded cotangent reads.
 # ---------------------------------------------------------------------------
 
 
-def _fw_matmul(inputs):
+def _fw_matmul(inputs, needs):
     a, b = inputs
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError("matmul operands must have at least 2 dimensions")
@@ -200,63 +205,66 @@ def _fw_matmul(inputs):
             f"matmul inner dims disagree: {a.shape} vs {b.shape}"
         )
     out = np.matmul(a, b)
+    (na, nb), sa, sb = needs, a.shape, b.shape
+    # each operand's cotangent reads only the other operand
+    a, b = (a if nb else None), (b if na else None)
 
-    def vjp(g, needs):
-        da = db = None
-        if needs[0]:
-            da = _unbroadcast(np.matmul(g, np.swapaxes(b, -1, -2)), a.shape)
-        if needs[1]:
-            db = _unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g), b.shape)
-        return [da, db]
+    def vjp(g):
+        return [_unbroadcast(np.matmul(g, np.swapaxes(b, -1, -2)), sa) if na else None,
+                _unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g), sb) if nb else None]
 
     return out, vjp
 
 
-def _fw_add(inputs):
+def _fw_add(inputs, needs):
     a, b = inputs
     out = a + b
+    sa, sb = a.shape, b.shape
 
-    def vjp(g, needs):
-        return [_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)]
+    def vjp(g):
+        return [_unbroadcast(g, sa), _unbroadcast(g, sb)]
 
     return out, vjp
 
 
-def _fw_sub(inputs):
+def _fw_sub(inputs, needs):
     a, b = inputs
     out = a - b
+    sa, sb = a.shape, b.shape
 
-    def vjp(g, needs):
-        return [_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)]
+    def vjp(g):
+        return [_unbroadcast(g, sa), _unbroadcast(-g, sb)]
 
     return out, vjp
 
 
-def _fw_mul(inputs):
+def _fw_mul(inputs, needs):
     a, b = inputs
     out = a * b
+    (na, nb), sa, sb = needs, a.shape, b.shape
+    a, b = (a if nb else None), (b if na else None)
 
-    def vjp(g, needs):
-        return [_unbroadcast(g * b, a.shape) if needs[0] else None,
-                _unbroadcast(g * a, b.shape) if needs[1] else None]
+    def vjp(g):
+        return [_unbroadcast(g * b, sa) if na else None,
+                _unbroadcast(g * a, sb) if nb else None]
 
     return out, vjp
 
 
-def _fw_div(inputs):
+def _fw_div(inputs, needs):
     a, b = inputs
     out = a / b
+    (na, nb), sa, sb = needs, a.shape, b.shape
+    a = a if nb else None  # only b's cotangent reads a
 
-    def vjp(g, needs):
-        return [
-            _unbroadcast(g / b, a.shape) if needs[0] else None,
-            _unbroadcast(-g * a / (b * b), b.shape) if needs[1] else None,
-        ]
+    def vjp(g):
+        return [_unbroadcast(g / b, sa) if na else None,
+                _unbroadcast(-g * a / (b * b), sb) if nb else None]
 
     return out, vjp
 
 
-def _fw_concat_last(inputs):
+def _fw_concat_last(inputs, needs):
     base = inputs[0].shape[:-1]
     for x in inputs[1:]:
         if x.shape[:-1] != base:
@@ -264,7 +272,7 @@ def _fw_concat_last(inputs):
     sizes = [x.shape[-1] for x in inputs]
     out = np.concatenate(inputs, axis=-1)
 
-    def vjp(g, needs):
+    def vjp(g):
         grads = []
         ofs = 0
         for n in sizes:
@@ -275,7 +283,7 @@ def _fw_concat_last(inputs):
     return out, vjp
 
 
-def _fw_layer_norm(inputs):
+def _fw_layer_norm(inputs, needs):
     x, gamma, beta = inputs
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
@@ -286,7 +294,7 @@ def _fw_layer_norm(inputs):
     out = gamma * xhat
     out += beta
 
-    def vjp(g, needs):
+    def vjp(g):
         dgamma = (g * xhat).reshape(-1, d).sum(axis=0)
         dbeta = g.reshape(-1, d).sum(axis=0)
         dxhat = g * gamma
@@ -298,77 +306,79 @@ def _fw_layer_norm(inputs):
     return out, vjp
 
 
-def _fw_leaky_relu(inputs, slope):
+def _fw_leaky_relu(inputs, needs, slope):
     (x,) = inputs
     # for 0 <= slope < 1 this is where(x > 0, x, slope * x) bit for bit,
     # signed zeros included, in a fraction of the time
     if not 0.0 <= slope < 1.0:
         raise TapeError(f"leaky_relu: slope must be in [0, 1), got {slope!r}")
     out = np.maximum(x, slope * x)
+    positive = x > 0
 
-    def vjp(g, needs):
-        return [g * np.where(x > 0, 1.0, slope)]
+    def vjp(g):
+        return [g * np.where(positive, 1.0, slope)]
 
     return out, vjp
 
 
-def _fw_sigmoid(inputs):
+def _fw_sigmoid(inputs, needs):
     (x,) = inputs
     s = _stable_sigmoid(x)
 
-    def vjp(g, needs):
+    def vjp(g):
         return [g * s * (1.0 - s)]
 
     return s, vjp
 
 
-def _fw_tanh(inputs):
+def _fw_tanh(inputs, needs):
     (x,) = inputs
     t = np.tanh(x)
 
-    def vjp(g, needs):
+    def vjp(g):
         return [g * (1.0 - t * t)]
 
     return t, vjp
 
 
-def _fw_softmax(inputs, axis):
+def _fw_softmax(inputs, needs, axis):
     (x,) = inputs
     shifted = x - x.max(axis=axis, keepdims=True)
     ex = np.exp(shifted)
     s = ex / ex.sum(axis=axis, keepdims=True)
 
-    def vjp(g, needs):
+    def vjp(g):
         dot = (g * s).sum(axis=axis, keepdims=True)
         return [s * (g - dot)]
 
     return s, vjp
 
 
-def _fw_sum(inputs, axis=None, keepdims=False):
+def _fw_sum(inputs, needs, axis=None, keepdims=False):
     (x,) = inputs
     out = x.sum(axis=axis, keepdims=keepdims)
+    shape = x.shape
 
-    def vjp(g, needs):
+    def vjp(g):
         gg = np.asarray(g)
         if axis is not None and not keepdims:
             gg = np.expand_dims(gg, axis)
-        return [np.broadcast_to(gg, x.shape).copy()]
+        return [np.broadcast_to(gg, shape).copy()]
 
     return out, vjp
 
 
-def _fw_sqrt(inputs):
+def _fw_sqrt(inputs, needs):
     (x,) = inputs
     out = np.sqrt(x)
 
-    def vjp(g, needs):
+    def vjp(g):
         return [g / (2.0 * out)]
 
     return out, vjp
 
 
-def _fw_index(inputs, key):
+def _fw_index(inputs, needs, key):
     # numpy checks the key. Every key's VJP scatter-adds, so an element
     # that an integer array or list selects more than once sums its
     # cotangents, in element order
@@ -376,11 +386,12 @@ def _fw_index(inputs, key):
     out = x[key]
     if np.may_share_memory(out, x):  # a basic key gives a view
         out = out.copy()
+    shape, size = x.shape, x.size
 
-    def vjp(g, needs):
-        flat = np.arange(x.size).reshape(x.shape)[key]
-        dx = np.bincount(flat.reshape(-1), weights=g.reshape(-1), minlength=x.size)
-        return [dx.reshape(x.shape)]
+    def vjp(g):
+        flat = np.arange(size).reshape(shape)[key]
+        dx = np.bincount(flat.reshape(-1), weights=g.reshape(-1), minlength=size)
+        return [dx.reshape(shape)]
 
     return out, vjp
 
@@ -407,22 +418,22 @@ def apply_primitive(kind: PrimitiveKind, inputs: Sequence[Tensor], **attrs) -> T
     """Run one primitive, recording it on the active tape if any. `attrs`
     go to the kind's builder as keyword arguments, so one it does not
     take, or one it needs and is not given, is a TypeError."""
+    tape = active_tape()
+    token = None if tape is None else tape._token
+    # an input off the active tape is a constant: no gradient flows into it
+    input_ids = tuple(t.node_id if t._tape_token == token else None for t in inputs)
+    needs = [i is not None for i in input_ids]
     arrays = [t.data for t in inputs]
     # overflow/invalid become NaN or Inf and are caught by the finite check
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out, vjp = _BUILDERS[kind](arrays, **attrs)
+        out, vjp = _BUILDERS[kind](arrays, needs, **attrs)
     out = np.asarray(out, dtype=np.float64)
     if not out.flags["C_CONTIGUOUS"]:
         out = np.ascontiguousarray(out)
     if not np.isfinite(out).all():
         raise NonFiniteError(f"{kind.value} produced non-finite values")
 
-    tape = active_tape()
-    if tape is None:
-        return Tensor._wrap_checked(out)
-    # an input off this tape is a constant: no gradient flows into it
-    input_ids = tuple(t.node_id if t._tape_token == tape._token else None for t in inputs)
-    if all(i is None for i in input_ids):
+    if not any(needs):
         return Tensor._wrap_checked(out)
     node_id = tape._record(kind, input_ids, vjp)
     return Tensor._wrap_checked(out, node_id=node_id, tape_token=tape._token)
@@ -434,10 +445,11 @@ def backward(loss: Tensor) -> None:
     Fills tape.gradients (node_id -> ndarray), which tape.grad() reads,
     with a gradient of its own shape for every watched leaf the loss
     reaches. An interior node's gradient and its VJP, with the forward
-    arrays the VJP holds, are dropped as soon as the sweep passes the
-    node, so activations drain as the sweep goes and the sweep never
-    holds more than the gradients still to be passed on. A tape can
-    therefore be swept once. A gradient may share memory with another
+    arrays the VJP reads, the only ones it holds, are dropped as soon as
+    the sweep passes the node, so activations drain as the sweep goes
+    and the sweep never holds more than the gradients still to be passed
+    on. A tape can therefore be swept once. A VJP takes the cotangent
+    alone, as its builder was told at forward time which inputs need one. A gradient may share memory with another
     (an ADD passes its output's gradient to both inputs), so all are
     read-only.
     """
@@ -467,7 +479,7 @@ def backward(loss: Tensor) -> None:
         if g is None:
             continue
         input_ids = node.input_ids
-        input_grads = vjp(g, [i is not None for i in input_ids])
+        input_grads = vjp(g)
         for in_id, ig in zip(input_ids, input_grads):
             if in_id is None:
                 continue

@@ -320,10 +320,9 @@ def train(
                     mse_terms = mse_loss(y_hat, batch_labels, mask)
                     window_loss = mix_losses(ic_terms, mse_terms, cfg.loss_mix)
                     backward(tz.div(tz.tensor_sum(window_loss), Tensor(float(len(batch)))))
-                    grad_arrays = {
-                        name: tape.grad(p) for name, p in model.params.items()
-                    }
-                optimizer.step(grad_arrays)
+                # no name holds the gradients past the step, so the next
+                # forward runs without them
+                optimizer.step({name: tape.grad(p) for name, p in model.params.items()})
             except NonFiniteError as exc:
                 raise NonFiniteError(
                     f"training diverged at epoch {epoch} step {start // size}: {exc}"

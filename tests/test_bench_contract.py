@@ -161,10 +161,10 @@ def test_tracer_records_one_knn_span_pair_per_block_of_each_window(tmp_path, mon
         parents = [span[1] for span in tracer.spans if span[3] == name]
         assert sorted(parents) == sorted(windows * 3), name
 
-    # a training step forwards a batch of 4 windows, and a block spans the
-    # batch: TOPK_BLOCK_CELLS // (4 N) rows of each window, 5, 5 and 2 rows
-    # again, so each training forward's pspe_forward has three of each span
-    monkeypatch.setattr(graphs, "TOPK_BLOCK_CELLS", 4 * 5 * 12)
+    # a training step forwards a batch of 4 windows, and each window takes
+    # its own blocks, here of 6 and 6 rows, so each training forward's
+    # pspe_forward has two of each span per window, eight in all
+    monkeypatch.setattr(graphs, "TOPK_BLOCK_CELLS", 6 * 12)
     tracer = tracing.Tracer()
     cfg = ActConfig(n_features=ds.n_features, window=8, knn=3)
     # 8 training windows, two batches of 4, and 8 validation windows
@@ -177,4 +177,4 @@ def test_tracer_records_one_knn_span_pair_per_block_of_each_window(tmp_path, mon
     step_of = {span[0]: span[1] for span in tracer.spans if span[3] == "model.pspe_forward"}
     for name in ("graphs.cosine_similarity_matrix", "graphs.topk_graph"):
         parents = [step_of[span[1]] for span in tracer.spans if span[3] == name]
-        assert sorted(p for p in parents if p in steps) == sorted(steps * 3), name
+        assert sorted(p for p in parents if p in steps) == sorted(steps * 4 * 2), name

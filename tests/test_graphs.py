@@ -494,13 +494,13 @@ def test_topk_graph_matches_oracle_on_dense_ties(sim):
 
 
 def test_knn_lists_of_a_batch_hold_a_few_blocks_beside_the_unit_rows():
-    # a block of rows spans the batch: TOPK_BLOCK_CELLS // (B N) rows of
-    # each window, so the build holds the unit rows (0.61 MB here) and a
-    # few blocks of cells (0.52 MB each: the similarity and its keys). It
-    # peaks at 1.88 MB, the unit rows and 2.4 blocks. The bound, the unit
-    # rows and 3 blocks (2.19 MB), leaves 0.30 MB, under one block.
-    # Before: 3.60 MB, with a block of TOPK_BLOCK_CELLS // N rows of every
-    # window and topk_graph's own blocks of keys beside it.
+    # each window in turn takes blocks of TOPK_BLOCK_CELLS // N of its
+    # rows, so the build holds the unit rows (0.61 MB here) and a few
+    # blocks of cells (0.52 MB each: the similarity and its keys). It
+    # peaks at 1.90 MB, the unit rows and 2.5 blocks. The bound, the unit
+    # rows and 3 blocks (2.19 MB), leaves 0.29 MB, under one block.
+    # Earlier: 3.60 MB, with a block of TOPK_BLOCK_CELLS // N rows of every
+    # window at once and topk_graph's own blocks of keys beside it.
     u = np.random.default_rng(16).normal(size=(4, 300, 64))
     tracemalloc.start()
     try:
@@ -541,9 +541,9 @@ def test_knn_lists_match_a_sort_oracle_over_their_own_similarity_blocks(u, data)
         seen.append(cosine_similarity_matrix(*args))
         return seen[-1]
 
-    # a block is TOPK_BLOCK_CELLS // (B N) rows of each of the B windows
-    # (at least one), here 1, 2, 3 or 6 rows of a window and 1 or 3 of a
-    # pair, which need not divide N
+    # each window in turn takes blocks of TOPK_BLOCK_CELLS // N of its rows
+    # (at least one), here 1, 2, 3 or 6 rows, which need not divide N,
+    # whatever the batch
     for cells in (n, 2 * n, 3 * n, 6 * n):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(graphs, "TOPK_BLOCK_CELLS", cells)
@@ -551,9 +551,10 @@ def test_knn_lists_match_a_sort_oracle_over_their_own_similarity_blocks(u, data)
             for rows in (u, batch):
                 seen.clear()
                 got = knn_lists(rows, k)
-                step = max(1, cells // math.prod(rows.shape[:-1]))  # B N rows in all
-                assert [block.shape[-2] for block in seen] == [
-                    min(step, n - start) for start in range(0, n, step)]
+                step = cells // n
+                windows = math.prod(rows.shape[:-2])
+                assert [block.shape for block in seen] == windows * [
+                    (min(step, n - start), n) for start in range(0, n, step)]
                 sim = np.concatenate(seen, axis=-2).reshape(-1, n, n)
                 want = [oracle.neighbor_lists(oracle.topk_np(window, k)) for window in sim]
                 assert np.array_equal(got.reshape(-1, n, k), want)

@@ -30,6 +30,7 @@ from xsrank.model import (
     acf_forward,
     act_forward_parts,
     fci_forward,
+    knn_lists,
     load_checkpoint,
     parameter_spec,
     pspe_forward,
@@ -676,6 +677,41 @@ def test_batched_forward_equals_per_window_bitwise(pspe, fci, sci, b, n, seed):
             assert diag["gate_mean"][k] == diag1["gate_mean"]
         else:
             assert diag["gate_mean"] is None and diag1["gate_mean"] is None
+
+
+@settings(max_examples=12, deadline=None)
+@given(b=st.integers(1, 4), n=st.integers(129, 300), distinct=st.integers(2, 12),
+       k=st.integers(1, 10), seed=st.integers(0, 2**16))
+def test_a_window_gets_its_knn_lists_and_scores_alone_in_any_batch(b, n, distinct, k, seed):
+    # above N = 128 a window's similarity takes more than one block of
+    # rows. Each window takes its own blocks, so its GEMMs are those it
+    # runs alone; a block spanning the batch would change their shapes,
+    # and an ulp moves a pick among exactly tied columns. Every stock
+    # here copies one of a few distinct ones, in every window, exactly or
+    # (for the lists) times 2, so ties are everywhere
+    rng = np.random.default_rng(seed)
+    copy_of = rng.integers(0, distinct, size=n)
+    scale = rng.choice([1.0, 2.0], size=(n, 1))
+    u = rng.normal(size=(b, distinct, 8))[:, copy_of] * scale
+    lists = knn_lists(u, k)
+    for w in range(b):
+        assert np.array_equal(lists[w], knn_lists(u[w], k))
+
+    # a copy shares its original's categories, so its trend residual ties too
+    cfg = small_cfg(knn=k)
+    model = ActModel(cfg, seed=seed)
+    instruments = [f"S{i:03d}" for i in range(n)]
+    graphs = build_relation_graphs(
+        instruments, {s: f"I{c % 3}" for s, c in zip(instruments, copy_of)},
+        {s: f"R{c % 2}" for s, c in zip(instruments, copy_of)})
+    windows = [rng.normal(size=(cfg.window, distinct, cfg.n_features))[:, copy_of]
+               for _ in range(b)]
+    y, diag = act_forward_parts(_stacked(cfg, windows), graphs, model)
+    for w, window in enumerate(windows):
+        y1, diag1 = act_forward_parts(
+            decompose(window, cfg.trend_window, cfg.fluct_window), graphs, model)
+        assert np.array_equal(diag["neighbors"][w], diag1["neighbors"])
+        assert np.array_equal(y.data[w], y1.data)
 
 
 @pytest.mark.parametrize("pspe,fci,sci", VARIANTS)

@@ -339,6 +339,69 @@ def test_backward_frees_each_vjp_and_sweeps_a_tape_once():
             backward(tz.tensor_sum(w))
 
 
+# (kind, input shapes, attributes, which inputs are watched, which inputs
+# the VJP reads the values of). A constant operand's cotangent is never
+# taken, so what only that cotangent would read is not held either
+_K = PrimitiveKind
+_HOLD_CASES = [
+    (_K.MATMUL, [(3, 4), (4, 2)], {}, (1, 1), {0, 1}),
+    (_K.MATMUL, [(3, 4), (4, 2)], {}, (1, 0), {1}),
+    (_K.MATMUL, [(3, 4), (4, 2)], {}, (0, 1), {0}),
+    (_K.ADD, [(3, 4), (4,)], {}, (1, 1), set()),
+    (_K.SUB, [(3, 4), (4,)], {}, (1, 1), set()),
+    (_K.MUL, [(3, 4), (3, 4)], {}, (1, 1), {0, 1}),
+    (_K.MUL, [(3, 4), (3, 4)], {}, (1, 0), {1}),
+    (_K.MUL, [(3, 4), (3, 4)], {}, (0, 1), {0}),
+    (_K.DIV, [(3, 4), (3, 4)], {}, (1, 1), {0, 1}),
+    (_K.DIV, [(3, 4), (3, 4)], {}, (1, 0), {1}),
+    (_K.DIV, [(3, 4), (3, 4)], {}, (0, 1), {0, 1}),
+    (_K.CONCAT_LAST, [(3, 2), (3, 4)], {}, (1, 1), set()),
+    (_K.LAYER_NORM, [(3, 4), (4,), (4,)], {}, (1, 1, 1), {1}),
+    (_K.LEAKY_RELU, [(3, 4)], {"slope": 0.2}, (1,), set()),
+    (_K.SIGMOID, [(3, 4)], {}, (1,), set()),
+    (_K.TANH, [(3, 4)], {}, (1,), set()),
+    (_K.SOFTMAX, [(3, 4)], {"axis": -1}, (1,), set()),
+    (_K.SUM, [(3, 4)], {"axis": 0}, (1,), set()),
+    (_K.SQRT, [(3, 4)], {}, (1,), set()),
+    (_K.INDEX, [(3, 4)], {"key": (np.array([0, 2, 0]),)}, (1,), set()),
+]
+
+
+@pytest.mark.parametrize("kind,shapes,attrs,watched,read", _HOLD_CASES,
+                         ids=[f"{c[0].value}-{''.join(map(str, c[3]))}" for c in _HOLD_CASES])
+def test_a_recorded_primitive_holds_only_the_inputs_its_vjp_reads(kind, shapes, attrs,
+                                                                  watched, read):
+    # the tape holds a closure per op until backward passes it, so an input
+    # the closure keeps past the caller's last reference stays alive; a
+    # shape or a sign mask in its place does not keep it
+    assert {case[0] for case in _HOLD_CASES} == set(PrimitiveKind)
+    rng = np.random.default_rng(41)
+    arrays = [rng.uniform(0.5, 2.0, size=shape) for shape in shapes]
+
+    def run(drop):
+        with Tape() as tape:
+            inputs = [Tensor(a.copy()) for a in arrays]
+            refs = [weakref.ref(t.data) for t in inputs]
+            for i in np.flatnonzero(watched):
+                tape.watch(inputs[i])
+            out = apply_primitive(kind, inputs, **attrs)
+            if drop:
+                del inputs
+            alive = {i for i, ref in enumerate(refs) if ref() is not None}
+            backward(_scalarize(out, rng.normal(size=out.shape)))
+            grads = [tape.gradients[i] for i in range(sum(watched))]
+        return alive, grads
+
+    rng_state = rng.bit_generator.state
+    alive, grads = run(drop=True)
+    assert alive == read
+    # what the closure kept is all its VJP needs: the gradients are those
+    # of a run whose caller kept every input
+    rng.bit_generator.state = rng_state
+    for got, want in zip(grads, run(drop=False)[1], strict=True):
+        assert np.array_equal(got, want)
+
+
 def test_replay_bitwise_deterministic():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(6, 4))
