@@ -22,15 +22,14 @@ Every layer acts on leading batch axes: representations are [..., N, d]
 and neighbor lists [..., N, K], one slice per window, each computed
 exactly as a single window would be. A similarity is [..., R, N]: a
 block of R rows against all N, so `model.knn_lists`, which builds each
-window's k-NN lists one `row_blocks` block at a time, never holds an
-[N, N] array. The static category means broadcast
-against the batch; the GAT reads one list per window, so a caller
-broadcasts a shared list (the union's) itself.
+window's k-NN lists one `tensor.row_blocks` block at a time, never holds
+an [N, N] array. The static category means broadcast against the batch;
+the GAT reads one list per window, so a caller broadcasts a shared list
+(the union's) itself.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -39,20 +38,6 @@ import numpy as np
 from . import tensor as tz
 from .errors import ConfigError, DataError
 from .tensor import Tensor
-
-# cells of one block of rows that the k-NN build's similarity and keys
-# (one window's rows) and the GAT's neighbor sum with no tape (rows of
-# every window of the batch) take at once: 512 KiB of float64, whatever
-# B and N are (at least one row)
-TOPK_BLOCK_CELLS = 65_536
-
-
-def row_blocks(rows: int, width: int) -> list[slice]:
-    """Successive slices of `rows` rows, each TOPK_BLOCK_CELLS // width
-    rows of `width` cells (at least one row)."""
-    step = max(1, TOPK_BLOCK_CELLS // max(width, 1))
-    return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
-
 
 @dataclass
 class RelationGraphs:
@@ -244,12 +229,8 @@ def gat_layer(
     one list per window; a list shared by the batch is broadcast to it
     by the caller. A -1 slot is padding: it gathers the row itself and
     gets no attention. The attention alpha, the layer's one softmax, is
-    [..., N, K], aligned with the lists.
-
-    Under a recording tape the neighbor sum is one INDEX + MATMUL pair
-    over a [..., N, K, d] gather of all rows, which backward reads. With
-    no tape it is the same per-row product over `row_blocks` of that
-    gather, bit for bit, so the layer holds O(N (K + d)) plus one block.
+    [..., N, K], aligned with the lists. The neighbor sum is one
+    NEIGHBOR_SUM, so the layer holds O(N (K + d)) plus one block.
     """
     nbr = np.asarray(neighbors)
     lead, n = u.shape[:-2], u.shape[-2]
@@ -278,19 +259,5 @@ def gat_layer(
         # softmax, keeping every tensor finite
         logits = tz.add(logits, Tensor(np.where(pad, -1e30, 0.0)))
     alpha = tz.softmax(logits, axis=-1)
-    # [..., N, 1, K] @ [..., N, K, d]: one weighted sum of gathered rows per row
-    if tz.active_tape() is None:
-        # the same [1, K] @ [K, d] product per row, one block of rows at a
-        # time, so no [..., N, K, d] gather is held; Tensor checks the sums
-        sums = np.empty(wu.shape)
-        width = math.prod(lead) * nbr.shape[-1] * wu.shape[-1]
-        for rows in row_blocks(n, width):
-            gathered = wu.data[batch + (nbr[..., rows, :],)]
-            sums[..., rows, :] = np.matmul(alpha.data[..., rows, None, :], gathered)[..., 0, :]
-        agg = Tensor(sums)
-    else:
-        # backward reads the gathered rows, so the taped pair takes all rows
-        rows = (slice(None),) * (alpha.ndim - 1)
-        agg = tz.index(tz.matmul(tz.index(alpha, rows + (None,)), tz.index(wu, batch + (nbr,))),
-                       rows + (0,))
-    return tz.leaky_relu(tz.matmul(agg, out_weight), slope)
+    return tz.leaky_relu(tz.matmul(tz.neighbor_sum(alpha, wu, batch + (nbr,)), out_weight),
+                         slope)

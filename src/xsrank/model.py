@@ -42,11 +42,10 @@ from .graphs import (
     cosine_similarity_matrix,
     gat_layer,
     gcn_layer,
-    row_blocks,
     topk_graph,
     unit_rows,
 )
-from .tensor import Tensor
+from .tensor import Tensor, row_blocks
 
 CHECKPOINT_VERSION = 2
 

@@ -3,9 +3,10 @@
 Tensors wrap C-contiguous float64 ndarrays. The closed set of primitives
 (see PrimitiveKind) holds exactly what the model and its losses run,
 and nothing another kind already computes: selection and gathers are
-INDEX, the fluctuation branch's causal convolution is a broadcast
-MATMUL over stacked lags plus a SUM, ReLU is LEAKY_RELU at slope 0, a
-mean is SUM then DIV, and dropout is a MUL by a mask the model draws.
+INDEX, the GAT's neighbor sum is NEIGHBOR_SUM (no gather is held), the
+fluctuation branch's causal convolution is a broadcast MATMUL over
+stacked lags plus a SUM, ReLU is LEAKY_RELU at slope 0, a mean is SUM
+then DIV, and dropout is a MUL by a mask the model draws.
 A primitive takes Tensors, and its attributes (a slope, an axis, an
 INDEX key) as keyword arguments. INDEX takes any key numpy takes, lets
 numpy check it, and scatter-adds its gradient.
@@ -31,6 +32,7 @@ an error, never a silent state.
 
 from __future__ import annotations
 
+import math
 import threading
 from enum import Enum
 from typing import Callable, Iterable, Sequence
@@ -41,6 +43,18 @@ from .errors import NonFiniteError, ShapeError, TapeError
 
 # added to the row variance before LAYER_NORM takes its square root
 LAYER_NORM_EPS = 1e-5
+
+# cells of one block of the k-NN build's similarity and keys (one window)
+# or of NEIGHBOR_SUM's gathered rows (every window of the batch): 512 KiB
+# of float64, whatever B and N are (at least one row)
+TOPK_BLOCK_CELLS = 65_536
+
+
+def row_blocks(rows: int, width: int) -> list[slice]:
+    """Successive slices of `rows` rows, each TOPK_BLOCK_CELLS // width
+    rows of `width` cells (at least one row)."""
+    step = max(1, TOPK_BLOCK_CELLS // max(width, 1))
+    return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
 
 
 class PrimitiveKind(Enum):
@@ -58,6 +72,7 @@ class PrimitiveKind(Enum):
     SUM = "sum"
     SQRT = "sqrt"
     INDEX = "index"
+    NEIGHBOR_SUM = "neighbor_sum"
 
 
 class Tensor:
@@ -396,6 +411,38 @@ def _fw_index(inputs, needs, key):
     return out, vjp
 
 
+def _fw_neighbor_sum(inputs, needs, key):
+    # out[..., i, :] = alpha[..., i, None, :] @ x[key][..., i, :, :], a block
+    # of rows at a time, and its VJP: neither holds a [..., N, K, d] array
+    alpha, x = inputs
+    (na, nx), sx, d = needs, x.shape, x.shape[-1]
+    row_ids = np.arange(math.prod(sx[:-1])).reshape(sx[:-1])
+    ids = row_ids[key]  # numpy checks the key
+    if alpha.ndim < 2 or ids.shape != alpha.shape:
+        raise ShapeError(f"neighbor_sum key picks {ids.shape} rows of x for alpha {alpha.shape}")
+    blocks = row_blocks(alpha.shape[-2], math.prod(alpha.shape[:-2]) * alpha.shape[-1] * d)
+    out = np.empty(alpha.shape[:-1] + (d,))
+    for rows in blocks:
+        gathered = x.reshape(-1, d)[ids[..., rows, :]]
+        out[..., rows, :] = np.matmul(alpha[..., rows, None, :], gathered)[..., 0, :]
+    alpha, x = (alpha if nx else None), (x if na else None)
+
+    def vjp(g):
+        # x's cotangent scatters one column of all rows at a time, so each
+        # cell sums its terms in slot order, as INDEX's scatter does
+        ids = row_ids[key]  # the closure holds the key, not the [..., N, K] ids
+        da, dx = (np.empty(ids.shape) if na else None), (np.empty(sx) if nx else None)
+        for rows in blocks if na else ():
+            gathered = x.reshape(-1, d)[ids[..., rows, :]].swapaxes(-1, -2)
+            da[..., rows, :] = np.matmul(g[..., rows, None, :], gathered)[..., 0, :]
+        for c in range(d) if nx else ():
+            dx[..., c] = np.bincount(ids.ravel(), weights=(alpha * g[..., c, None]).ravel(),
+                                     minlength=row_ids.size).reshape(row_ids.shape)
+        return [da, dx]
+
+    return out, vjp
+
+
 _BUILDERS: dict[PrimitiveKind, Callable] = {
     PrimitiveKind.MATMUL: _fw_matmul,
     PrimitiveKind.ADD: _fw_add,
@@ -411,6 +458,7 @@ _BUILDERS: dict[PrimitiveKind, Callable] = {
     PrimitiveKind.SUM: _fw_sum,
     PrimitiveKind.SQRT: _fw_sqrt,
     PrimitiveKind.INDEX: _fw_index,
+    PrimitiveKind.NEIGHBOR_SUM: _fw_neighbor_sum,
 }
 
 
@@ -558,3 +606,8 @@ def index(x: Tensor, key) -> Tensor:
     scatter-adds, so an element the key selects more than once (a
     repeated integer array or list) gets the sum of its cotangents."""
     return apply_primitive(PrimitiveKind.INDEX, [x], key=key)
+
+
+def neighbor_sum(alpha: Tensor, x: Tensor, key) -> Tensor:
+    """Sum over k of alpha[..., i, k] x[key][..., i, k, :], key an INDEX key."""
+    return apply_primitive(PrimitiveKind.NEIGHBOR_SUM, [alpha, x], key=key)

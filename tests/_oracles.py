@@ -5,6 +5,11 @@ the layer definitions, independent of the package implementation: plain
 numpy on plain arrays, with no Tensor, no tape and no dropout (eval
 mode).
 
+`neighbor_sum_index_matmul` is the one oracle built on the tape: the
+INDEX + MATMUL pair the GAT's neighbor sum was before NEIGHBOR_SUM, a
+whole [..., N, K, d] gather and one [1, K] @ [K, d] product per row, so
+tests can pin NEIGHBOR_SUM's outputs and gradients bitwise against it.
+
 The synthetic-market oracles build the generator's calendar, AR(1)
 paths and compounded prices one day at a time, and `synthetic_loop` the
 whole panel from them.
@@ -33,6 +38,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from xsrank import tensor as tz
 from xsrank.backtest import BacktestResult
 from xsrank.data import (
     FACTOR_NAMES,
@@ -169,6 +175,13 @@ def gat_np(u, adj, w, a_src, a_dst, w_out, slope=0.2):
         alpha[i, nb] = ex / ex.sum()
     z = leaky((alpha @ wu) @ w_out, slope)
     return z, alpha
+
+
+def neighbor_sum_index_matmul(alpha, x, key):
+    """tz.neighbor_sum as INDEX, MATMUL, INDEX: alpha [..., N, K] expanded
+    to [..., N, 1, K], times the [..., N, K, d] rows x[key], squeezed."""
+    rows = (slice(None),) * (alpha.ndim - 1)
+    return tz.index(tz.matmul(tz.index(alpha, rows + (None,)), tz.index(x, key)), rows + (0,))
 
 
 def union_np(*adjs):

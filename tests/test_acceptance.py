@@ -90,6 +90,9 @@ def _primitive_cases(rng):
         ("sqrt", lambda t: _scalarize(tz.sqrt(t), w34), pos),
         ("index",
          lambda t: _scalarize(tz.index(t, (slice(None), 2)), w3), a),
+        # t is both the [3, 4] weights and the rows, so both cotangents count
+        ("neighbor_sum",
+         lambda t: _scalarize(tz.neighbor_sum(t, t, np.array([[0, 2, 2, 1]] * 3)), w34), a),
     ]
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from xsrank import cli, data, graphs
+from xsrank import cli, data, tensor
 from xsrank.model import ActConfig, ActModel
 from xsrank.training import TrainSettings, predict_sliding, train
 
@@ -151,7 +151,7 @@ def test_tracer_records_one_knn_span_pair_per_block_of_each_window(tmp_path, mon
     ds, relations = data.generate_synthetic(data.SynthConfig(n_instruments=12, days=24,
                                                              seed=1))[:2]
     model = ActModel(ActConfig(n_features=ds.n_features, knn=3), seed=1)
-    monkeypatch.setattr(graphs, "TOPK_BLOCK_CELLS", 5 * 12)  # blocks of 5, 5 and 2 rows
+    monkeypatch.setattr(tensor, "TOPK_BLOCK_CELLS", 5 * 12)  # blocks of 5, 5 and 2 rows
     with tracer.root("op"):
         predict_sliding(model, ds, relations, start_date=ds.dates[-3])
     assert tracer.restore_failures == []
@@ -164,7 +164,7 @@ def test_tracer_records_one_knn_span_pair_per_block_of_each_window(tmp_path, mon
     # a training step forwards a batch of 4 windows, and each window takes
     # its own blocks, here of 6 and 6 rows, so each training forward's
     # pspe_forward has two of each span per window, eight in all
-    monkeypatch.setattr(graphs, "TOPK_BLOCK_CELLS", 6 * 12)
+    monkeypatch.setattr(tensor, "TOPK_BLOCK_CELLS", 6 * 12)
     tracer = tracing.Tracer()
     cfg = ActConfig(n_features=ds.n_features, window=8, knn=3)
     # 8 training windows, two batches of 4, and 8 validation windows

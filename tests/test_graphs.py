@@ -508,7 +508,7 @@ def test_knn_lists_of_a_batch_hold_a_few_blocks_beside_the_unit_rows():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    block = graphs.TOPK_BLOCK_CELLS * 8
+    block = tz.TOPK_BLOCK_CELLS * 8
     assert peak <= u.nbytes + 3 * block, (peak, u.nbytes, block)
 
 
@@ -546,7 +546,7 @@ def test_knn_lists_match_a_sort_oracle_over_their_own_similarity_blocks(u, data)
     # whatever the batch
     for cells in (n, 2 * n, 3 * n, 6 * n):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(graphs, "TOPK_BLOCK_CELLS", cells)
+            mp.setattr(tz, "TOPK_BLOCK_CELLS", cells)
             mp.setattr(act_model, "cosine_similarity_matrix", record)
             for rows in (u, batch):
                 seen.clear()
@@ -567,7 +567,7 @@ def test_knn_lists_equal_the_whole_square_build_on_continuous_rows(n):
     # between exactly tied columns; continuous rows have none
     rng = np.random.default_rng(n)
     u = rng.normal(size=(n, 64))
-    assert len(graphs.row_blocks(n, n)) > 1
+    assert len(tz.row_blocks(n, n)) > 1
     for k in (1, 10):
         assert np.array_equal(knn_lists(u, k), oracle.knn_full(u, k))
     batch = rng.normal(size=(2, n, 8))
@@ -577,24 +577,41 @@ def test_knn_lists_equal_the_whole_square_build_on_continuous_rows(n):
 @pytest.mark.parametrize("lead", [(), (2,)])
 @pytest.mark.parametrize("blocks", ["one", "two", "many"])
 def test_gat_layer_sums_the_same_bits_with_and_without_a_tape(lead, blocks):
-    # with no tape the neighbor sum runs one block of rows at a time; the
-    # taped INDEX + MATMUL pair over all rows is the reference
+    # NEIGHBOR_SUM gathers one block of rows at a time, forward and in
+    # alpha's gradient, and scatters x's gradient one column at a time; the
+    # INDEX + MATMUL pair over all rows is the reference for the output and
+    # every gradient, with a tape and without
     rng = np.random.default_rng(17)
     n, k, d = 37, 6, 5
-    u = Tensor(rng.normal(size=lead + (n, d)))
+    u = rng.normal(size=lead + (n, d))
+    # drawn with replacement, so rows repeat neighbors; some slots padded
     lists = np.sort(rng.integers(0, n, size=lead + (n, k)), axis=-1)
-    lists[..., :3][rng.random(lead + (n, 3)) < 0.4] = -1  # padded slots
+    lists[..., :3][rng.random(lead + (n, 3)) < 0.4] = -1
+    assert (np.diff(lists, axis=-1) == 0).any() and (lists < 0).any()
     params = _gat_params(rng, d)
-    with Tape() as tape:
-        tape.watch(u)
-        taped = gat_layer(u, lists, **params).data
-    width = math.prod(lead) * k * d
-    cells = {"one": graphs.TOPK_BLOCK_CELLS, "two": width * ((n + 1) // 2), "many": 1}[blocks]
+    w_out = rng.normal(size=lead + (n, d))
+
+    def run():
+        with Tape() as tape:
+            watched = [Tensor(u), *params.values()]
+            for t in watched:
+                tape.watch(t)
+            out = gat_layer(watched[0], lists, **params)
+            backward(tz.tensor_sum(tz.mul(out, Tensor(w_out))))
+            grads = [tape.grad(t) for t in watched]
+        return [gat_layer(Tensor(u), lists, **params).data, out.data] + grads
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graphs, "TOPK_BLOCK_CELLS", cells)
-        assert len(graphs.row_blocks(n, width)) == {"one": 1, "two": 2, "many": n}[blocks]
-        free = gat_layer(u, lists, **params).data
-    assert free.tobytes() == taped.tobytes()
+        mp.setattr(tz, "neighbor_sum", oracle.neighbor_sum_index_matmul)
+        want = run()
+    width = math.prod(lead) * k * d
+    cells = {"one": tz.TOPK_BLOCK_CELLS, "two": width * ((n + 1) // 2), "many": 1}[blocks]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tz, "TOPK_BLOCK_CELLS", cells)
+        assert len(tz.row_blocks(n, width)) == {"one": 1, "two": 2, "many": n}[blocks]
+        got = run()
+    for g, w in zip(got, want, strict=True):
+        assert g.tobytes() == w.tobytes()
 
 
 def test_batched_graph_helpers_keep_their_input_checks():

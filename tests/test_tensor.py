@@ -172,6 +172,41 @@ def test_index_integer_arrays_and_none():
         assert np.array_equal(got, want), key
 
 
+@pytest.mark.parametrize("cells", [tz.TOPK_BLOCK_CELLS, 60, 1])
+def test_neighbor_sum_is_the_index_matmul_pair_bit_for_bit(cells, monkeypatch):
+    # one, several and one-row blocks of rows; repeated and shared rows, a
+    # key that broadcasts a shared list, negative indices, and cotangents
+    # with signed zeros, which INDEX's scatter makes +0
+    rng = np.random.default_rng(23)
+    n, k, d = 5, 3, 4
+    alpha = rng.uniform(0.0, 1.0, size=(2, n, k))
+    alpha[:, :, 0] = 0.0
+    x = -np.abs(rng.normal(size=(2, n, d)))
+    x[1, 2] = 0.0
+    nbr = np.array([[1, 1, 4], [0, 2, 2], [3, 3, 3], [4, 0, -1], [2, 2, 0]])
+    batch = np.arange(2)[:, None, None]
+    w = rng.normal(size=(2, n, d))
+    w[:, 1], w[0, 3, :2] = -0.0, 0.0
+    monkeypatch.setattr(tz, "TOPK_BLOCK_CELLS", cells)
+    assert len(tz.row_blocks(n, 2 * k * d)) == {60: 3, 1: n}.get(cells, 1)
+    for key in ((batch, np.stack([nbr, nbr[::-1]])), (batch, nbr)):
+        got, want = [], []
+        for f, out in ((tz.neighbor_sum, got), (oracle.neighbor_sum_index_matmul, want)):
+            with Tape() as tape:
+                ta, tx = Tensor(alpha), Tensor(x)
+                tape.watch(ta)
+                tape.watch(tx)
+                y = f(ta, tx, key)
+                backward(_scalarize(y, w))
+                out += [y.data, tape.grad(ta), tape.grad(tx)]
+        for g, want_g in zip(got, want, strict=True):
+            assert g.tobytes() == want_g.tobytes()
+    with pytest.raises(ShapeError):
+        tz.neighbor_sum(Tensor(alpha), Tensor(x), (batch, nbr[:, :2]))
+    with pytest.raises(IndexError):
+        tz.neighbor_sum(Tensor(alpha), Tensor(x), (batch, nbr + 1))
+
+
 def test_gradients_are_read_only():
     # an ADD hands its output's gradient to both inputs unchanged, so the
     # two may share memory; writing to either must fail, not alias
@@ -364,6 +399,12 @@ _HOLD_CASES = [
     (_K.SUM, [(3, 4)], {"axis": 0}, (1,), set()),
     (_K.SQRT, [(3, 4)], {}, (1,), set()),
     (_K.INDEX, [(3, 4)], {"key": (np.array([0, 2, 0]),)}, (1,), set()),
+    (_K.NEIGHBOR_SUM, [(3, 2), (3, 4)], {"key": np.array([[0, 2], [1, 1], [2, 0]])}, (1, 1),
+     {0, 1}),
+    (_K.NEIGHBOR_SUM, [(3, 2), (3, 4)], {"key": np.array([[0, 2], [1, 1], [2, 0]])}, (1, 0),
+     {1}),
+    (_K.NEIGHBOR_SUM, [(3, 2), (3, 4)], {"key": np.array([[0, 2], [1, 1], [2, 0]])}, (0, 1),
+     {0}),
 ]
 
 

@@ -638,30 +638,27 @@ def test_one_n800_scoring_window_holds_a_few_activations():
 
 def test_one_n800_gat_only_scoring_window_holds_no_neighbor_gather():
     # gat_only attends over the union lists, K = 203 wide on this market.
-    # With no tape the GAT sums its neighbors one block of rows at a time,
-    # so no [N, K, d] gather (83 MB) is held. The window peaks at 9.39 MB,
-    # a few [N, K] arrays (1.30 MB each: the lists, the source terms, the
-    # logits and the attention) beside the [N, d] activations. The bound,
-    # 8 [N, K] arrays (10.39 MB), leaves 1.0 MB, less than one of them.
-    # Before: 102.9 MB.
+    # NEIGHBOR_SUM sums the neighbors one block of rows at a time, with a
+    # tape or without, so no [N, K, d] gather (83 MB) is held. The window
+    # peaks at 9.39 MB, a few [N, K] arrays (1.30 MB each: the lists, the
+    # source terms, the logits and the attention) beside the [N, d]
+    # activations. The bound, 8 [N, K] arrays (10.39 MB), leaves 1.0 MB,
+    # less than one of them. Before: 102.9 MB.
     lists = 800 * 203 * 8
     peak = _n800_window_peak("gat_only")
     assert peak <= 8 * lists, (peak, lists)
 
 
-def test_one_n300_training_epoch_holds_its_step_and_little_else():
-    # one epoch of `train` at CSI 300 size: 16 training windows in batches
-    # of 4 and 8 validation windows. The step's tape holds the batch's
-    # activations, [4, 300, 64] each (0.61 MB), and its GAT gather, and
-    # no input a VJP reads no values of, nor the last step's gradients.
-    # The epoch peaks at 38.84 MB, about 63.2 activations. The bound, 65
-    # activations (39.94 MB), leaves 1.10 MB, under two activations.
+def _n300_epoch_peak(pspe: str) -> float:
+    """tracemalloc peak, in bytes, of one epoch of `train` at CSI 300 size
+    with the given trend branch: 16 training windows in batches of 4 and
+    8 validation windows."""
     import tracemalloc
 
     window, n_windows, n_valid = 16, 24, 8
     ds, graphs = generate_synthetic(SynthConfig(
         n_instruments=300, days=window + n_windows + 1, block_size=30, seed=5))[:2]
-    cfg = ActConfig(n_features=ds.n_features, window=window, hidden=64)
+    cfg = ActConfig(n_features=ds.n_features, window=window, hidden=64, pspe=pspe)
     first = window - 1 + n_windows - n_valid
     settings = TrainSettings(valid_start=ds.dates[first],
                              test_start=ds.dates[first + n_valid],
@@ -669,11 +666,34 @@ def test_one_n300_training_epoch_holds_its_step_and_little_else():
     tracemalloc.start()
     try:
         train(ds, graphs, cfg, settings)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_one_n300_training_epoch_holds_its_step_and_little_else():
+    # The step's tape holds the batch's activations, [4, 300, 64] each
+    # (0.61 MB), no [4, 300, 10, 64] GAT gather, no input a VJP reads no
+    # values of, nor the last step's gradients. The epoch peaks at
+    # 32.60 MB, about 53.1 activations, in the step's backward. The bound,
+    # 54 activations (33.18 MB), leaves 0.58 MB, under one activation.
+    # Before: 38.84 MB with the taped GAT gather, 67.6 MB with every input
+    # of a recorded op kept.
     activation = 4 * 300 * 64 * 8
-    assert peak <= 65 * activation, (peak, activation)
+    peak = _n300_epoch_peak("full")
+    assert peak <= 54 * activation, (peak, activation)
+
+
+def test_one_n300_gat_only_training_epoch_holds_no_neighbor_gather():
+    # gat_only's GAT attends over the union lists, K = 97 wide on this
+    # market, so a taped [4, 300, 97, 64] gather would be 59.6 MB, and its
+    # INDEX gradient's flat indices and weights as much again each. The
+    # epoch peaks at 25.72 MB, about 41.9 [4, 300, 64] activations, in the
+    # step's backward. The bound, 42.5 activations (26.11 MB), leaves
+    # 0.39 MB, under one activation. Before: 136.5 MB.
+    activation = 4 * 300 * 64 * 8
+    peak = _n300_epoch_peak("gat_only")
+    assert peak <= 42.5 * activation, (peak, activation)
 
 
 def test_train_batch_loss_is_the_mean_over_contributing_windows(monkeypatch):
