@@ -1,12 +1,13 @@
 """Minimal fp64 tensor engine with a reverse-mode differentiation tape.
 
-Tensors wrap C-contiguous float64 ndarrays. The closed set of primitives
-(see PrimitiveKind) holds exactly what the model and its losses run,
-and nothing another kind already computes: selection and gathers are
-INDEX, the GAT's neighbor sum is NEIGHBOR_SUM (no gather is held), the
-fluctuation branch's causal convolution is a broadcast MATMUL over
-stacked lags plus a SUM, ReLU is LEAKY_RELU at slope 0, a mean is SUM
-then DIV, and dropout is a MUL by a mask the model draws.
+Tensors wrap C-contiguous float64 ndarrays. The closed set of 14
+primitives (see PrimitiveKind) holds exactly what the model and its
+losses run, and nothing another kind already computes: selection and
+gathers are INDEX, the GAT's neighbor sum is NEIGHBOR_SUM (no gather is
+held), the fluctuation branch's causal convolution is a broadcast MATMUL
+over stacked lags plus a SUM, ReLU is LEAKY_RELU at slope 0, a mean is
+SUM then DIV, a difference adds the operand times -1, and dropout is a
+MUL by a mask the model draws.
 A primitive takes Tensors, and its attributes (a slope, an axis, an
 INDEX key) as keyword arguments. INDEX takes any key numpy takes, lets
 numpy check it, and scatter-adds its gradient.
@@ -26,8 +27,8 @@ gradient would read is let go at forward time. `backward` fills
 gradients for the watched leaves the loss reaches and drops every
 interior gradient once it has been passed on.
 
-Every primitive output is checked for finiteness; NaN or Inf anywhere is
-an error, never a silent state.
+Every primitive output passes the Tensor constructor's finiteness check;
+NaN or Inf anywhere is an error naming the kind, never a silent state.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ def row_blocks(rows: int, width: int) -> list[slice]:
 class PrimitiveKind(Enum):
     MATMUL = "matmul"
     ADD = "add"
-    SUB = "sub"
     MUL = "mul"
     DIV = "div"
     CONCAT_LAST = "concat_last"
@@ -90,16 +90,6 @@ class Tensor:
         self.data = arr
         self.node_id = None
         self._tape_token = None
-
-    @classmethod
-    def _wrap_checked(cls, arr: np.ndarray, node_id: int | None = None,
-                      tape_token: int | None = None) -> "Tensor":
-        """Wrap a C-contiguous float64 array the caller has already found finite."""
-        out = cls.__new__(cls)
-        out.data = arr
-        out.node_id = node_id
-        out._tape_token = tape_token
-        return out
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -158,13 +148,11 @@ class Tape:
         a gradient and ops that read it are recorded; return its node id."""
         if tensor._tape_token == self._token and tensor.node_id is not None:
             return tensor.node_id
-        node_id = len(self._nodes)
-        self._nodes.append(_Node(None, (), None))
-        tensor.node_id = node_id
+        tensor.node_id = self._record(None, (), None)
         tensor._tape_token = self._token
-        return node_id
+        return tensor.node_id
 
-    def _record(self, kind: PrimitiveKind, input_ids: tuple[int, ...], vjp) -> int:
+    def _record(self, kind: PrimitiveKind | None, input_ids: tuple[int, ...], vjp) -> int:
         node_id = len(self._nodes)
         self._nodes.append(_Node(kind, input_ids, vjp))
         return node_id
@@ -238,17 +226,6 @@ def _fw_add(inputs, needs):
 
     def vjp(g):
         return [_unbroadcast(g, sa), _unbroadcast(g, sb)]
-
-    return out, vjp
-
-
-def _fw_sub(inputs, needs):
-    a, b = inputs
-    out = a - b
-    sa, sb = a.shape, b.shape
-
-    def vjp(g):
-        return [_unbroadcast(g, sa), _unbroadcast(-g, sb)]
 
     return out, vjp
 
@@ -446,7 +423,6 @@ def _fw_neighbor_sum(inputs, needs, key):
 _BUILDERS: dict[PrimitiveKind, Callable] = {
     PrimitiveKind.MATMUL: _fw_matmul,
     PrimitiveKind.ADD: _fw_add,
-    PrimitiveKind.SUB: _fw_sub,
     PrimitiveKind.MUL: _fw_mul,
     PrimitiveKind.DIV: _fw_div,
     PrimitiveKind.CONCAT_LAST: _fw_concat_last,
@@ -475,16 +451,14 @@ def apply_primitive(kind: PrimitiveKind, inputs: Sequence[Tensor], **attrs) -> T
     # overflow/invalid become NaN or Inf and are caught by the finite check
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out, vjp = _BUILDERS[kind](arrays, needs, **attrs)
-    out = np.asarray(out, dtype=np.float64)
-    if not out.flags["C_CONTIGUOUS"]:
-        out = np.ascontiguousarray(out)
-    if not np.isfinite(out).all():
-        raise NonFiniteError(f"{kind.value} produced non-finite values")
-
-    if not any(needs):
-        return Tensor._wrap_checked(out)
-    node_id = tape._record(kind, input_ids, vjp)
-    return Tensor._wrap_checked(out, node_id=node_id, tape_token=tape._token)
+    try:
+        out = Tensor(out)
+    except NonFiniteError:
+        raise NonFiniteError(f"{kind.value} produced non-finite values") from None
+    if any(needs):
+        out.node_id = tape._record(kind, input_ids, vjp)
+        out._tape_token = tape._token
+    return out
 
 
 def backward(loss: Tensor) -> None:
@@ -558,7 +532,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    return apply_primitive(PrimitiveKind.SUB, [a, b])
+    """a - b as a + (-1)·b, bit for bit: where b broadcasts, the -1 takes
+    the output's shape, so b's cotangent is negated before it is summed
+    down to b's shape (negating the sum would turn an exact +0 into -0)."""
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    return add(a, mul(b, Tensor(-1.0 if b.shape == shape else np.full(shape, -1.0))))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:

@@ -9,6 +9,8 @@ mode).
 INDEX + MATMUL pair the GAT's neighbor sum was before NEIGHBOR_SUM, a
 whole [..., N, K, d] gather and one [1, K] @ [K, d] product per row, so
 tests can pin NEIGHBOR_SUM's outputs and gradients bitwise against it.
+`sub_primitive` keeps the arithmetic of the SUB primitive that `tz.sub`
+was before it became ADD of the operand times -1.
 
 The synthetic-market oracles build the generator's calendar, AR(1)
 paths and compounded prices one day at a time, and `synthetic_loop` the
@@ -182,6 +184,12 @@ def neighbor_sum_index_matmul(alpha, x, key):
     to [..., N, 1, K], times the [..., N, K, d] rows x[key], squeezed."""
     rows = (slice(None),) * (alpha.ndim - 1)
     return tz.index(tz.matmul(tz.index(alpha, rows + (None,)), tz.index(x, key)), rows + (0,))
+
+
+def sub_primitive(a, b, g):
+    """The removed SUB primitive: a - b, and the cotangents of a and b
+    for the output cotangent g."""
+    return a - b, tz._unbroadcast(g, a.shape), tz._unbroadcast(-g, b.shape)
 
 
 def union_np(*adjs):

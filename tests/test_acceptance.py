@@ -59,7 +59,8 @@ def _scalarize(out, w):
 
 
 def _primitive_cases(rng):
-    """One finite-difference case per primitive kind, kinks avoided."""
+    """One finite-difference case per primitive kind, and one for the
+    composite tz.sub, kinks avoided."""
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(3, 4))
     pos = 0.5 + np.abs(rng.normal(size=(3, 4)))
@@ -101,7 +102,8 @@ def test_criterion_1_gradient_integrity():
     rng = np.random.default_rng(101)
     worst_prim, worst_name = 0.0, ""
     cases = _primitive_cases(rng)
-    covered = {name for name, _, _ in cases}
+    # tz.sub keeps its case but is ADD of MUL by -1, no kind of its own
+    covered = {name for name, _, _ in cases} - {"sub"}
     assert covered == {k.value for k in PrimitiveKind}, covered
     for name, fn, point in cases:
         err = finite_difference_check(fn, Tensor(point), step=1e-6)

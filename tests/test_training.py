@@ -773,6 +773,29 @@ def test_predictions_do_not_depend_on_blas_thread_count(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_work_ledger_is_exact_across_runs_and_blas_thread_counts():
+    import os
+    import subprocess
+    import sys
+
+    from _ledger import work_ledger
+
+    ledger = work_ledger()
+    assert work_ledger() == ledger
+    train_rows, predict_rows = ledger["train"], ledger["predict"]
+    assert set(train_rows) <= {k.name for k in PrimitiveKind}
+    assert train_rows["MATMUL"]["madds"] > 0 and train_rows["ADD"]["vjp_calls"] > 0
+    assert all(row["vjp_calls"] == 0 for row in predict_rows.values())  # no tape
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests),
+                            os.environ.get("PYTHONPATH", "")])
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        done = subprocess.run([sys.executable, str(tests / "_ledger.py")], env=env,
+                              check=True, capture_output=True, text=True, timeout=300)
+        assert json.loads(done.stdout) == ledger, threads
+
+
 # sha256 of the trained weights (sorted by name) and of the predict_sliding
 # rows, for each variant of demos/ablation_study.py after one epoch on a
 # tiny synth. No benchmark workload runs the gat_only or mlp branches, so
