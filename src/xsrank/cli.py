@@ -259,7 +259,8 @@ def cmd_evaluate(args, settings):
     _write_rows(out / "subgroups.csv",
                 ["category", "ic", "icir", "rank_ic", "rank_icir",
                  "n_days", "flags"],
-                ([cat, None, None, None, None, None, "too_thin"] if rep is None else
+                ([cat, *[None] * 5, "too_thin"] if rep is None else
+                 [cat, *[None] * 5, "too_few_days"] if isinstance(rep, DataError) else
                  [cat, rep.ic, rep.icir, rep.rank_ic, rep.rank_icir, rep.n_days,
                   ";".join(rep.flags)]
                  for cat, rep in sorted(groups.items())))

@@ -2,7 +2,8 @@
 
 Daily Pearson and Spearman correlations between scores and realized
 forward returns, aggregated into IC / ICIR / RankIC / RankICIR, plus
-the same metrics restricted to instrument subgroups.
+the same metrics restricted to instrument subgroups. Only `_correlations`
+decides whether a day has a correlation, here and in `train`.
 """
 
 from __future__ import annotations
@@ -42,16 +43,6 @@ def _pearson_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.divide(num, denom, out=np.full(num.shape, np.nan), where=defined)
 
 
-def pearson(a: np.ndarray, b: np.ndarray):
-    """Correlation, or None when either side is constant or a sum overflows."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.size < 2:
-        return None
-    r = float(_pearson_rows(a, b))
-    return None if np.isnan(r) else r
-
-
 def average_ranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks along the last axis; tied values share the average
     of their positions."""
@@ -72,13 +63,14 @@ def average_ranks(x: np.ndarray) -> np.ndarray:
 
 
 def _correlations(pairs: list) -> tuple[np.ndarray, np.ndarray]:
-    """Pearson and Spearman correlation of each (a, b) pair of 1-D
-    arrays, NaN where undefined. The pairs of one length are stacked and
-    correlated row by row, with the bits of one call per pair."""
+    """Pearson and Spearman correlation of each (a, b) 1-D pair, NaN for
+    fewer than 2 values, a constant side or an overflowing sum. Pairs of
+    one length are stacked, with the bits of one call per pair."""
     sizes = np.array([a.size for a, _ in pairs], dtype=np.intp)
     ic = np.full(len(pairs), np.nan)
     rank = np.full(len(pairs), np.nan)
-    for m in np.unique(sizes):
+    # np.unique would import numpy.ma, 1.1 MB of RSS that training never needed
+    for m in sorted(set(sizes[sizes >= 2].tolist())):
         rows = np.flatnonzero(sizes == m)
         a = np.stack([pairs[k][0] for k in rows])
         b = np.stack([pairs[k][1] for k in rows])
@@ -139,11 +131,10 @@ def _reports(preds: PredictionSeries, t: np.ndarray, i: np.ndarray,
     `t` and `i` are the grid's panel positions. A date without a scored
     cell in a set, or on which no panel instrument has an observed label
     (such as the final panel date), is neither evaluated nor counted as
-    excluded. The (set, date) cross-sections of all sets are correlated
-    together.
+    excluded. Every other date's jointly observed pair goes to one
+    `_correlations` call, and counts as excluded if either is NaN.
     """
     pairs, owner, dates = [], [], []
-    excluded = np.zeros(len(col_sets), dtype=np.intp)
     labelled = ds.observed_mask.any(axis=1)
     for s, cols in enumerate(col_sets):
         for d, row in enumerate(preds.scores[:, cols]):
@@ -152,16 +143,13 @@ def _reports(preds: PredictionSeries, t: np.ndarray, i: np.ndarray,
                 continue
             actual = ds.labels[t[d], i[cols[scored]]]
             joint = np.isfinite(actual)
-            if joint.sum() < 2:
-                excluded[s] += 1
-                continue
             pairs.append((row[scored][joint], actual[joint]))
             owner.append(s)
             dates.append(preds.dates[d])
     ic, rank = _correlations(pairs)
     owner = np.array(owner, dtype=np.intp)
     valid = ~(np.isnan(ic) | np.isnan(rank))
-    excluded += np.bincount(owner[~valid], minlength=len(col_sets))
+    excluded = np.bincount(owner[~valid], minlength=len(col_sets))
 
     out = []
     for s in range(len(col_sets)):
@@ -205,15 +193,15 @@ def subgroup_metrics(
     preds: PredictionSeries,
     ds: PanelDataset,
     grouping: dict[str, str],
-) -> dict[str, MetricReport | None]:
+) -> dict[str, MetricReport | DataError | None]:
     """Per-category reports on the restricted cross-section.
 
     A category averaging fewer than 5 jointly-observed stocks per
-    prediction date is marked absent (None), as is one without enough
-    valid dates. The average runs over the dates that observe some label
-    in the panel, so the final panel date, which never has one, does not
-    thin it. Instruments missing from the grouping are skipped. A scored
-    pair outside the panel is refused, as `summarize` refuses it.
+    labelled date is None (the final panel date, with no label, does not
+    thin it); one with fewer than 2 valid dates gets the DataError
+    `summarize` would raise. Instruments missing from the grouping are
+    skipped. A scored pair outside the panel is refused, as `summarize`
+    refuses it.
     """
     categories = sorted(set(grouping.values()))
     code = {cat: k for k, cat in enumerate(categories)}
@@ -223,21 +211,17 @@ def subgroup_metrics(
     observed = np.isfinite(preds.scores) & np.isfinite(ds.labels[np.ix_(t, i)])
     labelled = ds.observed_mask.any(axis=1)[t]
 
-    out: dict[str, MetricReport | None] = {}
+    out: dict[str, MetricReport | DataError | None] = {}
     judged = []
     for k, cat in enumerate(categories):
         cols = np.flatnonzero(col_cat == k)
         out[cat] = None
-        if not np.isfinite(preds.scores[:, cols]).any():
-            continue
         counts = observed[np.ix_(labelled, cols)].sum(axis=1)
         if not counts.size or float(np.mean(counts)) < MIN_SUBGROUP_SIZE:
             continue
         judged.append((cat, cols))
-    reports = _reports(preds, t, i, [cols for _, cols in judged], ds)
-    for (cat, _), report in zip(judged, reports):
-        if isinstance(report, MetricReport):
-            out[cat] = report
+    out.update(zip([cat for cat, _ in judged],
+                   _reports(preds, t, i, [cols for _, cols in judged], ds)))
     return out
 
 

@@ -491,26 +491,28 @@ def backward(loss: Tensor) -> None:
 
     nodes = tape._nodes
     grads: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
-    for node_id in range(loss.node_id, -1, -1):
-        node = nodes[node_id]
-        if node.kind is None:  # a watched leaf keeps its gradient
-            continue
-        vjp, node.vjp = node.vjp, None
-        # every consumer has a larger id, so this gradient is complete
-        g = grads.pop(node_id, None)
-        if g is None:
-            continue
-        input_ids = node.input_ids
-        input_grads = vjp(g)
-        for in_id, ig in zip(input_ids, input_grads):
-            if in_id is None:
+    # as in apply_primitive, a non-finite value is named by the check, not warned
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for node_id in range(loss.node_id, -1, -1):
+            node = nodes[node_id]
+            if node.kind is None:  # a watched leaf keeps its gradient
                 continue
-            if not np.isfinite(ig).all():
-                raise NonFiniteError(
-                    f"non-finite gradient out of {node.kind.value}"
-                )
-            acc = grads.get(in_id)
-            grads[in_id] = ig if acc is None else acc + ig
+            vjp, node.vjp = node.vjp, None
+            # every consumer has a larger id, so this gradient is complete
+            g = grads.pop(node_id, None)
+            if g is None:
+                continue
+            input_ids = node.input_ids
+            input_grads = vjp(g)
+            for in_id, ig in zip(input_ids, input_grads):
+                if in_id is None:
+                    continue
+                if not np.isfinite(ig).all():
+                    raise NonFiniteError(
+                        f"non-finite gradient out of {node.kind.value}"
+                    )
+                acc = grads.get(in_id)
+                grads[in_id] = ig if acc is None else acc + ig
 
     for g in grads.values():
         if isinstance(g, np.ndarray):  # 0-d results may be immutable scalars

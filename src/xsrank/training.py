@@ -17,7 +17,7 @@ from . import tensor as tz
 from .data import PanelDataset, PredictionSeries, _check_day, make_windows
 from .decompose import Decomposition, decompose
 from .errors import ConfigError, DataError, NonFiniteError, ShapeError, check_kinds
-from .evaluate import pearson
+from .evaluate import _correlations
 from .graphs import RelationGraphs
 from .model import ActConfig, ActModel, act_forward_parts, steps_read
 from .tensor import Tape, Tensor, backward
@@ -116,29 +116,31 @@ class Adam:
     def step(self, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
         b1, b2 = ADAM_DECAYS
-        for name, p in self.params.items():
-            g = grads.get(name)
-            if g is None:
-                g = np.zeros_like(p.data)
-            # in place, in the operation order of
-            # m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g and
-            # p -= (lr m_hat) / (sqrt(v_hat) + eps)
-            m, v = self.m[name], self.v[name]
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            g2 = (1 - b2) * g
-            g2 *= g
-            v += g2
-            step = m / (1 - b1 ** self.t)
-            step *= self.lr
-            denom = np.divide(v, 1 - b2 ** self.t, out=g2)
-            np.sqrt(denom, out=denom)
-            denom += ADAM_FLOOR
-            step /= denom
-            p.data -= step
-            if not np.isfinite(p.data).all():
-                raise NonFiniteError(f"parameter {name} became non-finite")
+        # an overflow is named by the finiteness check, not warned
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for name, p in self.params.items():
+                g = grads.get(name)
+                if g is None:
+                    g = np.zeros_like(p.data)
+                # in place, in the operation order of
+                # m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g and
+                # p -= (lr m_hat) / (sqrt(v_hat) + eps)
+                m, v = self.m[name], self.v[name]
+                m *= b1
+                m += (1 - b1) * g
+                v *= b2
+                g2 = (1 - b2) * g
+                g2 *= g
+                v += g2
+                step = m / (1 - b1 ** self.t)
+                step *= self.lr
+                denom = np.divide(v, 1 - b2 ** self.t, out=g2)
+                np.sqrt(denom, out=denom)
+                denom += ADAM_FLOOR
+                step /= denom
+                p.data -= step
+                if not np.isfinite(p.data).all():
+                    raise NonFiniteError(f"parameter {name} became non-finite")
 
 
 @dataclass
@@ -238,7 +240,7 @@ def train(
     cfg: ActConfig,
     settings: TrainSettings,
 ) -> tuple[ActModel, TrainHistory]:
-    """Fit a fresh model on the panel, early-stopping on validation IC.
+    """Fit a fresh model, early-stopping on `evaluate`'s IC of the validation windows.
 
     Windows whose end date falls before `valid_start` train the model;
     those in [valid_start, test_start) drive model selection. Dates from
@@ -338,12 +340,11 @@ def train(
         history.train_ic_term.append(ic_sum / max(n_ic, 1))
         history.train_mse_term.append(mse_sum / max(n_loss, 1))
 
-        day_ics = []
-        for t, scores in _score_windows(ds, valid_ends, graphs, model, size):
-            ic = pearson(scores[observed[t]], labels[t][observed[t]])
-            if ic is not None:
-                day_ics.append(ic)
-        epoch_ic = float(np.mean(day_ics)) if day_ics else -np.inf
+        windows = _score_windows(ds, valid_ends, graphs, model, size)
+        day_ics = _correlations([(scores[observed[t]], labels[t][observed[t]])
+                                 for t, scores in windows])[0]
+        day_ics = day_ics[~np.isnan(day_ics)]
+        epoch_ic = float(day_ics.mean()) if day_ics.size else -np.inf
         history.valid_ic.append(epoch_ic)
 
         if epoch_ic > best_ic:

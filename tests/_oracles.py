@@ -578,8 +578,8 @@ def subgroup_metrics_rows(rows, ds, grouping):
             continue
         try:
             out[cat] = _report_rows(t[members], i[members], scores[members], ds)
-        except DataError:
-            out[cat] = None
+        except DataError as exc:
+            out[cat] = exc
     return out
 
 

@@ -1,3 +1,5 @@
+import re
+
 import _oracles as oracle
 import numpy as np
 import pytest
@@ -443,6 +445,22 @@ def test_backtest_csv_and_metrics_csv(tmp_path):
     mlines = mpath.read_text().splitlines()
     assert mlines[0] == "metric,value"
     assert mlines[1].startswith("annualized_excess_return,")
+
+
+def test_svg_chart_of_a_flat_curve_and_a_one_day_curve_is_finite(tmp_path):
+    for name, dates, values in (("flat", ["2020-01-02", "2020-01-03", "2020-01-06"],
+                                 np.full(3, 0.01)),
+                                ("one", ["2020-01-02"], np.array([0.02]))):
+        path = tmp_path / f"{name}.svg"
+        write_curves_svg(path, [(name, dates, values)])
+        points = re.search(r'points="([^"]*)"', path.read_text()).group(1).split()
+        coords = np.array([[float(c) for c in p.split(",")] for p in points])
+        assert coords.shape == (len(values), 2) and np.isfinite(coords).all()
+        # a flat curve spans the plot's width at one height; one day sits
+        # at the middle of the x axis
+        assert len(set(coords[:, 1])) == 1
+        if len(values) == 1:
+            assert coords[0, 0] == 455.0
 
 
 def test_svg_chart_is_deterministic(tmp_path):

@@ -98,6 +98,24 @@ def test_parse_config_file(tmp_path):
     path.write_text("a=1\na=2\n")
     with pytest.raises(ConfigError):
         cli.parse_config_file(path)
+    path.write_text("hidden=12\n=1\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: line 2: empty key$"):
+        cli.parse_config_file(path)
+
+
+def test_a_config_or_out_path_the_os_refuses_is_one_error_line(tmp_path, capsys):
+    small = ["--n-instruments", "8", "--days", "30"]
+    folder = tmp_path / "cfg"
+    folder.mkdir()
+    assert cli.main(["synth", "--out", str(tmp_path / "a"), "--config", str(folder),
+                     *small]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {folder}: ") and err.count("\n") == 1
+    plain = tmp_path / "out.txt"
+    plain.write_text("")
+    assert cli.main(["synth", "--out", str(plain), *small]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {plain}: ") and err.count("\n") == 1
 
 
 def test_coerce_values():
@@ -378,6 +396,31 @@ def test_evaluate_writes_infinite_subgroup_ratios(tmp_path):
     assert all("rank_icir_undefined_zero_std" in row[6] for row in rows)
     assert read_manifest(out)["artifacts"] == [
         "daily_metrics.csv", "metrics.csv", "subgroups.csv"]
+
+
+def test_evaluate_flags_a_category_with_too_few_days_apart_from_a_thin_one(tmp_path):
+    # before: IND00, whose six members are observed every day but scored
+    # alike, so that no day has a correlation, was flagged too_thin
+    data = tmp_path / "synth"
+    assert cli.main(["synth", "--out", str(data), "--n-instruments", "30", "--days", "30",
+                     "--block-size", "6", "--seed", "11"]) == cli.EXIT_OK
+    ds = load_panel(data / "features.csv", data / "prices.csv")
+    industry = dict(read_csv_rows(data / "industry.csv")[1:])
+    rng = np.random.default_rng(0)
+    PredictionSeries([(d, s, float(t) if industry[s] == "IND00" else float(rng.normal()))
+                      for t, d in enumerate(ds.dates) for s in ds.instruments]
+                     ).write_csv(tmp_path / "predictions.csv")
+    out = tmp_path / "eval"
+    assert cli.main(["evaluate", "--out", str(out),
+                     "--predictions", str(tmp_path / "predictions.csv"),
+                     "--features", str(data / "features.csv"),
+                     "--prices", str(data / "prices.csv"),
+                     "--group-by", "industry",
+                     "--industry", str(data / "industry.csv")]) == cli.EXIT_OK
+    assert ds.observed_mask[:-1][:, [industry[s] == "IND00" for s in ds.instruments]].all()
+    rows = read_csv_rows(out / "subgroups.csv")[1:]
+    assert rows[0] == ["IND00", "", "", "", "", "", "too_few_days"]
+    assert all(row[6] == "" for row in rows[1:])
 
 
 def test_group_by_needs_membership(workdir, tmp_path):

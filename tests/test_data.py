@@ -166,6 +166,50 @@ def test_load_panel_errors(tmp_path):
         load_panel(_write(tmp_path / "h.csv", badhdr), p)
 
 
+def test_load_panel_refuses_an_empty_file_and_one_with_no_rows(tmp_path):
+    p = _write(tmp_path / "prices.csv", PRICES_2x2)
+    empty = _write(tmp_path / "empty.csv", "")
+    with pytest.raises(DataError, match=f"^{re.escape(empty)}: empty file$"):
+        load_panel(empty, p)
+    bare = _write(tmp_path / "bare.csv", "datetime,instrument,f0,f1,f2\n")
+    with pytest.raises(DataError, match=f"^{re.escape(bare)}: no data rows$"):
+        load_panel(bare, p)
+
+
+def test_panel_dataset_refuses_each_inconsistency():
+    arrays = dict(features=np.zeros((2, 2, 1)), labels=np.zeros((2, 2)),
+                  vwap=np.ones((2, 2)), volume=np.ones((2, 2)))
+    PanelDataset(dates=["2020-01-01", "2020-01-02"], instruments=["A", "B"], **arrays)
+    with pytest.raises(DataError, match="^dates must be strictly increasing and unique$"):
+        PanelDataset(dates=["2020-01-02", "2020-01-01"], instruments=["A", "B"], **arrays)
+    with pytest.raises(DataError, match="^instruments must be unique$"):
+        PanelDataset(dates=["2020-01-01", "2020-01-02"], instruments=["A", "A"], **arrays)
+    with pytest.raises(DataError, match=re.escape("features shape (2, 2) != [2,2,F]")):
+        PanelDataset(dates=["2020-01-01", "2020-01-02"], instruments=["A", "B"],
+                     **{**arrays, "features": np.zeros((2, 2))})
+    for name in ("labels", "vwap", "volume"):
+        with pytest.raises(DataError, match=re.escape(f"{name} shape (2, 3) != [2,2]")):
+            PanelDataset(dates=["2020-01-01", "2020-01-02"], instruments=["A", "B"],
+                         **{**arrays, name: np.ones((2, 3))})
+
+
+def test_factor_series_refuses_each_inconsistency():
+    dates = ["2020-01-01", "2020-01-02"]
+    factors = {name: np.zeros(2) for name in data.FACTOR_NAMES}
+    data.FactorSeries(dates, np.zeros(2), factors)
+    with pytest.raises(DataError, match="^risk_free length does not match dates$"):
+        data.FactorSeries(dates, np.zeros(3), factors)
+    with pytest.raises(DataError, match="^factor column 'hml' missing$"):
+        data.FactorSeries(dates, np.zeros(2),
+                          {k: v for k, v in factors.items() if k != "hml"})
+    with pytest.raises(DataError, match="^factor 'smb' length does not match dates$"):
+        data.FactorSeries(dates, np.zeros(2), {**factors, "smb": np.zeros(1)})
+    with pytest.raises(DataError, match="^factor 'cma' has missing values$"):
+        data.FactorSeries(dates, np.zeros(2), {**factors, "cma": np.array([0.0, np.nan])})
+    with pytest.raises(DataError, match="^risk_free has missing values$"):
+        data.FactorSeries(dates, np.array([np.nan, 0.0]), factors)
+
+
 def test_compute_vwap_returns_three_dates(tmp_path):
     # labels[t] = price[t + 1] / price[t] - 1, and the last date has none
     f = _write(tmp_path / "features.csv", "datetime,instrument,f0\n" + "".join(
@@ -465,6 +509,11 @@ def test_synthetic_rejects_bad_config():
     # before: numpy's default_rng raised "expected non-negative integer"
     with pytest.raises(ConfigError, match="^seed must be >= 0$"):
         SynthConfig(seed=-1)
+    with pytest.raises(ConfigError, match="^need at least 3 features$"):
+        SynthConfig(n_features=2)
+    for over in (dict(block_size=0), dict(n_regions=0)):
+        with pytest.raises(ConfigError, match="^block_size and n_regions must be >= 1$"):
+            SynthConfig(**over)
 
 
 def test_synthetic_refuses_a_calendar_past_9999():

@@ -241,6 +241,15 @@ def test_ff_regression_alignment_and_errors():
         ff_regression(dates[:10], y, factors, model="ff3")
 
 
+def test_ff_regression_needs_p_plus_lags_plus_2_dates():
+    factors, dates = make_factors(50, seed=18)
+    y = np.random.default_rng(19).normal(0, 0.01, size=50)
+    # ff3 fits p = 4 coefficients; with 5 lags it needs 11 aligned dates
+    assert ff_regression(dates[:11], y[:11], factors, model="ff3").n_obs == 11
+    with pytest.raises(DataError, match="^need at least 11 aligned dates, got 10$"):
+        ff_regression(dates[:10], y[:10], factors, model="ff3")
+
+
 def test_regression_csv_layout(tmp_path):
     factors, dates = make_factors(200, seed=20)
     rng = np.random.default_rng(21)

@@ -1,6 +1,7 @@
 import base64
 import itertools
 import json
+import re
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -553,6 +554,20 @@ def test_checkpoint_rejects_bad_files(tmp_path):
     notjson.write_text("{broken")
     with pytest.raises(DataError):
         load_checkpoint(notjson)
+
+
+def test_checkpoint_refuses_an_extra_parameter_and_a_directory(tmp_path):
+    path = tmp_path / "ck.json"
+    save_checkpoint(ActModel(small_cfg(), seed=15), path)
+    payload = json.loads(path.read_text())
+    payload["params"]["zz_w"] = payload["params"]["out_w"]
+    extra = tmp_path / "extra.json"
+    extra.write_text(json.dumps(payload))
+    with pytest.raises(DataError, match="^" + re.escape(
+            f"{extra}: checkpoint field 'params.zz_w' is not a model parameter") + "$"):
+        load_checkpoint(extra)
+    with pytest.raises(DataError, match=f"^{re.escape(str(tmp_path))}: "):
+        load_checkpoint(tmp_path)
 
 
 def test_hidden_64_checkpoint_stays_within_its_byte_size(tmp_path):

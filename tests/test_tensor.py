@@ -310,6 +310,25 @@ def test_a_non_finite_value_names_where_it_came_from():
         Tensor([1.0, np.nan])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_gradient_that_divides_by_zero_is_named_not_warned():
+    # before: the sweep ran outside apply_primitive's errstate, so sqrt's
+    # VJP at 0 raised numpy's divide-by-zero RuntimeWarning instead
+    with Tape() as tape:
+        x = Tensor([0.0, 4.0])
+        tape.watch(x)
+        loss = tz.tensor_sum(tz.sqrt(x))
+        with pytest.raises(NonFiniteError, match="^non-finite gradient out of sqrt$"):
+            backward(loss)
+
+
+def test_shape_errors_of_concat_last_and_layer_norm():
+    with pytest.raises(ShapeError, match="^concat_last operands disagree on leading dims$"):
+        tz.concat_last([Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3)))])
+    with pytest.raises(ShapeError, match="^layer_norm gamma/beta must match the last axis$"):
+        tz.layer_norm(Tensor(np.ones((2, 4))), Tensor(np.ones(3)), Tensor(np.zeros(4)))
+
+
 def test_unknown_attr_and_missing_attr_raise():
     with pytest.raises(TypeError, match="bogus"):
         apply_primitive(PrimitiveKind.ADD, [Tensor([1.0]), Tensor([1.0])], bogus=1)
@@ -394,6 +413,31 @@ def test_gradient_accumulates_over_reuse():
         backward(tz.tensor_sum(y))
         g = tape.grad(x)
     np.testing.assert_allclose(g, [7.0])
+
+
+def test_a_tensor_watched_twice_keeps_one_node_and_sums_every_use():
+    with Tape() as tape:
+        x = Tensor([3.0, -1.0])
+        first = tape.watch(x)
+        y = tz.mul(x, x)
+        assert tape.watch(x) == first and len(tape._nodes) == 2
+        backward(tz.tensor_sum(tz.add(y, x)))  # d/dx (x^2 + x) = 2x + 1
+        np.testing.assert_array_equal(tape.grad(x), [7.0, -1.0])
+
+
+def test_backward_passes_over_an_op_the_loss_does_not_reach_and_frees_it():
+    with Tape() as tape:
+        x = Tensor([0.5, -2.0])
+        tape.watch(x)
+        h = tz.tanh(x)
+        tz.mul(h, h)  # recorded, but no path leads from it to the loss
+        activation = weakref.ref(h.data)
+        del h
+        assert activation() is not None  # the TANH and MUL VJPs hold it
+        backward(tz.tensor_sum(x))
+        assert activation() is None
+        assert all(node.vjp is None for node in tape._nodes)
+        np.testing.assert_array_equal(tape.grad(x), [1.0, 1.0])
 
 
 def test_no_tape_runs_untracked():

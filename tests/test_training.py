@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import re
+import sys
 import tempfile
 from dataclasses import replace
 from datetime import date, timedelta
@@ -23,6 +24,7 @@ from xsrank.data import (
 )
 from xsrank import tensor as tz
 from xsrank.errors import ConfigError, DataError, NonFiniteError, ShapeError
+from xsrank.evaluate import summarize
 from xsrank.graphs import build_relation_graphs
 from xsrank.decompose import decompose
 from xsrank.model import (
@@ -260,6 +262,17 @@ def test_adam_missing_grad_leaves_param():
     assert not np.array_equal(param.data, np.ones(3))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_adam_step_that_overflows_is_named_not_warned():
+    # before: the step ran without an errstate, so its second step raised
+    # numpy's "overflow encountered in subtract" RuntimeWarning instead
+    param = Tensor(np.array([1.0, -1.0]))
+    opt = Adam({"w": param}, lr=sys.float_info.max)
+    opt.step({"w": np.ones(2)})
+    with pytest.raises(NonFiniteError, match="^parameter w became non-finite$"):
+        opt.step({"w": np.ones(2)})
+
+
 def test_train_settings_validation():
     with pytest.raises(ConfigError):
         TrainSettings(valid_start="2015-06-01", lr=0.0)
@@ -293,7 +306,7 @@ def small_cfg(**over):
 
 def test_early_stopper_rules(monkeypatch):
     # one validation window, so each epoch's validation IC is one scripted
-    # pearson value; the 0.9s after the script would be improvements
+    # `_correlations` value; the 0.9s after the script would be improvements
     ds, graphs = small_panel(days=30)
     cfg = small_cfg()
     start = ActModel(cfg, seed=0).state_arrays()
@@ -303,11 +316,12 @@ def test_early_stopper_rules(monkeypatch):
         # a plateau never counts as improvement
         (2, [0.3, 0.3, 0.3], 0),
         # with no IC nothing is selected, and the start weights are kept
-        (2, [None, None], -1),
+        (2, [np.nan, np.nan], -1),
     ]
     for patience, ics, selected in cases:
         script = iter(ics + [0.9, 0.9])
-        monkeypatch.setattr("xsrank.training.pearson", lambda a, b: next(script))
+        monkeypatch.setattr("xsrank.training._correlations",
+                            lambda pairs: (np.array([next(script)]),) * 2)
         settings = TrainSettings(valid_start=ds.dates[20], test_start=ds.dates[21],
                                  epochs=len(ics) + 2, patience=patience)
         model, hist = train(ds, graphs, cfg, settings)
@@ -317,11 +331,39 @@ def test_early_stopper_rules(monkeypatch):
             assert all(np.array_equal(model[name].data, start[name]) for name in start)
 
     improving = iter([0.1, 0.2, 0.3, 0.4])
-    monkeypatch.setattr("xsrank.training.pearson", lambda a, b: next(improving))
+    monkeypatch.setattr("xsrank.training._correlations",
+                        lambda pairs: (np.array([next(improving)]),) * 2)
     settings = TrainSettings(valid_start=ds.dates[20], test_start=ds.dates[21],
                              epochs=4, patience=1)
     _, hist = train(ds, graphs, cfg, settings)
     assert hist.valid_ic == [0.1, 0.2, 0.3, 0.4] and hist.selected_epoch == 3
+
+
+def test_ic_loss_refuses_a_nan_label_inside_the_mask():
+    labels = np.array([0.01, np.nan, 0.02])
+    with pytest.raises(DataError, match="^labels contain NaN inside the observed mask$"):
+        ic_loss(Tensor(np.zeros(3)), labels, np.ones(3, dtype=bool))
+    # off the mask a NaN label is never read
+    ic_loss(Tensor(np.array([0.0, 1.0, 2.0])), labels, np.array([True, False, True]))
+
+
+def test_train_refuses_a_validation_span_with_no_window():
+    ds, graphs = small_panel(days=30)
+    # the final date's window has no label and is dropped, so no window
+    # ends in a span that starts there
+    with pytest.raises(ConfigError, match="^no validation windows in the validation span$"):
+        train(ds, graphs, small_cfg(), TrainSettings(valid_start=ds.dates[-1], epochs=1))
+
+
+def test_train_skips_and_counts_a_drawn_batch_with_no_observed_stock():
+    ds, graphs = small_panel(days=30)
+    labels = ds.labels.copy()
+    labels[[12, 15]] = np.nan  # two training windows end on unlabelled dates
+    ds = replace(ds, labels=labels)
+    settings = TrainSettings(valid_start=ds.dates[20], epochs=1, batch_size=1)
+    _, hist = train(ds, graphs, small_cfg(), settings)
+    assert hist.skipped_ic_days == 2
+    assert np.isfinite(hist.train_loss[0]) and np.isfinite(hist.valid_ic[0])
 
 
 def test_train_is_deterministic():
@@ -354,21 +396,14 @@ def test_train_restores_best_validation_epoch():
     assert hist.selected_epoch == int(np.argmax(hist.valid_ic))
     assert len(hist.train_loss) == len(hist.valid_ic)
 
-    # the returned weights reproduce the best recorded validation IC when
-    # prediction, which scores one window per pass, rescores those dates
-    from xsrank.evaluate import pearson
-
+    # the returned weights reproduce the best recorded validation IC, bit
+    # for bit, as the `ic` evaluate reports when prediction, which scores
+    # one window per pass, rescores those dates
     preds = predict_sliding(model, ds, graphs, start_date=settings.valid_start)
     assert preds.instruments == ds.instruments
-    ics = []
-    for date, scores in zip(preds.dates, preds.scores):
-        t = ds.dates.index(date)
-        mask = ds.observed_mask[t]
-        ic = pearson(scores[mask], ds.labels[t][mask])
-        if ic is not None:
-            ics.append(ic)
-    assert len(ics) == hist.n_valid_windows
-    assert float(np.mean(ics)) == max(hist.valid_ic)
+    report = summarize(preds, ds)
+    assert report.n_days == hist.n_valid_windows
+    assert report.ic == max(hist.valid_ic)
 
 
 def test_train_overfits_noise_free_panel():
