@@ -406,7 +406,3 @@ def main(argv=None) -> int:
     except MemoryError:
         print(f"error: out of memory running {args.command}", file=sys.stderr)
         return EXIT_DATA
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -6,11 +6,13 @@ code per instrument: two instruments are related when their codes are
 equal, and an instrument with no category has a code of its own. On a
 clique the GCN propagation D^-1/2 (A + I) D^-1/2 is the mean over the
 category, so no static [N, N] array is built in a forward pass. Only
-the codes are kept: a forward pass builds the [C, N] mean matrices of a
-relation's C categories for its GCN call alone, so with no tape they
-are freed when the call returns. The dynamic k-NN graph is rebuilt per forward pass from the current
-representations; its construction is deliberately outside the tape, so
-no gradient flows through neighbor selection.
+the codes are kept: each GCN call builds the [C, N] mean-pooling matrix
+of the relation's C categories, pools the C category means, and gathers
+each row's mean back by its code, so with no tape the matrix is freed
+when the call returns. The dynamic k-NN graph is rebuilt per forward
+pass from the current representations; its construction is
+deliberately outside the tape, so no gradient flows through neighbor
+selection.
 
 Graphs that attention runs over are neighbor lists: an [N, K] integer
 array whose row i holds the columns row i attends to, -1 marking a
@@ -23,7 +25,7 @@ and neighbor lists [..., N, K], one slice per window, each computed
 exactly as a single window would be. A similarity is [..., R, N]: a
 block of R rows against all N, so `model.knn_lists`, which builds each
 window's k-NN lists one `tensor.row_blocks` block at a time, never holds
-an [N, N] array. The static category means broadcast against the batch;
+an [N, N] array. The static pooling matrix broadcasts against the batch;
 the GAT reads one list per window, so a caller broadcasts a shared list
 (the union's) itself.
 """
@@ -112,33 +114,25 @@ def build_relation_graphs(
     )
 
 
-def category_mean_matrices(codes: np.ndarray) -> tuple[Tensor, Tensor]:
-    """The [C, N] mean-pooling and [N, C] membership matrices of [N] codes.
-
-    onehot @ (pool @ y) replaces each row of y by the mean of its
-    category; an instrument alone in its category keeps its own row.
-    """
-    cats, inverse = np.unique(codes, return_inverse=True)
-    member = inverse == np.arange(len(cats))[:, None]  # [C, N]
-    pool = Tensor(member / member.sum(axis=1, keepdims=True))
-    onehot = Tensor(np.ascontiguousarray(member.T, dtype=np.float64))
-    return pool, onehot
-
-
-def gcn_layer(x: Tensor, mean: tuple[Tensor, Tensor], weight: Tensor, bias: Tensor) -> Tensor:
+def gcn_layer(x: Tensor, codes: np.ndarray, weight: Tensor, bias: Tensor) -> Tensor:
     """One propagation step on a static clique relation: Ahat x W + b.
 
-    x is [..., N, d] and `mean` the `category_mean_matrices` of the
-    relation's codes (`RelationGraphs.industry` or `region`), which a
-    forward pass builds for this call alone. With
+    x is [..., N, d] and `codes` the relation's [N] category codes
+    (`RelationGraphs.industry` or `region`). With
     Ahat = D^-1/2 (A + I) D^-1/2, every entry of a category of s members
-    is 1/s, so Ahat y is the category mean of y: onehot @ (pool @ y),
-    both matrices broadcast against the batch. The activation is applied
-    by the caller. Both matrices are constants for the tape, so gradients
-    flow into x, W, and b only.
+    is 1/s, so Ahat y is the category mean of y. The [C, N] pooling
+    matrix, 1/s at each of a category's s members, takes the C means of
+    y = x W in one product that broadcasts against the batch, and one
+    INDEX gives each row its category's mean; an instrument alone in its
+    category keeps its own row. The activation is applied by the caller.
+    The matrix is a constant for the tape, so gradients flow into x, W,
+    and b only.
     """
-    pool, onehot = mean
-    return tz.add(tz.matmul(onehot, tz.matmul(pool, tz.matmul(x, weight))), bias)
+    _, inverse, counts = np.unique(codes, return_inverse=True, return_counts=True)
+    pool = np.zeros((len(counts), len(codes)))
+    pool[inverse, np.arange(len(codes))] = 1.0 / counts[inverse]
+    means = tz.matmul(Tensor(pool), tz.matmul(x, weight))  # [..., C, d]
+    return tz.add(tz.index(means, (..., inverse, slice(None))), bias)
 
 
 def unit_rows(u: np.ndarray) -> np.ndarray:

@@ -38,7 +38,6 @@ from .decompose import causal_moving_average
 from .errors import ConfigError, DataError, check_kinds
 from .graphs import (
     RelationGraphs,
-    category_mean_matrices,
     cosine_similarity_matrix,
     gat_layer,
     gcn_layer,
@@ -292,8 +291,8 @@ def pspe_forward(
         # are held when the k-NN lists are built
         u, fwds = x0, []
         for rel, codes in (("ind", graphs.industry), ("reg", graphs.region)):
-            h = tz.leaky_relu(gcn_layer(x0, category_mean_matrices(codes),
-                                        model[f"gcn_{rel}_w"], model[f"gcn_{rel}_b"]), slope)
+            h = tz.leaky_relu(gcn_layer(x0, codes, model[f"gcn_{rel}_w"], model[f"gcn_{rel}_b"]),
+                              slope)
             fwds.append(tz.leaky_relu(tz.matmul(h, model[f"fwd_head_{rel}"]), slope))
             u = tz.sub(u, tz.matmul(h, model[f"back_head_{rel}"]))
         del x0, h

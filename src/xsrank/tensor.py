@@ -182,8 +182,7 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     # exp(-|x|) is exp(-x) where x >= 0 and exp(x) elsewhere, so both
     # branches see the same operands as when computed on their own halves
     ex = np.exp(-np.abs(x))
-    den = 1.0 + ex
-    return np.where(x >= 0, 1.0 / den, ex / den)
+    return np.divide(np.where(x >= 0, 1.0, ex), 1.0 + ex)
 
 
 # ---------------------------------------------------------------------------

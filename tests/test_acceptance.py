@@ -32,7 +32,6 @@ from xsrank.evaluate import summarize
 from xsrank.factor_reg import ff_regression, newey_west_se, ols
 from xsrank.graphs import (
     build_relation_graphs,
-    category_mean_matrices,
     gat_layer,
     gcn_layer,
 )
@@ -193,10 +192,9 @@ def test_criterion_3_module_oracles():
     w = rng.normal(size=(4, 4))
     b = rng.normal(size=4)
     errs["gcn"] = max(
-        np.max(np.abs(gcn_layer(Tensor(x), mean, Tensor(w), Tensor(b)).data
+        np.max(np.abs(gcn_layer(Tensor(x), codes, Tensor(w), Tensor(b)).data
                       - oracle.gcn_np(x, adj, w, b)))
-        for mean, adj in ((category_mean_matrices(graphs.industry), ind_adj),
-                          (category_mean_matrices(graphs.region), reg_adj)))
+        for codes, adj in ((graphs.industry, ind_adj), (graphs.region, reg_adj)))
     want_adj = oracle.topk_np(oracle.cosine_np(x), 2)
     errs["topk"] = float(
         not np.array_equal(knn_lists(x, 2), oracle.neighbor_lists(want_adj)))

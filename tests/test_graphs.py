@@ -14,7 +14,6 @@ from xsrank.errors import ConfigError, DataError
 from xsrank.graphs import (
     RelationGraphs,
     build_relation_graphs,
-    category_mean_matrices,
     cosine_similarity_matrix,
     gat_layer,
     gcn_layer,
@@ -36,7 +35,7 @@ def _clique_adjacency(codes):
 def _propagation(codes):
     """Ahat of the GCN on a relation: gcn_layer on x = W = I, b = 0."""
     n = len(codes)
-    return gcn_layer(Tensor(np.eye(n)), category_mean_matrices(codes), Tensor(np.eye(n)),
+    return gcn_layer(Tensor(np.eye(n)), codes, Tensor(np.eye(n)),
                      Tensor(np.zeros(n))).data
 
 
@@ -141,7 +140,7 @@ def test_static_relations_allocate_no_square_array():
     tracemalloc.start()
     try:
         g = build_relation_graphs(insts, labels, labels)
-        gcn_layer(x, category_mean_matrices(g.industry), w, b)
+        gcn_layer(x, g.industry, w, b)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -166,7 +165,7 @@ def test_gat_layer_allocates_no_square_array():
 def test_gcn_layer_identity_on_empty_graph():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(4, 3))
-    out = gcn_layer(Tensor(x), category_mean_matrices(np.arange(4)), Tensor(np.eye(3)),
+    out = gcn_layer(Tensor(x), np.arange(4), Tensor(np.eye(3)),
                     Tensor(np.zeros(3)))
     np.testing.assert_allclose(out.data, x, atol=1e-12)
 
@@ -175,7 +174,7 @@ def test_gcn_layer_two_node_clique_equal_features():
     x = np.tile([[1.0, -2.0]], (2, 1))
     rng = np.random.default_rng(2)
     w = rng.normal(size=(2, 2))
-    out = gcn_layer(Tensor(x), category_mean_matrices(np.array([0, 0])), Tensor(w),
+    out = gcn_layer(Tensor(x), np.array([0, 0]), Tensor(w),
                     Tensor(np.zeros(2))).data
     np.testing.assert_allclose(out[0], out[1], atol=1e-12)
 
@@ -195,11 +194,11 @@ def test_gcn_layer_matches_dense_oracle_and_is_linear():
     at = adj + np.eye(n)
     dis = np.diag(1.0 / np.sqrt(at.sum(axis=1)))
     want = dis @ at @ dis @ x1 @ w + b
-    got = gcn_layer(Tensor(x1), category_mean_matrices(g.industry), Tensor(w), Tensor(b)).data
+    got = gcn_layer(Tensor(x1), g.industry, Tensor(w), Tensor(b)).data
     np.testing.assert_allclose(got, want, atol=1e-9)
 
     # superposition in x with bias removed
-    f = lambda x: gcn_layer(Tensor(x), category_mean_matrices(g.industry), Tensor(w),
+    f = lambda x: gcn_layer(Tensor(x), g.industry, Tensor(w),
                              Tensor(np.zeros(d))).data
     np.testing.assert_allclose(f(x1 + x2), f(x1) + f(x2), atol=1e-9)
 
@@ -437,8 +436,8 @@ def test_equivariance_under_permutation():
     codes = rng.integers(0, 3, size=n)
     w = Tensor(rng.normal(size=(d, d)))
     b = Tensor(rng.normal(size=(d,)))
-    y = gcn_layer(Tensor(u), category_mean_matrices(codes), w, b).data
-    y_p = gcn_layer(Tensor(u[perm]), category_mean_matrices(codes[perm]), w, b).data
+    y = gcn_layer(Tensor(u), codes, w, b).data
+    y_p = gcn_layer(Tensor(u[perm]), codes[perm], w, b).data
     np.testing.assert_allclose(y_p, y[perm], atol=1e-9)
 
 
