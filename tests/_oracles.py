@@ -5,12 +5,16 @@ the layer definitions, independent of the package implementation: plain
 numpy on plain arrays, with no Tensor, no tape and no dropout (eval
 mode).
 
-`neighbor_sum_index_matmul` is the one oracle built on the tape: the
+Two oracles are built on the tape. `neighbor_sum_index_matmul` is the
 INDEX + MATMUL pair the GAT's neighbor sum was before NEIGHBOR_SUM, a
 whole [..., N, K, d] gather and one [1, K] @ [K, d] product per row, so
 tests can pin NEIGHBOR_SUM's outputs and gradients bitwise against it.
-`sub_primitive` keeps the arithmetic of the SUB primitive that `tz.sub`
-was before it became ADD of the operand times -1.
+`gcn_onehot` is the static GCN as it was before it gathered each row's
+category mean: the pooled means multiplied back by an [N, C] one-hot
+matrix. `sub_primitive` keeps the arithmetic of the SUB primitive that
+`tz.sub` was before it became ADD of the operand times -1, and
+`sigmoid_two_quotients` the sigmoid that divided twice and kept one
+quotient per element.
 
 The synthetic-market oracles build the generator's calendar, AR(1)
 paths and compounded prices one day at a time, and `synthetic_loop` the
@@ -55,6 +59,7 @@ from xsrank.data import (
 from xsrank.errors import DataError
 from xsrank.evaluate import MIN_SUBGROUP_SIZE, MetricReport, _ratio
 from xsrank.graphs import topk_graph, unit_rows
+from xsrank.tensor import Tensor
 
 
 def leaky(x, slope=0.2):
@@ -163,6 +168,14 @@ def sigmoid_masked(x):
     return out
 
 
+def sigmoid_two_quotients(x):
+    """The logistic function as both quotients 1 / (1 + e^-|x|) and
+    e^-|x| / (1 + e^-|x|), the first kept where x >= 0."""
+    ex = np.exp(-np.abs(x))
+    den = 1.0 + ex
+    return np.where(x >= 0, 1.0 / den, ex / den)
+
+
 def gat_np(u, adj, w, a_src, a_dst, w_out, slope=0.2):
     wu = u @ w
     p = wu @ a_src
@@ -184,6 +197,17 @@ def neighbor_sum_index_matmul(alpha, x, key):
     to [..., N, 1, K], times the [..., N, K, d] rows x[key], squeezed."""
     rows = (slice(None),) * (alpha.ndim - 1)
     return tz.index(tz.matmul(tz.index(alpha, rows + (None,)), tz.index(x, key)), rows + (0,))
+
+
+def gcn_onehot(x, codes, weight, bias):
+    """graphs.gcn_layer as onehot @ (pool @ (x W)) + b on the tape: the
+    [C, N] mean-pooling matrix of [N] codes, and the [N, C] one-hot
+    membership matrix that copies each category's mean to its members."""
+    cats, inverse = np.unique(codes, return_inverse=True)
+    member = inverse == np.arange(len(cats))[:, None]  # [C, N]
+    pool = Tensor(member / member.sum(axis=1, keepdims=True))
+    onehot = Tensor(np.ascontiguousarray(member.T, dtype=np.float64))
+    return tz.add(tz.matmul(onehot, tz.matmul(pool, tz.matmul(x, weight))), bias)
 
 
 def sub_primitive(a, b, g):

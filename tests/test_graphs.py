@@ -203,6 +203,70 @@ def test_gcn_layer_matches_dense_oracle_and_is_linear():
     np.testing.assert_allclose(f(x1 + x2), f(x1) + f(x2), atol=1e-9)
 
 
+@st.composite
+def relation_codes(draw):
+    """[N] category codes, N from 1 to 300: sparse codes such as
+    [3, 17, 3], one category per instrument, or one category for all."""
+    n = draw(st.integers(1, 300))
+    kind = draw(st.sampled_from(["sparse", "singletons", "one"]))
+    if kind == "sparse":
+        values = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=12))
+        return np.array(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)))
+    if kind == "singletons":
+        return np.random.default_rng(n).permutation(n) * 3
+    return np.full(n, draw(st.integers(0, 10**6)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(relation_codes(), st.lists(st.integers(1, 3), max_size=2), st.integers(1, 5),
+       st.integers(0, 2**32 - 1))
+def test_gcn_layer_gathers_what_the_one_hot_product_gave(codes, lead, d, seed):
+    # the forward is the one-hot product's bit for bit, with a tape and
+    # without. The gradients sum a category's cotangents in another order,
+    # so they agree to rounding: x, W and the cotangent are positive there,
+    # so that no sum cancels and each cell's relative error stays near
+    # N ulp, where a cancelling sum of N = 300 terms can exceed 1e-12
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(*lead, len(codes), d))
+    w, b = rng.normal(size=(d, d + 1)), rng.normal(size=d + 1)
+    want = oracle.gcn_onehot(Tensor(x), codes, Tensor(w), Tensor(b)).data
+    assert gcn_layer(Tensor(x), codes, Tensor(w), Tensor(b)).data.tobytes() == want.tobytes()
+
+    x, w = np.abs(x), np.abs(w)
+    g = rng.uniform(0.5, 1.5, size=(*lead, len(codes), d + 1))
+
+    def run(layer):
+        with Tape() as tape:
+            watched = [Tensor(x), Tensor(w), Tensor(b)]
+            for t in watched:
+                tape.watch(t)
+            out = layer(watched[0], codes, *watched[1:])
+            backward(tz.tensor_sum(tz.mul(out, Tensor(g))))
+            return out.data, [tape.grad(t) for t in watched]
+
+    got, got_grads = run(gcn_layer)
+    want, want_grads = run(oracle.gcn_onehot)
+    assert got.tobytes() == want.tobytes()
+    for grad, want_grad in zip(got_grads, want_grads, strict=True):
+        np.testing.assert_allclose(grad, want_grad, rtol=1e-12)
+
+
+def test_gcn_layer_holds_one_pooling_matrix():
+    # N = 2000 in C = 400 categories: the [C, N] pooling matrix is the
+    # call's largest array, and no [N, C] one-hot matrix sits beside it
+    n, c, d = 2000, 400, 8
+    rng = np.random.default_rng(19)
+    codes = rng.permutation(np.arange(n) % c)
+    x, w, b = (Tensor(rng.normal(size=s)) for s in ((n, d), (d, d), (d,)))
+    tracemalloc.start()
+    try:
+        gcn_layer(x, codes, w, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * c * n * 8, peak  # the bytes of one [C, N] float64 matrix
+
+
 def test_cosine_similarity_parallel_orthogonal_zero():
     u = np.array([
         [1.0, 0.0],

@@ -268,6 +268,22 @@ def test_sigmoid_equals_masked_formula_bitwise():
     assert np.array_equal(np.signbit(got), np.signbit(oracle.sigmoid_masked(x)))
 
 
+# signed zeros; either side of where 1 + exp(-|x|) rounds to 1 (36, 37);
+# where exp(-|x|) is a tiny normal (700.5, 708), a subnormal (745) and 0
+# (746); huge and subnormal values
+_SIGMOID_EDGES = [0.0, -0.0, 36.0, -36.0, 37.0, -37.0, 700.5, -700.5, 708.0, -708.0,
+                  745.0, -745.0, 746.0, -746.0, 1e308, -1e308, 5e-324, -5e-324,
+                  2.0 ** -1030, -(2.0 ** -1030)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, st.integers(0, 40), elements=st.one_of(
+    st.sampled_from(_SIGMOID_EDGES), st.floats(-800.0, 800.0),
+    st.floats(allow_nan=False, allow_infinity=False))))
+def test_sigmoid_divides_once_as_the_two_quotients_did(x):
+    assert tz.sigmoid(Tensor(x)).data.tobytes() == oracle.sigmoid_two_quotients(x).tobytes()
+
+
 @pytest.mark.parametrize("slope", [0.0, 0.2])
 def test_leaky_relu_equals_where_formula_bitwise(slope):
     # the forward is maximum(x, slope * x), equal to the where form only
