@@ -79,7 +79,7 @@ def parse_config_file(path) -> dict[str, str]:
     """Flat key=value lines; '#' starts a comment; blanks are skipped."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: {exc}") from exc
     out: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):

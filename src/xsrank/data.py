@@ -175,12 +175,13 @@ def _read_table(path, header, keys: int, keep=None):
     their numbers are parsed; their days are still checked. Rows are
     counted as lines from the header, line 1.
 
-    Yields (line numbers, rows, [rows, numbers] floats, fault) per block:
-    the kept rows before the first faulty one, and that row's DataError,
-    or None. A block with a fault is the last. The file's first row must
-    equal `header`; with `header=None` that row is yielded first,
-    unchecked, for the caller to check, and a ragged row is reported with
-    its own width.
+    Yields (line numbers, rows, [rows, numbers] floats) per block: the
+    kept rows before the first faulty one. Resumed after that block, the
+    stream raises the row's DataError, so a consumer that checks a block
+    before asking for the next reports the fault on the earliest line.
+    The file's first row must equal `header`; with `header=None` that row
+    is yielded first, unchecked, for the caller to check, and a ragged row
+    is reported with its own width.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -228,12 +229,11 @@ def _read_table(path, header, keys: int, keep=None):
                         n = next(k for k, row in enumerate(block) if row[0] in bad)
                         fault = (line + n, f"date {block[n][0]!r} is not a YYYY-MM-DD day")
                         kept = bisect_left(lines, line + n)
-                yield (lines[:kept], rows[:kept], values[: kept * n_num].reshape(kept, n_num),
-                       fault and DataError(f"{path}: line {fault[0]}: {fault[1]}"))
+                yield lines[:kept], rows[:kept], values[: kept * n_num].reshape(kept, n_num)
                 if fault:
-                    return
+                    raise DataError(f"{path}: line {fault[0]}: {fault[1]}")
                 line += len(block)
-    except (OSError, csv.Error) as exc:
+    except (OSError, csv.Error, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 
@@ -242,13 +242,11 @@ def _read_dated(path, header) -> tuple[list[str], np.ndarray]:
     column. Refuses, besides `_read_table`'s faults, a missing or
     non-finite number and days that are not unique and ascending."""
     dates, blocks = [], [np.empty((0, len(header) - 1))]
-    for lines, rows, values, fault in _read_table(path, header, keys=1):
+    for lines, rows, values in _read_table(path, header, keys=1):
         missing = np.flatnonzero(~np.isfinite(values))
         if missing.size:
             row, col = divmod(int(missing[0]), values.shape[1])
             raise DataError(f"{path}: line {lines[row]}: missing {header[1 + col]}")
-        if fault is not None:
-            raise fault
         dates += [row[0] for row in rows]
         blocks.append(values)
     if dates != sorted(set(dates)):
@@ -286,11 +284,10 @@ def _read_grid(blocks, names: list[str], missing_ok: bool, path=None):
     one reader of features.csv, prices.csv and predictions.csv.
 
     `blocks` is a two-key `_read_table` stream of `path`, or, for rows
-    that come from no file (`path` None), one (None, rows, values, fault)
-    block whose last row is the faulty one, if any. `names` labels the
-    number columns. Returns the sorted dates, the sorted instruments, the
-    [D, M, C] values, NaN where no row gave a cell, and the [D, M] mask of
-    the cells some row gave.
+    that come from no file (`path` None), one (None, rows, values) block.
+    `names` labels the number columns. Returns the sorted dates, the
+    sorted instruments, the [D, M, C] values, NaN where no row gave a
+    cell, and the [D, M] mask of the cells some row gave.
 
     Refuses an infinite number, a NaN unless `missing_ok`, and a row that
     repeats an earlier (date, instrument) pair. An error names the file
@@ -323,23 +320,25 @@ def _read_grid(blocks, names: list[str], missing_ok: bool, path=None):
                                 f"duplicate (date, instrument) pair")
             dup -= t.size
 
-    n_rows = 0
-    for lines, rows, values, fault in blocks:
-        t = day_codes([row[0] for row in rows])
-        i = name_codes([row[1] for row in rows])
-        parts.append((lines, t, i, values))
-        n_rows += len(rows)
-        bad = np.isinf(values) if missing_ok else ~np.isfinite(values)
-        k, col = divmod(int(np.argmax(bad)), len(names)) if bad.any() else (len(rows), 0)
-        if k < len(rows):
-            check_duplicates(n_rows - len(rows) + k)
-            raw = float(values[k, col]) if path is None else rows[k][2 + col]
-            raise DataError(f"{at(lines, k, t[k], i[k])}: {names[col]} is {raw!r}; " +
-                            ("leave a missing value empty" if missing_ok else
-                             "give a finite number"))
-        if fault is not None:
+    n_rows = 0  # the rows before the first fault
+    try:
+        for lines, rows, values in blocks:
+            t = day_codes([row[0] for row in rows])
+            i = name_codes([row[1] for row in rows])
+            parts.append((lines, t, i, values))
+            bad = np.isinf(values) if missing_ok else ~np.isfinite(values)
+            k, col = divmod(int(np.argmax(bad)), len(names)) if bad.any() else (len(rows), 0)
+            n_rows += k
+            if k < len(rows):
+                raw = float(values[k, col]) if path is None else rows[k][2 + col]
+                raise DataError(f"{at(lines, k, t[k], i[k])}: {names[col]} is {raw!r}; " +
+                                ("leave a missing value empty" if missing_ok else
+                                 "give a finite number"))
+    except DataError:
+        # a repeated pair on an earlier row wins
+        if parts:
             check_duplicates(n_rows)
-            raise fault
+        raise
     rows = None  # the grid is built without the last block's strings
 
     dates, rank_t = day_codes.ranked()
@@ -456,10 +455,11 @@ class PredictionSeries:
         scores = np.array([row[2] for row in rows], dtype=np.float64).reshape(-1, 1)
         bad = {day for day in {row[0] for row in rows} if not _is_day(day)}
         n = next((k for k, row in enumerate(rows) if row[0] in bad), len(rows))
-        fault = (DataError(f"row ({rows[n][0]}, {rows[n][1]}): date {rows[n][0]!r} is not "
-                           "a YYYY-MM-DD day") if n < len(rows) else None)
         # that row's score is checked before its date, as a file's number is
-        self._grid([(None, rows[:n + 1], scores[:n + 1], fault)])
+        self._grid([(None, rows[:n + 1], scores[:n + 1])])
+        if n < len(rows):
+            raise DataError(f"row ({rows[n][0]}, {rows[n][1]}): date {rows[n][0]!r} is not "
+                            "a YYYY-MM-DD day")
 
     def _grid(self, blocks, path=None) -> None:
         """Set the grid from `_read_grid` blocks of rows of `path`."""
@@ -533,22 +533,19 @@ def returns_from_prices(prices: np.ndarray) -> np.ndarray:
 
 def _positive_prices(blocks, path):
     """`_read_table` blocks of a prices file, each cut before its first row
-    whose price or volume is missing or not positive and finite, with that
-    row's DataError as the block's fault. A block holds only rows before
-    its own fault, so the row's fault is the earlier one."""
-    for lines, rows, values, fault in blocks:
+    whose price or volume is missing or not positive and finite; resumed
+    after a cut block, the stream raises that row's DataError. A block
+    holds only rows before the file's own fault, so the row's is earlier."""
+    for lines, rows, values in blocks:
         bad = np.flatnonzero(~(np.isfinite(values) & (values > 0)).all(axis=1))
-        if bad.size:
-            k = int(bad[0])
+        k = int(bad[0]) if bad.size else len(rows)
+        yield lines[:k], rows[:k], values[:k]
+        if k < len(rows):
             price, volume = values[k].tolist()
-            fault = DataError(f"{path}: line {lines[k]}: " + (
+            raise DataError(f"{path}: line {lines[k]}: " + (
                 "missing price/volume" if np.isnan(values[k]).any() else
                 f"price {price!r} is not positive and finite" if not 0 < price < np.inf else
                 f"volume {volume!r} is not positive and finite"))
-            lines, rows, values = lines[:k], rows[:k], values[:k]
-        yield lines, rows, values, fault
-        if fault is not None:
-            return
 
 
 def load_panel(features_path, prices_path) -> PanelDataset:
@@ -636,7 +633,7 @@ def load_membership(path) -> dict[str, str]:
     category or instrument apart from its unpadded twin, and so are
     conflicting duplicates."""
     out: dict[str, str] = {}
-    for lines, rows, _, fault in _read_table(path, MEMBERSHIP_HEADER, keys=2):
+    for lines, rows, _ in _read_table(path, MEMBERSHIP_HEADER, keys=2):
         for line, (inst, cat) in zip(lines, rows):
             if not (inst.strip() and cat.strip()):
                 raise DataError(f"{path}: line {line}: empty instrument or category")
@@ -647,8 +644,6 @@ def load_membership(path) -> dict[str, str]:
             if out.setdefault(inst, cat) != cat:
                 raise DataError(f"{path}: line {line}: instrument {inst!r} mapped to "
                                 f"both {out[inst]!r} and {cat!r}")
-        if fault is not None:
-            raise fault
     return out
 
 

@@ -495,7 +495,7 @@ def load_checkpoint(path) -> ActModel:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not a valid checkpoint: {exc}") from exc

@@ -304,7 +304,7 @@ def _fw_leaky_relu(inputs, needs, slope):
     if not 0.0 <= slope < 1.0:
         raise TapeError(f"leaky_relu: slope must be in [0, 1), got {slope!r}")
     out = np.maximum(x, slope * x)
-    positive = x > 0
+    positive = (x > 0) if needs[0] else None  # only the VJP reads the sign mask
 
     def vjp(g):
         return [g * np.where(positive, 1.0, slope)]

@@ -1704,3 +1704,37 @@ def test_mutated_inputs_exit_cleanly_with_one_error_line(fuzz_inputs, edits):
             for name in artifacts:
                 if name.endswith(".csv"):
                     assert _unflagged_non_finite(out / name) == [], (command, name)
+
+
+# every file a command reads, each named for its flag, and a command that reads it
+READ_FILES = [("features.csv", "evaluate"), ("prices.csv", "evaluate"),
+              ("predictions.csv", "evaluate"), ("industry.csv", "evaluate"),
+              ("region.csv", "evaluate"), ("factors.csv", "regress"),
+              ("backtest.csv", "regress"), ("checkpoint.json", "predict"),
+              ("config.cfg", "synth")]
+
+
+@pytest.mark.parametrize("name, command", READ_FILES, ids=[name for name, _ in READ_FILES])
+def test_a_file_that_is_not_utf8_is_one_error_line(fuzz_inputs, tmp_path, capsys, name,
+                                                   command):
+    # before: the UnicodeDecodeError escaped main as a traceback
+    for file, text in {**fuzz_inputs, "config.cfg": "seed = 1\n"}.items():
+        raw = text.encode("utf-8")
+        if file == name:
+            raw = raw[:len(raw) // 2] + b"\xff" + raw[len(raw) // 2:]
+        (tmp_path / file).write_bytes(raw)
+    group = "region" if name == "region.csv" else "industry"
+    reads = {"evaluate": ["predictions.csv", "features.csv", "prices.csv", f"{group}.csv"],
+             "regress": ["backtest.csv", "factors.csv"],
+             "predict": ["checkpoint.json", "features.csv", "prices.csv", "industry.csv",
+                         "region.csv"],
+             "synth": ["config.cfg"]}[command]
+    argv = [arg for file in reads for arg in (f"--{Path(file).stem}", str(tmp_path / file))]
+    argv += ["--group-by", group] if command == "evaluate" else []
+    out = tmp_path / "out"
+    assert cli.main([command, "--out", str(out), *argv]) == cli.EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and re.fullmatch(
+        rf"error: {re.escape(str(tmp_path / name))}: 'utf-8' codec can't decode byte 0xff "
+        r"in position \d+: invalid start byte", err[0]), err
+    assert not out.exists()

@@ -1149,6 +1149,44 @@ def test_dated_and_membership_loaders_do_not_depend_on_block_size(
         assert [_table_outcome(fn, path) for fn, path in cases] == whole
 
 
+PRICES_LINE_5 = ("datetime,instrument,price,volume\n2020-01-02,A,1.0,10\n2020-01-02,B,2.0,10\n"
+                 "2020-01-03,A,1.5,10\n{}\n2020-01-06,A,1.0,10\n")
+
+
+def _drain(stream):
+    """The line numbers of every block `stream` yields before it raises."""
+    lines = []
+    with pytest.raises(DataError) as raised:
+        for block in stream:
+            lines += list(block[0])
+    return lines, str(raised.value)
+
+
+@pytest.mark.parametrize("chunk_cells", [8, data.CHUNK_CELLS])
+@pytest.mark.parametrize("row, fault", [
+    ("2020-01-03,B,1.0", "expected 4 columns"),
+    ("2020-01-03,B,x,10", "unparseable number 'x'"),
+    ("2020-13-03,B,1.0,10", "date '2020-13-03' is not a YYYY-MM-DD day"),
+], ids=["width", "number", "date"])
+def test_a_drained_stream_raises_the_fault_after_the_rows_before_it(tmp_path, monkeypatch,
+                                                                    chunk_cells, row, fault):
+    # before: `list(...)` returned the blocks, and the fault sat unraised in
+    # the last one's fourth slot for each consumer to remember to raise
+    monkeypatch.setattr(data, "CHUNK_CELLS", chunk_cells)
+    path = _write(tmp_path / "prices.csv", PRICES_LINE_5.format(row))
+    assert _drain(data._read_table(path, data.PRICES_HEADER, keys=2)) == (
+        [2, 3, 4], f"{path}: line 5: {fault}")
+
+
+@pytest.mark.parametrize("chunk_cells", [8, data.CHUNK_CELLS])
+def test_a_drained_price_stream_raises_its_price_fault(tmp_path, monkeypatch, chunk_cells):
+    monkeypatch.setattr(data, "CHUNK_CELLS", chunk_cells)
+    path = _write(tmp_path / "prices.csv", PRICES_LINE_5.format("2020-01-03,B,0,10"))
+    table = data._read_table(path, data.PRICES_HEADER, keys=2)
+    assert _drain(data._positive_prices(table, path)) == (
+        [2, 3, 4], f"{path}: line 5: price 0.0 is not positive and finite")
+
+
 @settings(max_examples=20, deadline=None)
 @given(n_lines=st.integers(0, 7), per_write=st.integers(1, 4))
 def test_writers_do_not_depend_on_lines_per_write(n_lines, per_write):
