@@ -210,7 +210,7 @@ def _dropout(x: Tensor, rate: float, rng, training: bool) -> Tensor:
 
 
 def _proj_ln(x: np.ndarray, model: ActModel, prefix: str, ln_prefix: str) -> Tensor:
-    h = tz.add(tz.matmul(Tensor(x), model[f"{prefix}_w"]), model[f"{prefix}_b"])
+    h = tz.matmul(Tensor(x), model[f"{prefix}_w"], model[f"{prefix}_b"])
     return tz.layer_norm(h, model[f"{ln_prefix}_g"], model[f"{ln_prefix}_b"])
 
 
@@ -218,9 +218,7 @@ def _mlp(x_last: np.ndarray, model: ActModel, branch: str, slope: float) -> Tens
     """One-layer per-stock MLP on a component's final step: the "mlp"
     variant of the fluctuation and shock branches."""
     x = _proj_ln(x_last, model, f"{branch}_proj", f"{branch}_ln")
-    return tz.leaky_relu(
-        tz.add(tz.matmul(x, model[f"{branch}_mlp_w"]), model[f"{branch}_mlp_b"]), slope
-    )
+    return tz.leaky_relu(tz.matmul(x, model[f"{branch}_mlp_w"], model[f"{branch}_mlp_b"]), slope)
 
 
 def _gat(u: Tensor, neighbors: np.ndarray, model: ActModel, slope: float) -> Tensor:
@@ -305,10 +303,9 @@ def pspe_forward(
         z_d = _gat(u_tilde, neighbors, model, slope)
 
         gate_h = tz.leaky_relu(
-            tz.add(tz.matmul(tz.concat_last([z_s, z_d]), model["gate_w1"]), model["gate_b1"]),
-            slope,
+            tz.matmul(tz.concat_last([z_s, z_d]), model["gate_w1"], model["gate_b1"]), slope
         )
-        gate = tz.sigmoid(tz.add(tz.matmul(gate_h, model["gate_w2"]), model["gate_b2"]))
+        gate = tz.sigmoid(tz.matmul(gate_h, model["gate_w2"], model["gate_b2"]))
         z = tz.add(z_s, tz.mul(gate, z_d))
         gate_mean = gate.data.reshape(gate.shape[:-2] + (-1,)).mean(axis=-1)
     z_trend = tz.layer_norm(z, model["trend_out_ln_g"], model["trend_out_ln_b"])
@@ -387,10 +384,7 @@ def acf_forward(z_trend: Tensor, z_fluct: Tensor, z_shock: Tensor, model: ActMod
     comps = [z_trend, z_fluct, z_shock]
     scores = tz.concat_last(
         [
-            tz.matmul(
-                tz.tanh(tz.add(tz.matmul(z, model["att_w1"]), model["att_b1"])),
-                model["att_w2"],
-            )
+            tz.matmul(tz.tanh(tz.matmul(z, model["att_w1"], model["att_b1"])), model["att_w2"])
             for z in comps
         ]
     )

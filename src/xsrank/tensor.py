@@ -7,7 +7,8 @@ gathers are INDEX, the GAT's neighbor sum is NEIGHBOR_SUM (no gather is
 held), the fluctuation branch's causal convolution is a broadcast MATMUL
 over stacked lags plus a SUM, ReLU is LEAKY_RELU at slope 0, a mean is
 SUM then DIV, a difference adds the operand times -1, and dropout is a
-MUL by a mask the model draws.
+MUL by a mask the model draws. MATMUL takes an optional bias, added to
+the fresh product as ADD would add it, so an affine map is one node.
 A primitive takes Tensors, and its attributes (a slope, an axis, an
 INDEX key) as keyword arguments. INDEX takes any key numpy takes, lets
 numpy check it, and scatter-adds its gradient.
@@ -98,9 +99,6 @@ class Tensor:
     @property
     def ndim(self) -> int:
         return self.data.ndim
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, node_id={self.node_id})"
 
 
 _STATE = threading.local()
@@ -199,7 +197,7 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _fw_matmul(inputs, needs):
-    a, b = inputs
+    a, b, *bias = inputs
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError("matmul operands must have at least 2 dimensions")
     if a.shape[-1] != b.shape[-2]:
@@ -207,13 +205,19 @@ def _fw_matmul(inputs, needs):
             f"matmul inner dims disagree: {a.shape} vs {b.shape}"
         )
     out = np.matmul(a, b)
-    (na, nb), sa, sb = needs, a.shape, b.shape
-    # each operand's cotangent reads only the other operand
+    for c in bias:  # at most one, added in place: a + b of ADD, bit for bit
+        try:
+            out += c
+        except ValueError:
+            raise ShapeError(f"matmul bias {c.shape} does not broadcast into {out.shape}") from None
+    (na, nb, *nc), sa, sb, sc = needs, a.shape, b.shape, [c.shape for c in bias]
+    # each operand's cotangent reads only the other operand; the bias's is ADD's
     a, b = (a if nb else None), (b if na else None)
 
     def vjp(g):
         return [_unbroadcast(np.matmul(g, np.swapaxes(b, -1, -2)), sa) if na else None,
-                _unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g), sb) if nb else None]
+                _unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g), sb) if nb else None,
+                *(_unbroadcast(g, s) if n else None for n, s in zip(nc, sc))]
 
     return out, vjp
 
@@ -524,8 +528,9 @@ def backward(loss: Tensor) -> None:
 # ---------------------------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    return apply_primitive(PrimitiveKind.MATMUL, [a, b])
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """a @ b, plus `bias` if given, which must broadcast into the product."""
+    return apply_primitive(PrimitiveKind.MATMUL, [a, b] if bias is None else [a, b, bias])
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:

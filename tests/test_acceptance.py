@@ -58,8 +58,8 @@ def _scalarize(out, w):
 
 
 def _primitive_cases(rng):
-    """One finite-difference case per primitive kind, and one for the
-    composite tz.sub, kinks avoided."""
+    """One finite-difference case per primitive kind, one for MATMUL's
+    bias input and one for the composite tz.sub, kinks avoided."""
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(3, 4))
     pos = 0.5 + np.abs(rng.normal(size=(3, 4)))
@@ -72,6 +72,9 @@ def _primitive_cases(rng):
 
     return [
         ("matmul", lambda t: _scalarize(tz.matmul(t, Tensor(mm_b)), w34), a),
+        # the bias input of a biased MATMUL, a [4] row broadcast over [3, 4]
+        ("matmul_bias", lambda t: _scalarize(tz.matmul(Tensor(a), Tensor(mm_b), t), w34),
+         b[0].copy()),
         ("add", lambda t: _scalarize(tz.add(t, Tensor(b)), w34), a),
         ("sub", lambda t: _scalarize(tz.sub(t, Tensor(b)), w34), a),
         ("mul", lambda t: _scalarize(tz.mul(t, Tensor(b)), w34), a),
@@ -101,8 +104,9 @@ def test_criterion_1_gradient_integrity():
     rng = np.random.default_rng(101)
     worst_prim, worst_name = 0.0, ""
     cases = _primitive_cases(rng)
-    # tz.sub keeps its case but is ADD of MUL by -1, no kind of its own
-    covered = {name for name, _, _ in cases} - {"sub"}
+    # tz.sub keeps its case but is ADD of MUL by -1, no kind of its own;
+    # MATMUL's bias input is a case of that kind
+    covered = {name for name, _, _ in cases} - {"sub", "matmul_bias"}
     assert covered == {k.value for k in PrimitiveKind}, covered
     for name, fn, point in cases:
         err = finite_difference_check(fn, Tensor(point), step=1e-6)

@@ -245,6 +245,45 @@ def test_sub_is_the_removed_sub_primitive_bit_for_bit(other, swap, watched, data
         assert x.shape == want_x.shape and x.tobytes() == want_x.tobytes()
 
 
+_SIGNED_ZEROS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-10.0, 10.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([((4, 3), (3, 2)), ((2, 4, 3), (3, 2)), ((2, 4, 3), (2, 3, 2))]),
+       st.sampled_from([lambda n, k: (k,), lambda n, k: (1, k), lambda n, k: (n, k)]),
+       st.data())
+def test_a_biased_matmul_is_matmul_then_add_bit_for_bit(shapes, bias_shape, data):
+    # an [N, k] product, and a [B, N, k] one with a shared [d, k] or a
+    # batched [B, d, k] right operand; a [k], [1, k] or [N, k] bias
+    (sa, sb), shape = shapes, np.broadcast_shapes(shapes[0][:-2], shapes[1][:-2])
+    a = data.draw(arrays(np.float64, sa, elements=_SIGNED_ZEROS))
+    b = data.draw(arrays(np.float64, sb, elements=st.floats(-10.0, 10.0)))
+    c = data.draw(arrays(np.float64, bias_shape(sa[-2], sb[-1]), elements=_SIGNED_ZEROS))
+    g = data.draw(arrays(np.float64, shape + (sa[-2], sb[-1]), elements=_COTANGENTS))
+
+    def run(f):
+        with Tape() as tape:
+            ts = [Tensor(x) for x in (a, b, c)]
+            for t in ts:
+                tape.watch(t)
+            y = f(*ts)
+            backward(_scalarize(y, g))
+            return [y.data] + [tape.grad(t) for t in ts]
+
+    want = run(lambda ta, tb, tc: tz.add(tz.matmul(ta, tb), tc))
+    for got, want_x in zip(run(tz.matmul), want, strict=True):
+        assert got.shape == want_x.shape and got.tobytes() == want_x.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 4, 2), (1, 4, 2), (4, 3)])
+def test_a_matmul_bias_that_would_grow_the_product_is_a_shape_error(shape):
+    # ADD would broadcast the product up to the bias; a bias must fit into it
+    a, b = Tensor(np.ones((4, 3))), Tensor(np.ones((3, 2)))
+    with pytest.raises(ShapeError, match=re.escape(
+            f"matmul bias {shape} does not broadcast into (4, 2)")):
+        tz.matmul(a, b, Tensor(np.ones(shape)))
+
+
 def test_gradients_are_read_only():
     # an ADD hands its output's gradient to both inputs unchanged, so the
     # two may share memory; writing to either must fail, not alias
@@ -494,6 +533,7 @@ _HOLD_CASES = [
     (_K.MATMUL, [(3, 4), (4, 2)], {}, (1, 1), {0, 1}),
     (_K.MATMUL, [(3, 4), (4, 2)], {}, (1, 0), {1}),
     (_K.MATMUL, [(3, 4), (4, 2)], {}, (0, 1), {0}),
+    (_K.MATMUL, [(3, 4), (4, 2), (2,)], {}, (1, 1, 1), {0, 1}),
     (_K.ADD, [(3, 4), (4,)], {}, (1, 1), set()),
     (_K.MUL, [(3, 4), (3, 4)], {}, (1, 1), {0, 1}),
     (_K.MUL, [(3, 4), (3, 4)], {}, (1, 0), {1}),

@@ -831,6 +831,29 @@ def test_work_ledger_is_exact_across_runs_and_blas_thread_counts():
         assert json.loads(done.stdout) == ledger, threads
 
 
+# (calls, VJP calls) per primitive kind of the tiny work ledger at seed 5:
+# a change in the tape work a train or a predict asks for shows here, as
+# a change in outputs shows in the pinned digests
+TINY_LEDGER_CALLS = {
+    "train": {"ADD": (46, 34), "CONCAT_LAST": (12, 8), "DIV": (8, 8), "INDEX": (21, 14),
+              "LAYER_NORM": (15, 10), "LEAKY_RELU": (30, 20), "MATMUL": (96, 64),
+              "MUL": (47, 38), "NEIGHBOR_SUM": (3, 2), "SIGMOID": (6, 4), "SOFTMAX": (6, 4),
+              "SQRT": (2, 2), "SUM": (19, 16), "TANH": (9, 6)},
+    "predict": {"ADD": (36, 0), "CONCAT_LAST": (12, 0), "INDEX": (21, 0),
+                "LAYER_NORM": (15, 0), "LEAKY_RELU": (30, 0), "MATMUL": (96, 0),
+                "MUL": (21, 0), "NEIGHBOR_SUM": (3, 0), "SIGMOID": (6, 0), "SOFTMAX": (6, 0),
+                "SUM": (9, 0), "TANH": (9, 0)},
+}
+
+
+def test_tiny_work_ledger_is_pinned():
+    from _ledger import work_ledger
+
+    calls = {run: {kind: (row["calls"], row["vjp_calls"]) for kind, row in rows.items()}
+             for run, rows in work_ledger().items()}
+    assert calls == TINY_LEDGER_CALLS
+
+
 # sha256 of the trained weights (sorted by name) and of the predict_sliding
 # rows, for each variant of demos/ablation_study.py after one epoch on a
 # tiny synth. No benchmark workload runs the gat_only or mlp branches, so
