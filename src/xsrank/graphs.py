@@ -6,13 +6,11 @@ code per instrument: two instruments are related when their codes are
 equal, and an instrument with no category has a code of its own. On a
 clique the GCN propagation D^-1/2 (A + I) D^-1/2 is the mean over the
 category, so no static [N, N] array is built in a forward pass. Only
-the codes are kept: each GCN call builds the [C, N] mean-pooling matrix
-of the relation's C categories, pools the C category means, and gathers
-each row's mean back by its code, so with no tape the matrix is freed
-when the call returns. The dynamic k-NN graph is rebuilt per forward
-pass from the current representations; its construction is
-deliberately outside the tape, so no gradient flows through neighbor
-selection.
+the codes are kept, and a forward pass builds each relation's
+`CategoryMeans` once for its GCN and its category-mean removal. The
+dynamic k-NN graph is rebuilt per forward pass from the current
+representations, outside the tape, so no gradient flows through
+neighbor selection.
 
 Graphs that attention runs over are neighbor lists: an [N, K] integer
 array whose row i holds the columns row i attends to, -1 marking a
@@ -25,9 +23,8 @@ and neighbor lists [..., N, K], one slice per window, each computed
 exactly as a single window would be. A similarity is [..., R, N]: a
 block of R rows against all N, so `model.knn_lists`, which builds each
 window's k-NN lists one `tensor.row_blocks` block at a time, never holds
-an [N, N] array. The static pooling matrix broadcasts against the batch;
-the GAT reads one list per window, so a caller broadcasts a shared list
-(the union's) itself.
+an [N, N] array. The GAT reads one list per window, so a caller
+broadcasts a shared list (the union's) itself.
 """
 
 from __future__ import annotations
@@ -62,10 +59,8 @@ class RelationGraphs:
             codes = np.asarray(getattr(self, name))
             if (codes.shape != (n,) or not np.issubdtype(codes.dtype, np.integer)
                     or (codes < 0).any()):
-                raise DataError(
-                    f"{name} must be {n} non-negative integer codes, one per "
-                    f"instrument; got {codes.dtype} {codes.shape}"
-                )
+                raise DataError(f"{name} must be {n} non-negative integer codes, one per "
+                                f"instrument; got {codes.dtype} {codes.shape}")
             setattr(self, name, codes)
 
     @cached_property
@@ -88,10 +83,8 @@ class RelationGraphs:
 
 
 def _category_codes(instruments: list[str], labels: dict[str, str]) -> np.ndarray:
-    """[N] codes numbering categories in order of first appearance.
-
-    An instrument missing from `labels` gets a code of its own.
-    """
+    """[N] codes numbering categories in order of first appearance; an
+    instrument missing from `labels` gets a code of its own."""
     seen: dict = {}
     # a fresh object() is a key that no other instrument shares
     return np.array(
@@ -114,25 +107,36 @@ def build_relation_graphs(
     )
 
 
-def gcn_layer(x: Tensor, codes: np.ndarray, weight: Tensor, bias: Tensor) -> Tensor:
-    """One propagation step on a static clique relation: Ahat x W + b.
+class CategoryMeans:
+    """One relation's category-mean map, [..., N, d] -> [..., N, d], from
+    its [N] codes: one product by the constant [C, N] pooling matrix, 1/s
+    at each of a category's s members, broadcast against the batch, then
+    one INDEX. A row alone in its category gets its own row. It is not
+    stored, so with no tape the matrix is freed when the pass is done."""
 
-    x is [..., N, d] and `codes` the relation's [N] category codes
-    (`RelationGraphs.industry` or `region`). With
-    Ahat = D^-1/2 (A + I) D^-1/2, every entry of a category of s members
-    is 1/s, so Ahat y is the category mean of y. The [C, N] pooling
-    matrix, 1/s at each of a category's s members, takes the C means of
-    y = x W in one product that broadcasts against the batch, and one
-    INDEX gives each row its category's mean; an instrument alone in its
-    category keeps its own row. The activation is applied by the caller.
-    The matrix is a constant for the tape, so gradients flow into x, W,
-    and b only.
-    """
-    _, inverse, counts = np.unique(codes, return_inverse=True, return_counts=True)
-    pool = np.zeros((len(counts), len(codes)))
-    pool[inverse, np.arange(len(codes))] = 1.0 / counts[inverse]
-    means = tz.matmul(Tensor(pool), tz.matmul(x, weight))  # [..., C, d]
-    return tz.add(tz.index(means, (..., inverse, slice(None))), bias)
+    def __init__(self, codes: np.ndarray):
+        _, self.inverse, counts = np.unique(codes, return_inverse=True, return_counts=True)
+        pool = np.zeros((len(counts), len(codes)))
+        pool[self.inverse, np.arange(len(codes))] = 1.0 / counts[self.inverse]
+        self.pool = Tensor(pool)
+        self.removal = Tensor(np.where(counts[self.inverse] > 1, -1.0, 0.0)[:, None])
+
+    def __call__(self, x: Tensor) -> Tensor:
+        return tz.index(tz.matmul(self.pool, x), (..., self.inverse, slice(None)))
+
+    def remove(self, x: Tensor) -> Tensor:
+        """x plus its category means times `removal`: -1, or 0 for a row
+        alone in its category, which has no shared mean to remove."""
+        return tz.add(x, tz.mul(self(x), self.removal))
+
+
+def gcn_layer(x: Tensor, codes, weight: Tensor, bias: Tensor) -> Tensor:
+    """Ahat x W + b on a static clique relation, given its [N] codes or
+    their `CategoryMeans`, for x [..., N, d]: Ahat = D^-1/2 (A + I) D^-1/2
+    is 1/s within a category of s members, so Ahat y is its mean. The
+    caller applies the activation."""
+    means = codes if isinstance(codes, CategoryMeans) else CategoryMeans(codes)
+    return tz.add(means(tz.matmul(x, weight)), bias)
 
 
 def unit_rows(u: np.ndarray) -> np.ndarray:

@@ -11,13 +11,14 @@ the embeddings are [N, d] or [B, N, d]. Each window of a batch is
 computed exactly as it would be alone.
 
 Branches:
-  trend  -- relation purification: per-relation GCN heads subtract the
-            statically-explained part, a GAT over a dynamic cosine k-NN
-            graph encodes the residual, and a sigmoid gate merges static
-            and dynamic paths ("full"), or a plain GAT on the union
-            relation graph ("gat_only"). Both GATs attend over
-            [..., N, K] neighbor lists, one per window (see graphs);
-            "gat_only" broadcasts its one union list to the batch.
+  trend  -- relation purification ("full"): the residual, the projected
+            trend x0 minus its industry means and then minus the result's
+            region means (so industry means are not exactly zero after the
+            region step; a one-member category removes nothing), goes
+            through a GAT over its cosine k-NN graph, and a sigmoid gate
+            merges that with per-relation GCN heads. Or a plain GAT on the
+            union relation graph ("gat_only"). Both GATs attend over
+            [..., N, K] lists, one per window; "gat_only" broadcasts its one.
   fluct  -- the last step of a gated causal temporal convolution
             ("tcn") or a one-layer per-stock MLP ("mlp");
   shock  -- comparison of the latest shock against its own smoothed
@@ -37,6 +38,7 @@ from . import tensor as tz
 from .decompose import causal_moving_average
 from .errors import ConfigError, DataError, check_kinds
 from .graphs import (
+    CategoryMeans,
     RelationGraphs,
     cosine_similarity_matrix,
     gat_layer,
@@ -46,7 +48,7 @@ from .graphs import (
 )
 from .tensor import Tensor, row_blocks
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 PSPE_MODES = ("full", "gat_only")
 FCI_MODES = ("tcn", "mlp")
@@ -86,12 +88,9 @@ class ActConfig:
             raise ConfigError("loss_mix must be in [0, 1]")
         if not 0.0 <= self.leaky_slope < 1.0:
             raise ConfigError("leaky_slope must be in [0, 1)")
-        if self.pspe not in PSPE_MODES:
-            raise ConfigError(f"pspe must be one of {PSPE_MODES}")
-        if self.fci not in FCI_MODES:
-            raise ConfigError(f"fci must be one of {FCI_MODES}")
-        if self.sci not in SCI_MODES:
-            raise ConfigError(f"sci must be one of {SCI_MODES}")
+        for name, modes in (("pspe", PSPE_MODES), ("fci", FCI_MODES), ("sci", SCI_MODES)):
+            if getattr(self, name) not in modes:
+                raise ConfigError(f"{name} must be one of {modes}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -111,7 +110,6 @@ def parameter_spec(cfg: ActConfig) -> dict[str, tuple[int, ...]]:
             spec[f"gcn_{rel}_w"] = (d, d)
             spec[f"gcn_{rel}_b"] = (d,)
             spec[f"fwd_head_{rel}"] = (d, d)
-            spec[f"back_head_{rel}"] = (d, d)
         spec["static_mix_w"] = (2 * d, d)
         spec["resid_proj_w"] = (d, d)
     spec["gat_w"] = (d, d)
@@ -266,9 +264,9 @@ def pspe_forward(
 ):
     """Trend embedding of the configured variant.
 
-    "full" purifies the relations: the static heads' explained part is
-    subtracted, a GAT over the residual's cosine k-NN graph encodes the
-    rest, and a sigmoid gate merges static and dynamic paths. "gat_only"
+    "full" purifies the relations: x0 loses its industry means, then its
+    region means, a GAT over the residual's cosine k-NN graph encodes the
+    rest, and a sigmoid gate merges it with the static GCN path. "gat_only"
     runs the same GAT on the OR-union of the static relations instead.
 
     Returns (z_trend, neighbors, gate_mean): the [..., N, K] neighbor
@@ -284,16 +282,15 @@ def pspe_forward(
         z = _gat(x0, neighbors, model, slope)
         gate_mean = None
     else:
-        # u = (x0 - back_ind) - back_reg, each back head subtracted as its
-        # relation finishes, so that with no tape only z_s and u_tilde
-        # are held when the k-NN lists are built
+        # with no tape only z_s and u_tilde are held when the k-NN lists are built
         u, fwds = x0, []
         for rel, codes in (("ind", graphs.industry), ("reg", graphs.region)):
-            h = tz.leaky_relu(gcn_layer(x0, codes, model[f"gcn_{rel}_w"], model[f"gcn_{rel}_b"]),
+            means = CategoryMeans(codes)
+            h = tz.leaky_relu(gcn_layer(x0, means, model[f"gcn_{rel}_w"], model[f"gcn_{rel}_b"]),
                               slope)
             fwds.append(tz.leaky_relu(tz.matmul(h, model[f"fwd_head_{rel}"]), slope))
-            u = tz.sub(u, tz.matmul(h, model[f"back_head_{rel}"]))
-        del x0, h
+            u = means.remove(u)
+        del x0, h, means
         z_s = tz.matmul(tz.concat_last(fwds), model["static_mix_w"])
         u_tilde = tz.leaky_relu(tz.matmul(u, model["resid_proj_w"]), slope)
         del fwds, u
@@ -302,9 +299,8 @@ def pspe_forward(
         neighbors = knn_lists(u_tilde.data, cfg.knn)
         z_d = _gat(u_tilde, neighbors, model, slope)
 
-        gate_h = tz.leaky_relu(
-            tz.matmul(tz.concat_last([z_s, z_d]), model["gate_w1"], model["gate_b1"]), slope
-        )
+        gate_h = tz.leaky_relu(tz.matmul(tz.concat_last([z_s, z_d]), model["gate_w1"],
+                                         model["gate_b1"]), slope)
         gate = tz.sigmoid(tz.matmul(gate_h, model["gate_w2"], model["gate_b2"]))
         z = tz.add(z_s, tz.mul(gate, z_d))
         gate_mean = gate.data.reshape(gate.shape[:-2] + (-1,)).mean(axis=-1)
@@ -521,7 +517,7 @@ def load_checkpoint(path) -> ActModel:
             raise DataError(f"{where} is missing")
         if not isinstance(entry, dict) or not {"shape", "data"} <= entry.keys():
             raise DataError(f"{where} needs a shape and data")
-        data, given = entry["data"], entry["shape"]
+        data, given = entry.pop("data"), entry["shape"]  # let go of each text once decoded
         if not isinstance(data, str):
             raise DataError(f"{where}: data is not a string")
         try:

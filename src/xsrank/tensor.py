@@ -321,7 +321,7 @@ def _fw_sigmoid(inputs, needs):
     s = _stable_sigmoid(x)
 
     def vjp(g):
-        return [g * s * (1.0 - s)]
+        return [np.multiply(gs := g * s, 1.0 - s, out=gs)]  # (g * s) * (1 - s)
 
     return s, vjp
 
@@ -331,7 +331,7 @@ def _fw_tanh(inputs, needs):
     t = np.tanh(x)
 
     def vjp(g):
-        return [g * (1.0 - t * t)]
+        return [np.multiply(g, np.subtract(1.0, d := t * t, out=d), out=d)]  # g * (1 - t * t)
 
     return t, vjp
 

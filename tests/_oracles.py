@@ -226,6 +226,15 @@ def union_np(*adjs):
     return uni
 
 
+def category_removal_np(u, adj):
+    """What the trend branch removes from [N, d] rows u for one clique
+    relation: each row's mean over itself and its relatives, and nothing
+    for a row with no relative."""
+    member = adj + np.eye(len(adj))
+    means = member @ u / member.sum(axis=1, keepdims=True)
+    return np.where(adj.any(axis=1, keepdims=True), means, 0.0)
+
+
 def pspe_np(x_trend, ind_adj, reg_adj, p, slope, k):
     """Full trend branch. Returns intermediate values too for inspection."""
     x0 = layer_norm_rows(
@@ -234,12 +243,11 @@ def pspe_np(x_trend, ind_adj, reg_adj, p, slope, k):
         p["trend_in_ln_b"],
     )
     fwd_parts = []
-    back_sum = np.zeros_like(x0)
+    u = x0
     for rel, adj in (("ind", ind_adj), ("reg", reg_adj)):
         h = leaky(gcn_np(x0, adj, p[f"gcn_{rel}_w"], p[f"gcn_{rel}_b"]), slope)
         fwd_parts.append(leaky(h @ p[f"fwd_head_{rel}"], slope))
-        back_sum = back_sum + h @ p[f"back_head_{rel}"]
-    u = x0 - back_sum
+        u = u - category_removal_np(u, adj)
     z_s = np.concatenate(fwd_parts, axis=1) @ p["static_mix_w"]
     u_tilde = leaky(u @ p["resid_proj_w"], slope)
     dyn_adj = topk_np(cosine_np(u_tilde), k)

@@ -75,8 +75,8 @@ def test_benchmark_command_runs_each_workload_at_tiny_size(name, tmp_path):
 # fails here
 FULL_SIZE_SEED5_DIGESTS = {
     "cli_n800": "5227b7f0b2c2bcc39b4a3675517ed1af0e7c551e48cf563c5ba5cd8a92167096",
-    "predict_n800": "d7aca4cba6abafb97165a62c0dc1925bf7c3f13eb95cae8a9446a6e18040a8a5",
-    "train_n24": "34fd3cfe28323f0ada2facc180e1f085a8dd5beb437906d050a8b0c5172ebe93",
+    "predict_n800": "2129d79a53754c3b088cf98d2c4b88a204dd731f2053baffe4ad645bf514289e",
+    "train_n24": "d4e77168acc2e3e1c49f9bff63f06c781be5e4c0cd46539b308ea61d519df3d9",
 }
 
 

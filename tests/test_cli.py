@@ -264,7 +264,7 @@ def test_train_artifacts_and_manifest(workdir):
     assert sum(row.endswith(",1") for row in history[1:]) == 1
     # both reports as written when each cell was formatted by hand
     assert digest(model_dir / "history.csv") == (
-        "979aacef1e53dd18d51bc81619e70f5e0ca8dc158b3666136d591049e156b5b1")
+        "8e1d4567ab864298a7716d926f2e2cb0f56e2dcf98ddafee66d843f933a5115a")
     assert digest(model_dir / "train_stats.csv") == (
         "298265e08ed7821ab6e473bf9df225194883d901c8aeaa36e2bf0c8d4d290b94")
 
@@ -1488,7 +1488,24 @@ def test_predict_refuses_a_version_1_checkpoint(workdir, tmp_path, capsys):
                   + panel_args(workdir) + graph_args(workdir))
     assert rc == cli.EXIT_CONFIG
     assert capsys.readouterr().err == (
-        f"error: {old}: unsupported checkpoint version 1, not 2; re-run train to write one\n")
+        f"error: {old}: unsupported checkpoint version 1, not 3; re-run train to write one\n")
+    assert not out.exists()
+
+
+def test_predict_refuses_a_version_2_checkpoint_with_back_heads(workdir, tmp_path, capsys):
+    # version 2 held the two learned back heads that category-mean removal replaced
+    payload = json.loads((workdir / "model" / "checkpoint.json").read_text())
+    for rel in ("ind", "reg"):
+        payload["params"][f"back_head_{rel}"] = payload["params"]["gcn_ind_w"]
+    payload["format_version"] = 2
+    old = tmp_path / "checkpoint.json"
+    old.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    out = tmp_path / "preds"
+    rc = cli.main(["predict", "--out", str(out), "--checkpoint", str(old)]
+                  + panel_args(workdir) + graph_args(workdir))
+    assert rc == cli.EXIT_CONFIG == 2
+    assert capsys.readouterr().err == (
+        f"error: {old}: unsupported checkpoint version 2, not 3; re-run train to write one\n")
     assert not out.exists()
 
 

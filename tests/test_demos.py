@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -36,10 +38,21 @@ def test_cli_walkthrough_runs_and_prints_its_three_tables(tmp_path):
 
 
 def test_ablation_study_prints_every_variant():
+    # each variant also prints its mean daily IC difference against the
+    # full model and that difference's Newey-West t; the full row leaves
+    # both blank
     out = _run([sys.executable, str(ROOT / "demos" / "ablation_study.py")]).splitlines()
-    assert out[0].split() == ["variant", "ic", "rank_ic"], out
+    assert out[0].split() == ["variant", "ic", "rank_ic", "d_ic", "t_nw"], out
     labels = ["full", "trend -> plain GAT", "fluctuation -> MLP", "shock -> MLP"]
     assert [line[:22].strip() for line in out[1:]] == labels, out
+    full_ic = float(out[1][22:].split()[0])
+    assert len(out[1][22:].split()) == 2, out[1]
     for line in out[1:]:
-        ic, rank_ic = map(float, line[22:].split())
+        ic, rank_ic = map(float, line[22:].split()[:2])
         assert -1.0 <= ic <= 1.0 and -1.0 <= rank_ic <= 1.0, line
+    for line in out[2:]:
+        ic, _, diff, t = map(float, line[22:].split())
+        assert -2.0 <= diff <= 2.0 and np.isfinite(t), line
+        # the days both scored are every test day here, so the mean
+        # difference is the difference of the means, to print rounding
+        assert abs(diff - (ic - full_ic)) <= 2e-4, line

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracles as oracle
+from _fd import finite_difference_check
 from xsrank import graphs, model as act_model, tensor as tz
 from xsrank.errors import ConfigError, DataError
 from xsrank.graphs import (
+    CategoryMeans,
     RelationGraphs,
     build_relation_graphs,
     cosine_similarity_matrix,
@@ -249,6 +251,59 @@ def test_gcn_layer_gathers_what_the_one_hot_product_gave(codes, lead, d, seed):
     assert got.tobytes() == want.tobytes()
     for grad, want_grad in zip(got_grads, want_grads, strict=True):
         np.testing.assert_allclose(grad, want_grad, rtol=1e-12)
+
+
+@st.composite
+def two_relations(draw, max_n=40):
+    """Industry and region codes over one universe of N instruments: a
+    few shared categories, and instruments with a code of their own, as
+    one missing from a membership file gets."""
+    n = draw(st.integers(1, max_n))
+
+    def codes():
+        shared = draw(st.integers(1, 6))
+        out = np.array(draw(st.lists(st.integers(0, shared - 1), min_size=n, max_size=n)))
+        alone = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        out[alone] = shared + np.flatnonzero(alone)
+        return out
+
+    return codes(), codes()
+
+
+# the largest |mean| of a purified category: the rows are N(0, 1) draws,
+# below 10 in magnitude, and a mean of at most 40 of them is off by a few
+# ulp of 10 after its removal
+REMOVED_MEAN_TOL = 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(two_relations(), st.lists(st.integers(1, 2), max_size=2), st.integers(1, 3),
+       st.integers(0, 2**32 - 1))
+def test_category_mean_removal_zeroes_shared_means_and_keeps_lone_rows(relations, lead, d,
+                                                                        seed):
+    # the trend residual is x0 minus its industry means, then minus the
+    # result's region means; each step leaves every category of two or
+    # more members a zero mean, in every window of the batch, returns a
+    # row alone in its category bit for bit, and its gradient is the
+    # finite differences' of the two steps
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(*lead, len(relations[0]), d))
+    steps = [CategoryMeans(codes) for codes in relations]
+    u = x
+    for codes, step in zip(relations, steps, strict=True):
+        out = step.remove(Tensor(u)).data
+        for cat in np.unique(codes):
+            members = codes == cat
+            if members.sum() > 1:
+                assert np.abs(out[..., members, :].mean(axis=-2)).max() <= REMOVED_MEAN_TOL
+            else:
+                assert out[..., members, :].tobytes() == u[..., members, :].tobytes()
+        u = out
+
+    g = Tensor(rng.normal(size=x.shape))
+    err = finite_difference_check(
+        lambda t: tz.tensor_sum(tz.mul(steps[1].remove(steps[0].remove(t)), g)), Tensor(x))
+    assert err < 1e-6, err
 
 
 def test_gcn_layer_holds_one_pooling_matrix():

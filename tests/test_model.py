@@ -1,8 +1,10 @@
 import base64
 import itertools
 import json
+import math
 import re
 import tempfile
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -196,17 +198,21 @@ def test_pspe_matches_straight_line_oracle():
         assert abs(gate_mean - ref["gate"].mean()) < 1e-9
 
 
-def test_pspe_zero_back_heads_keeps_input_residual():
-    # with the subtraction heads zeroed the purified residual is x0 itself
+def test_pspe_residual_keeps_rows_with_no_relative():
+    # a row alone in its industry and in its region has no shared mean, so
+    # the purified residual is x0 itself, bit for bit, and the k-NN lists
+    # are those of leaky(x0 W); the removal has no weights of its own
     rng = np.random.default_rng(8)
     cfg = small_cfg()
     n = 6
     model = ActModel(cfg, seed=2)
-    for rel in ("ind", "reg"):
-        model.params[f"back_head_{rel}"] = Tensor(np.zeros((cfg.hidden, cfg.hidden)))
-    graphs = make_graphs(n, rng)
+    assert not [name for name in parameter_spec(cfg) if name.startswith("back_head")]
+    graphs = build_relation_graphs([f"S{i}" for i in range(n)], {}, {})
     x_trend = rng.normal(size=(cfg.window, n, cfg.n_features))
-    z, _, _ = pspe_forward(x_trend, graphs, model, cfg)
+    z, dyn, _ = pspe_forward(x_trend, graphs, model, cfg)
+    x0 = model_module._proj_ln(x_trend[-1], model, "trend_proj", "trend_in_ln")
+    u_tilde = tz.leaky_relu(tz.matmul(x0, model["resid_proj_w"]), cfg.leaky_slope)
+    assert np.array_equal(dyn, knn_lists(u_tilde.data, cfg.knn))
     ref = oracle.pspe_np(
         x_trend, *oracle.relation_adjacencies(graphs), model.state_arrays(),
         cfg.leaky_slope, cfg.knn,
@@ -518,7 +524,7 @@ def test_checkpoint_round_trip(pspe, fci, sci, hidden, tcn_kernel, seed):
         save_checkpoint(model, path)
         reference = json.dumps({
             "config": cfg.to_dict(),
-            "format_version": 2,
+            "format_version": 3,
             "params": {name: {"data": base64.b64encode(t.data.astype("<f8").tobytes()).decode(),
                               "shape": list(t.shape)}
                        for name, t in model.params.items()},
@@ -539,7 +545,7 @@ def test_checkpoint_rejects_bad_files(tmp_path):
     payload["format_version"] = 99
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(payload))
-    with pytest.raises(ConfigError, match="bad.json: unsupported checkpoint version 99, not 2; "
+    with pytest.raises(ConfigError, match="bad.json: unsupported checkpoint version 99, not 3; "
                                           "re-run train to write one"):
         load_checkpoint(bad)
 
@@ -571,13 +577,34 @@ def test_checkpoint_refuses_an_extra_parameter_and_a_directory(tmp_path):
 
 
 def test_hidden_64_checkpoint_stays_within_its_byte_size(tmp_path):
-    # 113,600 float64 values in base64 take 1,213,800 bytes; written as
-    # decimal text they took about 2,330,000
+    # 105,408 float64 values in base64 take 1,126,328 bytes; the 113,600
+    # of the model with back heads took about 2,330,000 as decimal text
     model = ActModel(ActConfig(n_features=8, window=16), seed=0)
     assert model.cfg.hidden == 64
     path = tmp_path / "checkpoint.json"
     save_checkpoint(model, path)
     assert path.stat().st_size <= 1_250_000
+
+
+def test_load_checkpoint_lets_go_of_each_parameter_text_as_it_decodes(tmp_path):
+    # the parsed payload's base64 text, 4/3 of the weights' bytes, is let
+    # go parameter by parameter as the arrays are decoded, so the load
+    # peaks while json parses the file: 2.69 times the weights' bytes
+    # (2.27 MB at hidden 64). Before, every text was held to the end: 3.38
+    # times (2.93 MB with the two back heads). The bound, 2.9 times,
+    # leaves a fifth of the weights' bytes
+    cfg = ActConfig(n_features=8, window=16)
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(ActModel(cfg, seed=0), path)
+    weights = sum(8 * math.prod(shape) for shape in parameter_spec(cfg).values())
+    load_checkpoint(path)
+    tracemalloc.start()
+    try:
+        load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.9 * weights, (peak, weights)
 
 
 def test_load_checkpoint_draws_no_weights(tmp_path, monkeypatch):

@@ -323,6 +323,22 @@ def test_sigmoid_divides_once_as_the_two_quotients_did(x):
     assert tz.sigmoid(Tensor(x)).data.tobytes() == oracle.sigmoid_two_quotients(x).tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 40).flatmap(lambda n: st.tuples(*[arrays(
+    np.float64, n, elements=st.one_of(st.sampled_from(_SIGMOID_EDGES),
+                                      st.floats(allow_nan=False, allow_infinity=False)))
+    for _ in range(2)])))
+def test_tanh_and_sigmoid_gradients_are_the_plain_expressions_bit_for_bit(xg):
+    # both VJPs form their product in place, in the order of the plain
+    # expressions g * (1 - t * t) and (g * s) * (1 - s)
+    x, g = xg
+    with np.errstate(all="ignore"):
+        for builder, plain in ((tz._fw_tanh, lambda t: g * (1.0 - t * t)),
+                               (tz._fw_sigmoid, lambda s: g * s * (1.0 - s))):
+            out, vjp = builder([x], [True])
+            assert vjp(g)[0].tobytes() == plain(out).tobytes()
+
+
 @pytest.mark.parametrize("slope", [0.0, 0.2])
 def test_leaky_relu_equals_where_formula_bitwise(slope):
     # the forward is maximum(x, slope * x), equal to the where form only
