@@ -1581,7 +1581,8 @@ def edit_checkpoint(text: str, kind: str, a: int, b: int, value) -> str:
                 yield from keys(child)
 
     if kind == "base64":
-        data = [entry for entry in (payload.get("params") or {}).values()
+        params = payload.get("params")
+        data = [entry for entry in (params if isinstance(params, dict) else {}).values()
                 if isinstance(entry, dict) and isinstance(entry.get("data"), str)
                 and entry["data"]]
         if data:
@@ -1683,6 +1684,9 @@ def test_backtest_refused_after_running_leaves_no_artifact(fuzz_inputs, tmp_path
 @example(edits=[("backtest.csv", "cell", 0, 1, "1e308")])
 # a 1e308 feature: a spread whose square overflows in standardization
 @example(edits=[("features.csv", "cell", 40, 3, "1e308")])
+# `params` retyped to true, then a base64 edit, which has no parameter to edit
+@example(edits=[("checkpoint.json", "retype", 16, 0, True),
+                ("checkpoint.json", "base64", 0, 0, None)])
 def test_mutated_inputs_exit_cleanly_with_one_error_line(fuzz_inputs, edits):
     texts = dict(fuzz_inputs)
     for name, kind, a, b, cell in edits:
