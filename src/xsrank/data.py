@@ -461,6 +461,36 @@ class PredictionSeries:
             raise DataError(f"row ({rows[n][0]}, {rows[n][1]}): date {rows[n][0]!r} is not "
                             "a YYYY-MM-DD day")
 
+    @classmethod
+    def from_grid(cls, dates: list[str], instruments: list[str],
+                  scores: np.ndarray) -> "PredictionSeries":
+        """The series of the rows (dates[t], instruments[i], scores[t, i]),
+        one per cell of the [D, M] `scores` that is not NaN, taken in (t, i)
+        order, without building them.
+
+        Dates and instruments with no score are dropped and the
+        instruments sorted by name. When the kept dates are distinct days
+        in increasing order, the kept instruments distinct and no score
+        infinite, the grid is taken as it is; otherwise the rows go to
+        `PredictionSeries(rows)`, which makes its refusals with its
+        messages, such as a non-day date naming its first scored row.
+        """
+        scores = np.asarray(scores, dtype=np.float64)
+        scored = ~np.isnan(scores)
+        t, i = np.flatnonzero(scored.any(axis=1)), np.flatnonzero(scored.any(axis=0))
+        days = [dates[k] for k in t.tolist()]
+        names = [instruments[k] for k in i.tolist()]
+        if (days != sorted(set(days)) or len(set(names)) < len(names)
+                or not all(map(_is_day, days)) or np.isinf(scores).any()):
+            t, i = np.nonzero(scored)
+            return cls(zip([dates[k] for k in t.tolist()], [instruments[k] for k in i.tolist()],
+                           scores[t, i].tolist()))
+        order = sorted(range(len(names)), key=names.__getitem__)
+        preds = cls.__new__(cls)
+        preds.dates, preds.instruments = days, [names[k] for k in order]
+        preds.scores = scores[np.ix_(t, i[order])]
+        return preds
+
     def _grid(self, blocks, path=None) -> None:
         """Set the grid from `_read_grid` blocks of rows of `path`."""
         self.dates, self.instruments, scores, _ = _read_grid(

@@ -24,9 +24,9 @@ def causal_moving_average(x: np.ndarray, window: int) -> np.ndarray:
 
     Each cell is summed in ascending time, as the textbook loop sums it,
     so results are bit-identical to that loop: the first `window` rows
-    are running sums (np.add.accumulate is sequential along the axis),
-    and every later row adds the window's `window` offsets in order,
-    one whole-slice add per offset.
+    are running sums, each row its predecessor plus x[t] in one
+    whole-row add, and every later row adds the window's `window` offsets
+    in order, one whole-slice add per offset.
     """
     if not isinstance(window, (int, np.integer)) or window < 1:
         raise ConfigError(f"moving-average window must be an int >= 1, got {window!r}")
@@ -39,7 +39,9 @@ def causal_moving_average(x: np.ndarray, window: int) -> np.ndarray:
     w = min(int(window), T)
     out = np.empty_like(x)
     head, tail = out[:w], out[w:]
-    np.add.accumulate(x[:w], axis=0, out=head)
+    head[0] = x[0]
+    for t in range(1, w):
+        np.add(head[t - 1:t], x[t:t + 1], out=head[t:t + 1])
     head /= np.arange(1, w + 1, dtype=np.float64).reshape((w,) + (1,) * (x.ndim - 1))
     if T > w:
         # row t >= w sums x[t - w + 1], ..., x[t]

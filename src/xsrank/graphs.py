@@ -144,16 +144,23 @@ def unit_rows(u: np.ndarray) -> np.ndarray:
 
     Each row is first divided by its largest magnitude, so no row's norm
     underflows however small its scale, then by its norm; a zero row is
-    divided by 1 both times.
+    divided by 1 both times. The squares are summed one `row_blocks`
+    block at a time, and the scaled copy is divided in place, so the
+    call holds one copy of `u` and one block beside it.
     """
     u = np.asarray(u, dtype=np.float64)
     if u.ndim < 2:
         raise DataError(f"expected [..., N, d] representations, got {u.shape}")
     scale = np.abs(u).max(axis=-1, keepdims=True, initial=0.0)
     scale[scale == 0] = 1.0
-    u = u / scale
+    unit = u / scale
+    norm = np.empty(scale.shape)
+    rows, flat = unit.reshape(norm.size, unit.shape[-1]), norm.reshape(-1)
+    for block in tz.row_blocks(*rows.shape):
+        flat[block] = np.square(rows[block]).sum(axis=-1)
     # a nonzero row now has an entry of magnitude 1, so its norm is >= 1
-    return u / np.maximum(np.sqrt((u * u).sum(axis=-1, keepdims=True)), 1.0)
+    unit /= np.maximum(np.sqrt(norm, out=norm), 1.0, out=norm)
+    return unit
 
 
 def cosine_similarity_matrix(u: np.ndarray, unit: np.ndarray) -> np.ndarray:
@@ -197,7 +204,9 @@ def topk_graph(similarity: np.ndarray, k: int, first: int) -> np.ndarray:
     kth = key[..., k - 1: k].copy()  # the tie fill below rewrites the key
     picked = sim >= -kth  # key <= kth, as negation is exact
     picked[own] = False
-    if not (picked.sum(axis=-1) == k).all():
+    # a row whose k-th key is a number picks at least k columns, so when
+    # no k-th key is NaN, a total of k per row means each row picks k
+    if np.isnan(kth).any() or np.count_nonzero(picked) != picked.size // n * k:
         np.negative(sim, out=key)
         key[own] = np.nan
         nan_key = np.isnan(key)

@@ -177,10 +177,18 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp(-|x|) is exp(-x) where x >= 0 and exp(x) elsewhere, so both
-    # branches see the same operands as when computed on their own halves
-    ex = np.exp(-np.abs(x))
-    return np.divide(np.where(x >= 0, 1.0, ex), 1.0 + ex)
+    """1 / (1 + e^-x) where x >= 0 and e^x / (1 + e^x) elsewhere, one
+    division, in one fresh buffer beside the denominator.
+
+    ex = exp(-|x|) is exp(-x) where x >= 0 and exp(x) elsewhere, so both
+    branches see the same operands as when computed on their own halves.
+    As 0 <= ex <= 1, maximum(ex, x >= 0) is the numerator where(x >= 0,
+    1, ex) bit for bit.
+    """
+    ex = np.abs(x)
+    np.exp(np.negative(ex, out=ex), out=ex)
+    den = 1.0 + ex
+    return np.divide(np.maximum(ex, x >= 0, out=ex), den, out=ex)
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +292,10 @@ def _fw_layer_norm(inputs, needs):
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError("layer_norm gamma/beta must match the last axis")
     xhat = x - x.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
+    sq = xhat * xhat  # then the output's buffer
+    inv = 1.0 / np.sqrt(sq.mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
     xhat *= inv
-    out = gamma * xhat
+    out = np.multiply(gamma, xhat, out=sq)
     out += beta
 
     def vjp(g):

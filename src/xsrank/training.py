@@ -363,13 +363,15 @@ def predict_sliding(
     graphs: RelationGraphs,
     start_date: str | None = None,
 ) -> PredictionSeries:
-    """Score every window-end date, one record per present instrument.
+    """Score every window-end date, one score per present instrument.
 
     Slides a length-T window over the whole panel (so the first dates
     after `start_date` still draw history from before it) and keeps the
-    records whose end date is >= start_date, the unlabelled final date
+    scores whose end date is >= start_date, the unlabelled final date
     included. Dropout stays off; the dynamic graph is rebuilt inside
-    every window. Each window is decomposed and scored alone. A
+    every window. Each window is decomposed and scored alone, and its
+    [N] scores are copied through the present mask into a [windows, N]
+    NaN grid that `PredictionSeries.from_grid` takes as it is. A
     `start_date` that is not a YYYY-MM-DD day is a ConfigError.
     """
     _check_day("start_date", start_date)
@@ -377,12 +379,10 @@ def predict_sliding(
     if start_date is not None:
         ends = ends[ends >= bisect_left(ds.dates, start_date)]
     present = ds.present_mask
-    rows = []
-    for t, scores in _score_windows(ds, ends, graphs, model, 1):
-        for inst, here, score in zip(ds.instruments, present[t], scores.tolist()):
-            if here:
-                rows.append((ds.dates[t], inst, score))
-    if not rows:
+    grid = np.full((len(ends), len(ds.instruments)), np.nan)
+    for row, (t, scores) in zip(grid, _score_windows(ds, ends, graphs, model, 1)):
+        np.copyto(row, scores, where=present[t])
+    if not present[ends].any():
         raise DataError("no instrument is priced on a window-end date" + (
             f" at or after start_date {start_date}" if start_date is not None else ""))
-    return PredictionSeries(rows)
+    return PredictionSeries.from_grid([ds.dates[t] for t in ends.tolist()], ds.instruments, grid)

@@ -51,6 +51,37 @@ def test_cma_equals_textbook_loop_bitwise_over_random_shapes(x, window):
     assert got.tobytes() == want.tobytes()
 
 
+# signed zeros, the smallest subnormal, a mid subnormal and the largest
+_TINY = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.225073858507201e-308]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 20), st.integers(1, 3), st.integers(1, 8),
+       st.integers(0, 2 ** 32 - 1))
+def test_cma_and_decompose_equal_the_loop_bitwise_on_wide_steps(data, T, B, F, seed):
+    # [T, B, N, F] with at least 64 cells per step, as a window stack is;
+    # the head is built row by row, so a wide row must add as one cell does
+    least = -(-64 // (B * F))
+    N = data.draw(st.integers(least, least + 40), label="N")
+    window = data.draw(st.one_of(st.integers(1, T), st.just(T), st.integers(T, T + 8)),
+                       label="window")
+    fluct_window = data.draw(st.integers(1, T + 2), label="fluct_window")
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(T, B, N, F)) * 10.0 ** rng.integers(-300, 300)
+    # a drawn share of the cells, and some whole steps, become tiny or zero
+    share = data.draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]), label="share")
+    cells = rng.random(x.shape) < share
+    x[cells] = rng.choice(_TINY, size=int(cells.sum()))
+    x[rng.random(T) < share] = -0.0
+    got = causal_moving_average(x, window)
+    assert got.tobytes() == oracle.cma_loop(x, window).tobytes()
+    parts = decompose(x, window, fluct_window)
+    want = oracle.decompose_loop(x, window, fluct_window)
+    for comp, expected in zip((parts.trend, parts.fluct, parts.shock), want):
+        assert comp.shape == x.shape
+        assert comp.tobytes() == expected.tobytes()
+
+
 def test_cma_left_edge_divisor():
     x = np.array([[2.0], [4.0], [6.0], [8.0]])
     out = causal_moving_average(x, 3)

@@ -630,6 +630,39 @@ def test_knn_lists_of_a_batch_hold_a_few_blocks_beside_the_unit_rows():
     assert peak <= u.nbytes + 3 * block, (peak, u.nbytes, block)
 
 
+def test_unit_rows_hold_one_copy_and_one_block_of_squares():
+    # the scaled copy (1.64 MB here) is divided in place and its squares
+    # are summed one TOPK_BLOCK_CELLS block (0.52 MB) at a time: 2.22 MB.
+    # The bound adds room for four [..., N, 1] arrays (0.10 MB). Earlier:
+    # 3.40 MB, with u / scale, u * u and the quotient all held.
+    u = np.random.default_rng(17).normal(size=(4, 800, 64))
+    tracemalloc.start()
+    try:
+        unit_rows(u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block, column = tz.TOPK_BLOCK_CELLS * 8, u.nbytes // u.shape[-1]
+    assert peak <= u.nbytes + block + 4 * column, (peak, u.nbytes, block)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(st.integers(1, 3), st.integers(0, 1500), st.integers(1, 70)),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from([1e-320, 1e-160, 1.0, 1e150, 1e300]))
+def test_unit_rows_equal_the_whole_array_expression_bit_for_bit(shape, seed, magnitude):
+    # blocked sums of squares and the in-place division against the
+    # expression that held every array, over one or many blocks; some
+    # rows zero, some subnormal
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=shape) * magnitude
+    u[rng.random(shape[:-1]) < 0.1] = 0.0
+    scale = np.abs(u).max(axis=-1, keepdims=True, initial=0.0)
+    scale[scale == 0] = 1.0
+    v = u / scale
+    want = v / np.maximum(np.sqrt((v * v).sum(axis=-1, keepdims=True)), 1.0)
+    assert unit_rows(u).tobytes() == want.tobytes()
+
+
 @st.composite
 def tied_rows(draw):
     # rows from a small value set, so that cosines tie exactly and often;

@@ -323,6 +323,42 @@ def test_sigmoid_divides_once_as_the_two_quotients_did(x):
     assert tz.sigmoid(Tensor(x)).data.tobytes() == oracle.sigmoid_two_quotients(x).tobytes()
 
 
+# around where exp(-|x|) leaves the normals (708.4) and reaches 0
+# (745.1), plus magnitudes up to 1e300
+_FORWARD_EDGES = _SIGMOID_EDGES + [709.0, -709.0, 709.78, -709.78, 745.13, -745.13,
+                                   745.14, -745.14, 1e300, -1e300]
+_forward_values = st.one_of(st.sampled_from(_FORWARD_EDGES), st.floats(-750.0, 750.0),
+                            st.floats(-1e300, 1e300), st.floats(-1e-300, 1e-300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(0, 3), st.integers(0, 24)),
+              elements=_forward_values))
+def test_sigmoid_forward_is_the_where_numerator_bit_for_bit(x):
+    # the in-place forward against the expression it replaced
+    ex = np.exp(-np.abs(x))
+    want = np.divide(np.where(x >= 0, 1.0, ex), 1.0 + ex)
+    assert tz._stable_sigmoid(x).tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(st.integers(0, 3), st.integers(1, 12)).flatmap(lambda shape: st.tuples(
+    arrays(np.float64, shape, elements=_forward_values),
+    *[arrays(np.float64, shape[-1], elements=_forward_values) for _ in range(2)])))
+def test_layer_norm_forward_reuses_the_square_bit_for_bit(xgb):
+    # the forward writes gamma * xhat over xhat * xhat; against the plain
+    # expressions, overflow to inf and nan included
+    x, gamma, beta = xgb
+    with np.errstate(all="ignore"):
+        xhat = x - x.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + tz.LAYER_NORM_EPS)
+        xhat *= inv
+        want = gamma * xhat
+        want += beta
+        got, _ = tz._fw_layer_norm([x, gamma, beta], [False] * 3)
+    assert got.tobytes() == want.tobytes()
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 40).flatmap(lambda n: st.tuples(*[arrays(
     np.float64, n, elements=st.one_of(st.sampled_from(_SIGMOID_EDGES),

@@ -16,9 +16,12 @@ import _oracles as oracle
 from _fd import finite_difference_check
 from _helpers import act_forward, item
 from xsrank.data import (
+    PanelDataset,
+    PredictionSeries,
     SynthConfig,
     generate_synthetic,
     load_panel,
+    make_windows,
     standardize_features,
     write_panel,
 )
@@ -39,6 +42,7 @@ from xsrank.tensor import PrimitiveKind, Tape, Tensor, backward
 from xsrank.training import (
     Adam,
     TrainSettings,
+    _score_windows,
     clip_labels,
     ic_loss,
     mix_losses,
@@ -457,6 +461,73 @@ def test_predict_sliding_skips_missing_instruments():
     k = preds.instruments.index(ds.instruments[3])
     assert np.isnan(preds.scores[t, k])
     assert np.isfinite(preds.scores[t + 1, k])
+
+
+def _rows_path(model, ds, graphs, start_date=None):
+    """The same window scores as (date, instrument, score) rows, one per
+    present cell in panel order, through PredictionSeries(rows)."""
+    ends = make_windows(ds, model.cfg.window)
+    if start_date is not None:
+        ends = ends[ends >= ds.dates.index(start_date)]
+    present = ds.present_mask
+    return PredictionSeries([(ds.dates[t], inst, score)
+                             for t, scores in _score_windows(ds, ends, graphs, model, 1)
+                             for inst, here, score in zip(ds.instruments, present[t],
+                                                          scores.tolist()) if here])
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        preds = fn(*args, **kwargs)
+    except DataError as exc:
+        return f"DataError: {exc}"
+    return preds.dates, preds.instruments, preds.scores.shape, preds.scores.tobytes()
+
+
+def _shuffled_panel(ds, graphs, seed):
+    """A hand-built panel of ds with its instruments in a random order,
+    their names unsorted, and relation graphs in that order."""
+    order = np.random.default_rng(seed).permutation(len(ds.instruments))
+    names = [ds.instruments[k] for k in order]
+    assert names != sorted(names)
+    hand = PanelDataset(dates=list(ds.dates), instruments=names,
+                        features=ds.features[:, order], labels=ds.labels[:, order],
+                        vwap=ds.vwap[:, order], volume=ds.volume[:, order])
+    return hand, build_relation_graphs(names, graphs.industry_labels, graphs.region_labels)
+
+
+def test_predict_sliding_grid_equals_the_rows_path_bit_for_bit():
+    ds, graphs = small_panel(days=24)
+    model = ActModel(small_cfg(window=10), seed=3)
+    holes = replace(ds, vwap=np.where(np.random.default_rng(4).random(ds.vwap.shape) < 0.3,
+                                      np.nan, ds.vwap))
+    holes.vwap[:, 5] = np.nan  # an instrument never priced drops out
+    unpriced_final = replace(ds, vwap=ds.vwap.copy())
+    unpriced_final.vwap[-1] = np.nan
+    cases = [(ds, graphs, None), (holes, graphs, None), (unpriced_final, graphs, None),
+             (*_shuffled_panel(holes, graphs, 6), None), (ds, graphs, ds.dates[15]),
+             (*_shuffled_panel(holes, graphs, 7), ds.dates[12])]
+    for panel, relations, start in cases:
+        got = _outcome(predict_sliding, model, panel, relations, start_date=start)
+        assert got == _outcome(_rows_path, model, panel, relations, start)
+        assert got[1] == sorted(got[1])
+    assert len(_outcome(predict_sliding, model, holes, graphs)[1]) == len(ds.instruments) - 1
+    assert _outcome(predict_sliding, model, unpriced_final, graphs)[0][-1] == ds.dates[-2]
+
+
+def test_predict_sliding_names_a_non_day_date_as_the_rows_path_does():
+    ds, graphs = small_panel(days=24)
+    model = ActModel(small_cfg(window=10), seed=3)
+    # "<day>x" sorts between its day and the next, so the dates stay
+    # increasing; the first present instrument in panel order is named
+    dates, vwap = list(ds.dates), ds.vwap.copy()
+    dates[15] += "x"
+    hand, relations = _shuffled_panel(replace(ds, dates=dates, vwap=vwap), graphs, 8)
+    hand.vwap[15, 0] = np.nan
+    got = _outcome(predict_sliding, model, hand, relations)
+    assert got == _outcome(_rows_path, model, hand, relations)
+    assert got == (f"DataError: row ({hand.dates[15]}, {hand.instruments[1]}): date "
+                   f"{hand.dates[15]!r} is not a YYYY-MM-DD day")
 
 
 def test_predict_sliding_errors():
